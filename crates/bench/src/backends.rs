@@ -1,7 +1,7 @@
 //! Backend × mapping benchmark matrix (the PR 9 headline): the same
 //! beam and range workloads run through every registry device backend
 //! (rotating disk, multi-queue SSD, IMR) on every mapping, via the
-//! backend-generic [`BackendExecutor`]. The payload checksum is a
+//! one [`QueryExecutor`]. The payload checksum is a
 //! *per-mapping* invariant across backends — every backend must deliver
 //! exactly the mapping's block set, however it scheduled or overlapped
 //! the batch — while the timing columns show each backend's own
@@ -20,7 +20,7 @@
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, BACKEND_NAMES};
 use multimap_lvm::backend_volume;
-use multimap_query::{BackendExecutor, QueryOp, QueryRequest};
+use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
 use multimap_store::{CacheConfig, DeviceStore};
 
 use crate::harness::{build_mappings, ms, Scale, Table};
@@ -112,7 +112,7 @@ pub fn selected_backends(filter: Option<&str>) -> Vec<&'static str> {
 
 /// Run the backend × mapping matrix: every selected backend serves the
 /// same deterministic beam workload and interior range query on every
-/// mapping, through [`BackendExecutor`] over a registry-built volume.
+/// mapping, through [`QueryExecutor`] over a registry-built volume.
 pub fn run(scale: Scale, filter: Option<&str>) -> Vec<BackendCell> {
     let geom = &profiles::evaluation_disks()[0];
     let grid = bench_grid(scale);
@@ -136,7 +136,7 @@ pub fn run(scale: Scale, filter: Option<&str>) -> Vec<BackendCell> {
     multimap_engine::sweep(&items, |&(backend, mi)| {
         let mapping = mappings[mi].as_ref();
         let volume = backend_volume(backend, geom, 1).expect("registry backend builds");
-        let exec = BackendExecutor::new(&volume, 0);
+        let exec = QueryExecutor::new(&volume, 0);
         let step = grid.extent(0) / beams;
         let mut beam_io_ms = 0.0;
         let mut requests = 0u64;

@@ -1,20 +1,12 @@
-//! Differential query checking: the same workload through every
-//! [`MappingKind`], asserting that what reaches the platter is the same
-//! set of dataset cells regardless of how they were laid out — and that
-//! the analytical cost model agrees with the simulator within the
-//! documented tolerances.
-//!
-//! Every differential query runs through the unified
-//! [`QueryExecutor::execute`] entry point carrying both an event
-//! observer (for the physics oracle) and a telemetry sink, so the
-//! checks also pin the telemetry contract: the per-phase histogram sums
-//! must add up to the measured total service time.
-
-use std::collections::BTreeSet;
+//! The pieces of differential checking that are not a matrix: the four
+//! standard mappings under test, the telemetry phase-decomposition
+//! check, the flat-translation-cache pin, and the analytical cost
+//! model's agreement with the simulator within the documented
+//! tolerances. The mapping × backend × {plain, cached} matrix itself
+//! lives in [`crate::matrix`].
 
 use multimap_core::{
-    hilbert_mapping, zorder_mapping, BoxRegion, Coord, GridSpec, Mapping, MultiMapping,
-    NaiveMapping,
+    hilbert_mapping, zorder_mapping, BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
 use multimap_disksim::DiskGeometry;
 use multimap_lvm::LogicalVolume;
@@ -22,10 +14,8 @@ use multimap_model::{
     multimap_beam_per_cell_ms, multimap_range_total_ms, naive_beam_per_cell_ms,
     naive_range_total_ms, ModelParams,
 };
-use multimap_query::{QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
+use multimap_query::{QueryExecutor, QueryRequest, QueryResult};
 use multimap_telemetry::{Counter, Metrics};
-
-use crate::oracle::{check_log, OracleReport};
 
 /// Maximum relative error tolerated between the analytical model and the
 /// simulator on beam queries (matches the bound the model crate's own
@@ -50,68 +40,6 @@ pub fn standard_mappings(geom: &DiskGeometry, grid: &GridSpec) -> Vec<Box<dyn Ma
         // staticcheck: allow(no-unwrap) — same setup-breakage argument as the curve lines above.
         Box::new(MultiMapping::new(geom, grid.clone()).expect("multimap mapping must build")),
     ]
-}
-
-/// What one mapping did for one query.
-#[derive(Debug)]
-pub struct DifferentialOutcome {
-    /// Mapping name (`Mapping::name`).
-    pub mapping: String,
-    /// The set of dataset cells actually transferred, recovered from the
-    /// serviced LBNs through the mapping's inverse.
-    pub cells: BTreeSet<Coord>,
-    /// The executor's measured result.
-    pub result: QueryResult,
-    /// Physics-oracle verdict over every request the query issued.
-    pub oracle: OracleReport,
-    /// Telemetry the query recorded (phase histograms, counters).
-    pub metrics: Metrics,
-}
-
-/// Run one query region through all four mappings — as a beam
-/// (per-cell requests) or a range (sorted + coalesced) — each on a
-/// fresh disk, recovering the transferred cell set from the event log.
-pub fn differential_query(
-    geom: &DiskGeometry,
-    grid: &GridSpec,
-    region: &BoxRegion,
-    beam: bool,
-) -> Result<Vec<DifferentialOutcome>, QueryError> {
-    // Each mapping runs on a fresh single-disk volume, so the four cells
-    // are independent — fan them across the experiment engine (results
-    // come back in mapping order regardless of thread count).
-    let mappings = standard_mappings(geom, grid);
-    let outcomes = multimap_engine::sweep(&mappings, |mapping| {
-        let volume = LogicalVolume::new(geom.clone(), 1);
-        let exec = QueryExecutor::new(&volume, 0);
-        let mut log = multimap_disksim::ServiceLog::new();
-        let mut metrics = Metrics::new();
-        let result = {
-            let mut rec = log.recorder();
-            let op = if beam { QueryOp::Beam } else { QueryOp::Range };
-            exec.execute(
-                QueryRequest::new(op, mapping.as_ref(), region)
-                    .with_observer(&mut rec)
-                    .with_sink(&mut metrics),
-            )?
-        };
-        let mut cells = BTreeSet::new();
-        for e in log.events() {
-            for lbn in e.request.lbn..e.request.end() {
-                if let Some(c) = mapping.coord_of(lbn) {
-                    cells.insert(c);
-                }
-            }
-        }
-        Ok(DifferentialOutcome {
-            mapping: mapping.name().to_string(),
-            cells,
-            result,
-            oracle: check_log(geom, &log),
-            metrics,
-        })
-    });
-    outcomes.into_iter().collect()
 }
 
 /// Pin the process-wide flat-translation cache to the direct trait
@@ -178,60 +106,6 @@ pub fn check_telemetry(label: &str, metrics: &Metrics, result: &QueryResult) -> 
              the executor reported {}",
             result.requests
         ));
-    }
-    Ok(())
-}
-
-/// Run [`differential_query`] and verify the conformance contract:
-/// every mapping transfers exactly the region's cell set, every mapping
-/// reports the same cell/block counts, no request violated the
-/// physics oracle, and the recorded telemetry reconstructs the measured
-/// service time. Returns a description of the first discrepancy.
-pub fn check_region(
-    geom: &DiskGeometry,
-    grid: &GridSpec,
-    region: &BoxRegion,
-    beam: bool,
-) -> Result<(), String> {
-    let expected: BTreeSet<Coord> = region.cells_vec().into_iter().collect();
-    let outcomes =
-        differential_query(geom, grid, region, beam).map_err(|e| format!("query failed: {e}"))?;
-    for o in &outcomes {
-        if !o.oracle.is_clean() {
-            return Err(format!(
-                "{}: physics oracle flagged {} violation(s), first: {}",
-                o.mapping,
-                o.oracle.violations.len(),
-                o.oracle.violations[0]
-            ));
-        }
-        if o.cells != expected {
-            let missing = expected.difference(&o.cells).count();
-            let extra = o.cells.difference(&expected).count();
-            return Err(format!(
-                "{}: transferred cell set differs from the region \
-                 ({missing} missing, {extra} extra of {} expected)",
-                o.mapping,
-                expected.len()
-            ));
-        }
-        if o.result.cells != expected.len() as u64 {
-            return Err(format!(
-                "{}: executor reported {} cells, region has {}",
-                o.mapping,
-                o.result.cells,
-                expected.len()
-            ));
-        }
-        if o.result.blocks != expected.len() as u64 {
-            return Err(format!(
-                "{}: {} blocks transferred for {} one-block cells",
-                o.mapping,
-                o.result.blocks,
-                expected.len()
-            ));
-        }
-        check_telemetry(&o.mapping, &o.metrics, &o.result)?;
     }
     Ok(())
 }
@@ -387,7 +261,8 @@ mod tests {
         let grid = GridSpec::new([40u64, 8, 6]);
         let mappings = standard_mappings(&geom, &grid);
         assert_eq!(mappings.len(), 4);
-        let kinds: BTreeSet<_> = mappings.iter().map(|m| format!("{:?}", m.kind())).collect();
+        let kinds: std::collections::BTreeSet<_> =
+            mappings.iter().map(|m| format!("{:?}", m.kind())).collect();
         // Naive, SpaceFillingCurve (x2), MultiMap.
         assert_eq!(kinds.len(), 3);
     }
@@ -396,20 +271,6 @@ mod tests {
     fn translation_cache_matches_direct_mappings() {
         let geom = profiles::small();
         check_translation_cache(&geom, &GridSpec::new([24u64, 6, 5])).unwrap();
-    }
-
-    #[test]
-    fn small_beam_and_range_agree_across_mappings() {
-        let geom = profiles::small();
-        let grid = GridSpec::new([40u64, 8, 6]);
-        check_region(&geom, &grid, &BoxRegion::beam(&grid, 1, &[3, 0, 2]), true).unwrap();
-        check_region(
-            &geom,
-            &grid,
-            &BoxRegion::new([2u64, 1, 0], [9u64, 6, 3]),
-            false,
-        )
-        .unwrap();
     }
 }
 

@@ -1,4 +1,6 @@
-//! Fault-plan conformance: payload identity and counter reconciliation.
+//! Fault-plan conformance: payload identity and counter reconciliation —
+//! the *faulted column* of the conformance matrix ([`crate::matrix`]),
+//! run through the same cell runner on the recovering disk volume.
 //!
 //! The fault-injection contract has two halves, and this module holds
 //! the whole stack to both:
@@ -22,13 +24,14 @@
 use std::collections::BTreeSet;
 
 use multimap_core::{BoxRegion, Coord, GridSpec};
-use multimap_disksim::{DiskGeometry, FaultCounts, FaultPlan, ServiceLog};
+use multimap_disksim::{DiskGeometry, FaultCounts, FaultPlan};
 use multimap_lvm::{LogicalVolume, RecoveryConfig, RecoveryStats};
-use multimap_query::{QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
+use multimap_query::{QueryError, QueryResult};
 use multimap_telemetry::{Counter, Metrics};
 
-use crate::oracle::{check_log, OracleReport};
 use crate::differential::standard_mappings;
+use crate::matrix::run_observed;
+use crate::oracle::{check_log, OracleReport};
 
 /// What one mapping did for one query, fault-free versus faulted.
 #[derive(Debug)]
@@ -67,45 +70,25 @@ pub fn fault_query(
     cfg: RecoveryConfig,
 ) -> Result<Vec<FaultRow>, QueryError> {
     let mappings = standard_mappings(geom, grid);
-    let op = if beam { QueryOp::Beam } else { QueryOp::Range };
+    let workload = [(region.clone(), beam)];
     let rows = multimap_engine::sweep(&mappings, |mapping| {
         let clean_volume = LogicalVolume::new(geom.clone(), 1);
-        let clean = QueryExecutor::new(&clean_volume, 0)
-            .execute(QueryRequest::new(op, mapping.as_ref(), region))?;
+        let clean = run_observed(&clean_volume, mapping.as_ref(), &workload, None)?.total();
 
         let volume = LogicalVolume::with_recovery(geom.clone(), 1, plan.clone(), cfg)
             .map_err(QueryError::from)?;
-        let exec = QueryExecutor::new(&volume, 0);
-        let mut log = ServiceLog::new();
-        let mut metrics = Metrics::new();
-        let faulted = {
-            let mut rec = log.recorder();
-            exec.execute(
-                QueryRequest::new(op, mapping.as_ref(), region)
-                    .with_observer(&mut rec)
-                    .with_sink(&mut metrics),
-            )?
-        };
-        let mut cells = BTreeSet::new();
-        for e in log.events() {
-            for lbn in e.request.lbn..e.request.end() {
-                if let Some(c) = mapping.coord_of(lbn) {
-                    cells.insert(c);
-                }
-            }
-        }
-        let oracle = check_log(geom, &log);
+        let faulted = run_observed(&volume, mapping.as_ref(), &workload, None)?;
         let remaps = volume.remap_count(0).map_err(QueryError::from)?;
         Ok(FaultRow {
             mapping: mapping.name().to_string(),
             clean,
-            faulted,
-            cells,
+            faulted: faulted.total(),
+            oracle: check_log(geom, &faulted.log),
+            metrics: faulted.merged(),
+            cells: faulted.cells,
             stats: volume.recovery_stats(),
             injected: volume.injected_counts(),
             remaps,
-            oracle,
-            metrics,
         })
     });
     rows.into_iter().collect()

@@ -1,83 +1,8 @@
-//! Differential conformance: identical cell sets across all four
-//! mappings on a workload matrix of beam/range/box queries, and
-//! model-vs-simulator agreement on both paper evaluation drives.
+//! Model-vs-simulator agreement on both paper evaluation drives (the
+//! mapping × backend differential matrix lives in `stack_matrix.rs`).
 
-use multimap_conformance::{assert_model_agreement, check_region, differential_query};
-use multimap_core::{BoxRegion, GridSpec};
+use multimap_conformance::assert_model_agreement;
 use multimap_disksim::profiles;
-
-fn grid() -> GridSpec {
-    GridSpec::new([40u64, 8, 6])
-}
-
-#[test]
-fn beams_agree_on_every_dimension() {
-    let geom = profiles::small();
-    let grid = grid();
-    for dim in 0..3 {
-        for anchor in [[0u64, 0, 0], [17, 3, 2], [39, 7, 5]] {
-            let region = BoxRegion::beam(&grid, dim, &anchor);
-            check_region(&geom, &grid, &region, true)
-                .unwrap_or_else(|e| panic!("beam dim {dim} anchor {anchor:?}: {e}"));
-        }
-    }
-}
-
-#[test]
-fn ranges_agree_on_box_matrix() {
-    let geom = profiles::small();
-    let grid = grid();
-    let boxes = [
-        BoxRegion::new([0u64, 0, 0], [0u64, 0, 0]),    // single cell
-        BoxRegion::new([0u64, 0, 0], [39u64, 0, 0]),   // full row
-        BoxRegion::new([3u64, 1, 1], [12u64, 6, 4]),   // interior box
-        BoxRegion::new([0u64, 0, 0], [39u64, 7, 5]),   // whole dataset
-        BoxRegion::new([38u64, 6, 4], [39u64, 7, 5]),  // far corner
-    ];
-    for region in &boxes {
-        check_region(&geom, &grid, region, false)
-            .unwrap_or_else(|e| panic!("range {:?}..{:?}: {e}", region.lo(), region.hi()));
-    }
-}
-
-#[test]
-fn agreement_holds_on_both_evaluation_drives() {
-    // The same differential contract on the real drive geometries the
-    // paper evaluates (smaller query set — these disks are big).
-    for geom in [profiles::cheetah_36es(), profiles::atlas_10k_iii()] {
-        let grid = grid();
-        check_region(&geom, &grid, &BoxRegion::beam(&grid, 1, &[5, 0, 3]), true)
-            .unwrap_or_else(|e| panic!("{}: {e}", geom.name));
-        check_region(
-            &geom,
-            &grid,
-            &BoxRegion::new([2u64, 2, 0], [11u64, 5, 3]),
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", geom.name));
-    }
-}
-
-#[test]
-fn mappings_disagree_on_layout_but_not_on_content() {
-    // Sanity check that the differential harness is actually comparing
-    // different layouts: the mappings must place at least one cell at
-    // different LBNs while still fetching identical cell sets.
-    let geom = profiles::small();
-    let grid = grid();
-    let region = BoxRegion::beam(&grid, 2, &[9, 4, 0]);
-    let outcomes = differential_query(&geom, &grid, &region, true).unwrap();
-    assert_eq!(outcomes.len(), 4);
-    let all_cells: Vec<_> = outcomes.iter().map(|o| &o.cells).collect();
-    assert!(all_cells.windows(2).all(|w| w[0] == w[1]));
-    // Layouts differ: total I/O cannot be identical across all four.
-    let times: Vec<f64> = outcomes.iter().map(|o| o.result.total_io_ms).collect();
-    assert!(
-        times.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9),
-        "all four mappings produced identical I/O times {times:?} — \
-         the differential harness is not exercising distinct layouts"
-    );
-}
 
 #[test]
 fn model_agrees_with_simulator_on_cheetah() {

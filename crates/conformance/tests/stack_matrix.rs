@@ -1,0 +1,285 @@
+//! The conformance matrix on the one storage stack: every mapping ×
+//! every device backend × {plain, cached} on a workload of beam and
+//! range queries — demanded-cell, cell-set and per-mapping payload
+//! identity, cache transparency with exact sink↔`CacheStats`
+//! reconciliation, per-backend timing semantics — plus the faulted
+//! column (seeded fault plans on the recovering disk volume: payload
+//! identity and exact fault/retry/remap counter reconciliation), and
+//! determinism of the whole matrix across engine thread counts. The CI
+//! fault-matrix job runs this file at `MULTIMAP_THREADS` 1 and 4.
+
+use multimap_conformance::{
+    check_cached_sweep, check_fault_plan, check_region, fault_query, matrix_query,
+};
+use multimap_core::{BoxRegion, GridSpec};
+use multimap_disksim::{profiles, FaultPlan};
+use multimap_lvm::RecoveryConfig;
+use multimap_store::{CacheConfig, EvictionKind};
+use proptest::prelude::*;
+
+fn grid() -> GridSpec {
+    GridSpec::new([40u64, 8, 6])
+}
+
+#[test]
+fn beams_agree_on_every_dimension() {
+    let geom = profiles::small();
+    let grid = grid();
+    for dim in 0..3 {
+        for anchor in [[0u64, 0, 0], [17, 3, 2], [39, 7, 5]] {
+            let region = BoxRegion::beam(&grid, dim, &anchor);
+            check_region(&geom, &grid, &region, true)
+                .unwrap_or_else(|e| panic!("beam dim {dim} anchor {anchor:?}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn ranges_agree_on_box_matrix() {
+    let geom = profiles::small();
+    let grid = grid();
+    let boxes = [
+        BoxRegion::new([0u64, 0, 0], [0u64, 0, 0]),  // single cell
+        BoxRegion::new([0u64, 0, 0], [39u64, 0, 0]), // full row
+        BoxRegion::new([3u64, 1, 1], [12u64, 6, 4]), // interior box
+        BoxRegion::new([0u64, 0, 0], [39u64, 7, 5]), // whole dataset
+        BoxRegion::new([38u64, 6, 4], [39u64, 7, 5]), // far corner
+    ];
+    for region in &boxes {
+        check_region(&geom, &grid, region, false)
+            .unwrap_or_else(|e| panic!("range {:?}..{:?}: {e}", region.lo(), region.hi()));
+    }
+}
+
+#[test]
+fn matrix_holds_on_both_evaluation_drives() {
+    // The same contract on the real drive geometries the paper
+    // evaluates (smaller query set — these disks are big).
+    for geom in [profiles::cheetah_36es(), profiles::atlas_10k_iii()] {
+        let grid = grid();
+        check_region(&geom, &grid, &BoxRegion::beam(&grid, 1, &[5, 0, 3]), true)
+            .unwrap_or_else(|e| panic!("{}: {e}", geom.name));
+        check_region(
+            &geom,
+            &grid,
+            &BoxRegion::new([2u64, 2, 0], [11u64, 5, 3]),
+            false,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", geom.name));
+    }
+}
+
+#[test]
+fn mappings_disagree_on_layout_but_not_on_content() {
+    // Sanity check that the matrix is actually comparing different
+    // layouts: the mappings must place at least one cell at different
+    // LBNs while still fetching identical cell sets.
+    let geom = profiles::small();
+    let grid = grid();
+    let workload = [(BoxRegion::beam(&grid, 2, &[9, 4, 0]), true)];
+    let outcomes = matrix_query(&geom, &grid, &workload, &CacheConfig::default()).unwrap();
+    let disk: Vec<_> = outcomes
+        .iter()
+        .filter(|o| o.backend == "disk" && !o.cached)
+        .collect();
+    assert_eq!(disk.len(), 4);
+    assert!(disk
+        .windows(2)
+        .all(|w| w[0].observed.cells == w[1].observed.cells));
+    // Layouts differ: total I/O cannot be identical across all four.
+    let times: Vec<f64> = disk
+        .iter()
+        .map(|o| o.observed.total().total_io_ms)
+        .collect();
+    assert!(
+        times.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9),
+        "all four mappings produced identical I/O times {times:?} — \
+         the matrix is not exercising distinct layouts"
+    );
+}
+
+/// Result identity and counter reconciliation across all mapping
+/// families × backends × eviction policies, at a capacity that evicts
+/// and one that doesn't.
+#[test]
+fn cached_sweeps_reconcile_across_policies_mappings_and_backends() {
+    let geom = profiles::small();
+    let grid = GridSpec::new([60u64, 8, 6]);
+    for eviction in [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ] {
+        // Roomy: the whole sweep fits, nothing evicts.
+        check_cached_sweep(&geom, &grid, eviction, 128).unwrap_or_else(|e| panic!("roomy {e}"));
+        // Tight: a fraction of one beam, constant eviction pressure.
+        check_cached_sweep(&geom, &grid, eviction, 5).unwrap_or_else(|e| panic!("tight {e}"));
+    }
+}
+
+fn fault_grid() -> GridSpec {
+    GridSpec::new([24u64, 8, 6])
+}
+
+/// The deterministic plan matrix the CI job sweeps: media errors only,
+/// transients only, slow reads only, and everything at once.
+fn plan_matrix() -> Vec<(&'static str, FaultPlan)> {
+    vec![
+        ("media", FaultPlan::new(11).with_media_errors([5, 210, 700])),
+        ("transient", FaultPlan::new(12).with_transients(0.08, 2.0)),
+        ("slow", FaultPlan::new(13).with_slow_reads(0.10, 0.8)),
+        (
+            "mixed",
+            FaultPlan::new(14)
+                .with_media_errors([40, 333])
+                .with_transients(0.05, 2.5)
+                .with_slow_reads(0.05, 0.6),
+        ),
+    ]
+}
+
+#[test]
+fn faulted_column_beams_and_ranges_conform() {
+    let geom = profiles::small();
+    let grid = fault_grid();
+    let beam = BoxRegion::beam(&grid, 0, &[0, 3, 2]);
+    let range = BoxRegion::new([0u64, 0, 0], [20u64, 7, 5]);
+    for (label, plan) in plan_matrix() {
+        check_fault_plan(&geom, &grid, &beam, true, &plan)
+            .unwrap_or_else(|e| panic!("plan {label} (beam): {e}"));
+        check_fault_plan(&geom, &grid, &range, false, &plan)
+            .unwrap_or_else(|e| panic!("plan {label} (range): {e}"));
+    }
+}
+
+#[test]
+fn empty_plan_is_timing_identical_to_pristine_volume() {
+    let geom = profiles::small();
+    let grid = fault_grid();
+    let region = BoxRegion::new([0u64, 0, 0], [23u64, 7, 5]);
+    let rows = fault_query(
+        &geom,
+        &grid,
+        &region,
+        false,
+        &FaultPlan::none(),
+        RecoveryConfig::default(),
+    )
+    .unwrap();
+    for r in rows {
+        // Bit-level determinism pin: an empty plan must not perturb
+        // timing, not merely stay within a tolerance.
+        assert_eq!(
+            r.faulted.total_io_ms.to_bits(),
+            r.clean.total_io_ms.to_bits(),
+            "{}: empty fault plan changed simulated timing",
+            r.mapping
+        );
+        assert_eq!(r.faulted.payload, r.clean.payload, "{}", r.mapping);
+        assert_eq!(
+            r.injected.commands, 0,
+            "{}: no injector should run",
+            r.mapping
+        );
+    }
+}
+
+/// The whole matrix — plain, cached and faulted columns, fanned across
+/// the experiment engine — must be byte-identical at every thread
+/// count. (One test, so nothing else in this binary races it for the
+/// process-wide thread setting.)
+#[test]
+fn matrix_is_thread_count_invariant() {
+    let geom = profiles::small();
+    let grid = grid();
+    let workload = [(BoxRegion::beam(&grid, 2, &[5, 3, 0]), true)];
+    let matrix = |threads: usize| -> Vec<(String, u64, u64)> {
+        multimap_engine::set_threads(threads);
+        matrix_query(&geom, &grid, &workload, &CacheConfig::default())
+            .unwrap()
+            .iter()
+            .map(|o| {
+                let total = o.observed.total();
+                (o.label(), total.payload, total.total_io_ms.to_bits())
+            })
+            .collect()
+    };
+    let reference = matrix(1);
+    for threads in [2usize, 4, 8] {
+        assert_eq!(matrix(threads), reference, "{threads} threads");
+    }
+
+    let fault_grid = fault_grid();
+    let region = BoxRegion::new([0u64, 0, 0], [20u64, 7, 5]);
+    let plan = plan_matrix().remove(3).1;
+    let faulted = |threads: usize| {
+        multimap_engine::set_threads(threads);
+        fault_query(
+            &geom,
+            &fault_grid,
+            &region,
+            false,
+            &plan,
+            RecoveryConfig::default(),
+        )
+        .unwrap()
+    };
+    let serial = faulted(1);
+    let parallel = faulted(4);
+    multimap_engine::set_threads(0);
+    assert_eq!(serial.len(), parallel.len());
+    for (s, p) in serial.iter().zip(parallel.iter()) {
+        assert_eq!(s.mapping, p.mapping);
+        assert_eq!(s.faulted.payload, p.faulted.payload, "{}", s.mapping);
+        assert_eq!(
+            s.faulted.total_io_ms.to_bits(),
+            p.faulted.total_io_ms.to_bits(),
+            "{}: timing must not depend on the worker count",
+            s.mapping
+        );
+        assert_eq!(s.stats, p.stats, "{}", s.mapping);
+        assert_eq!(s.injected, p.injected, "{}", s.mapping);
+        assert!(
+            s.metrics.identical(&p.metrics),
+            "{}: telemetry must be bit-identical across thread counts",
+            s.mapping
+        );
+    }
+}
+
+/// A random fault plan over the queried LBN span: any mix of media
+/// errors, transients and slow reads. A zero probability disables the
+/// corresponding stream, so the space includes media-only, transient-
+/// only and fault-heavy mixed plans.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        0u64..1 << 48,
+        proptest::collection::vec(0u64..1152, 0..4),
+        (0.0f64..0.25, 0.5f64..4.0),
+        (0.0f64..0.25, 0.1f64..1.5),
+    )
+        .prop_map(|(seed, media, (t_prob, t_ms), (s_prob, s_ms))| {
+            FaultPlan::new(seed)
+                .with_media_errors(media)
+                .with_transients(t_prob, t_ms)
+                .with_slow_reads(s_prob, s_ms)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random fault plans × all four mappings. The payload must match
+    /// the fault-free run byte for byte, and the retry count must equal
+    /// the injected transient schedule exactly — `check_fault_plan`
+    /// asserts both, plus the oracle verdict.
+    #[test]
+    fn random_plans_conform_on_all_mappings(plan in arb_plan(), beam in 0u32..2) {
+        let geom = profiles::small();
+        let grid = GridSpec::new([16u64, 6, 4]);
+        let beam = beam == 1;
+        let region = if beam {
+            BoxRegion::beam(&grid, 0, &[0, 2, 1])
+        } else {
+            BoxRegion::new([0u64, 0, 0], [12u64, 5, 3])
+        };
+        check_fault_plan(&geom, &grid, &region, beam, &plan)
+            .unwrap_or_else(|e| panic!("{plan:?}: {e}"));
+    }
+}

@@ -66,6 +66,21 @@ pub enum DiskError {
         /// First LBN of the aborted command.
         lbn: Lbn,
     },
+    /// A recovery layer gave up on a transient fault that persisted
+    /// through its retry budget (raised by recovery decorators such as
+    /// `multimap_lvm::RecoveringDisk`, never by a bare device).
+    RetriesExhausted {
+        /// First LBN of the failing physical segment.
+        lbn: Lbn,
+        /// Retries that were attempted before giving up.
+        attempts: u32,
+    },
+    /// A recovery layer could not remap a hard-failed block: its
+    /// track's spare region is fully allocated.
+    SpareExhausted {
+        /// The logical block that could not be remapped.
+        lbn: Lbn,
+    },
     /// A queued-SPTF batch was submitted with `queue_depth == 0`: a
     /// zero-slot TCQ window can never admit a request.
     ZeroQueueDepth,
@@ -111,6 +126,14 @@ impl fmt::Display for DiskError {
             DiskError::TransientTimeout { lbn } => {
                 write!(f, "transient timeout servicing command at LBN {lbn}")
             }
+            DiskError::RetriesExhausted { lbn, attempts } => write!(
+                f,
+                "transient fault at LBN {lbn} persisted through {attempts} retries"
+            ),
+            DiskError::SpareExhausted { lbn } => write!(
+                f,
+                "no spare sectors left on the track of LBN {lbn} for remapping"
+            ),
             DiskError::ZeroQueueDepth => {
                 write!(f, "queued SPTF requires a queue depth of at least 1")
             }

@@ -14,6 +14,8 @@
 //!   crosses a track (or cylinder) boundary finds the next sector just
 //!   arriving under the head after the head switch (or settle) completes.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DiskError, Result};
@@ -127,8 +129,9 @@ pub struct DiskGeometry {
     pub rpm: f64,
     /// Number of recording surfaces (tracks per cylinder, the paper's `R`).
     pub surfaces: u32,
-    /// Resolved zone table, outermost zone first.
-    zones: Vec<Zone>,
+    /// Resolved zone table, outermost zone first. Shared, so cloning a
+    /// geometry (one per device, one per volume) does not copy it.
+    zones: Arc<[Zone]>,
     /// Head settle time in milliseconds — the cost of any seek of up to
     /// [`Self::settle_cylinders`] cylinders.
     pub settle_ms: f64,
@@ -705,7 +708,7 @@ impl DiskBuilder {
             name: self.name,
             rpm: self.rpm,
             surfaces: self.surfaces,
-            zones,
+            zones: zones.into(),
             settle_ms: self.settle_ms,
             settle_cylinders: self.settle_cylinders,
             head_switch_ms: self.head_switch_ms,

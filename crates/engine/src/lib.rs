@@ -209,7 +209,11 @@ mod tests {
     static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn with_override<T>(n: usize, f: impl FnOnce() -> T) -> T {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        // `worker_panic_propagates` unwinds through here on purpose, which
+        // poisons the lock; the guarded state is only the override itself.
+        let _guard = OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_threads(n);
         let out = f();
         set_threads(0);

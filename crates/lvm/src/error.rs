@@ -9,7 +9,7 @@ use std::fmt;
 
 use multimap_disksim::DiskError;
 
-/// Errors raised by [`LogicalVolume`](crate::LogicalVolume) operations.
+/// Errors raised by [`DeviceVolume`](crate::DeviceVolume) operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LvmError {
     /// The requested disk index does not exist in this volume.
@@ -71,8 +71,16 @@ impl std::error::Error for LvmError {
 }
 
 impl From<DiskError> for LvmError {
+    /// Recovery failures travel through the device layer as
+    /// [`DiskError`]s and surface here under their volume-level names.
     fn from(e: DiskError) -> Self {
-        LvmError::Disk(e)
+        match e {
+            DiskError::RetriesExhausted { lbn, attempts } => {
+                LvmError::RetriesExhausted { lbn, attempts }
+            }
+            DiskError::SpareExhausted { lbn } => LvmError::SpareExhausted { lbn },
+            other => LvmError::Disk(other),
+        }
     }
 }
 
@@ -90,5 +98,9 @@ mod tests {
         let wrapped: LvmError = DiskError::EmptyRequest.into();
         assert_eq!(wrapped, LvmError::Disk(DiskError::EmptyRequest));
         assert!(wrapped.to_string().contains("disk error"));
+        let exhausted: LvmError = DiskError::RetriesExhausted { lbn: 7, attempts: 2 }.into();
+        assert_eq!(exhausted, LvmError::RetriesExhausted { lbn: 7, attempts: 2 });
+        let spares: LvmError = DiskError::SpareExhausted { lbn: 9 }.into();
+        assert_eq!(spares, LvmError::SpareExhausted { lbn: 9 });
     }
 }

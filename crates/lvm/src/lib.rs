@@ -4,8 +4,15 @@
 //! volume manager that (a) exports a logical volume striped across
 //! multiple disks at basic-cube granularity and (b) exposes the adjacency
 //! model to applications through two interface calls, reproduced here as
-//! [`LogicalVolume::get_adjacent`] and
-//! [`LogicalVolume::get_track_boundaries`].
+//! [`DeviceVolume::get_adjacent`] and
+//! [`DeviceVolume::get_track_boundaries`].
+//!
+//! There is one volume type, [`DeviceVolume`], generic over the
+//! [`multimap_disksim::DeviceModel`] backend. [`LogicalVolume`] — the
+//! rotating-disk LVM of the paper — is an alias for it over
+//! [`RecoveringDisk`], the fault-recovery layer of [`recovery`] stacked
+//! on a plain `DiskSim`; [`backend_volume`] builds one over a
+//! registry-selected backend.
 //!
 //! Time is simulated, so multi-disk parallelism needs no threads: a
 //! striped batch is serviced per disk and the volume reports the
@@ -28,15 +35,15 @@
 #![warn(missing_docs)]
 
 pub mod decluster;
-pub mod devices;
 pub mod error;
 pub mod recovery;
 pub mod striped;
 pub mod volume;
 
 pub use decluster::{Cyclic, Declustering, RoundRobin};
-pub use devices::{backend_volume, DeviceVolume};
 pub use error::{LvmError, Result};
-pub use recovery::{RecoveryConfig, RecoveryStats, RemapTable};
+pub use recovery::{RecoveringDisk, RecoveryConfig, RecoveryStats, RemapTable};
 pub use striped::{StripedVolume, VolumeLbn};
-pub use volume::{LogicalVolume, SchedulePolicy, VolumeBatchTiming};
+pub use volume::{
+    backend_volume, DeviceVolume, LogicalVolume, SchedulePolicy, VolumeBatchTiming,
+};

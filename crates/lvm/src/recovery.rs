@@ -8,14 +8,21 @@
 //!
 //! * the **disk** ([`multimap_disksim::FaultPlan`]) injects faults and
 //!   reports them as typed errors, charging the wall-clock they burn;
-//! * the **volume** retries transients (with a linearly growing,
-//!   deterministic backoff) and remaps hard-failed blocks into spare
-//!   sectors reserved at the tail of the failing block's own track,
-//!   keeping track locality but giving up the adjacency guarantee for
-//!   that block;
-//! * the **query executor** consults [`RemapTable`] occupancy to route
-//!   cells that lost adjacency through scheduled seeks instead of
+//! * the **recovery layer** ([`RecoveringDisk`], a [`DeviceModel`]
+//!   decorator stacked over the plain [`DiskSim`]) retries transients
+//!   (with a linearly growing, deterministic backoff) and remaps
+//!   hard-failed blocks into spare sectors reserved at the tail of the
+//!   failing block's own track, keeping track locality but giving up
+//!   the adjacency guarantee for that block;
+//! * the **query executor** asks the device
+//!   ([`DeviceModel::lost_adjacency`]) which requests touch remapped
+//!   blocks and routes them through scheduled seeks instead of
 //!   semi-sequential hops.
+//!
+//! The volume above knows nothing of this: a
+//! [`crate::LogicalVolume`] is the generic [`crate::DeviceVolume`] over
+//! `RecoveringDisk`s, and a decorator built without a recovery
+//! configuration passes every call straight through to its `DiskSim`.
 //!
 //! All recovery time is reported in the per-request
 //! [`FaultOutcome::recovery_ms`], so an event log still satisfies
@@ -24,23 +31,25 @@
 use std::collections::BTreeMap;
 
 use multimap_disksim::{
-    DiskError, DiskGeometry, DiskSim, FaultOutcome, Lbn, Request, RequestTiming,
+    plain_serve, service_batch_serving, AccessKind, AccessStats, BatchTiming, DeviceModel,
+    Discipline, DiskError, DiskGeometry, DiskSim, FaultCounts, FaultOutcome, FaultPlan, Lbn,
+    Request, RequestTiming, ServiceEvent, Transition,
 };
-
-use crate::error::LvmError;
 
 /// Tunables for the volume's recovery path.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryConfig {
     /// Retries allowed per physical segment before
-    /// [`LvmError::RetriesExhausted`]. Must be at least the fault plan's
-    /// consecutive-transient cap for recovery to be guaranteed.
+    /// [`LvmError::RetriesExhausted`](crate::LvmError::RetriesExhausted).
+    /// Must be at least the fault plan's consecutive-transient cap for
+    /// recovery to be guaranteed.
     pub max_retries: u32,
     /// Backoff base: the `k`-th retry of a segment idles the disk for
     /// `k * backoff_ms` first (deterministic, so replays are exact).
     pub backoff_ms: f64,
     /// Spare sectors reserved at the tail of every track for bad-block
-    /// remapping; [`LvmError::SpareExhausted`] when a track runs out.
+    /// remapping; [`LvmError::SpareExhausted`](crate::LvmError::SpareExhausted)
+    /// when a track runs out.
     pub spare_per_track: u32,
 }
 
@@ -117,7 +126,12 @@ impl RemapTable {
     /// Whether any logical block in `[lbn, lbn + nblocks)` is remapped
     /// (and has therefore lost its adjacency guarantee).
     pub fn overlaps(&self, lbn: Lbn, nblocks: u64) -> bool {
-        self.forward.range(lbn..lbn + nblocks).next().is_some()
+        // Saturating: a range reaching past the address space simply
+        // ends at it instead of overflowing.
+        self.forward
+            .range(lbn..lbn.saturating_add(nblocks))
+            .next()
+            .is_some()
     }
 
     /// The remapped logical blocks, ascending.
@@ -144,14 +158,14 @@ impl RemapTable {
         geom: &DiskGeometry,
         cfg: &RecoveryConfig,
         bad: Lbn,
-    ) -> Result<Lbn, LvmError> {
+    ) -> Result<Lbn, DiskError> {
         let logical = self.reverse.get(&bad).copied().unwrap_or(bad);
         let (first, last) = geom.track_boundaries(logical)?;
         let track_len = last - first + 1;
         loop {
             let used = self.used.entry(first).or_insert(0);
             if u64::from(*used) >= u64::from(cfg.spare_per_track).min(track_len) {
-                return Err(LvmError::SpareExhausted { lbn: logical });
+                return Err(DiskError::SpareExhausted { lbn: logical });
             }
             let spare = last - u64::from(*used);
             *used += 1;
@@ -175,19 +189,19 @@ impl RemapTable {
 /// the fly. Returns the successful attempts' timing plus the
 /// [`FaultOutcome`] accounting for everything else.
 ///
-/// Unrecoverable conditions surface as [`LvmError::RetriesExhausted`] /
-/// [`LvmError::SpareExhausted`]; malformed requests propagate the
-/// underlying [`DiskError`] unchanged.
-pub(crate) fn recovering_serve(
-    geom: &DiskGeometry,
+/// Unrecoverable conditions surface as [`DiskError::RetriesExhausted`] /
+/// [`DiskError::SpareExhausted`] (which the volume reports under their
+/// [`LvmError`](crate::LvmError) names); malformed requests propagate
+/// the underlying [`DiskError`] unchanged.
+fn recovering_serve(
     cfg: &RecoveryConfig,
     remap: &mut RemapTable,
     stats: &mut RecoveryStats,
     sim: &mut DiskSim,
     req: Request,
-) -> Result<(RequestTiming, FaultOutcome), LvmError> {
+) -> Result<(RequestTiming, FaultOutcome), DiskError> {
     if req.nblocks == 0 {
-        return Err(LvmError::Disk(DiskError::EmptyRequest));
+        return Err(DiskError::EmptyRequest);
     }
     let start_ms = sim.state().time_ms;
     let slow_before = sim.fault_counts().slow_reads;
@@ -215,7 +229,7 @@ pub(crate) fn recovering_serve(
                 outcome.transients += 1;
                 stats.transients += 1;
                 if attempts >= cfg.max_retries {
-                    return Err(LvmError::RetriesExhausted {
+                    return Err(DiskError::RetriesExhausted {
                         lbn: seg.lbn,
                         attempts,
                     });
@@ -230,14 +244,14 @@ pub(crate) fn recovering_serve(
             Err(DiskError::MediaError { lbn: bad }) => {
                 outcome.media_errors += 1;
                 stats.media_errors += 1;
-                remap.remap(geom, cfg, bad)?;
+                remap.remap(sim.geometry(), cfg, bad)?;
                 outcome.remaps += 1;
                 stats.remaps += 1;
                 // Loop again: the next first_segment reflects the new
                 // mapping. Blocks the failed command delivered before
                 // hitting `bad` are conservatively re-read.
             }
-            Err(e) => return Err(LvmError::Disk(e)),
+            Err(e) => return Err(e),
         }
     }
     let slow_delta = sim.fault_counts().slow_reads - slow_before;
@@ -253,10 +267,178 @@ pub(crate) fn recovering_serve(
     Ok((total, outcome))
 }
 
+/// Retry and remap state of one recovering disk.
+struct Recovery {
+    cfg: RecoveryConfig,
+    remap: RemapTable,
+    stats: RecoveryStats,
+}
+
+/// The rotating disk with the recovery path stacked on top: a
+/// [`DeviceModel`] decorator around a [`DiskSim`].
+///
+/// Built with [`RecoveringDisk::plain`] it passes every call straight
+/// through — batches reach [`service_batch_serving`] with
+/// [`plain_serve`], exactly as `DiskSim`'s own `DeviceModel` impl does.
+/// Built with [`RecoveringDisk::recovering`] every read is served
+/// through bounded retry and bad-block remapping, and with an empty
+/// [`FaultPlan`] that path stays bit-identical to the plain one.
+pub struct RecoveringDisk {
+    sim: DiskSim,
+    recovery: Option<Recovery>,
+}
+
+impl RecoveringDisk {
+    /// A pass-through disk: no fault plan, no recovery path.
+    pub fn plain(geometry: DiskGeometry) -> Self {
+        RecoveringDisk {
+            sim: DiskSim::new(geometry),
+            recovery: None,
+        }
+    }
+
+    /// A disk running `plan` with the recovery path (bounded retry +
+    /// bad-block remapping) active on every read.
+    pub fn recovering(geometry: DiskGeometry, plan: FaultPlan, cfg: RecoveryConfig) -> Self {
+        let mut sim = DiskSim::new(geometry);
+        sim.set_fault_plan(plan);
+        RecoveringDisk {
+            sim,
+            recovery: Some(Recovery {
+                cfg,
+                remap: RemapTable::default(),
+                stats: RecoveryStats::default(),
+            }),
+        }
+    }
+
+    /// Mutable access to the simulator under the recovery layer (for
+    /// callers that bypass recovery: bulk loads, custom scheduling).
+    pub fn sim_mut(&mut self) -> &mut DiskSim {
+        &mut self.sim
+    }
+
+    /// Logical blocks remapped to spares so far.
+    pub fn remap_count(&self) -> usize {
+        self.recovery.as_ref().map_or(0, |r| r.remap.len())
+    }
+
+    /// Recovery actions taken so far (all zero when inactive).
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
+    }
+
+    /// Faults the disk injected so far (all zero without a fault plan).
+    pub fn injected_counts(&self) -> FaultCounts {
+        self.sim.fault_counts()
+    }
+}
+
+impl DeviceModel for RecoveringDisk {
+    fn name(&self) -> &'static str {
+        "disk"
+    }
+
+    fn capacity_blocks(&self) -> u64 {
+        self.sim.geometry().total_blocks()
+    }
+
+    fn now_ms(&self) -> f64 {
+        self.sim.state().time_ms
+    }
+
+    /// With recovery active a read is retried/remapped as needed and the
+    /// returned timing folds the recovery time into `overhead_ms`, so the
+    /// total still reflects the wall-clock the disk was busy. Writes go
+    /// to the simulator as they are.
+    fn service_kind(
+        &mut self,
+        req: Request,
+        kind: AccessKind,
+    ) -> multimap_disksim::Result<RequestTiming> {
+        match (kind, &mut self.recovery) {
+            (AccessKind::Write, _) => self.sim.service_write(req),
+            // staticcheck: allow(no-direct-service) — the pass-through service primitive itself; conformance audits the observed paths.
+            (AccessKind::Read, None) => self.sim.service(req),
+            (AccessKind::Read, Some(r)) => {
+                let (mut t, outcome) =
+                    recovering_serve(&r.cfg, &mut r.remap, &mut r.stats, &mut self.sim, req)?;
+                if !outcome.is_clean() {
+                    t.overhead_ms += outcome.recovery_ms;
+                }
+                Ok(t)
+            }
+        }
+    }
+
+    fn estimate(&self, req: Request) -> multimap_disksim::Result<f64> {
+        self.sim.estimate(req)
+    }
+
+    fn service_batch_observed(
+        &mut self,
+        requests: &[Request],
+        discipline: Discipline,
+        observe: &mut dyn FnMut(ServiceEvent),
+    ) -> multimap_disksim::Result<BatchTiming> {
+        match &mut self.recovery {
+            // The same call DiskSim's own DeviceModel impl makes: the
+            // pass-through is bit-identical to the bare backend (pinned
+            // by tests/backend_dispatch.rs).
+            None => {
+                service_batch_serving(&mut self.sim, requests, discipline, &mut plain_serve, observe)
+            }
+            Some(r) => {
+                let Recovery { cfg, remap, stats } = r;
+                let mut serve =
+                    |sim: &mut DiskSim, req: Request| recovering_serve(cfg, remap, stats, sim, req);
+                service_batch_serving(&mut self.sim, requests, discipline, &mut serve, observe)
+            }
+        }
+    }
+
+    fn classify(&self, event: &ServiceEvent) -> Transition {
+        event.transition(self.sim.geometry())
+    }
+
+    fn idle(&mut self, ms: f64) {
+        self.sim.idle(ms);
+    }
+
+    /// Reset the disk (time, head position, statistics and fault
+    /// schedule) and clear the remap table and recovery statistics — a
+    /// full return to the freshly-constructed state.
+    fn reset(&mut self) {
+        self.sim.reset();
+        if let Some(r) = &mut self.recovery {
+            r.remap = RemapTable::default();
+            r.stats = RecoveryStats::default();
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        self.sim.reset_stats();
+    }
+
+    fn stats(&self) -> AccessStats {
+        *self.sim.stats()
+    }
+
+    fn geometry(&self) -> Option<&DiskGeometry> {
+        Some(self.sim.geometry())
+    }
+
+    fn lost_adjacency(&self, lbn: Lbn, nblocks: u64) -> bool {
+        self.recovery
+            .as_ref()
+            .is_some_and(|r| r.remap.overlaps(lbn, nblocks))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multimap_disksim::{profiles, FaultPlan};
+    use multimap_disksim::profiles;
 
     fn geom() -> DiskGeometry {
         profiles::small()
@@ -268,6 +450,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.physical(123), 123);
         assert!(!t.overlaps(0, 1_000));
+        assert!(!t.overlaps(u64::MAX - 1, 8), "end bound saturates");
         assert_eq!(t.first_segment(10, 5), Request::new(10, 5));
     }
 
@@ -301,7 +484,7 @@ mod tests {
         t.remap(&g, &cfg, 100).unwrap();
         t.remap(&g, &cfg, 101).unwrap();
         let err = t.remap(&g, &cfg, 102).unwrap_err();
-        assert!(matches!(err, LvmError::SpareExhausted { .. }), "{err:?}");
+        assert!(matches!(err, DiskError::SpareExhausted { .. }), "{err:?}");
     }
 
     #[test]
@@ -327,7 +510,7 @@ mod tests {
         let mut plain = DiskSim::new(g.clone());
         let req = Request::new(500, 8);
         let (t, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         let tp = plain.service(req).unwrap();
         assert!(o.is_clean());
         assert_eq!(t.total_ms().to_bits(), tp.total_ms().to_bits());
@@ -349,7 +532,7 @@ mod tests {
         let req = Request::new(500, 4);
         let before = sim.state().time_ms;
         let (t, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.transients, 2);
         assert_eq!(o.retries, 2);
         assert_eq!(stats.retries, 2);
@@ -370,7 +553,7 @@ mod tests {
         sim.set_fault_plan(FaultPlan::new(0).with_media_error(502));
         let req = Request::new(500, 6);
         let (_, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.media_errors, 1);
         assert_eq!(o.remaps, 1);
         assert!(o.extra_segments >= 1, "split around the remapped block");
@@ -379,7 +562,7 @@ mod tests {
         // A later read of the same span goes straight through the remap
         // with no further media errors.
         let (_, o2) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o2.media_errors, 0);
         assert!(o2.extra_segments >= 1);
         assert_eq!(stats.media_errors, 1);
@@ -400,8 +583,8 @@ mod tests {
                 .with_transients(1.0, 5.0)
                 .with_max_consecutive_transients(3),
         );
-        let err = recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, Request::single(0))
+        let err = recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, Request::single(0))
             .unwrap_err();
-        assert!(matches!(err, LvmError::RetriesExhausted { .. }), "{err:?}");
+        assert!(matches!(err, DiskError::RetriesExhausted { .. }), "{err:?}");
     }
 }

@@ -1,21 +1,31 @@
-//! The logical volume: a set of identical simulated disks behind the
+//! The volume: a set of identical simulated devices behind the
 //! adjacency-model interface.
+//!
+//! [`DeviceVolume`] is the one volume type. It is generic over the
+//! [`DeviceModel`] backend, so the rotating disk, the multi-queue SSD
+//! and the IMR drive differ only in the type parameter:
+//!
+//! * [`LogicalVolume`] — the paper's LVM — is `DeviceVolume` over
+//!   [`RecoveringDisk`]s (a `DiskSim` with the optional fault-recovery
+//!   layer of [`crate::recovery`] stacked on top);
+//! * `DeviceVolume<Box<dyn DeviceModel>>` holds registry-built backends
+//!   so bins can select `disk`/`ssd`/`imr` with a CLI flag — see
+//!   [`backend_volume`].
 
 use multimap_disksim::{
-    adjacent_lbn, coalesce_sorted, service_batch_serving, AccessStats, BatchTiming, DeviceModel,
-    DiskError, DiskGeometry, DiskSim, FaultCounts, FaultPlan, Lbn, Request, RequestTiming,
-    ServiceEvent, ServiceLog,
+    adjacent_lbn, build_backend, coalesce_sorted, AccessStats, BatchTiming, DeviceModel,
+    DiskGeometry, DiskSim, FaultCounts, FaultPlan, Lbn, Request, RequestTiming, ServiceEvent,
+    ServiceLog, Transition,
 };
 use parking_lot::Mutex;
 
 use crate::error::{LvmError, Result};
-use crate::recovery::{recovering_serve, RecoveryConfig, RecoveryStats, RemapTable};
+use crate::recovery::{RecoveringDisk, RecoveryConfig, RecoveryStats};
 
 /// How a batch of requests is ordered before being serviced.
 ///
 /// This is the device layer's [`multimap_disksim::Discipline`] re-exported
-/// under its historical volume-level name: volume callers and
-/// backend-generic device callers speak the same enum.
+/// under its historical volume-level name.
 pub use multimap_disksim::Discipline as SchedulePolicy;
 
 /// Timing of a striped, multi-disk batch.
@@ -41,89 +51,46 @@ impl VolumeBatchTiming {
     }
 }
 
-/// A logical volume over one or more identical simulated disks.
+/// A volume of one or more identical devices behind any
+/// [`DeviceModel`] backend.
 ///
-/// All disks share a single [`DiskGeometry`]; addressing is explicit
-/// (`disk` index + per-disk LBN), matching how the paper assigns each
-/// dataset chunk to one disk and reports single-disk response times.
-pub struct LogicalVolume {
+/// All devices are addressed through a single [`DiskGeometry`] (layout
+/// translation — mappings, adjacency — is defined against a geometry
+/// even on backends without mechanics); addressing is explicit
+/// (`device` index + per-device LBN), matching how the paper assigns
+/// each dataset chunk to one disk and reports single-disk response
+/// times.
+pub struct DeviceVolume<D: DeviceModel> {
     geometry: DiskGeometry,
-    disks: Vec<Mutex<DiskSim>>,
-    recovery: Option<RecoveryShared>,
+    devices: Vec<Mutex<D>>,
 }
 
-/// Recovery state shared by all service paths when the volume was built
-/// with [`LogicalVolume::with_recovery`].
-struct RecoveryShared {
-    cfg: RecoveryConfig,
-    per_disk: Vec<Mutex<DiskRecovery>>,
-}
+/// The paper's logical volume: rotating disks with the optional
+/// fault-recovery layer ([`RecoveringDisk`]) under the one generic
+/// volume.
+pub type LogicalVolume = DeviceVolume<RecoveringDisk>;
 
-#[derive(Default)]
-struct DiskRecovery {
-    remap: RemapTable,
-    stats: RecoveryStats,
-}
-
-impl LogicalVolume {
-    /// Create a volume of `ndisks` identical disks.
-    ///
-    /// # Panics
-    /// Panics if `ndisks` is zero; [`LogicalVolume::try_new`] is the
-    /// non-panicking variant.
-    pub fn new(geometry: DiskGeometry, ndisks: usize) -> Self {
-        // staticcheck: allow(no-unwrap) — documented panic on a construction
-        // precondition; every fallible caller has try_new.
-        Self::try_new(geometry, ndisks).expect("a volume needs at least one disk")
+impl<D: DeviceModel> DeviceVolume<D> {
+    /// Create a volume from pre-built devices addressed through
+    /// `geometry`, or [`LvmError::EmptyVolume`] when `devices` is empty.
+    pub fn from_devices(geometry: DiskGeometry, devices: Vec<D>) -> Result<Self> {
+        Self::from_locked(geometry, devices.into_iter().map(Mutex::new).collect())
     }
 
-    /// Create a volume of `ndisks` identical disks, or
-    /// [`LvmError::EmptyVolume`] when `ndisks` is zero.
-    pub fn try_new(geometry: DiskGeometry, ndisks: usize) -> Result<Self> {
-        if ndisks == 0 {
+    fn from_locked(geometry: DiskGeometry, devices: Vec<Mutex<D>>) -> Result<Self> {
+        if devices.is_empty() {
             return Err(LvmError::EmptyVolume);
         }
-        let disks = (0..ndisks)
-            .map(|_| Mutex::new(DiskSim::new(geometry.clone())))
-            .collect();
-        Ok(LogicalVolume {
-            geometry,
-            disks,
-            recovery: None,
-        })
+        Ok(DeviceVolume { geometry, devices })
     }
 
-    /// Create a volume whose disks all run the given fault plan, with
-    /// the recovery path (bounded retry + bad-block remapping) active on
-    /// every service entry point.
-    ///
-    /// An empty plan installs no injector, but the recovery path still
-    /// runs — and produces bit-identical timing to a plain volume, which
-    /// the determinism tests pin.
-    pub fn with_recovery(
-        geometry: DiskGeometry,
-        ndisks: usize,
-        plan: FaultPlan,
-        cfg: RecoveryConfig,
-    ) -> Result<Self> {
-        let mut vol = Self::try_new(geometry, ndisks)?;
-        for disk in &vol.disks {
-            disk.lock().set_fault_plan(plan.clone());
-        }
-        vol.recovery = Some(RecoveryShared {
-            cfg,
-            per_disk: (0..ndisks).map(|_| Mutex::new(DiskRecovery::default())).collect(),
-        });
-        Ok(vol)
-    }
-
-    /// Number of disks in the volume.
+    /// Number of devices in the volume.
     #[inline]
-    pub fn num_disks(&self) -> usize {
-        self.disks.len()
+    pub fn num_devices(&self) -> usize {
+        self.devices.len()
     }
 
-    /// The shared disk geometry.
+    /// The shared addressing geometry.
     #[inline]
     pub fn geometry(&self) -> &DiskGeometry {
         &self.geometry
@@ -143,147 +110,119 @@ impl LogicalVolume {
         self.geometry.track_boundaries(lbn)
     }
 
-    /// The simulator behind `disk`, or [`LvmError::NoSuchDisk`].
-    fn disk(&self, disk: usize) -> Result<&Mutex<DiskSim>> {
-        self.disks.get(disk).ok_or(LvmError::NoSuchDisk {
-            disk,
-            ndisks: self.disks.len(),
-        })
-    }
-
     /// The number of adjacent blocks `D` each LBN has.
     #[inline]
     pub fn adjacency_limit(&self) -> u32 {
         self.geometry.adjacency_limit
     }
 
-    /// The recovery state behind `disk`, when recovery is active.
-    fn disk_recovery(&self, disk: usize) -> Result<Option<(&RecoveryConfig, &Mutex<DiskRecovery>)>> {
-        match &self.recovery {
-            None => Ok(None),
-            Some(r) => {
-                let rec = r.per_disk.get(disk).ok_or(LvmError::NoSuchDisk {
-                    disk,
-                    ndisks: self.disks.len(),
-                })?;
-                Ok(Some((&r.cfg, rec)))
-            }
-        }
+    /// The device behind `device`, or [`LvmError::NoSuchDisk`].
+    fn device(&self, device: usize) -> Result<&Mutex<D>> {
+        self.devices.get(device).ok_or(LvmError::NoSuchDisk {
+            disk: device,
+            ndisks: self.devices.len(),
+        })
     }
 
-    /// Service one request on one disk.
-    ///
-    /// With recovery active ([`LogicalVolume::with_recovery`]) the
-    /// request is retried/remapped as needed and the returned timing
-    /// folds the recovery time into `overhead_ms`, so the total still
-    /// reflects the wall-clock the disk was busy.
-    pub fn service(&self, disk: usize, req: Request) -> Result<RequestTiming> {
-        let Some((cfg, rec)) = self.disk_recovery(disk)? else {
-            // This IS the volume's service primitive; the observed batch paths
-            // delegate to the sim through the same lock.
-            // staticcheck: allow(no-direct-service) — the volume service primitive itself; conformance audits the observed paths.
-            return Ok(self.disk(disk)?.lock().service(req)?);
-        };
-        let mut sim = self.disk(disk)?.lock();
-        let mut rec = rec.lock();
-        let DiskRecovery { remap, stats } = &mut *rec;
-        let (mut t, outcome) = recovering_serve(&self.geometry, cfg, remap, stats, &mut sim, req)?;
-        if !outcome.is_clean() {
-            t.overhead_ms += outcome.recovery_ms;
-        }
-        Ok(t)
+    /// Backend name of device 0 (all devices share one backend in
+    /// practice; the registry key, e.g. `"disk"`).
+    pub fn backend_name(&self) -> &'static str {
+        self.devices[0].lock().name()
     }
 
-    /// Service a batch on one disk under the given policy.
+    /// Service one read on one device.
+    pub fn service(&self, device: usize, req: Request) -> Result<RequestTiming> {
+        // staticcheck: allow(no-direct-service) — the volume service primitive itself; conformance audits the observed paths.
+        Ok(self.device(device)?.lock().service(req)?)
+    }
+
+    /// Service one write on one device (IMR backends may amplify it
+    /// with neighbor-track rewrites).
+    pub fn service_write(&self, device: usize, req: Request) -> Result<RequestTiming> {
+        Ok(self.device(device)?.lock().service_write(req)?)
+    }
+
+    /// Service a read batch on one device under the given policy.
     pub fn service_batch(
         &self,
-        disk: usize,
+        device: usize,
         requests: &[Request],
         policy: SchedulePolicy,
     ) -> Result<BatchTiming> {
-        self.service_batch_observed(disk, requests, policy, &mut |_| {})
+        Ok(self.device(device)?.lock().service_batch(requests, policy)?)
     }
 
-    /// [`LogicalVolume::service_batch`] with a per-request observer: the
+    /// [`DeviceVolume::service_batch`] with a per-request observer: the
     /// scheduler emits one [`ServiceEvent`] per serviced request, so a
     /// conformance oracle can inspect every decision (admission rank,
     /// queue length, head state before/after, timing components).
     pub fn service_batch_observed(
         &self,
-        disk: usize,
+        device: usize,
         requests: &[Request],
         policy: SchedulePolicy,
         observe: &mut dyn FnMut(ServiceEvent),
     ) -> Result<BatchTiming> {
-        let Some((cfg, rec)) = self.disk_recovery(disk)? else {
-            let mut sim = self.disk(disk)?.lock();
-            // Genuine trait dispatch: the rotating backend behind
-            // DeviceModel is bit-identical to the pre-trait free
-            // functions (pinned by tests/backend_dispatch.rs).
-            let timing = DeviceModel::service_batch_observed(&mut *sim, requests, policy, observe)?;
-            return Ok(timing);
-        };
-        let mut sim = self.disk(disk)?.lock();
-        let mut rec = rec.lock();
-        let DiskRecovery { remap, stats } = &mut *rec;
-        // Recovery failures carry more context than a DiskError; the serve
-        // closure stashes them and returns the causal DiskError as a
-        // sentinel for the scheduler to abort on.
-        let mut failure: Option<LvmError> = None;
-        let geometry = &self.geometry;
-        let mut serve = |sim: &mut DiskSim, req: Request| match recovering_serve(
-            geometry, cfg, remap, stats, sim, req,
-        ) {
-            Ok(pair) => Ok(pair),
-            Err(LvmError::Disk(e)) => Err(e),
-            Err(other) => {
-                let sentinel = match &other {
-                    LvmError::SpareExhausted { lbn } => DiskError::MediaError { lbn: *lbn },
-                    _ => DiskError::TransientTimeout { lbn: req.lbn },
-                };
-                failure = Some(other);
-                Err(sentinel)
-            }
-        };
-        let result = service_batch_serving(&mut sim, requests, policy, &mut serve, observe);
-        match result {
-            Ok(timing) => Ok(timing),
-            Err(e) => Err(failure.unwrap_or(LvmError::Disk(e))),
-        }
+        Ok(self
+            .device(device)?
+            .lock()
+            .service_batch_observed(requests, policy, observe)?)
     }
 
-    /// [`LogicalVolume::service_batch`] that collects every scheduler
+    /// [`DeviceVolume::service_batch`] that collects every scheduler
     /// decision into a returned [`ServiceLog`].
     pub fn service_batch_logged(
         &self,
-        disk: usize,
+        device: usize,
         requests: &[Request],
         policy: SchedulePolicy,
     ) -> Result<(BatchTiming, ServiceLog)> {
         let mut log = ServiceLog::new();
-        let timing = self.service_batch_observed(disk, requests, policy, &mut log.recorder())?;
+        let timing = self.service_batch_observed(device, requests, policy, &mut log.recorder())?;
         Ok((timing, log))
     }
 
-    /// Service a sorted, deduplicated LBN list on one disk, coalescing
+    /// Serve a batch and hand every event to `record` together with the
+    /// device's own classification of how it reached the request
+    /// ([`DeviceModel::classify`]) — served and classified under a
+    /// single lock acquisition. Events of a batch that fails part-way
+    /// are still recorded before the error is returned.
+    pub fn service_batch_classified(
+        &self,
+        device: usize,
+        requests: &[Request],
+        policy: SchedulePolicy,
+        mut record: impl FnMut(Transition, &ServiceEvent),
+    ) -> Result<BatchTiming> {
+        let mut dev = self.device(device)?.lock();
+        let mut log = ServiceLog::new();
+        let timing = dev.service_batch_observed(requests, policy, &mut log.recorder());
+        for e in log.events() {
+            record(dev.classify(e), e);
+        }
+        Ok(timing?)
+    }
+
+    /// Service a sorted, deduplicated LBN list on one device, coalescing
     /// contiguous runs into multi-block requests first.
     pub fn service_sorted_lbns(
         &self,
-        disk: usize,
+        device: usize,
         lbns: &[Lbn],
         policy: SchedulePolicy,
     ) -> Result<BatchTiming> {
         let requests = coalesce_sorted(lbns);
-        self.service_batch(disk, &requests, policy)
+        self.service_batch(device, &requests, policy)
     }
 
-    /// Service one batch per disk "in parallel": each disk runs its batch
-    /// independently and the makespan is the slowest disk's busy time.
+    /// Service one batch per device "in parallel": each device runs its
+    /// batch independently and the makespan is the slowest device's
+    /// busy time.
     pub fn service_striped(
         &self,
         batches: &[(usize, Vec<Request>, SchedulePolicy)],
     ) -> Result<VolumeBatchTiming> {
-        let mut per_disk = vec![BatchTiming::default(); self.disks.len()];
+        let mut per_disk = vec![BatchTiming::default(); self.devices.len()];
         for (disk, requests, policy) in batches {
             let t = self.service_batch(*disk, requests, *policy)?;
             per_disk[*disk].requests += t.requests;
@@ -298,57 +237,117 @@ impl LogicalVolume {
         })
     }
 
-    /// Accumulated statistics of one disk.
-    pub fn stats(&self, disk: usize) -> Result<AccessStats> {
-        Ok(*self.disk(disk)?.lock().stats())
+    /// Whether any block of `[lbn, lbn + nblocks)` on `device` has lost
+    /// its adjacency guarantee (see [`DeviceModel::lost_adjacency`]), so
+    /// a query should fall back from semi-sequential hops to scheduled
+    /// seeks for it.
+    pub fn is_degraded_range(&self, device: usize, lbn: Lbn, nblocks: u64) -> Result<bool> {
+        Ok(self.device(device)?.lock().lost_adjacency(lbn, nblocks))
     }
 
-    /// Statistics merged across all disks.
+    /// Accumulated statistics of one device.
+    pub fn stats(&self, device: usize) -> Result<AccessStats> {
+        Ok(self.device(device)?.lock().stats())
+    }
+
+    /// Statistics merged across all devices.
     pub fn merged_stats(&self) -> AccessStats {
         let mut out = AccessStats::default();
-        for d in &self.disks {
-            out.merge(d.lock().stats());
+        for d in &self.devices {
+            out.merge(&d.lock().stats());
         }
         out
     }
 
-    /// Whether this volume was built with the recovery path active.
-    pub fn has_recovery(&self) -> bool {
-        self.recovery.is_some()
+    /// Backend-specific counters of one device (see
+    /// [`DeviceModel::counters`]).
+    pub fn counters(&self, device: usize) -> Result<Vec<(String, u64)>> {
+        Ok(self.device(device)?.lock().counters())
+    }
+
+    /// Reset every device to its freshly-constructed state (time, head
+    /// position, statistics, fault schedule, remap tables).
+    pub fn reset(&self) {
+        for d in &self.devices {
+            d.lock().reset();
+        }
+    }
+
+    /// Clear statistics on every device without disturbing device state.
+    pub fn reset_stats(&self) {
+        for d in &self.devices {
+            d.lock().reset_stats();
+        }
+    }
+
+    /// Let every device idle for `ms` (randomises rotational phase
+    /// between queries, breaking artificial phase locking between runs).
+    pub fn idle_all(&self, ms: f64) {
+        for d in &self.devices {
+            d.lock().idle(ms);
+        }
+    }
+
+    /// Run a closure with mutable access to one device (for callers
+    /// that need backend-specific inspection or custom scheduling).
+    pub fn with_device<T>(&self, device: usize, f: impl FnOnce(&mut D) -> T) -> Result<T> {
+        Ok(f(&mut self.device(device)?.lock()))
+    }
+}
+
+/// The rotating-disk constructors and recovery accessors of the
+/// paper's LVM.
+impl DeviceVolume<RecoveringDisk> {
+    /// Create a volume of `ndisks` identical disks.
+    ///
+    /// # Panics
+    /// Panics if `ndisks` is zero; [`LogicalVolume::try_new`] is the
+    /// non-panicking variant.
+    pub fn new(geometry: DiskGeometry, ndisks: usize) -> Self {
+        // staticcheck: allow(no-unwrap) — documented panic on a construction
+        // precondition; every fallible caller has try_new.
+        Self::try_new(geometry, ndisks).expect("a volume needs at least one disk")
+    }
+
+    /// Create a volume of `ndisks` identical disks, or
+    /// [`LvmError::EmptyVolume`] when `ndisks` is zero.
+    pub fn try_new(geometry: DiskGeometry, ndisks: usize) -> Result<Self> {
+        let disks = (0..ndisks)
+            .map(|_| Mutex::new(RecoveringDisk::plain(geometry.clone())))
+            .collect();
+        Self::from_locked(geometry, disks)
+    }
+
+    /// Create a volume whose disks all run the given fault plan, with
+    /// the recovery path (bounded retry + bad-block remapping) active on
+    /// every service entry point.
+    ///
+    /// An empty plan installs no injector, but the recovery path still
+    /// runs — and produces bit-identical timing to a plain volume, which
+    /// the determinism tests pin.
+    pub fn with_recovery(
+        geometry: DiskGeometry,
+        ndisks: usize,
+        plan: FaultPlan,
+        cfg: RecoveryConfig,
+    ) -> Result<Self> {
+        let disks = (0..ndisks)
+            .map(|_| Mutex::new(RecoveringDisk::recovering(geometry.clone(), plan.clone(), cfg)))
+            .collect();
+        Self::from_locked(geometry, disks)
     }
 
     /// Number of logical blocks remapped to spares on `disk` so far.
     pub fn remap_count(&self, disk: usize) -> Result<usize> {
-        match self.disk_recovery(disk)? {
-            None => {
-                self.disk(disk)?; // surface NoSuchDisk consistently
-                Ok(0)
-            }
-            Some((_, rec)) => Ok(rec.lock().remap.len()),
-        }
-    }
-
-    /// Whether any block of `[lbn, lbn + nblocks)` on `disk` has been
-    /// remapped — i.e. lost its adjacency guarantee, so a query should
-    /// fall back from semi-sequential hops to scheduled seeks for it.
-    pub fn is_degraded_range(&self, disk: usize, lbn: Lbn, nblocks: u64) -> Result<bool> {
-        match self.disk_recovery(disk)? {
-            None => {
-                self.disk(disk)?;
-                Ok(false)
-            }
-            Some((_, rec)) => Ok(rec.lock().remap.overlaps(lbn, nblocks)),
-        }
+        Ok(self.device(disk)?.lock().remap_count())
     }
 
     /// Recovery actions taken so far, merged across all disks (all zero
     /// when recovery is inactive).
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut out = RecoveryStats::default();
-        if let Some(r) = &self.recovery {
-            for rec in &r.per_disk {
-                out.merge(&rec.lock().stats);
-            }
+        for d in &self.devices {
+            out.merge(&d.lock().recovery_stats());
         }
         out
     }
@@ -357,53 +356,39 @@ impl LogicalVolume {
     /// zero without a fault plan).
     pub fn injected_counts(&self) -> FaultCounts {
         let mut out = FaultCounts::default();
-        for d in &self.disks {
-            out.merge(&d.lock().fault_counts());
+        for d in &self.devices {
+            out.merge(&d.lock().injected_counts());
         }
         out
     }
 
-    /// Reset every disk (time, head position, statistics and fault
-    /// schedule), and clear all remap tables and recovery statistics —
-    /// a full return to the freshly-constructed state.
-    pub fn reset(&self) {
-        for d in &self.disks {
-            d.lock().reset();
-        }
-        if let Some(r) = &self.recovery {
-            for rec in &r.per_disk {
-                *rec.lock() = DiskRecovery::default();
-            }
-        }
-    }
-
-    /// Clear statistics on every disk without moving heads.
-    pub fn reset_stats(&self) {
-        for d in &self.disks {
-            d.lock().reset_stats();
-        }
-    }
-
-    /// Let every disk idle for `ms` (randomises rotational phase between
-    /// queries, breaking artificial phase locking between runs).
-    pub fn idle_all(&self, ms: f64) {
-        for d in &self.disks {
-            d.lock().idle(ms);
-        }
-    }
-
-    /// Run a closure with mutable access to one disk's simulator (for
-    /// callers that need custom scheduling).
+    /// Run a closure with mutable access to one disk's simulator,
+    /// beneath the recovery layer (bulk loads, custom scheduling).
     pub fn with_disk<T>(&self, disk: usize, f: impl FnOnce(&mut DiskSim) -> T) -> Result<T> {
-        Ok(f(&mut self.disk(disk)?.lock()))
+        self.with_device(disk, |d| f(d.sim_mut()))
     }
+}
+
+/// Build a [`DeviceVolume`] of `ndevices` registry-selected backends
+/// addressed through `geom` — the CLI-flag entry point
+/// (`"disk"`, `"ssd"`, `"imr"`; see
+/// [`multimap_disksim::BACKEND_NAMES`]).
+pub fn backend_volume(
+    name: &str,
+    geom: &DiskGeometry,
+    ndevices: usize,
+) -> Result<DeviceVolume<Box<dyn DeviceModel>>> {
+    let mut devices = Vec::with_capacity(ndevices);
+    for _ in 0..ndevices {
+        devices.push(Mutex::new(build_backend(name, geom)?));
+    }
+    DeviceVolume::from_locked(geom.clone(), devices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use multimap_disksim::profiles;
-    use multimap_disksim::FaultPlan;
 
     fn volume(n: usize) -> LogicalVolume {
         LogicalVolume::new(profiles::small(), n)
@@ -450,6 +435,12 @@ mod tests {
         assert!(v
             .service_batch(5, &[Request::single(0)], SchedulePolicy::InOrder)
             .is_err());
+        assert!(v
+            .service_batch_classified(5, &[], SchedulePolicy::InOrder, |_, _| {})
+            .is_err());
+        let registry = backend_volume("ssd", &profiles::small(), 1).unwrap();
+        let err = registry.service(3, Request::single(0)).unwrap_err();
+        assert_eq!(err, LvmError::NoSuchDisk { disk: 3, ndisks: 1 });
     }
 
     #[test]
@@ -624,6 +615,115 @@ mod tests {
             .service_batch(0, &reqs, SchedulePolicy::InOrder)
             .unwrap();
         assert_eq!(t1.total_ms.to_bits(), t2.total_ms.to_bits());
+    }
+
+    #[test]
+    fn bare_disk_volume_matches_logical_volume() {
+        let geom = profiles::small();
+        let reqs: Vec<Request> = (0..50u64)
+            .map(|i| Request::new((i * 7919) % 150_000, 1 + i % 3))
+            .collect();
+        for policy in [
+            SchedulePolicy::AscendingLbn,
+            SchedulePolicy::Sptf,
+            SchedulePolicy::QueuedSptf(16),
+        ] {
+            let lv = LogicalVolume::new(geom.clone(), 1);
+            let (tl, log_l) = lv.service_batch_logged(0, &reqs, policy).unwrap();
+            let dv = DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom.clone())])
+                .unwrap();
+            let (td, log_d) = dv.service_batch_logged(0, &reqs, policy).unwrap();
+            assert_eq!(tl, td, "{policy:?}");
+            assert_eq!(tl.total_ms.to_bits(), td.total_ms.to_bits());
+            assert_eq!(log_l, log_d);
+        }
+    }
+
+    #[test]
+    fn registry_volume_serves_all_backends() {
+        let geom = profiles::small();
+        let reqs: Vec<Request> = (0..20u64).map(|i| Request::single(i * 401)).collect();
+        let mut payloads = Vec::new();
+        for name in multimap_disksim::BACKEND_NAMES {
+            let v = backend_volume(name, &geom, 2).unwrap();
+            assert_eq!(v.num_devices(), 2);
+            assert_eq!(v.backend_name(), name);
+            assert_eq!(v.adjacency_limit(), geom.adjacency_limit);
+            let t = v.service_batch(0, &reqs, SchedulePolicy::Sptf).unwrap();
+            assert_eq!(t.requests, 20);
+            payloads.push(t.payload);
+            assert_eq!(v.stats(0).unwrap().requests, 20);
+            assert_eq!(v.stats(1).unwrap().requests, 0);
+            assert!(!v.is_degraded_range(0, 0, 1_000).unwrap(), "{name}");
+        }
+        // Payload identity across backends: same logical data delivered.
+        assert!(payloads.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// The classified path is the logged path plus the device's own
+    /// classification, on every backend.
+    #[test]
+    fn classified_batch_matches_logged_batch_and_device_classification() {
+        let geom = profiles::small();
+        let reqs: Vec<Request> = (0..30u64).map(|i| Request::new(i * 257, 1 + i % 2)).collect();
+        for name in multimap_disksim::BACKEND_NAMES {
+            let logged = backend_volume(name, &geom, 1).unwrap();
+            let (tl, log) = logged
+                .service_batch_logged(0, &reqs, SchedulePolicy::QueuedSptf(8))
+                .unwrap();
+            let classified = backend_volume(name, &geom, 1).unwrap();
+            let mut seen = Vec::new();
+            let tc = classified
+                .service_batch_classified(0, &reqs, SchedulePolicy::QueuedSptf(8), |t, e| {
+                    seen.push((t, *e))
+                })
+                .unwrap();
+            assert_eq!(tl, tc, "{name}");
+            assert_eq!(seen.len(), log.events().len(), "{name}");
+            for ((t, e), logged_event) in seen.iter().zip(log.events()) {
+                assert_eq!(e, logged_event, "{name}");
+                let expect = classified.with_device(0, |d| d.classify(e)).unwrap();
+                assert_eq!(*t, expect, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_backend_is_typed_error() {
+        let geom = profiles::small();
+        match backend_volume("tape", &geom, 1).err() {
+            Some(LvmError::Disk(multimap_disksim::DiskError::UnknownBackend { name })) => {
+                assert_eq!(name, "tape")
+            }
+            other => panic!("expected UnknownBackend, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_device_list_is_typed_error() {
+        let devices: Vec<DiskSim> = Vec::new();
+        match DeviceVolume::from_devices(profiles::small(), devices) {
+            Err(LvmError::EmptyVolume) => {}
+            _ => panic!("empty device volume must be rejected"),
+        }
+    }
+
+    /// A range reaching the end of the address space must not overflow
+    /// the degraded-range check.
+    #[test]
+    fn degraded_range_check_saturates_at_the_address_space_end() {
+        let plan = FaultPlan::new(1).with_media_error(500);
+        let v = LogicalVolume::with_recovery(
+            profiles::small(),
+            1,
+            plan,
+            crate::recovery::RecoveryConfig::default(),
+        )
+        .unwrap();
+        v.service_batch(0, &[Request::new(498, 5)], SchedulePolicy::InOrder)
+            .unwrap();
+        assert!(v.is_degraded_range(0, 0, u64::MAX).unwrap());
+        assert!(!v.is_degraded_range(0, u64::MAX - 2, 10).unwrap());
     }
 
     #[test]

@@ -23,12 +23,6 @@ pub enum QueryError {
     Mapping(MappingError),
     /// The logical volume rejected the I/O.
     Volume(LvmError),
-    /// A page cache was attached to a query path that does not support
-    /// one (the backend-generic executor has no cached service path).
-    CacheUnsupported {
-        /// Name of the backend the query targeted.
-        backend: &'static str,
-    },
 }
 
 impl fmt::Display for QueryError {
@@ -40,10 +34,6 @@ impl fmt::Display for QueryError {
             ),
             QueryError::Mapping(e) => write!(f, "mapping error: {e}"),
             QueryError::Volume(e) => write!(f, "volume error: {e}"),
-            QueryError::CacheUnsupported { backend } => write!(
-                f,
-                "the {backend} backend executor does not support an attached page cache"
-            ),
         }
     }
 }
@@ -54,7 +44,6 @@ impl std::error::Error for QueryError {
             QueryError::RegionOutsideGrid { .. } => None,
             QueryError::Mapping(e) => Some(e),
             QueryError::Volume(e) => Some(e),
-            QueryError::CacheUnsupported { .. } => None,
         }
     }
 }

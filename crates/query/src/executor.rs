@@ -8,19 +8,22 @@
 //! method quartet is gone; [`QueryRequest::beam`] and
 //! [`QueryRequest::range`] are the shorthand constructors.
 //!
-//! The planning pipeline (validate → translate → schedule) is shared
-//! with the backend-generic executor in [`crate::backend`], so a query
-//! issues the identical request batch whichever device model serves it.
+//! The executor is generic over the volume's
+//! [`DeviceModel`] backend, and planning never looks at the backend, so
+//! a query issues the identical request batch whichever device model
+//! serves it — and the cache probe, the degraded-range split and the
+//! device-owned transition classification are the same code on all of
+//! them.
 
 // staticcheck: allow-file(det-wall-clock) — span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them.
 use std::time::Instant;
 
 use multimap_core::{shared_cache, BoxRegion, GridSpec, Mapping, MappingKind, MIN_CACHED_LOOKUPS};
 use multimap_disksim::{
-    coalesce_sorted, request_payload, BatchTiming, DiskGeometry, Lbn, Request, ServiceEvent,
+    coalesce_sorted, request_payload, BatchTiming, DeviceModel, Lbn, Request, ServiceEvent,
     Transition,
 };
-use multimap_lvm::{LogicalVolume, SchedulePolicy};
+use multimap_lvm::{DeviceVolume, RecoveringDisk, SchedulePolicy};
 use multimap_telemetry::{Counter, MetricsSink, Phase, Span};
 
 use crate::cache::{BlockCache, CacheProbe, PrefetchContext};
@@ -238,10 +241,10 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Attach a page cache: resident cells are delivered without disk
+    /// Attach a page cache: resident cells are delivered without device
     /// I/O and the cache's prefetch plan rides the demand batch (see
-    /// [`BlockCache`]). Without a cache the executor takes the exact
-    /// pre-cache code path — byte-identical timings.
+    /// [`BlockCache`]), on any backend. Without a cache the executor
+    /// issues the exact pre-cache batch — byte-identical timings.
     pub fn with_cache(mut self, cache: &'a dyn BlockCache) -> Self {
         self.cache = Some(cache);
         self
@@ -312,23 +315,19 @@ impl QueryResult {
     }
 }
 
-/// Record one serviced request's timing decomposition into a sink.
+/// Record one serviced request's timing decomposition into a sink,
+/// under the transition classification its device gave it
+/// ([`multimap_disksim::DeviceModel::classify`] — the settle-plateau
+/// rule on rotating media, channel-queueing detection on the SSD).
 ///
 /// The positioning charge lands in exactly one of [`Phase::Seek`] /
 /// [`Phase::Settle`] (per the transition classification) and zero
 /// charges are skipped, so the five phase sums add up *exactly* to the
 /// batch's total service time — the conformance oracle's cross-check.
-/// Public so other service paths (the store's write-back batcher) can
-/// record the identical decomposition.
-pub fn record_service_event(sink: &mut dyn MetricsSink, geom: &DiskGeometry, e: &ServiceEvent) {
-    record_classified_event(sink, e.transition(geom), e)
-}
-
-/// [`record_service_event`] with the transition classification supplied
-/// by the caller — the form the backend-generic executor uses, where
-/// classification is the backend's job
-/// ([`multimap_disksim::DeviceModel::classify`]) rather than a
-/// settle-plateau comparison against rotating-disk geometry.
+/// Public so every service path above the volume (the stores'
+/// write-back and demand batches, the serving loop) records the
+/// identical decomposition; pair it with
+/// [`DeviceVolume::service_batch_classified`].
 pub fn record_classified_event(sink: &mut dyn MetricsSink, transition: Transition, e: &ServiceEvent) {
     let t = e.timing;
     sink.counter(Counter::RequestsServiced, 1);
@@ -368,76 +367,69 @@ pub fn record_classified_event(sink: &mut dyn MetricsSink, transition: Transitio
     sink.service_time(e.elapsed_ms());
 }
 
-/// Serve a batch, splitting out requests that touch remapped blocks.
+/// Serve one batch on one device, feeding whichever taps are attached.
 ///
-/// A hard media error relocates a block into its track's spare region,
-/// so the cell loses the adjacency the mapping promised: semi-sequential
+/// With a sink the batch goes through
+/// [`DeviceVolume::service_batch_classified`], so every event is
+/// recorded under its device's own classification; with only an
+/// observer events go straight to it; with neither nothing is logged or
+/// classified at all.
+///
+/// Requests touching blocks that lost adjacency are split out first. A
+/// hard media error relocates a block into its track's spare region, so
+/// the cell loses the adjacency the mapping promised: semi-sequential
 /// scheduling (SPTF hop chains, prefetch runs) no longer describes its
-/// true position. When the disk carries remaps, requests overlapping a
-/// remapped range are pulled out of the primary batch and served
-/// afterwards as plain scheduled seeks in ascending LBN order; healthy
-/// requests keep the chosen policy. On a disk with no remaps (including
-/// every fault-free run) this is exactly one batch under `policy` —
-/// byte-identical to the pre-fault-injection executor.
-fn serve_split_degraded(
-    volume: &LogicalVolume,
-    disk: usize,
+/// true position. Such requests are pulled out of the primary batch and
+/// served afterwards as plain scheduled seeks in ascending LBN order;
+/// healthy requests keep the chosen policy. On a device that relocated
+/// nothing (every fault-free run, every backend without a recovery
+/// layer) this is exactly one batch under `policy`, at the cost of one
+/// uncontended lock to ask.
+fn serve<D: DeviceModel>(
+    volume: &DeviceVolume<D>,
+    device: usize,
     requests: &[Request],
     policy: SchedulePolicy,
-    record: &mut dyn FnMut(ServiceEvent),
+    observer: &mut Option<&mut dyn FnMut(ServiceEvent)>,
+    sink: &mut Option<&mut dyn MetricsSink>,
 ) -> Result<BatchTiming> {
-    if volume.has_recovery() && volume.remap_count(disk)? > 0 {
-        let mut healthy = Vec::with_capacity(requests.len());
-        let mut degraded = Vec::new();
-        for &r in requests {
-            if volume.is_degraded_range(disk, r.lbn, r.nblocks)? {
-                degraded.push(r);
-            } else {
-                healthy.push(r);
+    let mut run = |requests: &[Request], policy: SchedulePolicy| match (
+        sink.as_deref_mut(),
+        observer.as_deref_mut(),
+    ) {
+        (Some(s), mut o) => volume.service_batch_classified(device, requests, policy, |t, e| {
+            record_classified_event(s, t, e);
+            if let Some(o) = o.as_mut() {
+                o(*e);
             }
-        }
-        if !degraded.is_empty() {
-            let mut batch = volume.service_batch_observed(disk, &healthy, policy, record)?;
-            let tail = volume.service_batch_observed(
-                disk,
-                &degraded,
-                SchedulePolicy::AscendingLbn,
-                record,
-            )?;
-            batch.merge(&tail);
-            return Ok(batch);
-        }
-    }
-    Ok(volume.service_batch_observed(disk, requests, policy, record)?)
+        }),
+        (None, Some(o)) => volume.service_batch_observed(device, requests, policy, o),
+        (None, None) => volume.service_batch(device, requests, policy),
+    };
+    let lost = |d: &D, r: &Request| d.lost_adjacency(r.lbn, r.nblocks);
+    let split = volume.with_device(device, |d| {
+        requests
+            .iter()
+            .any(|r| lost(d, r))
+            .then(|| requests.iter().partition::<Vec<Request>, _>(|r| !lost(d, r)))
+    })?;
+    let Some((healthy, degraded)) = split else {
+        return Ok(run(requests, policy)?);
+    };
+    let mut batch = run(&healthy, policy)?;
+    batch.merge(&run(&degraded, SchedulePolicy::AscendingLbn)?);
+    Ok(batch)
 }
 
 /// Record a batch's scheduler-internal counters into a sink (the tail
 /// block shared by every service path).
-pub(crate) fn record_sched_stats(s: &mut dyn MetricsSink, batch: &BatchTiming) {
+fn record_sched_stats(s: &mut dyn MetricsSink, batch: &BatchTiming) {
     s.counter(Counter::SeekMemoHit, batch.sched.seek_memo_hits);
     s.counter(Counter::SeekMemoMiss, batch.sched.seek_memo_misses);
     s.counter(Counter::SptfWindowEviction, batch.sched.window_evictions);
     s.counter(Counter::SptfBucketScan, batch.sched.bucket_scans);
     s.counter(Counter::SptfCandidateExamined, batch.sched.candidates_examined);
     s.counter(Counter::SptfSelectorRepair, batch.sched.selector_repairs);
-}
-
-/// The translated, policy-resolved inputs [`QueryExecutor::execute`]
-/// hands to the cached service path.
-struct CachedPlan<'a> {
-    mapping: &'a dyn Mapping,
-    region: &'a BoxRegion,
-    op: QueryOp,
-    beam_policy: Option<SchedulePolicy>,
-    cell_blocks: u64,
-    lbns: Vec<Lbn>,
-}
-
-/// Span bookkeeping carried into the cached service path (the schedule
-/// span opens before the probe loop, in `execute`).
-struct CachedServiceTiming {
-    timed: bool,
-    t_schedule: Option<Instant>,
 }
 
 /// Close a span opened with `Instant::now()` (no-op without a sink).
@@ -447,25 +439,55 @@ fn finish_span(sink: &mut Option<&mut dyn MetricsSink>, span: Span, started: Opt
     }
 }
 
-/// Executes beam and range queries for one mapping on one disk of a
-/// logical volume.
-pub struct QueryExecutor<'a> {
-    volume: &'a LogicalVolume,
-    disk: usize,
+/// What probing an attached [`BlockCache`] found for one query.
+struct Probed {
+    /// Demanded cells that were not resident, in demand order.
+    missed: Vec<Lbn>,
+    /// Page starts the cache wants read speculatively with this batch.
+    prefetch: Vec<Lbn>,
+    hits: u64,
+    prefetch_used: u64,
+    /// Payload of every demanded cell, resident or not.
+    payload: u64,
+}
+
+/// Executes beam and range queries for one mapping on one device of a
+/// volume — the rotating-disk [`LogicalVolume`](multimap_lvm::LogicalVolume)
+/// by default, or a [`DeviceVolume`] over any other
+/// [`DeviceModel`] backend (the two differ only in `D`).
+///
+/// ```
+/// use multimap_core::{BoxRegion, GridSpec, NaiveMapping};
+/// use multimap_disksim::profiles;
+/// use multimap_lvm::backend_volume;
+/// use multimap_query::{QueryExecutor, QueryRequest};
+///
+/// let volume = backend_volume("ssd", &profiles::small(), 1).unwrap();
+/// let grid = GridSpec::new([60u64, 8, 6]);
+/// let mapping = NaiveMapping::new(grid.clone(), 0);
+/// let exec = QueryExecutor::new(&volume, 0);
+/// let result = exec
+///     .execute(QueryRequest::beam(&mapping, &BoxRegion::beam(&grid, 1, &[3, 0, 2])))
+///     .unwrap();
+/// assert_eq!(result.cells, 8);
+/// ```
+pub struct QueryExecutor<'a, D: DeviceModel = RecoveringDisk> {
+    volume: &'a DeviceVolume<D>,
+    device: usize,
     options: ExecOptions,
 }
 
-impl<'a> QueryExecutor<'a> {
+impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
     /// Executor with default (paper) options.
-    pub fn new(volume: &'a LogicalVolume, disk: usize) -> Self {
-        Self::with_options(volume, disk, ExecOptions::default())
+    pub fn new(volume: &'a DeviceVolume<D>, device: usize) -> Self {
+        Self::with_options(volume, device, ExecOptions::default())
     }
 
     /// Executor with explicit options.
-    pub fn with_options(volume: &'a LogicalVolume, disk: usize, options: ExecOptions) -> Self {
+    pub fn with_options(volume: &'a DeviceVolume<D>, device: usize, options: ExecOptions) -> Self {
         QueryExecutor {
             volume,
-            disk,
+            device,
             options,
         }
     }
@@ -475,30 +497,25 @@ impl<'a> QueryExecutor<'a> {
         self.options
     }
 
-    /// Map every cell of `region` to the first LBN of its cell, in
-    /// row-major cell order. The second value reports the translation
-    /// cache outcome: `None` when the cache was not consulted.
-    fn region_lbns(
-        &self,
-        mapping: &dyn Mapping,
-        region: &BoxRegion,
-    ) -> Result<(Vec<Lbn>, Option<bool>)> {
-        translate_region(&self.options, mapping, region)
-    }
-
-    /// Resolve the schedule policy for a beam of `ncells` requests.
-    fn beam_schedule(&self, mapping: &dyn Mapping, ncells: u64) -> SchedulePolicy {
-        resolve_beam_schedule(&self.options, mapping, ncells)
-    }
-
     /// Run one query end to end: plan, translate, schedule, service.
     ///
-    /// This is the single entry point every query takes. When the
-    /// request carries a sink, the four phases are span-timed
-    /// (wall clock) and every serviced request's timing decomposition,
-    /// transition class and cache outcome is recorded — reading only
-    /// simulator *outputs*, so results and simulated clocks are
-    /// byte-identical with or without a sink attached.
+    /// This is the single entry point every query takes, on every
+    /// backend. When the request carries a sink, the four phases are
+    /// span-timed (wall clock) and every serviced request's timing
+    /// decomposition, transition class and cache outcome is recorded —
+    /// reading only simulator *outputs*, so results and simulated clocks
+    /// are byte-identical with or without a sink attached.
+    ///
+    /// With a [`BlockCache`] attached, resident cells are delivered
+    /// without device I/O; the misses are scheduled exactly as an
+    /// uncached query over those cells would be, and the cache's
+    /// prefetch plan is appended to the same batch so speculative reads
+    /// ride the scheduler (SPTF and coalescing see demand + prefetch
+    /// together). The result's `payload` covers every demanded cell —
+    /// cached or fetched — so it equals the uncached run's payload;
+    /// `blocks`/`requests`/`total_io_ms` report the device traffic that
+    /// actually happened. A cache that misses every probe and plans no
+    /// prefetch issues exactly the batch an uncached run would.
     pub fn execute(&self, req: QueryRequest<'_>) -> Result<QueryResult> {
         let QueryRequest {
             mapping,
@@ -517,14 +534,14 @@ impl<'a> QueryExecutor<'a> {
         }
         let cell_blocks = mapping.cell_blocks();
         let beam_policy = match op {
-            QueryOp::Beam => Some(self.beam_schedule(mapping, region.cells())),
+            QueryOp::Beam => Some(resolve_beam_schedule(&self.options, mapping, region.cells())),
             QueryOp::Range => None,
         };
         finish_span(&mut sink, Span::Plan, t_plan);
 
         // Translate: region cells → LBNs (direct or via the flat table).
         let t_translate = timed.then(Instant::now);
-        let (lbns, cache_hit) = self.region_lbns(mapping, region)?;
+        let (lbns, cache_hit) = translate_region(&self.options, mapping, region)?;
         if let Some(s) = sink.as_deref_mut() {
             match cache_hit {
                 Some(true) => s.counter(Counter::TranslationCacheHit, 1),
@@ -535,188 +552,100 @@ impl<'a> QueryExecutor<'a> {
         finish_span(&mut sink, Span::Translate, t_translate);
         let cells = lbns.len() as u64;
 
-        // Cached path: probe resident pages, fetch only the misses
-        // (plus the cache's prefetch plan) in one batch. Taken only
-        // when a cache is attached, so cache-off runs stay
-        // byte-identical to builds without cache support.
-        if let Some(cache) = cache {
-            let timing = CachedServiceTiming {
-                timed,
-                t_schedule: timed.then(Instant::now),
-            };
-            let plan = CachedPlan {
+        // Schedule: probe the cache (when one is attached) and build the
+        // request batch in issue order.
+        let t_schedule = timed.then(Instant::now);
+        let probed = cache.map(|cache| {
+            let mut missed: Vec<Lbn> = Vec::new();
+            let mut hits = 0u64;
+            let mut prefetch_used = 0u64;
+            for &l in &lbns {
+                match cache.probe(l) {
+                    CacheProbe::Hit { first_prefetch_use } => {
+                        hits += 1;
+                        prefetch_used += u64::from(first_prefetch_use);
+                    }
+                    CacheProbe::Miss => missed.push(l),
+                }
+            }
+            // The delivered data is the same whether a cell came from a
+            // resident page or a fresh read, and `request_payload` is a
+            // pure per-block sum — so charging every demanded cell keeps
+            // the payload bit-identical to an uncached run of this query.
+            let payload = lbns.iter().fold(0u64, |acc, &l| {
+                acc.wrapping_add(request_payload(Request::new(l, cell_blocks)))
+            });
+            // Plan prefetch — even on an all-hit query, so stream
+            // detection keeps tracking the query sequence and can run
+            // ahead of it.
+            let prefetch = cache.plan_prefetch(&PrefetchContext {
                 mapping,
                 region,
-                op,
-                beam_policy,
-                cell_blocks,
-                lbns,
-            };
-            return self.execute_cached(plan, cache, &mut observer, &mut sink, timing);
+                demand: &lbns,
+                missed: &missed,
+                lbn_limit: self.volume.geometry().total_blocks(),
+            });
+            Probed {
+                missed,
+                prefetch,
+                hits,
+                prefetch_used,
+                payload,
+            }
+        });
+        // The misses are scheduled exactly as an uncached query over
+        // them would be; the speculative reads are appended after.
+        let demand = match &probed {
+            Some(p) => p.missed.clone(),
+            None => lbns,
+        };
+        let (mut requests, policy) =
+            plan_requests(&self.options, op, beam_policy, demand, cell_blocks);
+        if let Some(p) = &probed {
+            requests.extend(p.prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
         }
-
-        // Schedule: build the request batch in issue order.
-        let t_schedule = timed.then(Instant::now);
-        let (requests, policy) = self.build_requests(op, beam_policy, lbns, cell_blocks);
         finish_span(&mut sink, Span::Schedule, t_schedule);
 
-        // Service: hand the batch to the volume's scheduler.
+        // Service: hand the batch to the volume's scheduler (skipped
+        // when everything was resident and no prefetch is due).
         let t_service = timed.then(Instant::now);
-        let geom = self.volume.geometry();
-        let batch = {
-            let mut tap = sink.as_deref_mut();
-            let mut record = |e: ServiceEvent| {
-                if let Some(s) = tap.as_deref_mut() {
-                    record_service_event(s, geom, &e);
-                }
-                if let Some(o) = observer.as_mut() {
-                    o(e);
-                }
-            };
-            serve_split_degraded(self.volume, self.disk, &requests, policy, &mut record)?
-        };
-        finish_span(&mut sink, Span::Service, t_service);
-        if let Some(s) = sink {
-            record_sched_stats(s, &batch);
-        }
-        Ok(QueryResult::from_batch(batch, cells))
-    }
-
-    /// Build the disk request batch (issue order plus schedule policy)
-    /// for cell-start `lbns` under this executor's options. Shared by
-    /// the cached and uncached paths, so a cache that misses every
-    /// probe issues exactly the batch an uncached run would.
-    fn build_requests(
-        &self,
-        op: QueryOp,
-        beam_policy: Option<SchedulePolicy>,
-        lbns: Vec<Lbn>,
-        cell_blocks: u64,
-    ) -> (Vec<Request>, SchedulePolicy) {
-        plan_requests(&self.options, op, beam_policy, lbns, cell_blocks)
-    }
-
-    /// Serve one query through an attached [`BlockCache`].
-    ///
-    /// Resident cells are delivered without disk I/O; the misses are
-    /// scheduled exactly as an uncached query over those cells would
-    /// be, and the cache's prefetch plan is appended to the same batch
-    /// so speculative reads ride the scheduler (SPTF and coalescing see
-    /// demand + prefetch together). The result's `payload` covers every
-    /// demanded cell — cached or fetched — so it equals the uncached
-    /// run's payload; `blocks`/`requests`/`total_io_ms` report the disk
-    /// traffic that actually happened.
-    fn execute_cached(
-        &self,
-        plan: CachedPlan<'_>,
-        cache: &dyn BlockCache,
-        observer: &mut Option<&mut dyn FnMut(ServiceEvent)>,
-        sink: &mut Option<&mut dyn MetricsSink>,
-        timing: CachedServiceTiming,
-    ) -> Result<QueryResult> {
-        let CachedPlan {
-            mapping,
-            region,
-            op,
-            beam_policy,
-            cell_blocks,
-            lbns,
-        } = plan;
-        let cells = lbns.len() as u64;
-
-        // Probe: split the demand set into resident hits and misses.
-        let mut missed: Vec<Lbn> = Vec::new();
-        let mut hits = 0u64;
-        let mut prefetch_used = 0u64;
-        for &l in &lbns {
-            match cache.probe(l) {
-                CacheProbe::Hit { first_prefetch_use } => {
-                    hits += 1;
-                    if first_prefetch_use {
-                        prefetch_used += 1;
-                    }
-                }
-                CacheProbe::Miss => missed.push(l),
-            }
-        }
-        // The delivered data is the same whether a cell came from a
-        // resident page or a fresh read, and `request_payload` is a
-        // pure per-block sum — so charging every demanded cell keeps
-        // the payload bit-identical to an uncached run of this query.
-        let payload = lbns.iter().fold(0u64, |acc, &l| {
-            acc.wrapping_add(request_payload(Request::new(l, cell_blocks)))
-        });
-        let misses = missed.len() as u64;
-
-        // Plan prefetch — even on an all-hit query, so stream detection
-        // keeps tracking the query sequence and can run ahead of it.
-        let prefetch = cache.plan_prefetch(&PrefetchContext {
-            mapping,
-            region,
-            demand: &lbns,
-            missed: &missed,
-            lbn_limit: self.volume.geometry().total_blocks(),
-        });
-
-        // Schedule the misses exactly as an uncached query over them
-        // would be scheduled, then append the speculative reads.
-        let (mut requests, policy) =
-            self.build_requests(op, beam_policy, missed.clone(), cell_blocks);
-        requests.extend(prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
-        finish_span(sink, Span::Schedule, timing.t_schedule);
-
-        // Service the combined batch (skipped when everything was
-        // resident and no prefetch is due).
-        let t_service = timing.timed.then(Instant::now);
-        let geom = self.volume.geometry();
         let batch = if requests.is_empty() {
             BatchTiming::default()
         } else {
-            let mut tap = sink.as_deref_mut();
-            let mut record = |e: ServiceEvent| {
-                if let Some(s) = tap.as_deref_mut() {
-                    record_service_event(s, geom, &e);
-                }
-                if let Some(o) = observer.as_mut() {
-                    o(e);
-                }
-            };
-            serve_split_degraded(self.volume, self.disk, &requests, policy, &mut record)?
+            serve(self.volume, self.device, &requests, policy, &mut observer, &mut sink)?
         };
-        finish_span(sink, Span::Service, t_service);
+        finish_span(&mut sink, Span::Service, t_service);
 
-        // Admission order is part of the deterministic contract:
-        // demand misses first (cell order), then prefetched pages.
-        for &l in &missed {
-            cache.admit(l, cell_blocks, false);
+        let mut result = QueryResult::from_batch(batch, cells);
+        if let (Some(p), Some(cache)) = (probed, cache) {
+            // Admission order is part of the deterministic contract:
+            // demand misses first (cell order), then prefetched pages.
+            for &l in &p.missed {
+                cache.admit(l, cell_blocks, false);
+            }
+            for &l in &p.prefetch {
+                cache.admit(l, cell_blocks, true);
+            }
+            if let Some(s) = sink.as_deref_mut() {
+                s.counter(Counter::PageCacheHit, p.hits);
+                s.counter(Counter::PageCacheMiss, p.missed.len() as u64);
+                s.counter(Counter::CachePrefetchIssued, p.prefetch.len() as u64);
+                s.counter(Counter::CachePrefetchUsed, p.prefetch_used);
+            }
+            result.payload = p.payload;
         }
-        for &l in &prefetch {
-            cache.admit(l, cell_blocks, true);
-        }
-
-        if let Some(s) = sink.as_deref_mut() {
-            s.counter(Counter::PageCacheHit, hits);
-            s.counter(Counter::PageCacheMiss, misses);
-            s.counter(Counter::CachePrefetchIssued, prefetch.len() as u64);
-            s.counter(Counter::CachePrefetchUsed, prefetch_used);
+        if let Some(s) = sink {
             record_sched_stats(s, &batch);
         }
-        Ok(QueryResult {
-            cells,
-            blocks: batch.blocks,
-            requests: batch.requests,
-            total_io_ms: batch.total_ms,
-            payload,
-        })
+        Ok(result)
     }
-
 }
 
 /// Map every cell of `region` to the first LBN of its cell, in
 /// row-major cell order, under `options`' translation-cache setting.
 /// The second value reports the translation cache outcome: `None` when
 /// the cache was not consulted.
-pub(crate) fn translate_region(
+fn translate_region(
     options: &ExecOptions,
     mapping: &dyn Mapping,
     region: &BoxRegion,
@@ -759,8 +688,8 @@ pub(crate) fn translate_region(
 }
 
 /// Resolve the schedule policy for a beam of `ncells` requests under
-/// `options` — shared by the volume-bound and backend-generic executors.
-pub(crate) fn resolve_beam_schedule(
+/// `options`.
+fn resolve_beam_schedule(
     options: &ExecOptions,
     mapping: &dyn Mapping,
     ncells: u64,
@@ -778,10 +707,10 @@ pub(crate) fn resolve_beam_schedule(
 }
 
 /// Build the device request batch (issue order plus schedule policy)
-/// for cell-start `lbns` under `options` — shared by the volume-bound
-/// and backend-generic executors, so a query issues the identical batch
-/// whichever device model serves it.
-pub(crate) fn plan_requests(
+/// for cell-start `lbns` under `options`. Shared by the cached and
+/// uncached paths, so a cache that misses every probe issues exactly
+/// the batch an uncached run would.
+fn plan_requests(
     options: &ExecOptions,
     op: QueryOp,
     beam_policy: Option<SchedulePolicy>,
@@ -826,51 +755,42 @@ pub(crate) fn plan_requests(
 }
 
 /// Service an explicit set of single-block LBNs (one per cell) on one
-/// disk — the path used for octree-leaf datasets, where cells are leaves
-/// rather than grid coordinates.
+/// device — the path used for octree-leaf datasets, where cells are
+/// leaves rather than grid coordinates.
 ///
-/// `sptf` issues the whole batch to the disk scheduler (MultiMap beams);
-/// otherwise LBNs are sorted ascending and coalesced (the linearised
-/// mappings' policy).
-pub fn service_lbns(
-    volume: &LogicalVolume,
-    disk: usize,
+/// `sptf` issues the whole batch to the device scheduler (MultiMap
+/// beams); otherwise LBNs are sorted ascending and coalesced (the
+/// linearised mappings' policy).
+pub fn service_lbns<D: DeviceModel>(
+    volume: &DeviceVolume<D>,
+    device: usize,
     lbns: &[Lbn],
     sptf: bool,
 ) -> Result<QueryResult> {
-    service_lbns_sinked(volume, disk, lbns, sptf, None)
+    service_lbns_sinked(volume, device, lbns, sptf, None)
 }
 
 /// [`service_lbns`] with an optional metrics sink recording the same
 /// per-request decomposition the executor path records.
-pub fn service_lbns_sinked(
-    volume: &LogicalVolume,
-    disk: usize,
+pub fn service_lbns_sinked<D: DeviceModel>(
+    volume: &DeviceVolume<D>,
+    device: usize,
     lbns: &[Lbn],
     sptf: bool,
     mut sink: Option<&mut dyn MetricsSink>,
 ) -> Result<QueryResult> {
     let cells = lbns.len() as u64;
-    let geom = volume.geometry();
     let t_service = sink.is_some().then(Instant::now);
-    let batch = {
-        let mut tap = sink.as_deref_mut();
-        let mut record = |e: ServiceEvent| {
-            if let Some(s) = tap.as_deref_mut() {
-                record_service_event(s, geom, &e);
-            }
-        };
-        if sptf {
-            let requests: Vec<Request> = lbns.iter().map(|&l| Request::single(l)).collect();
-            serve_split_degraded(volume, disk, &requests, SchedulePolicy::Sptf, &mut record)?
-        } else {
-            let mut sorted = lbns.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let requests = coalesce_sorted(&sorted);
-            serve_split_degraded(volume, disk, &requests, SchedulePolicy::InOrder, &mut record)?
-        }
+    let (requests, policy) = if sptf {
+        let requests = lbns.iter().map(|&l| Request::single(l)).collect();
+        (requests, SchedulePolicy::Sptf)
+    } else {
+        let mut sorted = lbns.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        (coalesce_sorted(&sorted), SchedulePolicy::InOrder)
     };
+    let batch = serve(volume, device, &requests, policy, &mut None, &mut sink)?;
     finish_span(&mut sink, Span::Service, t_service);
     if let Some(s) = sink {
         record_sched_stats(s, &batch);
@@ -907,7 +827,8 @@ fn coalesce_cells(sorted_starts: &[Lbn], cell_blocks: u64) -> Vec<Request> {
 mod tests {
     use super::*;
     use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
-    use multimap_disksim::profiles;
+    use multimap_disksim::{profiles, BACKEND_NAMES};
+    use multimap_lvm::{backend_volume, LogicalVolume};
     use multimap_telemetry::Metrics;
 
     fn setup() -> (LogicalVolume, GridSpec) {
@@ -1167,61 +1088,158 @@ mod tests {
     }
 
     /// A cache that misses every probe and plans no prefetch must leave
-    /// the serviced batch — and thus every timing bit — unchanged.
+    /// the serviced batch — and thus every timing bit — unchanged, on
+    /// every backend: the page cache is a feature of the one executor,
+    /// not of the rotating disk.
     #[test]
     fn cold_cache_is_byte_identical_to_uncached() {
-        let (vol, grid) = setup();
-        let mm = MultiMapping::new(vol.geometry(), grid.clone()).unwrap();
-        let exec = QueryExecutor::new(&vol, 0);
-        for req in [
-            QueryRequest::beam(&mm, &BoxRegion::beam(&grid, 1, &[3, 0, 2])),
-            QueryRequest::range(&mm, &BoxRegion::new([0u64, 0, 0], [20u64, 5, 3])),
-        ] {
-            let (op, region) = (req.op(), req.region().clone());
-            let bare = exec.execute(req).unwrap();
-            vol.reset();
-            let cache = TestCache::default();
-            let cached = exec
-                .execute(QueryRequest::new(op, &mm, &region).with_cache(&cache))
-                .unwrap();
-            vol.reset();
-            assert_eq!(bare, cached);
-            assert_eq!(bare.total_io_ms.to_bits(), cached.total_io_ms.to_bits());
+        let (_, grid) = setup();
+        let geom = profiles::small();
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        for name in BACKEND_NAMES {
+            let vol = backend_volume(name, &geom, 1).unwrap();
+            let exec = QueryExecutor::new(&vol, 0);
+            for req in [
+                QueryRequest::beam(&mm, &BoxRegion::beam(&grid, 1, &[3, 0, 2])),
+                QueryRequest::range(&mm, &BoxRegion::new([0u64, 0, 0], [20u64, 5, 3])),
+            ] {
+                let (op, region) = (req.op(), req.region().clone());
+                let bare = exec.execute(req).unwrap();
+                vol.reset();
+                let cache = TestCache::default();
+                let cached = exec
+                    .execute(QueryRequest::new(op, &mm, &region).with_cache(&cache))
+                    .unwrap();
+                vol.reset();
+                assert_eq!(bare, cached, "{name}");
+                assert_eq!(bare.total_io_ms.to_bits(), cached.total_io_ms.to_bits(), "{name}");
+            }
         }
     }
 
-    /// A fully resident query is served without any disk traffic but
-    /// still delivers the exact uncached payload.
+    /// A fully resident query is served without any device traffic but
+    /// still delivers the exact uncached payload, on every backend.
     #[test]
     fn warm_cache_serves_without_io() {
-        let (vol, grid) = setup();
-        let mm = MultiMapping::new(vol.geometry(), grid.clone()).unwrap();
-        let exec = QueryExecutor::new(&vol, 0);
+        let (_, grid) = setup();
+        let geom = profiles::small();
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
         let region = BoxRegion::beam(&grid, 1, &[3, 0, 2]);
-        let cache = TestCache::default();
-        let mut first_m = Metrics::new();
-        let first = exec
-            .execute(
-                QueryRequest::beam(&mm, &region)
-                    .with_cache(&cache)
-                    .with_sink(&mut first_m),
-            )
-            .unwrap();
-        let mut second_m = Metrics::new();
-        let second = exec
-            .execute(
-                QueryRequest::beam(&mm, &region)
-                    .with_cache(&cache)
-                    .with_sink(&mut second_m),
-            )
-            .unwrap();
-        assert_eq!(first_m.counter_value(Counter::PageCacheMiss), first.cells);
-        assert_eq!(second_m.counter_value(Counter::PageCacheHit), second.cells);
-        assert_eq!(second.cells, first.cells);
-        assert_eq!(second.payload, first.payload);
-        assert_eq!(second.blocks, 0);
-        assert_eq!(second.requests, 0);
-        assert_eq!(second.total_io_ms, 0.0);
+        for name in BACKEND_NAMES {
+            let vol = backend_volume(name, &geom, 1).unwrap();
+            let exec = QueryExecutor::new(&vol, 0);
+            let cache = TestCache::default();
+            let mut first_m = Metrics::new();
+            let first = exec
+                .execute(
+                    QueryRequest::beam(&mm, &region)
+                        .with_cache(&cache)
+                        .with_sink(&mut first_m),
+                )
+                .unwrap();
+            let mut second_m = Metrics::new();
+            let second = exec
+                .execute(
+                    QueryRequest::beam(&mm, &region)
+                        .with_cache(&cache)
+                        .with_sink(&mut second_m),
+                )
+                .unwrap();
+            assert_eq!(first_m.counter_value(Counter::PageCacheMiss), first.cells, "{name}");
+            assert_eq!(second_m.counter_value(Counter::PageCacheHit), second.cells, "{name}");
+            assert_eq!(second.cells, first.cells, "{name}");
+            assert_eq!(second.payload, first.payload, "{name}");
+            assert_eq!((second.blocks, second.requests), (0, 0), "{name}");
+            assert_eq!(second.total_io_ms, 0.0, "{name}");
+        }
+    }
+
+    /// Every registry backend serves the same query with the same
+    /// payload; only timing differs.
+    #[test]
+    fn payload_is_backend_independent() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        let region = BoxRegion::beam(&grid, 2, &[5, 3, 0]);
+        let mut results = Vec::new();
+        for name in BACKEND_NAMES {
+            let v = backend_volume(name, &geom, 1).unwrap();
+            let r = QueryExecutor::new(&v, 0)
+                .execute(QueryRequest::beam(&mm, &region))
+                .unwrap();
+            assert!(r.total_io_ms > 0.0, "{name}");
+            results.push(r);
+        }
+        assert!(results.windows(2).all(|w| w[0].payload == w[1].payload));
+        assert!(results.windows(2).all(|w| w[0].cells == w[1].cells));
+    }
+
+    /// A sink records the backend's own transition classes and
+    /// reconciles request counts on every backend; on event-sum backends
+    /// (disk, IMR reads) phase sums equal the batch total, while on the
+    /// SSD per-channel service overlaps and the invariant inverts: the
+    /// makespan is at most the per-event busy sum.
+    #[test]
+    fn sink_reconciles_on_every_backend() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        let region = BoxRegion::beam(&grid, 2, &[5, 3, 0]);
+        for name in BACKEND_NAMES {
+            let v = backend_volume(name, &geom, 1).unwrap();
+            let mut m = Metrics::new();
+            let r = QueryExecutor::new(&v, 0)
+                .execute(QueryRequest::beam(&mm, &region).with_sink(&mut m))
+                .unwrap();
+            assert_eq!(m.counter_value(Counter::RequestsServiced), r.requests, "{name}");
+            if name == "ssd" {
+                assert!(m.phase_sum_ms() >= r.total_io_ms - 1e-9);
+            } else {
+                assert!(
+                    (m.phase_sum_ms() - r.total_io_ms).abs() < 1e-9,
+                    "{name}: phase sums {} vs total {}",
+                    m.phase_sum_ms(),
+                    r.total_io_ms
+                );
+            }
+            assert!(m.counter_value(Counter::AdjacencyHop) > 0, "{name}");
+        }
+    }
+
+    /// The transition classes a sink records are the serving device's
+    /// own ([`DeviceModel::classify`]), not a rotating-disk rule applied
+    /// from outside: replaying the observed events through the device
+    /// reproduces the sink's hop/seek counters on every backend.
+    #[test]
+    fn events_classify_through_the_backend() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let naive = NaiveMapping::new(grid.clone(), 0);
+        let region = BoxRegion::new([0u64, 0, 0], [59u64, 5, 0]);
+        let opts = ExecOptions::builder().range(RangeOrder::SortedSingles).build();
+        for name in BACKEND_NAMES {
+            let v = backend_volume(name, &geom, 1).unwrap();
+            let mut events = Vec::new();
+            let mut keep = |e: ServiceEvent| events.push(e);
+            let mut m = Metrics::new();
+            QueryExecutor::with_options(&v, 0, opts)
+                .execute(
+                    QueryRequest::range(&naive, &region)
+                        .with_observer(&mut keep)
+                        .with_sink(&mut m),
+                )
+                .unwrap();
+            assert!(!events.is_empty(), "{name}");
+            let classes: Vec<Transition> = v
+                .with_device(0, |d| events.iter().map(|e| d.classify(e)).collect())
+                .unwrap();
+            let count = |t: Transition| classes.iter().filter(|&&c| c == t).count() as u64;
+            let hops = m.counter_value(Counter::AdjacencyHop);
+            let seeks = m.counter_value(Counter::SeekTransition);
+            assert_eq!(hops, count(Transition::AdjacencyHop), "{name}");
+            assert_eq!(seeks, count(Transition::Seek), "{name}");
+        }
     }
 
     #[test]
@@ -1248,6 +1266,14 @@ mod tests {
             .execute(QueryRequest::beam(&naive, &region))
             .unwrap_err();
         assert!(matches!(err, QueryError::RegionOutsideGrid { .. }));
+        // Out-of-grid regions fail identically on every backend.
+        for name in BACKEND_NAMES {
+            let v = backend_volume(name, &profiles::small(), 1).unwrap();
+            let err = QueryExecutor::new(&v, 0)
+                .execute(QueryRequest::range(&naive, &region))
+                .unwrap_err();
+            assert!(matches!(err, QueryError::RegionOutsideGrid { .. }), "{name}");
+        }
     }
 
     #[test]

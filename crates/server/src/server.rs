@@ -312,31 +312,33 @@ pub fn serve_scenario<D: DeviceModel>(
             by_key.entry((r.lbn, r.nblocks)).or_default().push_back(i);
         }
 
-        let (_, log) = volume.service_batch_logged(
+        let mut completion = vec![0.0f64; batch.len()];
+        let mut unsubmitted = None;
+        volume.service_batch_classified(
             0,
             &reqs,
             SchedulePolicy::QueuedSptf(scenario.queue_depth),
+            |tr, e| {
+                let Some(i) = by_key
+                    .get_mut(&(e.request.lbn, e.request.nblocks))
+                    .and_then(|q| q.pop_front())
+                else {
+                    unsubmitted.get_or_insert(e.request.lbn);
+                    return;
+                };
+                let bi = owners[i];
+                let tenant = batch[bi].req.tenant;
+                record_classified_event(&mut state.reports[tenant].metrics, tr, e);
+                state.reports[tenant].disk_requests += 1;
+                if e.after.time_ms > completion[bi] {
+                    completion[bi] = e.after.time_ms;
+                }
+            },
         )?;
-        let events = log.events();
-        let transitions = volume.classify_events(0, events)?;
-        let mut completion = vec![0.0f64; batch.len()];
-        for (e, tr) in events.iter().zip(transitions.iter()) {
-            let i = by_key
-                .get_mut(&(e.request.lbn, e.request.nblocks))
-                .and_then(|q| q.pop_front())
-                .ok_or_else(|| {
-                    ServerError::Config(format!(
-                        "device reported an event for an unsubmitted request at lbn {}",
-                        e.request.lbn
-                    ))
-                })?;
-            let bi = owners[i];
-            let tenant = batch[bi].req.tenant;
-            record_classified_event(&mut state.reports[tenant].metrics, *tr, e);
-            state.reports[tenant].disk_requests += 1;
-            if e.after.time_ms > completion[bi] {
-                completion[bi] = e.after.time_ms;
-            }
+        if let Some(lbn) = unsubmitted {
+            return Err(ServerError::Config(format!(
+                "device reported an event for an unsubmitted request at lbn {lbn}"
+            )));
         }
         batches += 1;
         dispatched_requests += reqs.len() as u64;
@@ -423,7 +425,8 @@ mod tests {
     }
 
     fn volume() -> DeviceVolume<DiskSim> {
-        DeviceVolume::new(vec![DiskSim::new(profiles::small())]).unwrap()
+        let geom = profiles::small();
+        DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom)]).unwrap()
     }
 
     fn mapping() -> MultiMapping {

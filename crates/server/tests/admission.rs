@@ -73,7 +73,8 @@ proptest! {
             batch_window,
             queue_depth: 16,
         };
-        let volume = DeviceVolume::new(vec![DiskSim::new(geom.clone())]).unwrap();
+        let volume =
+            DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom.clone())]).unwrap();
         let mapping = MultiMapping::new(&geom, grid).unwrap();
         let report = serve_scenario(&volume, &mapping, &scenario).unwrap();
 

@@ -65,7 +65,8 @@ fn run_cells() -> Vec<ServingReport> {
     let cells = cells();
     multimap_engine::sweep(&cells, |(scenario, multimap)| {
         let geom = profiles::small();
-        let volume = DeviceVolume::new(vec![DiskSim::new(geom.clone())]).unwrap();
+        let volume =
+            DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom.clone())]).unwrap();
         let mapping: Box<dyn Mapping> = if *multimap {
             Box::new(MultiMapping::new(&geom, grid()).unwrap())
         } else {

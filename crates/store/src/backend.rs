@@ -3,18 +3,20 @@
 //! [`DeviceVolume`] over any [`DeviceModel`](multimap_disksim::DeviceModel)
 //! backend.
 //!
-//! This is the half of [`crate::StorageManager`] that does not depend
-//! on rotating-disk specifics: demand reads probe the cache and fetch
-//! only the misses in one queued-SPTF batch; writes dirty cache pages
-//! and drain through an ascending-LBN write-back flush. On an IMR
+//! Where [`crate::StorageManager`] manages tables on the rotating-disk
+//! [`multimap_lvm::LogicalVolume`], this store serves raw cell reads
+//! and writes on the same volume type over any backend: demand reads
+//! probe the cache and fetch only the misses in one queued-SPTF batch;
+//! writes dirty cache pages and drain through an ascending-LBN
+//! write-back flush. On an IMR
 //! backend that flush is where read-modify-write amplification
 //! surfaces — the store diffs the backend's `imr.neighbor_rewrites`
 //! counter across each flush and records the delta as
 //! [`Counter::NeighborRewrite`] telemetry, so write amplification is
 //! observable per flush without backend-specific code on the hot path.
 
-use multimap_disksim::{DeviceModel, Lbn, Request, ServiceLog};
-use multimap_lvm::{DeviceVolume, SchedulePolicy};
+use multimap_disksim::{DeviceModel, Lbn, Request};
+use multimap_lvm::{DeviceVolume, LvmError, SchedulePolicy};
 use multimap_query::{record_classified_event, BlockCache, CacheProbe};
 use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
 
@@ -99,10 +101,9 @@ impl<D: DeviceModel> DeviceStore<D> {
         &self.volume
     }
 
-    /// The page cache serving `device` (panics on a bad index, like
-    /// slice indexing — construction sized one cache per device).
-    pub fn cache(&self, device: usize) -> &PageCache {
-        &self.caches[device]
+    /// The page cache serving `device`, or `None` past the last device.
+    pub fn cache(&self, device: usize) -> Option<&PageCache> {
+        self.caches.get(device)
     }
 
     /// Telemetry recorded by the demand and write-back paths.
@@ -114,7 +115,7 @@ impl<D: DeviceModel> DeviceStore<D> {
     /// the misses as one queued-SPTF batch, admit them, and record
     /// hit/miss counters plus the per-event phase decomposition.
     pub fn read(&mut self, device: usize, lbns: &[Lbn], nblocks: u64) -> Result<BackendReadReport> {
-        let cache = &self.caches[device];
+        let cache = cache_of(&self.caches, device)?;
         let mut missed: Vec<Lbn> = Vec::new();
         let mut hits = 0u64;
         for &l in lbns {
@@ -133,14 +134,15 @@ impl<D: DeviceModel> DeviceStore<D> {
         if !missed.is_empty() {
             let requests: Vec<Request> = missed.iter().map(|&l| Request::new(l, nblocks)).collect();
             let depth = self.config.queue_depth.max(1);
-            let (timing, log) = self.volume.service_batch_logged(
+            let metrics = &mut self.metrics;
+            let timing = self.volume.service_batch_classified(
                 device,
                 &requests,
                 SchedulePolicy::QueuedSptf(depth),
+                |t, e| record_classified_event(metrics, t, e),
             )?;
-            self.record_log(device, &log)?;
             for &l in &missed {
-                self.caches[device].admit(l, nblocks, false);
+                cache.admit(l, nblocks, false);
             }
             report.blocks = timing.blocks;
             report.total_io_ms = timing.total_ms;
@@ -159,7 +161,7 @@ impl<D: DeviceModel> DeviceStore<D> {
         lbn: Lbn,
         nblocks: u64,
     ) -> Result<Option<BackendFlushReport>> {
-        let cache = &self.caches[device];
+        let cache = cache_of(&self.caches, device)?;
         cache.mark_dirty(lbn, nblocks);
         if cache.writeback_pending() >= self.config.writeback_batch.max(1) {
             return self.flush(device).map(Some);
@@ -175,7 +177,7 @@ impl<D: DeviceModel> DeviceStore<D> {
     /// `imr.neighbor_rewrites` counter is diffed across the flush and
     /// the delta recorded as [`Counter::NeighborRewrite`].
     pub fn flush(&mut self, device: usize) -> Result<BackendFlushReport> {
-        let pages = self.caches[device].take_writeback();
+        let pages = cache_of(&self.caches, device)?.take_writeback();
         if pages.is_empty() {
             return Ok(BackendFlushReport::default());
         }
@@ -208,16 +210,18 @@ impl<D: DeviceModel> DeviceStore<D> {
         }
         Ok(report)
     }
+}
 
-    /// Record a service log's per-event decomposition, classified by
-    /// the backend (one lock acquisition for the whole log).
-    fn record_log(&mut self, device: usize, log: &ServiceLog) -> Result<()> {
-        let transitions = self.volume.classify_events(device, log.events())?;
-        for (e, &t) in log.events().iter().zip(&transitions) {
-            record_classified_event(&mut self.metrics, t, e);
+/// The cache serving `device`, or the volume's own typed error for an
+/// index past the last device (one cache per device by construction).
+fn cache_of(caches: &[PageCache], device: usize) -> Result<&PageCache> {
+    caches.get(device).ok_or_else(|| {
+        LvmError::NoSuchDisk {
+            disk: device,
+            ndisks: caches.len(),
         }
-        Ok(())
-    }
+        .into()
+    })
 }
 
 /// The backend's `imr.neighbor_rewrites` counter, or 0 on backends
@@ -319,6 +323,25 @@ mod tests {
             "telemetry must reconcile with the flush reports"
         );
         assert!(second.total_io_ms > 0.0);
+    }
+
+    /// A device index past the volume is the volume's typed error on
+    /// every entry point, never an out-of-bounds panic.
+    #[test]
+    fn bad_device_index_is_a_typed_error() {
+        use crate::manager::StoreError;
+        let mut s = store("ssd");
+        let no_such = |r: StoreError| {
+            matches!(
+                r,
+                StoreError::Volume(LvmError::NoSuchDisk { disk: 4, ndisks: 1 })
+            )
+        };
+        assert!(no_such(s.read(4, &[0], 1).unwrap_err()));
+        assert!(no_such(s.write(4, 0, 1).unwrap_err()));
+        assert!(no_such(s.flush(4).unwrap_err()));
+        assert!(s.cache(4).is_none());
+        assert!(s.cache(0).is_some());
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //! * runs beam and range queries that transparently read overflow
 //!   chains.
 //!
+//! Both stores here sit on the one volume type
+//! ([`multimap_lvm::DeviceVolume`]) and record telemetry through the one
+//! serve-and-classify path: [`StorageManager`] manages tables on the
+//! rotating-disk `LogicalVolume` (write-back flushes as one queued-SPTF
+//! batch), [`DeviceStore`] serves raw cell reads and writes over any
+//! backend (write-back flushes as ascending page writes, so an IMR
+//! backend can amplify each one). The [`PageCache`] they share plugs
+//! into the query executor on every backend.
+//!
 //! ```
 //! use multimap_core::{BoxRegion, GridSpec};
 //! use multimap_disksim::profiles;

@@ -10,7 +10,7 @@ use multimap_core::{
 use multimap_disksim::{DiskGeometry, Lbn, Request};
 use multimap_lvm::{LogicalVolume, LvmError, SchedulePolicy};
 use multimap_query::{
-    record_service_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
+    record_classified_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
 };
 use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
 
@@ -195,7 +195,7 @@ impl StorageManager {
     /// every operation byte-identical to a cache-less manager (probes
     /// always miss, inserts write through immediately).
     pub fn enable_cache(&mut self, config: CacheConfig) {
-        self.caches = (0..self.volume.num_disks())
+        self.caches = (0..self.volume.num_devices())
             .map(|d| (d, PageCache::new(&config)))
             .collect();
         self.cache_config = Some(config);
@@ -266,14 +266,12 @@ impl StorageManager {
             .cache_config
             .map(|c| c.queue_depth.max(1))
             .unwrap_or(1);
-        let volume = &self.volume;
         let metrics = &mut self.cache_metrics;
-        let geom = volume.geometry().clone();
-        let timing = volume.service_batch_observed(
+        let timing = self.volume.service_batch_classified(
             disk,
             &requests,
             SchedulePolicy::QueuedSptf(depth),
-            &mut |e| record_service_event(metrics, &geom, &e),
+            |t, e| record_classified_event(metrics, t, e),
         )?;
         // The per-event decomposition above already sums to the batch
         // total; the Writeback phase is a memo overlay (excluded from
@@ -477,13 +475,9 @@ impl StorageManager {
 
         // Write-through path (no cache, or capacity 0): one positioned
         // write per page, exactly the pre-cache behaviour.
-        self.volume.with_disk(disk, |sim| {
-            for (w, _) in writes {
-                // staticcheck: allow(no-unwrap) — grant LBNs were validated against the allocator at create time.
-                sim.service_write(multimap_disksim::Request::single(w))
-                    .expect("grant LBNs are on disk");
-            }
-        })?;
+        for (w, _) in writes {
+            self.volume.service_write(disk, Request::single(w))?;
+        }
         Ok(())
     }
 
@@ -754,6 +748,28 @@ mod tests {
         assert_eq!(m.underflowing_cells("t").unwrap(), vec![cell]);
         assert!(m.underflowing_cells("nope").is_err());
         assert!(m.delete("t", &[99, 0]).is_err());
+    }
+
+    /// A write-through insert whose positioned write fails reports the
+    /// volume's error instead of panicking.
+    #[test]
+    fn failed_write_through_insert_is_a_typed_error() {
+        use multimap_disksim::{DiskError, FaultPlan};
+        let mut m = manager();
+        m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::Naive)
+            .unwrap();
+        m.load("t").unwrap();
+        let table = m.table("t").unwrap();
+        let (disk, lbn) = (table.grant().disk, table.mapping().lbn_of(&[3, 2, 1]).unwrap());
+        m.volume()
+            .with_disk(disk, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(lbn)))
+            .unwrap();
+        match m.insert("t", &[3, 2, 1]) {
+            Err(StoreError::Volume(LvmError::Disk(DiskError::MediaError { lbn: bad }))) => {
+                assert_eq!(bad, lbn)
+            }
+            other => panic!("expected the media error to propagate, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`disksim`] | `multimap-disksim` | zoned rotating-disk simulator + adjacency model |
-//! | [`lvm`] | `multimap-lvm` | logical volume manager (`GET_ADJACENT`, `GET_TRACK_BOUNDARIES`) |
+//! | [`disksim`] | `multimap-disksim` | zoned rotating-disk simulator + adjacency model; `DeviceModel` backends (disk, SSD, IMR) |
+//! | [`lvm`] | `multimap-lvm` | the one volume (`DeviceVolume<D>`; `LogicalVolume` is its rotating-disk alias) with `GET_ADJACENT` / `GET_TRACK_BOUNDARIES`, fault recovery as a device layer |
 //! | [`sfc`] | `multimap-sfc` | Z-order / Hilbert / Gray space-filling curves |
 //! | [`core`] | `multimap-core` | the MultiMap algorithm + Naive/curve baselines |
 //! | [`octree`] | `multimap-octree` | octree substrate, skewed (earthquake) datasets |
 //! | [`olap`] | `multimap-olap` | the 4-D TPC-H-shaped OLAP cube and Q1–Q5 |
-//! | [`query`] | `multimap-query` | query executor: beam and range queries |
-//! | [`store`] | `multimap-store` | database storage manager: tables, loads, updates |
+//! | [`query`] | `multimap-query` | the one query executor: beam and range queries, page-cache probe, on any backend |
+//! | [`store`] | `multimap-store` | database storage manager: tables, loads, updates, page cache |
+//! | [`server`] | `multimap-server` | multi-tenant serving loop: admission, fairness, SLO reports |
 //! | [`model`] | `multimap-model` | analytical I/O-cost model |
 //! | [`engine`] | `multimap-engine` | deterministic parallel experiment engine |
 //! | [`telemetry`] | `multimap-telemetry` | metrics sinks, histograms, spans (see `docs/observability.md`) |
@@ -54,6 +55,7 @@ pub use multimap_model as model;
 pub use multimap_octree as octree;
 pub use multimap_olap as olap;
 pub use multimap_query as query;
+pub use multimap_server as server;
 pub use multimap_sfc as sfc;
 pub use multimap_store as store;
 pub use multimap_telemetry as telemetry;
