@@ -421,7 +421,7 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
 }
 
 /// Queued vs full SPTF: with the profiled estimator the full scheduler's
-/// per-round work is a memoized seek plus a rotational phase — cheap
+/// per-round work is a seek-curve evaluation plus a rotational phase — cheap
 /// enough that the executor's default `sptf_limit` (4096) comfortably
 /// covers paper-scale beams (≤ 259 cells), so the queued fallback no
 /// longer binds there. Columns are *simulated* service time only; the

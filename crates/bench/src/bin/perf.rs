@@ -390,14 +390,11 @@ fn main() {
     // Hit rates computed over fewer than HIT_RATE_FLOOR lookups are
     // start-up transient, not steady state (a handful of warm lookups
     // reads as a flawless 1.0000 at quick scale): render those as
-    // `null` (n/a) rather than a misleading number. See
-    // docs/performance.md for why the seek memo's rate saturates low.
+    // `null` (n/a) rather than a misleading number.
     let rate_or_null = |r: Option<f64>| match r {
         Some(v) => format!("{v:.4}"),
         None => "null".to_string(),
     };
-    let seek_hit_rate =
-        rate_or_null(merged.hit_rate_floored(Counter::SeekMemoHit, Counter::SeekMemoMiss));
     let xlat_hit_rate = rate_or_null(
         merged.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss),
     );
@@ -457,7 +454,6 @@ fn main() {
         "  \"hit_rate_floor\": {},",
         multimap_telemetry::HIT_RATE_FLOOR
     );
-    let _ = writeln!(json, "  \"seek_memo_hit_rate\": {seek_hit_rate},");
     let _ = writeln!(json, "  \"translation_cache_hit_rate\": {xlat_hit_rate},");
     let _ = writeln!(json, "  \"telemetry\": {},", merged.to_json(2));
     let _ = writeln!(json, "  \"ablations_wall_s\": {ablations_s:.3},");

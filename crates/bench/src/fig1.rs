@@ -12,7 +12,7 @@ pub fn run() -> Table {
     let disks = profiles::evaluation_disks();
     let mut header = vec!["cyl_distance".to_string()];
     for d in &disks {
-        header.push(d.name.clone());
+        header.push(d.name.to_string());
     }
     let mut table = Table {
         title: "Figure 1(a): seek time vs cylinder distance [ms]".into(),

@@ -89,7 +89,7 @@ pub fn run_beams(scale: Scale) -> Table {
             per_dim.push(acc.per_cell_ms());
         }
         let row = vec![
-            geom.name.clone(),
+            geom.name.to_string(),
             m.name().to_string(),
             ms(per_dim[0]),
             ms(per_dim[1]),
@@ -170,7 +170,7 @@ pub fn run_ranges(scale: Scale) -> Table {
             }
         }
         let row = vec![
-            geom.name.clone(),
+            geom.name.to_string(),
             format!("{sel}"),
             ms(totals[0]),
             format!("{:.2}", totals[0] / totals[1]),

@@ -98,7 +98,7 @@ fn run_beams_on(tree: &Octree, scale: Scale) -> Table {
             per_dim.push(total / cells.max(1) as f64);
         }
         vec![
-            geom.name.clone(),
+            geom.name.to_string(),
             placement.name().to_string(),
             ms(per_dim[0]),
             ms(per_dim[1]),
@@ -176,7 +176,7 @@ pub fn run_ranges(scale: Scale) -> Table {
                 })
                 .collect();
 
-            let mut row = vec![geom.name.clone(), format!("{sel}")];
+            let mut row = vec![geom.name.to_string(), format!("{sel}")];
             for p in &placements {
                 let mut total = 0.0;
                 for (lo, hi) in &boxes {

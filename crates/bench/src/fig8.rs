@@ -56,7 +56,7 @@ pub fn run(scale: Scale) -> Table {
 
         let mut metrics = Metrics::new();
         let record = multimap_telemetry::enabled();
-        let mut row = vec![geom.name.clone(), m.name().to_string()];
+        let mut row = vec![geom.name.to_string(), m.name().to_string()];
         for q in ALL_QUERIES {
             // Same regions per query across mappings.
             let mut rng = workload_rng(0x8000 + q.label().as_bytes()[1] as u64);

@@ -67,8 +67,10 @@ pub struct ZoneSpec {
     pub sectors_per_track: u32,
 }
 
-/// A fully resolved zone with its absolute cylinder/track/LBN offsets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A fully resolved zone with its absolute cylinder/track/LBN offsets
+/// and the drive-only timing constants every rotational computation in
+/// the zone needs (resolved once by [`DiskBuilder::build`]).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Zone {
     /// Index of this zone on the disk (0 = outermost).
     pub index: usize,
@@ -84,6 +86,12 @@ pub struct Zone {
     pub first_lbn: Lbn,
     /// Total number of LBNs in the zone.
     pub blocks: u64,
+    /// [`DiskGeometry::sector_time_ms`] of this zone.
+    sector_ms: f64,
+    /// [`DiskGeometry::track_skew_sectors`] of this zone.
+    track_skew: u32,
+    /// [`DiskGeometry::cylinder_skew_sectors`] of this zone.
+    cylinder_skew: u32,
 }
 
 impl Zone {
@@ -123,10 +131,13 @@ pub struct Location {
 /// [`crate::profiles`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DiskGeometry {
-    /// Human-readable model name.
-    pub name: String,
+    /// Human-readable model name. Shared, like the zone table, so a
+    /// clone allocates nothing.
+    pub name: Arc<str>,
     /// Spindle speed in revolutions per minute.
     pub rpm: f64,
+    /// [`Self::revolution_ms`], resolved at build.
+    revolution_ms: f64,
     /// Number of recording surfaces (tracks per cylinder, the paper's `R`).
     pub surfaces: u32,
     /// Resolved zone table, outermost zone first. Shared, so cloning a
@@ -197,7 +208,7 @@ impl DiskGeometry {
     /// Duration of one platter revolution in milliseconds.
     #[inline]
     pub fn revolution_ms(&self) -> f64 {
-        60_000.0 / self.rpm
+        self.revolution_ms
     }
 
     /// The resolved zone table (outermost first).
@@ -209,7 +220,7 @@ impl DiskGeometry {
     /// Time to transfer one sector in the given zone, in milliseconds.
     #[inline]
     pub fn sector_time_ms(&self, zone: &Zone) -> f64 {
-        self.revolution_ms() / zone.sectors_per_track as f64
+        zone.sector_ms
     }
 
     /// Sustained media bandwidth of a zone in bytes per millisecond.
@@ -304,16 +315,16 @@ impl DiskGeometry {
     /// Track skew in sectors between consecutive surfaces of one cylinder:
     /// the angular distance the platter covers during a head switch,
     /// rounded up to a sector boundary (plus one sector of slack).
+    #[inline]
     pub fn track_skew_sectors(&self, zone: &Zone) -> u32 {
-        let sectors = (self.head_switch_ms / self.sector_time_ms(zone)).ceil() as u32 + 1;
-        sectors % zone.sectors_per_track
+        zone.track_skew
     }
 
     /// Cylinder skew in sectors between the last track of a cylinder and
     /// the first track of the next: covers a one-cylinder seek (settle).
+    #[inline]
     pub fn cylinder_skew_sectors(&self, zone: &Zone) -> u32 {
-        let sectors = (self.settle_ms / self.sector_time_ms(zone)).ceil() as u32 + 1;
-        sectors % zone.sectors_per_track
+        zone.cylinder_skew
     }
 
     /// Angular offset, in sectors, of sector 0 of the given track relative
@@ -363,7 +374,16 @@ impl DiskGeometry {
     /// call this in their selection loops; both paths share this function
     /// so cached and uncached estimates are bit-identical.
     pub fn rotational_wait_from_angle(&self, target: f64, t_ms: f64) -> f64 {
-        let phase = self.phase_at(t_ms);
+        self.rotational_wait_from_phase(target, self.phase_at(t_ms))
+    }
+
+    /// [`Self::rotational_wait_from_angle`] with the platter phase at
+    /// arrival ([`Self::phase_at`]) already evaluated. Every rotational
+    /// wait in the crate ends here, so a selector that computes the phase
+    /// once per track bucket sees the same floats as the estimator that
+    /// computes it per request.
+    #[inline]
+    pub fn rotational_wait_from_phase(&self, target: f64, phase: f64) -> f64 {
         let mut delta = target - phase;
         if delta < 0.0 {
             delta += 1.0;
@@ -421,19 +441,20 @@ impl DiskGeometry {
         to_surface: u32,
     ) -> f64 {
         let dcyl = from_cylinder.abs_diff(to_cylinder);
-        if dcyl == 0 {
-            if from_surface == to_surface {
-                0.0
-            } else {
-                self.head_switch_ms
-            }
+        self.positioning_from_seek_ms(dcyl, self.seek_ms(dcyl), from_surface == to_surface)
+    }
+
+    /// [`Self::positioning_ms`] with `seek_ms = self.seek_ms(dcyl)`
+    /// already evaluated, so a scheduler visiting several tracks of one
+    /// cylinder runs the seek curve once for all of them.
+    #[inline]
+    pub fn positioning_from_seek_ms(&self, dcyl: u64, seek_ms: f64, same_surface: bool) -> f64 {
+        if same_surface {
+            seek_ms
+        } else if dcyl == 0 {
+            self.head_switch_ms
         } else {
-            let seek = self.seek_ms(dcyl);
-            if from_surface == to_surface {
-                seek
-            } else {
-                seek.max(self.head_switch_ms)
-            }
+            seek_ms.max(self.head_switch_ms)
         }
     }
 }
@@ -637,6 +658,7 @@ impl DiskBuilder {
                 "settle_cylinders must be positive",
             ));
         }
+        let revolution_ms = 60_000.0 / self.rpm;
         let mut zones = Vec::with_capacity(self.zones.len());
         let mut first_cylinder = 0u64;
         let mut first_track = 0u64;
@@ -647,6 +669,11 @@ impl DiskBuilder {
             }
             let blocks =
                 spec.cylinders as u64 * self.surfaces as u64 * spec.sectors_per_track as u64;
+            let sector_ms = revolution_ms / spec.sectors_per_track as f64;
+            // Skews cover a head switch (one-cylinder settle) rounded up
+            // to a sector boundary, plus one sector of slack.
+            let skew =
+                |ms: f64| ((ms / sector_ms).ceil() as u32).wrapping_add(1) % spec.sectors_per_track;
             zones.push(Zone {
                 index,
                 first_cylinder,
@@ -655,6 +682,9 @@ impl DiskBuilder {
                 first_track,
                 first_lbn,
                 blocks,
+                sector_ms,
+                track_skew: skew(self.head_switch_ms),
+                cylinder_skew: skew(self.settle_ms),
             });
             first_cylinder += spec.cylinders as u64;
             first_track += spec.cylinders as u64 * self.surfaces as u64;
@@ -705,8 +735,9 @@ impl DiskBuilder {
         };
 
         Ok(DiskGeometry {
-            name: self.name,
+            name: self.name.into(),
             rpm: self.rpm,
+            revolution_ms,
             surfaces: self.surfaces,
             zones: zones.into(),
             settle_ms: self.settle_ms,
@@ -901,6 +932,155 @@ mod tests {
         assert!(sheet.contains("toy"));
         assert!(sheet.contains("D = 9"));
         assert!(sheet.contains("2 zones"));
+    }
+
+    /// The definitions of the constants `DiskBuilder::build` stores,
+    /// evaluated per call with their divisions: the oracle the stored
+    /// values are compared against.
+    mod division_based {
+        use super::super::*;
+
+        pub fn rev_by_division(g: &DiskGeometry) -> f64 {
+            60_000.0 / g.rpm
+        }
+
+        pub fn sector_time_by_division(g: &DiskGeometry, zone: &Zone) -> f64 {
+            rev_by_division(g) / zone.sectors_per_track as f64
+        }
+
+        pub fn track_skew_by_division(g: &DiskGeometry, zone: &Zone) -> u32 {
+            let sectors = (g.head_switch_ms / sector_time_by_division(g, zone)).ceil() as u32 + 1;
+            sectors % zone.sectors_per_track
+        }
+
+        pub fn cylinder_skew_by_division(g: &DiskGeometry, zone: &Zone) -> u32 {
+            let sectors = (g.settle_ms / sector_time_by_division(g, zone)).ceil() as u32 + 1;
+            sectors % zone.sectors_per_track
+        }
+
+        pub fn start_angle_by_division(g: &DiskGeometry, loc: &Location) -> f64 {
+            let zone = &g.zones()[loc.zone];
+            let spt = zone.sectors_per_track as u64;
+            let track_skew = track_skew_by_division(g, zone) as u64;
+            let per_cylinder =
+                (g.surfaces as u64 - 1) * track_skew + cylinder_skew_by_division(g, zone) as u64;
+            let off = (loc.cylinder - zone.first_cylinder)
+                .wrapping_mul(per_cylinder)
+                .wrapping_add(loc.surface as u64 * track_skew);
+            let abs = ((off % spt) as u32 + loc.sector) % loc.spt;
+            abs as f64 / loc.spt as f64
+        }
+
+        pub fn rotational_wait_by_division(g: &DiskGeometry, loc: &Location, t_ms: f64) -> f64 {
+            let rev = rev_by_division(g);
+            let mut delta = start_angle_by_division(g, loc) - (t_ms / rev).fract();
+            if delta < 0.0 {
+                delta += 1.0;
+            }
+            if delta > 1.0 - ROTATION_WRAP_GUARD {
+                delta = 0.0;
+            }
+            delta * rev_by_division(g)
+        }
+    }
+
+    /// Every stored constant, and every routine that loads one, is
+    /// bit-identical to the division-based oracle on `g`; LBNs and times
+    /// are drawn from `seed`.
+    fn assert_resolved_constants_exact(g: &DiskGeometry, seed: u64) {
+        assert_eq!(
+            g.revolution_ms().to_bits(),
+            division_based::rev_by_division(g).to_bits()
+        );
+        for zone in g.zones() {
+            assert_eq!(
+                g.sector_time_ms(zone).to_bits(),
+                division_based::sector_time_by_division(g, zone).to_bits(),
+                "{} zone {}",
+                g.name,
+                zone.index
+            );
+            assert_eq!(
+                g.track_skew_sectors(zone),
+                division_based::track_skew_by_division(g, zone)
+            );
+            assert_eq!(
+                g.cylinder_skew_sectors(zone),
+                division_based::cylinder_skew_by_division(g, zone)
+            );
+        }
+        for i in 0..256u64 {
+            let z = (seed ^ i).wrapping_mul(0x9E3779B97F4A7C15);
+            let loc = g.locate(z % g.total_blocks()).unwrap();
+            let t_ms = (z >> 40) as f64 / 4096.0;
+            assert_eq!(
+                g.sector_start_angle(&loc).to_bits(),
+                division_based::start_angle_by_division(g, &loc).to_bits()
+            );
+            assert_eq!(
+                g.rotational_wait_ms(&loc, t_ms).to_bits(),
+                division_based::rotational_wait_by_division(g, &loc, t_ms).to_bits(),
+                "{} lbn at {loc:?}, t = {t_ms}",
+                g.name
+            );
+        }
+    }
+
+    #[test]
+    fn resolved_constants_match_division_based_routines() {
+        for g in [
+            toy(),
+            crate::profiles::cheetah_36es(),
+            crate::profiles::atlas_10k_iii(),
+            crate::profiles::small(),
+        ] {
+            assert_resolved_constants_exact(&g, 0x5EED);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn resolved_constants_match_for_any_built_drive(
+                rpm in 3_600.0f64..15_000.0,
+                surfaces in 1u32..9,
+                zones in proptest::collection::vec((1u32..40, 4u32..900), 1..5),
+                settle_ms in 0.2f64..2.5,
+                head_switch_ms in 0.0f64..1.5,
+                seed in 0u64..u64::MAX,
+            ) {
+                let g = DiskBuilder::new("prop")
+                    .rpm(rpm)
+                    .surfaces(surfaces)
+                    .zones(
+                        zones
+                            .into_iter()
+                            .map(|(cylinders, sectors_per_track)| ZoneSpec {
+                                cylinders,
+                                sectors_per_track,
+                            })
+                            .collect(),
+                    )
+                    .settle_ms(settle_ms)
+                    .head_switch_ms(head_switch_ms)
+                    .build()
+                    .unwrap();
+                assert_resolved_constants_exact(&g, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn clone_shares_name_and_zone_table() {
+        let g = toy();
+        let c = g.clone();
+        assert!(Arc::ptr_eq(&g.name, &c.name));
+        assert!(Arc::ptr_eq(&g.zones, &c.zones));
     }
 
     #[test]

@@ -194,6 +194,7 @@ impl DeviceModel for ImrModel {
             // the "disk" backend.
             AccessKind::Read => self.inner.service(req),
             AccessKind::Write => {
+                req.checked_end(self.capacity_blocks())?;
                 let touched = self.touched_tracks(req)?;
                 let t = self.inner.service_write(req)?;
                 let touched_keys: BTreeSet<(u64, u32)> =
@@ -330,6 +331,23 @@ mod tests {
             assert_eq!(td.total_ms.to_bits(), ti.total_ms.to_bits());
             assert_eq!(log_d, log_i);
         }
+    }
+
+    /// An extent past `u64::MAX` fails up front with the typed error on
+    /// both paths — the write path used to walk the disk track by track
+    /// before failing with `LbnOutOfRange`.
+    #[test]
+    fn overflowing_extent_is_request_past_end() {
+        let mut dev = imr();
+        let req = Request::new(10, u64::MAX);
+        let past_end = crate::DiskError::RequestPastEnd {
+            lbn: 10,
+            nblocks: u64::MAX,
+            total: dev.capacity_blocks(),
+        };
+        assert_eq!(dev.service(req).unwrap_err(), past_end);
+        assert_eq!(dev.service_write(req).unwrap_err(), past_end);
+        assert_eq!(dev.neighbor_rewrites(), 0);
     }
 
     #[test]

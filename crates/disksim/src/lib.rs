@@ -76,7 +76,7 @@ pub use scheduler::{
     service_batch_sptf_reference, BatchTiming, Discipline, SchedStats, ServeFn,
     SPTF_INCREMENTAL_MIN_WINDOW,
 };
-pub use sim::{AccessKind, DiskSim, HeadState, Request, RequestProfile, RequestTiming, SeekMemo};
+pub use sim::{AccessKind, DiskSim, HeadState, Request, RequestProfile, RequestTiming};
 pub use ssd::{SsdConfig, SsdConfigBuilder, SsdModel};
 pub use stats::AccessStats;
 pub use trace::{service_traced, Trace, TraceRecord};

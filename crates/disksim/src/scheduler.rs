@@ -24,7 +24,7 @@ use crate::fault::{request_payload, FaultOutcome};
 use crate::geometry::Lbn;
 use crate::observe::ServiceEvent;
 use crate::selector::SptfSelector;
-use crate::sim::{AccessKind, DiskSim, Request, RequestProfile, RequestTiming, SeekMemo};
+use crate::sim::{AccessKind, DiskSim, Request, RequestProfile, RequestTiming};
 
 /// Batch scheduling policy, the argument of
 /// [`crate::device::DeviceModel::service_batch`] and
@@ -75,13 +75,14 @@ pub fn plain_serve(sim: &mut DiskSim, req: Request) -> Result<(RequestTiming, Fa
 }
 
 /// Scheduler-internal event counts for one batch — the raw material for
-/// the telemetry layer's cache-efficiency counters. All zero for the
-/// policies that use no memo (in-order, ascending).
+/// the telemetry layer's selection-cost counters. All zero for the
+/// policies that select nothing (in-order, ascending).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// [`SeekMemo`] positioning lookups answered from the memo.
+    /// Retired: the per-round seek memo is gone, so this is always zero.
+    /// The name stays until the repo benchmark stops reading it.
     pub seek_memo_hits: u64,
-    /// [`SeekMemo`] positioning lookups that ran the seek curve.
+    /// Retired, always zero (see [`Self::seek_memo_hits`]).
     pub seek_memo_misses: u64,
     /// Queued-SPTF serves that evicted a request from a *full* window
     /// to admit the next pending one (TCQ window pressure); zero for
@@ -104,8 +105,6 @@ pub struct SchedStats {
 impl SchedStats {
     /// Accumulate another batch's stats.
     pub fn merge(&mut self, other: &SchedStats) {
-        self.seek_memo_hits += other.seek_memo_hits;
-        self.seek_memo_misses += other.seek_memo_misses;
         self.window_evictions += other.window_evictions;
         self.bucket_scans += other.bucket_scans;
         self.candidates_examined += other.candidates_examined;
@@ -127,7 +126,7 @@ pub struct BatchTiming {
     /// returned the same payload returned exactly the same data,
     /// however the scheduler or any fault recovery reordered it.
     pub payload: u64,
-    /// Scheduler-internal event counts (memo hits, window evictions).
+    /// Scheduler-internal event counts (window evictions, selection work).
     pub sched: SchedStats,
 }
 
@@ -312,19 +311,17 @@ pub fn service_batch_sptf_reference(
 ) -> Result<BatchTiming> {
     // Hoist the position-independent work (locate + skew trigonometry)
     // out of the O(n²) selection loop: one profile per request up front,
-    // then only the head-state-dependent remainder per estimate, with
-    // the seek memoized per (cylinder, surface) within each round.
+    // then only the head-state-dependent remainder per estimate.
     let mut pending: Vec<(usize, RequestProfile)> = Vec::with_capacity(requests.len());
     for (rank, req) in requests.iter().enumerate() {
         pending.push((rank, RequestProfile::new(sim.geometry(), *req)?));
     }
-    let mut memo = SeekMemo::new();
     let mut out = BatchTiming::default();
     while !pending.is_empty() {
         let mut best_idx = 0;
         let mut best_est = f64::INFINITY;
         for (i, (_, profile)) in pending.iter().enumerate() {
-            let est = sim.estimate_profiled(profile, &mut memo)?;
+            let est = sim.estimate_profiled(profile)?;
             if est < best_est {
                 best_est = est;
                 best_idx = i;
@@ -334,15 +331,12 @@ pub fn service_batch_sptf_reference(
         let queue_len = pending.len();
         let (rank, profile) = pending.swap_remove(best_idx);
         serve_observed(sim, profile.request(), &mut out, rank, queue_len, serve, observe)?;
-        memo.begin_round();
     }
-    out.sched.seek_memo_hits = memo.hits();
-    out.sched.seek_memo_misses = memo.misses();
     Ok(out)
 }
 
 /// SPTF via the incremental rotational-band selector: pending requests
-/// are bucketed by arrival band per cylinder group and each serve
+/// are bucketed by arrival band per track and each serve
 /// evaluates only the candidates the selector's lower bounds cannot
 /// exclude — `O(n · k)` estimates for small per-round candidate counts
 /// `k`, instead of the reference scan's `O(n²)`.
@@ -359,16 +353,12 @@ pub fn service_batch_sptf_incremental(
     for (rank, req) in requests.iter().enumerate() {
         selector.admit(rank, RequestProfile::new(sim.geometry(), *req)?);
     }
-    let mut memo = SeekMemo::new();
     let mut out = BatchTiming::default();
-    while let Some(slot) = selector.select(sim, &mut memo)? {
+    while let Some(slot) = selector.select(sim)? {
         let queue_len = selector.live();
         let (rank, req) = selector.remove(slot);
         serve_observed(sim, req, &mut out, rank, queue_len, serve, observe)?;
-        memo.begin_round();
     }
-    out.sched.seek_memo_hits = memo.hits();
-    out.sched.seek_memo_misses = memo.misses();
     let sel = selector.stats();
     out.sched.bucket_scans = sel.bucket_scans;
     out.sched.candidates_examined = sel.candidates_examined;
@@ -396,7 +386,6 @@ pub fn service_batch_queued_sptf_reference(
     // Profiles are built at admission, preserving the original error
     // order (an invalid request fails when it would enter the queue).
     let mut queue: Vec<(usize, RequestProfile)> = Vec::with_capacity(depth.min(requests.len()));
-    let mut memo = SeekMemo::new();
     let mut next = 0usize;
     while next < requests.len() && queue.len() < depth {
         queue.push((next, RequestProfile::new(sim.geometry(), requests[next])?));
@@ -406,7 +395,7 @@ pub fn service_batch_queued_sptf_reference(
         let mut best_idx = 0;
         let mut best_est = f64::INFINITY;
         for (i, (_, profile)) in queue.iter().enumerate() {
-            let est = sim.estimate_profiled(profile, &mut memo)?;
+            let est = sim.estimate_profiled(profile)?;
             if est < best_est {
                 best_est = est;
                 best_idx = i;
@@ -416,7 +405,6 @@ pub fn service_batch_queued_sptf_reference(
         let queue_len = queue.len();
         let (rank, profile) = queue.swap_remove(best_idx);
         serve_observed(sim, profile.request(), &mut out, rank, queue_len, serve, observe)?;
-        memo.begin_round();
         if next < requests.len() {
             // The serve above vacated a slot in a full window: that is
             // one TCQ eviction under admission pressure.
@@ -425,8 +413,6 @@ pub fn service_batch_queued_sptf_reference(
             next += 1;
         }
     }
-    out.sched.seek_memo_hits = memo.hits();
-    out.sched.seek_memo_misses = memo.misses();
     Ok(out)
 }
 
@@ -447,17 +433,15 @@ pub fn service_batch_queued_sptf_incremental(
     let depth = queue_depth;
     let mut out = BatchTiming::default();
     let mut selector = SptfSelector::with_capacity(depth.min(requests.len()));
-    let mut memo = SeekMemo::new();
     let mut next = 0usize;
     while next < requests.len() && selector.live() < depth {
         selector.admit(next, RequestProfile::new(sim.geometry(), requests[next])?);
         next += 1;
     }
-    while let Some(slot) = selector.select(sim, &mut memo)? {
+    while let Some(slot) = selector.select(sim)? {
         let queue_len = selector.live();
         let (rank, req) = selector.remove(slot);
         serve_observed(sim, req, &mut out, rank, queue_len, serve, observe)?;
-        memo.begin_round();
         if next < requests.len() {
             // Same TCQ eviction accounting as the reference scan.
             out.sched.window_evictions += 1;
@@ -465,8 +449,6 @@ pub fn service_batch_queued_sptf_incremental(
             next += 1;
         }
     }
-    out.sched.seek_memo_hits = memo.hits();
-    out.sched.seek_memo_misses = memo.misses();
     let sel = selector.stats();
     out.sched.bucket_scans = sel.bucket_scans;
     out.sched.candidates_examined = sel.candidates_examined;
@@ -621,7 +603,9 @@ mod tests {
         s.service_batch(&reqs, Discipline::Sptf).unwrap();
         let delta = crate::geometry::locate_call_count() - before;
         // n profile builds + at most ~2 per served request (track
-        // crossings); the old estimator needed ~n²/2 ≈ 524k on top.
+        // crossings, or the selector resolving a read-ahead continuation
+        // when a pending track sits by the head); the old estimator
+        // needed ~n²/2 ≈ 524k on top.
         assert!(
             delta <= 3 * n,
             "{delta} locate calls for a {n}-request SPTF batch; \

@@ -1,5 +1,5 @@
-//! Incremental SPTF selection: rotational-arrival bands per cylinder
-//! group, repaired per head movement instead of rescanned.
+//! Incremental SPTF selection: rotational-arrival bands per track,
+//! repaired per head movement instead of rescanned.
 //!
 //! The reference SPTF loop in [`crate::scheduler`] evaluates every
 //! pending request per serve — `O(n²)` service-time estimates per batch.
@@ -10,25 +10,28 @@
 //!
 //! # Structure
 //!
-//! * Pending single-track requests are bucketed per physical track
-//!   (`(cylinder, surface)`), each bucket sorted by the start angle of
-//!   the request's first sector — its *rotational-arrival band*.
-//!   Buckets of one cylinder form a cylinder group, and groups live in a
-//!   `BTreeMap` keyed by cylinder index.
-//! * Each round walks cylinder groups outward from the head's cylinder
-//!   in non-decreasing distance order. The walk stops as soon as the
-//!   distance-`d` lower bound `overhead + seek_floor(d) + min_transfer`
-//!   exceeds the best estimate found so far —
-//!   [`DiskGeometry::seek_floor_ms`] is monotone in `d`, so no farther
-//!   group can hold a winner.
-//! * Within a bucket, items are scanned in circular angle order starting
-//!   just after the platter phase at arrival time, so their rotational
-//!   waits are monotone non-decreasing; the scan stops once
-//!   `overhead + positioning + wait + min_transfer` exceeds the best.
+//! * Pending requests are bucketed per physical track in one
+//!   `BTreeMap` keyed by `(cylinder, surface)`, each bucket sorted by the
+//!   start angle of the request's first sector — its *rotational-arrival
+//!   band*. A bucket holding a single request (the common case in a deep
+//!   window of scattered requests) stores it inline in the map node.
+//! * Each round walks the buckets outward from the head's cylinder in
+//!   non-decreasing distance order (upward first on equal distances),
+//!   running the seek curve once per distinct distance. The walk stops as soon as the distance-`d` lower
+//!   bound `overhead + seek_floor(d) + min_transfer` exceeds the best
+//!   estimate found so far — [`DiskGeometry::seek_floor_ms`] is monotone
+//!   in `d`, so no farther bucket can hold a winner.
+//! * Within a bucket, the platter phase at arrival is computed once and
+//!   items are scanned in circular angle order starting just after it, so
+//!   their rotational waits are monotone non-decreasing; the scan stops
+//!   once `overhead + positioning + wait + min_transfer` exceeds the
+//!   best.
 //! * Requests eligible for the read-ahead fast path (their first LBN
-//!   continues the previous transfer) are found through a by-LBN index
-//!   and evaluated *first* each round — their estimate skips positioning
-//!   and rotation entirely, so the band bounds above do not cover them.
+//!   continues the previous transfer) are evaluated *first* each round —
+//!   their estimate skips positioning and rotation entirely, so the band
+//!   bounds above do not cover them. They are found by resolving the
+//!   continuation LBN to its track and start angle and probing that
+//!   track's bucket: same track and same angle means same first LBN.
 //! * Multi-track requests are banded by their *first* track segment:
 //!   the exact estimate is the per-segment walk, but its total is
 //!   provably at least `overhead + positioning(first track) +
@@ -46,27 +49,34 @@
 //!
 //! # Exactness
 //!
-//! Candidate estimates always come from [`DiskSim::estimate_profiled`] —
-//! the same call, on the same [`RequestProfile`], as the reference scan
-//! makes, so every evaluated estimate is the same float. The pruning
-//! bounds reuse the estimator's own intermediate floats (memoized
-//! positioning, the shared rotational-wait routine) combined in the same
-//! left-to-right addition order as `RequestTiming::total_ms`, and IEEE
-//! addition is monotone, so a pruned candidate provably could not have
-//! beaten the incumbent. Bounds are compared *strictly* (`> best`), so
-//! exact ties are never pruned. Ties are then resolved exactly as the
-//! reference resolves them: the reference keeps the first strictly
-//! smaller estimate while scanning its pending `Vec` (which it compacts
-//! with `swap_remove`), i.e. it picks the minimum of
-//! `(estimate, position in the pending vec)` — so the selector mirrors
-//! that vec's order (same `swap_remove` compaction) and minimizes the
-//! same pair.
+//! A candidate's estimate comes from [`DiskSim::estimate_positioned`],
+//! the tail of [`DiskSim::estimate_profiled`] (the reference scan's
+//! call), fed the bucket's positioning time and the item's rotational
+//! wait — the floats `estimate_profiled` would compute itself, from the
+//! same expressions: [`DiskGeometry::positioning_ms`] is
+//! `positioning_from_seek_ms` of the seek curve, and every rotational
+//! wait is [`DiskGeometry::rotational_wait_from_phase`] of
+//! [`DiskGeometry::phase_at`] at `(now + overhead) + positioning`. The
+//! pruning bounds combine those same floats in the left-to-right
+//! addition order of `RequestTiming::total_ms`, and IEEE addition is
+//! monotone, so a pruned candidate provably could not have beaten the
+//! incumbent. Bounds are compared *strictly* (`> best`), so exact ties
+//! are never pruned. Ties are then resolved exactly as the reference
+//! resolves them: the reference keeps the first strictly smaller
+//! estimate while scanning its pending `Vec` (which it compacts with
+//! `swap_remove`), i.e. it picks the minimum of `(estimate, position in
+//! the pending vec)` — so the selector mirrors that vec's order (same
+//! `swap_remove` compaction) and minimizes the same pair. The winner is
+//! an argmin, so the order in which surviving candidates are visited
+//! never shows in the result.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::error::Result;
-use crate::geometry::{Lbn, ROTATION_WRAP_GUARD};
-use crate::sim::{DiskSim, Request, RequestProfile, SeekMemo};
+use crate::geometry::ROTATION_WRAP_GUARD;
+use crate::sim::{DiskSim, Request, RequestProfile};
 
 /// Dense pending-request identifier, assigned at admission.
 type Slot = u32;
@@ -86,54 +96,63 @@ pub(crate) struct SelectorStats {
     pub repairs: u64,
 }
 
-struct Entry {
+struct Pending {
     profile: RequestProfile,
     rank: usize,
-    /// Bucket key: the first track segment's `(cylinder, surface)`.
-    key: (u64, u32),
+    /// Position in `vec_order`, [`GONE`] once served.
+    vec_pos: usize,
 }
 
-/// One physical track's pending requests, sorted by start angle.
+/// A bucket member: `(start-angle bits, slot)`. Angles are non-negative,
+/// so the IEEE bit pattern orders exactly like the float.
+type Item = (u64, Slot);
+
+/// A track's pending requests, ascending by [`Item`].
+enum Items {
+    /// The only request pending on the track.
+    One(Item),
+    /// Two or more.
+    Many(Vec<Item>),
+}
+
+impl Items {
+    fn as_slice(&self) -> &[Item] {
+        match self {
+            Items::One(item) => std::slice::from_ref(item),
+            Items::Many(items) => items,
+        }
+    }
+}
+
+/// One physical track's pending requests.
 struct TrackBucket {
-    surface: u32,
     /// Insert-only minimum of members' first-segment transfer times
     /// (the whole transfer for single-track members — a lower bound on
     /// any member's total transfer either way). Never raised on
     /// removal — a stale minimum is still a valid lower bound, and
     /// keeping it avoids a rescan per removal.
     min_xfer: f64,
-    /// `(start-angle bits, slot)`, ascending. Angles are non-negative,
-    /// so the IEEE bit pattern orders exactly like the float.
-    items: Vec<(u64, Slot)>,
-}
-
-/// All pending tracks of one cylinder.
-struct CylGroup {
-    tracks: Vec<TrackBucket>,
+    items: Items,
 }
 
 /// The incremental selection structure behind the `*_incremental`
 /// scheduler entry points.
 pub(crate) struct SptfSelector {
-    entries: Vec<Entry>,
+    /// Slot arena. Served slots are recycled through `free`, which keeps
+    /// it sized by the *live* window, not by total admissions — a
+    /// streamed queued-SPTF batch of millions of requests holds
+    /// `queue_depth` entries, densely packed, instead of an ever-growing
+    /// arena whose random live slots defeat the cache.
+    entries: Vec<Pending>,
     /// Mirror of the reference scan's pending `Vec` (swap_remove
     /// compaction), for exact tie-breaking.
     vec_order: Vec<Slot>,
-    /// Slot → position in `vec_order`, [`GONE`] once served.
-    vec_pos: Vec<usize>,
-    cyls: BTreeMap<u64, CylGroup>,
-    /// First-LBN index, for the read-ahead (prefetch) fast path.
-    // staticcheck: allow(det-unordered-collection) — keyed-only index: accessed via get/get_mut/entry/remove by exact LBN, never iterated; the per-LBN Vec preserves admission order, and ties still resolve through the mirrored pending-vec position.
-    by_lbn: HashMap<Lbn, Vec<Slot>>,
-    /// Served slots available for reuse. Recycling keeps `entries`
-    /// sized by the *live* window, not by total admissions — a streamed
-    /// queued-SPTF batch of millions of requests holds `queue_depth`
-    /// entries, densely packed, instead of an ever-growing arena whose
-    /// random live slots defeat the cache.
+    /// Pending tracks by `(cylinder, surface)`.
+    tracks: BTreeMap<(u64, u32), TrackBucket>,
+    /// Served slots available for reuse.
     free: Vec<Slot>,
     /// Insert-only global minimum first-segment transfer time.
     min_xfer: f64,
-    live: usize,
     stats: SelectorStats,
 }
 
@@ -158,13 +177,9 @@ impl SptfSelector {
         SptfSelector {
             entries: Vec::with_capacity(n),
             vec_order: Vec::with_capacity(n),
-            vec_pos: Vec::with_capacity(n),
-            cyls: BTreeMap::new(),
-            // staticcheck: allow(det-unordered-collection) — same keyed-only index as the field declaration above; construction site.
-            by_lbn: HashMap::with_capacity(n),
+            tracks: BTreeMap::new(),
             free: Vec::new(),
             min_xfer: f64::INFINITY,
-            live: 0,
             stats: SelectorStats::default(),
         }
     }
@@ -172,7 +187,7 @@ impl SptfSelector {
     /// Number of pending requests.
     #[inline]
     pub(crate) fn live(&self) -> usize {
-        self.live
+        self.vec_order.len()
     }
 
     /// Batch counters accumulated so far.
@@ -188,56 +203,55 @@ impl SptfSelector {
         // selection — ties break on the mirrored vec position — so
         // recycling is observationally invisible).
         let slot = self.free.pop().unwrap_or(self.entries.len() as Slot);
-        let lbn = profile.request().lbn;
         // Band every request — multi-track included — by its first track
         // segment; the first-segment transfer lower-bounds the total
         // transfer, keeping every bucket bound valid for every member.
         let xfer = profile.first_segment_xfer_ms();
-        let loc = profile.loc();
-        let cyl = loc.cylinder;
-        let surface = loc.surface;
         let item = (profile.start_angle().to_bits(), slot);
-        let group = self
-            .cyls
-            .entry(cyl)
-            .or_insert_with(|| CylGroup { tracks: Vec::new() });
-        let bucket = match group.tracks.iter_mut().position(|t| t.surface == surface) {
-            Some(i) => &mut group.tracks[i],
-            None => {
-                group.tracks.push(TrackBucket {
-                    surface,
-                    min_xfer: f64::INFINITY,
-                    items: Vec::new(),
+        match self.tracks.entry(profile.track()) {
+            Entry::Vacant(v) => {
+                v.insert(TrackBucket {
+                    min_xfer: xfer,
+                    items: Items::One(item),
                 });
-                // staticcheck: allow(no-unwrap) — pushed one line up.
-                group.tracks.last_mut().expect("just pushed")
             }
-        };
-        let at = bucket.items.partition_point(|&it| it < item);
-        bucket.items.insert(at, item);
-        bucket.min_xfer = bucket.min_xfer.min(xfer);
+            Entry::Occupied(o) => {
+                let bucket = o.into_mut();
+                bucket.min_xfer = bucket.min_xfer.min(xfer);
+                match &mut bucket.items {
+                    Items::One(first) => {
+                        let first = *first;
+                        bucket.items = Items::Many(vec![first.min(item), first.max(item)]);
+                    }
+                    Items::Many(items) => {
+                        let at = items.partition_point(|&it| it < item);
+                        items.insert(at, item);
+                    }
+                }
+            }
+        }
         self.min_xfer = self.min_xfer.min(xfer);
-        let key = (cyl, surface);
-        self.by_lbn.entry(lbn).or_default().push(slot);
-        let entry = Entry { profile, rank, key };
-        if (slot as usize) == self.entries.len() {
-            self.vec_pos.push(self.vec_order.len());
-            self.entries.push(entry);
-        } else {
-            debug_assert_eq!(self.vec_pos[slot as usize], GONE, "reused a live slot");
-            self.vec_pos[slot as usize] = self.vec_order.len();
-            self.entries[slot as usize] = entry;
+        let entry = Pending {
+            profile,
+            rank,
+            vec_pos: self.vec_order.len(),
+        };
+        match self.entries.get_mut(slot as usize) {
+            Some(reused) => {
+                debug_assert_eq!(reused.vec_pos, GONE, "reused a live slot");
+                *reused = entry;
+            }
+            None => self.entries.push(entry),
         }
         self.vec_order.push(slot);
-        self.live += 1;
         self.stats.repairs += 1;
     }
 
     /// Pick the request the reference scan would pick from the current
     /// head state: the pending minimum of `(estimate, vec position)`.
     /// Returns `None` once the selector is drained.
-    pub(crate) fn select(&mut self, sim: &DiskSim, memo: &mut SeekMemo) -> Result<Option<Slot>> {
-        if self.live == 0 {
+    pub(crate) fn select(&mut self, sim: &DiskSim) -> Result<Option<Slot>> {
+        if self.vec_order.is_empty() {
             return Ok(None);
         }
         let geom = sim.geometry();
@@ -247,95 +261,132 @@ impl SptfSelector {
         let mut candidates = 0u64;
         let mut bucket_scans = 0u64;
 
+        // The outward walk's two frontiers: the nearest bucket at or
+        // below the head's track in `(cylinder, surface)` order, and the
+        // nearest above it.
+        let head = state.cylinder;
+        let head_track = (head, state.surface);
+        let mut near = self.tracks.range(..=head_track).rev();
+        let mut far = self.tracks.range((Excluded(head_track), Unbounded));
+        let mut near_cur = near.next();
+        let mut far_cur = far.next();
+
         // 1. Read-ahead continuations: their estimate skips positioning
         //    and rotation, so the band bounds below do not cover them —
-        //    evaluate them exactly, first.
-        if let Some(lbn) = state.last_end_lbn {
-            if let Some(slots) = self.by_lbn.get(&lbn) {
-                for &slot in slots {
-                    let est = sim.estimate_profiled(&self.entries[slot as usize].profile, memo)?;
+        //    evaluate them exactly, first. The head rests on the track of
+        //    the last block transferred (see `HeadState::last_end_lbn`),
+        //    so the continuation LBN lies on that track or starts the
+        //    next one, and only a frontier bucket can be on either:
+        //    unless one is, nothing pending continues the transfer and
+        //    the LBN is not even resolved. Pending requests that do start
+        //    at it share its track and start angle, so they are one run
+        //    of equal angles in that track's bucket.
+        let frontiers = [near_cur, far_cur];
+        let by_the_head = |k: &(u64, u32)| {
+            *k == head_track || *k == (head, state.surface + 1) || *k == (head + 1, 0)
+        };
+        let continuation = state.last_end_lbn.filter(|&lbn| {
+            lbn < geom.total_blocks() && frontiers.iter().flatten().any(|(k, _)| by_the_head(k))
+        });
+        if let Some(lbn) = continuation {
+            let loc = geom.locate(lbn)?;
+            let track = (loc.cylinder, loc.surface);
+            if let Some((_, bucket)) = frontiers.iter().flatten().find(|(k, _)| **k == track) {
+                let abits = geom.sector_start_angle(&loc).to_bits();
+                let items = bucket.items.as_slice();
+                let from = items.partition_point(|&(a, _)| a < abits);
+                for &(_, slot) in items[from..].iter().take_while(|&&(a, _)| a == abits) {
+                    let e = &self.entries[slot as usize];
+                    debug_assert_eq!(e.profile.request().lbn, lbn);
+                    // Neither positioning nor wait enters a continuation's estimate.
+                    let est = sim.estimate_positioned(&e.profile, 0.0, 0.0)?;
                     candidates += 1;
-                    consider(&mut best, est, self.vec_pos[slot as usize], slot);
+                    consider(&mut best, est, e.vec_pos, slot);
                 }
             }
         }
 
-        // 2. Outward cylinder walk in non-decreasing distance order.
-        let head = state.cylinder;
-        let mut near = self.cyls.range(..=head).rev();
-        let mut far = self.cyls.range(head + 1..);
-        let mut near_cur = near.next();
-        let mut far_cur = far.next();
-        while near_cur.is_some() || far_cur.is_some() {
-            let near_d = near_cur.map(|(c, _)| head - *c);
-            let far_d = far_cur.map(|(c, _)| *c - head);
-            let take_near = match (near_d, far_d) {
-                (Some(a), Some(b)) => a <= b,
-                (Some(_), None) => true,
-                _ => false,
+        // 2. Outward walk over the track buckets in non-decreasing
+        //    cylinder-distance order. Equal distances go to the upper
+        //    frontier first: streaming and semi-sequential accesses run
+        //    forward in track order, so the likely winner is met — and
+        //    tightens every later bound — early. (Any order gives the
+        //    same winner; this one examines the fewest candidates.)
+        let t_issue = state.time_ms + oh;
+        // `(distance, seek_floor_ms(distance))` of the cylinder being
+        // visited: the seek curve runs once per distinct distance.
+        let mut seek_at = (0u64, geom.seek_floor_ms(0));
+        loop {
+            let (&(cyl, surface), bucket) = match (near_cur, far_cur) {
+                (Some(n), Some(f)) if head - n.0 .0 >= f.0 .0 - head => {
+                    far_cur = far.next();
+                    f
+                }
+                (Some(n), _) => {
+                    near_cur = near.next();
+                    n
+                }
+                (None, Some(f)) => {
+                    far_cur = far.next();
+                    f
+                }
+                (None, None) => break,
             };
-            let (cyl, group, dist) = if take_near {
-                // staticcheck: allow(no-unwrap) — take_near implies near_cur is Some.
-                let (c, g) = near_cur.expect("checked take_near");
-                near_cur = near.next();
-                (*c, g, head - *c)
-            } else {
-                // staticcheck: allow(no-unwrap) — loop condition implies far_cur is Some here.
-                let (c, g) = far_cur.expect("checked loop condition");
-                far_cur = far.next();
-                (*c, g, *c - head)
-            };
+            let dist = head.abs_diff(cyl);
+            if dist != seek_at.0 {
+                seek_at = (dist, geom.seek_floor_ms(dist));
+            }
+            let seek = seek_at.1;
             if let Some((b_est, _, _)) = best {
                 // No request at distance >= dist can beat the incumbent:
                 // its estimate is at least overhead + seek floor + its
                 // transfer, accumulated in total_ms order.
-                let floor = (oh + geom.seek_floor_ms(dist)) + self.min_xfer;
-                if floor > b_est {
+                if (oh + seek) + self.min_xfer > b_est {
                     break;
                 }
             }
-            for bucket in &group.tracks {
-                let pos = memo.positioning(geom, head, state.surface, cyl, bucket.surface);
-                let base = oh + pos;
-                if let Some((b_est, _, _)) = best {
-                    if base + bucket.min_xfer > b_est {
-                        continue;
-                    }
+            // The floor is the seek curve itself, so it is also the seek
+            // term of this bucket's positioning time.
+            let pos = geom.positioning_from_seek_ms(dist, seek, surface == state.surface);
+            let base = oh + pos;
+            if let Some((b_est, _, _)) = best {
+                if base + bucket.min_xfer > b_est {
+                    continue;
                 }
-                bucket_scans += 1;
-                // Circular scan in arrival order, starting at the first
-                // item whose wait `rotational_wait_from_angle` measures
-                // forward from the arrival phase (`delta >= 0`, or
-                // wrapped into the clamp window and reported as zero) —
-                // every item before it waits a near-full revolution, so
-                // scanning from here keeps the per-item waits monotone
-                // non-decreasing, the property the early `break` below
-                // relies on. The predicate replays the clamp's exact
-                // float expressions (`angle - phase`, `+ 1.0`,
-                // `1.0 - ROTATION_WRAP_GUARD`): a separately computed
-                // angle threshold can disagree with the clamp by an ulp
-                // for boundary angles and misplace a zero-wait item
-                // last (or a wrapped item first).
-                let t_arrive = (state.time_ms + oh) + pos;
-                let phase = geom.phase_at(t_arrive);
-                let n = bucket.items.len();
-                let start = bucket.items.partition_point(|&(abits, _)| {
+            }
+            bucket_scans += 1;
+            // Circular scan in arrival order, starting at the first
+            // item whose wait `rotational_wait_from_phase` measures
+            // forward from the arrival phase (`delta >= 0`, or wrapped
+            // into the clamp window and reported as zero) — every item
+            // before it waits a near-full revolution, so scanning from
+            // here keeps the per-item waits monotone non-decreasing,
+            // the property the early `break` below relies on. The
+            // predicate replays the clamp's exact float expressions
+            // (`angle - phase`, `+ 1.0`, `1.0 - ROTATION_WRAP_GUARD`): a
+            // separately computed angle threshold can disagree with the
+            // clamp by an ulp for boundary angles and misplace a
+            // zero-wait item last (or a wrapped item first).
+            let phase = geom.phase_at(t_issue + pos);
+            let items = bucket.items.as_slice();
+            let start = match items {
+                [_] => 0,
+                _ => items.partition_point(|&(abits, _)| {
                     let delta = f64::from_bits(abits) - phase;
                     delta < 0.0 && delta + 1.0 <= 1.0 - ROTATION_WRAP_GUARD
-                });
-                for k in 0..n {
-                    let (abits, slot) = bucket.items[(start + k) % n];
-                    let wait = geom.rotational_wait_from_angle(f64::from_bits(abits), t_arrive);
-                    if let Some((b_est, _, _)) = best {
-                        if (base + wait) + bucket.min_xfer > b_est {
-                            break;
-                        }
+                }),
+            };
+            for &(abits, slot) in items[start..].iter().chain(&items[..start]) {
+                let wait = geom.rotational_wait_from_phase(f64::from_bits(abits), phase);
+                if let Some((b_est, _, _)) = best {
+                    if (base + wait) + bucket.min_xfer > b_est {
+                        break;
                     }
-                    let est =
-                        sim.estimate_profiled(&self.entries[slot as usize].profile, memo)?;
-                    candidates += 1;
-                    consider(&mut best, est, self.vec_pos[slot as usize], slot);
                 }
+                let e = &self.entries[slot as usize];
+                let est = sim.estimate_positioned(&e.profile, pos, wait)?;
+                candidates += 1;
+                consider(&mut best, est, e.vec_pos, slot);
             }
         }
 
@@ -349,50 +400,34 @@ impl SptfSelector {
     /// scan's `swap_remove` on the pending vec. Returns the request's
     /// admission rank and the request itself.
     pub(crate) fn remove(&mut self, slot: Slot) -> (usize, Request) {
-        let (rank, req, key, abits) = {
-            let e = &self.entries[slot as usize];
-            (
-                e.rank,
-                e.profile.request(),
-                e.key,
-                e.profile.start_angle().to_bits(),
-            )
-        };
+        let e = &mut self.entries[slot as usize];
+        let (rank, req) = (e.rank, e.profile.request());
+        let key = e.profile.track();
+        let item = (e.profile.start_angle().to_bits(), slot);
         // Pending-vec mirror: identical compaction to the reference.
-        let at = self.vec_pos[slot as usize];
+        let at = std::mem::replace(&mut e.vec_pos, GONE);
         debug_assert_ne!(at, GONE, "slot served twice");
         self.vec_order.swap_remove(at);
-        if at < self.vec_order.len() {
-            self.vec_pos[self.vec_order[at] as usize] = at;
-        }
-        self.vec_pos[slot as usize] = GONE;
-        // First-LBN index.
-        if let Some(slots) = self.by_lbn.get_mut(&req.lbn) {
-            if let Some(i) = slots.iter().position(|&s| s == slot) {
-                slots.swap_remove(i);
-            }
-            if slots.is_empty() {
-                self.by_lbn.remove(&req.lbn);
-            }
+        if let Some(&moved) = self.vec_order.get(at) {
+            self.entries[moved as usize].vec_pos = at;
         }
         // Band structure.
-        let (cyl, surface) = key;
-        if let Some(group) = self.cyls.get_mut(&cyl) {
-            if let Some(ti) = group.tracks.iter().position(|t| t.surface == surface) {
-                let bucket = &mut group.tracks[ti];
-                if let Ok(i) = bucket.items.binary_search(&(abits, slot)) {
-                    bucket.items.remove(i);
+        if let Entry::Occupied(mut o) = self.tracks.entry(key) {
+            match &mut o.get_mut().items {
+                Items::One(_) => {
+                    o.remove();
                 }
-                if bucket.items.is_empty() {
-                    group.tracks.swap_remove(ti);
+                Items::Many(items) => {
+                    if let Ok(i) = items.binary_search(&item) {
+                        items.remove(i);
+                    }
+                    if let [last] = items[..] {
+                        o.get_mut().items = Items::One(last);
+                    }
                 }
-            }
-            if group.tracks.is_empty() {
-                self.cyls.remove(&cyl);
             }
         }
         self.free.push(slot);
-        self.live -= 1;
         self.stats.repairs += 1;
         (rank, req)
     }
@@ -403,13 +438,14 @@ mod tests {
     use super::*;
     use crate::geometry::{DiskBuilder, ZoneSpec};
 
-    fn sim() -> DiskSim {
+    /// One zone of 400 cylinders x 4 surfaces x `spt` sectors.
+    fn sim_with_spt(spt: u32) -> DiskSim {
         let geom = DiskBuilder::new("selector-test")
             .rpm(10_000.0)
             .surfaces(4)
             .zones(vec![ZoneSpec {
                 cylinders: 400,
-                sectors_per_track: 120,
+                sectors_per_track: spt,
             }])
             .settle_ms(1.2)
             .settle_cylinders(8)
@@ -420,27 +456,42 @@ mod tests {
         DiskSim::new(geom)
     }
 
-    /// Drain the selector against a brute-force argmin over the same
-    /// profiles and assert every pick matches, serving each winner.
-    #[test]
-    fn drains_in_reference_order() {
-        let mut s = sim();
-        let lbns: Vec<u64> = (0..300u64).map(|i| (i * 48_611) % 190_000).collect();
-        let mut selector = SptfSelector::with_capacity(lbns.len());
+    fn sim() -> DiskSim {
+        sim_with_spt(120)
+    }
+
+    /// Stream `reqs` through a selector `window` requests deep (admission
+    /// in issue order, one per serve once the window is full — the
+    /// queued-SPTF shape; `window >= reqs.len()` is full SPTF) and assert
+    /// every pick equals the linear reference argmin over the same
+    /// pending profiles, serving each winner. `inspect` sees the selector
+    /// after every admission and removal. Returns the served ranks and
+    /// the drained selector.
+    fn drain_against_reference(
+        s: &mut DiskSim,
+        reqs: &[Request],
+        window: usize,
+        mut inspect: impl FnMut(&SptfSelector),
+    ) -> (Vec<usize>, SptfSelector) {
+        let mut selector = SptfSelector::with_capacity(window.min(reqs.len()));
         let mut naive: Vec<(usize, RequestProfile)> = Vec::new();
-        for (rank, &lbn) in lbns.iter().enumerate() {
-            let req = Request::new(lbn, 1 + (lbn % 5));
-            let p = RequestProfile::new(s.geometry(), req).unwrap();
-            selector.admit(rank, p.clone());
-            naive.push((rank, p));
-        }
-        let mut memo = SeekMemo::new();
-        let mut naive_memo = SeekMemo::new();
-        while let Some(slot) = selector.select(&s, &mut memo).unwrap() {
+        let mut served = Vec::new();
+        let mut next = 0;
+        loop {
+            while next < reqs.len() && naive.len() < window {
+                let p = RequestProfile::new(s.geometry(), reqs[next]).unwrap();
+                selector.admit(next, p.clone());
+                naive.push((next, p));
+                next += 1;
+                inspect(&selector);
+            }
+            let Some(slot) = selector.select(s).unwrap() else {
+                break;
+            };
             let mut best_idx = 0;
             let mut best_est = f64::INFINITY;
             for (i, (_, profile)) in naive.iter().enumerate() {
-                let est = s.estimate_profiled(profile, &mut naive_memo).unwrap();
+                let est = s.estimate_profiled(profile).unwrap();
                 if est < best_est {
                     best_est = est;
                     best_idx = i;
@@ -448,16 +499,27 @@ mod tests {
             }
             let (want_rank, profile) = naive.swap_remove(best_idx);
             let (got_rank, got_req) = selector.remove(slot);
-            assert_eq!(got_rank, want_rank);
+            assert_eq!(got_rank, want_rank, "pick {} diverged", served.len());
             assert_eq!(got_req, profile.request());
+            inspect(&selector);
             s.service(got_req).unwrap();
-            memo.begin_round();
-            naive_memo.begin_round();
+            served.push(got_rank);
         }
         assert!(naive.is_empty());
         assert_eq!(selector.live(), 0);
+        assert!(selector.tracks.is_empty());
+        (served, selector)
+    }
+
+    #[test]
+    fn drains_in_reference_order() {
+        let reqs: Vec<Request> = (0..300u64)
+            .map(|i| (i * 48_611) % 190_000)
+            .map(|lbn| Request::new(lbn, 1 + (lbn % 5)))
+            .collect();
+        let (_, selector) = drain_against_reference(&mut sim(), &reqs, reqs.len(), |_| {});
         // The whole point: far fewer exact estimates than n²/2.
-        let n = lbns.len() as u64;
+        let n = reqs.len() as u64;
         assert!(
             selector.stats().candidates_examined < n * (n + 1) / 4,
             "{} candidates for n = {n}",
@@ -474,38 +536,18 @@ mod tests {
         let mut s = sim();
         // Every request starts five sectors before its track boundary
         // (spt = 120) and spans ten blocks, so all of them cross tracks.
-        let lbns: Vec<u64> = (0..240u64).map(|i| ((i * 97) % 1500) * 120 + 115).collect();
-        let mut selector = SptfSelector::with_capacity(lbns.len());
-        let mut naive: Vec<(usize, RequestProfile)> = Vec::new();
-        for (rank, &lbn) in lbns.iter().enumerate() {
-            let req = Request::new(lbn, 10);
-            let p = RequestProfile::new(s.geometry(), req).unwrap();
-            assert!(p.single_track_xfer_ms().is_none(), "request must cross a track");
-            selector.admit(rank, p.clone());
-            naive.push((rank, p));
+        let reqs: Vec<Request> = (0..240u64)
+            .map(|i| Request::new(((i * 97) % 1500) * 120 + 115, 10))
+            .collect();
+        for req in &reqs {
+            let p = RequestProfile::new(s.geometry(), *req).unwrap();
+            assert!(
+                p.single_track_xfer_ms().is_none(),
+                "request must cross a track"
+            );
         }
-        let mut memo = SeekMemo::new();
-        let mut naive_memo = SeekMemo::new();
-        while let Some(slot) = selector.select(&s, &mut memo).unwrap() {
-            let mut best_idx = 0;
-            let mut best_est = f64::INFINITY;
-            for (i, (_, profile)) in naive.iter().enumerate() {
-                let est = s.estimate_profiled(profile, &mut naive_memo).unwrap();
-                if est < best_est {
-                    best_est = est;
-                    best_idx = i;
-                }
-            }
-            let (want_rank, profile) = naive.swap_remove(best_idx);
-            let (got_rank, got_req) = selector.remove(slot);
-            assert_eq!(got_rank, want_rank);
-            assert_eq!(got_req, profile.request());
-            s.service(got_req).unwrap();
-            memo.begin_round();
-            naive_memo.begin_round();
-        }
-        assert!(naive.is_empty());
-        let n = lbns.len() as u64;
+        let (_, selector) = drain_against_reference(&mut s, &reqs, reqs.len(), |_| {});
+        let n = reqs.len() as u64;
         assert!(
             selector.stats().candidates_examined < n * (n + 1) / 4,
             "{} candidates for n = {n}",
@@ -518,27 +560,11 @@ mod tests {
     /// total admissions.
     #[test]
     fn slots_are_recycled_for_streamed_windows() {
-        let mut s = sim();
         let window = 8usize;
-        let mut selector = SptfSelector::with_capacity(window);
-        let mut memo = SeekMemo::new();
-        let mk = |rank: usize| Request::new(((rank as u64) * 48_611) % 190_000, 1);
-        for rank in 0..window {
-            selector.admit(rank, RequestProfile::new(s.geometry(), mk(rank)).unwrap());
-        }
-        for rank in window..512 {
-            let slot = selector.select(&s, &mut memo).unwrap().unwrap();
-            let (_, req) = selector.remove(slot);
-            s.service(req).unwrap();
-            memo.begin_round();
-            selector.admit(rank, RequestProfile::new(s.geometry(), mk(rank)).unwrap());
-        }
-        while let Some(slot) = selector.select(&s, &mut memo).unwrap() {
-            let (_, req) = selector.remove(slot);
-            s.service(req).unwrap();
-            memo.begin_round();
-        }
-        assert_eq!(selector.live(), 0);
+        let reqs: Vec<Request> = (0..512u64)
+            .map(|rank| Request::single((rank * 48_611) % 190_000))
+            .collect();
+        let (_, selector) = drain_against_reference(&mut sim(), &reqs, window, |_| {});
         assert_eq!(
             selector.entries.len(),
             window,
@@ -550,23 +576,112 @@ mod tests {
     /// winner must be the one earlier in the mirrored pending vec.
     #[test]
     fn exact_ties_resolve_by_vec_position() {
-        let mut s = sim();
-        let mut selector = SptfSelector::with_capacity(4);
-        for rank in 0..4usize {
-            let p = RequestProfile::new(s.geometry(), Request::single(77_777)).unwrap();
-            selector.admit(rank, p);
-        }
-        let mut memo = SeekMemo::new();
-        let mut order = Vec::new();
-        while let Some(slot) = selector.select(&s, &mut memo).unwrap() {
-            let (rank, req) = selector.remove(slot);
-            order.push(rank);
-            s.service(req).unwrap();
-            memo.begin_round();
-        }
+        let reqs = [Request::single(77_777); 4];
+        let (order, _) = drain_against_reference(&mut sim(), &reqs, reqs.len(), |_| {});
         // Reference: picks vec position 0 each round; swap_remove then
         // moves the last element into position 0, so the service order
         // over four identical requests is 0, 3, 2, 1.
         assert_eq!(order, vec![0, 3, 2, 1]);
+    }
+
+    /// The Dim0-beam shape: hundreds of single-block requests on one
+    /// track, issued out of order. One bucket holds them all, and once
+    /// the head reaches the track most picks are read-ahead
+    /// continuations found by angle inside that bucket.
+    #[test]
+    fn one_deep_bucket_streams_like_a_dim0_beam() {
+        let mut s = sim_with_spt(600);
+        let track_start = 37 * 4 * 600 + 2 * 600; // cylinder 37, surface 2
+        let mut reqs: Vec<Request> = (0..400u64)
+            .map(|i| Request::single(track_start + (i * 173) % 400))
+            .collect();
+        reqs.push(Request::single(150_000));
+        reqs.push(Request::single(9));
+        let mut deepest = 0;
+        let (order, _) = drain_against_reference(&mut s, &reqs, reqs.len(), |sel| {
+            let deep = sel.tracks.values().map(|b| b.items.as_slice().len());
+            deepest = deepest.max(deep.max().unwrap_or(0));
+        });
+        assert_eq!(deepest, 400, "the beam must share one track bucket");
+        // Mostly read-ahead continuations. (Not all: a continuation
+        // costs overhead plus transfer while the platter keeps turning,
+        // so every few blocks a later sector arrives under the head with
+        // zero wait and ties the continuation exactly.)
+        let lbns: Vec<u64> = order.iter().map(|&rank| reqs[rank].lbn).collect();
+        let continued = lbns.windows(2).filter(|w| w[0] + 1 == w[1]).count();
+        assert!(continued > 200, "{continued} continuations in {lbns:?}");
+    }
+
+    /// A shallow window over a stream that keeps returning to the same
+    /// few tracks with duplicate requests: buckets go one -> many -> one
+    /// over and over, and the duplicates tie exactly.
+    #[test]
+    fn buckets_grow_and_shrink_with_exact_ties() {
+        let a = Request::single(77_777);
+        let b = Request::single(77_779); // same track as `a`
+        let c = Request::new(12_345, 3);
+        let pattern = [a, a, c, b, a, c, c, b, b, a];
+        let reqs: Vec<Request> = (0..300).map(|i| pattern[(i * 7) % pattern.len()]).collect();
+        let (mut grew, mut shrank) = (0, 0);
+        let mut was_many = std::collections::BTreeMap::new();
+        drain_against_reference(&mut sim(), &reqs, 3, |sel| {
+            let now: std::collections::BTreeMap<(u64, u32), bool> = sel
+                .tracks
+                .iter()
+                .map(|(k, bucket)| (*k, matches!(bucket.items, Items::Many(_))))
+                .collect();
+            for (k, many) in &now {
+                match (was_many.get(k), many) {
+                    (Some(false), true) => grew += 1,
+                    (Some(true), false) => shrank += 1,
+                    _ => {}
+                }
+            }
+            was_many = now;
+        });
+        assert!(grew > 20 && shrank > 20, "grew {grew}, shrank {shrank}");
+    }
+
+    /// Read-ahead continuations are found by probing the continuation
+    /// LBN's own track bucket — on the head's track, at the start of the
+    /// next track and of the next cylinder, with duplicates — and a
+    /// transfer that ended on the disk's last block looks nothing up.
+    #[test]
+    fn continuations_are_found_in_their_track_bucket() {
+        let total = sim().geometry().total_blocks();
+        // (warm-up transfer, what it leaves the continuation on)
+        let warmups = [
+            (Request::new(1000, 4), "the head's track"),
+            (Request::new(5 * 120 + 100, 20), "the next track"),
+            (Request::new(7 * 480 - 20, 20), "the next cylinder"),
+            (Request::single(total - 1), "nothing: the disk ends"),
+        ];
+        // With and without a pending neighbour on the head's own track,
+        // so the continuation's bucket is reached from either frontier.
+        for (warmup, what) in warmups {
+            for neighbour in [true, false] {
+                let mut s = sim();
+                s.service(warmup).unwrap();
+                let next = warmup.end();
+                let mut reqs = vec![Request::single(90_000), Request::single(33_000)];
+                if neighbour {
+                    reqs.push(Request::single(next - 3));
+                }
+                if next < total {
+                    // The continuation three times over: an exact-tie pair
+                    // and a longer transfer from the same first block.
+                    reqs.push(Request::new(next, 3));
+                    reqs.push(Request::single(next));
+                    reqs.push(Request::single(next));
+                    reqs.push(Request::single(next + 1));
+                }
+                let (order, _) = drain_against_reference(&mut s, &reqs, reqs.len(), |_| {});
+                if next < total {
+                    // Cheapest first: the earlier of the single-block twins.
+                    let first_twin = reqs.len() - 3;
+                    assert_eq!(order[0], first_twin, "continuation on {what}: {order:?}");
+                }
+            }
+        }
     }
 }

@@ -13,9 +13,6 @@
 //! `Dim0` beam queries) run at full streaming bandwidth instead of paying
 //! a rotational miss per command.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use crate::error::{DiskError, Result};
 use crate::fault::{FaultCounts, FaultDecision, FaultInjector, FaultPlan};
 use crate::geometry::{DiskGeometry, Lbn, Location};
@@ -32,7 +29,10 @@ pub struct HeadState {
     /// Active surface.
     pub surface: u32,
     /// One past the last LBN transferred, if the previous request allows
-    /// read-ahead continuation (used for the prefetch fast path).
+    /// read-ahead continuation (used for the prefetch fast path). While
+    /// this is `Some(l)`, block `l - 1` lies on the track the head rests
+    /// on: every transfer leaves `cylinder`/`surface` on its last block,
+    /// and whatever breaks the stream (idle time, a fault) clears this.
     pub last_end_lbn: Option<Lbn>,
 }
 
@@ -101,10 +101,30 @@ impl Request {
         Request { lbn, nblocks }
     }
 
-    /// One past the last LBN covered.
+    /// One past the last LBN covered, saturating at `u64::MAX` for a
+    /// malformed request whose extent overflows (such a request never
+    /// passes [`Self::checked_end`], so no served request saturates).
     #[inline]
     pub fn end(&self) -> Lbn {
-        self.lbn + self.nblocks
+        self.lbn.saturating_add(self.nblocks)
+    }
+
+    /// [`Self::end`] after validating the request against a device of
+    /// `total` blocks: non-empty, extent not overflowing, and ending at
+    /// or before `total`. The one bounds check behind every service and
+    /// estimate entry point.
+    pub fn checked_end(&self, total: u64) -> Result<Lbn> {
+        if self.nblocks == 0 {
+            return Err(DiskError::EmptyRequest);
+        }
+        match self.lbn.checked_add(self.nblocks) {
+            Some(end) if end <= total => Ok(end),
+            _ => Err(DiskError::RequestPastEnd {
+                lbn: self.lbn,
+                nblocks: self.nblocks,
+                total,
+            }),
+        }
     }
 }
 
@@ -138,8 +158,8 @@ impl RequestTiming {
 /// angle of that sector, the media-transfer time when the request fits in
 /// its first track segment, and the transfer sum of the sequential
 /// prefetch fast path. What remains per estimate — seek from the current
-/// cylinder and the rotational phase at arrival — is recomputed cheaply
-/// (and the seek is memoized per round by [`SeekMemo`]).
+/// cylinder and the rotational phase at arrival — is one seek-curve
+/// evaluation and one division.
 #[derive(Clone, Debug)]
 pub struct RequestProfile {
     req: Request,
@@ -166,16 +186,7 @@ impl RequestProfile {
     /// Build the profile, validating the request exactly as
     /// [`DiskSim::estimate`] would (same errors, in the same order).
     pub fn new(geom: &DiskGeometry, req: Request) -> Result<Self> {
-        if req.nblocks == 0 {
-            return Err(DiskError::EmptyRequest);
-        }
-        if req.end() > geom.total_blocks() {
-            return Err(DiskError::RequestPastEnd {
-                lbn: req.lbn,
-                nblocks: req.nblocks,
-                total: geom.total_blocks(),
-            });
-        }
+        req.checked_end(geom.total_blocks())?;
         let loc = geom.locate(req.lbn)?;
         let start_angle = geom.sector_start_angle(&loc);
         // Same `take` and float product as `simulate_inner`'s first
@@ -215,12 +226,6 @@ impl RequestProfile {
         self.req
     }
 
-    /// Physical location of the request's first block.
-    #[inline]
-    pub(crate) fn loc(&self) -> &Location {
-        &self.loc
-    }
-
     /// Start angle of the first block, in revolutions.
     ///
     /// Public so the staticcheck selector-bound prover can reconstruct
@@ -255,70 +260,6 @@ impl RequestProfile {
     #[inline]
     pub fn track(&self) -> (u64, u32) {
         (self.loc.cylinder, self.loc.surface)
-    }
-}
-
-/// Per-round memo of [`DiskGeometry::positioning_ms`] keyed by target
-/// `(cylinder, surface)`. Positioning depends only on the head's current
-/// track and the target track, so within one scheduling round (head state
-/// frozen) every pending request on the same track shares one entry.
-///
-/// Call [`SeekMemo::begin_round`] after every head movement.
-#[derive(Debug, Default)]
-pub struct SeekMemo {
-    // staticcheck: allow(det-unordered-collection) — keyed-only memo: accessed solely via entry() by exact (cylinder, surface) key and cleared per round; never iterated, so RandomState order cannot reach any result.
-    map: HashMap<(u64, u32), f64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SeekMemo {
-    /// Empty memo.
-    pub fn new() -> Self {
-        SeekMemo::default()
-    }
-
-    /// Invalidate the memo: the head moved, all seeks changed. Hit/miss
-    /// counters accumulate across rounds (they describe the batch).
-    pub fn begin_round(&mut self) {
-        self.map.clear();
-    }
-
-    /// Positioning lookups answered from the memo, cumulative across
-    /// rounds since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Positioning lookups that ran the seek curve, cumulative across
-    /// rounds since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub(crate) fn positioning(
-        &mut self,
-        geom: &DiskGeometry,
-        from_cylinder: u64,
-        from_surface: u32,
-        to_cylinder: u64,
-        to_surface: u32,
-    ) -> f64 {
-        match self.map.entry((to_cylinder, to_surface)) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                *v.insert(geom.positioning_ms(
-                    from_cylinder,
-                    from_surface,
-                    to_cylinder,
-                    to_surface,
-                ))
-            }
-        }
     }
 }
 
@@ -427,16 +368,7 @@ impl DiskSim {
         };
         // Validate before drawing, so malformed requests fail identically
         // with and without a plan and never consume a command index.
-        if req.nblocks == 0 {
-            return Err(DiskError::EmptyRequest);
-        }
-        if req.end() > self.geom.total_blocks() {
-            return Err(DiskError::RequestPastEnd {
-                lbn: req.lbn,
-                nblocks: req.nblocks,
-                total: self.geom.total_blocks(),
-            });
-        }
+        req.checked_end(self.geom.total_blocks())?;
         match inj.admit(req.lbn, req.nblocks) {
             FaultDecision::Proceed { slow_extra_ms } => {
                 let mut timing = Self::simulate_kind(&self.geom, &mut self.state, req, kind)?;
@@ -484,17 +416,38 @@ impl DiskSim {
         Ok(Self::simulate_inner(&self.geom, &mut state, req, AccessKind::Read, false)?.total_ms())
     }
 
-    /// [`Self::estimate`] from a precomputed [`RequestProfile`], with the
-    /// seek component memoized in `memo` (valid for the current head
-    /// state; callers clear it with [`SeekMemo::begin_round`] after every
-    /// service).
+    /// [`Self::estimate`] from a precomputed [`RequestProfile`].
     ///
     /// Bit-identical to [`Self::estimate`]: the single-track fast path
     /// replays `simulate_inner`'s float operations in the same order on
     /// cached inputs, and multi-track requests fall back to the exact
     /// simulation. This is what lets SPTF schedulers swap it in without
     /// perturbing a single scheduling decision (golden traces included).
-    pub fn estimate_profiled(&self, profile: &RequestProfile, memo: &mut SeekMemo) -> Result<f64> {
+    pub fn estimate_profiled(&self, profile: &RequestProfile) -> Result<f64> {
+        let pos = self.geom.positioning_ms(
+            self.state.cylinder,
+            self.state.surface,
+            profile.loc.cylinder,
+            profile.loc.surface,
+        );
+        let t = (self.state.time_ms + self.geom.command_overhead_ms) + pos;
+        let wait = self.geom.rotational_wait_from_angle(profile.start_angle, t);
+        self.estimate_positioned(profile, pos, wait)
+    }
+
+    /// [`Self::estimate_profiled`] with the head-state-dependent terms
+    /// already evaluated for the current state: `pos` is the positioning
+    /// time to the profile's first track and `wait` the rotational wait
+    /// for its first sector on arrival there. The incremental selector
+    /// computes both once per track bucket and shares them with its
+    /// pruning bounds; the float operations (and their order) are the
+    /// ones [`RequestTiming::total_ms`] performs either way.
+    pub(crate) fn estimate_positioned(
+        &self,
+        profile: &RequestProfile,
+        pos: f64,
+        wait: f64,
+    ) -> Result<f64> {
         let overhead_ms = self.geom.command_overhead_ms;
         // Prefetch fast path: exact sequential continuation.
         if self.state.last_end_lbn == Some(profile.req.lbn) {
@@ -510,16 +463,6 @@ impl DiskSim {
             // Multi-track request: the exact per-segment walk.
             return self.estimate(profile.req);
         };
-        let pos = memo.positioning(
-            &self.geom,
-            self.state.cylinder,
-            self.state.surface,
-            profile.loc.cylinder,
-            profile.loc.surface,
-        );
-        let mut t = self.state.time_ms + overhead_ms;
-        t += pos;
-        let wait = self.geom.rotational_wait_from_angle(profile.start_angle, t);
         let timing = RequestTiming {
             overhead_ms,
             seek_ms: pos,
@@ -579,16 +522,7 @@ impl DiskSim {
             AccessKind::Read => 0.0,
             AccessKind::Write => geom.write_settle_extra_ms,
         };
-        if req.nblocks == 0 {
-            return Err(DiskError::EmptyRequest);
-        }
-        if req.end() > geom.total_blocks() {
-            return Err(DiskError::RequestPastEnd {
-                lbn: req.lbn,
-                nblocks: req.nblocks,
-                total: geom.total_blocks(),
-            });
-        }
+        let end = req.checked_end(geom.total_blocks())?;
 
         let mut timing = RequestTiming {
             overhead_ms: geom.command_overhead_ms,
@@ -606,11 +540,11 @@ impl DiskSim {
                 cur += take;
                 remaining -= take;
             }
-            let end_loc = geom.locate(req.end() - 1)?;
+            let end_loc = geom.locate(end - 1)?;
             state.time_ms += timing.total_ms();
             state.cylinder = end_loc.cylinder;
             state.surface = end_loc.surface;
-            state.last_end_lbn = Some(req.end());
+            state.last_end_lbn = Some(end);
             return Ok(timing);
         }
 
@@ -645,7 +579,7 @@ impl DiskSim {
         state.time_ms = t;
         state.cylinder = cyl;
         state.surface = surf;
-        state.last_end_lbn = Some(req.end());
+        state.last_end_lbn = Some(end);
         Ok(timing)
     }
 }
@@ -691,6 +625,35 @@ mod tests {
         let total = sim.geometry().total_blocks();
         assert!(sim.service(Request::new(total - 1, 2)).is_err());
         assert!(sim.service(Request::new(total, 1)).is_err());
+    }
+
+    /// `lbn + nblocks` past `u64::MAX` used to panic in debug builds and
+    /// wrap under the end-of-disk check in release; every entry point
+    /// now reports it as the request past the end it is.
+    #[test]
+    fn overflowing_extent_is_request_past_end() {
+        let req = Request::new(10, u64::MAX);
+        assert_eq!(req.end(), u64::MAX);
+        let mut sim = disk();
+        let past_end = Err(DiskError::RequestPastEnd {
+            lbn: 10,
+            nblocks: u64::MAX,
+            total: sim.geometry().total_blocks(),
+        });
+        // Plain service and estimate.
+        assert_eq!(sim.service(req), past_end);
+        assert_eq!(sim.service_write(req), past_end);
+        assert_eq!(sim.estimate(req).map(|_| RequestTiming::default()), past_end);
+        // Profiled (what every SPTF batch builds per request).
+        assert_eq!(
+            RequestProfile::new(sim.geometry(), req).map(|_| RequestTiming::default()),
+            past_end
+        );
+        // Faulted: rejected before a command index is drawn.
+        sim.set_fault_plan(crate::fault::FaultPlan::new(1).with_transients(1.0, 1.0));
+        assert_eq!(sim.service(req), past_end);
+        assert_eq!(sim.fault_counts().commands, 0);
+        assert_eq!(sim.state(), HeadState::initial());
     }
 
     #[test]

@@ -192,17 +192,7 @@ impl SsdModel {
     }
 
     fn validate(&self, req: Request) -> Result<()> {
-        if req.nblocks == 0 {
-            return Err(DiskError::EmptyRequest);
-        }
-        if req.end() > self.cfg.capacity_blocks {
-            return Err(DiskError::RequestPastEnd {
-                lbn: req.lbn,
-                nblocks: req.nblocks,
-                total: self.cfg.capacity_blocks,
-            });
-        }
-        Ok(())
+        req.checked_end(self.cfg.capacity_blocks).map(|_| ())
     }
 
     /// Dispatch one validated request at batch clock `t0` with
@@ -554,6 +544,15 @@ mod tests {
             DiskError::RequestPastEnd {
                 lbn: 99_999,
                 nblocks: 2,
+                total: 100_000
+            }
+        );
+        // An extent past `u64::MAX` is past the end, not an overflow.
+        assert_eq!(
+            dev.service(Request::new(10, u64::MAX)).unwrap_err(),
+            DiskError::RequestPastEnd {
+                lbn: 10,
+                nblocks: u64::MAX,
                 total: 100_000
             }
         );

@@ -29,13 +29,13 @@ pub fn check(m: &MultiMapping, exhaustive: bool, report: &mut Report, config: &s
     );
     report.push(
         "adjacency-depth-cap",
-        geom.name.clone(),
+        geom.name.to_string(),
         config,
         depth_cap(geom),
     );
     report.push(
         "adjacency-settle-reachable",
-        geom.name.clone(),
+        geom.name.to_string(),
         config,
         settle_reachable(m, geom),
     );

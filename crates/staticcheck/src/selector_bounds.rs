@@ -18,9 +18,12 @@
 //!    first_segment_xfer` never exceeds the reference estimate, with the
 //!    additions in exactly `RequestTiming::total_ms` order. IEEE
 //!    addition is monotone, so this per-request inequality (plus 1.)
-//!    soundly justifies pruning whole cylinder groups.
+//!    soundly justifies ending the outward walk at a distance.
 //! 3. **Bucket lower bound** — `((overhead + positioning) + wait) +
-//!    first_segment_xfer` never exceeds the estimate either; for
+//!    first_segment_xfer` never exceeds the estimate either, with
+//!    `positioning` rebuilt from the walk's per-distance seek floor and
+//!    `wait` taken from the per-bucket phase exactly as the selector
+//!    computes them (each required bit-identical to the estimator's); for
 //!    single-track requests the two are required to be *bit-identical*
 //!    (the bound is the estimate), and for multi-track requests the
 //!    first-segment bound must sit at or below the exact per-segment
@@ -28,7 +31,7 @@
 //!    `DiskSim::estimate` on the raw request.
 //! 4. **Wrap-guard clamp replay** — the selector's `partition_point`
 //!    predicate replays the clamp expressions of
-//!    `rotational_wait_from_angle` verbatim. Over every track bucket the
+//!    `rotational_wait_from_phase` verbatim. Over every track bucket the
 //!    sweep produces — plus synthetic boundary buckets probing angles
 //!    within ulps of the platter phase and of the
 //!    [`ROTATION_WRAP_GUARD`] window — the prover checks that the
@@ -43,9 +46,7 @@
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
-use multimap_disksim::{
-    DiskGeometry, DiskSim, Request, RequestProfile, SeekMemo, ROTATION_WRAP_GUARD,
-};
+use multimap_disksim::{DiskGeometry, DiskSim, Request, RequestProfile, ROTATION_WRAP_GUARD};
 
 use crate::report::{Report, Verdict};
 use crate::sample;
@@ -153,7 +154,7 @@ fn check_seek_floor_monotone(geom: &DiskGeometry, report: &mut Report, label: &s
     }
     report.push(
         "selector-seek-monotone",
-        geom.name.clone(),
+        geom.name.to_string(),
         label,
         verdict(details, format!("exhaustive over {max_d} distances")),
     );
@@ -177,7 +178,7 @@ fn check_wrap_guard_headroom(geom: &DiskGeometry, report: &mut Report, label: &s
     let zones = geom.zones().len();
     report.push(
         "selector-wrap-headroom",
-        geom.name.clone(),
+        geom.name.to_string(),
         label,
         verdict(details, format!("exhaustive over {zones} zones")),
     );
@@ -315,10 +316,9 @@ fn check_estimate_bounds(
         let geom = sim.geometry();
         let state = sim.state();
         let oh = geom.command_overhead_ms;
-        let mut memo = SeekMemo::new();
         for p in profiles {
             let req = p.request();
-            let est = match sim.estimate_profiled(p, &mut memo) {
+            let est = match sim.estimate_profiled(p) {
                 Ok(e) => e,
                 Err(e) => {
                     if exact_details.len() < 8 {
@@ -366,11 +366,28 @@ fn check_estimate_bounds(
                 ));
             }
 
-            // 3. Bucket bound: the estimator's own intermediates,
-            // combined left-to-right exactly as total_ms does.
-            let pos = geom.positioning_ms(state.cylinder, state.surface, cyl, surface);
+            // 3. Bucket bound, from the selector's own expressions: the
+            // positioning time rebuilt from the walk's per-distance seek
+            // floor and the wait taken from the per-bucket phase. Both
+            // must be the estimator's floats, and the bound combines
+            // them left-to-right exactly as total_ms does.
+            let pos = geom.positioning_from_seek_ms(
+                dist,
+                geom.seek_floor_ms(dist),
+                surface == state.surface,
+            );
             let t_arrive = (state.time_ms + oh) + pos;
-            let wait = geom.rotational_wait_from_angle(p.start_angle(), t_arrive);
+            let wait = geom.rotational_wait_from_phase(p.start_angle(), geom.phase_at(t_arrive));
+            let est_pos = geom.positioning_ms(state.cylinder, state.surface, cyl, surface);
+            let est_wait = geom.rotational_wait_from_angle(p.start_angle(), t_arrive);
+            if (pos.to_bits(), wait.to_bits()) != (est_pos.to_bits(), est_wait.to_bits())
+                && bucket_details.len() < 8
+            {
+                bucket_details.push(format!(
+                    "lbn {}: selector positioning {pos} / wait {wait} differ from the estimator's",
+                    req.lbn
+                ));
+            }
             let bound = ((oh + pos) + wait) + xfer;
             if bound > est && bucket_details.len() < 8 {
                 bucket_details.push(format!(
@@ -530,7 +547,7 @@ fn check_bucket(geom: &DiskGeometry, items: &[u64], t_arrive: f64, details: &mut
     for k in 0..n {
         let bits = items[(start + k) % n];
         let angle = f64::from_bits(bits);
-        let wait = geom.rotational_wait_from_angle(angle, t_arrive);
+        let wait = geom.rotational_wait_from_phase(angle, phase);
         let delta = angle - phase;
         let in_clamp = delta < 0.0 && delta + 1.0 > 1.0 - ROTATION_WRAP_GUARD;
         // staticcheck: allow(float-cmp) — exactness is the property under proof: the clamp must report a wait of literal 0.0, not merely a small one.

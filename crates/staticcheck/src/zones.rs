@@ -20,13 +20,13 @@ pub fn check(m: &MultiMapping, report: &mut Report, config: &str) {
     let geom = m.geometry();
     report.push(
         "zone-cube-containment",
-        geom.name.clone(),
+        geom.name.to_string(),
         config,
         cube_containment(m, geom),
     );
     report.push(
         "zone-transition-disjoint",
-        geom.name.clone(),
+        geom.name.to_string(),
         config,
         transitions_disjoint(m, geom),
     );

@@ -208,8 +208,9 @@ fn workspace_determinism_lint_is_clean() {
         "workspace determinism lint found violations:\n{}",
         outcome.report.render_text()
     );
-    // The allowlist is load-bearing: the justified keyed-only maps
-    // (seek memo, selector by-LBN index) must be flowing through it.
+    // The allowlist is load-bearing: the justified exemptions (the
+    // prover's membership-only duplicate detectors, per-site float
+    // accumulations, bench wall-clock reads) must be flowing through it.
     let allowed: usize = outcome.allowed.values().sum();
     assert!(allowed >= 5, "expected justified allows, got {allowed}");
 }

@@ -96,9 +96,11 @@ impl Phase {
 /// Event counters on the service path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// `SeekMemo` positioning lookups answered from the per-round memo.
+    /// Retired: the scheduler's per-round seek memo is gone, so nothing
+    /// records this counter and it always reads zero. The name stays
+    /// until the repo benchmark stops reading it.
     SeekMemoHit,
-    /// `SeekMemo` positioning lookups that ran the seek curve.
+    /// Retired, always zero (see [`Counter::SeekMemoHit`]).
     SeekMemoMiss,
     /// Region translations served from the shared flat-table cache.
     TranslationCacheHit,
@@ -468,11 +470,6 @@ impl Metrics {
             Some(v) => format!("{v:.4}"),
             None => "null".to_string(),
         };
-        let _ = writeln!(
-            out,
-            "{inner}  \"seek_memo\": {},",
-            rate(self.hit_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss))
-        );
         // Low-volume pairs render as null (n/a): see `hit_rate_floored`.
         let _ = writeln!(
             out,
@@ -605,12 +602,12 @@ mod tests {
     fn hit_rate_handles_empty_and_mixed() {
         let mut m = Metrics::new();
         assert!(m
-            .hit_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss)
+            .hit_rate(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
             .is_none());
-        m.counter(Counter::SeekMemoHit, 3);
-        m.counter(Counter::SeekMemoMiss, 1);
+        m.counter(Counter::TranslationCacheHit, 3);
+        m.counter(Counter::TranslationCacheMiss, 1);
         let r = m
-            .hit_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss)
+            .hit_rate(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
             .unwrap();
         assert!((r - 0.75).abs() < 1e-12);
     }
