@@ -79,7 +79,7 @@ pub struct WriteCell {
 /// a fresh volume, and the cross-backend invariants saturate quickly.
 fn bench_grid(scale: Scale) -> GridSpec {
     match scale {
-        Scale::Quick | Scale::Large => GridSpec::new([96u64, 16, 12]),
+        Scale::Quick => GridSpec::new([96u64, 16, 12]),
         Scale::Paper => GridSpec::new([160u64, 24, 16]),
     }
 }
@@ -87,7 +87,7 @@ fn bench_grid(scale: Scale) -> GridSpec {
 /// Beam queries per cell (anchor positions stepped along Dim0/Dim2).
 fn beam_count(scale: Scale) -> u64 {
     match scale {
-        Scale::Quick | Scale::Large => 6,
+        Scale::Quick => 6,
         Scale::Paper => 12,
     }
 }
@@ -95,7 +95,7 @@ fn beam_count(scale: Scale) -> u64 {
 /// Interlaced track pairs driven through the write sweep.
 fn write_pairs(scale: Scale) -> u64 {
     match scale {
-        Scale::Quick | Scale::Large => 16,
+        Scale::Quick => 16,
         Scale::Paper => 64,
     }
 }
@@ -218,16 +218,6 @@ pub fn payload_match(cells: &[BackendCell]) -> bool {
     })
 }
 
-/// Headline figure: mean per-beam simulated time for the MultiMap
-/// mapping on `backend` — the number the CI backend-smoke gate tracks.
-pub fn headline_beam_ms(cells: &[BackendCell], backend: &str) -> f64 {
-    cells
-        .iter()
-        .find(|c| c.backend == backend && c.mapping == "MultiMap")
-        .map(BackendCell::beam_ms_per_query)
-        .expect("sweep covers every backend")
-}
-
 /// Total neighbor rewrites one backend performed in the write sweep.
 pub fn sweep_rewrites(cells: &[WriteCell], backend: &str) -> u64 {
     cells
@@ -281,6 +271,21 @@ pub fn write_table(scale: Scale, cells: &[WriteCell]) -> Table {
         ]);
     }
     t
+}
+
+/// Both tables of the `backends` figure id as `(TSV file stem, table)`
+/// pairs: the query matrix, then the write sweep.
+pub fn tables(scale: Scale, filter: Option<&str>) -> Vec<(String, Table)> {
+    vec![
+        (
+            "backend_matrix".to_string(),
+            table(scale, &run(scale, filter)),
+        ),
+        (
+            "backend_write_sweep".to_string(),
+            write_table(scale, &write_sweep(scale, filter)),
+        ),
+    ]
 }
 
 #[cfg(test)]

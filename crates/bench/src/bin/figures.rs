@@ -1,4 +1,4 @@
-//! Regenerate the paper's figures.
+//! Regenerate the paper's figures and the reproduction's result tables.
 //!
 //! ```text
 //! cargo run --release -p multimap-bench --bin figures -- all
@@ -10,16 +10,21 @@
 //!
 //! `--replot` rebuilds the SVG charts from previously saved TSVs without
 //! re-running any experiment. `--backend` restricts the `backends`
-//! matrix to one registry device backend (`disk`, `ssd` or `imr`).
+//! matrix to one registry device backend (`disk`, `ssd` or `imr`); a
+//! restricted matrix is printed but not saved, so it never replaces the
+//! full tables.
 //!
-//! Results are printed and saved as TSV under `results/<scale>/`.
+//! Results are printed and saved as TSV under `results/<scale>/`. The
+//! quick-scale TSVs are checked in and pinned byte-exact by
+//! `tests/results_pin.rs`. A result that cannot be written is an error
+//! (exit status 1).
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use multimap_bench::figure_plots::auto_plots;
 use multimap_bench::plot::save_svg;
-use multimap_bench::{ablations, backends, fig1, fig6, fig7, fig8, model_fig, Scale, Table};
+use multimap_bench::{backends, run_figure, Scale, Table, FIGURE_IDS};
 
 /// TSV file name for each figure id.
 fn tsv_name(fig: &str) -> Option<&'static str> {
@@ -70,17 +75,7 @@ fn main() {
         }
     }
     if figures.is_empty() || figures.contains(&"all") {
-        figures = vec![
-            "fig1",
-            "fig6a",
-            "fig6b",
-            "fig7a",
-            "fig7b",
-            "fig8",
-            "ablations",
-            "model",
-            "backends",
-        ];
+        figures = FIGURE_IDS.to_vec();
     }
     let out_dir = PathBuf::from("results").join(if quick { "quick" } else { "paper" });
     println!(
@@ -90,22 +85,22 @@ fn main() {
         out_dir.display()
     );
 
-    let save = |table: &Table, name: &str| {
-        table.print();
-        println!();
-        if let Err(e) = table.save_tsv(&out_dir, name) {
-            eprintln!("warning: could not save {name}.tsv: {e}");
+    // A failed write does not stop the run (the remaining tables are
+    // still worth printing) but it does fail it: `finish` exits 1.
+    let write_failed = std::cell::Cell::new(false);
+    let saved = |what: &str, result: std::io::Result<()>| {
+        if let Err(e) = &result {
+            eprintln!("error: could not save {what}: {e}");
+            write_failed.set(true);
+        }
+        result.is_ok()
+    };
+    let finish = || {
+        if write_failed.get() {
+            std::process::exit(1);
         }
     };
-    let save_plots = |fig: &str, table: &Table| {
-        let plot_dir = out_dir.join("plots");
-        for (name, svg) in auto_plots(fig, table) {
-            if let Err(e) = save_svg(&svg, &plot_dir, &name) {
-                eprintln!("warning: could not save {name}.svg: {e}");
-            }
-        }
-    };
-
+    let plot_dir = out_dir.join("plots");
     if replot {
         // Rebuild SVGs from previously saved TSVs without re-running the
         // experiments.
@@ -115,9 +110,8 @@ fn main() {
             match Table::load_tsv(&path, name) {
                 Ok(table) => {
                     for (plot_name, svg) in auto_plots(fig, &table) {
-                        if let Err(e) = save_svg(&svg, &out_dir.join("plots"), &plot_name) {
-                            eprintln!("warning: could not save {plot_name}.svg: {e}");
-                        } else {
+                        let result = save_svg(&svg, &plot_dir, &plot_name);
+                        if saved(&format!("{plot_name}.svg"), result) {
                             println!("replotted {plot_name}.svg");
                         }
                     }
@@ -125,63 +119,39 @@ fn main() {
                 Err(e) => eprintln!("skipping {fig}: {e}"),
             }
         }
-        return;
+        return finish();
     }
 
     for fig in figures {
         // staticcheck: allow(det-wall-clock) — progress reporting only: the elapsed time is printed to stderr and never reaches a figure table.
         let started = Instant::now();
-        match fig {
-            "fig1" => {
-                let t = fig1::run();
-                save(&t, "fig1_seek_profile");
-                save_plots("fig1", &t);
-            }
-            "fig6a" => {
-                let t = fig6::run_beams(scale);
-                save(&t, "fig6a_synthetic_beams");
-                save_plots("fig6a", &t);
-            }
-            "fig6b" => {
-                let t = fig6::run_ranges(scale);
-                save(&t, "fig6b_synthetic_ranges");
-                save_plots("fig6b", &t);
-            }
-            "fig7a" => {
-                let t = fig7::run_beams(scale);
-                save(&t, "fig7a_earthquake_beams");
-                save_plots("fig7a", &t);
-            }
-            "fig7b" => {
-                let t = fig7::run_ranges(scale);
-                save(&t, "fig7b_earthquake_ranges");
-                save_plots("fig7b", &t);
-            }
-            "fig8" => {
-                let t = fig8::run(scale);
-                save(&t, "fig8_olap_queries");
-                save_plots("fig8", &t);
-            }
-            "model" => save(&model_fig::run(scale), "model_validation"),
-            "ablations" => {
-                for (i, t) in ablations::run_all(scale).iter().enumerate() {
-                    save(t, &format!("ablation_{i}"));
+        // A `--backend`-restricted matrix is a view of the full one:
+        // printed, never saved over the pinned tables.
+        let filtered = fig == "backends" && backend.is_some();
+        let tables = if filtered {
+            backends::tables(scale, backend.as_deref())
+        } else {
+            run_figure(fig, scale).unwrap_or_else(|| {
+                eprintln!("unknown figure id: {fig}");
+                eprintln!("known: {} all", FIGURE_IDS.join(" "));
+                std::process::exit(2);
+            })
+        };
+        for (name, table) in &tables {
+            table.print();
+            println!();
+            if !filtered {
+                saved(&format!("{name}.tsv"), table.save_tsv(&out_dir, name));
+                for (plot_name, svg) in auto_plots(fig, table) {
+                    saved(
+                        &format!("{plot_name}.svg"),
+                        save_svg(&svg, &plot_dir, &plot_name),
+                    );
                 }
             }
-            "backends" => {
-                let filter = backend.as_deref();
-                let cells = backends::run(scale, filter);
-                save(&backends::table(scale, &cells), "backend_matrix");
-                let writes = backends::write_sweep(scale, filter);
-                save(&backends::write_table(scale, &writes), "backend_write_sweep");
-            }
-            other => {
-                eprintln!("unknown figure id: {other}");
-                eprintln!(
-                    "known: fig1 fig6a fig6b fig7a fig7b fig8 ablations model backends all"
-                );
-                std::process::exit(2);
-            }
+        }
+        if filtered {
+            println!("(--backend view: printed only, results/ left untouched)\n");
         }
         eprintln!("[{fig} took {:.1}s]\n", started.elapsed().as_secs_f64());
     }
@@ -192,9 +162,10 @@ fn main() {
     let registry = multimap_telemetry::global();
     if multimap_telemetry::enabled() && !registry.is_empty() {
         let path = out_dir.join("telemetry.json");
-        match std::fs::write(&path, format!("{}\n", registry.to_json())) {
-            Ok(()) => println!("telemetry -> {}", path.display()),
-            Err(e) => eprintln!("warning: could not save telemetry.json: {e}"),
+        let result = std::fs::write(&path, format!("{}\n", registry.to_json()));
+        if saved("telemetry.json", result) {
+            println!("telemetry -> {}", path.display());
         }
     }
+    finish();
 }

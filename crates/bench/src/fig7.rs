@@ -16,14 +16,14 @@ use crate::harness::{ms, Scale, Table};
 
 fn config(scale: Scale) -> EarthquakeConfig {
     match scale {
-        Scale::Quick | Scale::Large => EarthquakeConfig::quick(),
+        Scale::Quick => EarthquakeConfig::quick(),
         Scale::Paper => EarthquakeConfig::default(),
     }
 }
 
 fn min_region_cells(scale: Scale) -> u64 {
     match scale {
-        Scale::Quick | Scale::Large => 64,
+        Scale::Quick => 64,
         Scale::Paper => 4_096,
     }
 }
@@ -117,7 +117,7 @@ pub fn run_ranges(scale: Scale) -> Table {
     // Query boxes land in dense slabs or coarse background at random, so
     // totals have high variance; more repetitions than Fig. 6(b).
     let runs = match scale {
-        Scale::Quick | Scale::Large => 3,
+        Scale::Quick => 3,
         Scale::Paper => 9,
     };
     // The paper's selectivities (0.0001-0.003%) target a 114M-element

@@ -16,7 +16,7 @@ use crate::harness::{ms, Scale, Table};
 /// Figure 8: average I/O time per cell for Q1–Q5 on both disks.
 pub fn run(scale: Scale) -> Table {
     let chunk = match scale {
-        Scale::Quick | Scale::Large => cube::small_chunk(),
+        Scale::Quick => cube::small_chunk(),
         Scale::Paper => cube::disk_chunk(),
     };
     let runs = scale.range_runs().max(3);

@@ -16,11 +16,6 @@ use multimap_disksim::DiskGeometry;
 pub enum Scale {
     /// Shrunken datasets and fewer repetitions (seconds, for CI).
     Quick,
-    /// Quick-sized figures plus a selection-throughput stress pass of
-    /// tens of millions of scheduler serve decisions across both
-    /// evaluation drives (the scale the checked-in `BENCH_pr6.json`
-    /// baseline is generated at).
-    Large,
     /// The paper's dataset sizes and repetition counts (minutes).
     Paper,
 }
@@ -31,9 +26,7 @@ impl Scale {
         match self {
             // Keep the paper's Dim0 extent: it sets the stride that
             // makes Naive's non-primary beams pay rotational latency.
-            // `Large` stresses the scheduler, not the figure sweeps, so
-            // its figure datasets stay quick-sized.
-            Scale::Quick | Scale::Large => GridSpec::new([259u64, 64, 32]),
+            Scale::Quick => GridSpec::new([259u64, 64, 32]),
             Scale::Paper => GridSpec::new([259u64, 259, 259]),
         }
     }
@@ -43,7 +36,7 @@ impl Scale {
     /// across workload-RNG streams.
     pub fn beam_runs(&self) -> usize {
         match self {
-            Scale::Quick | Scale::Large => 10,
+            Scale::Quick => 10,
             Scale::Paper => 15,
         }
     }
@@ -51,7 +44,7 @@ impl Scale {
     /// Range-query repetitions per selectivity.
     pub fn range_runs(&self) -> usize {
         match self {
-            Scale::Quick | Scale::Large => 2,
+            Scale::Quick => 2,
             Scale::Paper => 3,
         }
     }
@@ -59,29 +52,8 @@ impl Scale {
     /// Range selectivities for Figure 6(b), in percent.
     pub fn selectivities(&self) -> Vec<f64> {
         match self {
-            Scale::Quick | Scale::Large => vec![0.01, 0.1, 1.0, 10.0, 40.0, 100.0],
+            Scale::Quick => vec![0.01, 0.1, 1.0, 10.0, 40.0, 100.0],
             Scale::Paper => vec![0.01, 0.1, 1.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0],
-        }
-    }
-
-    /// Serve decisions per `(profile, window)` cell of the selection
-    /// bench (see [`crate::selection`]). At `Large` the full trendline
-    /// streams tens of millions of requests through the incremental
-    /// selector across both evaluation drives.
-    pub fn selection_decisions(&self) -> u64 {
-        match self {
-            Scale::Quick => 40_000,
-            Scale::Paper => 500_000,
-            Scale::Large => 2_500_000,
-        }
-    }
-
-    /// Slug used in bench reports.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Large => "large",
-            Scale::Paper => "paper",
         }
     }
 }
@@ -177,15 +149,21 @@ impl Table {
         Ok(table)
     }
 
-    /// Save as TSV under `dir/<name>.tsv`.
-    pub fn save_tsv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
-        fs::create_dir_all(dir)?;
+    /// The TSV text [`Self::save_tsv`] writes: the header line, then
+    /// one tab-joined line per row.
+    pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.header.join("\t"));
         for row in &self.rows {
             let _ = writeln!(out, "{}", row.join("\t"));
         }
-        fs::write(dir.join(format!("{name}.tsv")), out)
+        out
+    }
+
+    /// Save as TSV under `dir/<name>.tsv`.
+    pub fn save_tsv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
+        fs::create_dir_all(dir)?;
+        fs::write(dir.join(format!("{name}.tsv")), self.to_tsv())
     }
 }
 
@@ -204,14 +182,6 @@ mod tests {
         assert!(Scale::Quick.synthetic_grid().cells() < Scale::Paper.synthetic_grid().cells());
         assert!(Scale::Quick.beam_runs() < Scale::Paper.beam_runs());
         assert!(Scale::Paper.selectivities().contains(&100.0));
-        // Large stresses selection, not the figure sweeps.
-        assert_eq!(
-            Scale::Large.synthetic_grid().cells(),
-            Scale::Quick.synthetic_grid().cells()
-        );
-        assert!(Scale::Quick.selection_decisions() < Scale::Paper.selection_decisions());
-        assert!(Scale::Paper.selection_decisions() < Scale::Large.selection_decisions());
-        assert_eq!(Scale::Large.slug(), "large");
     }
 
     #[test]

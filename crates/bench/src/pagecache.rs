@@ -81,7 +81,7 @@ impl CacheCell {
 /// figure-scale extents add information.
 fn bench_grid(scale: Scale) -> GridSpec {
     match scale {
-        Scale::Quick | Scale::Large => GridSpec::new([96u64, 16, 12]),
+        Scale::Quick => GridSpec::new([96u64, 16, 12]),
         Scale::Paper => GridSpec::new([160u64, 24, 16]),
     }
 }
@@ -89,7 +89,7 @@ fn bench_grid(scale: Scale) -> GridSpec {
 /// Number of distinct beam streams (anchor positions along Dim0).
 fn stream_count(scale: Scale) -> u64 {
     match scale {
-        Scale::Quick | Scale::Large => 3,
+        Scale::Quick => 3,
         Scale::Paper => 6,
     }
 }

@@ -1,7 +1,7 @@
 //! The experiment engine's headline guarantee: a parallel figure sweep
 //! renders byte-identically to a serial one, with telemetry on or off.
 
-use multimap_bench::{fig6, fig7, pagecache, Scale};
+use multimap_bench::{fig6, fig7, fig8, model_fig, pagecache, Scale, Table};
 use multimap_telemetry::Counter;
 
 /// Serialise tests that flip the global engine override or the global
@@ -18,54 +18,43 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
+type Figure = (&'static str, fn(Scale) -> Table);
+
+/// The engine-swept figures the rendering contract is held on.
+const FIGURES: [Figure; 5] = [
+    ("fig6a", fig6::run_beams),
+    ("fig6b", fig6::run_ranges),
+    ("fig7a", fig7::run_beams),
+    ("fig8", fig8::run),
+    ("model", model_fig::run),
+];
+
+/// Each figure renders one table, byte for byte, however it is run:
+/// serially or fanned over 2, 4 or 8 engine workers, and — telemetry
+/// being observational — with the sinks recording or disabled.
 #[test]
-fn quick_fig6a_parallel_matches_serial_byte_for_byte() {
-    let serial = with_threads(1, || fig6::run_beams(Scale::Quick).render());
-    for threads in [2usize, 4, 8] {
-        let parallel = with_threads(threads, || fig6::run_beams(Scale::Quick).render());
-        assert_eq!(serial, parallel, "fig6a diverged at {threads} threads");
+fn quick_figures_render_identically_at_any_thread_count_telemetry_on_or_off() {
+    for (label, run) in FIGURES {
+        let serial = with_threads(1, || run(Scale::Quick).render());
+        for threads in [2usize, 4, 8] {
+            let parallel = with_threads(threads, || run(Scale::Quick).render());
+            assert_eq!(serial, parallel, "{label} diverged at {threads} threads");
+        }
+        let telemetry_off = with_threads(4, || {
+            multimap_telemetry::set_enabled(false);
+            let rendered = run(Scale::Quick).render();
+            multimap_telemetry::set_enabled(true);
+            rendered
+        });
+        assert_eq!(serial, telemetry_off, "telemetry changed {label} output");
     }
-}
-
-#[test]
-fn quick_fig7a_parallel_matches_serial_byte_for_byte() {
-    let serial = with_threads(1, || fig7::run_beams(Scale::Quick).render());
-    for threads in [2usize, 4, 8] {
-        let parallel = with_threads(threads, || fig7::run_beams(Scale::Quick).render());
-        assert_eq!(serial, parallel, "fig7a diverged at {threads} threads");
-    }
-}
-
-#[test]
-fn quick_fig6b_parallel_matches_serial_byte_for_byte() {
-    let serial = with_threads(1, || fig6::run_ranges(Scale::Quick).render());
-    let parallel = with_threads(4, || fig6::run_ranges(Scale::Quick).render());
-    assert_eq!(serial, parallel, "fig6b diverged at 4 threads");
-}
-
-/// Telemetry is observational: running a figure with the sinks recording
-/// renders byte-identically to running it with telemetry disabled.
-#[test]
-fn quick_fig6a_is_byte_identical_with_telemetry_on_and_off() {
-    let on = with_threads(4, || {
-        multimap_telemetry::set_enabled(true);
-        fig6::run_beams(Scale::Quick).render()
-    });
-    let off = with_threads(4, || {
-        multimap_telemetry::set_enabled(false);
-        let rendered = fig6::run_beams(Scale::Quick).render();
-        multimap_telemetry::set_enabled(true);
-        rendered
-    });
-    assert_eq!(on, off, "telemetry changed fig6a output");
 }
 
 /// The incremental SPTF selector under the engine: a sweep whose every
 /// cell crosses the incremental-dispatch threshold (256-request SPTF
 /// batches and 192-request queued batches at depth 64, both evaluation
 /// drives) produces byte-identical results at 1, 2, 4 and 8 threads —
-/// the same pin the quick fig6a/fig6b/fig7a tests place on the
-/// reference path.
+/// the same pin the quick-figure test places on the reference path.
 #[test]
 fn incremental_sptf_sweep_identical_at_all_thread_counts() {
     use multimap_disksim::{profiles, DeviceModel, Discipline, DiskSim, Request};
@@ -143,26 +132,31 @@ fn page_cache_sweep_identical_at_all_thread_counts() {
 }
 
 /// The merged per-figure record in the global registry is bit-identical
-/// at any thread count (submission-order fold under the engine sweep).
+/// at any thread count (submission-order fold under the engine sweep),
+/// for the beam table and the range table. fig6b translates through the
+/// shared flat-table cache, whose hit/miss split `Metrics::identical`
+/// leaves to the host.
 #[test]
 fn quick_fig6a_registry_record_identical_across_thread_counts() {
-    let harvest = |threads: usize| {
-        with_threads(threads, || {
-            multimap_telemetry::set_enabled(true);
-            multimap_telemetry::global().clear();
-            fig6::run_beams(Scale::Quick);
-            let merged = multimap_telemetry::global().merged();
-            multimap_telemetry::global().clear();
-            merged
-        })
-    };
-    let baseline = harvest(1);
-    assert!(baseline.counter_value(Counter::RequestsServiced) > 0);
-    for threads in [2usize, 4, 8] {
-        let merged = harvest(threads);
-        assert!(
-            merged.identical(&baseline),
-            "fig6a registry record diverged at {threads} threads"
-        );
+    for (label, run) in &FIGURES[..2] {
+        let harvest = |threads: usize| {
+            with_threads(threads, || {
+                multimap_telemetry::set_enabled(true);
+                multimap_telemetry::global().clear();
+                run(Scale::Quick);
+                let merged = multimap_telemetry::global().merged();
+                multimap_telemetry::global().clear();
+                merged
+            })
+        };
+        let baseline = harvest(1);
+        assert!(baseline.counter_value(Counter::RequestsServiced) > 0);
+        for threads in [2usize, 4, 8] {
+            let merged = harvest(threads);
+            assert!(
+                merged.identical(&baseline),
+                "{label} registry record diverged at {threads} threads"
+            );
+        }
     }
 }

@@ -40,8 +40,8 @@
 //!   design kept them on an exhaustively-rescanned side list; under
 //!   SPTF starvation they are preferentially left behind and grew to
 //!   ~44% of a steady-state TCQ window, degrading selection back to a
-//!   linear rescan — see `BENCH_pr6.json`'s candidates-per-decision
-//!   trendline.)
+//!   linear rescan — the repo benchmark's
+//!   `disksim.candidates_per_decision` is the figure that would show it.)
 //! * Served slots are recycled through a free list, so memory — and the
 //!   cache footprint of the entry arena — is proportional to the live
 //!   window, not to the total number of requests streamed through a

@@ -21,8 +21,8 @@
 //!   returns results), so the merged totals — including every f64 sum —
 //!   are identical at any thread count.
 //!
-//! See `docs/observability.md` for the determinism rules and the
-//! `BENCH_pr5.json` field reference.
+//! See `docs/observability.md` for the determinism rules and for where
+//! the telemetry and fault numbers are recorded and checked.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
