@@ -648,40 +648,37 @@ fn translate_region(
     mapping: &dyn Mapping,
     region: &BoxRegion,
 ) -> Result<(Vec<Lbn>, Option<bool>)> {
-    let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
     // Large regions amortise a flat cell→LBN table (built once per
     // grid, shared process-wide); small ones — beams are `S_i` cells
     // — translate directly, as a table build would dwarf the query.
     if options.translation_cache && region.cells() >= MIN_CACHED_LOOKUPS {
         let (table, cache_hit) = shared_cache().translate_tracked(mapping)?;
-        let mut failed = None;
-        region.for_each_cell(|c| {
-            if failed.is_some() {
-                return;
-            }
-            match table.lbn_of(c) {
-                Ok(lbn) => lbns.push(lbn),
-                Err(e) => failed = Some(e),
-            }
-        });
-        return match failed {
-            Some(e) => Err(e.into()),
-            None => Ok((lbns, Some(cache_hit))),
-        };
+        let lbns = collect_lbns(region, |c| table.lbn_of(c))?;
+        return Ok((lbns, Some(cache_hit)));
     }
+    Ok((collect_lbns(region, |c| mapping.lbn_of(c))?, None))
+}
+
+/// `lbn_of` over every cell of `region` in row-major order, stopping at
+/// the first cell it refuses.
+fn collect_lbns(
+    region: &BoxRegion,
+    lbn_of: impl Fn(&[u64]) -> multimap_core::Result<Lbn>,
+) -> Result<Vec<Lbn>> {
+    let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
     let mut failed = None;
     region.for_each_cell(|c| {
         if failed.is_some() {
             return;
         }
-        match mapping.lbn_of(c) {
+        match lbn_of(c) {
             Ok(lbn) => lbns.push(lbn),
             Err(e) => failed = Some(e),
         }
     });
     match failed {
         Some(e) => Err(e.into()),
-        None => Ok((lbns, None)),
+        None => Ok(lbns),
     }
 }
 

@@ -115,6 +115,13 @@ pub fn check_naive_structural(m: &NaiveMapping) -> Verdict {
 /// owns a distinct rank and ranks are exactly `0..cells`, hence the image
 /// is the dense range `[base, base + cells·b)` and the table lookup in
 /// `coord_of` is the exact inverse.
+///
+/// `lbn_of` finds a key's rank through the rank directory instead of
+/// searching the whole table, so the directory is checked against the
+/// table too ([`check_rank_directory`]): with those invariants a key's
+/// rank lies in its bucket's slice, and a bucket of `2^shift` strictly
+/// ascending keys that all share their high bits holds every value once,
+/// which is what the search-free `lo + (key & mask)` relies on.
 pub fn check_curve_structural<C>(m: &CurveMapping<C>) -> Verdict
 where
     C: SpaceFillingCurve + Send + Sync,
@@ -131,8 +138,55 @@ where
             w[0], w[1]
         ));
     }
+    let (dir, shift) = m.rank_directory();
+    check_rank_directory(keys, dir, shift, &mut details);
     spot_check_roundtrip(m, &mut details);
     verdict("rank-table", details)
+}
+
+/// The rank-directory invariants over a sorted key table: `dir` starts
+/// at 0, never decreases, ends at `keys.len()`, and every key in
+/// `keys[dir[b]..dir[b+1]]` has `key >> shift == b` — so `dir[b]` is
+/// exactly the number of keys below `b << shift`.
+pub fn check_rank_directory(keys: &[u64], dir: &[u32], shift: u32, details: &mut Vec<String>) {
+    if shift >= 64 {
+        details.push(format!("directory shift {shift} is not below 64"));
+        return;
+    }
+    if dir.first() != Some(&0) {
+        details.push(format!("directory starts at {:?}, not 0", dir.first()));
+    }
+    if dir.last().map(|&n| n as usize) != Some(keys.len()) {
+        details.push(format!(
+            "directory ends at {:?} for {} keys",
+            dir.last(),
+            keys.len()
+        ));
+    }
+    for (bucket, w) in dir.windows(2).enumerate() {
+        if details.len() >= 8 {
+            return;
+        }
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        if lo > hi {
+            details.push(format!(
+                "directory decreases at bucket {bucket}: {lo} then {hi}"
+            ));
+            continue;
+        }
+        let Some(slice) = keys.get(lo..hi) else {
+            details.push(format!(
+                "bucket {bucket} slice {lo}..{hi} leaves the key table"
+            ));
+            continue;
+        };
+        if let Some(key) = slice.iter().find(|&&k| k >> shift != bucket as u64) {
+            details.push(format!(
+                "key {key} filed under bucket {bucket} but {key} >> {shift} = {}",
+                key >> shift
+            ));
+        }
+    }
 }
 
 /// Structural proof for [`MultiMapping`] — the stride/symmetry argument.
@@ -360,6 +414,35 @@ mod tests {
         assert!(!check_curve_structural(&z).is_violation());
         let mm = MultiMapping::new(&geom, grid).unwrap();
         assert!(!check_multimap_structural(&mm).is_violation());
+    }
+
+    #[test]
+    fn rank_directory_check_goes_red_on_each_broken_invariant() {
+        // Buckets of four values: {0,1,2,3} full, {5,6} cut, {} empty, {12}.
+        let keys = [0u64, 1, 2, 3, 5, 6, 12];
+        let good = [0u32, 4, 6, 6, 7];
+        let failures = |dir: &[u32], shift| {
+            let mut details = Vec::new();
+            check_rank_directory(&keys, dir, shift, &mut details);
+            details
+        };
+        assert_eq!(failures(&good, 2), Vec::<String>::new());
+        for (bad, why) in [
+            ([1u32, 4, 6, 6, 7], "starts at"),
+            ([0, 4, 6, 6, 6], "ends at"),
+            ([0, 4, 6, 5, 7], "decreases"),
+            ([0, 3, 6, 6, 7], "filed under bucket 1"),
+            ([0, 4, 7, 7, 7], "filed under bucket 1"),
+            ([0, 4, 6, 6, 9], "leaves the key table"),
+        ] {
+            let details = failures(&bad, 2);
+            assert!(
+                details.iter().any(|d| d.contains(why)),
+                "{bad:?}: expected {why:?} in {details:?}"
+            );
+        }
+        assert!(!failures(&good, 3).is_empty(), "wrong shift must fail");
+        assert!(!failures(&good, 64).is_empty());
     }
 
     #[test]
