@@ -162,7 +162,7 @@ fn main() {
     let registry = multimap_telemetry::global();
     if multimap_telemetry::enabled() && !registry.is_empty() {
         let path = out_dir.join("telemetry.json");
-        let result = std::fs::write(&path, format!("{}\n", registry.to_json()));
+        let result = std::fs::write(&path, registry.to_json());
         if saved("telemetry.json", result) {
             println!("telemetry -> {}", path.display());
         }

@@ -16,7 +16,6 @@
 //! Floats are written with Rust's shortest round-trip formatting, so a
 //! comparison after parse-back is exact to the bit.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use multimap_disksim::{
@@ -26,7 +25,7 @@ use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::json::{self, Value};
+use multimap_telemetry::json::{self, Value};
 
 /// One entry of the golden workload matrix.
 pub struct GoldenCase {
@@ -152,23 +151,23 @@ pub fn trace_to_json(case: &GoldenCase, trace: &Trace) -> Value {
         .records()
         .iter()
         .map(|r| {
-            let mut m = BTreeMap::new();
-            m.insert("start_ms".into(), Value::Num(r.start_ms));
-            m.insert("lbn".into(), Value::Num(r.lbn as f64));
-            m.insert("nblocks".into(), Value::Num(r.nblocks as f64));
-            m.insert("overhead_ms".into(), Value::Num(r.overhead_ms));
-            m.insert("seek_ms".into(), Value::Num(r.seek_ms));
-            m.insert("rotation_ms".into(), Value::Num(r.rotation_ms));
-            m.insert("transfer_ms".into(), Value::Num(r.transfer_ms));
-            Value::Obj(m)
+            Value::obj([
+                ("start_ms", r.start_ms.into()),
+                ("lbn", r.lbn.into()),
+                ("nblocks", r.nblocks.into()),
+                ("overhead_ms", r.overhead_ms.into()),
+                ("seek_ms", r.seek_ms.into()),
+                ("rotation_ms", r.rotation_ms.into()),
+                ("transfer_ms", r.transfer_ms.into()),
+            ])
         })
         .collect();
-    let mut top = BTreeMap::new();
-    top.insert("profile".into(), Value::Str(case.profile.into()));
-    top.insert("workload".into(), Value::Str(case.workload.into()));
-    top.insert("policy".into(), Value::Str(format!("{:?}", case.policy)));
-    top.insert("records".into(), Value::Arr(records));
-    Value::Obj(top)
+    Value::obj([
+        ("profile", case.profile.into()),
+        ("workload", case.workload.into()),
+        ("policy", format!("{:?}", case.policy).into()),
+        ("records", Value::Arr(records)),
+    ])
 }
 
 /// Parse the record stream back out of a golden file.

@@ -48,7 +48,6 @@
 pub mod differential;
 pub mod fault;
 pub mod golden;
-pub mod json;
 pub mod matrix;
 pub mod oracle;
 pub mod serving;

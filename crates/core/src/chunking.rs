@@ -7,12 +7,10 @@
 //! local coordinate), chunk extents at dataset edges, and a deterministic
 //! chunk→disk assignment hook.
 
-use serde::{Deserialize, Serialize};
-
 use crate::grid::{Coord, GridSpec};
 
 /// A dataset partitioned into axis-aligned chunks.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkedDataset {
     global: GridSpec,
     chunk_extents: Vec<u64>,

@@ -4,13 +4,11 @@
 //! grid of *cells* (Section 4): each cell is the unit of allocation and
 //! transfer and occupies one (or a few) disk blocks.
 
-use serde::{Deserialize, Serialize};
-
 /// An N-dimensional coordinate.
 pub type Coord = Vec<u64>;
 
 /// The shape of a gridded dataset: the extent `S_i` of every dimension.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GridSpec {
     extents: Vec<u64>,
 }
@@ -98,7 +96,7 @@ impl GridSpec {
 }
 
 /// An axis-aligned box of cells with **inclusive** bounds.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BoxRegion {
     lo: Vec<u64>,
     hi: Vec<u64>,

@@ -16,8 +16,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DiskError, Result};
 
 /// Logical block number. One LBN addresses one 512-byte sector.
@@ -59,7 +57,7 @@ pub const SECTOR_BYTES: u32 = 512;
 pub const ROTATION_WRAP_GUARD: f64 = 1e-9;
 
 /// A declarative zone description used when building a [`DiskGeometry`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ZoneSpec {
     /// Number of cylinders in this zone.
     pub cylinders: u32,
@@ -70,7 +68,7 @@ pub struct ZoneSpec {
 /// A fully resolved zone with its absolute cylinder/track/LBN offsets
 /// and the drive-only timing constants every rotational computation in
 /// the zone needs (resolved once by [`DiskBuilder::build`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Zone {
     /// Index of this zone on the disk (0 = outermost).
     pub index: usize,
@@ -129,7 +127,7 @@ pub struct Location {
 ///
 /// Build one with [`DiskBuilder`] or use a canned profile from
 /// [`crate::profiles`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiskGeometry {
     /// Human-readable model name. Shared, like the zone table, so a
     /// clone allocates nothing.

@@ -1,11 +1,9 @@
 //! Aggregated access statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::RequestTiming;
 
 /// Running totals over every request serviced by a [`crate::DiskSim`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AccessStats {
     /// Number of requests serviced.
     pub requests: u64,

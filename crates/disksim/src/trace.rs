@@ -3,14 +3,12 @@
 
 // staticcheck: allow-file(det-float-sum) — every reduction here sums the append-only `records` Vec in service (push) order; accumulation is single-threaded, so the f64 sums are order-pinned and replayable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Result;
 use crate::geometry::Lbn;
 use crate::sim::{DiskSim, Request, RequestTiming};
 
 /// One traced request.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
     /// Simulated time the request started service (ms).
     pub start_ms: f64,
@@ -36,7 +34,7 @@ impl TraceRecord {
 }
 
 /// A recorded sequence of serviced requests.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

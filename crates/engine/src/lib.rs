@@ -155,12 +155,10 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let scope_result = crossbeam::thread::scope(|scope| {
+    let mut pairs = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(|| {
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -173,28 +171,23 @@ where
                 })
             })
             .collect();
+        // Join every worker before re-raising, so no cell is still
+        // running (or borrowing `items`) when the caller sees the panic.
         let mut pairs: Vec<(usize, T)> = Vec::with_capacity(n);
         let mut first_panic = None;
         for h in handles {
             match h.join() {
                 Ok(mut local) => pairs.append(&mut local),
                 Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
+                    first_panic.get_or_insert(payload);
                 }
             }
         }
-        match first_panic {
-            None => Ok(pairs),
-            Some(payload) => Err(payload),
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
         }
+        pairs
     });
-
-    let mut pairs = match scope_result {
-        Ok(Ok(pairs)) => pairs,
-        Ok(Err(payload)) | Err(payload) => resume_unwind(payload),
-    };
     pairs.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(pairs.len(), n, "every submitted cell must report");
     pairs.into_iter().map(|(_, v)| v).collect()
@@ -290,15 +283,22 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..64).collect();
+        let finished = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(|| {
             with_override(4, || {
                 sweep(&items, |&x| {
                     assert!(x != 13, "cell 13 exploded");
+                    finished.fetch_add(1, Ordering::SeqCst);
                     x
                 })
             })
         });
-        assert!(caught.is_err(), "a panicking cell must fail the sweep");
+        let payload = caught.expect_err("a panicking cell must fail the sweep");
+        // The worker's own payload is what reaches the caller...
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell 13 exploded"));
+        // ...and only once the surviving workers have drained every
+        // other cell and joined.
+        assert_eq!(finished.load(Ordering::SeqCst), items.len() - 1);
     }
 
     #[test]

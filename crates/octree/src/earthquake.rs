@@ -10,12 +10,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::tree::{BoxRefinement, Octree};
 
 /// Generator parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EarthquakeConfig {
     /// Domain is a cube of side `2^max_level` finest units.
     pub max_level: u32,

@@ -9,15 +9,13 @@
 //! growing merges axis-aligned neighbouring cubes (and the boxes they
 //! form) of the *same leaf level* whenever their union is again a box.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tree::{Leaf, Octree};
 
 /// An axis-aligned box of same-level octree leaves.
 ///
 /// Bounds are inclusive and expressed in *cells of that level* (cell side
 /// = `2^(max_level - level)` finest units).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UniformRegion {
     /// Leaf level of every cell in the region.
     pub level: u32,

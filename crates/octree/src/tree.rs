@@ -6,10 +6,8 @@
 //! uses (Tu & O'Hallaron): elements of variable size, each a leaf of the
 //! octree.
 
-use serde::{Deserialize, Serialize};
-
 /// A leaf element of the octree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Leaf {
     /// Subdivision level (0 = the whole domain).
     pub level: u32,
@@ -45,7 +43,7 @@ pub trait Refinement {
 /// Refinement driven by a background level plus boxes requiring deeper
 /// resolution — the shape of seismic ground-motion meshes (dense near
 /// soft soil / the fault, coarse elsewhere).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BoxRefinement {
     /// Level used where no box applies.
     pub background: u32,

@@ -1,5 +1,6 @@
 //! Per-tenant SLO reports and the scenario-level serving report.
 
+use multimap_telemetry::json::Value;
 use multimap_telemetry::{Histogram, Metrics};
 
 /// How one submitted request ended.
@@ -168,53 +169,34 @@ impl ServingReport {
     /// Deterministic JSON summary (no trace — counters, SLO quantiles,
     /// and the digest), stable enough to diff byte-for-byte.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let quant = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.3}"),
-            None => "null".to_string(),
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"backend\": \"{}\",", self.backend);
-        let _ = writeln!(out, "  \"mapping\": \"{}\",", self.mapping);
-        let _ = writeln!(out, "  \"policy\": \"{}\",", self.policy);
-        let _ = writeln!(out, "  \"batches\": {},", self.batches);
-        let _ = writeln!(out, "  \"dispatched_requests\": {},", self.dispatched_requests);
-        let _ = writeln!(out, "  \"makespan_ms\": {:.6},", self.makespan_ms);
-        let _ = writeln!(out, "  \"digest\": \"{:016x}\",", self.digest);
-        let _ = writeln!(out, "  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            let comma = if i + 1 < self.tenants.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"submitted\": {}, \"admitted\": {}, \"completed\": {}, \
-                 \"shed_deadline\": {}, \"rejected_queue_full\": {}, \"disk_requests\": {}, \
-                 \"p50_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \"mean_ms\": {}, \"max_ms\": {}}}{comma}",
-                t.name,
-                t.submitted,
-                t.admitted,
-                t.completed,
-                t.shed_deadline,
-                t.rejected_queue_full,
-                t.disk_requests,
-                quant(t.p50()),
-                quant(t.p99()),
-                quant(t.p999()),
-                if t.latency.count() == 0 {
-                    "null".to_string()
-                } else {
-                    format!("{:.6}", t.latency.mean_ms())
-                },
-                if t.latency.count() == 0 {
-                    "null".to_string()
-                } else {
-                    format!("{:.6}", t.latency.max_ms())
-                },
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        out
+        let tenants = self.tenants.iter().map(|t| {
+            let measured = t.latency.count() > 0;
+            Value::obj([
+                ("name", t.name.as_str().into()),
+                ("submitted", t.submitted.into()),
+                ("admitted", t.admitted.into()),
+                ("completed", t.completed.into()),
+                ("shed_deadline", t.shed_deadline.into()),
+                ("rejected_queue_full", t.rejected_queue_full.into()),
+                ("disk_requests", t.disk_requests.into()),
+                ("p50_ms", t.p50().into()),
+                ("p99_ms", t.p99().into()),
+                ("p999_ms", t.p999().into()),
+                ("mean_ms", measured.then(|| t.latency.mean_ms()).into()),
+                ("max_ms", measured.then(|| t.latency.max_ms()).into()),
+            ])
+        });
+        Value::obj([
+            ("backend", self.backend.as_str().into()),
+            ("mapping", self.mapping.as_str().into()),
+            ("policy", self.policy.as_str().into()),
+            ("batches", self.batches.into()),
+            ("dispatched_requests", self.dispatched_requests.into()),
+            ("makespan_ms", self.makespan_ms.into()),
+            ("digest", format!("{:016x}", self.digest).into()),
+            ("tenants", Value::Arr(tenants.collect())),
+        ])
+        .to_pretty()
     }
 }
 

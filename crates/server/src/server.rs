@@ -510,6 +510,22 @@ mod tests {
     }
 
     #[test]
+    fn a_tenant_name_with_quotes_and_backslashes_survives_the_json_report() {
+        let mut s = scenario(FairnessPolicy::Fifo);
+        s.tenants[0].name = "a\"b\\".to_string();
+        let report = serve_scenario(&volume(), &mapping(), &s).unwrap();
+        let parsed = multimap_telemetry::json::parse(&report.to_json())
+            .expect("the report is valid JSON whatever a tenant is called");
+        let tenants = parsed.get("tenants").and_then(|t| t.as_arr()).unwrap();
+        assert_eq!(tenants.len(), s.tenants.len());
+        assert_eq!(tenants[0].get("name").and_then(|n| n.as_str()), Some("a\"b\\"));
+        assert_eq!(
+            tenants[0].get("completed").and_then(|c| c.as_u64()),
+            Some(report.tenants[0].completed)
+        );
+    }
+
+    #[test]
     fn naive_mapping_serves_the_same_population() {
         let v = volume();
         let m = NaiveMapping::new(small_grid(), 0);

@@ -5,10 +5,9 @@
 //! layouts the same granularity keeps allocations trivially disjoint.
 
 use multimap_disksim::{DiskGeometry, Lbn};
-use serde::{Deserialize, Serialize};
 
 /// A contiguous range of zones handed to one table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ZoneGrant {
     /// Disk index within the volume.
     pub disk: usize,

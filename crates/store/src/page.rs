@@ -16,7 +16,6 @@
 //! what goes in them. `CellPage::capacity(record_len)` is exactly the
 //! paper's "cell capacity" that the fill factor multiplies.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use multimap_disksim::SECTOR_BYTES;
 
 /// Magic tag marking a formatted cell page.
@@ -29,7 +28,7 @@ const HEADER: usize = 4;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellPage {
     record_len: usize,
-    records: Vec<Bytes>,
+    records: Vec<Vec<u8>>,
 }
 
 /// Errors decoding a page.
@@ -106,43 +105,44 @@ impl CellPage {
         if self.is_full() {
             return Err(PageError::Full);
         }
-        self.records.push(Bytes::copy_from_slice(record));
+        self.records.push(record.to_vec());
         Ok(())
     }
 
     /// Iterate the records.
-    pub fn records(&self) -> impl Iterator<Item = &Bytes> {
-        self.records.iter()
+    pub fn records(&self) -> impl Iterator<Item = &[u8]> {
+        self.records.iter().map(Vec::as_slice)
     }
 
     /// Serialise to exactly one 512-byte sector.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(SECTOR_BYTES as usize);
-        buf.put_u16_le(MAGIC);
-        buf.put_u16_le(self.records.len() as u16);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(SECTOR_BYTES as usize);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&(self.records.len() as u16).to_le_bytes());
         for r in &self.records {
-            buf.put_slice(r);
+            buf.extend_from_slice(r);
         }
         buf.resize(SECTOR_BYTES as usize, 0);
-        buf.freeze()
+        buf
     }
 
     /// Parse a 512-byte sector back into a page.
-    pub fn from_bytes(mut data: Bytes, record_len: usize) -> Result<Self, PageError> {
+    pub fn from_bytes(data: &[u8], record_len: usize) -> Result<Self, PageError> {
         if data.len() != SECTOR_BYTES as usize {
             return Err(PageError::WrongSize);
         }
-        if data.get_u16_le() != MAGIC {
+        let (header, body) = data.split_at(HEADER);
+        if u16::from_le_bytes([header[0], header[1]]) != MAGIC {
             return Err(PageError::BadMagic);
         }
-        let count = data.get_u16_le() as usize;
+        let count = u16::from_le_bytes([header[2], header[3]]) as usize;
         if count > Self::capacity(record_len) as usize {
             return Err(PageError::CorruptCount);
         }
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(data.split_to(record_len));
-        }
+        // In bounds: `count` is at most `capacity(record_len)`.
+        let records = (0..count)
+            .map(|i| body[i * record_len..(i + 1) * record_len].to_vec())
+            .collect();
         Ok(CellPage {
             record_len,
             records,
@@ -171,10 +171,10 @@ mod tests {
         }
         let bytes = p.to_bytes();
         assert_eq!(bytes.len(), 512);
-        let back = CellPage::from_bytes(bytes, 16).unwrap();
+        let back = CellPage::from_bytes(&bytes, 16).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.len(), 10);
-        assert_eq!(back.records().nth(3).unwrap().as_ref(), &[3u8; 16]);
+        assert_eq!(back.records().nth(3).unwrap(), &[3u8; 16]);
     }
 
     #[test]
@@ -192,21 +192,14 @@ mod tests {
         let mut p = CellPage::new(16);
         assert_eq!(p.push(&[0; 15]), Err(PageError::WrongRecordLen));
         assert_eq!(
-            CellPage::from_bytes(Bytes::from_static(&[0u8; 100]), 16),
+            CellPage::from_bytes(&[0u8; 100], 16),
             Err(PageError::WrongSize)
         );
-        let zeros = Bytes::from(vec![0u8; 512]);
-        assert_eq!(CellPage::from_bytes(zeros, 16), Err(PageError::BadMagic));
+        assert_eq!(CellPage::from_bytes(&[0u8; 512], 16), Err(PageError::BadMagic));
         // Corrupt count.
-        let mut buf = bytes::BytesMut::zeroed(512);
-        buf[0] = 0x4D;
-        buf[1] = 0x4D;
-        buf[2] = 0xFF;
-        buf[3] = 0x00;
-        assert_eq!(
-            CellPage::from_bytes(buf.freeze(), 16),
-            Err(PageError::CorruptCount)
-        );
+        let mut buf = [0u8; 512];
+        buf[..4].copy_from_slice(&[0x4D, 0x4D, 0xFF, 0x00]);
+        assert_eq!(CellPage::from_bytes(&buf, 16), Err(PageError::CorruptCount));
     }
 
     #[test]

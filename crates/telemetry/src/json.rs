@@ -1,9 +1,12 @@
-//! Minimal JSON reader/writer for golden-trace files.
+//! The workspace's one JSON reader/writer.
 //!
-//! The vendored serde stand-in has no serializer, so the golden-trace
-//! harness carries its own: a small [`Value`] tree, a strict parser, and
-//! a writer that prints `f64`s with Rust's shortest round-trip `Display`
-//! so written files parse back bit-identical.
+//! A small [`Value`] tree, a strict parser, and a writer that prints
+//! `f64`s with Rust's shortest round-trip `Display`, so written files
+//! parse back bit-identical. Every JSON document the workspace emits —
+//! [`Metrics`](crate::Metrics) and [`Registry`](crate::Registry)
+//! snapshots, serving reports, golden traces, static-analysis reports —
+//! is built as a `Value` and printed by [`Value::to_pretty`], so string
+//! escaping and number formatting live here and nowhere else.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,7 +20,7 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number (parsed as `f64`).
     Num(f64),
-    /// A string (no escape sequences beyond the JSON basics).
+    /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
@@ -25,7 +28,46 @@ pub enum Value {
     Obj(BTreeMap<String, Value>),
 }
 
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Num(n)
+    }
+}
+
+/// Counts are exact up to 2^53, which every counter in the workspace
+/// stays far below.
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+/// `None` is `null`: the "no measurement" convention of every report.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
 impl Value {
+    /// An object from `(key, value)` pairs; a repeated key keeps the
+    /// last value.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -121,7 +163,7 @@ impl Value {
 /// Numbers print via Rust's shortest-round-trip `Display`, so parsing
 /// the output recovers the exact bit pattern.
 fn write_number(out: &mut String, n: f64) {
-    debug_assert!(n.is_finite(), "golden traces never contain NaN/inf");
+    debug_assert!(n.is_finite(), "reports never contain NaN/inf");
     let _ = write!(out, "{n}");
 }
 

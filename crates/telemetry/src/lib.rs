@@ -6,7 +6,7 @@
 //! outputs, never its inputs, so every figure TSV is byte-identical
 //! with telemetry on or off.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`MetricsSink`] — the trait the executor records into. The default
 //!   implementation is [`Metrics`], a plain accumulator each unit of
@@ -20,6 +20,9 @@
 //!   cell and merges them **in submission order** (the order `sweep`
 //!   returns results), so the merged totals — including every f64 sum —
 //!   are identical at any thread count.
+//! * [`json`] — the workspace's one JSON [`Value`](json::Value), writer
+//!   and parser. Every report (metrics, serving, golden traces, static
+//!   analysis) is printed through it.
 //!
 //! See `docs/observability.md` for the determinism rules and for where
 //! the telemetry and fault numbers are recorded and checked.
@@ -28,6 +31,7 @@
 #![deny(missing_docs)]
 
 mod hist;
+pub mod json;
 mod metrics;
 mod registry;
 

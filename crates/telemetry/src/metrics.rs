@@ -1,8 +1,7 @@
 //! The sink trait, counters, phases, spans and the default accumulator.
 
-use std::fmt::Write as _;
-
 use crate::hist::Histogram;
+use crate::json::Value;
 
 /// Minimum lookups a hit/miss pair needs before its rate is reported:
 /// below this, [`Metrics::hit_rate_floored`] answers `None` and reports
@@ -10,81 +9,81 @@ use crate::hist::Histogram;
 /// not steady state.
 pub const HIT_RATE_FLOOR: u64 = 256;
 
-/// Service-time components, as charged by the disk simulator.
-///
-/// The simulator's `RequestTiming` folds seek, settle and head-switch
-/// time into one positioning figure; telemetry splits it back out by
-/// classifying each transition against the geometry's settle plateau
-/// (`ServiceEvent::transition` in `multimap-disksim`): positioning that
-/// fits under the plateau is an adjacency hop and lands in
-/// [`Phase::Settle`], anything longer is a real [`Phase::Seek`]. The
-/// phase sums add up *exactly* to the observed total service time —
-/// the conformance oracle checks this. Requests that hit an injected
-/// fault additionally charge their retry/remap time to
-/// [`Phase::Recovery`]; fault-free runs never record that phase, so
-/// their metrics stay bit-identical to builds without fault support.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Command/controller overhead.
-    Overhead,
-    /// Positioning beyond the settle plateau (a real arm movement).
-    Seek,
-    /// Positioning within the settle plateau (adjacency hops and head
-    /// switches — the semi-sequential currency of the paper).
-    Settle,
-    /// Rotational latency.
-    Rotation,
-    /// Media transfer.
-    Transfer,
-    /// Fault-recovery time: retry backoff, timeout burn and the extra
-    /// positioning paid by remapped (degraded) segments.
-    Recovery,
-    /// Cache write-back flush time — a *memo* phase: the flush batch
-    /// total recorded by the page cache's write-back batcher on top of
-    /// the per-event decomposition (which already lands in the phases
-    /// above). Excluded from [`Metrics::phase_sum_ms`] so the
-    /// phase-sum = total-service-time reconciliation stays exact; it
-    /// labels how much of that total was write-back traffic.
-    Writeback,
+/// Declares one observation enum from its single table: each row is a
+/// variant, its doc comment and its stable snake_case name. `ALL`,
+/// `name()` and the storage index all derive from the row order, so
+/// adding an observation is a one-row edit.
+macro_rules! schema {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident => $snake:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $name {
+            /// Every variant, in reporting order.
+            pub const ALL: [$name; [$($snake),+].len()] = [$($name::$variant),+];
+
+            /// Stable snake_case name (JSON field).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $snake, )+
+                }
+            }
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+schema! {
+    /// Service-time components, as charged by the disk simulator.
+    ///
+    /// The simulator's `RequestTiming` folds seek, settle and head-switch
+    /// time into one positioning figure; telemetry splits it back out by
+    /// classifying each transition against the geometry's settle plateau
+    /// (`ServiceEvent::transition` in `multimap-disksim`): positioning that
+    /// fits under the plateau is an adjacency hop and lands in
+    /// [`Phase::Settle`], anything longer is a real [`Phase::Seek`]. The
+    /// phase sums add up *exactly* to the observed total service time —
+    /// the conformance oracle checks this. Requests that hit an injected
+    /// fault additionally charge their retry/remap time to
+    /// [`Phase::Recovery`]; fault-free runs never record that phase, so
+    /// their metrics stay bit-identical to builds without fault support.
+    pub enum Phase {
+        /// Command/controller overhead.
+        Overhead => "overhead",
+        /// Positioning beyond the settle plateau (a real arm movement).
+        Seek => "seek",
+        /// Positioning within the settle plateau (adjacency hops and head
+        /// switches — the semi-sequential currency of the paper).
+        Settle => "settle",
+        /// Rotational latency.
+        Rotation => "rotation",
+        /// Media transfer.
+        Transfer => "transfer",
+        /// Fault-recovery time: retry backoff, timeout burn and the extra
+        /// positioning paid by remapped (degraded) segments.
+        Recovery => "recovery",
+        /// Cache write-back flush time — a *memo* phase: the flush batch
+        /// total recorded by the page cache's write-back batcher on top of
+        /// the per-event decomposition (which already lands in the phases
+        /// above). Excluded from [`Metrics::phase_sum_ms`] so the
+        /// phase-sum = total-service-time reconciliation stays exact; it
+        /// labels how much of that total was write-back traffic.
+        Writeback => "writeback",
+    }
 }
 
 impl Phase {
-    /// Every phase, in reporting order.
-    pub const ALL: [Phase; 7] = [
-        Phase::Overhead,
-        Phase::Seek,
-        Phase::Settle,
-        Phase::Rotation,
-        Phase::Transfer,
-        Phase::Recovery,
-        Phase::Writeback,
-    ];
-
-    /// Stable snake_case name (JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Overhead => "overhead",
-            Phase::Seek => "seek",
-            Phase::Settle => "settle",
-            Phase::Rotation => "rotation",
-            Phase::Transfer => "transfer",
-            Phase::Recovery => "recovery",
-            Phase::Writeback => "writeback",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Overhead => 0,
-            Phase::Seek => 1,
-            Phase::Settle => 2,
-            Phase::Rotation => 3,
-            Phase::Transfer => 4,
-            Phase::Recovery => 5,
-            Phase::Writeback => 6,
-        }
-    }
-
     /// Whether this phase is a memo line (an overlay labelling part of
     /// the total) rather than a disjoint component of service time.
     /// Memo phases are excluded from [`Metrics::phase_sum_ms`].
@@ -93,189 +92,81 @@ impl Phase {
     }
 }
 
-/// Event counters on the service path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Retired: the scheduler's per-round seek memo is gone, so nothing
-    /// records this counter and it always reads zero. The name stays
-    /// until the repo benchmark stops reading it.
-    SeekMemoHit,
-    /// Retired, always zero (see [`Counter::SeekMemoHit`]).
-    SeekMemoMiss,
-    /// Region translations served from the shared flat-table cache.
-    TranslationCacheHit,
-    /// Region translations that built (or bypassed) a flat table.
-    TranslationCacheMiss,
-    /// Queued-SPTF serves that evicted a request from a full window to
-    /// admit the next pending one (SCSI TCQ window pressure).
-    SptfWindowEviction,
-    /// Transitions that settled within the adjacency plateau
-    /// (semi-sequential hops).
-    AdjacencyHop,
-    /// Transitions that paid a real seek.
-    SeekTransition,
-    /// Requests that continued the previous read-ahead stream.
-    PrefetchHit,
-    /// Requests serviced.
-    RequestsServiced,
-    /// Injected transient (timeout) faults observed on the service path.
-    TransientFault,
-    /// Injected hard media errors observed on the service path.
-    MediaFault,
-    /// Injected slow-read tail-latency events observed.
-    SlowRead,
-    /// Retries issued by the recovery path (one per transient, with the
-    /// bounded-retry policy — the conformance sweep checks equality).
-    RetryAttempt,
-    /// Hard-failed blocks remapped into a track's spare region.
-    BadBlockRemap,
-    /// Rotational-band buckets scanned by the incremental SPTF
-    /// selector; zero when batches ran on the linear reference scan.
-    SptfBucketScan,
-    /// Candidate service-time estimates evaluated during SPTF selection
-    /// (reference scan: every pending request per serve; incremental
-    /// selector: only candidates its pruning bounds cannot exclude).
-    SptfCandidateExamined,
-    /// Incremental selector structure repairs (admissions + removals).
-    SptfSelectorRepair,
-    /// Page-cache probes answered from a resident page (no disk I/O).
-    PageCacheHit,
-    /// Page-cache probes that fell through to a demand read.
-    PageCacheMiss,
-    /// Pages fetched speculatively by the cache's prefetcher (batched
-    /// with the demand reads, riding the same scheduler).
-    CachePrefetchIssued,
-    /// First hit on a page the prefetcher brought in — a prefetch that
-    /// paid off. Never exceeds [`Counter::CachePrefetchIssued`].
-    CachePrefetchUsed,
-    /// Dirty pages written out by the write-back batcher.
-    WritebackFlush,
-    /// Neighbor-track rewrites an IMR backend performed to preserve
-    /// interlaced top tracks across bottom-track writes (read-modify-
-    /// write amplification observed by the device store's flusher).
-    NeighborRewrite,
-}
-
-impl Counter {
-    /// Every counter, in reporting order.
-    pub const ALL: [Counter; 23] = [
-        Counter::SeekMemoHit,
-        Counter::SeekMemoMiss,
-        Counter::TranslationCacheHit,
-        Counter::TranslationCacheMiss,
-        Counter::SptfWindowEviction,
-        Counter::AdjacencyHop,
-        Counter::SeekTransition,
-        Counter::PrefetchHit,
-        Counter::RequestsServiced,
-        Counter::TransientFault,
-        Counter::MediaFault,
-        Counter::SlowRead,
-        Counter::RetryAttempt,
-        Counter::BadBlockRemap,
-        Counter::SptfBucketScan,
-        Counter::SptfCandidateExamined,
-        Counter::SptfSelectorRepair,
-        Counter::PageCacheHit,
-        Counter::PageCacheMiss,
-        Counter::CachePrefetchIssued,
-        Counter::CachePrefetchUsed,
-        Counter::WritebackFlush,
-        Counter::NeighborRewrite,
-    ];
-
-    /// Stable snake_case name (JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SeekMemoHit => "seek_memo_hit",
-            Counter::SeekMemoMiss => "seek_memo_miss",
-            Counter::TranslationCacheHit => "translation_cache_hit",
-            Counter::TranslationCacheMiss => "translation_cache_miss",
-            Counter::SptfWindowEviction => "sptf_window_eviction",
-            Counter::AdjacencyHop => "adjacency_hop",
-            Counter::SeekTransition => "seek_transition",
-            Counter::PrefetchHit => "prefetch_hit",
-            Counter::RequestsServiced => "requests_serviced",
-            Counter::TransientFault => "transient_fault",
-            Counter::MediaFault => "media_fault",
-            Counter::SlowRead => "slow_read",
-            Counter::RetryAttempt => "retry_attempt",
-            Counter::BadBlockRemap => "bad_block_remap",
-            Counter::SptfBucketScan => "sptf_bucket_scan",
-            Counter::SptfCandidateExamined => "sptf_candidate_examined",
-            Counter::SptfSelectorRepair => "sptf_selector_repair",
-            Counter::PageCacheHit => "page_cache_hit",
-            Counter::PageCacheMiss => "page_cache_miss",
-            Counter::CachePrefetchIssued => "cache_prefetch_issued",
-            Counter::CachePrefetchUsed => "cache_prefetch_used",
-            Counter::WritebackFlush => "writeback_flush",
-            Counter::NeighborRewrite => "neighbor_rewrite",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Counter::SeekMemoHit => 0,
-            Counter::SeekMemoMiss => 1,
-            Counter::TranslationCacheHit => 2,
-            Counter::TranslationCacheMiss => 3,
-            Counter::SptfWindowEviction => 4,
-            Counter::AdjacencyHop => 5,
-            Counter::SeekTransition => 6,
-            Counter::PrefetchHit => 7,
-            Counter::RequestsServiced => 8,
-            Counter::TransientFault => 9,
-            Counter::MediaFault => 10,
-            Counter::SlowRead => 11,
-            Counter::RetryAttempt => 12,
-            Counter::BadBlockRemap => 13,
-            Counter::SptfBucketScan => 14,
-            Counter::SptfCandidateExamined => 15,
-            Counter::SptfSelectorRepair => 16,
-            Counter::PageCacheHit => 17,
-            Counter::PageCacheMiss => 18,
-            Counter::CachePrefetchIssued => 19,
-            Counter::CachePrefetchUsed => 20,
-            Counter::WritebackFlush => 21,
-            Counter::NeighborRewrite => 22,
-        }
+schema! {
+    /// Event counters on the service path.
+    pub enum Counter {
+        /// Retired: the scheduler's per-round seek memo is gone, so nothing
+        /// records this counter and it always reads zero. The name stays
+        /// until the repo benchmark stops reading it.
+        SeekMemoHit => "seek_memo_hit",
+        /// Retired, always zero (see [`Counter::SeekMemoHit`]).
+        SeekMemoMiss => "seek_memo_miss",
+        /// Region translations served from the shared flat-table cache.
+        TranslationCacheHit => "translation_cache_hit",
+        /// Region translations that built (or bypassed) a flat table.
+        TranslationCacheMiss => "translation_cache_miss",
+        /// Queued-SPTF serves that evicted a request from a full window to
+        /// admit the next pending one (SCSI TCQ window pressure).
+        SptfWindowEviction => "sptf_window_eviction",
+        /// Transitions that settled within the adjacency plateau
+        /// (semi-sequential hops).
+        AdjacencyHop => "adjacency_hop",
+        /// Transitions that paid a real seek.
+        SeekTransition => "seek_transition",
+        /// Requests that continued the previous read-ahead stream.
+        PrefetchHit => "prefetch_hit",
+        /// Requests serviced.
+        RequestsServiced => "requests_serviced",
+        /// Injected transient (timeout) faults observed on the service path.
+        TransientFault => "transient_fault",
+        /// Injected hard media errors observed on the service path.
+        MediaFault => "media_fault",
+        /// Injected slow-read tail-latency events observed.
+        SlowRead => "slow_read",
+        /// Retries issued by the recovery path (one per transient, with the
+        /// bounded-retry policy — the conformance sweep checks equality).
+        RetryAttempt => "retry_attempt",
+        /// Hard-failed blocks remapped into a track's spare region.
+        BadBlockRemap => "bad_block_remap",
+        /// Rotational-band buckets scanned by the incremental SPTF
+        /// selector; zero when batches ran on the linear reference scan.
+        SptfBucketScan => "sptf_bucket_scan",
+        /// Candidate service-time estimates evaluated during SPTF selection
+        /// (reference scan: every pending request per serve; incremental
+        /// selector: only candidates its pruning bounds cannot exclude).
+        SptfCandidateExamined => "sptf_candidate_examined",
+        /// Incremental selector structure repairs (admissions + removals).
+        SptfSelectorRepair => "sptf_selector_repair",
+        /// Page-cache probes answered from a resident page (no disk I/O).
+        PageCacheHit => "page_cache_hit",
+        /// Page-cache probes that fell through to a demand read.
+        PageCacheMiss => "page_cache_miss",
+        /// Pages fetched speculatively by the cache's prefetcher (batched
+        /// with the demand reads, riding the same scheduler).
+        CachePrefetchIssued => "cache_prefetch_issued",
+        /// First hit on a page the prefetcher brought in — a prefetch that
+        /// paid off. Never exceeds [`Counter::CachePrefetchIssued`].
+        CachePrefetchUsed => "cache_prefetch_used",
+        /// Dirty pages written out by the write-back batcher.
+        WritebackFlush => "writeback_flush",
+        /// Neighbor-track rewrites an IMR backend performed to preserve
+        /// interlaced top tracks across bottom-track writes (read-modify-
+        /// write amplification observed by the device store's flusher).
+        NeighborRewrite => "neighbor_rewrite",
     }
 }
 
-/// Executor phases timed span-style (wall clock, *not* simulated time).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Span {
-    /// Fit checks and policy resolution.
-    Plan,
-    /// Cell→LBN translation (direct or via the flat-table cache).
-    Translate,
-    /// Request building, sorting and coalescing.
-    Schedule,
-    /// The simulated service call itself.
-    Service,
-}
-
-impl Span {
-    /// Every span, in reporting order.
-    pub const ALL: [Span; 4] = [Span::Plan, Span::Translate, Span::Schedule, Span::Service];
-
-    /// Stable snake_case name (JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Span::Plan => "plan",
-            Span::Translate => "translate",
-            Span::Schedule => "schedule",
-            Span::Service => "service",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Span::Plan => 0,
-            Span::Translate => 1,
-            Span::Schedule => 2,
-            Span::Service => 3,
-        }
+schema! {
+    /// Executor phases timed span-style (wall clock, *not* simulated time).
+    pub enum Span {
+        /// Fit checks and policy resolution.
+        Plan => "plan",
+        /// Cell→LBN translation (direct or via the flat-table cache).
+        Translate => "translate",
+        /// Request building, sorting and coalescing.
+        Schedule => "schedule",
+        /// The simulated service call itself.
+        Service => "service",
     }
 }
 
@@ -463,91 +354,54 @@ impl Metrics {
             && self.service.identical(&other.service)
     }
 
-    /// Render as a JSON object (two-space indent, stable field order).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "{inner}\"counters\": {{");
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            let comma = if i + 1 < Counter::ALL.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {}{comma}",
-                c.name(),
-                self.counter_value(*c)
-            );
-        }
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"hit_rates\": {{");
-        let rate = |r: Option<f64>| match r {
-            Some(v) => format!("{v:.4}"),
-            None => "null".to_string(),
-        };
-        // Low-volume pairs render as null (n/a): see `hit_rate_floored`.
-        let _ = writeln!(
-            out,
-            "{inner}  \"translation_cache\": {},",
-            rate(self.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss))
-        );
-        let _ = writeln!(
-            out,
-            "{inner}  \"page_cache\": {},",
-            rate(self.hit_rate(Counter::PageCacheHit, Counter::PageCacheMiss))
-        );
-        let _ = writeln!(
-            out,
-            "{inner}  \"cache_prefetch\": {}",
-            rate(self.prefetch_efficiency())
-        );
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"phases_ms\": {{");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            let comma = if i + 1 < Phase::ALL.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {}{comma}",
-                p.name(),
-                hist_json(self.phase_hist(*p))
-            );
-        }
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"service_ms\": {},", hist_json(&self.service));
-        let _ = writeln!(out, "{inner}\"spans_wall_ms\": {{");
-        for (i, s) in Span::ALL.iter().enumerate() {
-            let comma = if i + 1 < Span::ALL.len() { "," } else { "" };
-            let st = self.span_stat(*s);
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {{\"count\": {}, \"wall_ms\": {:.3}}}{comma}",
-                s.name(),
-                st.count,
-                st.wall_ms
-            );
-        }
-        let _ = writeln!(out, "{inner}}}");
-        let _ = write!(out, "{pad}}}");
-        out
+    /// Render as a JSON document (see [`crate::json`]: sorted keys,
+    /// shortest round-trip floats).
+    pub fn to_json(&self) -> String {
+        self.to_value().to_pretty()
+    }
+
+    /// The JSON tree behind [`Metrics::to_json`], for nesting in a
+    /// [`Registry`](crate::Registry) snapshot.
+    pub(crate) fn to_value(&self) -> Value {
+        let counters = Counter::ALL.map(|c| (c.name(), self.counter_value(c).into()));
+        // A low-volume translation pair renders as null: see `hit_rate_floored`.
+        let hit_rates = [
+            (
+                "translation_cache",
+                self.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss),
+            ),
+            ("page_cache", self.hit_rate(Counter::PageCacheHit, Counter::PageCacheMiss)),
+            ("cache_prefetch", self.prefetch_efficiency()),
+        ];
+        let phases = Phase::ALL.map(|p| (p.name(), hist_value(self.phase_hist(p))));
+        let spans = Span::ALL.map(|s| {
+            let st = self.span_stat(s);
+            let stat = Value::obj([("count", st.count.into()), ("wall_ms", st.wall_ms.into())]);
+            (s.name(), stat)
+        });
+        Value::obj([
+            ("counters", Value::obj(counters)),
+            ("hit_rates", Value::obj(hit_rates.map(|(k, rate)| (k, rate.into())))),
+            ("phases_ms", Value::obj(phases)),
+            ("service_ms", hist_value(&self.service)),
+            ("spans_wall_ms", Value::obj(spans)),
+        ])
     }
 }
 
-fn hist_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
+fn hist_value(h: &Histogram) -> Value {
     // An empty histogram has no measurements: `mean` and `max` render
     // as null rather than a fake 0.0 reading, matching the
-    // `hit_rate_floored` n/a convention (`sum` stays 0.0 — an exact
-    // total over zero observations is a real quantity).
-    let (mean, max) = if h.count() == 0 {
-        ("null".to_string(), "null".to_string())
-    } else {
-        (format!("{:.6}", h.mean_ms()), format!("{:.6}", h.max_ms()))
-    };
-    format!(
-        "{{\"count\": {}, \"sum\": {:.6}, \"mean\": {mean}, \"max\": {max}, \"buckets\": [{}]}}",
-        h.count(),
-        h.sum_ms(),
-        buckets.join(", ")
-    )
+    // `hit_rate_floored` n/a convention (`sum` stays 0 — an exact total
+    // over zero observations is a real quantity).
+    let measured = h.count() > 0;
+    Value::obj([
+        ("count", h.count().into()),
+        ("sum", h.sum_ms().into()),
+        ("mean", measured.then(|| h.mean_ms()).into()),
+        ("max", measured.then(|| h.max_ms()).into()),
+        ("buckets", Value::Arr(h.counts().iter().map(|&c| c.into()).collect())),
+    ])
 }
 
 impl MetricsSink for Metrics {
@@ -574,16 +428,52 @@ impl MetricsSink for Metrics {
 mod tests {
     use super::*;
 
+    /// Every JSON name is the snake_case of its variant, so the names
+    /// downstream readers see (report fields, the benchmark, the docs)
+    /// move only if a variant is renamed.
     #[test]
-    fn enum_indices_match_reporting_order() {
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{c:?}");
+    fn schema_names_are_the_snake_case_of_their_variants() {
+        fn snake(variant: String) -> String {
+            let mut out = String::new();
+            for c in variant.chars() {
+                if c.is_uppercase() && !out.is_empty() {
+                    out.push('_');
+                }
+                out.extend(c.to_lowercase());
+            }
+            out
         }
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i, "{p:?}");
+        for c in Counter::ALL {
+            assert_eq!(c.name(), snake(format!("{c:?}")));
         }
-        for (i, s) in Span::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i, "{s:?}");
+        for p in Phase::ALL {
+            assert_eq!(p.name(), snake(format!("{p:?}")));
+        }
+        for s in Span::ALL {
+            assert_eq!(s.name(), snake(format!("{s:?}")));
+        }
+        assert_eq!((Counter::ALL.len(), Phase::ALL.len(), Span::ALL.len()), (23, 7, 4));
+        assert_eq!(Counter::SeekMemoHit.name(), "seek_memo_hit");
+        assert_eq!(Counter::NeighborRewrite.name(), "neighbor_rewrite");
+    }
+
+    /// `docs/observability.md` documents every counter and phase: a
+    /// variant added to a schema table without a doc row fails here.
+    #[test]
+    fn the_doc_tables_list_the_schema() {
+        let doc = include_str!("../../../docs/observability.md");
+        let table_of = |heading: &str| -> String {
+            let section = doc.split(heading).nth(1).unwrap_or_else(|| panic!("no {heading:?} section"));
+            let section = section.split("\n## ").next().unwrap();
+            section.lines().filter(|l| l.starts_with('|')).collect()
+        };
+        let counters = table_of("\n## Counters\n");
+        for c in Counter::ALL {
+            assert!(counters.contains(&format!("`{c:?}`")), "Counters table lacks {c:?}");
+        }
+        let phases = table_of("\n## Phase decomposition\n");
+        for p in Phase::ALL {
+            assert!(phases.contains(&format!("`{p:?}`")), "Phase table lacks {p:?}");
         }
     }
 
@@ -650,7 +540,7 @@ mod tests {
         m.counter(Counter::RequestsServiced, 7);
         m.phase(Phase::Seek, 3.2);
         m.service_time(3.2);
-        let j = m.to_json(0);
+        let j = m.to_json();
         assert!(j.contains("\"requests_serviced\": 7"));
         assert!(j.contains("\"seek\""));
         assert!(j.contains("\"translation_cache\": null"));
@@ -661,13 +551,16 @@ mod tests {
     fn empty_histograms_render_null_mean_and_max() {
         let mut m = Metrics::new();
         m.phase(Phase::Seek, 3.2);
-        let j = m.to_json(0);
+        let j = crate::json::parse(&m.to_json()).unwrap();
+        let stats = |h: &Value| ["count", "sum", "mean", "max"].map(|k| h.get(k).cloned());
         // The recorded phase carries real measurements...
-        assert!(j.contains("\"seek\": {\"count\": 1, \"sum\": 3.200000, \"mean\": 3.200000, \"max\": 3.200000"));
+        let seek = j.get("phases_ms").and_then(|p| p.get("seek")).unwrap();
+        assert_eq!(stats(seek), [1.0, 3.2, 3.2, 3.2].map(|x| Some(Value::Num(x))));
         // ...while untouched histograms report n/a, not a fake 0.0
         // reading (the hit_rate_floored convention).
-        assert!(j.contains("\"rotation\": {\"count\": 0, \"sum\": 0.000000, \"mean\": null, \"max\": null"));
-        assert!(j.contains("\"service_ms\": {\"count\": 0, \"sum\": 0.000000, \"mean\": null, \"max\": null"));
+        let empty = [Some(Value::Num(0.0)), Some(Value::Num(0.0)), Some(Value::Null), Some(Value::Null)];
+        assert_eq!(stats(j.get("phases_ms").and_then(|p| p.get("rotation")).unwrap()), empty);
+        assert_eq!(stats(j.get("service_ms").unwrap()), empty);
     }
 
     #[test]
@@ -678,7 +571,7 @@ mod tests {
         assert!(m
             .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
             .is_none());
-        assert!(m.to_json(0).contains("\"translation_cache\": null"));
+        assert!(m.to_json().contains("\"translation_cache\": null"));
         m.counter(Counter::TranslationCacheMiss, HIT_RATE_FLOOR);
         let r = m
             .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
@@ -703,15 +596,15 @@ mod tests {
     #[test]
     fn page_cache_rates_render_in_json() {
         let mut m = Metrics::new();
-        assert!(m.to_json(0).contains("\"page_cache\": null"));
-        assert!(m.to_json(0).contains("\"cache_prefetch\": null"));
+        assert!(m.to_json().contains("\"page_cache\": null"));
+        assert!(m.to_json().contains("\"cache_prefetch\": null"));
         m.counter(Counter::PageCacheHit, 3);
         m.counter(Counter::PageCacheMiss, 1);
         m.counter(Counter::CachePrefetchIssued, 4);
         m.counter(Counter::CachePrefetchUsed, 1);
-        let j = m.to_json(0);
-        assert!(j.contains("\"page_cache\": 0.7500"), "{j}");
-        assert!(j.contains("\"cache_prefetch\": 0.2500"), "{j}");
+        let j = m.to_json();
+        assert!(j.contains("\"page_cache\": 0.75"), "{j}");
+        assert!(j.contains("\"cache_prefetch\": 0.25"), "{j}");
         assert!(j.contains("\"writeback_flush\": 0"));
         assert!((m.prefetch_efficiency().unwrap() - 0.25).abs() < 1e-12);
     }

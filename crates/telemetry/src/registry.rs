@@ -1,11 +1,13 @@
 //! The process-wide registry: labelled sections collected off the hot
 //! path, plus the global enable gate.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
+use crate::json::Value;
 use crate::metrics::Metrics;
 
 /// Whether telemetry collection is on (default: on). The gate is
@@ -71,35 +73,23 @@ impl Registry {
         self.sections.lock().is_empty()
     }
 
-    /// Render all sections as one JSON object keyed by label (repeated
-    /// labels get a `#n` suffix to stay valid JSON).
+    /// Render all sections as one JSON document keyed by label (the
+    /// writer sorts keys, so not in recording order). A repeated label
+    /// gets a `#n` suffix, bumped until the key is unused, so no section
+    /// is ever dropped.
     pub fn to_json(&self) -> String {
-        let sections = self.sections.lock();
-        let mut out = String::from("{\n");
-        let mut seen: Vec<&str> = Vec::new();
-        for (i, (label, metrics)) in sections.iter().enumerate() {
-            let dups = seen.iter().filter(|&&l| l == label).count();
-            seen.push(label);
-            let key = if dups == 0 {
-                label.clone()
-            } else {
-                format!("{label}#{dups}")
-            };
-            let comma = if i + 1 < sections.len() { "," } else { "" };
-            out.push_str(&format!(
-                "  \"{}\": {}{}\n",
-                json_escape(&key),
-                metrics.to_json(2),
-                comma
-            ));
+        let mut root = BTreeMap::new();
+        for (label, metrics) in self.sections.lock().iter() {
+            let mut key = label.clone();
+            let mut n = 0;
+            while root.contains_key(&key) {
+                n += 1;
+                key = format!("{label}#{n}");
+            }
+            root.insert(key, metrics.to_value());
         }
-        out.push('}');
-        out
+        Value::Obj(root).to_pretty()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The process-wide registry the figure generators and the perf smoke
@@ -133,14 +123,24 @@ mod tests {
         assert!(reg.is_empty());
     }
 
+    /// Repeated labels get `#n` suffixes, and a label that already looks
+    /// like a suffixed one (`x#1`) cannot collide a section away.
     #[test]
     fn duplicate_labels_stay_distinct_in_json() {
         let reg = Registry::new();
-        reg.record("fig", Metrics::new());
-        reg.record("fig", Metrics::new());
-        let json = reg.to_json();
-        assert!(json.contains("\"fig\""));
-        assert!(json.contains("\"fig#1\""));
+        for (i, label) in ["x", "x", "x#1"].into_iter().enumerate() {
+            let mut m = Metrics::new();
+            m.counter(Counter::RequestsServiced, i as u64 + 1);
+            reg.record(label, m);
+        }
+        let parsed = crate::json::parse(&reg.to_json()).unwrap();
+        let serviced = |key: &str| {
+            let section = parsed.get(key).unwrap_or_else(|| panic!("no section {key:?}"));
+            section.get("counters").unwrap().get("requests_serviced").unwrap().as_u64()
+        };
+        assert_eq!(serviced("x"), Some(1));
+        assert_eq!(serviced("x#1"), Some(2));
+        assert_eq!(serviced("x#1#1"), Some(3));
     }
 
     #[test]

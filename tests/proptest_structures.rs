@@ -62,7 +62,7 @@ proptest! {
         }
         let bytes = page.to_bytes();
         prop_assert_eq!(bytes.len(), 512);
-        let back = CellPage::from_bytes(bytes, record_len).unwrap();
+        let back = CellPage::from_bytes(&bytes, record_len).unwrap();
         prop_assert_eq!(&back, &page);
         prop_assert_eq!(back.len() as u32, n);
     }
