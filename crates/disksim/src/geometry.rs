@@ -378,8 +378,8 @@ impl DiskGeometry {
     /// [`Self::rotational_wait_from_angle`] with the platter phase at
     /// arrival ([`Self::phase_at`]) already evaluated. Every rotational
     /// wait in the crate ends here, so a selector that computes the phase
-    /// once per track bucket sees the same floats as the estimator that
-    /// computes it per request.
+    /// once per cylinder bucket and positioning class sees the same
+    /// floats as the estimator that computes it per request.
     #[inline]
     pub fn rotational_wait_from_phase(&self, target: f64, phase: f64) -> f64 {
         let mut delta = target - phase;

@@ -88,9 +88,10 @@ pub struct SchedStats {
     /// to admit the next pending one (TCQ window pressure); zero for
     /// full SPTF, which admits everything up front.
     pub window_evictions: u64,
-    /// Rotational-band buckets whose angle scan was entered during
-    /// incremental selection; zero on the linear reference path, which
-    /// has no bucket structure.
+    /// Rotational-band passes entered during incremental selection: one
+    /// per cylinder bucket and positioning class the bounds could not
+    /// prune; zero on the linear reference path, which has no bucket
+    /// structure.
     pub bucket_scans: u64,
     /// Candidate service-time estimates evaluated during selection. The
     /// reference scan evaluates every pending request per serve (`n`
@@ -336,7 +337,7 @@ pub fn service_batch_sptf_reference(
 }
 
 /// SPTF via the incremental rotational-band selector: pending requests
-/// are bucketed by arrival band per track and each serve
+/// are bucketed by arrival band per cylinder and each serve
 /// evaluates only the candidates the selector's lower bounds cannot
 /// exclude — `O(n · k)` estimates for small per-round candidate counts
 /// `k`, instead of the reference scan's `O(n²)`.

@@ -439,8 +439,8 @@ impl DiskSim {
     /// already evaluated for the current state: `pos` is the positioning
     /// time to the profile's first track and `wait` the rotational wait
     /// for its first sector on arrival there. The incremental selector
-    /// computes both once per track bucket and shares them with its
-    /// pruning bounds; the float operations (and their order) are the
+    /// computes `pos` once per cylinder bucket and positioning class and
+    /// shares both with its pruning bounds; the float operations (and their order) are the
     /// ones [`RequestTiming::total_ms`] performs either way.
     pub(crate) fn estimate_positioned(
         &self,

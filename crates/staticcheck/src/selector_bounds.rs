@@ -21,27 +21,35 @@
 //!    soundly justifies ending the outward walk at a distance.
 //! 3. **Bucket lower bound** — `((overhead + positioning) + wait) +
 //!    first_segment_xfer` never exceeds the estimate either, with
-//!    `positioning` rebuilt from the walk's per-distance seek floor and
-//!    `wait` taken from the per-bucket phase exactly as the selector
-//!    computes them (each required bit-identical to the estimator's); for
-//!    single-track requests the two are required to be *bit-identical*
+//!    `positioning` and the arrival phase rebuilt once per (cylinder,
+//!    positioning class) — the head's surface and every other surface —
+//!    from the walk's per-distance seek floor, and `wait` taken from
+//!    that class phase, exactly as the selector computes them (each
+//!    required bit-identical to the estimator's own for every member of
+//!    the class); for single-track requests the bound and the estimate
+//!    are required to be *bit-identical*
 //!    (the bound is the estimate), and for multi-track requests the
 //!    first-segment bound must sit at or below the exact per-segment
 //!    walk. The profiled estimate is also cross-checked bitwise against
 //!    `DiskSim::estimate` on the raw request.
 //! 4. **Wrap-guard clamp replay** — the selector's `partition_point`
 //!    predicate replays the clamp expressions of
-//!    `rotational_wait_from_phase` verbatim. Over every track bucket the
-//!    sweep produces — plus synthetic boundary buckets probing angles
+//!    `rotational_wait_from_phase` verbatim. Over every cylinder bucket
+//!    the sweep produces (all surfaces of the cylinder in one
+//!    angle-sorted list, at each positioning class's arrival time) —
+//!    plus synthetic boundary buckets probing angles
 //!    within ulps of the platter phase and of the
 //!    [`ROTATION_WRAP_GUARD`] window — the prover checks that the
 //!    predicate partitions each angle-sorted bucket (true prefix, false
 //!    suffix), that clamp-window items wait exactly `0.0`, and that the
 //!    circular scan from the partition point yields non-decreasing
-//!    waits — the property the per-bucket early break relies on.
+//!    waits — the property the per-pass early break relies on, and one
+//!    every subsequence (a class-filtered pass) inherits.
 //!    A headroom lemma (`(spt-1)/spt < 1 - guard` per zone) shows real
 //!    sector angles can never land a *forward* delta inside the clamp
 //!    window, so the zero-wait clamp can only occur at the scan start.
+
+use std::collections::BTreeMap;
 
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
@@ -297,10 +305,12 @@ fn build_snapshots(geom: &DiskGeometry, profiles: &[RequestProfile]) -> Vec<Disk
     out
 }
 
-/// Checks 2 and 3 — over every (head state × request) pair: the
-/// cylinder-walk seek floor and the bucket lower bound never exceed the
-/// reference estimate; single-track bounds are bit-identical to it; and
-/// the profiled estimate is bit-identical to `DiskSim::estimate`.
+/// Checks 2 and 3 — over every (head state × request) pair, visited
+/// per cylinder bucket as the selector's walk does: the cylinder-walk
+/// seek floor and the per-(cylinder, class) bucket lower bound never
+/// exceed the reference estimate; single-track bounds are bit-identical
+/// to it; and the profiled estimate is bit-identical to
+/// `DiskSim::estimate`.
 fn check_estimate_bounds(
     snapshots: &[DiskSim],
     profiles: &[RequestProfile],
@@ -312,97 +322,112 @@ fn check_estimate_bounds(
     let mut exact_details = Vec::new();
     let mut pairs = 0u64;
     let mut multi_track = 0u64;
+    // The selector's buckets: pending requests by the cylinder of their
+    // first block, all surfaces together.
+    let mut cylinders: BTreeMap<u64, Vec<&RequestProfile>> = BTreeMap::new();
+    for p in profiles {
+        cylinders.entry(p.track().0).or_default().push(p);
+    }
     for sim in snapshots {
         let geom = sim.geometry();
         let state = sim.state();
         let oh = geom.command_overhead_ms;
-        for p in profiles {
-            let req = p.request();
-            let est = match sim.estimate_profiled(p) {
-                Ok(e) => e,
-                Err(e) => {
-                    if exact_details.len() < 8 {
-                        exact_details.push(format!("estimate_profiled({}) failed: {e}", req.lbn));
-                    }
-                    continue;
-                }
-            };
-            // The profiled estimate must be the reference expression.
-            let reference = match sim.estimate(req) {
-                Ok(e) => e,
-                Err(e) => {
-                    if exact_details.len() < 8 {
-                        exact_details.push(format!("estimate({}) failed: {e}", req.lbn));
-                    }
-                    continue;
-                }
-            };
-            if est.to_bits() != reference.to_bits() && exact_details.len() < 8 {
-                exact_details.push(format!(
-                    "lbn {}: estimate_profiled {est} != estimate {reference}",
-                    req.lbn
-                ));
-            }
-            // The selector evaluates read-ahead continuations outside
-            // the band structure precisely because the bounds below do
-            // not cover their positioning-free estimates.
-            if state.last_end_lbn == Some(req.lbn) {
-                continue;
-            }
-            pairs += 1;
-            if p.single_track_xfer_ms().is_none() {
-                multi_track += 1;
-            }
-            let (cyl, surface) = p.track();
-            let xfer = p.first_segment_xfer_ms();
-
-            // 2. Outward-walk floor, in total_ms addition order.
+        for (&cyl, members) in &cylinders {
+            // The walk's per-cylinder terms, from the selector's own
+            // expressions: the seek floor once per distance, then one
+            // positioning time and one arrival phase per positioning
+            // class — the head's surface, and every other surface.
             let dist = state.cylinder.abs_diff(cyl);
-            let floor = (oh + geom.seek_floor_ms(dist)) + xfer;
-            if floor > est && floor_details.len() < 8 {
-                floor_details.push(format!(
-                    "lbn {} dist {dist}: floor {floor} > estimate {est}",
-                    req.lbn
-                ));
-            }
+            let seek = geom.seek_floor_ms(dist);
+            let class = |on_head_surface: bool| {
+                let pos = geom.positioning_from_seek_ms(dist, seek, on_head_surface);
+                (pos, geom.phase_at((state.time_ms + oh) + pos))
+            };
+            let (on, off) = (class(true), class(false));
+            for p in members {
+                let req = p.request();
+                let est = match sim.estimate_profiled(p) {
+                    Ok(e) => e,
+                    Err(e) => {
+                        if exact_details.len() < 8 {
+                            exact_details
+                                .push(format!("estimate_profiled({}) failed: {e}", req.lbn));
+                        }
+                        continue;
+                    }
+                };
+                // The profiled estimate must be the reference expression.
+                let reference = match sim.estimate(req) {
+                    Ok(e) => e,
+                    Err(e) => {
+                        if exact_details.len() < 8 {
+                            exact_details.push(format!("estimate({}) failed: {e}", req.lbn));
+                        }
+                        continue;
+                    }
+                };
+                if est.to_bits() != reference.to_bits() && exact_details.len() < 8 {
+                    exact_details.push(format!(
+                        "lbn {}: estimate_profiled {est} != estimate {reference}",
+                        req.lbn
+                    ));
+                }
+                // The selector evaluates read-ahead continuations outside
+                // the band structure precisely because the bounds below do
+                // not cover their positioning-free estimates.
+                if state.last_end_lbn == Some(req.lbn) {
+                    continue;
+                }
+                pairs += 1;
+                if p.single_track_xfer_ms().is_none() {
+                    multi_track += 1;
+                }
+                let surface = p.track().1;
+                let xfer = p.first_segment_xfer_ms();
 
-            // 3. Bucket bound, from the selector's own expressions: the
-            // positioning time rebuilt from the walk's per-distance seek
-            // floor and the wait taken from the per-bucket phase. Both
-            // must be the estimator's floats, and the bound combines
-            // them left-to-right exactly as total_ms does.
-            let pos = geom.positioning_from_seek_ms(
-                dist,
-                geom.seek_floor_ms(dist),
-                surface == state.surface,
-            );
-            let t_arrive = (state.time_ms + oh) + pos;
-            let wait = geom.rotational_wait_from_phase(p.start_angle(), geom.phase_at(t_arrive));
-            let est_pos = geom.positioning_ms(state.cylinder, state.surface, cyl, surface);
-            let est_wait = geom.rotational_wait_from_angle(p.start_angle(), t_arrive);
-            if (pos.to_bits(), wait.to_bits()) != (est_pos.to_bits(), est_wait.to_bits())
-                && bucket_details.len() < 8
-            {
-                bucket_details.push(format!(
-                    "lbn {}: selector positioning {pos} / wait {wait} differ from the estimator's",
-                    req.lbn
-                ));
-            }
-            let bound = ((oh + pos) + wait) + xfer;
-            if bound > est && bucket_details.len() < 8 {
-                bucket_details.push(format!(
-                    "lbn {}: bucket bound {bound} > estimate {est}",
-                    req.lbn
-                ));
-            }
-            if p.single_track_xfer_ms().is_some()
-                && bound.to_bits() != est.to_bits()
-                && bucket_details.len() < 8
-            {
-                bucket_details.push(format!(
-                    "lbn {}: single-track bound {bound} not bit-identical to estimate {est}",
-                    req.lbn
-                ));
+                // 2. Outward-walk floor, in total_ms addition order.
+                let floor = (oh + seek) + xfer;
+                if floor > est && floor_details.len() < 8 {
+                    floor_details.push(format!(
+                        "lbn {} dist {dist}: floor {floor} > estimate {est}",
+                        req.lbn
+                    ));
+                }
+
+                // 3. Bucket bound: the member's class supplies the
+                // positioning time and the phase its wait is measured
+                // from. Both must be the estimator's floats, and the
+                // bound combines them left-to-right exactly as total_ms
+                // does.
+                let (pos, phase) = if surface == state.surface { on } else { off };
+                let wait = geom.rotational_wait_from_phase(p.start_angle(), phase);
+                let est_pos = geom.positioning_ms(state.cylinder, state.surface, cyl, surface);
+                let est_wait = geom
+                    .rotational_wait_from_angle(p.start_angle(), (state.time_ms + oh) + est_pos);
+                if (pos.to_bits(), wait.to_bits()) != (est_pos.to_bits(), est_wait.to_bits())
+                    && bucket_details.len() < 8
+                {
+                    bucket_details.push(format!(
+                        "lbn {}: class positioning {pos} / wait {wait} differ from the estimator's {est_pos} / {est_wait}",
+                        req.lbn
+                    ));
+                }
+                let bound = ((oh + pos) + wait) + xfer;
+                if bound > est && bucket_details.len() < 8 {
+                    bucket_details.push(format!(
+                        "lbn {}: bucket bound {bound} > estimate {est}",
+                        req.lbn
+                    ));
+                }
+                if p.single_track_xfer_ms().is_some()
+                    && bound.to_bits() != est.to_bits()
+                    && bucket_details.len() < 8
+                {
+                    bucket_details.push(format!(
+                        "lbn {}: single-track bound {bound} not bit-identical to estimate {est}",
+                        req.lbn
+                    ));
+                }
             }
         }
     }
@@ -439,11 +464,11 @@ fn wrapped(angle: f64, phase: f64) -> bool {
     delta < 0.0 && delta + 1.0 <= 1.0 - ROTATION_WRAP_GUARD
 }
 
-/// 4. Wrap-guard clamp replay: over every real track bucket and a set
-///    of synthetic boundary buckets, the predicate partitions the
-///    angle-sorted items, clamp-window items wait exactly zero, and the
-///    circular scan from the partition point yields non-decreasing
-///    waits.
+/// 4. Wrap-guard clamp replay: over every real cylinder bucket, at each
+///    positioning class's arrival time, and a set of synthetic boundary
+///    buckets, the predicate partitions the angle-sorted items,
+///    clamp-window items wait exactly zero, and the circular scan from
+///    the partition point yields non-decreasing waits.
 fn check_wrap_guard_replay(
     geom: &DiskGeometry,
     snapshots: &[DiskSim],
@@ -451,20 +476,18 @@ fn check_wrap_guard_replay(
     report: &mut Report,
     label: &str,
 ) {
-    // Real buckets: angle lists per physical track, sorted by bit
-    // pattern exactly as `TrackBucket::items` is.
-    let mut tracks: Vec<((u64, u32), Vec<u64>)> = Vec::new();
+    // Real buckets: angle lists per cylinder, every surface together,
+    // sorted by bit pattern exactly as `CylinderBucket::items` is.
+    let mut cylinders: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for p in profiles {
-        let key = p.track();
-        let bits = p.start_angle().to_bits();
-        match tracks.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(bits),
-            None => tracks.push((key, vec![bits])),
-        }
+        cylinders
+            .entry(p.track().0)
+            .or_default()
+            .push(p.start_angle().to_bits());
     }
-    for (_, v) in &mut tracks {
-        v.sort_unstable();
-        v.dedup();
+    for angles in cylinders.values_mut() {
+        angles.sort_unstable();
+        angles.dedup();
     }
 
     let oh = geom.command_overhead_ms;
@@ -473,11 +496,17 @@ fn check_wrap_guard_replay(
     let mut probes = 0u64;
     for sim in snapshots {
         let state = sim.state();
-        for (key, items) in &tracks {
-            let pos = geom.positioning_ms(state.cylinder, state.surface, key.0, key.1);
-            let t_arrive = (state.time_ms + oh) + pos;
-            buckets += 1;
-            check_bucket(geom, items, t_arrive, &mut details);
+        for (&cyl, items) in &cylinders {
+            // A pass partitions the whole bucket under its class's
+            // phase before it filters by surface, so the property must
+            // hold for the mixed-surface list at both arrival times.
+            let dist = state.cylinder.abs_diff(cyl);
+            let seek = geom.seek_floor_ms(dist);
+            for on_head_surface in [true, false] {
+                let pos = geom.positioning_from_seek_ms(dist, seek, on_head_surface);
+                buckets += 1;
+                check_bucket(geom, items, (state.time_ms + oh) + pos, &mut details);
+            }
         }
         // Synthetic boundary buckets: angles within ulps of the phase
         // and of the clamp window, at the arrival time itself.

@@ -128,8 +128,9 @@ schema! {
         RetryAttempt => "retry_attempt",
         /// Hard-failed blocks remapped into a track's spare region.
         BadBlockRemap => "bad_block_remap",
-        /// Rotational-band buckets scanned by the incremental SPTF
-        /// selector; zero when batches ran on the linear reference scan.
+        /// Rotational-band passes entered by the incremental SPTF selector
+        /// (one per cylinder bucket and positioning class it could not
+        /// prune); zero when batches ran on the linear reference scan.
         SptfBucketScan => "sptf_bucket_scan",
         /// Candidate service-time estimates evaluated during SPTF selection
         /// (reference scan: every pending request per serve; incremental

@@ -7,26 +7,30 @@
 //! The suite drives both implementations directly (bypassing the
 //! window-size dispatch in `service_batch_serving`, which would
 //! otherwise make small-batch comparisons vacuous) over random
-//! workloads × both evaluation drives × all four mappings, plus
-//! explicit regression cases for ties, single-request windows, and the
-//! queued-SPTF edge cases (empty batch, depth 0, depth > n).
+//! workloads × both evaluation drives × all four mappings, plus drives
+//! that reach the selector's two-class logic the evaluation pair never
+//! does (head switch outlasting the settle, one surface, eight), and
+//! explicit regression cases for ties, equal start angles across the
+//! surfaces of a cylinder, single-request windows, and the queued-SPTF
+//! edge cases (empty batch, depth 0, depth > n).
 //!
 //! Comparison is *semantic*: full `ServiceEvent` streams (order, ranks,
 //! queue lengths, mechanical before/after states, per-request timings)
 //! and the semantic `BatchTiming` fields (requests, blocks, bit-exact
 //! `total_ms`, payload checksum, window evictions). The
-//! implementation-level `SchedStats` counters (memo hits, candidates
-//! examined, bucket scans, repairs) differ by design — that asymmetry
-//! is the whole point of the rewrite.
+//! implementation-level `SchedStats` counters (candidates examined,
+//! bucket scans, repairs) differ by design — that asymmetry is the
+//! whole point of the selector.
 
 use multimap::core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
 use multimap::disksim::{
-    plain_serve, profiles, service_batch_queued_sptf_incremental,
+    plain_serve, profiles, semi_sequential_path, service_batch_queued_sptf_incremental,
     service_batch_queued_sptf_reference, service_batch_sptf_incremental,
-    service_batch_sptf_reference, BatchTiming, DeviceModel, Discipline, DiskError, DiskGeometry,
-    DiskSim, Request, ServiceEvent, ServiceLog, SPTF_INCREMENTAL_MIN_WINDOW,
+    service_batch_sptf_reference, BatchTiming, DeviceModel, Discipline, DiskBuilder, DiskError,
+    DiskGeometry, DiskSim, Request, ServiceEvent, ServiceLog, ZoneSpec,
+    SPTF_INCREMENTAL_MIN_WINDOW,
 };
 use proptest::prelude::*;
 
@@ -110,6 +114,34 @@ fn check_workload(geom: &DiskGeometry, reqs: &[Request], ctx: &str) {
     }
 }
 
+/// Drives whose positioning classes the evaluation pair never
+/// separates. On both evaluation drives the settle outlasts the head
+/// switch, so the selector scans a cylinder's bucket once per
+/// positioning class only on the head's own cylinder. Here: a head
+/// switch that outlasts the settle (two passes per bucket across the
+/// whole plateau, until the seek curve overtakes the switch), a single
+/// surface (one class) and eight surfaces (deep mixed-surface buckets).
+fn class_edge_drives() -> Vec<DiskGeometry> {
+    let build = |name: &str, surfaces, settle_ms, head_switch_ms| {
+        DiskBuilder::new(name)
+            .surfaces(surfaces)
+            .zones(vec![ZoneSpec {
+                cylinders: 600,
+                sectors_per_track: 150,
+            }])
+            .settle_ms(settle_ms)
+            .settle_cylinders(12)
+            .head_switch_ms(head_switch_ms)
+            .build()
+            .expect("valid test drive")
+    };
+    vec![
+        build("switch-bound", 4, 0.6, 1.1),
+        build("one-surface", 1, 1.2, 0.9),
+        build("eight-surface", 8, 1.2, 0.9),
+    ]
+}
+
 /// LBNs of pseudo-randomly picked cells of a 3-D grid under one of the
 /// paper's four mappings (Naive, Z-order, Hilbert, MultiMap). Repeated
 /// picks produce duplicate LBNs — exact positioning-time ties.
@@ -184,9 +216,10 @@ proptest! {
         }
     }
 
-    /// Long requests crossing track (and cylinder) boundaries take the
-    /// selector's exhaustive multi-track side path; mixed with short
-    /// ones they must still serve in reference order.
+    /// Long requests crossing track (and cylinder) boundaries are banded
+    /// by their first track segment while their exact estimate is the
+    /// per-segment walk; mixed with short ones they must still serve in
+    /// reference order.
     #[test]
     fn equivalent_with_multi_track_requests(
         pairs in proptest::collection::vec((0u64..u64::MAX, 1u64..700), 1..40),
@@ -199,6 +232,112 @@ proptest! {
                 .collect();
             check_workload(&geom, &reqs, "multi-track");
         }
+    }
+
+    /// Scattered and dense batches (six neighbouring cylinders, so
+    /// every bucket mixes surfaces) on the class-edge drives.
+    #[test]
+    fn equivalent_on_class_edge_drives(
+        pairs in proptest::collection::vec((0u64..u64::MAX, 1u64..6), 1..110),
+    ) {
+        for geom in class_edge_drives() {
+            let total = geom.total_blocks();
+            let cylinder_blocks = total / geom.total_cylinders();
+            let dense_base = 90 * cylinder_blocks;
+            let scattered: Vec<Request> = pairs
+                .iter()
+                .map(|&(raw, n)| Request::new(raw % (total - 8), n))
+                .collect();
+            check_workload(&geom, &scattered, &format!("{} scattered", geom.name));
+            let dense: Vec<Request> = pairs
+                .iter()
+                .map(|&(raw, n)| Request::new(dense_base + raw % (6 * cylinder_blocks), n))
+                .collect();
+            check_workload(&geom, &dense, &format!("{} dense", geom.name));
+        }
+    }
+}
+
+/// Regression: skew can give blocks on several surfaces of one cylinder
+/// the same start angle, which makes them neighbours in the cylinder's
+/// bucket. Each keeps its own surface's positioning time, off-surface
+/// pairs tie exactly, and only the block that continues the previous
+/// transfer may take the read-ahead path — its twins share its angle,
+/// not its track.
+#[test]
+fn equal_start_angles_across_surfaces_resolve_identically() {
+    let mut drives = profiles::evaluation_disks();
+    drives.extend(class_edge_drives().into_iter().filter(|g| g.surfaces > 1));
+    for geom in drives {
+        let cylinder = 211;
+        let angle_of = |lbn| {
+            let loc = geom.locate(lbn).expect("lbn on the disk");
+            (geom.sector_start_angle(&loc).to_bits(), loc.spt)
+        };
+        // Mid-track on surface 1: its predecessor (also in the batch)
+        // is on the same track, so serving that one makes `next` the
+        // continuation while its twins are still pending.
+        let next = geom.lbn_of(cylinder, 1, 40).expect("cylinder on the disk");
+        let (angle, spt) = angle_of(next);
+        let twin_on = |surface| {
+            (0..spt)
+                .map(|sector| {
+                    geom.lbn_of(cylinder, surface, sector)
+                        .expect("sector on the track")
+                })
+                .find(|&lbn| angle_of(lbn).0 == angle)
+                .expect("every angle of the zone exists on every track")
+        };
+        // Twins before the real continuation in issue order: wrongly
+        // rated as continuations they would tie it and win the
+        // vec-position tie-break.
+        let mut reqs = Vec::new();
+        for surface in (0..geom.surfaces).filter(|&s| s != 1) {
+            reqs.extend([Request::single(twin_on(surface)); 2]);
+        }
+        reqs.extend([
+            Request::single(next),
+            Request::new(next, 3),
+            Request::single(next),
+        ]);
+        reqs.push(Request::single(next - 1));
+        reqs.push(Request::single(next + 9));
+        reqs.push(Request::single(geom.total_blocks() / 2));
+        check_workload(&geom, &reqs, &format!("{} equal angles", geom.name));
+    }
+}
+
+/// The Dim1-beam shape: one request per track along a semi-sequential
+/// path over 65 consecutive cylinders — the span of the settle plateau,
+/// where no seek bound prunes the outward walk. Identical to the
+/// reference, and the walk enters cylinders, not tracks: per decision,
+/// fewer band passes than the batch has cylinders (a bucket per track
+/// took 107 on this batch; there are 260 tracks).
+#[test]
+fn dim1_beam_scans_cylinders_not_tracks() {
+    for geom in profiles::evaluation_disks() {
+        let cylinders = 65;
+        let tracks = cylinders * geom.surfaces as usize;
+        let start = geom.lbn_of(1000, 0, 0).expect("cylinder on the disk");
+        let path = semi_sequential_path(&geom, start, 1, tracks);
+        assert_eq!(path.len(), tracks, "the path must stay inside its zone");
+        // Issued out of order (37 is coprime to the track count).
+        let reqs: Vec<Request> = (0..tracks)
+            .map(|i| Request::single(path[(i * 37) % tracks]))
+            .collect();
+        let reference = run_full(&geom, &reqs, false);
+        let incremental = run_full(&geom, &reqs, true);
+        assert_same(
+            &reference,
+            &incremental,
+            &format!("{} dim1 beam", geom.name),
+        );
+        let per_decision = incremental.0.sched.bucket_scans as f64 / tracks as f64;
+        assert!(
+            per_decision < cylinders as f64,
+            "{}: {per_decision} band passes per decision over {cylinders} cylinders",
+            geom.name
+        );
     }
 }
 
