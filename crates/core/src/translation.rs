@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use multimap_disksim::Lbn;
 
-use crate::grid::{Coord, GridSpec};
+use crate::grid::{BoxRegion, Coord, GridSpec};
 use crate::mapping::{Mapping, MappingError, MappingKind, Result};
 
 /// Minimum number of lookups a caller should expect to perform before a
@@ -100,6 +100,42 @@ impl FlatTranslation {
             None => Err(MappingError::CoordOutOfGrid {
                 coord: coord.to_vec(),
             }),
+        }
+    }
+
+    /// First LBN of every cell of `region`, in [`BoxRegion::for_each_cell`]
+    /// order — what [`Self::lbn_of`] per cell returns, copied one Dim0
+    /// row (a contiguous table slice) at a time.
+    ///
+    /// A region of the wrong arity or reaching outside the table's grid
+    /// is [`MappingError::CoordOutOfGrid`].
+    pub fn lbns_of_region(&self, region: &BoxRegion) -> Result<Vec<Lbn>> {
+        let outside = |coord: &[u64]| MappingError::CoordOutOfGrid {
+            coord: coord.to_vec(),
+        };
+        if !region.fits(&self.grid) {
+            return Err(outside(region.hi()));
+        }
+        // A fitting region has at most `table.len()` cells; the cap only
+        // bounds the up-front reservation.
+        let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
+        let mut failed = None;
+        region.for_each_dim0_run(|start, len| {
+            if failed.is_some() {
+                return;
+            }
+            let idx = self.grid.linear_index(start);
+            let row = idx
+                .checked_add(len)
+                .and_then(|end| self.table.get(idx as usize..end as usize));
+            match row {
+                Some(row) => lbns.extend_from_slice(row),
+                None => failed = Some(outside(start)),
+            }
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(lbns),
         }
     }
 
@@ -350,6 +386,65 @@ mod tests {
         assert_eq!(flat.grid().cells(), 16);
     }
 
+    /// Per-cell `lbn_of` over `region` in `for_each_cell` order — what
+    /// [`FlatTranslation::lbns_of_region`] must reproduce.
+    fn per_cell(flat: &FlatTranslation, region: &BoxRegion) -> Vec<Lbn> {
+        let mut lbns = Vec::new();
+        region.for_each_cell(|c| lbns.push(flat.lbn_of(c).unwrap()));
+        lbns
+    }
+
+    #[test]
+    fn region_rows_match_per_cell_lookup() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([6u64, 4, 3]);
+        let mappings: Vec<Box<dyn Mapping>> = vec![
+            Box::new(NaiveMapping::new(grid.clone(), 7)),
+            Box::new(zorder_mapping(grid.clone(), 11, 2).unwrap()),
+            Box::new(hilbert_mapping(grid.clone(), 0, 3).unwrap()),
+            Box::new(MultiMapping::new(&geom, grid.clone()).unwrap()),
+        ];
+        let regions = [
+            grid.bounding_region(),
+            BoxRegion::point([5u64, 3, 2]),
+            BoxRegion::new([1u64, 1, 0], [4u64, 2, 2]),
+            BoxRegion::beam(&grid, 0, &[0, 2, 1]),
+            BoxRegion::beam(&grid, 2, &[3, 0, 0]),
+        ];
+        for m in &mappings {
+            let flat = FlatTranslation::build(m.as_ref()).unwrap();
+            for region in &regions {
+                let rows = flat.lbns_of_region(region).unwrap();
+                assert_eq!(rows, per_cell(&flat, region), "{} {region:?}", m.name());
+            }
+        }
+        // One dimension: the region is a single table slice.
+        let line = NaiveMapping::new(GridSpec::new([9u64]), 100);
+        let flat = FlatTranslation::build(&line).unwrap();
+        let region = BoxRegion::new([2u64], [6u64]);
+        assert_eq!(
+            flat.lbns_of_region(&region).unwrap(),
+            vec![102, 103, 104, 105, 106]
+        );
+    }
+
+    #[test]
+    fn region_outside_the_table_is_a_typed_error() {
+        let m = NaiveMapping::new(GridSpec::new([4u64, 4]), 0);
+        let flat = FlatTranslation::build(&m).unwrap();
+        let out_of_grid = |r: BoxRegion| {
+            matches!(
+                flat.lbns_of_region(&r),
+                Err(MappingError::CoordOutOfGrid { .. })
+            )
+        };
+        assert!(out_of_grid(BoxRegion::new([0u64, 0], [4u64, 3])));
+        assert!(out_of_grid(BoxRegion::new([0u64, 2], [3u64, 4])));
+        assert!(out_of_grid(BoxRegion::new([0u64, 0], [u64::MAX, u64::MAX])));
+        assert!(out_of_grid(BoxRegion::new([0u64], [3u64])));
+        assert!(out_of_grid(BoxRegion::new([0u64, 0, 0], [3u64, 3, 0])));
+    }
+
     #[test]
     fn flat_coord_of_inverts_lbn_of() {
         let m = zorder_mapping(GridSpec::new([4u64, 4]), 100, 2).unwrap();
@@ -416,6 +511,24 @@ mod tests {
         proptest::collection::vec(1u64..7, 2..5).prop_map(GridSpec::new)
     }
 
+    /// A 1–4-D grid and a box inside it: both bounds drawn per dimension
+    /// (so points and beams occur), the whole grid one time in four.
+    fn arb_grid_and_box() -> impl Strategy<Value = (GridSpec, BoxRegion)> {
+        let dims = proptest::collection::vec((1u64..7, 0u64..7, 0u64..7), 1..5);
+        (dims, 0u8..4).prop_map(|(dims, whole)| {
+            let grid = GridSpec::new(dims.iter().map(|d| d.0).collect::<Vec<_>>());
+            if whole == 0 {
+                let region = grid.bounding_region();
+                return (grid, region);
+            }
+            let (lo, hi): (Vec<u64>, Vec<u64>) = dims
+                .iter()
+                .map(|&(e, a, b)| ((a % e).min(b % e), (a % e).max(b % e)))
+                .unzip();
+            (grid, BoxRegion::new(lo, hi))
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -461,6 +574,35 @@ mod tests {
                     ok &= flat.lbn_of(coord).ok() == mm.lbn_of(coord).ok();
                 });
                 prop_assert!(ok, "MultiMap cached table diverged");
+            }
+        }
+
+        /// The row-at-a-time region translation equals per-cell `lbn_of`
+        /// in `for_each_cell` order, for every mapping family.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn region_rows_match_per_cell_on_random_boxes(
+            (grid, region) in arb_grid_and_box(),
+            base in 0u64..1000,
+            cell_blocks in 1u64..4,
+        ) {
+            let geom = profiles::small();
+            let mut mappings: Vec<Box<dyn Mapping>> = vec![
+                Box::new(NaiveMapping::new(grid.clone(), base)),
+                Box::new(zorder_mapping(grid.clone(), base, cell_blocks).unwrap()),
+                Box::new(hilbert_mapping(grid.clone(), base, cell_blocks).unwrap()),
+                Box::new(gray_mapping(grid.clone(), base, cell_blocks).unwrap()),
+            ];
+            if let Ok(mm) = MultiMapping::new(&geom, grid.clone()) {
+                mappings.push(Box::new(mm));
+            }
+            for m in &mappings {
+                let flat = FlatTranslation::build(m.as_ref()).unwrap();
+                prop_assert_eq!(
+                    flat.lbns_of_region(&region).unwrap(),
+                    per_cell(&flat, &region),
+                    "{} {:?}", m.name(), region
+                );
             }
         }
     }

@@ -643,7 +643,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
 /// row-major cell order, under `options`' translation-cache setting.
 /// The second value reports the translation cache outcome: `None` when
 /// the cache was not consulted.
-fn translate_region(
+pub(crate) fn translate_region(
     options: &ExecOptions,
     mapping: &dyn Mapping,
     region: &BoxRegion,
@@ -653,25 +653,21 @@ fn translate_region(
     // — translate directly, as a table build would dwarf the query.
     if options.translation_cache && region.cells() >= MIN_CACHED_LOOKUPS {
         let (table, cache_hit) = shared_cache().translate_tracked(mapping)?;
-        let lbns = collect_lbns(region, |c| table.lbn_of(c))?;
-        return Ok((lbns, Some(cache_hit)));
+        return Ok((table.lbns_of_region(region)?, Some(cache_hit)));
     }
-    Ok((collect_lbns(region, |c| mapping.lbn_of(c))?, None))
+    Ok((collect_lbns(mapping, region)?, None))
 }
 
-/// `lbn_of` over every cell of `region` in row-major order, stopping at
-/// the first cell it refuses.
-fn collect_lbns(
-    region: &BoxRegion,
-    lbn_of: impl Fn(&[u64]) -> multimap_core::Result<Lbn>,
-) -> Result<Vec<Lbn>> {
+/// `mapping.lbn_of` over every cell of `region` in row-major order,
+/// stopping at the first cell it refuses.
+fn collect_lbns(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<Lbn>> {
     let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
     let mut failed = None;
     region.for_each_cell(|c| {
         if failed.is_some() {
             return;
         }
-        match lbn_of(c) {
+        match mapping.lbn_of(c) {
             Ok(lbn) => lbns.push(lbn),
             Err(e) => failed = Some(e),
         }
@@ -705,7 +701,7 @@ fn resolve_beam_schedule(
 /// for cell-start `lbns` under `options`. Shared by the cached and
 /// uncached paths, so a cache that misses every probe issues exactly
 /// the batch an uncached run would.
-fn plan_requests(
+pub(crate) fn plan_requests(
     options: &ExecOptions,
     op: QueryOp,
     beam_policy: Option<SchedulePolicy>,
@@ -736,14 +732,7 @@ fn plan_requests(
                 } else {
                     SchedulePolicy::InOrder
                 };
-                lbns.sort_unstable();
-                let requests = if cell_blocks == 1 {
-                    coalesce_sorted(&lbns)
-                } else {
-                    // Expand cells into block runs before coalescing.
-                    coalesce_cells(&lbns, cell_blocks)
-                };
-                (requests, policy)
+                (coalesce_runs(lbns, cell_blocks), policy)
             }
         },
     }
@@ -793,29 +782,59 @@ pub fn service_lbns_sinked<D: DeviceModel>(
     Ok(QueryResult::from_batch(batch, cells))
 }
 
-/// Coalesce sorted cell-start LBNs (each `cell_blocks` long) into maximal
-/// contiguous requests.
-fn coalesce_cells(sorted_starts: &[Lbn], cell_blocks: u64) -> Vec<Request> {
-    let mut out = Vec::new();
-    let mut iter = sorted_starts.iter().copied();
-    let Some(first) = iter.next() else {
-        return out;
-    };
-    let mut start = first;
-    let mut len = cell_blocks;
-    let mut expected_next = first + cell_blocks;
-    for lbn in iter {
-        if lbn == expected_next {
-            len += cell_blocks;
-        } else {
-            out.push(Request::new(start, len));
-            start = lbn;
-            len = cell_blocks;
-        }
-        expected_next = lbn + cell_blocks;
+/// Sort the cells starting at `lbns` (each `cell_blocks` long, none
+/// overlapping, any order) and coalesce them into maximal contiguous
+/// requests, ascending.
+///
+/// A range arrives in row-major cell order, where a mapping that keeps
+/// Dim0 sequential (Naive, MultiMap) already lays a whole row down as
+/// one ascending run. So the sort is over *runs*, not cells: the
+/// sequence is compacted in place into one key per maximal ascending
+/// stride-`cell_blocks` run, `start << k | (cells - 1)` with `k` the
+/// bits the largest start leaves free, the keys are sorted, and touching
+/// runs are merged on the way out. A run longer than `2^k` cells is cut
+/// into several keys that the merge rejoins, so `k = 0` (one key per
+/// cell) is the plain sort of the starts and no input needs another
+/// path.
+fn coalesce_runs(mut lbns: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
+    if lbns.is_empty() {
+        return Vec::new();
     }
-    out.push(Request::new(start, len));
-    out
+    // The OR of the starts has the leading zeros of the largest one.
+    let all = lbns.iter().fold(0, |acc, &l| acc | l);
+    let k = all.leading_zeros().min(63);
+    let cap = 1u64 << k;
+    let mut runs = 0;
+    let (mut start, mut prev, mut cells) = (lbns[0], lbns[0], 1u64);
+    for i in 1..lbns.len() {
+        let lbn = lbns[i];
+        if lbn.checked_sub(prev) == Some(cell_blocks) && cells < cap {
+            cells += 1;
+        } else {
+            lbns[runs] = start << k | (cells - 1);
+            runs += 1;
+            start = lbn;
+            cells = 1;
+        }
+        prev = lbn;
+    }
+    lbns[runs] = start << k | (cells - 1);
+    lbns.truncate(runs + 1);
+    lbns.sort_unstable();
+
+    let mut requests: Vec<Request> = Vec::new();
+    for key in lbns {
+        let (start, nblocks) = (key >> k, ((key & (cap - 1)) + 1) * cell_blocks);
+        debug_assert!(
+            requests.last().is_none_or(|r| start - r.lbn >= r.nblocks),
+            "coalesce_runs input cells must not overlap"
+        );
+        match requests.last_mut() {
+            Some(last) if start - last.lbn == last.nblocks => last.nblocks += nblocks,
+            _ => requests.push(Request::new(start, nblocks)),
+        }
+    }
+    requests
 }
 
 #[cfg(test)]
@@ -1233,11 +1252,85 @@ mod tests {
         }
     }
 
+    /// The oracle for [`coalesce_runs`]: sort every cell start, then
+    /// coalesce cell by cell — the planner this module used to run.
+    fn coalesce_cells(mut starts: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
+        starts.sort_unstable();
+        let mut out: Vec<Request> = Vec::new();
+        for lbn in starts {
+            match out.last_mut() {
+                Some(last) if last.lbn + last.nblocks == lbn => last.nblocks += cell_blocks,
+                _ => out.push(Request::new(lbn, cell_blocks)),
+            }
+        }
+        out
+    }
+
     #[test]
-    fn coalesce_cells_multiblock() {
-        let reqs = coalesce_cells(&[0, 4, 12], 4);
-        assert_eq!(reqs, vec![Request::new(0, 8), Request::new(12, 4)]);
-        assert!(coalesce_cells(&[], 4).is_empty());
+    fn coalesce_runs_edge_cases() {
+        assert_eq!(
+            coalesce_runs(vec![0, 4, 12], 4),
+            vec![Request::new(0, 8), Request::new(12, 4)]
+        );
+        // The empty demand list of an all-hit cached query.
+        assert!(coalesce_runs(Vec::new(), 4).is_empty());
+        // A lone cell at LBN 0 leaves all 64 bits spare.
+        assert_eq!(coalesce_runs(vec![0], 3), vec![Request::new(0, 3)]);
+        // No spare bits: one key per cell, i.e. the plain sort.
+        let top = u64::MAX - 16;
+        assert_eq!(
+            coalesce_runs(vec![top + 4, top, top + 2, 7, top + 10], 2),
+            vec![
+                Request::new(7, 2),
+                Request::new(top, 6),
+                Request::new(top + 10, 2)
+            ]
+        );
+        // One spare bit caps a key at two cells: a nine-cell row is cut
+        // into five keys and comes back as one request, in either order
+        // relative to its neighbours.
+        let half = 1u64 << 62;
+        let row = (0..9).map(|i| half + 3 * i);
+        let mut starts: Vec<Lbn> = row.clone().collect();
+        starts.extend([half + 30, half - 3, 5]);
+        let expect = coalesce_cells(starts.clone(), 3);
+        assert_eq!(expect.len(), 3);
+        assert_eq!(expect[1], Request::new(half - 3, 30));
+        assert_eq!(coalesce_runs(starts, 3), expect);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Non-overlapping cells laid out upward from `1 << top_bit`
+        /// (so the spare-bit count, and with it the per-key run cap,
+        /// sweeps 63 down to 0), issued as shuffled ascending chunks the
+        /// way a box's rows arrive: the run planner returns exactly what
+        /// sorting every cell start and coalescing cell by cell does.
+        #[test]
+        fn coalesce_runs_matches_the_cell_sort_oracle(
+            cells in proptest::collection::vec((0u64..8, 1u64..1000, 0u64..1 << 32), 1..300),
+            cell_blocks in 1u64..4,
+            top_bit in 0u32..64,
+            chunk in 1usize..40,
+        ) {
+            let mut next = 1u64 << top_bit;
+            let sorted: Vec<Lbn> = cells
+                .iter()
+                .map(|&(touch, gap, _)| {
+                    let start = next + if touch < 6 { 0 } else { gap };
+                    next = start + cell_blocks;
+                    start
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..sorted.len()).collect();
+            order.sort_by_key(|&i| (cells[i / chunk].2, i));
+            let starts: Vec<Lbn> = order.iter().map(|&i| sorted[i]).collect();
+            proptest::prop_assert_eq!(
+                coalesce_runs(starts.clone(), cell_blocks),
+                coalesce_cells(starts, cell_blocks)
+            );
+        }
     }
 
     #[test]

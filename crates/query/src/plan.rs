@@ -9,10 +9,12 @@
 use std::fmt;
 
 use multimap_core::{BoxRegion, Mapping, MappingKind};
-use multimap_disksim::{coalesce_sorted, DiskGeometry, DiskSim, Request};
+use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim, Request};
 
 use crate::error::Result;
-use crate::executor::{region_outside, ExecOptions};
+use crate::executor::{
+    plan_requests, region_outside, translate_region, ExecOptions, QueryOp, RangeOrder,
+};
 
 /// Shape of the planned query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +64,9 @@ impl fmt::Display for AccessPlan {
 }
 
 /// Plan a range query over `region` for `mapping` on a disk with
-/// `geom`, pricing it on a private simulator.
+/// `geom`, pricing it on a private simulator: the request batch and
+/// schedule policy are the ones [`QueryExecutor::execute`](crate::QueryExecutor::execute)
+/// builds for `options`.
 pub fn explain_range(
     geom: &DiskGeometry,
     mapping: &dyn Mapping,
@@ -72,25 +76,25 @@ pub fn explain_range(
     if !region.fits(mapping.grid()) {
         return Err(region_outside(region, mapping.grid()));
     }
-    let mut lbns = Vec::with_capacity(region.cells().min(1 << 24) as usize);
-    let mut failed = None;
-    region.for_each_cell(|c| match mapping.lbn_of(c) {
-        Ok(l) => lbns.push(l),
-        Err(e) => failed = Some(e),
-    });
-    if let Some(e) = failed {
-        return Err(e.into());
-    }
-    lbns.sort_unstable();
-    let requests = coalesce_sorted(&lbns);
+    let (lbns, _) = translate_region(options, mapping, region)?;
+    let (requests, policy) =
+        plan_requests(options, QueryOp::Range, None, lbns, mapping.cell_blocks());
+    let label = match options.range {
+        RangeOrder::SortedCoalesced => {
+            format!("sorted + queued SPTF (depth {})", options.queue_depth)
+        }
+        RangeOrder::SortedCoalescedFifo => "sorted + coalesced, FIFO".to_string(),
+        RangeOrder::SortedSingles => "sorted single cells, FIFO".to_string(),
+        RangeOrder::NaturalCellOrder => "natural cell order, FIFO".to_string(),
+    };
     Ok(price(
         geom,
         mapping,
         PlanKind::Range,
         region.cells(),
         &requests,
-        format!("sorted + queued SPTF (depth {})", options.queue_depth),
-        false,
+        label,
+        policy,
     ))
 }
 
@@ -113,15 +117,16 @@ pub fn explain_beam(
     if let Some(e) = failed {
         return Err(e.into());
     }
-    let (policy, full_sptf) = match mapping.kind() {
-        MappingKind::MultiMap if requests.len() <= options.sptf_limit => {
-            ("all-at-once SPTF (semi-sequential path)".to_string(), true)
-        }
+    let (label, policy) = match mapping.kind() {
+        MappingKind::MultiMap if requests.len() <= options.sptf_limit => (
+            "all-at-once SPTF (semi-sequential path)".to_string(),
+            Discipline::Sptf,
+        ),
         MappingKind::MultiMap => (
             format!("queued SPTF (depth {})", options.queue_depth),
-            false,
+            Discipline::QueuedSptf(options.queue_depth),
         ),
-        _ => ("ascending LBN".to_string(), false),
+        _ => ("ascending LBN".to_string(), Discipline::QueuedSptf(64)),
     };
     requests.sort_unstable_by_key(|r| r.lbn);
     Ok(price(
@@ -130,31 +135,27 @@ pub fn explain_beam(
         PlanKind::Beam,
         requests.len() as u64,
         &requests,
+        label,
         policy,
-        full_sptf,
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Price `requests` under `policy` from a cold disk; `label` is the
+/// policy's description in the plan.
 fn price(
     geom: &DiskGeometry,
     mapping: &dyn Mapping,
     kind: PlanKind,
     cells: u64,
     requests: &[Request],
-    policy: String,
-    full_sptf: bool,
+    label: String,
+    policy: Discipline,
 ) -> AccessPlan {
     let blocks: u64 = requests.iter().map(|r| r.nblocks).sum();
     let max_run = requests.iter().map(|r| r.nblocks).max().unwrap_or(0);
     // Price on a throwaway simulator so the live head state is untouched.
     let mut sim = DiskSim::new(geom.clone());
-    let discipline = if full_sptf {
-        multimap_disksim::Discipline::Sptf
-    } else {
-        multimap_disksim::Discipline::QueuedSptf(64)
-    };
-    let priced = multimap_disksim::DeviceModel::service_batch(&mut sim, requests, discipline);
+    let priced = DeviceModel::service_batch(&mut sim, requests, policy);
     let estimated_ms = priced.map(|b| b.total_ms).unwrap_or(f64::NAN);
     AccessPlan {
         mapping: mapping.name().to_string(),
@@ -167,7 +168,7 @@ fn price(
             blocks as f64 / requests.len() as f64
         },
         max_run,
-        policy,
+        policy: label,
         estimated_ms,
     }
 }
@@ -209,6 +210,55 @@ mod tests {
         assert!(p_naive.policy.contains("ascending"));
         assert!(p_mm.policy.contains("semi-sequential"));
         assert!(p_mm.estimated_ms < p_naive.estimated_ms);
+    }
+
+    /// The plan is the executor's own batch under the executor's own
+    /// policy: multi-block cells are priced as multi-block requests and
+    /// a non-default queue depth or range order is the one priced.
+    #[test]
+    fn range_plan_is_the_executors_batch_and_policy() {
+        use crate::executor::{QueryExecutor, QueryRequest};
+        use multimap_core::zorder_mapping;
+        use multimap_lvm::LogicalVolume;
+        let geom = profiles::small();
+        let grid = GridSpec::new([16u64, 16, 8]);
+        let zorder = zorder_mapping(grid, 0, 2).unwrap();
+        let region = BoxRegion::new([1u64, 2, 0], [12u64, 13, 6]);
+        let executed = |options: ExecOptions| {
+            let volume = LogicalVolume::new(geom.clone(), 1);
+            QueryExecutor::with_options(&volume, 0, options)
+                .execute(QueryRequest::range(&zorder, &region))
+                .unwrap()
+        };
+        let mut priced = Vec::new();
+        for options in [
+            ExecOptions::default(),
+            ExecOptions::builder().queue_depth(8).build(),
+            ExecOptions::builder()
+                .range(RangeOrder::SortedCoalescedFifo)
+                .build(),
+            ExecOptions::builder()
+                .range(RangeOrder::SortedSingles)
+                .build(),
+        ] {
+            let plan = explain_range(&geom, &zorder, &region, &options).unwrap();
+            let actual = executed(options);
+            assert_eq!(plan.requests, actual.requests, "{options:?}");
+            let blocks = (plan.mean_run * plan.requests as f64).round();
+            assert_eq!(blocks, actual.blocks as f64, "{options:?}");
+            assert_eq!(actual.blocks, 2 * region.cells());
+            assert_eq!(
+                plan.estimated_ms.to_bits(),
+                actual.total_io_ms.to_bits(),
+                "{options:?}: {}",
+                plan.policy
+            );
+            priced.push(plan);
+        }
+        assert!(priced[1].policy.contains("depth 8"));
+        assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms);
+        assert!(priced[2].policy.contains("FIFO"));
+        assert_eq!(priced[3].requests, region.cells());
     }
 
     #[test]

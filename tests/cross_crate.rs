@@ -1,8 +1,10 @@
 //! Cross-crate integration: earthquake and OLAP pipelines end to end,
 //! multi-disk volumes, and the update path.
 
-use multimap::core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
-use multimap::disksim::{profiles, Request};
+use multimap::core::{
+    hilbert_mapping, zorder_mapping, BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping,
+};
+use multimap::disksim::{profiles, request_payload, Request};
 use multimap::lvm::{Cyclic, Declustering, LogicalVolume, RoundRobin, SchedulePolicy};
 use multimap::octree::{
     beam_box, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder, SkewedMultiMap,
@@ -161,4 +163,51 @@ fn mappings_cover_identical_domains() {
     });
     assert!(naive.lbn_of(&[30, 0, 0]).is_err());
     assert!(mm.lbn_of(&[30, 0, 0]).is_err());
+}
+
+/// One 4608-cell box on the Cheetah under all four mappings: the
+/// requests, blocks and payload the executor reports are the ones
+/// recomputed from `Mapping::lbn_of` cell by cell (sort the starts, break
+/// wherever two neighbours do not touch). The box is large enough to go
+/// through the flat-table row translation, and every range goes through
+/// the run planner, so Tier-1 alone catches either diverging.
+#[test]
+fn range_batches_match_per_cell_translation() {
+    let geom = profiles::cheetah_36es();
+    let grid = GridSpec::new([64u64, 32, 16]);
+    let region = BoxRegion::new([3u64, 2, 1], [34u64, 17, 9]);
+    assert!(region.cells() >= multimap::core::MIN_CACHED_LOOKUPS);
+    let mappings: [Box<dyn Mapping>; 4] = [
+        Box::new(NaiveMapping::new(grid.clone(), 0)),
+        Box::new(zorder_mapping(grid.clone(), 0, 1).unwrap()),
+        Box::new(hilbert_mapping(grid.clone(), 0, 2).unwrap()),
+        Box::new(MultiMapping::new(&geom, grid).unwrap()),
+    ];
+    for m in &mappings {
+        let cell_blocks = m.cell_blocks();
+        let mut starts = Vec::new();
+        region.for_each_cell(|c| starts.push(m.lbn_of(c).unwrap()));
+        starts.sort_unstable();
+        let breaks = starts.windows(2).filter(|w| w[1] != w[0] + cell_blocks);
+        let requests = 1 + breaks.count() as u64;
+        let payload = starts.iter().fold(0u64, |acc, &l| {
+            acc.wrapping_add(request_payload(Request::new(l, cell_blocks)))
+        });
+
+        let volume = LogicalVolume::new(geom.clone(), 1);
+        let r = QueryExecutor::new(&volume, 0)
+            .execute(QueryRequest::range(m.as_ref(), &region))
+            .unwrap();
+        assert_eq!(
+            (r.cells, r.requests, r.blocks, r.payload),
+            (
+                region.cells(),
+                requests,
+                region.cells() * cell_blocks,
+                payload
+            ),
+            "{}",
+            m.name()
+        );
+    }
 }
