@@ -32,10 +32,10 @@
 //!
 //! Across a log, consecutive events must not overlap in time.
 //!
-//! Events that carry a non-clean [`FaultOutcome`] went through the
-//! recovery path: their timing is an accumulation over retries and
-//! remapped segments, so the per-request mechanical invariants above no
-//! longer apply verbatim. For those events the oracle checks only the
+//! Events that carry a non-clean [`multimap_disksim::FaultOutcome`]
+//! went through the recovery path: their timing is an accumulation over
+//! retries and remapped segments, so the per-request mechanical
+//! invariants above no longer apply verbatim. For those events the oracle checks only the
 //! fault-tolerant core — components non-negative, recovery time
 //! non-negative, and the clock advancing by exactly
 //! `timing.total_ms() + recovery_ms` ([`ServiceEvent::elapsed_ms`]).

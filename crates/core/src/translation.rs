@@ -167,7 +167,7 @@ impl FlatTranslation {
 ///
 /// Two mappings with equal keys agree on their name, family, grid shape,
 /// cell size, total span, and the translated LBNs of the first cell, the
-/// last cell, and [`KEY_PROBES`] deterministically sampled interior
+/// last cell, and `KEY_PROBES` (16) deterministically sampled interior
 /// cells. Mappings in this workspace are pure functions of their
 /// construction parameters, so agreement on all of those pins the whole
 /// table in practice; the property tests in this module and in the

@@ -71,8 +71,7 @@ pub use geometry::{
 pub use imr::{ImrConfig, ImrConfigBuilder, ImrModel};
 pub use observe::{ServiceEvent, ServiceLog, Transition};
 pub use scheduler::{
-    coalesce_sorted, plain_serve, service_batch_queued_sptf_incremental,
-    service_batch_queued_sptf_reference, service_batch_serving, service_batch_sptf_incremental,
+    coalesce_sorted, plain_serve, service_batch_serving, service_batch_sptf_incremental,
     service_batch_sptf_reference, BatchTiming, Discipline, SchedStats, ServeFn,
     SPTF_INCREMENTAL_MIN_WINDOW,
 };

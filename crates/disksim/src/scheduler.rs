@@ -1,23 +1,37 @@
 //! Request-batch servicing policies.
 //!
-//! Every batch entry point takes a [`Discipline`]:
+//! A discipline is a *window depth* and a *pick rule*: requests are
+//! admitted in issue order into a window of at most `depth` commands,
+//! the pick rule chooses one of the admitted requests, it is served, and
+//! the next pending request takes the vacated place.
 //!
-//! * [`Discipline::AscendingLbn`] — sort by LBN and serve in order. This
-//!   is what the paper's storage manager does for the linearised mappings
-//!   (Naive, Z-order, Hilbert) and for MultiMap range queries, where it
-//!   "favors sequential access".
-//! * [`Discipline::Sptf`] — greedy shortest-positioning-time-first, the
-//!   disk's internal scheduler. When a MultiMap beam query issues all its
-//!   blocks at once, SPTF discovers the semi-sequential path by itself.
-//! * [`Discipline::QueuedSptf`] — SPTF over a bounded TCQ window,
-//!   modelling SCSI tagged command queueing.
-//! * [`Discipline::InOrder`] — serve exactly as given (FIFO baseline).
+//! | [`Discipline`] | window depth | pick rule |
+//! |---|---|---|
+//! | [`InOrder`](Discipline::InOrder) | 1 | the only one admitted (FIFO baseline) |
+//! | [`AscendingLbn`](Discipline::AscendingLbn) | 1, over an LBN-sorted copy | the only one admitted |
+//! | [`QueuedSptf(d)`](Discipline::QueuedSptf) | `d` | shortest positioning time first |
+//! | [`Sptf`](Discipline::Sptf) | unbounded | shortest positioning time first |
+//!
+//! Ascending LBN is what the paper's storage manager does for the
+//! linearised mappings (Naive, Z-order, Hilbert) and for MultiMap range
+//! queries, where it "favors sequential access". SPTF is the disk's
+//! internal scheduler: when a MultiMap beam query issues all its blocks
+//! at once, SPTF discovers the semi-sequential path by itself; a bounded
+//! depth models SCSI tagged command queueing.
+//!
+//! The two depth-1 rows need no selection and share the FIFO loop
+//! `in_order_serving`. The two SPTF rows share the one window loop,
+//! `sptf_window`, generic over the structure that holds the admitted
+//! requests (`SptfWindow`): `LinearScan` re-estimates every admitted
+//! request per pick and is the behavioural oracle; `SptfSelector` finds
+//! the same pick from rotational-arrival bands.
+//! [`service_batch_serving`] chooses between them by the effective
+//! window size, at one comparison against
+//! [`SPTF_INCREMENTAL_MIN_WINDOW`].
 //!
 //! [`service_batch_serving`] is the single dispatcher (and the hook for
 //! recovery serve closures); backend-generic callers go through
-//! [`crate::device::DeviceModel::service_batch`] instead. (The
-//! historical per-policy free functions were `#[deprecated]` shims for
-//! one release and are gone.)
+//! [`crate::device::DeviceModel::service_batch`] instead.
 
 use crate::error::{DiskError, Result};
 use crate::fault::{request_payload, FaultOutcome};
@@ -54,12 +68,11 @@ pub enum Discipline {
 
 /// Smallest SPTF window routed to the incremental selection structure.
 ///
-/// Below this, [`service_batch_serving`] uses the linear reference scan
-/// for [`Discipline::Sptf`] and [`Discipline::QueuedSptf`]: the two are
-/// bit-identical in behavior (see `tests/scheduler_equivalence.rs`), but
-/// building the band structure costs more than it saves on a handful of
-/// candidates. The queued policy compares its *effective* window,
-/// `queue_depth.min(requests.len())`, against this bound.
+/// Below this, [`service_batch_serving`] holds the window in the linear
+/// reference scan: the two structures are bit-identical in behavior (see
+/// `tests/scheduler_equivalence.rs`), but building the band structure
+/// costs more than it saves on a handful of candidates. The bound is
+/// compared with the *effective* window, `depth.min(requests.len())`.
 pub const SPTF_INCREMENTAL_MIN_WINDOW: usize = 48;
 
 /// How a batch policy actually serves one chosen request. The default
@@ -234,20 +247,17 @@ fn serve_observed(
 /// * [`Discipline::AscendingLbn`] sorts a copy by LBN and serves in
 ///   order; admission ranks report positions in the sorted order
 ///   actually issued.
-/// * [`Discipline::Sptf`] re-picks the cheapest pending request per
-///   serve. Selection estimates against the *logical* request from the
-///   current head state — the scheduler is not clairvoyant about faults
-///   or remapped blocks. Batches of at least
-///   [`SPTF_INCREMENTAL_MIN_WINDOW`] requests use the incremental
-///   rotational-band selector, smaller batches the linear reference
+/// * [`Discipline::Sptf`] and [`Discipline::QueuedSptf`] admit in issue
+///   order into a window (unbounded, or of the given depth) and serve
+///   the cheapest admitted request. Selection estimates against the
+///   *logical* request from the current head state — the scheduler is
+///   not clairvoyant about faults or remapped blocks. An effective
+///   window `depth.min(requests.len())` of at least
+///   [`SPTF_INCREMENTAL_MIN_WINDOW`] is held in the incremental
+///   rotational-band selector, a smaller one in the linear reference
 ///   scan; the two produce identical serve orders and timings on every
 ///   input (only the implementation-level [`SchedStats`] counters
-///   differ), so the split is invisible to callers.
-/// * [`Discipline::QueuedSptf`] admits in issue order into a bounded
-///   window and serves the cheapest queued request; the incremental
-///   selector is engaged when the *effective* window
-///   `depth.min(requests.len())` reaches
-///   [`SPTF_INCREMENTAL_MIN_WINDOW`]. Depth `0` is a
+///   differ), so the split is invisible to callers. Depth `0` is a
 ///   [`DiskError::ZeroQueueDepth`] error.
 ///
 /// Backend-generic callers without a recovery hook should prefer
@@ -260,27 +270,20 @@ pub fn service_batch_serving(
     serve: &mut ServeFn<'_>,
     observe: &mut dyn FnMut(ServiceEvent),
 ) -> Result<BatchTiming> {
-    match discipline {
-        Discipline::InOrder => in_order_serving(sim, requests, serve, observe),
+    let depth = match discipline {
+        Discipline::InOrder => return in_order_serving(sim, requests, serve, observe),
         Discipline::AscendingLbn => {
             let mut sorted: Vec<Request> = requests.to_vec();
             sorted.sort_unstable_by_key(|r| r.lbn);
-            in_order_serving(sim, &sorted, serve, observe)
+            return in_order_serving(sim, &sorted, serve, observe);
         }
-        Discipline::Sptf => {
-            if requests.len() >= SPTF_INCREMENTAL_MIN_WINDOW {
-                service_batch_sptf_incremental(sim, requests, serve, observe)
-            } else {
-                service_batch_sptf_reference(sim, requests, serve, observe)
-            }
-        }
-        Discipline::QueuedSptf(depth) => {
-            if depth.min(requests.len()) >= SPTF_INCREMENTAL_MIN_WINDOW {
-                service_batch_queued_sptf_incremental(sim, requests, depth, serve, observe)
-            } else {
-                service_batch_queued_sptf_reference(sim, requests, depth, serve, observe)
-            }
-        }
+        Discipline::Sptf => usize::MAX,
+        Discipline::QueuedSptf(depth) => depth,
+    };
+    if depth.min(requests.len()) >= SPTF_INCREMENTAL_MIN_WINDOW {
+        service_batch_sptf_incremental(sim, requests, depth, serve, observe)
+    } else {
+        service_batch_sptf_reference(sim, requests, depth, serve, observe)
     }
 }
 
@@ -298,163 +301,148 @@ fn in_order_serving(
     Ok(out)
 }
 
-/// The linear reference SPTF scan: every pending request is re-estimated
-/// per serve, `O(n²)` estimates per batch.
-///
-/// Retained (and exported) as the behavioral oracle for
-/// [`service_batch_sptf_incremental`]; the equivalence suite pins the
-/// two to identical serve orders, timings, and events.
-pub fn service_batch_sptf_reference(
-    sim: &mut DiskSim,
-    requests: &[Request],
-    serve: &mut ServeFn<'_>,
-    observe: &mut dyn FnMut(ServiceEvent),
-) -> Result<BatchTiming> {
-    // Hoist the position-independent work (locate + skew trigonometry)
-    // out of the O(n²) selection loop: one profile per request up front,
-    // then only the head-state-dependent remainder per estimate.
-    let mut pending: Vec<(usize, RequestProfile)> = Vec::with_capacity(requests.len());
-    for (rank, req) in requests.iter().enumerate() {
-        pending.push((rank, RequestProfile::new(sim.geometry(), *req)?));
+/// The requests an SPTF window currently holds, and the rule that picks
+/// the cheapest of them. Every implementation must make the pick
+/// [`LinearScan`] makes, ties included.
+pub(crate) trait SptfWindow {
+    /// Empty window with room for `n` requests.
+    fn with_capacity(n: usize) -> Self;
+    /// Admit the request of admission rank `rank`. Ranks arrive in
+    /// issue order.
+    fn admit(&mut self, rank: usize, profile: RequestProfile);
+    /// Number of requests held.
+    fn live(&self) -> usize;
+    /// Remove and return the request that is cheapest to serve from
+    /// `sim`'s head state, with its admission rank; `None` when empty.
+    fn take_best(&mut self, sim: &DiskSim) -> Result<Option<(usize, Request)>>;
+    /// Add this window's selection counters to a batch's stats.
+    fn record(&self, stats: &mut SchedStats);
+}
+
+/// The linear reference window: every held request is re-estimated per
+/// pick and the first strictly smallest estimate wins — `O(depth)`
+/// estimates per serve. Kept as the behavioral oracle of
+/// `SptfSelector`, and as the faster structure for small windows.
+pub(crate) struct LinearScan {
+    /// Position-independent work (locate + skew trigonometry) is done
+    /// once per request, at admission; a pick pays only the
+    /// head-state-dependent remainder per estimate.
+    pending: Vec<(usize, RequestProfile)>,
+    candidates_examined: u64,
+}
+
+impl SptfWindow for LinearScan {
+    fn with_capacity(n: usize) -> Self {
+        LinearScan {
+            pending: Vec::with_capacity(n),
+            candidates_examined: 0,
+        }
     }
-    let mut out = BatchTiming::default();
-    while !pending.is_empty() {
+
+    fn admit(&mut self, rank: usize, profile: RequestProfile) {
+        self.pending.push((rank, profile));
+    }
+
+    fn live(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn take_best(&mut self, sim: &DiskSim) -> Result<Option<(usize, Request)>> {
+        if self.pending.is_empty() {
+            return Ok(None);
+        }
         let mut best_idx = 0;
         let mut best_est = f64::INFINITY;
-        for (i, (_, profile)) in pending.iter().enumerate() {
+        for (i, (_, profile)) in self.pending.iter().enumerate() {
             let est = sim.estimate_profiled(profile)?;
             if est < best_est {
                 best_est = est;
                 best_idx = i;
             }
         }
-        out.sched.candidates_examined += pending.len() as u64;
-        let queue_len = pending.len();
-        let (rank, profile) = pending.swap_remove(best_idx);
-        serve_observed(sim, profile.request(), &mut out, rank, queue_len, serve, observe)?;
+        self.candidates_examined += self.pending.len() as u64;
+        let (rank, profile) = self.pending.swap_remove(best_idx);
+        Ok(Some((rank, profile.request())))
     }
+
+    fn record(&self, stats: &mut SchedStats) {
+        stats.candidates_examined += self.candidates_examined;
+    }
+}
+
+/// The one SPTF loop: admit in issue order into a window of at most
+/// `depth` requests held in a `W`, serve the window's pick, admit the
+/// next pending request into the vacated place, until both are drained.
+///
+/// A request is profiled — and an invalid one fails — when it would
+/// enter the window, so the whole batch is validated up front only when
+/// the window holds all of it.
+fn sptf_window<W: SptfWindow>(
+    sim: &mut DiskSim,
+    requests: &[Request],
+    depth: usize,
+    serve: &mut ServeFn<'_>,
+    observe: &mut dyn FnMut(ServiceEvent),
+) -> Result<BatchTiming> {
+    if depth == 0 {
+        return Err(DiskError::ZeroQueueDepth);
+    }
+    let mut out = BatchTiming::default();
+    let mut window = W::with_capacity(depth.min(requests.len()));
+    let mut pending = requests.iter().enumerate();
+    for (rank, req) in pending.by_ref().take(depth) {
+        window.admit(rank, RequestProfile::new(sim.geometry(), *req)?);
+    }
+    loop {
+        let queue_len = window.live();
+        let Some((rank, req)) = window.take_best(sim)? else {
+            break;
+        };
+        serve_observed(sim, req, &mut out, rank, queue_len, serve, observe)?;
+        if let Some((rank, req)) = pending.next() {
+            // The serve above vacated a slot in a full window: that is
+            // one TCQ eviction under admission pressure.
+            out.sched.window_evictions += 1;
+            window.admit(rank, RequestProfile::new(sim.geometry(), *req)?);
+        }
+    }
+    window.record(&mut out.sched);
     Ok(out)
 }
 
-/// SPTF via the incremental rotational-band selector: pending requests
-/// are bucketed by arrival band per cylinder and each serve
+/// SPTF over a window of `depth` requests held in the linear reference
+/// scan, whatever the window size — [`service_batch_serving`] without
+/// its size dispatch. Exported as the behavioral oracle for
+/// [`service_batch_sptf_incremental`]; the equivalence suite pins the
+/// two to identical serve orders, timings, and events. Full SPTF is
+/// `depth = usize::MAX`.
+pub fn service_batch_sptf_reference(
+    sim: &mut DiskSim,
+    requests: &[Request],
+    depth: usize,
+    serve: &mut ServeFn<'_>,
+    observe: &mut dyn FnMut(ServiceEvent),
+) -> Result<BatchTiming> {
+    sptf_window::<LinearScan>(sim, requests, depth, serve, observe)
+}
+
+/// SPTF over a window of `depth` requests held in the incremental
+/// rotational-band selector, whatever the window size: admitted
+/// requests are bucketed by arrival band per cylinder and each serve
 /// evaluates only the candidates the selector's lower bounds cannot
-/// exclude — `O(n · k)` estimates for small per-round candidate counts
-/// `k`, instead of the reference scan's `O(n²)`.
+/// exclude — `O(k)` estimates for small per-round candidate counts `k`,
+/// instead of the reference scan's `O(depth)`.
 ///
 /// Behaviorally identical to [`service_batch_sptf_reference`] on every
 /// input, including exact positioning-time ties.
 pub fn service_batch_sptf_incremental(
     sim: &mut DiskSim,
     requests: &[Request],
+    depth: usize,
     serve: &mut ServeFn<'_>,
     observe: &mut dyn FnMut(ServiceEvent),
 ) -> Result<BatchTiming> {
-    let mut selector = SptfSelector::with_capacity(requests.len());
-    for (rank, req) in requests.iter().enumerate() {
-        selector.admit(rank, RequestProfile::new(sim.geometry(), *req)?);
-    }
-    let mut out = BatchTiming::default();
-    while let Some(slot) = selector.select(sim)? {
-        let queue_len = selector.live();
-        let (rank, req) = selector.remove(slot);
-        serve_observed(sim, req, &mut out, rank, queue_len, serve, observe)?;
-    }
-    let sel = selector.stats();
-    out.sched.bucket_scans = sel.bucket_scans;
-    out.sched.candidates_examined = sel.candidates_examined;
-    out.sched.selector_repairs = sel.repairs;
-    Ok(out)
-}
-
-/// The linear reference queued-SPTF scan: every queued request is
-/// re-estimated per serve, `O(n · queue_depth)` estimates per batch.
-///
-/// Retained (and exported) as the behavioral oracle for
-/// [`service_batch_queued_sptf_incremental`].
-pub fn service_batch_queued_sptf_reference(
-    sim: &mut DiskSim,
-    requests: &[Request],
-    queue_depth: usize,
-    serve: &mut ServeFn<'_>,
-    observe: &mut dyn FnMut(ServiceEvent),
-) -> Result<BatchTiming> {
-    if queue_depth == 0 {
-        return Err(DiskError::ZeroQueueDepth);
-    }
-    let depth = queue_depth;
-    let mut out = BatchTiming::default();
-    // Profiles are built at admission, preserving the original error
-    // order (an invalid request fails when it would enter the queue).
-    let mut queue: Vec<(usize, RequestProfile)> = Vec::with_capacity(depth.min(requests.len()));
-    let mut next = 0usize;
-    while next < requests.len() && queue.len() < depth {
-        queue.push((next, RequestProfile::new(sim.geometry(), requests[next])?));
-        next += 1;
-    }
-    while !queue.is_empty() {
-        let mut best_idx = 0;
-        let mut best_est = f64::INFINITY;
-        for (i, (_, profile)) in queue.iter().enumerate() {
-            let est = sim.estimate_profiled(profile)?;
-            if est < best_est {
-                best_est = est;
-                best_idx = i;
-            }
-        }
-        out.sched.candidates_examined += queue.len() as u64;
-        let queue_len = queue.len();
-        let (rank, profile) = queue.swap_remove(best_idx);
-        serve_observed(sim, profile.request(), &mut out, rank, queue_len, serve, observe)?;
-        if next < requests.len() {
-            // The serve above vacated a slot in a full window: that is
-            // one TCQ eviction under admission pressure.
-            out.sched.window_evictions += 1;
-            queue.push((next, RequestProfile::new(sim.geometry(), requests[next])?));
-            next += 1;
-        }
-    }
-    Ok(out)
-}
-
-/// Queued SPTF via the incremental rotational-band selector. Admission
-/// order, eviction accounting, and error order (profiles are built when
-/// a request would enter the queue) all mirror
-/// [`service_batch_queued_sptf_reference`] exactly.
-pub fn service_batch_queued_sptf_incremental(
-    sim: &mut DiskSim,
-    requests: &[Request],
-    queue_depth: usize,
-    serve: &mut ServeFn<'_>,
-    observe: &mut dyn FnMut(ServiceEvent),
-) -> Result<BatchTiming> {
-    if queue_depth == 0 {
-        return Err(DiskError::ZeroQueueDepth);
-    }
-    let depth = queue_depth;
-    let mut out = BatchTiming::default();
-    let mut selector = SptfSelector::with_capacity(depth.min(requests.len()));
-    let mut next = 0usize;
-    while next < requests.len() && selector.live() < depth {
-        selector.admit(next, RequestProfile::new(sim.geometry(), requests[next])?);
-        next += 1;
-    }
-    while let Some(slot) = selector.select(sim)? {
-        let queue_len = selector.live();
-        let (rank, req) = selector.remove(slot);
-        serve_observed(sim, req, &mut out, rank, queue_len, serve, observe)?;
-        if next < requests.len() {
-            // Same TCQ eviction accounting as the reference scan.
-            out.sched.window_evictions += 1;
-            selector.admit(next, RequestProfile::new(sim.geometry(), requests[next])?);
-            next += 1;
-        }
-    }
-    let sel = selector.stats();
-    out.sched.bucket_scans = sel.bucket_scans;
-    out.sched.candidates_examined = sel.candidates_examined;
-    out.sched.selector_repairs = sel.repairs;
-    Ok(out)
+    sptf_window::<SptfSelector>(sim, requests, depth, serve, observe)
 }
 
 #[cfg(test)]

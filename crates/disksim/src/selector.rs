@@ -1,12 +1,12 @@
 //! Incremental SPTF selection: rotational-arrival bands per cylinder,
 //! repaired per head movement instead of rescanned.
 //!
-//! The reference SPTF loop in [`crate::scheduler`] evaluates every
-//! pending request per serve — `O(n²)` service-time estimates per batch.
-//! This module keeps the pending set in a structure that lets each round
-//! evaluate only the handful of candidates that can actually win, while
-//! remaining **bit-identical** to the reference scan: same serve order
-//! on every input, including ties.
+//! The reference SPTF window in [`crate::scheduler`] (`LinearScan`)
+//! evaluates every pending request per serve — `O(n²)` service-time
+//! estimates per batch. This module keeps the pending set in a structure
+//! that lets each round evaluate only the handful of candidates that can
+//! actually win, while remaining **bit-identical** to the reference
+//! scan: same serve order on every input, including ties.
 //!
 //! # Structure
 //!
@@ -92,6 +92,7 @@ use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::error::Result;
 use crate::geometry::ROTATION_WRAP_GUARD;
+use crate::scheduler::{SchedStats, SptfWindow};
 use crate::sim::{DiskSim, Request, RequestProfile};
 
 /// Dense pending-request identifier, assigned at admission.
@@ -99,19 +100,6 @@ type Slot = u32;
 
 /// `vec_pos` sentinel for served (removed) slots.
 const GONE: usize = usize::MAX;
-
-/// What the selector did for one batch — the raw material for the
-/// scheduler counters threaded through telemetry.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SelectorStats {
-    /// Rotational-band passes entered: one per cylinder bucket and
-    /// positioning class the outward walk could not prune.
-    pub bucket_scans: u64,
-    /// Exact service-time estimates evaluated during selection.
-    pub candidates_examined: u64,
-    /// Incremental structure repairs (admissions plus removals).
-    pub repairs: u64,
-}
 
 struct Pending {
     profile: RequestProfile,
@@ -154,8 +142,8 @@ struct CylinderBucket {
     items: Items,
 }
 
-/// The incremental selection structure behind the `*_incremental`
-/// scheduler entry points.
+/// The incremental [`SptfWindow`]: the structure
+/// [`crate::scheduler::service_batch_serving`] holds large windows in.
 pub(crate) struct SptfSelector {
     /// Slot arena. Served slots are recycled through `free`, which keeps
     /// it sized by the *live* window, not by total admissions — a
@@ -172,7 +160,9 @@ pub(crate) struct SptfSelector {
     free: Vec<Slot>,
     /// Insert-only global minimum first-segment transfer time.
     min_xfer: f64,
-    stats: SelectorStats,
+    /// Selection counters of the batch so far (`window_evictions` is
+    /// the loop's to count, and stays zero).
+    stats: SchedStats,
 }
 
 /// One selection round: the head state it selects from, the incumbent,
@@ -273,40 +263,26 @@ impl Round<'_> {
     }
 }
 
-impl SptfSelector {
-    /// Empty selector with room for `n` admissions.
-    pub(crate) fn with_capacity(n: usize) -> Self {
+impl SptfWindow for SptfSelector {
+    fn with_capacity(n: usize) -> Self {
         SptfSelector {
             entries: Vec::with_capacity(n),
             vec_order: Vec::with_capacity(n),
             cylinders: BTreeMap::new(),
             free: Vec::new(),
             min_xfer: f64::INFINITY,
-            stats: SelectorStats::default(),
+            stats: SchedStats::default(),
         }
     }
 
-    /// Number of pending requests.
     #[inline]
-    pub(crate) fn live(&self) -> usize {
+    fn live(&self) -> usize {
         self.vec_order.len()
     }
 
-    /// Batch counters accumulated so far.
-    #[inline]
-    pub(crate) fn stats(&self) -> SelectorStats {
-        self.stats
-    }
-
-    /// The bucket entry of a profiled request under `slot`.
-    fn item_of(profile: &RequestProfile, slot: Slot) -> (u64, Item) {
-        let (cylinder, surface) = profile.track();
-        (cylinder, (profile.start_angle().to_bits(), surface, slot))
-    }
-
-    /// Admit one request. Admission order must match the reference
-    /// scan's pending-vec push order (issue order).
-    pub(crate) fn admit(&mut self, rank: usize, profile: RequestProfile) {
+    /// Admission order must match the reference scan's pending-vec push
+    /// order (issue order).
+    fn admit(&mut self, rank: usize, profile: RequestProfile) {
         // Reuse a served slot if one is free (slot numbers never order
         // selection — ties break on the mirrored vec position — so
         // recycling is observationally invisible).
@@ -352,13 +328,29 @@ impl SptfSelector {
             None => self.entries.push(entry),
         }
         self.vec_order.push(slot);
-        self.stats.repairs += 1;
+        self.stats.selector_repairs += 1;
+    }
+
+    fn take_best(&mut self, sim: &DiskSim) -> Result<Option<(usize, Request)>> {
+        Ok(self.select(sim)?.map(|slot| self.remove(slot)))
+    }
+
+    fn record(&self, stats: &mut SchedStats) {
+        stats.merge(&self.stats);
+    }
+}
+
+impl SptfSelector {
+    /// The bucket entry of a profiled request under `slot`.
+    fn item_of(profile: &RequestProfile, slot: Slot) -> (u64, Item) {
+        let (cylinder, surface) = profile.track();
+        (cylinder, (profile.start_angle().to_bits(), surface, slot))
     }
 
     /// Pick the request the reference scan would pick from the current
     /// head state: the pending minimum of `(estimate, vec position)`.
     /// Returns `None` once the selector is drained.
-    pub(crate) fn select(&mut self, sim: &DiskSim) -> Result<Option<Slot>> {
+    fn select(&mut self, sim: &DiskSim) -> Result<Option<Slot>> {
         if self.vec_order.is_empty() {
             return Ok(None);
         }
@@ -494,7 +486,7 @@ impl SptfSelector {
     /// Remove a served request from every index, mirroring the reference
     /// scan's `swap_remove` on the pending vec. Returns the request's
     /// admission rank and the request itself.
-    pub(crate) fn remove(&mut self, slot: Slot) -> (usize, Request) {
+    fn remove(&mut self, slot: Slot) -> (usize, Request) {
         let e = &mut self.entries[slot as usize];
         let (rank, req) = (e.rank, e.profile.request());
         let (cylinder, item) = Self::item_of(&e.profile, slot);
@@ -522,7 +514,7 @@ impl SptfSelector {
             }
         }
         self.free.push(slot);
-        self.stats.repairs += 1;
+        self.stats.selector_repairs += 1;
         (rank, req)
     }
 }
@@ -531,6 +523,7 @@ impl SptfSelector {
 mod tests {
     use super::*;
     use crate::geometry::{DiskBuilder, ZoneSpec};
+    use crate::scheduler::LinearScan;
 
     /// One zone of 400 cylinders x `surfaces` x `spt` sectors with an
     /// 8-cylinder settle plateau.
@@ -574,10 +567,10 @@ mod tests {
     /// Stream `reqs` through a selector `window` requests deep (admission
     /// in issue order, one per serve once the window is full — the
     /// queued-SPTF shape; `window >= reqs.len()` is full SPTF) and assert
-    /// every pick equals the linear reference argmin over the same
-    /// pending profiles, serving each winner. `inspect` sees the selector
-    /// after every admission and removal. Returns the served ranks and
-    /// the drained selector.
+    /// every pick equals [`LinearScan`]'s over the same pending profiles,
+    /// serving each winner. `inspect` sees the selector after every
+    /// admission and removal. Returns the served ranks and the drained
+    /// selector.
     fn drain_against_reference(
         s: &mut DiskSim,
         reqs: &[Request],
@@ -585,38 +578,26 @@ mod tests {
         mut inspect: impl FnMut(&SptfSelector),
     ) -> (Vec<usize>, SptfSelector) {
         let mut selector = SptfSelector::with_capacity(window.min(reqs.len()));
-        let mut naive: Vec<(usize, RequestProfile)> = Vec::new();
+        let mut reference = LinearScan::with_capacity(window.min(reqs.len()));
         let mut served = Vec::new();
         let mut next = 0;
         loop {
-            while next < reqs.len() && naive.len() < window {
+            while next < reqs.len() && reference.live() < window {
                 let p = RequestProfile::new(s.geometry(), reqs[next]).unwrap();
                 selector.admit(next, p.clone());
-                naive.push((next, p));
+                reference.admit(next, p);
                 next += 1;
                 inspect(&selector);
             }
-            let Some(slot) = selector.select(s).unwrap() else {
+            let got = selector.take_best(s).unwrap();
+            assert_eq!(got, reference.take_best(s).unwrap(), "pick {} diverged", served.len());
+            let Some((rank, req)) = got else {
                 break;
             };
-            let mut best_idx = 0;
-            let mut best_est = f64::INFINITY;
-            for (i, (_, profile)) in naive.iter().enumerate() {
-                let est = s.estimate_profiled(profile).unwrap();
-                if est < best_est {
-                    best_est = est;
-                    best_idx = i;
-                }
-            }
-            let (want_rank, profile) = naive.swap_remove(best_idx);
-            let (got_rank, got_req) = selector.remove(slot);
-            assert_eq!(got_rank, want_rank, "pick {} diverged", served.len());
-            assert_eq!(got_req, profile.request());
             inspect(&selector);
-            s.service(got_req).unwrap();
-            served.push(got_rank);
+            s.service(req).unwrap();
+            served.push(rank);
         }
-        assert!(naive.is_empty());
         assert_eq!(selector.live(), 0);
         assert!(selector.cylinders.is_empty());
         (served, selector)
@@ -632,9 +613,9 @@ mod tests {
         // The whole point: far fewer exact estimates than n²/2.
         let n = reqs.len() as u64;
         assert!(
-            selector.stats().candidates_examined < n * (n + 1) / 4,
+            selector.stats.candidates_examined < n * (n + 1) / 4,
             "{} candidates for n = {n}",
-            selector.stats().candidates_examined
+            selector.stats.candidates_examined
         );
     }
 
@@ -736,8 +717,8 @@ mod tests {
         let mut s = DiskSim::new(geom);
         let (_, selector) = drain_against_reference(&mut s, &reqs, reqs.len(), |sel| {
             widest = widest.max(sel.cylinders.len());
-            let scans = sel.stats().bucket_scans - scans_before;
-            scans_before = sel.stats().bucket_scans;
+            let scans = sel.stats.bucket_scans - scans_before;
+            scans_before = sel.stats.bucket_scans;
             // (`inspect` runs after the winner's removal, which may have
             // emptied its cylinder.)
             assert!(
@@ -747,7 +728,7 @@ mod tests {
             );
         });
         assert_eq!(widest, 65);
-        let per_decision = selector.stats().bucket_scans as f64 / tracks as f64;
+        let per_decision = selector.stats.bucket_scans as f64 / tracks as f64;
         assert!(per_decision < 65.0, "{per_decision} passes per decision");
     }
 
@@ -773,9 +754,9 @@ mod tests {
         let (_, selector) = drain_against_reference(&mut s, &reqs, reqs.len(), |_| {});
         let n = reqs.len() as u64;
         assert!(
-            selector.stats().candidates_examined < n * (n + 1) / 4,
+            selector.stats.candidates_examined < n * (n + 1) / 4,
             "{} candidates for n = {n}",
-            selector.stats().candidates_examined
+            selector.stats.candidates_examined
         );
     }
 

@@ -13,9 +13,8 @@
 //!   [`backend_volume`].
 
 use multimap_disksim::{
-    adjacent_lbn, build_backend, coalesce_sorted, AccessStats, BatchTiming, DeviceModel,
-    DiskGeometry, DiskSim, FaultCounts, FaultPlan, Lbn, Request, RequestTiming, ServiceEvent,
-    ServiceLog, Transition,
+    adjacent_lbn, build_backend, AccessStats, BatchTiming, DeviceModel, DiskGeometry, DiskSim,
+    FaultCounts, FaultPlan, Lbn, Request, RequestTiming, ServiceEvent, ServiceLog, Transition,
 };
 use parking_lot::Mutex;
 
@@ -201,18 +200,6 @@ impl<D: DeviceModel> DeviceVolume<D> {
             record(dev.classify(e), e);
         }
         Ok(timing?)
-    }
-
-    /// Service a sorted, deduplicated LBN list on one device, coalescing
-    /// contiguous runs into multi-block requests first.
-    pub fn service_sorted_lbns(
-        &self,
-        device: usize,
-        lbns: &[Lbn],
-        policy: SchedulePolicy,
-    ) -> Result<BatchTiming> {
-        let requests = coalesce_sorted(lbns);
-        self.service_batch(device, &requests, policy)
     }
 
     /// Service one batch per device "in parallel": each device runs its
@@ -449,16 +436,6 @@ mod tests {
         let total = v.geometry().total_blocks();
         let err = v.service(0, Request::single(total + 10)).unwrap_err();
         assert!(matches!(err, LvmError::Disk(_)), "{err:?}");
-    }
-
-    #[test]
-    fn sorted_lbns_are_coalesced() {
-        let v = volume(1);
-        let t = v
-            .service_sorted_lbns(0, &[10, 11, 12, 13, 14], SchedulePolicy::InOrder)
-            .unwrap();
-        assert_eq!(t.requests, 1);
-        assert_eq!(t.blocks, 5);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use multimap_disksim::Lbn;
 use multimap_lvm::LogicalVolume;
-use multimap_query::{service_lbns, QueryResult, Result};
+use multimap_query::{service_lbns, ExecOptions, QueryResult, Result};
 
 use crate::placement::{beam_box, LeafLinearMapping, SkewedMultiMap};
 use crate::tree::{Leaf, Octree};
@@ -48,9 +48,8 @@ impl LeafPlacement<'_> {
 pub struct LeafQueryExecutor<'a> {
     volume: &'a LogicalVolume,
     disk: usize,
-    /// Largest batch handed to the full-SPTF scheduler. The profiled
-    /// estimator keeps each selection round cheap, so this comfortably
-    /// covers every beam a paper-scale octree produces.
+    /// Largest batch handed to the full-SPTF scheduler: the grid
+    /// executor's own limit, so the two rise together.
     sptf_limit: usize,
 }
 
@@ -60,7 +59,7 @@ impl<'a> LeafQueryExecutor<'a> {
         LeafQueryExecutor {
             volume,
             disk,
-            sptf_limit: 4096,
+            sptf_limit: ExecOptions::default().sptf_limit,
         }
     }
 

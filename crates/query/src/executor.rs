@@ -18,7 +18,9 @@
 // staticcheck: allow-file(det-wall-clock) — span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them.
 use std::time::Instant;
 
-use multimap_core::{shared_cache, BoxRegion, GridSpec, Mapping, MappingKind, MIN_CACHED_LOOKUPS};
+use multimap_core::{
+    shared_cache, BoxRegion, GridSpec, Mapping, MappingError, MappingKind, MIN_CACHED_LOOKUPS,
+};
 use multimap_disksim::{
     coalesce_sorted, request_payload, BatchTiming, DeviceModel, Lbn, Request, ServiceEvent,
     Transition,
@@ -421,15 +423,6 @@ fn serve<D: DeviceModel>(
     Ok(batch)
 }
 
-/// Record a batch's scheduler-internal counters into a sink (the tail
-/// block shared by every service path).
-fn record_sched_stats(s: &mut dyn MetricsSink, batch: &BatchTiming) {
-    s.counter(Counter::SptfWindowEviction, batch.sched.window_evictions);
-    s.counter(Counter::SptfBucketScan, batch.sched.bucket_scans);
-    s.counter(Counter::SptfCandidateExamined, batch.sched.candidates_examined);
-    s.counter(Counter::SptfSelectorRepair, batch.sched.selector_repairs);
-}
-
 /// Close a span opened with `Instant::now()` (no-op without a sink).
 fn finish_span(sink: &mut Option<&mut dyn MetricsSink>, span: Span, started: Option<Instant>) {
     if let (Some(s), Some(t)) = (sink.as_deref_mut(), started) {
@@ -531,10 +524,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             return Err(region_outside(region, mapping.grid()));
         }
         let cell_blocks = mapping.cell_blocks();
-        let beam_policy = match op {
-            QueryOp::Beam => Some(resolve_beam_schedule(&self.options, mapping, region.cells())),
-            QueryOp::Range => None,
-        };
+        let beam_policy = resolve_beam_schedule(&self.options, op, mapping, region.cells());
         finish_span(&mut sink, Span::Plan, t_plan);
 
         // Translate: region cells → LBNs (direct or via the flat table).
@@ -597,8 +587,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             Some(p) => p.missed.clone(),
             None => lbns,
         };
-        let (mut requests, policy) =
-            plan_requests(&self.options, op, beam_policy, demand, cell_blocks);
+        let (mut requests, policy) = plan_requests(&self.options, beam_policy, demand, cell_blocks);
         if let Some(p) = &probed {
             requests.extend(p.prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
         }
@@ -633,7 +622,10 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             result.payload = p.payload;
         }
         if let Some(s) = sink {
-            record_sched_stats(s, &batch);
+            s.counter(Counter::SptfWindowEviction, batch.sched.window_evictions);
+            s.counter(Counter::SptfBucketScan, batch.sched.bucket_scans);
+            s.counter(Counter::SptfCandidateExamined, batch.sched.candidates_examined);
+            s.counter(Counter::SptfSelectorRepair, batch.sched.selector_repairs);
         }
         Ok(result)
     }
@@ -660,7 +652,10 @@ pub(crate) fn translate_region(
 
 /// `mapping.lbn_of` over every cell of `region` in row-major order,
 /// stopping at the first cell it refuses.
-fn collect_lbns(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<Lbn>> {
+pub fn collect_lbns(
+    mapping: &dyn Mapping,
+    region: &BoxRegion,
+) -> std::result::Result<Vec<Lbn>, MappingError> {
     let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
     let mut failed = None;
     region.for_each_cell(|c| {
@@ -673,19 +668,23 @@ fn collect_lbns(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<Lbn>> {
         }
     });
     match failed {
-        Some(e) => Err(e.into()),
+        Some(e) => Err(e),
         None => Ok(lbns),
     }
 }
 
 /// Resolve the schedule policy for a beam of `ncells` requests under
-/// `options`.
-fn resolve_beam_schedule(
+/// `options`; `None` for a range, whose policy follows from its order.
+pub(crate) fn resolve_beam_schedule(
     options: &ExecOptions,
+    op: QueryOp,
     mapping: &dyn Mapping,
     ncells: u64,
-) -> SchedulePolicy {
-    match options.beam {
+) -> Option<SchedulePolicy> {
+    if op == QueryOp::Range {
+        return None;
+    }
+    Some(match options.beam {
         BeamPolicy::Ascending => SchedulePolicy::AscendingLbn,
         BeamPolicy::Sptf => SchedulePolicy::Sptf,
         BeamPolicy::Natural => SchedulePolicy::InOrder,
@@ -694,27 +693,27 @@ fn resolve_beam_schedule(
             MappingKind::MultiMap => SchedulePolicy::QueuedSptf(options.queue_depth),
             _ => SchedulePolicy::AscendingLbn,
         },
-    }
+    })
 }
 
 /// Build the device request batch (issue order plus schedule policy)
-/// for cell-start `lbns` under `options`. Shared by the cached and
-/// uncached paths, so a cache that misses every probe issues exactly
-/// the batch an uncached run would.
+/// for cell-start `lbns` under `options`: a beam's under its resolved
+/// policy, a range's (`None`) under `options.range`. Shared by the
+/// cached and uncached paths, so a cache that misses every probe issues
+/// exactly the batch an uncached run would.
 pub(crate) fn plan_requests(
     options: &ExecOptions,
-    op: QueryOp,
     beam_policy: Option<SchedulePolicy>,
     mut lbns: Vec<Lbn>,
     cell_blocks: u64,
 ) -> (Vec<Request>, SchedulePolicy) {
-    match (op, beam_policy) {
-        (QueryOp::Beam, Some(policy)) => {
+    match beam_policy {
+        Some(policy) => {
             let requests: Vec<Request> =
                 lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
             (requests, policy)
         }
-        _ => match options.range {
+        None => match options.range {
             RangeOrder::NaturalCellOrder => {
                 let requests: Vec<Request> =
                     lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
@@ -751,20 +750,6 @@ pub fn service_lbns<D: DeviceModel>(
     lbns: &[Lbn],
     sptf: bool,
 ) -> Result<QueryResult> {
-    service_lbns_sinked(volume, device, lbns, sptf, None)
-}
-
-/// [`service_lbns`] with an optional metrics sink recording the same
-/// per-request decomposition the executor path records.
-pub fn service_lbns_sinked<D: DeviceModel>(
-    volume: &DeviceVolume<D>,
-    device: usize,
-    lbns: &[Lbn],
-    sptf: bool,
-    mut sink: Option<&mut dyn MetricsSink>,
-) -> Result<QueryResult> {
-    let cells = lbns.len() as u64;
-    let t_service = sink.is_some().then(Instant::now);
     let (requests, policy) = if sptf {
         let requests = lbns.iter().map(|&l| Request::single(l)).collect();
         (requests, SchedulePolicy::Sptf)
@@ -774,12 +759,8 @@ pub fn service_lbns_sinked<D: DeviceModel>(
         sorted.dedup();
         (coalesce_sorted(&sorted), SchedulePolicy::InOrder)
     };
-    let batch = serve(volume, device, &requests, policy, &mut None, &mut sink)?;
-    finish_span(&mut sink, Span::Service, t_service);
-    if let Some(s) = sink {
-        record_sched_stats(s, &batch);
-    }
-    Ok(QueryResult::from_batch(batch, cells))
+    let batch = serve(volume, device, &requests, policy, &mut None, &mut None)?;
+    Ok(QueryResult::from_batch(batch, lbns.len() as u64))
 }
 
 /// Sort the cells starting at `lbns` (each `cell_blocks` long, none

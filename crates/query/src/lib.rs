@@ -51,8 +51,8 @@ pub mod workload;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    record_classified_event, service_lbns, service_lbns_sinked, BeamPolicy,
-    ExecOptions, ExecOptionsBuilder, QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
+    collect_lbns, record_classified_event, service_lbns, BeamPolicy, ExecOptions,
+    ExecOptionsBuilder, QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
 pub use mix::{MixEntry, MixReport, QueryKind, WorkloadMix, WorkloadMixBuilder};
 pub use plan::{explain_beam, explain_range, AccessPlan, PlanKind};

@@ -8,12 +8,13 @@
 
 use std::fmt;
 
-use multimap_core::{BoxRegion, Mapping, MappingKind};
-use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim, Request};
+use multimap_core::{BoxRegion, Mapping};
+use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim};
 
 use crate::error::Result;
 use crate::executor::{
-    plan_requests, region_outside, translate_region, ExecOptions, QueryOp, RangeOrder,
+    plan_requests, region_outside, resolve_beam_schedule, translate_region, ExecOptions, QueryOp,
+    RangeOrder,
 };
 
 /// Shape of the planned query.
@@ -73,94 +74,68 @@ pub fn explain_range(
     region: &BoxRegion,
     options: &ExecOptions,
 ) -> Result<AccessPlan> {
-    if !region.fits(mapping.grid()) {
-        return Err(region_outside(region, mapping.grid()));
-    }
-    let (lbns, _) = translate_region(options, mapping, region)?;
-    let (requests, policy) =
-        plan_requests(options, QueryOp::Range, None, lbns, mapping.cell_blocks());
-    let label = match options.range {
-        RangeOrder::SortedCoalesced => {
-            format!("sorted + queued SPTF (depth {})", options.queue_depth)
-        }
-        RangeOrder::SortedCoalescedFifo => "sorted + coalesced, FIFO".to_string(),
-        RangeOrder::SortedSingles => "sorted single cells, FIFO".to_string(),
-        RangeOrder::NaturalCellOrder => "natural cell order, FIFO".to_string(),
-    };
-    Ok(price(
-        geom,
-        mapping,
-        PlanKind::Range,
-        region.cells(),
-        &requests,
-        label,
-        policy,
-    ))
+    explain(geom, mapping, region, options, QueryOp::Range)
 }
 
-/// Plan a beam query (per-cell requests) along `region`.
+/// Plan a beam query (per-cell requests) along `region`: like
+/// [`explain_range`], the executor's own batch under the executor's own
+/// policy for `options`.
 pub fn explain_beam(
     geom: &DiskGeometry,
     mapping: &dyn Mapping,
     region: &BoxRegion,
     options: &ExecOptions,
 ) -> Result<AccessPlan> {
+    explain(geom, mapping, region, options, QueryOp::Beam)
+}
+
+/// How `policy` serves a batch, as a plan prints it.
+fn discipline_label(policy: Discipline) -> String {
+    match policy {
+        Discipline::InOrder => "FIFO".to_string(),
+        Discipline::AscendingLbn => "ascending LBN".to_string(),
+        Discipline::Sptf => "all-at-once SPTF (semi-sequential path)".to_string(),
+        Discipline::QueuedSptf(depth) => format!("queued SPTF (depth {depth})"),
+    }
+}
+
+/// Build the batch the executor would issue for `op` over `region` —
+/// its plan, translate and schedule phases — and price it from a cold
+/// disk.
+fn explain(
+    geom: &DiskGeometry,
+    mapping: &dyn Mapping,
+    region: &BoxRegion,
+    options: &ExecOptions,
+    op: QueryOp,
+) -> Result<AccessPlan> {
     if !region.fits(mapping.grid()) {
         return Err(region_outside(region, mapping.grid()));
     }
-    let mut requests = Vec::with_capacity(region.cells().min(1 << 24) as usize);
-    let mut failed = None;
-    region.for_each_cell(|c| match mapping.lbn_of(c) {
-        Ok(l) => requests.push(Request::single(l)),
-        Err(e) => failed = Some(e),
-    });
-    if let Some(e) = failed {
-        return Err(e.into());
-    }
-    let (label, policy) = match mapping.kind() {
-        MappingKind::MultiMap if requests.len() <= options.sptf_limit => (
-            "all-at-once SPTF (semi-sequential path)".to_string(),
-            Discipline::Sptf,
-        ),
-        MappingKind::MultiMap => (
-            format!("queued SPTF (depth {})", options.queue_depth),
-            Discipline::QueuedSptf(options.queue_depth),
-        ),
-        _ => ("ascending LBN".to_string(), Discipline::QueuedSptf(64)),
+    let beam_policy = resolve_beam_schedule(options, op, mapping, region.cells());
+    let (lbns, _) = translate_region(options, mapping, region)?;
+    let (requests, policy) = plan_requests(options, beam_policy, lbns, mapping.cell_blocks());
+    let (kind, label) = match op {
+        QueryOp::Beam => (PlanKind::Beam, discipline_label(policy)),
+        QueryOp::Range => {
+            let order = match options.range {
+                RangeOrder::SortedCoalesced | RangeOrder::SortedCoalescedFifo => "sorted + coalesced",
+                RangeOrder::SortedSingles => "sorted single cells",
+                RangeOrder::NaturalCellOrder => "natural cell order",
+            };
+            (PlanKind::Range, format!("{order}, {}", discipline_label(policy)))
+        }
     };
-    requests.sort_unstable_by_key(|r| r.lbn);
-    Ok(price(
-        geom,
-        mapping,
-        PlanKind::Beam,
-        requests.len() as u64,
-        &requests,
-        label,
-        policy,
-    ))
-}
-
-/// Price `requests` under `policy` from a cold disk; `label` is the
-/// policy's description in the plan.
-fn price(
-    geom: &DiskGeometry,
-    mapping: &dyn Mapping,
-    kind: PlanKind,
-    cells: u64,
-    requests: &[Request],
-    label: String,
-    policy: Discipline,
-) -> AccessPlan {
     let blocks: u64 = requests.iter().map(|r| r.nblocks).sum();
     let max_run = requests.iter().map(|r| r.nblocks).max().unwrap_or(0);
     // Price on a throwaway simulator so the live head state is untouched.
     let mut sim = DiskSim::new(geom.clone());
-    let priced = DeviceModel::service_batch(&mut sim, requests, policy);
+    let priced = DeviceModel::service_batch(&mut sim, &requests, policy);
     let estimated_ms = priced.map(|b| b.total_ms).unwrap_or(f64::NAN);
-    AccessPlan {
+    Ok(AccessPlan {
         mapping: mapping.name().to_string(),
         kind,
-        cells,
+        cells: region.cells(),
         requests: requests.len() as u64,
         mean_run: if requests.is_empty() {
             0.0
@@ -170,7 +145,7 @@ fn price(
         max_run,
         policy: label,
         estimated_ms,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -212,26 +187,52 @@ mod tests {
         assert!(p_mm.estimated_ms < p_naive.estimated_ms);
     }
 
+    /// Assert the plan for `op` under `options` is what the executor
+    /// does from a cold disk: same request count, same blocks, same
+    /// simulated time to the bit.
+    fn assert_plan_is_the_execution(
+        geom: &DiskGeometry,
+        mapping: &dyn Mapping,
+        region: &BoxRegion,
+        op: QueryOp,
+        options: ExecOptions,
+    ) -> AccessPlan {
+        use crate::executor::{QueryExecutor, QueryRequest};
+        use multimap_lvm::LogicalVolume;
+        let ctx = format!("{} {op:?} {region:?} {options:?}", mapping.name());
+        let plan = match op {
+            QueryOp::Beam => explain_beam(geom, mapping, region, &options),
+            QueryOp::Range => explain_range(geom, mapping, region, &options),
+        }
+        .unwrap();
+        let volume = LogicalVolume::new(geom.clone(), 1);
+        let actual = QueryExecutor::with_options(&volume, 0, options)
+            .execute(QueryRequest::new(op, mapping, region))
+            .unwrap();
+        assert_eq!(plan.requests, actual.requests, "{ctx}");
+        let blocks = (plan.mean_run * plan.requests as f64).round();
+        assert_eq!(blocks, actual.blocks as f64, "{ctx}");
+        assert_eq!(actual.blocks, mapping.cell_blocks() * region.cells(), "{ctx}");
+        assert_eq!(
+            plan.estimated_ms.to_bits(),
+            actual.total_io_ms.to_bits(),
+            "{ctx}: {}",
+            plan.policy
+        );
+        plan
+    }
+
     /// The plan is the executor's own batch under the executor's own
     /// policy: multi-block cells are priced as multi-block requests and
     /// a non-default queue depth or range order is the one priced.
     #[test]
     fn range_plan_is_the_executors_batch_and_policy() {
-        use crate::executor::{QueryExecutor, QueryRequest};
         use multimap_core::zorder_mapping;
-        use multimap_lvm::LogicalVolume;
         let geom = profiles::small();
         let grid = GridSpec::new([16u64, 16, 8]);
         let zorder = zorder_mapping(grid, 0, 2).unwrap();
         let region = BoxRegion::new([1u64, 2, 0], [12u64, 13, 6]);
-        let executed = |options: ExecOptions| {
-            let volume = LogicalVolume::new(geom.clone(), 1);
-            QueryExecutor::with_options(&volume, 0, options)
-                .execute(QueryRequest::range(&zorder, &region))
-                .unwrap()
-        };
-        let mut priced = Vec::new();
-        for options in [
+        let priced = [
             ExecOptions::default(),
             ExecOptions::builder().queue_depth(8).build(),
             ExecOptions::builder()
@@ -240,25 +241,49 @@ mod tests {
             ExecOptions::builder()
                 .range(RangeOrder::SortedSingles)
                 .build(),
-        ] {
-            let plan = explain_range(&geom, &zorder, &region, &options).unwrap();
-            let actual = executed(options);
-            assert_eq!(plan.requests, actual.requests, "{options:?}");
-            let blocks = (plan.mean_run * plan.requests as f64).round();
-            assert_eq!(blocks, actual.blocks as f64, "{options:?}");
-            assert_eq!(actual.blocks, 2 * region.cells());
-            assert_eq!(
-                plan.estimated_ms.to_bits(),
-                actual.total_io_ms.to_bits(),
-                "{options:?}: {}",
-                plan.policy
-            );
-            priced.push(plan);
-        }
+        ]
+        .map(|options| assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options));
         assert!(priced[1].policy.contains("depth 8"));
         assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms);
         assert!(priced[2].policy.contains("FIFO"));
         assert_eq!(priced[3].requests, region.cells());
+    }
+
+    /// The same for beams, on every mapping (one with two-block cells)
+    /// along every dimension: the default policy, a forced one, the
+    /// unsorted ablation, and a beam longer than the full-SPTF limit.
+    #[test]
+    fn beam_plan_is_the_executors_batch_and_policy() {
+        use crate::executor::BeamPolicy;
+        use multimap_core::{hilbert_mapping, zorder_mapping};
+        let geom = profiles::small();
+        let grid = GridSpec::new([16u64, 16, 8]);
+        let mappings: [Box<dyn Mapping>; 4] = [
+            Box::new(NaiveMapping::new(grid.clone(), 0)),
+            Box::new(zorder_mapping(grid.clone(), 0, 2).unwrap()),
+            Box::new(hilbert_mapping(grid.clone(), 0, 1).unwrap()),
+            Box::new(MultiMapping::new(&geom, grid.clone()).unwrap()),
+        ];
+        for mapping in &mappings {
+            for dim in 0..3 {
+                let region = BoxRegion::beam(&grid, dim, &[3, 5, 2]);
+                let [auto, sptf, natural, limited] = [
+                    ExecOptions::default(),
+                    ExecOptions::builder().beam(BeamPolicy::Sptf).build(),
+                    ExecOptions::builder().beam(BeamPolicy::Natural).build(),
+                    ExecOptions::builder().sptf_limit(4).build(),
+                ]
+                .map(|options| {
+                    assert_plan_is_the_execution(&geom, mapping.as_ref(), &region, QueryOp::Beam, options)
+                });
+                assert_eq!(auto.requests, region.cells());
+                assert!(sptf.policy.contains("all-at-once SPTF"));
+                assert!(natural.policy.contains("FIFO"));
+                let multimap = mapping.kind() == multimap_core::MappingKind::MultiMap;
+                assert_eq!(limited.policy.contains("queued SPTF (depth 64)"), multimap);
+                assert_eq!(auto.policy.contains("ascending LBN"), !multimap);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Request};
 use multimap_lvm::{DeviceVolume, SchedulePolicy};
-use multimap_query::record_classified_event;
+use multimap_query::{collect_lbns, record_classified_event};
 use multimap_telemetry::{Histogram, Metrics};
 
 use crate::error::{Result, ServerError};
@@ -297,8 +297,7 @@ pub fn serve_scenario<D: DeviceModel>(
         let mut owners: Vec<usize> = Vec::new();
         for (bi, q) in batch.iter().enumerate() {
             let region = BoxRegion::beam(&grid, q.req.dim, &q.req.anchor);
-            for coord in region.cells_vec() {
-                let lbn = mapping.lbn_of(&coord)?;
+            for lbn in collect_lbns(mapping, &region)? {
                 reqs.push(Request::new(lbn, mapping.cell_blocks()));
                 owners.push(bi);
             }

@@ -6,7 +6,7 @@
 //! configuration the prover checks bijection, adjacency-distance and
 //! zone-boundary invariants for all four mappings, picking the exhaustive
 //! regime on small grids and structural arguments above
-//! [`EXHAUSTIVE_CELL_LIMIT`](crate::bijection::EXHAUSTIVE_CELL_LIMIT).
+//! [`EXHAUSTIVE_CELL_LIMIT`].
 
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MappingError, MultiMapping, NaiveMapping,

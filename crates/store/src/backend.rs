@@ -1,6 +1,6 @@
 //! Backend-generic storage service: [`DeviceStore`] puts the store's
 //! page cache and write-back batcher in front of a
-//! [`DeviceVolume`] over any [`DeviceModel`](multimap_disksim::DeviceModel)
+//! [`DeviceVolume`] over any [`DeviceModel`]
 //! backend.
 //!
 //! Where [`crate::StorageManager`] manages tables on the rotating-disk

@@ -4,15 +4,19 @@
 //! eviction decisions — on every input, including exact
 //! positioning-time ties.
 //!
-//! The suite drives both implementations directly (bypassing the
-//! window-size dispatch in `service_batch_serving`, which would
-//! otherwise make small-batch comparisons vacuous) over random
+//! Both are windows of the one SPTF loop, and the reference
+//! (`LinearScan`) is also what the dispatcher itself uses below the
+//! threshold and what the selector's unit tests check picks against.
+//! The suite drives both windows directly (bypassing the window-size
+//! dispatch in `service_batch_serving`, which would otherwise make
+//! small-batch comparisons vacuous) over random
 //! workloads × both evaluation drives × all four mappings, plus drives
 //! that reach the selector's two-class logic the evaluation pair never
 //! does (head switch outlasting the settle, one surface, eight), and
 //! explicit regression cases for ties, equal start angles across the
-//! surfaces of a cylinder, single-request windows, and the queued-SPTF
-//! edge cases (empty batch, depth 0, depth > n).
+//! surfaces of a cylinder, single-request windows, the queued-SPTF
+//! edge cases (empty batch, depth 0, depth > n), and the loop's error
+//! and eviction contracts.
 //!
 //! Comparison is *semantic*: full `ServiceEvent` streams (order, ranks,
 //! queue lengths, mechanical before/after states, per-request timings)
@@ -26,50 +30,62 @@ use multimap::core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
 use multimap::disksim::{
-    plain_serve, profiles, semi_sequential_path, service_batch_queued_sptf_incremental,
-    service_batch_queued_sptf_reference, service_batch_sptf_incremental,
-    service_batch_sptf_reference, BatchTiming, DeviceModel, Discipline, DiskBuilder, DiskError,
-    DiskGeometry, DiskSim, Request, ServiceEvent, ServiceLog, ZoneSpec,
-    SPTF_INCREMENTAL_MIN_WINDOW,
+    plain_serve, profiles, semi_sequential_path, service_batch_serving,
+    service_batch_sptf_incremental, service_batch_sptf_reference, BatchTiming, DeviceModel,
+    Discipline, DiskBuilder, DiskError, DiskGeometry, DiskSim, Request, ServeFn, ServiceEvent,
+    ZoneSpec, SPTF_INCREMENTAL_MIN_WINDOW,
 };
 use proptest::prelude::*;
 
 type Run = (BatchTiming, Vec<ServiceEvent>);
 
-fn run_full(geom: &DiskGeometry, reqs: &[Request], incremental: bool) -> Run {
-    let mut sim = DiskSim::new(geom.clone());
-    let mut log = ServiceLog::new();
-    let t = if incremental {
-        service_batch_sptf_incremental(&mut sim, reqs, &mut plain_serve, &mut log.recorder())
-    } else {
-        service_batch_sptf_reference(&mut sim, reqs, &mut plain_serve, &mut log.recorder())
-    }
-    .expect("equivalence workloads are valid");
-    (t, log.events().to_vec())
+/// The window depth of full SPTF (`Discipline::Sptf`): unbounded.
+const FULL: usize = usize::MAX;
+
+/// How a batch reaches the SPTF loop.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// The linear reference window, whatever the window size.
+    Reference,
+    /// The incremental selector, whatever the window size.
+    Incremental,
+    /// `service_batch_serving`, which picks one of the two by size.
+    Dispatch,
 }
 
-fn run_queued(geom: &DiskGeometry, reqs: &[Request], depth: usize, incremental: bool) -> Run {
+const ENTRIES: [Entry; 3] = [Entry::Reference, Entry::Incremental, Entry::Dispatch];
+
+/// Serve `reqs` from a cold disk through `entry` with `serve`; the
+/// outcome and every event observed before it.
+fn try_run(
+    geom: &DiskGeometry,
+    reqs: &[Request],
+    depth: usize,
+    entry: Entry,
+    serve: &mut ServeFn<'_>,
+) -> (Result<BatchTiming, DiskError>, Vec<ServiceEvent>) {
     let mut sim = DiskSim::new(geom.clone());
-    let mut log = ServiceLog::new();
-    let t = if incremental {
-        service_batch_queued_sptf_incremental(
-            &mut sim,
-            reqs,
-            depth,
-            &mut plain_serve,
-            &mut log.recorder(),
-        )
-    } else {
-        service_batch_queued_sptf_reference(
-            &mut sim,
-            reqs,
-            depth,
-            &mut plain_serve,
-            &mut log.recorder(),
-        )
-    }
-    .expect("equivalence workloads are valid");
-    (t, log.events().to_vec())
+    let mut events = Vec::new();
+    let mut observe = |e: ServiceEvent| events.push(e);
+    let t = match entry {
+        Entry::Reference => service_batch_sptf_reference(&mut sim, reqs, depth, serve, &mut observe),
+        Entry::Incremental => {
+            service_batch_sptf_incremental(&mut sim, reqs, depth, serve, &mut observe)
+        }
+        Entry::Dispatch => {
+            let discipline = match depth {
+                FULL => Discipline::Sptf,
+                depth => Discipline::QueuedSptf(depth),
+            };
+            service_batch_serving(&mut sim, reqs, discipline, serve, &mut observe)
+        }
+    };
+    (t, events)
+}
+
+fn run_queued(geom: &DiskGeometry, reqs: &[Request], depth: usize, entry: Entry) -> Run {
+    let (t, events) = try_run(geom, reqs, depth, entry, &mut plain_serve);
+    (t.expect("equivalence workloads are valid"), events)
 }
 
 /// Semantic equality: identical event streams and identical
@@ -100,16 +116,19 @@ fn assert_same(reference: &Run, incremental: &Run, ctx: &str) {
 
 /// Check full SPTF plus a spread of queue depths on one workload.
 fn check_workload(geom: &DiskGeometry, reqs: &[Request], ctx: &str) {
-    assert_same(
-        &run_full(geom, reqs, false),
-        &run_full(geom, reqs, true),
-        &format!("{ctx} full"),
-    );
-    for depth in [1usize, 7, SPTF_INCREMENTAL_MIN_WINDOW, 64] {
+    for depth in [FULL, 1, 7, SPTF_INCREMENTAL_MIN_WINDOW, 64] {
+        let reference = run_queued(geom, reqs, depth, Entry::Reference);
         assert_same(
-            &run_queued(geom, reqs, depth, false),
-            &run_queued(geom, reqs, depth, true),
-            &format!("{ctx} queued depth {depth}"),
+            &reference,
+            &run_queued(geom, reqs, depth, Entry::Incremental),
+            &format!("{ctx} depth {depth}"),
+        );
+        // Contract: every serve that leaves a request unadmitted is one
+        // eviction, so a window that holds the batch has none.
+        assert_eq!(
+            reference.0.sched.window_evictions,
+            reqs.len().saturating_sub(depth) as u64,
+            "{ctx} depth {depth}: evictions"
         );
     }
 }
@@ -325,8 +344,8 @@ fn dim1_beam_scans_cylinders_not_tracks() {
         let reqs: Vec<Request> = (0..tracks)
             .map(|i| Request::single(path[(i * 37) % tracks]))
             .collect();
-        let reference = run_full(&geom, &reqs, false);
-        let incremental = run_full(&geom, &reqs, true);
+        let reference = run_queued(&geom, &reqs, FULL, Entry::Reference);
+        let incremental = run_queued(&geom, &reqs, FULL, Entry::Incremental);
         assert_same(
             &reference,
             &incremental,
@@ -378,63 +397,127 @@ fn single_request_windows_are_identical() {
         let reqs: Vec<Request> =
             (0..70u64).map(|i| Request::single((i * 48_611) % 1_000_000)).collect();
         assert_same(
-            &run_queued(&geom, &reqs, 1, false),
-            &run_queued(&geom, &reqs, 1, true),
+            &run_queued(&geom, &reqs, 1, Entry::Reference),
+            &run_queued(&geom, &reqs, 1, Entry::Incremental),
             "depth-1 window",
         );
     }
 }
 
+/// A scattered batch of `n` valid single-block requests.
+fn scattered(geom: &DiskGeometry, n: usize) -> Vec<Request> {
+    let total = geom.total_blocks();
+    (0..n as u64)
+        .map(|i| Request::single((i * 7_907_693) % (total - 8)))
+        .collect()
+}
+
 /// The public entry points dispatch across the window-size threshold
-/// without a visible seam: straddling batch sizes all match the
-/// reference scan run directly.
+/// without a visible seam: batch sizes and queue depths straddling it
+/// all match the reference scan run directly.
 #[test]
 fn dispatch_is_invisible_across_the_threshold() {
     let geom = profiles::cheetah_36es();
-    let total = geom.total_blocks();
     for n in [
         SPTF_INCREMENTAL_MIN_WINDOW - 1,
         SPTF_INCREMENTAL_MIN_WINDOW,
         SPTF_INCREMENTAL_MIN_WINDOW + 1,
         200,
     ] {
-        let reqs: Vec<Request> = (0..n as u64)
-            .map(|i| Request::single((i * 7_907_693) % (total - 8)))
-            .collect();
-        let reference = run_full(&geom, &reqs, false);
-        let mut sim = DiskSim::new(geom.clone());
-        let mut log = ServiceLog::new();
-        let t = {
-            let mut obs = log.recorder();
-            let mut observed = |e: ServiceEvent| obs(e);
-            multimap::disksim::service_batch_serving(
-                &mut sim,
-                &reqs,
-                Discipline::Sptf,
-                &mut plain_serve,
-                &mut observed,
-            )
-            .expect("valid batch")
-        };
-        assert_same(&reference, &(t, log.events().to_vec()), &format!("entry n={n}"));
+        let reqs = scattered(&geom, n);
+        for depth in [FULL, n - 1, n] {
+            assert_same(
+                &run_queued(&geom, &reqs, depth, Entry::Reference),
+                &run_queued(&geom, &reqs, depth, Entry::Dispatch),
+                &format!("entry n={n} depth={depth}"),
+            );
+        }
     }
 }
 
-/// Edge case: an empty batch is a no-op for every implementation.
+/// Contract: a request is validated when it would enter the window. With
+/// depth `d` and an out-of-range request at index `k`, the `d` first are
+/// admitted before anything is served and one more per serve after that,
+/// so exactly `max(0, k - d + 1)` events precede `RequestPastEnd` — none
+/// under full SPTF, which admits the whole batch up front. Both windows
+/// agree on the events that did happen, on either side of the dispatch
+/// threshold.
+#[test]
+fn invalid_request_fails_when_it_would_enter_the_window() {
+    let geom = profiles::atlas_10k_iii();
+    let total = geom.total_blocks();
+    let n = 2 * SPTF_INCREMENTAL_MIN_WINDOW;
+    for k in [0, 5, SPTF_INCREMENTAL_MIN_WINDOW, n - 1] {
+        let mut reqs = scattered(&geom, n);
+        reqs[k] = Request::new(total - 1, 2);
+        let error = DiskError::RequestPastEnd {
+            lbn: total - 1,
+            nblocks: 2,
+            total,
+        };
+        for depth in [FULL, 1, 4, SPTF_INCREMENTAL_MIN_WINDOW, n] {
+            let expected = (k + 1).saturating_sub(depth);
+            let runs = ENTRIES.map(|entry| try_run(&geom, &reqs, depth, entry, &mut plain_serve));
+            for (entry, (outcome, events)) in ENTRIES.iter().zip(&runs) {
+                let ctx = format!("{entry:?} k={k} depth={depth}");
+                assert_eq!(outcome, &Err(error.clone()), "{ctx}");
+                assert_eq!(events.len(), expected, "{ctx}: events before the error");
+                assert_eq!(events, &runs[0].1, "{ctx}: events diverged from the reference");
+            }
+        }
+    }
+}
+
+/// Contract: a serve closure that fails on its `k`-th call ends the
+/// batch with its error after `k - 1` observed events, the same events
+/// under both windows.
+#[test]
+fn failing_serve_ends_the_batch_with_its_error() {
+    let geom = profiles::atlas_10k_iii();
+    let reqs = scattered(&geom, 2 * SPTF_INCREMENTAL_MIN_WINDOW);
+    for k in [1, 2, SPTF_INCREMENTAL_MIN_WINDOW + 3, reqs.len()] {
+        for depth in [FULL, 4, SPTF_INCREMENTAL_MIN_WINDOW] {
+            let runs = ENTRIES.map(|entry| {
+                let mut calls = 0;
+                let mut serve = |sim: &mut DiskSim, req: Request| {
+                    calls += 1;
+                    if calls == k {
+                        Err(DiskError::MediaError { lbn: req.lbn })
+                    } else {
+                        plain_serve(sim, req)
+                    }
+                };
+                try_run(&geom, &reqs, depth, entry, &mut serve)
+            });
+            for (entry, (outcome, events)) in ENTRIES.iter().zip(&runs) {
+                let ctx = format!("{entry:?} k={k} depth={depth}");
+                assert!(
+                    matches!(outcome, Err(DiskError::MediaError { .. })),
+                    "{ctx}: {outcome:?}"
+                );
+                assert_eq!(outcome, &runs[0].0, "{ctx}: error diverged from the reference");
+                assert_eq!(events.len(), k - 1, "{ctx}: events before the error");
+                assert_eq!(events, &runs[0].1, "{ctx}: events diverged from the reference");
+            }
+        }
+    }
+}
+
+/// Edge case: an empty batch is a no-op for every implementation —
+/// full SPTF included, whose window is unbounded, not zero-deep.
 #[test]
 fn empty_batch_is_a_no_op() {
     let geom = profiles::atlas_10k_iii();
-    let mut sim = DiskSim::new(geom.clone());
+    for depth in [FULL, 8] {
+        for entry in ENTRIES {
+            let empty = run_queued(&geom, &[], depth, entry);
+            assert_eq!(empty.0, BatchTiming::default(), "{entry:?} depth {depth}");
+            assert!(empty.1.is_empty());
+        }
+    }
+    let mut sim = DiskSim::new(geom);
     let t = sim
         .service_batch(&[], Discipline::Sptf)
-        .expect("empty batch is valid");
-    assert_eq!(t, BatchTiming::default());
-    let empty = run_full(&geom, &[], true);
-    assert_eq!(empty.0, BatchTiming::default());
-    assert!(empty.1.is_empty());
-    let mut sim = DiskSim::new(geom.clone());
-    let t = sim
-        .service_batch(&[], Discipline::QueuedSptf(8))
         .expect("empty batch is valid");
     assert_eq!(t, BatchTiming::default());
 }
@@ -445,37 +528,19 @@ fn empty_batch_is_a_no_op() {
 fn zero_queue_depth_is_a_typed_error() {
     let geom = profiles::atlas_10k_iii();
     let reqs = [Request::single(5), Request::single(99)];
-    let mut sim = DiskSim::new(geom.clone());
+    for entry in ENTRIES {
+        for batch in [&reqs[..], &[]] {
+            let (outcome, events) = try_run(&geom, batch, 0, entry, &mut plain_serve);
+            assert_eq!(outcome, Err(DiskError::ZeroQueueDepth), "{entry:?}");
+            assert!(events.is_empty());
+        }
+    }
+    let mut sim = DiskSim::new(geom);
     assert_eq!(
         sim.service_batch(&reqs, Discipline::QueuedSptf(0)),
         Err(DiskError::ZeroQueueDepth)
     );
-    assert_eq!(
-        sim.service_batch(&[], Discipline::QueuedSptf(0)),
-        Err(DiskError::ZeroQueueDepth)
-    );
-    let mut log = ServiceLog::new();
-    assert_eq!(
-        service_batch_queued_sptf_reference(
-            &mut sim,
-            &reqs,
-            0,
-            &mut plain_serve,
-            &mut log.recorder()
-        ),
-        Err(DiskError::ZeroQueueDepth)
-    );
-    assert_eq!(
-        service_batch_queued_sptf_incremental(
-            &mut sim,
-            &reqs,
-            0,
-            &mut plain_serve,
-            &mut log.recorder()
-        ),
-        Err(DiskError::ZeroQueueDepth)
-    );
-    // The failed calls served nothing and left the clock untouched.
+    // The failed call served nothing and left the clock untouched.
     assert_eq!(sim.state().time_ms.to_bits(), 0f64.to_bits());
 }
 
@@ -489,15 +554,11 @@ fn depth_beyond_batch_size_equals_full_sptf() {
         let reqs: Vec<Request> = (0..90u64)
             .map(|i| Request::new((i * 4_861_127) % (total - 8), 1 + i % 4))
             .collect();
-        let full = run_full(&geom, &reqs, false);
+        let full = run_queued(&geom, &reqs, FULL, Entry::Reference);
         for depth in [reqs.len(), reqs.len() + 1, 4096] {
-            for incremental in [false, true] {
-                let queued = run_queued(&geom, &reqs, depth, incremental);
-                assert_same(
-                    &full,
-                    &queued,
-                    &format!("depth {depth} incremental {incremental}"),
-                );
+            for entry in [Entry::Reference, Entry::Incremental] {
+                let queued = run_queued(&geom, &reqs, depth, entry);
+                assert_same(&full, &queued, &format!("depth {depth} {entry:?}"));
                 assert_eq!(queued.0.sched.window_evictions, 0);
             }
         }
