@@ -5,9 +5,7 @@
 
 // staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
 
-use multimap_core::{
-    hilbert_mapping, zorder_mapping, BoxRegion, Mapping, MultiMapping, NaiveMapping,
-};
+use multimap_core::BoxRegion;
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_query::{
@@ -15,7 +13,7 @@ use multimap_query::{
 };
 use multimap_telemetry::Metrics;
 
-use crate::harness::{ms, Scale, Table};
+use crate::harness::{build_mappings, ms, Scale, Table};
 
 /// Merge per-cell metrics in submission order and record the fold under
 /// `label` in the global registry — a no-op while telemetry is disabled.
@@ -32,10 +30,6 @@ pub(crate) fn record_cells(label: &str, cells: Vec<Metrics>) {
 pub fn run_beams(scale: Scale) -> Table {
     let grid = scale.synthetic_grid();
     let runs = scale.beam_runs();
-    // The linearised mappings are geometry-independent: build them once.
-    let naive = NaiveMapping::new(grid.clone(), 0);
-    let zord = zorder_mapping(grid.clone(), 0, 1).expect("grid fits");
-    let hilb = hilbert_mapping(grid.clone(), 0, 1).expect("grid fits");
 
     let mut table = Table::new(
         format!(
@@ -50,21 +44,13 @@ pub fn run_beams(scale: Scale) -> Table {
     // fresh volume and the same anchor workload (seeded rng), so rows
     // are reproducible and identical at any thread count.
     let disks = profiles::evaluation_disks();
+    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &grid)).collect();
     let cells: Vec<(usize, usize)> = (0..disks.len())
         .flat_map(|d| (0..4usize).map(move |m| (d, m)))
         .collect();
     let rows = multimap_engine::sweep(&cells, |&(d, mi)| {
         let geom = &disks[d];
-        let mm;
-        let m: &dyn Mapping = match mi {
-            0 => &naive,
-            1 => &zord,
-            2 => &hilb,
-            _ => {
-                mm = MultiMapping::new(geom, grid.clone()).expect("chunk fits the disk");
-                &mm
-            }
-        };
+        let m = mappings[d][mi].as_ref();
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
 
@@ -111,9 +97,6 @@ pub fn run_beams(scale: Scale) -> Table {
 pub fn run_ranges(scale: Scale) -> Table {
     let grid = scale.synthetic_grid();
     let runs = scale.range_runs();
-    let naive = NaiveMapping::new(grid.clone(), 0);
-    let zord = zorder_mapping(grid.clone(), 0, 1).expect("grid fits");
-    let hilb = hilbert_mapping(grid.clone(), 0, 1).expect("grid fits");
 
     let mut table = Table::new(
         format!(
@@ -136,6 +119,7 @@ pub fn run_ranges(scale: Scale) -> Table {
     // out and returns rows in submission order (simulator time is
     // virtual, so parallelism cannot change any number).
     let disks = profiles::evaluation_disks();
+    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &grid)).collect();
     let sels = scale.selectivities();
     let cells: Vec<(usize, f64)> = disks
         .iter()
@@ -144,8 +128,6 @@ pub fn run_ranges(scale: Scale) -> Table {
         .collect();
     let rows = multimap_engine::sweep(&cells, |&(d, sel)| {
         let geom = &disks[d];
-        let mm = MultiMapping::new(geom, grid.clone()).expect("chunk fits the disk");
-        let mappings: Vec<&dyn Mapping> = vec![&naive, &zord, &hilb, &mm];
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
         // Identical query boxes for every mapping.
@@ -156,10 +138,10 @@ pub fn run_ranges(scale: Scale) -> Table {
         let mut metrics = Metrics::new();
         let record = multimap_telemetry::enabled();
         let mut totals = [0.0f64; 4];
-        for (i, m) in mappings.iter().enumerate() {
+        for (i, m) in mappings[d].iter().enumerate() {
             for region in &regions {
                 volume.idle_all(11.7);
-                let mut req = QueryRequest::range(*m, region);
+                let mut req = QueryRequest::range(m.as_ref(), region);
                 if record {
                     req = req.with_sink(&mut metrics);
                 }

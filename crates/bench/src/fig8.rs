@@ -3,7 +3,6 @@
 
 // staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
 
-use multimap_core::{hilbert_mapping, zorder_mapping, Mapping, MultiMapping, NaiveMapping};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_olap::{cube, ALL_QUERIES};
@@ -11,7 +10,7 @@ use multimap_query::{workload_rng, QueryExecutor, QueryOp, QueryRequest, QueryRe
 use multimap_telemetry::Metrics;
 
 use crate::fig6::record_cells;
-use crate::harness::{ms, Scale, Table};
+use crate::harness::{build_mappings, ms, Scale, Table};
 
 /// Figure 8: average I/O time per cell for Q1–Q5 on both disks.
 pub fn run(scale: Scale) -> Table {
@@ -20,9 +19,6 @@ pub fn run(scale: Scale) -> Table {
         Scale::Paper => cube::disk_chunk(),
     };
     let runs = scale.range_runs().max(3);
-    let naive = NaiveMapping::new(chunk.clone(), 0);
-    let zord = zorder_mapping(chunk.clone(), 0, 1).expect("chunk fits");
-    let hilb = hilbert_mapping(chunk.clone(), 0, 1).expect("chunk fits");
 
     let mut table = Table::new(
         format!(
@@ -36,21 +32,13 @@ pub fn run(scale: Scale) -> Table {
     // One engine cell per (disk, mapping); each query draws from its own
     // seeded rng, so regions are identical across mappings and threads.
     let disks = profiles::evaluation_disks();
+    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &chunk)).collect();
     let cells: Vec<(usize, usize)> = (0..disks.len())
         .flat_map(|d| (0..4usize).map(move |m| (d, m)))
         .collect();
     let rows = multimap_engine::sweep(&cells, |&(d, mi)| {
         let geom = &disks[d];
-        let mm;
-        let m: &dyn Mapping = match mi {
-            0 => &naive,
-            1 => &zord,
-            2 => &hilb,
-            _ => {
-                mm = MultiMapping::new(geom, chunk.clone()).expect("chunk fits the disk");
-                &mm
-            }
-        };
+        let m = mappings[d][mi].as_ref();
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
 

@@ -63,5 +63,5 @@ pub use matrix::{
     Observed, WorkloadQuery,
 };
 pub use golden::{check_case, workload_matrix, GoldenCase};
-pub use oracle::{check_event, check_log, OracleDisk, OracleReport, Violation};
+pub use oracle::{check_event, check_log, check_ranks, OracleDisk, OracleReport, Violation};
 pub use serving::{check_served_scenario, check_serving_counters};

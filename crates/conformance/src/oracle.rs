@@ -32,6 +32,13 @@
 //!
 //! Across a log, consecutive events must not overlap in time.
 //!
+//! Against the slice a batch was submitted as, [`check_ranks`] checks
+//! the attribution contract the serving loop leans on:
+//!
+//! * **admission-rank** — every event's `admission_rank` indexes its
+//!   own request in the submitted slice, and the ranks of a batch are a
+//!   permutation of `0..n`.
+//!
 //! Events that carry a non-clean [`multimap_disksim::FaultOutcome`]
 //! went through the recovery path: their timing is an accumulation over
 //! retries and remapped segments, so the per-request mechanical
@@ -392,6 +399,37 @@ pub fn check_log(geom: &DiskGeometry, log: &ServiceLog) -> OracleReport {
     report
 }
 
+/// Check the admission-rank contract of one batch: `log` holds the
+/// events of one `service_batch_observed(requests, ..)` call under
+/// `InOrder`, `Sptf` or `QueuedSptf` (the disciplines that admit in
+/// issue order), every event's `admission_rank` indexes its own request
+/// in `requests`, and the ranks are a permutation of `0..requests.len()`.
+pub fn check_ranks(requests: &[Request], log: &ServiceLog) -> OracleReport {
+    let mut report = OracleReport::default();
+    let mut fail = |seq: usize, detail: String| {
+        report.violations.push(Violation {
+            seq,
+            rule: "admission-rank",
+            detail,
+        })
+    };
+    let mut seen = vec![false; requests.len()];
+    for e in log.events() {
+        let rank = e.admission_rank;
+        let submitted = requests.get(rank);
+        if submitted != Some(&e.request) {
+            fail(e.seq, format!("rank {rank} was submitted as {submitted:?}, the event served {:?}", e.request));
+        } else if std::mem::replace(&mut seen[rank], true) {
+            fail(e.seq, format!("rank {rank} served twice"));
+        }
+    }
+    if let Some(rank) = seen.iter().position(|&s| !s) {
+        fail(log.len(), format!("rank {rank} ({:?}) never served", requests[rank]));
+    }
+    report.checked = log.len();
+    report
+}
+
 /// A [`DiskSim`] with the oracle attached: every serviced request is
 /// checked as it completes, and the accumulated report can be asserted
 /// at the end of a workload.
@@ -554,6 +592,32 @@ mod tests {
             rules.contains(&"rotation-bounds") || rules.contains(&"rotation-exact"),
             "{rules:?}"
         );
+    }
+
+    #[test]
+    fn misattributed_ranks_are_flagged() {
+        use multimap_disksim::{DeviceModel, Discipline};
+        let reqs = [Request::single(0), Request::single(5_000), Request::single(0)];
+        let mut log = ServiceLog::new();
+        DiskSim::new(profiles::small())
+            .service_batch_observed(&reqs, Discipline::Sptf, &mut log.recorder())
+            .unwrap();
+        check_ranks(&reqs, &log).assert_clean();
+
+        let tampered = |edit: &dyn Fn(&mut Vec<ServiceEvent>)| {
+            let mut events = log.events().to_vec();
+            edit(&mut events);
+            let mut log = ServiceLog::new();
+            events.into_iter().for_each(|e| log.push(e));
+            check_ranks(&reqs, &log).violations.len()
+        };
+        // Another request's rank, a twin's rank claimed twice, a rank
+        // past the slice, and a request the log never served.
+        let far = log.events().iter().position(|e| e.request.lbn == 5_000).unwrap();
+        assert!(tampered(&|ev| ev[far].admission_rank = 0) > 0);
+        assert!(tampered(&|ev| ev.iter_mut().filter(|e| e.request.lbn == 0).for_each(|e| e.admission_rank = 2)) > 0);
+        assert!(tampered(&|ev| ev[0].admission_rank = 3) > 0);
+        assert!(tampered(&|ev| ev.truncate(2)) > 0);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! fault-matrix job runs this file at `MULTIMAP_THREADS` 1 and 4.
 
 use multimap_conformance::{
-    check_cached_sweep, check_fault_plan, check_region, fault_query, matrix_query,
+    check_cached_sweep, check_fault_plan, check_ranks, check_region, fault_query, matrix_query,
 };
 use multimap_core::{BoxRegion, GridSpec};
-use multimap_disksim::{profiles, FaultPlan};
-use multimap_lvm::RecoveryConfig;
+use multimap_disksim::{profiles, DeviceModel, FaultPlan, Request, BACKEND_NAMES};
+use multimap_lvm::{backend_volume, DeviceVolume, LogicalVolume, RecoveryConfig, SchedulePolicy};
 use multimap_store::{CacheConfig, EvictionKind};
 use proptest::prelude::*;
 
@@ -111,6 +111,38 @@ fn cached_sweeps_reconcile_across_policies_mappings_and_backends() {
         // Tight: a fraction of one beam, constant eviction pressure.
         check_cached_sweep(&geom, &grid, eviction, 5).unwrap_or_else(|e| panic!("tight {e}"));
     }
+}
+
+/// The attribution contract the serving loop leans on: under every
+/// discipline that admits in issue order, an event's admission rank is
+/// the index of its request in the slice that call was handed — twins
+/// included, on both selector implementations, on every backend and
+/// through the recovery path.
+#[test]
+fn admission_ranks_index_the_submitted_slice_on_every_device() {
+    fn check<D: DeviceModel>(label: &str, volume: &DeviceVolume<D>) {
+        // Scattered cells, each asked for twice (two tenants, one cell).
+        let reqs: Vec<Request> = (0..80u64).map(|i| Request::new((i % 40) * 997 % 9_000, 2)).collect();
+        for policy in [
+            SchedulePolicy::InOrder,
+            SchedulePolicy::Sptf,
+            SchedulePolicy::QueuedSptf(4),
+            SchedulePolicy::QueuedSptf(64),
+        ] {
+            let (_, log) = volume.service_batch_logged(0, &reqs, policy).unwrap();
+            let report = check_ranks(&reqs, &log);
+            assert_eq!(report.checked, reqs.len(), "{label} {policy:?}");
+            assert!(report.is_clean(), "{label} {policy:?}: {:?}", report.violations);
+        }
+    }
+    let geom = profiles::small();
+    for name in BACKEND_NAMES {
+        check(name, &backend_volume(name, &geom, 1).unwrap());
+    }
+    let plan = FaultPlan::new(21).with_media_errors([997, 1_994]).with_transients(0.1, 2.0);
+    let recovering = LogicalVolume::with_recovery(geom, 1, plan, RecoveryConfig::default()).unwrap();
+    check("recovering disk", &recovering);
+    assert!(recovering.recovery_stats().remaps > 0, "the plan's media errors were hit");
 }
 
 fn fault_grid() -> GridSpec {

@@ -9,9 +9,8 @@
 use multimap_disksim::DiskGeometry;
 
 use crate::grid::GridSpec;
-use crate::mapping::{Mapping, Result};
+use crate::mapping::Mapping;
 use crate::multimap::{max_dimensions, MultiMapping};
-use crate::naive::NaiveMapping;
 
 /// Why the advisor picked (or rejected) MultiMap.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,26 +74,9 @@ pub fn advise(geom: &DiskGeometry, grid: &GridSpec, config: &AdvisorConfig) -> A
     }
 }
 
-/// Build the advised mapping: MultiMap when it clears the space budget,
-/// the naive row-major layout (at `base_lbn`) otherwise.
-pub fn build_advised(
-    geom: &DiskGeometry,
-    grid: &GridSpec,
-    base_lbn: u64,
-    config: &AdvisorConfig,
-) -> Result<Box<dyn Mapping>> {
-    match advise(geom, grid, config) {
-        Advice::UseMultiMap { .. } => {
-            Ok(Box::new(MultiMapping::new(geom, grid.clone())?) as Box<dyn Mapping>)
-        }
-        Advice::UseLinear { .. } => Ok(Box::new(NaiveMapping::new(grid.clone(), base_lbn))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MappingKind;
     use multimap_disksim::profiles;
 
     #[test]
@@ -106,8 +88,6 @@ mod tests {
             Advice::UseMultiMap { utilization } => assert!(utilization >= 0.5),
             other => panic!("expected MultiMap, got {other:?}"),
         }
-        let m = build_advised(&geom, &grid, 0, &AdvisorConfig::default()).unwrap();
-        assert_eq!(m.kind(), MappingKind::MultiMap);
     }
 
     #[test]
@@ -122,8 +102,6 @@ mod tests {
             Advice::UseLinear { reason } => assert!(reason.contains("utilization")),
             other => panic!("expected linear fallback, got {other:?}"),
         }
-        let m = build_advised(&geom, &grid, 0, &cfg).unwrap();
-        assert_eq!(m.kind(), MappingKind::Naive);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod naive;
 pub mod translation;
 pub mod updates;
 
-pub use advisor::{advise, build_advised, Advice, AdvisorConfig};
+pub use advisor::{advise, Advice, AdvisorConfig};
 pub use chunking::ChunkedDataset;
 pub use curve_map::{gray_mapping, hilbert_mapping, zorder_mapping, CurveMapping};
 pub use grid::{BoxRegion, Coord, GridSpec};

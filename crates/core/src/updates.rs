@@ -113,28 +113,37 @@ impl CellStore {
         primary + over
     }
 
+    /// Whether the next [`CellStore::insert`] into `cell` allocates an
+    /// overflow page (the cell and its last overflow page are full), so
+    /// a caller can enforce its space budget before anything changes.
+    pub fn insert_allocates(&self, cell: u64) -> bool {
+        let cap = self.config.cell_capacity;
+        self.occupancy.get(&cell).is_some_and(|&occ| occ >= cap)
+            && self.overflow.get(&cell).is_none_or(|(_, last)| *last == cap)
+    }
+
     /// Insert one point into `cell`; allocates an overflow page when the
-    /// cell (and its last overflow page) are full.
-    pub fn insert(&mut self, cell: u64) {
+    /// cell (and its last overflow page) are full and returns its LBN.
+    pub fn insert(&mut self, cell: u64) -> Option<Lbn> {
+        let cap = self.config.cell_capacity;
         let occ = self.occupancy.entry(cell).or_insert(0);
-        if *occ < self.config.cell_capacity {
+        if *occ < cap {
             *occ += 1;
             self.stats.direct_inserts += 1;
-            return;
+            return None;
         }
         self.stats.overflow_inserts += 1;
-        let cap = self.config.cell_capacity;
-        let (pages, last) = self
-            .overflow
-            .entry(cell)
-            .or_insert_with(|| (Vec::new(), cap));
-        if pages.is_empty() || *last == cap {
-            pages.push(self.next_overflow);
+        // A cell's first overflow insert finds a "full" empty chain.
+        let (pages, last) = self.overflow.entry(cell).or_insert_with(|| (Vec::new(), cap));
+        let page = (*last == cap).then_some(self.next_overflow);
+        if let Some(lbn) = page {
+            pages.push(lbn);
             self.next_overflow += 1;
             self.stats.overflow_pages += 1;
             *last = 0;
         }
         *last += 1;
+        page
     }
 
     /// Delete one point from the cell's primary page (no-op when empty).

@@ -10,14 +10,14 @@
 //!
 //! The plan is installed on a [`DiskSim`](crate::DiskSim) via
 //! [`DiskSim::set_fault_plan`](crate::DiskSim::set_fault_plan); faults
-//! surface as the typed [`DiskError::MediaError`] and
-//! [`DiskError::TransientTimeout`] variants. Recovery (retry, bad-block
-//! remapping) is deliberately *not* the simulator's job: it belongs to
+//! surface as the typed
+//! [`DiskError::MediaError`](crate::DiskError::MediaError) and
+//! [`DiskError::TransientTimeout`](crate::DiskError::TransientTimeout)
+//! variants. Recovery (retry, bad-block remapping) is deliberately *not* the simulator's job: it belongs to
 //! the storage manager above, `multimap-lvm`.
 
 use std::collections::BTreeSet;
 
-use crate::error::DiskError;
 use crate::geometry::Lbn;
 use crate::sim::Request;
 
@@ -87,7 +87,8 @@ impl FaultPlan {
     }
 
     /// Add a latent media error: any read or write touching `lbn` fails
-    /// with [`DiskError::MediaError`] until the block is remapped away.
+    /// with [`DiskError::MediaError`](crate::DiskError::MediaError) until
+    /// the block is remapped away.
     pub fn with_media_error(mut self, lbn: Lbn) -> Self {
         self.media_errors.insert(lbn);
         self
@@ -102,7 +103,7 @@ impl FaultPlan {
     /// Enable transient command timeouts: each command independently
     /// fails with probability `prob` (clamped to `[0, 1]`), costing
     /// `timeout_ms` of wall-clock before the drive reports
-    /// [`DiskError::TransientTimeout`]. At most
+    /// [`DiskError::TransientTimeout`](crate::DiskError::TransientTimeout). At most
     /// [`max_consecutive_transients`](Self::with_max_consecutive_transients)
     /// commands in a row fail, so a bounded retry loop always converges.
     pub fn with_transients(mut self, prob: f64, timeout_ms: f64) -> Self {
@@ -221,12 +222,12 @@ pub enum FaultDecision {
         /// Extra rotational delay to charge (0.0 for a normal command).
         slow_extra_ms: f64,
     },
-    /// Fail with [`DiskError::TransientTimeout`] after `timeout_ms`.
+    /// Fail with [`DiskError::TransientTimeout`](crate::DiskError::TransientTimeout) after `timeout_ms`.
     Transient {
         /// Wall-clock the drive burns before reporting the timeout.
         timeout_ms: f64,
     },
-    /// Fail with [`DiskError::MediaError`] at `lbn`.
+    /// Fail with [`DiskError::MediaError`](crate::DiskError::MediaError) at `lbn`.
     Media {
         /// The unreadable block.
         lbn: Lbn,
@@ -250,11 +251,6 @@ impl FaultInjector {
             run: 0,
             counts: FaultCounts::default(),
         }
-    }
-
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Injected-fault counts so far.
@@ -334,18 +330,6 @@ impl FaultOutcome {
             && self.slow_reads == 0
             && self.extra_segments == 0
     }
-
-    /// The elapsed wall-clock this outcome adds on top of the request's
-    /// timing components (zero for clean requests).
-    #[inline]
-    pub fn recovery_total_ms(&self) -> f64 {
-        self.recovery_ms
-    }
-}
-
-/// Convenience: classify a service error as recoverable-by-retry.
-pub fn is_transient(err: &DiskError) -> bool {
-    matches!(err, DiskError::TransientTimeout { .. })
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub use scheduler::{
 pub use sim::{AccessKind, DiskSim, HeadState, Request, RequestProfile, RequestTiming};
 pub use ssd::{SsdConfig, SsdConfigBuilder, SsdModel};
 pub use stats::AccessStats;
-pub use trace::{service_traced, Trace, TraceRecord};
+pub use trace::{Trace, TraceRecord};
 
 #[cfg(test)]
 mod integration_tests {

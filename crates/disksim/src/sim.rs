@@ -295,11 +295,6 @@ impl DiskSim {
         };
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|i| i.plan())
-    }
-
     /// Counts of faults injected so far (all zero without a plan).
     pub fn fault_counts(&self) -> FaultCounts {
         self.fault

@@ -51,15 +51,6 @@ impl AccessStats {
         self.max_request_ms = self.max_request_ms.max(other.max_request_ms);
     }
 
-    /// Mean service time per request (0 when empty).
-    pub fn mean_request_ms(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_ms / self.requests as f64
-        }
-    }
-
     /// Mean I/O time per block transferred (the paper's "I/O time per
     /// cell" metric; 0 when empty).
     pub fn per_block_ms(&self) -> f64 {
@@ -92,7 +83,6 @@ mod tests {
         assert_eq!(s.requests, 2);
         assert_eq!(s.blocks, 8);
         assert!((s.total_ms - 4.0).abs() < 1e-12);
-        assert!((s.mean_request_ms() - 2.0).abs() < 1e-12);
         assert!((s.per_block_ms() - 0.5).abs() < 1e-12);
         assert!((s.max_request_ms - 3.5).abs() < 1e-12);
     }
@@ -113,7 +103,6 @@ mod tests {
     #[test]
     fn empty_means_are_zero() {
         let s = AccessStats::default();
-        assert_eq!(s.mean_request_ms(), 0.0);
         assert_eq!(s.per_block_ms(), 0.0);
     }
 }

@@ -23,8 +23,6 @@ pub enum LvmError {
     Disk(DiskError),
     /// A volume cannot be built over zero disks.
     EmptyVolume,
-    /// A striped volume cannot use a zero-block stripe unit.
-    ZeroStripeUnit,
     /// A transient fault persisted through the configured retry budget.
     RetriesExhausted {
         /// First LBN of the failing physical segment.
@@ -48,7 +46,6 @@ impl fmt::Display for LvmError {
             }
             LvmError::Disk(e) => write!(f, "disk error: {e}"),
             LvmError::EmptyVolume => write!(f, "a volume needs at least one disk"),
-            LvmError::ZeroStripeUnit => write!(f, "stripe unit must be at least one block"),
             LvmError::RetriesExhausted { lbn, attempts } => write!(
                 f,
                 "transient fault at LBN {lbn} persisted through {attempts} retries"

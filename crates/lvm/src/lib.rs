@@ -37,13 +37,11 @@
 pub mod decluster;
 pub mod error;
 pub mod recovery;
-pub mod striped;
 pub mod volume;
 
 pub use decluster::{Cyclic, Declustering, RoundRobin};
 pub use error::{LvmError, Result};
 pub use recovery::{RecoveringDisk, RecoveryConfig, RecoveryStats, RemapTable};
-pub use striped::{StripedVolume, VolumeLbn};
 pub use volume::{
     backend_volume, DeviceVolume, LogicalVolume, SchedulePolicy, VolumeBatchTiming,
 };

@@ -4,7 +4,7 @@
 //! [`QueryExecutor::execute`], which takes a [`QueryRequest`]
 //! describing the mapping, the region, the operation and (optionally)
 //! a per-request [`ServiceEvent`] observer and a
-//! [`multimap_telemetry::MetricsSink`]. The former `beam`/`range`
+//! [`multimap_telemetry::Metrics`] sink. The former `beam`/`range`
 //! method quartet is gone; [`QueryRequest::beam`] and
 //! [`QueryRequest::range`] are the shorthand constructors.
 //!
@@ -26,7 +26,7 @@ use multimap_disksim::{
     Transition,
 };
 use multimap_lvm::{DeviceVolume, RecoveringDisk, SchedulePolicy};
-use multimap_telemetry::{Counter, MetricsSink, Phase, Span};
+use multimap_telemetry::{Counter, Metrics, Phase, Span};
 
 use crate::cache::{BlockCache, CacheProbe, PrefetchContext};
 use crate::error::{QueryError, Result};
@@ -90,10 +90,6 @@ pub struct ExecOptions {
     pub sptf_limit: usize,
     /// Disk command-queue depth for queued-SPTF service (SCSI TCQ).
     pub queue_depth: usize,
-    /// Serve large-region translations from the process-wide flat
-    /// cell→LBN table cache (see [`multimap_core::TranslationCache`]).
-    /// Purely an executor-side optimisation — results are identical.
-    pub translation_cache: bool,
 }
 
 impl Default for ExecOptions {
@@ -103,7 +99,6 @@ impl Default for ExecOptions {
             range: RangeOrder::SortedCoalesced,
             sptf_limit: 4096,
             queue_depth: 64,
-            translation_cache: true,
         }
     }
 }
@@ -121,9 +116,9 @@ impl ExecOptions {
 /// use multimap_query::{BeamPolicy, ExecOptions};
 /// let opts = ExecOptions::builder()
 ///     .beam(BeamPolicy::Sptf)
-///     .translation_cache(false)
+///     .queue_depth(16)
 ///     .build();
-/// assert!(!opts.translation_cache);
+/// assert_eq!(opts.queue_depth, 16);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptionsBuilder {
@@ -152,12 +147,6 @@ impl ExecOptionsBuilder {
     /// Set the queued-SPTF command-queue depth.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.opts.queue_depth = depth;
-        self
-    }
-
-    /// Enable or disable the flat-translation cache.
-    pub fn translation_cache(mut self, on: bool) -> Self {
-        self.opts.translation_cache = on;
         self
     }
 
@@ -201,7 +190,7 @@ pub struct QueryRequest<'a> {
     pub(crate) region: &'a BoxRegion,
     pub(crate) op: QueryOp,
     pub(crate) observer: Option<&'a mut dyn FnMut(ServiceEvent)>,
-    pub(crate) sink: Option<&'a mut dyn MetricsSink>,
+    pub(crate) sink: Option<&'a mut Metrics>,
     pub(crate) cache: Option<&'a dyn BlockCache>,
 }
 
@@ -238,7 +227,7 @@ impl<'a> QueryRequest<'a> {
 
     /// Attach a metrics sink recording phase histograms, cache counters
     /// and span timings for this query (see `multimap-telemetry`).
-    pub fn with_sink(mut self, sink: &'a mut dyn MetricsSink) -> Self {
+    pub fn with_sink(mut self, sink: &'a mut Metrics) -> Self {
         self.sink = Some(sink);
         self
     }
@@ -330,7 +319,7 @@ impl QueryResult {
 /// write-back and demand batches, the serving loop) records the
 /// identical decomposition; pair it with
 /// [`DeviceVolume::service_batch_classified`].
-pub fn record_classified_event(sink: &mut dyn MetricsSink, transition: Transition, e: &ServiceEvent) {
+pub fn record_classified_event(sink: &mut Metrics, transition: Transition, e: &ServiceEvent) {
     let t = e.timing;
     sink.counter(Counter::RequestsServiced, 1);
     if e.is_prefetch_hit() {
@@ -393,7 +382,7 @@ fn serve<D: DeviceModel>(
     requests: &[Request],
     policy: SchedulePolicy,
     observer: &mut Option<&mut dyn FnMut(ServiceEvent)>,
-    sink: &mut Option<&mut dyn MetricsSink>,
+    sink: &mut Option<&mut Metrics>,
 ) -> Result<BatchTiming> {
     let mut run = |requests: &[Request], policy: SchedulePolicy| match (
         sink.as_deref_mut(),
@@ -424,7 +413,7 @@ fn serve<D: DeviceModel>(
 }
 
 /// Close a span opened with `Instant::now()` (no-op without a sink).
-fn finish_span(sink: &mut Option<&mut dyn MetricsSink>, span: Span, started: Option<Instant>) {
+fn finish_span(sink: &mut Option<&mut Metrics>, span: Span, started: Option<Instant>) {
     if let (Some(s), Some(t)) = (sink.as_deref_mut(), started) {
         s.span(span, t.elapsed().as_secs_f64() * 1e3);
     }
@@ -529,7 +518,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
 
         // Translate: region cells → LBNs (direct or via the flat table).
         let t_translate = timed.then(Instant::now);
-        let (lbns, cache_hit) = translate_region(&self.options, mapping, region)?;
+        let (lbns, cache_hit) = translate_region(mapping, region)?;
         if let Some(s) = sink.as_deref_mut() {
             match cache_hit {
                 Some(true) => s.counter(Counter::TranslationCacheHit, 1),
@@ -632,18 +621,16 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
 }
 
 /// Map every cell of `region` to the first LBN of its cell, in
-/// row-major cell order, under `options`' translation-cache setting.
-/// The second value reports the translation cache outcome: `None` when
-/// the cache was not consulted.
+/// row-major cell order. The second value reports the translation cache
+/// outcome: `None` when the cache was not consulted.
 pub(crate) fn translate_region(
-    options: &ExecOptions,
     mapping: &dyn Mapping,
     region: &BoxRegion,
 ) -> Result<(Vec<Lbn>, Option<bool>)> {
     // Large regions amortise a flat cell→LBN table (built once per
     // grid, shared process-wide); small ones — beams are `S_i` cells
     // — translate directly, as a table build would dwarf the query.
-    if options.translation_cache && region.cells() >= MIN_CACHED_LOOKUPS {
+    if region.cells() >= MIN_CACHED_LOOKUPS {
         let (table, cache_hit) = shared_cache().translate_tracked(mapping)?;
         return Ok((table.lbns_of_region(region)?, Some(cache_hit)));
     }
@@ -951,30 +938,21 @@ mod tests {
         assert!(sorted.total_io_ms <= natural.total_io_ms * 1.01 + 0.5);
     }
 
-    /// The flat-table fast path must be invisible: a range big enough to
-    /// engage the cache yields bit-identical timing to the direct path.
+    /// The flat-table fast path must be invisible: for a range big
+    /// enough to engage it, the table hands the planner exactly the LBNs
+    /// the direct path computes, in the same order.
     #[test]
     fn translation_cache_is_transparent() {
-        let vol = LogicalVolume::new(profiles::small(), 1);
+        let geom = profiles::small();
         // > MIN_CACHED_LOOKUPS cells so the cached path engages.
         let grid = GridSpec::new([60u64, 12, 8]);
-        let mm = MultiMapping::new(vol.geometry(), grid.clone()).unwrap();
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
         let region = grid.bounding_region();
-        assert!(region.cells() >= multimap_core::MIN_CACHED_LOOKUPS);
+        assert!(region.cells() >= MIN_CACHED_LOOKUPS);
 
-        let cached = QueryExecutor::new(&vol, 0)
-            .execute(QueryRequest::range(&mm, &region))
-            .unwrap();
-        vol.reset();
-        let direct = QueryExecutor::with_options(
-            &vol,
-            0,
-            ExecOptions::builder().translation_cache(false).build(),
-        )
-        .execute(QueryRequest::range(&mm, &region))
-        .unwrap();
-        assert_eq!(cached, direct);
-        assert_eq!(cached.total_io_ms.to_bits(), direct.total_io_ms.to_bits());
+        let (cached, outcome) = translate_region(&mm, &region).unwrap();
+        assert!(outcome.is_some(), "`FlatTranslation::lbns_of_region` answered");
+        assert_eq!(cached, collect_lbns(&mm, &region).unwrap());
     }
 
     /// A sink must not change the result, and its phase sums must add
@@ -1348,13 +1326,11 @@ mod tests {
             .range(RangeOrder::SortedSingles)
             .sptf_limit(128)
             .queue_depth(4)
-            .translation_cache(false)
             .build();
         assert_eq!(opts.beam, BeamPolicy::Natural);
         assert_eq!(opts.range, RangeOrder::SortedSingles);
         assert_eq!(opts.sptf_limit, 128);
         assert_eq!(opts.queue_depth, 4);
-        assert!(!opts.translation_cache);
         let defaults = ExecOptions::builder().build();
         assert_eq!(defaults.beam, ExecOptions::default().beam);
         assert_eq!(defaults.sptf_limit, ExecOptions::default().sptf_limit);

@@ -34,7 +34,7 @@
 //! [`QueryRequest`] — there is one executor, generic over the volume's
 //! [`multimap_disksim::DeviceModel`] backend (the rotating-disk
 //! `LogicalVolume` is the default). A request can carry a per-request
-//! observer and a [`multimap_telemetry::MetricsSink`] without
+//! observer and a [`multimap_telemetry::Metrics`] sink without
 //! perturbing simulated timings (see `docs/observability.md`), and a
 //! [`BlockCache`] on any backend.
 
@@ -44,7 +44,6 @@
 pub mod cache;
 pub mod error;
 pub mod executor;
-pub mod mix;
 pub mod plan;
 pub mod workload;
 
@@ -54,7 +53,6 @@ pub use executor::{
     collect_lbns, record_classified_event, service_lbns, BeamPolicy, ExecOptions,
     ExecOptionsBuilder, QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
-pub use mix::{MixEntry, MixReport, QueryKind, WorkloadMix, WorkloadMixBuilder};
 pub use plan::{explain_beam, explain_range, AccessPlan, PlanKind};
 pub use workload::{
     random_anchor, random_range, random_range_with_edge, range_edge_for_selectivity, workload_rng,

@@ -113,7 +113,7 @@ fn explain(
         return Err(region_outside(region, mapping.grid()));
     }
     let beam_policy = resolve_beam_schedule(options, op, mapping, region.cells());
-    let (lbns, _) = translate_region(options, mapping, region)?;
+    let (lbns, _) = translate_region(mapping, region)?;
     let (requests, policy) = plan_requests(options, beam_policy, lbns, mapping.cell_blocks());
     let (kind, label) = match op {
         QueryOp::Beam => (PlanKind::Beam, discipline_label(policy)),

@@ -200,7 +200,8 @@ impl ServingReport {
     }
 }
 
-/// splitmix64 finaliser, the digest mixer.
+/// splitmix64 finaliser: the digest mixer and the client generators'
+/// draw function.
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -12,8 +12,6 @@
 //! forward to the next arrival. Everything runs on the simulated clock;
 //! the loop is serial and byte-identically replayable.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Request};
 use multimap_lvm::{DeviceVolume, SchedulePolicy};
@@ -302,15 +300,8 @@ pub fn serve_scenario<D: DeviceModel>(
                 owners.push(bi);
             }
         }
-        // Attribution: the device reports events by request identity,
-        // so map (lbn, nblocks) back to submission indices. Identical
-        // requests from different tenants are matched first-submitted
-        // to first-served — deterministic, and timing-equivalent.
-        let mut by_key: BTreeMap<(u64, u64), VecDeque<usize>> = BTreeMap::new();
-        for (i, r) in reqs.iter().enumerate() {
-            by_key.entry((r.lbn, r.nblocks)).or_default().push_back(i);
-        }
-
+        // Attribution: under `QueuedSptf` an event's admission rank is
+        // the index of its request in the submitted slice.
         let mut completion = vec![0.0f64; batch.len()];
         let mut unsubmitted = None;
         volume.service_batch_classified(
@@ -318,14 +309,10 @@ pub fn serve_scenario<D: DeviceModel>(
             &reqs,
             SchedulePolicy::QueuedSptf(scenario.queue_depth),
             |tr, e| {
-                let Some(i) = by_key
-                    .get_mut(&(e.request.lbn, e.request.nblocks))
-                    .and_then(|q| q.pop_front())
-                else {
+                let Some(&bi) = owners.get(e.admission_rank) else {
                     unsubmitted.get_or_insert(e.request.lbn);
                     return;
                 };
-                let bi = owners[i];
                 let tenant = batch[bi].req.tenant;
                 record_classified_event(&mut state.reports[tenant].metrics, tr, e);
                 state.reports[tenant].disk_requests += 1;
@@ -471,6 +458,65 @@ mod tests {
                 report.tenants.iter().map(|t| t.submitted).sum::<u64>(),
                 "every submission resolves exactly once"
             );
+        }
+    }
+
+    /// Two tenants whose beams cross in one cell, dispatched as one
+    /// batch: the device serves that cell twice, and each service is
+    /// attributed to the tenant whose submitted request it was — every
+    /// tenant gets exactly its beam's cells, and completes when the last
+    /// event whose rank it owns does.
+    #[test]
+    fn shared_cells_are_attributed_by_admission_rank() {
+        let grid = GridSpec::new([24u64, 12]);
+        let geom = profiles::small();
+        let m = MultiMapping::new(&geom, grid.clone()).unwrap();
+        // Think time 0: both first requests arrive at t = 0 and share
+        // the first (and only) batch. A row and a column always cross.
+        let tenant = |name: &str, dim| TenantSpec {
+            name: name.into(),
+            weight: 1.0,
+            load: LoadModel::ClosedLoop { think_ms: 0.0 },
+            requests: 1,
+            deadline_ms: 1e6,
+            dim,
+        };
+        let s = Scenario {
+            seed: 7,
+            tenants: vec![tenant("row", 0), tenant("column", 1)],
+            policy: FairnessPolicy::Fifo,
+            queue_cap: 4,
+            batch_window: 4,
+            queue_depth: 8,
+        };
+        let report = serve_scenario(&volume(), &m, &s).unwrap();
+        assert_eq!(report.batches, 1);
+
+        // Replay the batch the loop must have submitted.
+        let mut reqs = Vec::new();
+        let mut owned = Vec::new();
+        for (t, spec) in s.tenants.iter().enumerate() {
+            let req = ClientGen::new(spec, t, s.seed, &grid).emit();
+            let lbns = collect_lbns(&m, &BoxRegion::beam(&grid, req.dim, &req.anchor)).unwrap();
+            owned.push(reqs.len()..reqs.len() + lbns.len());
+            reqs.extend(lbns.into_iter().map(|l| Request::new(l, m.cell_blocks())));
+        }
+        let mut lbns: Vec<u64> = reqs.iter().map(|r| r.lbn).collect();
+        lbns.sort_unstable();
+        assert!(lbns.windows(2).any(|w| w[0] == w[1]), "the beams share a cell");
+        let (_, log) = volume()
+            .service_batch_logged(0, &reqs, SchedulePolicy::QueuedSptf(s.queue_depth))
+            .unwrap();
+        for (t, ranks) in owned.iter().enumerate() {
+            assert_eq!(report.tenants[t].disk_requests, grid.extent(s.tenants[t].dim), "tenant {t}");
+            let done = log
+                .events()
+                .iter()
+                .filter(|e| ranks.contains(&e.admission_rank))
+                .map(|e| e.after.time_ms)
+                .fold(0.0, f64::max);
+            let resolved = report.trace.iter().find(|e| e.tenant == t).unwrap().resolve_ms;
+            assert_eq!(resolved.to_bits(), done.to_bits(), "tenant {t}");
         }
     }
 

@@ -9,20 +9,14 @@
 
 use multimap_core::{Coord, GridSpec};
 
+use crate::report::mix64;
+
 /// Stream selector for inter-arrival draws (open-loop clients).
 const STREAM_ARRIVAL: u64 = 0x8F1B_ADD0_C355_9A42;
 /// Stream selector for think-time draws (closed-loop clients).
 const STREAM_THINK: u64 = 0x2E86_D5B4_9D6C_7A31;
 /// Stream selector for anchor-coordinate draws.
 const STREAM_ANCHOR: u64 = 0x713C_F0E1_8A5B_22D7;
-
-/// splitmix64 finaliser: a high-quality 64-bit mixer.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A uniform draw in `[0, 1)` for counter `n` of `stream`.
 #[inline]

@@ -18,7 +18,7 @@
 use multimap_disksim::{DeviceModel, Lbn, Request};
 use multimap_lvm::{DeviceVolume, LvmError, SchedulePolicy};
 use multimap_query::{record_classified_event, BlockCache, CacheProbe};
-use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
+use multimap_telemetry::{Counter, Metrics, Phase};
 
 use crate::cache::{CacheConfig, PageCache};
 use crate::manager::Result;
@@ -177,19 +177,22 @@ impl<D: DeviceModel> DeviceStore<D> {
     /// `imr.neighbor_rewrites` counter is diffed across the flush and
     /// the delta recorded as [`Counter::NeighborRewrite`].
     pub fn flush(&mut self, device: usize) -> Result<BackendFlushReport> {
-        let pages = cache_of(&self.caches, device)?.take_writeback();
+        let cache = cache_of(&self.caches, device)?;
+        let pages = cache.take_writeback();
         if pages.is_empty() {
             return Ok(BackendFlushReport::default());
         }
-        let mut sorted = pages;
-        sorted.sort_unstable();
         let rewrites_before = neighbor_rewrites(&self.volume, device)?;
         let mut report = BackendFlushReport {
-            pages: sorted.len() as u64,
+            pages: pages.len() as u64,
             ..BackendFlushReport::default()
         };
-        for &(l, n) in &sorted {
-            let t = self.volume.service_write(device, Request::new(l, n))?;
+        for (i, &(l, n)) in pages.iter().enumerate() {
+            let t = self
+                .volume
+                .service_write(device, Request::new(l, n))
+                // This page and the ones after it are still dirty.
+                .inspect_err(|_| cache.restore_writeback(&pages[i..]))?;
             report.blocks += n;
             report.total_io_ms += t.total_ms();
         }
@@ -323,6 +326,35 @@ mod tests {
             "telemetry must reconcile with the flush reports"
         );
         assert!(second.total_io_ms > 0.0);
+    }
+
+    /// A flush that fails part-way hands its unwritten pages back: they
+    /// are pending again and uncounted, and a retry writes them.
+    #[test]
+    fn failed_flush_keeps_its_unwritten_pages_dirty() {
+        use multimap_disksim::FaultPlan;
+        use multimap_lvm::LogicalVolume;
+        let volume = LogicalVolume::new(profiles::small(), 1);
+        let mut s = DeviceStore::new(volume, CacheConfig::default());
+        for i in 0..10u64 {
+            assert!(s.write(0, i * 1000, 2).unwrap().is_none());
+        }
+        // Ascending flush: pages 0..4 are written before the bad one.
+        s.volume()
+            .with_disk(0, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(4001)))
+            .unwrap();
+        assert!(s.flush(0).is_err());
+        let cache = s.cache(0).unwrap();
+        assert_eq!(cache.writeback_pending(), 6);
+        assert_eq!(cache.stats().writeback_pages, 4);
+        assert_eq!(s.metrics().counter_value(Counter::WritebackFlush), 0);
+
+        s.volume()
+            .with_disk(0, |sim| sim.set_fault_plan(FaultPlan::none()))
+            .unwrap();
+        assert_eq!(s.flush(0).unwrap().pages, 6);
+        let cache = s.cache(0).unwrap();
+        assert_eq!((cache.writeback_pending(), cache.stats().writeback_pages), (0, 10));
     }
 
     /// A device index past the volume is the volume's typed error on

@@ -65,8 +65,6 @@ impl EvictionKind {
 /// pages, and `victim` only when at least one page is tracked. A victim
 /// is immediately forgotten by the policy.
 pub trait EvictionPolicy: Send {
-    /// Policy label ("clock" / "lru" / "2q").
-    fn name(&self) -> &'static str;
     /// Start tracking a newly admitted page.
     fn on_admit(&mut self, lbn: Lbn);
     /// A tracked page was referenced.
@@ -105,10 +103,6 @@ impl ClockPolicy {
 }
 
 impl EvictionPolicy for ClockPolicy {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
     fn on_admit(&mut self, lbn: Lbn) {
         // staticcheck: allow(no-unwrap) — the cache evicts before admitting past capacity, so a slot is always free.
         let slot = self.free.pop().expect("a slot is free on admit");
@@ -177,10 +171,6 @@ impl LruPolicy {
 }
 
 impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn on_admit(&mut self, lbn: Lbn) {
         self.touch(lbn);
     }
@@ -250,10 +240,6 @@ impl TwoQPolicy {
 }
 
 impl EvictionPolicy for TwoQPolicy {
-    fn name(&self) -> &'static str {
-        "2q"
-    }
-
     fn on_admit(&mut self, lbn: Lbn) {
         if self.ghost_set.remove(&lbn) {
             self.ghosts.retain(|&g| g != lbn);
@@ -461,11 +447,6 @@ impl PageCache {
         self.len() == 0
     }
 
-    /// The eviction policy's label.
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.lock().policy.name()
-    }
-
     /// Event totals so far.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().stats
@@ -513,6 +494,25 @@ impl PageCache {
         out.sort_unstable();
         state.stats.writeback_pages += out.len() as u64;
         out
+    }
+
+    /// Hand back pages of a [`PageCache::take_writeback`] batch whose
+    /// flush failed before writing them: they are pending again (dirty
+    /// where still resident, queued otherwise) and no longer counted as
+    /// written back.
+    pub fn restore_writeback(&self, unserved: &[(Lbn, u64)]) {
+        let mut state = self.inner.lock();
+        for &(lbn, nblocks) in unserved {
+            match state.pages.get_mut(&lbn) {
+                Some(meta) if !meta.dirty => {
+                    meta.dirty = true;
+                    state.dirty_resident += 1;
+                }
+                Some(_) => {}
+                None => state.writeback.push((lbn, nblocks)),
+            }
+        }
+        state.stats.writeback_pages -= unserved.len() as u64;
     }
 
     /// Drop every resident page and queued write-back in

@@ -12,7 +12,7 @@ use multimap_lvm::{LogicalVolume, LvmError, SchedulePolicy};
 use multimap_query::{
     record_classified_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
 };
-use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
+use multimap_telemetry::{Counter, Metrics, Phase};
 
 use crate::alloc::{ZoneAllocator, ZoneGrant};
 use crate::cache::{CacheConfig, CacheStats, PageCache};
@@ -267,12 +267,21 @@ impl StorageManager {
             .map(|c| c.queue_depth.max(1))
             .unwrap_or(1);
         let metrics = &mut self.cache_metrics;
-        let timing = self.volume.service_batch_classified(
-            disk,
-            &requests,
-            SchedulePolicy::QueuedSptf(depth),
-            |t, e| record_classified_event(metrics, t, e),
-        )?;
+        let mut served = vec![false; requests.len()];
+        let timing = self
+            .volume
+            .service_batch_classified(disk, &requests, SchedulePolicy::QueuedSptf(depth), |t, e| {
+                record_classified_event(metrics, t, e);
+                if let Some(s) = served.get_mut(e.admission_rank) {
+                    *s = true;
+                }
+            })
+            .inspect_err(|_| {
+                // What the device never wrote is still dirty.
+                let unserved: Vec<(Lbn, u64)> =
+                    pages.iter().zip(&served).filter(|(_, &s)| !s).map(|(&p, _)| p).collect();
+                cache.restore_writeback(&unserved);
+            })?;
         // The per-event decomposition above already sums to the batch
         // total; the Writeback phase is a memo overlay (excluded from
         // `phase_sum_ms`) attributing that time to the flusher.
@@ -439,21 +448,18 @@ impl StorageManager {
             .ok_or_else(|| StoreError::NoSuchTable(name.into()))?;
         let lbn = table.mapping.lbn_of(coord)?;
         let cell = table.grid().linear_index(coord);
-        let pages_before = table.cells.overflow_lbns(cell).len();
-        table.cells.insert(cell);
-        // Space budget: overflow pages must stay inside the grant.
-        let next = table.cells.next_overflow_lbn();
-        if next > table.grant.base_lbn + table.grant.blocks {
+        // Space budget: overflow pages must stay inside the grant —
+        // checked before the insert allocates one (the comparison first:
+        // it spares every insert but the refused ones a map lookup).
+        if table.cells.next_overflow_lbn() >= table.grant.base_lbn + table.grant.blocks
+            && table.cells.insert_allocates(cell)
+        {
             return Err(StoreError::OutOfSpace {
                 what: format!("overflow area of table {name:?}"),
             });
         }
         let mut writes: Vec<(Lbn, u64)> = vec![(lbn, table.mapping.cell_blocks())];
-        if table.cells.overflow_lbns(cell).len() > pages_before {
-            // staticcheck: allow(no-unwrap) — len() > pages_before proves the overflow list is non-empty.
-            let over = *table.cells.overflow_lbns(cell).last().expect("just added");
-            writes.push((over, 1));
-        }
+        writes.extend(table.cells.insert(cell).map(|over| (over, 1)));
         let disk = table.grant.disk;
 
         // Write-back path: dirty the pages and let the batcher flush.
@@ -770,6 +776,83 @@ mod tests {
             }
             other => panic!("expected the media error to propagate, got {other:?}"),
         }
+    }
+
+    /// An insert refused for space changes nothing: no overflow page
+    /// past the grant joins the cell's chain, so the cell still reads
+    /// exactly what it read before.
+    #[test]
+    fn out_of_space_insert_leaves_the_table_unchanged() {
+        let mut m = manager();
+        m.set_update_config(UpdateConfig {
+            cell_capacity: 1,
+            fill_factor: 1.0,
+            reclaim_threshold: 0.25,
+        });
+        // A Naive grant is whole zones, so the overflow area is the
+        // zone's tail past the grid: three blocks of zone 0's 288 000.
+        m.create_table("t", GridSpec::new([5647u64, 17, 3]), LayoutChoice::Naive)
+            .unwrap();
+        m.load("t").unwrap();
+        let coord = [3u64, 0, 1];
+        let mut inserted = 0u64;
+        let before = loop {
+            let before = m.beam("t", 1, &coord).unwrap();
+            match m.insert("t", &coord) {
+                Ok(()) => inserted += 1,
+                Err(StoreError::OutOfSpace { .. }) => break before,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        };
+        assert_eq!(inserted, 3);
+        let table = m.table("t").unwrap();
+        let grant = table.grant();
+        let cell = table.grid().linear_index(&coord);
+        let chain = table.cells().overflow_lbns(cell);
+        assert_eq!(chain.len() as u64, inserted);
+        assert!(chain.iter().all(|&l| l < grant.base_lbn + grant.blocks), "{chain:?} vs {grant:?}");
+        let after = m.beam("t", 1, &coord).unwrap();
+        assert_eq!((after.cells, after.blocks, after.payload), (before.cells, before.blocks, before.payload));
+        // And it stays refused, still without side effects.
+        assert!(matches!(m.insert("t", &coord), Err(StoreError::OutOfSpace { .. })));
+        assert_eq!(m.table("t").unwrap().cells().overflow_lbns(cell).len() as u64, inserted);
+    }
+
+    /// A write-back flush that fails part-way keeps what it did not
+    /// write: those pages are pending again and uncounted, and a retry
+    /// on a healthy disk writes them.
+    #[test]
+    fn failed_flush_keeps_its_unwritten_pages_dirty() {
+        use multimap_disksim::FaultPlan;
+        let mut m = manager();
+        m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::Naive)
+            .unwrap();
+        m.load("t").unwrap();
+        m.enable_cache(CacheConfig::default());
+        let disk = m.table("t").unwrap().grant().disk;
+        for x in 0..10u64 {
+            m.insert("t", &[x * 4, 2, 1]).unwrap();
+        }
+        let pending = m.cache(disk).unwrap().writeback_pending();
+        assert_eq!(pending, 10);
+        let bad = m.table("t").unwrap().mapping().lbn_of(&[20, 2, 1]).unwrap();
+        m.volume()
+            .with_disk(disk, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(bad)))
+            .unwrap();
+        assert!(m.flush_all().is_err());
+        let written = m.cache_metrics().counter_value(Counter::RequestsServiced);
+        assert!(written < 10, "the bad page was inside the batch");
+        let cache = m.cache(disk).unwrap();
+        assert_eq!(cache.writeback_pending() as u64, 10 - written);
+        assert_eq!(cache.stats().writeback_pages, written);
+        assert_eq!(m.cache_metrics().counter_value(Counter::WritebackFlush), 0);
+
+        m.volume()
+            .with_disk(disk, |sim| sim.set_fault_plan(FaultPlan::none()))
+            .unwrap();
+        assert_eq!(m.flush_all().unwrap().pages, 10 - written);
+        assert_eq!(m.cache(disk).unwrap().writeback_pending(), 0);
+        assert_eq!(m.cache_stats().writeback_pages, 10);
     }
 
     #[test]

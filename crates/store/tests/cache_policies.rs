@@ -80,9 +80,6 @@ impl ClockRef {
 }
 
 impl EvictionPolicy for ClockRef {
-    fn name(&self) -> &'static str {
-        "clock-ref"
-    }
     fn on_admit(&mut self, lbn: u64) {
         let slot = self.free.pop().expect("reference never admits past capacity");
         self.slots[slot] = Some((lbn, false));
@@ -128,9 +125,6 @@ struct LruRef {
 }
 
 impl EvictionPolicy for LruRef {
-    fn name(&self) -> &'static str {
-        "lru-ref"
-    }
     fn on_admit(&mut self, lbn: u64) {
         self.order.push(lbn);
     }
@@ -173,9 +167,6 @@ impl TwoQRef {
 }
 
 impl EvictionPolicy for TwoQRef {
-    fn name(&self) -> &'static str {
-        "2q-ref"
-    }
     fn on_admit(&mut self, lbn: u64) {
         if self.ghosts.contains(&lbn) {
             self.ghosts.retain(|&g| g != lbn);

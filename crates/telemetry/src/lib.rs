@@ -8,10 +8,9 @@
 //!
 //! Four pieces:
 //!
-//! * [`MetricsSink`] — the trait the executor records into. The default
-//!   implementation is [`Metrics`], a plain accumulator each unit of
-//!   work owns privately (lock-free recording: no atomics, no shared
-//!   state on the hot path).
+//! * [`Metrics`] — the sink the executor records into: a plain
+//!   accumulator each unit of work owns privately (lock-free recording:
+//!   no atomics, no shared state on the hot path).
 //! * [`Histogram`] — fixed-bucket latency histograms (a 1–2–5 decade
 //!   grid from 1 µs to 200 ms) for the per-request service-time
 //!   decomposition into overhead / seek / settle / rotation / transfer.
@@ -36,7 +35,5 @@ mod metrics;
 mod registry;
 
 pub use hist::{Histogram, BUCKET_EDGES_MS, NUM_BUCKETS};
-pub use metrics::{
-    Counter, Metrics, MetricsSink, NullSink, Phase, Span, SpanStat, HIT_RATE_FLOOR,
-};
+pub use metrics::{Counter, Metrics, Phase, Span, SpanStat, HIT_RATE_FLOOR};
 pub use registry::{enabled, global, set_enabled, Registry};

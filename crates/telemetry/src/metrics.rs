@@ -184,34 +184,7 @@ pub struct SpanStat {
     pub wall_ms: f64,
 }
 
-/// The interface the query path records into.
-///
-/// Implementations must be cheap: the executor calls these once per
-/// serviced request. The default implementation is [`Metrics`]; use
-/// [`NullSink`] where an API requires a sink but no one is listening.
-pub trait MetricsSink {
-    /// Add `delta` to a counter.
-    fn counter(&mut self, counter: Counter, delta: u64);
-    /// Record one service-time component of one request.
-    fn phase(&mut self, phase: Phase, ms: f64);
-    /// Record one request's total service time.
-    fn service_time(&mut self, ms: f64);
-    /// Record one executor phase's wall-clock duration.
-    fn span(&mut self, span: Span, wall_ms: f64);
-}
-
-/// A sink that drops everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {
-    fn counter(&mut self, _counter: Counter, _delta: u64) {}
-    fn phase(&mut self, _phase: Phase, _ms: f64) {}
-    fn service_time(&mut self, _ms: f64) {}
-    fn span(&mut self, _span: Span, _wall_ms: f64) {}
-}
-
-/// The default sink: a plain, private accumulator.
+/// The sink the query path records into: a plain, private accumulator.
 ///
 /// Each unit of work (a query, a figure cell) owns its own `Metrics`,
 /// records into it without any synchronisation, and hands it upward to
@@ -230,6 +203,28 @@ impl Metrics {
     /// An empty accumulator.
     pub fn new() -> Self {
         Metrics::default()
+    }
+
+    /// Add `delta` to a counter.
+    pub fn counter(&mut self, counter: Counter, delta: u64) {
+        self.counters[counter.index()] += delta;
+    }
+
+    /// Record one service-time component of one request.
+    pub fn phase(&mut self, phase: Phase, ms: f64) {
+        self.phases[phase.index()].record(ms);
+    }
+
+    /// Record one request's total service time.
+    pub fn service_time(&mut self, ms: f64) {
+        self.service.record(ms);
+    }
+
+    /// Record one executor phase's wall-clock duration.
+    pub fn span(&mut self, span: Span, wall_ms: f64) {
+        let s = &mut self.spans[span.index()];
+        s.count += 1;
+        s.wall_ms += wall_ms;
     }
 
     /// Current value of one counter.
@@ -403,26 +398,6 @@ fn hist_value(h: &Histogram) -> Value {
         ("max", measured.then(|| h.max_ms()).into()),
         ("buckets", Value::Arr(h.counts().iter().map(|&c| c.into()).collect())),
     ])
-}
-
-impl MetricsSink for Metrics {
-    fn counter(&mut self, counter: Counter, delta: u64) {
-        self.counters[counter.index()] += delta;
-    }
-
-    fn phase(&mut self, phase: Phase, ms: f64) {
-        self.phases[phase.index()].record(ms);
-    }
-
-    fn service_time(&mut self, ms: f64) {
-        self.service.record(ms);
-    }
-
-    fn span(&mut self, span: Span, wall_ms: f64) {
-        let s = &mut self.spans[span.index()];
-        s.count += 1;
-        s.wall_ms += wall_ms;
-    }
 }
 
 #[cfg(test)]
@@ -608,14 +583,5 @@ mod tests {
         assert!(j.contains("\"cache_prefetch\": 0.25"), "{j}");
         assert!(j.contains("\"writeback_flush\": 0"));
         assert!((m.prefetch_efficiency().unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn null_sink_discards_everything() {
-        let mut n = NullSink;
-        n.counter(Counter::PrefetchHit, 5);
-        n.phase(Phase::Rotation, 1.0);
-        n.service_time(1.0);
-        n.span(Span::Plan, 1.0);
     }
 }

@@ -102,7 +102,7 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Counter, MetricsSink};
+    use crate::metrics::Counter;
 
     #[test]
     fn sections_merge_in_recording_order() {

@@ -1,35 +1,14 @@
-//! Property tests for the storage manager, striped volume, bulk loader
+//! Property tests for the storage manager, bulk loader
 //! and Z-order range scanning.
 
 use multimap::core::{write_schedule, BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap::disksim::profiles;
-use multimap::lvm::{LogicalVolume, StripedVolume};
 use multimap::sfc::{SpaceFillingCurve, ZBoxScan, ZCurve};
 use multimap::store::{LayoutChoice, StorageManager};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Striped-volume address translation is a bijection.
-    #[test]
-    fn striped_volume_translation_roundtrips(
-        ndisks in 1usize..=5,
-        stripe in 1u64..=4096,
-        vlbn in 0u64..10_000_000,
-    ) {
-        let v = StripedVolume::new(
-            LogicalVolume::new(profiles::small(), ndisks),
-            stripe,
-        );
-        let (disk, local) = v.locate(vlbn);
-        prop_assert!(disk < ndisks);
-        prop_assert_eq!(v.volume_lbn(disk, local), vlbn);
-        // Within a stripe unit, consecutive volume LBNs stay on one disk.
-        if (vlbn + 1) % stripe != 0 {
-            prop_assert_eq!(v.locate(vlbn + 1).0, disk);
-        }
-    }
 
     /// The bulk-load write schedule covers each mapped block exactly once.
     #[test]
