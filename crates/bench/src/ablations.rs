@@ -11,7 +11,7 @@ use multimap_core::{
 use multimap_disksim::{profiles, DiskBuilder, Request, ZoneSpec};
 use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use multimap_query::{
-    random_range, workload_rng, BeamPolicy, ExecOptions, QueryExecutor, QueryRequest, RangeOrder,
+    random_range, workload_rng, ExecOptions, QueryExecutor, QueryRequest, RangeOrder,
 };
 
 use crate::harness::{ms, Scale, Table};
@@ -161,11 +161,7 @@ pub fn adjacency_depth(scale: Scale) -> Table {
         let d = geom.adjacency_limit;
         let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
         let volume = LogicalVolume::new(geom, 1);
-        let exec = QueryExecutor::with_options(
-            &volume,
-            0,
-            ExecOptions::builder().beam(BeamPolicy::Auto).build(),
-        );
+        let exec = QueryExecutor::new(&volume, 0);
         let mut rng = workload_rng(0xab4);
         let anchor = multimap_query::random_anchor(&grid, &mut rng);
         let mut row = vec![d.to_string()];

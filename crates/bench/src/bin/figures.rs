@@ -12,7 +12,8 @@
 //! re-running any experiment. `--backend` restricts the `backends`
 //! matrix to one registry device backend (`disk`, `ssd` or `imr`); a
 //! restricted matrix is printed but not saved, so it never replaces the
-//! full tables.
+//! full tables. An option or figure id this binary does not know is a
+//! usage error (exit status 2) before anything runs.
 //!
 //! Results are printed and saved as TSV under `results/<scale>/`. The
 //! quick-scale TSVs are checked in and pinned byte-exact by
@@ -39,44 +40,46 @@ fn tsv_name(fig: &str) -> Option<&'static str> {
     })
 }
 
+const USAGE: &str =
+    "usage: figures [--quick] [--replot] [--backend disk|ssd|imr] [all | <figure id>...]";
+
+/// A command line this binary does not understand: say why, exit 2.
+/// Nothing has run or been written yet.
+fn usage_error(why: String) -> ! {
+    eprintln!("error: {why}");
+    eprintln!("{USAGE}");
+    eprintln!("known: {} all", FIGURE_IDS.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let replot = args.iter().any(|a| a == "--replot");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let backend: Option<String> = args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(name) = backend.as_deref() {
-        if !multimap_disksim::BACKEND_NAMES.contains(&name) {
-            eprintln!(
-                "error: unknown --backend '{name}' (expected one of {})",
-                multimap_disksim::BACKEND_NAMES.join("|")
-            );
-            std::process::exit(2);
-        }
-    }
-    // Figure ids are the positional args, minus `--backend`'s value.
+    let (mut quick, mut replot, mut all) = (false, false, false);
+    let mut backend: Option<String> = None;
     let mut figures: Vec<&str> = Vec::new();
-    let mut skip_value = false;
-    for a in &args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if a == "--backend" {
-            skip_value = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            figures.push(a.as_str());
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--replot" => replot = true,
+            "--backend" => match args.next() {
+                Some(name) if multimap_disksim::BACKEND_NAMES.contains(&name.as_str()) => {
+                    backend = Some(name)
+                }
+                Some(name) => usage_error(format!("unknown --backend '{name}'")),
+                None => usage_error("--backend needs a value".into()),
+            },
+            "all" => all = true,
+            flag if flag.starts_with("--") => usage_error(format!("unknown option '{flag}'")),
+            id => match FIGURE_IDS.iter().find(|known| **known == id) {
+                Some(known) => figures.push(known),
+                None => usage_error(format!("unknown figure id: {id}")),
+            },
         }
     }
-    if figures.is_empty() || figures.contains(&"all") {
+    if all || figures.is_empty() {
         figures = FIGURE_IDS.to_vec();
     }
+    let scale = if quick { Scale::Quick } else { Scale::Paper };
     let out_dir = PathBuf::from("results").join(if quick { "quick" } else { "paper" });
     println!(
         "running {:?} at {} scale (results -> {})\n",
@@ -131,41 +134,27 @@ fn main() {
         let tables = if filtered {
             backends::tables(scale, backend.as_deref())
         } else {
-            run_figure(fig, scale).unwrap_or_else(|| {
-                eprintln!("unknown figure id: {fig}");
-                eprintln!("known: {} all", FIGURE_IDS.join(" "));
-                std::process::exit(2);
-            })
+            run_figure(fig, scale).expect("ids were checked against FIGURE_IDS")
         };
         for (name, table) in &tables {
             table.print();
             println!();
             if !filtered {
                 saved(&format!("{name}.tsv"), table.save_tsv(&out_dir, name));
-                for (plot_name, svg) in auto_plots(fig, table) {
-                    saved(
-                        &format!("{plot_name}.svg"),
-                        save_svg(&svg, &plot_dir, &plot_name),
-                    );
-                }
             }
         }
         if filtered {
             println!("(--backend view: printed only, results/ left untouched)\n");
+        } else if let Some((_, first)) = tables.first() {
+            // Charts are drawn from an id's first table.
+            for (plot_name, svg) in auto_plots(fig, first) {
+                saved(
+                    &format!("{plot_name}.svg"),
+                    save_svg(&svg, &plot_dir, &plot_name),
+                );
+            }
         }
         eprintln!("[{fig} took {:.1}s]\n", started.elapsed().as_secs_f64());
-    }
-
-    // Telemetry sidecar: the figure generators record merged per-figure
-    // metrics into the global registry; dump them next to the TSVs.
-    // TSV/SVG contents never depend on telemetry (see docs/observability.md).
-    let registry = multimap_telemetry::global();
-    if multimap_telemetry::enabled() && !registry.is_empty() {
-        let path = out_dir.join("telemetry.json");
-        let result = std::fs::write(&path, registry.to_json());
-        if saved("telemetry.json", result) {
-            println!("telemetry -> {}", path.display());
-        }
     }
     finish();
 }

@@ -11,27 +11,16 @@ use multimap_lvm::LogicalVolume;
 use multimap_query::{
     random_anchor, random_range, workload_rng, QueryExecutor, QueryRequest, QueryResult,
 };
-use multimap_telemetry::Metrics;
-
-use crate::harness::{build_mappings, ms, Scale, Table};
-
-/// Merge per-cell metrics in submission order and record the fold under
-/// `label` in the global registry — a no-op while telemetry is disabled.
-/// Submission-order folding matches `multimap_engine::sweep`'s result
-/// order, so the merged record is identical at any thread count.
-pub(crate) fn record_cells(label: &str, cells: Vec<Metrics>) {
-    if multimap_telemetry::enabled() {
-        multimap_telemetry::global().record(label, Metrics::merge_ordered(cells.iter()));
-    }
-}
+use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 
 /// Figure 6(a): average I/O time per cell for beam queries along each
-/// dimension, for all four mappings on both disks.
-pub fn run_beams(scale: Scale) -> Table {
+/// dimension, for all four mappings on both disks, and what each
+/// (disk, mapping, dimension) recorded while producing it.
+pub fn run_beams(scale: Scale) -> (Table, Vec<PhaseCell>) {
     let grid = scale.synthetic_grid();
     let runs = scale.beam_runs();
 
-    let mut table = Table::new(
+    let table = Table::new(
         format!(
             "Figure 6(a): beam queries on the synthetic 3-D dataset {:?} (avg ms/cell, {} runs)",
             grid.extents(),
@@ -58,21 +47,19 @@ pub fn run_beams(scale: Scale) -> Table {
         let mut rng = workload_rng(0x6a61);
         let anchors: Vec<Vec<u64>> = (0..runs).map(|_| random_anchor(&grid, &mut rng)).collect();
 
-        let mut metrics = Metrics::new();
-        let record = multimap_telemetry::enabled();
+        let mut phases = Vec::new();
         let mut per_dim = Vec::new();
         for dim in 0..3 {
+            let mut cell = PhaseCell::new(&geom.name, m.name(), format!("Dim{dim}"));
             let mut acc = QueryResult::default();
             for anchor in &anchors {
                 let region = BoxRegion::beam(&grid, dim, anchor);
                 volume.idle_all(7.3); // decorrelate rotational phase
-                let mut req = QueryRequest::beam(m, &region);
-                if record {
-                    req = req.with_sink(&mut metrics);
-                }
+                let req = QueryRequest::beam(m, &region).with_sink(&mut cell.metrics);
                 acc.accumulate(&exec.execute(req).expect("figure query runs in-grid"));
             }
             per_dim.push(acc.per_cell_ms());
+            phases.push(cell);
         }
         let row = vec![
             geom.name.to_string(),
@@ -81,24 +68,19 @@ pub fn run_beams(scale: Scale) -> Table {
             ms(per_dim[1]),
             ms(per_dim[2]),
         ];
-        (row, metrics)
+        (row, phases)
     });
-    let mut cell_metrics = Vec::with_capacity(rows.len());
-    for (row, m) in rows {
-        table.row(row);
-        cell_metrics.push(m);
-    }
-    record_cells("fig6a_beams", cell_metrics);
-    table
+    with_phases(table, rows)
 }
 
 /// Figure 6(b): range-query speedup relative to Naive as a function of
-/// selectivity.
-pub fn run_ranges(scale: Scale) -> Table {
+/// selectivity, and what each (disk, mapping, selectivity) recorded
+/// while producing it.
+pub fn run_ranges(scale: Scale) -> (Table, Vec<PhaseCell>) {
     let grid = scale.synthetic_grid();
     let runs = scale.range_runs();
 
-    let mut table = Table::new(
+    let table = Table::new(
         format!(
             "Figure 6(b): range queries on the synthetic 3-D dataset {:?} (speedup vs Naive, {} runs)",
             grid.extents(),
@@ -135,21 +117,19 @@ pub fn run_ranges(scale: Scale) -> Table {
         let regions: Vec<BoxRegion> = (0..runs)
             .map(|_| random_range(&grid, sel, &mut rng))
             .collect();
-        let mut metrics = Metrics::new();
-        let record = multimap_telemetry::enabled();
+        let mut phases = Vec::new();
         let mut totals = [0.0f64; 4];
         for (i, m) in mappings[d].iter().enumerate() {
+            let mut cell = PhaseCell::new(&geom.name, m.name(), format!("{sel}"));
             for region in &regions {
                 volume.idle_all(11.7);
-                let mut req = QueryRequest::range(m.as_ref(), region);
-                if record {
-                    req = req.with_sink(&mut metrics);
-                }
+                let req = QueryRequest::range(m.as_ref(), region).with_sink(&mut cell.metrics);
                 totals[i] += exec
                     .execute(req)
                     .expect("figure query runs in-grid")
                     .total_io_ms;
             }
+            phases.push(cell);
         }
         let row = vec![
             geom.name.to_string(),
@@ -159,15 +139,9 @@ pub fn run_ranges(scale: Scale) -> Table {
             format!("{:.2}", totals[0] / totals[2]),
             format!("{:.2}", totals[0] / totals[3]),
         ];
-        (row, metrics)
+        (row, phases)
     });
-    let mut cell_metrics = Vec::with_capacity(rows.len());
-    for (row, m) in rows {
-        table.row(row);
-        cell_metrics.push(m);
-    }
-    record_cells("fig6b_ranges", cell_metrics);
-    table
+    with_phases(table, rows)
 }
 
 #[cfg(test)]
@@ -176,7 +150,7 @@ mod tests {
 
     #[test]
     fn quick_beams_have_paper_shape() {
-        let t = run_beams(Scale::Quick);
+        let (t, _) = run_beams(Scale::Quick);
         assert_eq!(t.rows.len(), 8); // 2 disks x 4 mappings
                                      // Per disk: Naive Dim0 streams; MultiMap Dim1/Dim2 beat Naive.
         for disk_rows in t.rows.chunks(4) {

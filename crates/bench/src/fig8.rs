@@ -7,20 +7,18 @@ use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_olap::{cube, ALL_QUERIES};
 use multimap_query::{workload_rng, QueryExecutor, QueryOp, QueryRequest, QueryResult};
-use multimap_telemetry::Metrics;
+use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 
-use crate::fig6::record_cells;
-use crate::harness::{build_mappings, ms, Scale, Table};
-
-/// Figure 8: average I/O time per cell for Q1–Q5 on both disks.
-pub fn run(scale: Scale) -> Table {
+/// Figure 8: average I/O time per cell for Q1–Q5 on both disks, and
+/// what each (disk, mapping, query) recorded while producing it.
+pub fn run(scale: Scale) -> (Table, Vec<PhaseCell>) {
     let chunk = match scale {
         Scale::Quick => cube::small_chunk(),
         Scale::Paper => cube::disk_chunk(),
     };
     let runs = scale.range_runs().max(3);
 
-    let mut table = Table::new(
+    let table = Table::new(
         format!(
             "Figure 8: OLAP queries on the {:?} chunk (avg ms/cell, {} runs)",
             chunk.extents(),
@@ -42,12 +40,12 @@ pub fn run(scale: Scale) -> Table {
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
 
-        let mut metrics = Metrics::new();
-        let record = multimap_telemetry::enabled();
+        let mut phases = Vec::new();
         let mut row = vec![geom.name.to_string(), m.name().to_string()];
         for q in ALL_QUERIES {
             // Same regions per query across mappings.
             let mut rng = workload_rng(0x8000 + q.label().as_bytes()[1] as u64);
+            let mut cell = PhaseCell::new(&geom.name, m.name(), q.label());
             let mut acc = QueryResult::default();
             for _ in 0..runs {
                 let region = q.region(&chunk, &mut rng);
@@ -57,23 +55,15 @@ pub fn run(scale: Scale) -> Table {
                 } else {
                     QueryOp::Range
                 };
-                let mut req = QueryRequest::new(op, m, &region);
-                if record {
-                    req = req.with_sink(&mut metrics);
-                }
+                let req = QueryRequest::new(op, m, &region).with_sink(&mut cell.metrics);
                 acc.accumulate(&exec.execute(req).expect("figure query runs in-grid"));
             }
             row.push(ms(acc.per_cell_ms()));
+            phases.push(cell);
         }
-        (row, metrics)
+        (row, phases)
     });
-    let mut cell_metrics = Vec::with_capacity(rows.len());
-    for (row, m) in rows {
-        table.row(row);
-        cell_metrics.push(m);
-    }
-    record_cells("fig8_olap", cell_metrics);
-    table
+    with_phases(table, rows)
 }
 
 #[cfg(test)]
@@ -82,7 +72,7 @@ mod tests {
 
     #[test]
     fn quick_olap_shape() {
-        let t = run(Scale::Quick);
+        let (t, _) = run(Scale::Quick);
         assert_eq!(t.rows.len(), 8);
         for disk_rows in t.rows.chunks(4) {
             // Q1 (major-order beam): Naive streams, curves are orders of

@@ -10,6 +10,7 @@ use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
 use multimap_disksim::DiskGeometry;
+use multimap_telemetry::{Counter, Metrics, Phase};
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,6 +171,82 @@ impl Table {
 /// Format milliseconds with three decimals.
 pub fn ms(v: f64) -> String {
     format!("{v:.3}")
+}
+
+/// What one (disk, mapping, workload group) of a figure recorded: the
+/// sink every query of that group was executed with.
+#[derive(Debug)]
+pub struct PhaseCell {
+    /// Drive name.
+    pub disk: String,
+    /// Mapping name.
+    pub mapping: String,
+    /// The figure's own grouping: a beam dimension, a selectivity, a query.
+    pub group: String,
+    /// Everything the group's queries recorded.
+    pub metrics: Metrics,
+}
+
+impl PhaseCell {
+    /// An empty cell for one group.
+    pub fn new(disk: &str, mapping: &str, group: impl Into<String>) -> Self {
+        PhaseCell {
+            disk: disk.to_string(),
+            mapping: mapping.to_string(),
+            group: group.into(),
+            metrics: Metrics::new(),
+        }
+    }
+}
+
+/// Fill `table` from a sweep's `(row, phase cells)` results, in
+/// submission order, and hand the cells back flattened.
+pub fn with_phases(
+    mut table: Table,
+    swept: Vec<(Vec<String>, Vec<PhaseCell>)>,
+) -> (Table, Vec<PhaseCell>) {
+    let mut phases = Vec::new();
+    for (row, cells) in swept {
+        table.row(row);
+        phases.extend(cells);
+    }
+    (table, phases)
+}
+
+/// The five disjoint service-time components a fault-free run charges,
+/// in column order.
+pub const PHASE_COMPONENTS: [Phase; 5] = [
+    Phase::Overhead,
+    Phase::Seek,
+    Phase::Settle,
+    Phase::Rotation,
+    Phase::Transfer,
+];
+
+/// A `*_phases` table: where each group's simulated milliseconds went.
+/// Every column is a function of the simulated serve order alone (see
+/// `docs/observability.md` for the definitions and for what is left
+/// out), so the table is pinned like any other result.
+pub fn phase_table(title: impl Into<String>, cells: &[PhaseCell]) -> Table {
+    let mut table = Table::new(
+        title,
+        &[
+            "disk", "mapping", "group", "requests", "sequential", "hops", "seeks", "overhead_ms",
+            "seek_ms", "settle_ms", "rotation_ms", "transfer_ms", "total_ms",
+        ],
+    );
+    for cell in cells {
+        let m = &cell.metrics;
+        let requests = m.counter_value(Counter::RequestsServiced);
+        let hops = m.counter_value(Counter::AdjacencyHop);
+        let seeks = m.counter_value(Counter::SeekTransition);
+        let mut row = vec![cell.disk.clone(), cell.mapping.clone(), cell.group.clone()];
+        row.extend([requests, requests - hops - seeks, hops, seeks].map(|n| n.to_string()));
+        row.extend(PHASE_COMPONENTS.map(|p| ms(m.phase_hist(p).sum_ms())));
+        row.push(ms(m.service_hist().sum_ms()));
+        table.row(row);
+    }
+    table
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub mod pagecache;
 pub mod plot;
 pub mod serving;
 
-pub use harness::{Scale, Table};
+pub use harness::{phase_table, PhaseCell, Scale, Table};
 
 /// Every id `figures all` runs, in run order.
 pub const FIGURE_IDS: [&str; 12] = [
@@ -52,16 +52,23 @@ pub const FIGURE_IDS: [&str; 12] = [
 ];
 
 /// Run one figure id and return its tables as `(TSV file stem, table)`
-/// pairs; `None` for an id outside [`FIGURE_IDS`].
+/// pairs, the one its plots are drawn from first; `None` for an id
+/// outside [`FIGURE_IDS`].
 pub fn run_figure(fig: &str, scale: Scale) -> Option<Vec<(String, Table)>> {
     let one = |name: &str, table: Table| Some(vec![(name.to_string(), table)]);
+    // The figures that attach sinks: their result table, then where its
+    // simulated milliseconds went.
+    let phased = |name: &str, (table, cells): (Table, Vec<PhaseCell>)| {
+        let phases = phase_table(format!("{} — phases (ms summed per group)", table.title), &cells);
+        Some(vec![(name.to_string(), table), (format!("{fig}_phases"), phases)])
+    };
     match fig {
         "fig1" => one("fig1_seek_profile", fig1::run()),
-        "fig6a" => one("fig6a_synthetic_beams", fig6::run_beams(scale)),
-        "fig6b" => one("fig6b_synthetic_ranges", fig6::run_ranges(scale)),
+        "fig6a" => phased("fig6a_synthetic_beams", fig6::run_beams(scale)),
+        "fig6b" => phased("fig6b_synthetic_ranges", fig6::run_ranges(scale)),
         "fig7a" => one("fig7a_earthquake_beams", fig7::run_beams(scale)),
         "fig7b" => one("fig7b_earthquake_ranges", fig7::run_ranges(scale)),
-        "fig8" => one("fig8_olap_queries", fig8::run(scale)),
+        "fig8" => phased("fig8_olap_queries", fig8::run(scale)),
         "model" => one("model_validation", model_fig::run(scale)),
         "ablations" => Some(
             ablations::run_all(scale)

@@ -1,11 +1,9 @@
 //! The experiment engine's headline guarantee: a parallel figure sweep
-//! renders byte-identically to a serial one, with telemetry on or off.
+//! renders byte-identically to a serial one.
 
-use multimap_bench::{fig6, fig7, fig8, model_fig, pagecache, Scale, Table};
-use multimap_telemetry::Counter;
+use multimap_bench::{pagecache, run_figure, Scale};
 
-/// Serialise tests that flip the global engine override or the global
-/// telemetry gate (both are process-wide).
+/// Serialise tests that flip the global engine override (process-wide).
 static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
@@ -18,35 +16,25 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-type Figure = (&'static str, fn(Scale) -> Table);
-
 /// The engine-swept figures the rendering contract is held on.
-const FIGURES: [Figure; 5] = [
-    ("fig6a", fig6::run_beams),
-    ("fig6b", fig6::run_ranges),
-    ("fig7a", fig7::run_beams),
-    ("fig8", fig8::run),
-    ("model", model_fig::run),
-];
+const FIGURES: [&str; 5] = ["fig6a", "fig6b", "fig7a", "fig8", "model"];
 
-/// Each figure renders one table, byte for byte, however it is run:
-/// serially or fanned over 2, 4 or 8 engine workers, and — telemetry
-/// being observational — with the sinks recording or disabled.
+/// Each figure renders its tables, byte for byte, however it is run:
+/// serially or fanned over 2, 4 or 8 engine workers. For `fig6a`,
+/// `fig6b` and `fig8` that includes the `*_phases` table, whose cells
+/// are folded in submission order.
 #[test]
-fn quick_figures_render_identically_at_any_thread_count_telemetry_on_or_off() {
-    for (label, run) in FIGURES {
-        let serial = with_threads(1, || run(Scale::Quick).render());
+fn quick_figures_render_identically_at_any_thread_count() {
+    let render = |fig: &str| {
+        let tables = run_figure(fig, Scale::Quick).expect("catalogued figure id");
+        tables.iter().map(|(_, t)| t.render()).collect::<String>()
+    };
+    for fig in FIGURES {
+        let serial = with_threads(1, || render(fig));
         for threads in [2usize, 4, 8] {
-            let parallel = with_threads(threads, || run(Scale::Quick).render());
-            assert_eq!(serial, parallel, "{label} diverged at {threads} threads");
+            let parallel = with_threads(threads, || render(fig));
+            assert_eq!(serial, parallel, "{fig} diverged at {threads} threads");
         }
-        let telemetry_off = with_threads(4, || {
-            multimap_telemetry::set_enabled(false);
-            let rendered = run(Scale::Quick).render();
-            multimap_telemetry::set_enabled(true);
-            rendered
-        });
-        assert_eq!(serial, telemetry_off, "telemetry changed {label} output");
     }
 }
 
@@ -128,35 +116,5 @@ fn page_cache_sweep_identical_at_all_thread_counts() {
             run(threads),
             "page-cache sweep diverged at {threads} threads"
         );
-    }
-}
-
-/// The merged per-figure record in the global registry is bit-identical
-/// at any thread count (submission-order fold under the engine sweep),
-/// for the beam table and the range table. fig6b translates through the
-/// shared flat-table cache, whose hit/miss split `Metrics::identical`
-/// leaves to the host.
-#[test]
-fn quick_fig6a_registry_record_identical_across_thread_counts() {
-    for (label, run) in &FIGURES[..2] {
-        let harvest = |threads: usize| {
-            with_threads(threads, || {
-                multimap_telemetry::set_enabled(true);
-                multimap_telemetry::global().clear();
-                run(Scale::Quick);
-                let merged = multimap_telemetry::global().merged();
-                multimap_telemetry::global().clear();
-                merged
-            })
-        };
-        let baseline = harvest(1);
-        assert!(baseline.counter_value(Counter::RequestsServiced) > 0);
-        for threads in [2usize, 4, 8] {
-            let merged = harvest(threads);
-            assert!(
-                merged.identical(&baseline),
-                "{label} registry record diverged at {threads} threads"
-            );
-        }
     }
 }

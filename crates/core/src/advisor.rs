@@ -27,23 +27,12 @@ pub enum Advice {
     },
 }
 
-/// Tunables for [`advise`].
-#[derive(Clone, Copy, Debug)]
-pub struct AdvisorConfig {
-    /// Minimum acceptable space utilization for MultiMap, in `(0, 1]`.
-    pub min_utilization: f64,
-}
-
-impl Default for AdvisorConfig {
-    fn default() -> Self {
-        AdvisorConfig {
-            min_utilization: 0.5,
-        }
-    }
-}
+/// Minimum space utilization at which MultiMap is still advised: below
+/// it packing wastes more of each track than it fills (Section 4.5).
+const MIN_UTILIZATION: f64 = 0.5;
 
 /// Decide whether `grid` should be MultiMapped onto `geom`.
-pub fn advise(geom: &DiskGeometry, grid: &GridSpec, config: &AdvisorConfig) -> Advice {
+pub fn advise(geom: &DiskGeometry, grid: &GridSpec) -> Advice {
     if grid.ndims() as u32 > max_dimensions(geom.adjacency_limit as u64) {
         return Advice::UseLinear {
             reason: format!(
@@ -60,11 +49,10 @@ pub fn advise(geom: &DiskGeometry, grid: &GridSpec, config: &AdvisorConfig) -> A
         },
         Ok(m) => {
             let utilization = m.space_utilization();
-            if utilization < config.min_utilization {
+            if utilization < MIN_UTILIZATION {
                 Advice::UseLinear {
                     reason: format!(
-                        "utilization {utilization:.2} below budget {:.2}",
-                        config.min_utilization
+                        "utilization {utilization:.2} below budget {MIN_UTILIZATION:.2}"
                     ),
                 }
             } else {
@@ -84,7 +72,7 @@ mod tests {
         let geom = profiles::small();
         // Dim0 spans most of the track: good utilization.
         let grid = GridSpec::new([110u64, 8, 4]);
-        match advise(&geom, &grid, &AdvisorConfig::default()) {
+        match advise(&geom, &grid) {
             Advice::UseMultiMap { utilization } => assert!(utilization >= 0.5),
             other => panic!("expected MultiMap, got {other:?}"),
         }
@@ -92,13 +80,10 @@ mod tests {
 
     #[test]
     fn short_dim0_wastes_tracks_and_falls_back() {
-        let geom = profiles::small(); // T = 120
-                                      // Dim0 = 70: one cube per 120-sector track, 42% waste.
-        let grid = GridSpec::new([70u64, 8, 4]);
-        let cfg = AdvisorConfig {
-            min_utilization: 0.8,
-        };
-        match advise(&geom, &grid, &cfg) {
+        // T = 120, Dim0 = 45: one row per 120-sector track, 62% waste.
+        let geom = profiles::small();
+        let grid = GridSpec::new([45u64, 8, 4]);
+        match advise(&geom, &grid) {
             Advice::UseLinear { reason } => assert!(reason.contains("utilization")),
             other => panic!("expected linear fallback, got {other:?}"),
         }
@@ -108,7 +93,7 @@ mod tests {
     fn too_many_dimensions_fall_back() {
         let geom = profiles::toy(); // D = 9 -> N_max = 5
         let grid = GridSpec::new([2u64, 2, 2, 2, 2, 2]);
-        match advise(&geom, &grid, &AdvisorConfig::default()) {
+        match advise(&geom, &grid) {
             Advice::UseLinear { reason } => assert!(reason.contains("N_max")),
             other => panic!("expected linear fallback, got {other:?}"),
         }
@@ -118,7 +103,7 @@ mod tests {
     fn oversized_dataset_falls_back() {
         let geom = profiles::toy();
         let grid = GridSpec::new([5u64, 3, 5000]);
-        match advise(&geom, &grid, &AdvisorConfig::default()) {
+        match advise(&geom, &grid) {
             Advice::UseLinear { reason } => assert!(reason.contains("failed")),
             other => panic!("expected linear fallback, got {other:?}"),
         }

@@ -42,11 +42,11 @@ pub mod naive;
 pub mod translation;
 pub mod updates;
 
-pub use advisor::{advise, Advice, AdvisorConfig};
+pub use advisor::{advise, Advice};
 pub use chunking::ChunkedDataset;
 pub use curve_map::{gray_mapping, hilbert_mapping, zorder_mapping, CurveMapping};
 pub use grid::{BoxRegion, Coord, GridSpec};
-pub use loader::{append_slab, bulk_load, load_region, write_schedule, LoadReport};
+pub use loader::{append_slab, bulk_load, load_region, write_schedule, LoadError, LoadReport};
 pub use mapping::{Mapping, MappingError, MappingKind, Result};
 pub use multimap::{
     max_dimensions, solve_basic_cube, BasicCubeShape, CubeLayout, MultiMapOptions, MultiMapping,

@@ -10,10 +10,55 @@
 //! LBN, coalesced into maximal sequential writes) and services it on a
 //! simulated disk, reporting load time and effective bandwidth.
 
-use multimap_disksim::{DiskSim, Lbn, Request, SECTOR_BYTES};
+use std::fmt;
+
+use multimap_disksim::{DiskError, DiskSim, Lbn, Request, SECTOR_BYTES};
 
 use crate::grid::BoxRegion;
 use crate::mapping::{Mapping, MappingError, Result};
+
+/// Why a load did not complete.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LoadError {
+    /// The region does not lie in the mapping's grid.
+    Mapping(MappingError),
+    /// The disk failed one of the scheduled writes (an injected fault,
+    /// or a schedule past the end of the device).
+    Disk(DiskError),
+    /// A slab was asked for along a dimension the grid does not have.
+    NoSuchDimension {
+        /// The offending dimension.
+        dim: usize,
+        /// Dimensions of the grid.
+        ndims: usize,
+    },
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Mapping(e) => write!(f, "{e}"),
+            LoadError::Disk(e) => write!(f, "load write failed: {e}"),
+            LoadError::NoSuchDimension { dim, ndims } => {
+                write!(f, "no dimension {dim} in a {ndims}-dimensional grid")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+impl From<MappingError> for LoadError {
+    fn from(e: MappingError) -> Self {
+        LoadError::Mapping(e)
+    }
+}
+
+impl From<DiskError> for LoadError {
+    fn from(e: DiskError) -> Self {
+        LoadError::Disk(e)
+    }
+}
 
 /// Outcome of a bulk load.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -78,26 +123,28 @@ pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<R
 }
 
 /// Bulk-load an entire dataset onto the disk.
-pub fn bulk_load(sim: &mut DiskSim, mapping: &dyn Mapping) -> Result<LoadReport> {
+pub fn bulk_load(
+    sim: &mut DiskSim,
+    mapping: &dyn Mapping,
+) -> std::result::Result<LoadReport, LoadError> {
     load_region(sim, mapping, &mapping.grid().bounding_region())
 }
 
 /// Bulk-load one region (e.g. a freshly appended slab of observations).
+/// The first write the disk fails ends the load with its error; the
+/// writes before it have been serviced.
 pub fn load_region(
     sim: &mut DiskSim,
     mapping: &dyn Mapping,
     region: &BoxRegion,
-) -> Result<LoadReport> {
+) -> std::result::Result<LoadReport, LoadError> {
     let schedule = write_schedule(mapping, region)?;
     let mut report = LoadReport {
         cells: region.cells(),
         ..LoadReport::default()
     };
     for req in &schedule {
-        let t = sim
-            .service_write(*req)
-            // staticcheck: allow(no-unwrap) — write_schedule only emits LBNs the mapping itself produced, all on-disk.
-            .expect("scheduled writes are on-disk");
+        let t = sim.service_write(*req)?;
         report.blocks += req.nblocks;
         report.requests += 1;
         report.total_ms += t.total_ms();
@@ -112,11 +159,13 @@ pub fn append_slab(
     mapping: &dyn Mapping,
     dim: usize,
     index: u64,
-) -> Result<LoadReport> {
+) -> std::result::Result<LoadReport, LoadError> {
     let grid = mapping.grid();
-    assert!(dim < grid.ndims(), "slab dimension out of range");
+    if dim >= grid.ndims() {
+        return Err(LoadError::NoSuchDimension { dim, ndims: grid.ndims() });
+    }
     if index >= grid.extent(dim) {
-        return Err(MappingError::CoordOutOfGrid { coord: vec![index] });
+        return Err(MappingError::CoordOutOfGrid { coord: vec![index] }.into());
     }
     let mut lo = vec![0u64; grid.ndims()];
     let mut hi: Vec<u64> = grid.extents().iter().map(|e| e - 1).collect();
@@ -170,6 +219,23 @@ mod tests {
         let report = append_slab(&mut sim, &m, 2, 3).unwrap();
         assert_eq!(report.cells, 100 * 8);
         assert!(append_slab(&mut sim, &m, 2, 99).is_err());
+        assert_eq!(
+            append_slab(&mut sim, &m, 3, 0),
+            Err(LoadError::NoSuchDimension { dim: 3, ndims: 3 })
+        );
+    }
+
+    /// A write the disk fails ends the load with the disk's error.
+    #[test]
+    fn failed_write_is_a_typed_error() {
+        use multimap_disksim::FaultPlan;
+        let (mut sim, grid) = setup();
+        let m = NaiveMapping::new(grid, 0);
+        let lbn = m.lbn_of(&[3, 2, 1]).unwrap();
+        sim.set_fault_plan(FaultPlan::new(1).with_media_error(lbn));
+        assert_eq!(bulk_load(&mut sim, &m), Err(LoadError::Disk(DiskError::MediaError { lbn })));
+        sim.set_fault_plan(FaultPlan::none());
+        assert!(bulk_load(&mut sim, &m).is_ok());
     }
 
     #[test]

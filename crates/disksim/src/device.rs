@@ -24,7 +24,7 @@
 
 use crate::error::{DiskError, Result};
 use crate::geometry::{DiskGeometry, Lbn};
-use crate::imr::{ImrConfig, ImrModel};
+use crate::imr::ImrModel;
 use crate::observe::{ServiceEvent, Transition};
 use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipline};
 use crate::sim::{AccessKind, DiskSim, Request, RequestTiming};
@@ -271,8 +271,7 @@ pub const BACKEND_NAMES: [&str; 3] = ["disk", "ssd", "imr"];
 /// * `"disk"` — the rotating [`DiskSim`] on `geom` exactly.
 /// * `"ssd"` — an [`SsdModel`] sized to `geom.total_blocks()` with the
 ///   default channel configuration ([`SsdConfig::builder`]).
-/// * `"imr"` — an [`ImrModel`] interlacing `geom`'s cylinders with the
-///   default RMW configuration ([`ImrConfig::builder`]).
+/// * `"imr"` — an [`ImrModel`] interlacing `geom`'s cylinders.
 ///
 /// Unknown names are a typed [`DiskError::UnknownBackend`] error.
 pub fn build_backend(name: &str, geom: &DiskGeometry) -> Result<Box<dyn DeviceModel>> {
@@ -283,7 +282,7 @@ pub fn build_backend(name: &str, geom: &DiskGeometry) -> Result<Box<dyn DeviceMo
                 .capacity_blocks(geom.total_blocks())
                 .build(),
         ))),
-        "imr" => Ok(Box::new(ImrModel::new(geom.clone(), ImrConfig::default()))),
+        "imr" => Ok(Box::new(ImrModel::new(geom.clone()))),
         other => Err(DiskError::UnknownBackend {
             name: other.to_string(),
         }),

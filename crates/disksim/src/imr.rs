@@ -22,9 +22,7 @@
 //! rotating-drive semantics.
 //!
 //! Track write state is tracked per `(cylinder, surface)`; a fresh
-//! device rewrites nothing until top tracks have been written
-//! ([`ImrConfig::assume_worst_case`] flips this to an aged, fully
-//! written device).
+//! device rewrites nothing until top tracks have been written.
 
 use std::collections::BTreeSet;
 
@@ -36,73 +34,11 @@ use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipli
 use crate::sim::{AccessKind, DiskSim, Request, RequestTiming};
 use crate::stats::AccessStats;
 
-/// Configuration of the IMR model.
-///
-/// `#[non_exhaustive]` with a builder ([`ImrConfig::builder`]), matching
-/// the crate-wide options convention.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ImrConfig {
-    /// Perform neighbor read-modify-write on bottom-track writes. With
-    /// this off the model degenerates to the plain rotating drive — the
-    /// ablation baseline.
-    pub rmw_enabled: bool,
-    /// Treat every top track as already written (an aged, fully
-    /// populated device): every bottom-track write pays the full RMW.
-    /// Off by default — a fresh device only rewrites tracks it has
-    /// actually written.
-    pub assume_worst_case: bool,
-}
-
-impl Default for ImrConfig {
-    fn default() -> Self {
-        ImrConfig {
-            rmw_enabled: true,
-            assume_worst_case: false,
-        }
-    }
-}
-
-impl ImrConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> ImrConfigBuilder {
-        ImrConfigBuilder {
-            cfg: ImrConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ImrConfig`].
-#[derive(Clone, Copy, Debug)]
-pub struct ImrConfigBuilder {
-    cfg: ImrConfig,
-}
-
-impl ImrConfigBuilder {
-    /// Enable or disable neighbor read-modify-write.
-    pub fn rmw_enabled(mut self, on: bool) -> Self {
-        self.cfg.rmw_enabled = on;
-        self
-    }
-
-    /// Model an aged device whose top tracks are all written.
-    pub fn assume_worst_case(mut self, on: bool) -> Self {
-        self.cfg.assume_worst_case = on;
-        self
-    }
-
-    /// Finish, yielding the configuration.
-    pub fn build(self) -> ImrConfig {
-        self.cfg
-    }
-}
-
 /// The IMR device model: rotating mechanics plus interlaced-track
 /// write amplification. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct ImrModel {
     inner: DiskSim,
-    cfg: ImrConfig,
     /// Tracks written since reset, keyed `(cylinder, surface)`.
     written: BTreeSet<(u64, u32)>,
     bottom_writes: u64,
@@ -112,22 +48,16 @@ pub struct ImrModel {
 }
 
 impl ImrModel {
-    /// New device on `geom` with the given configuration.
-    pub fn new(geom: DiskGeometry, cfg: ImrConfig) -> Self {
+    /// New, unwritten device on `geom`.
+    pub fn new(geom: DiskGeometry) -> Self {
         ImrModel {
             inner: DiskSim::new(geom),
-            cfg,
             written: BTreeSet::new(),
             bottom_writes: 0,
             top_writes: 0,
             neighbor_rewrites: 0,
             rmw_ms: 0.0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ImrConfig {
-        &self.cfg
     }
 
     /// Whether a cylinder holds bottom (overlapped) tracks.
@@ -204,9 +134,6 @@ impl DeviceModel for ImrModel {
                 for &(cyl, surface, _, _) in &touched {
                     if Self::is_bottom_cylinder(cyl) {
                         self.bottom_writes += 1;
-                        if !self.cfg.rmw_enabled {
-                            continue;
-                        }
                         // The interlaced top neighbors: cylinders cyl±1
                         // (odd by construction), same surface.
                         let mut neighbors = Vec::new();
@@ -223,7 +150,7 @@ impl DeviceModel for ImrModel {
                             if touched_keys.contains(&key) {
                                 continue;
                             }
-                            if self.cfg.assume_worst_case || self.written.contains(&key) {
+                            if self.written.contains(&key) {
                                 extra += self.rewrite_track(ncyl, surface)?;
                                 self.neighbor_rewrites += 1;
                             }
@@ -307,7 +234,7 @@ mod tests {
     use crate::profiles;
 
     fn imr() -> ImrModel {
-        ImrModel::new(profiles::small(), ImrConfig::default())
+        ImrModel::new(profiles::small())
     }
 
     #[test]
@@ -400,37 +327,6 @@ mod tests {
         let counters = dev.counters();
         let top = counters.iter().find(|(k, _)| k == "imr.top_track_writes").unwrap().1;
         assert_eq!(top, 3);
-    }
-
-    #[test]
-    fn worst_case_device_always_pays() {
-        let mut dev = ImrModel::new(
-            profiles::small(),
-            ImrConfig::builder().assume_worst_case(true).build(),
-        );
-        let geom = dev.geometry().unwrap().clone();
-        let bottom = geom.lbn_of(2, 0, 0).unwrap();
-        dev.service_write(Request::new(bottom, 1)).unwrap();
-        // Both interlaced neighbors (cylinders 1 and 3) rewritten.
-        assert_eq!(dev.neighbor_rewrites(), 2);
-    }
-
-    #[test]
-    fn rmw_disabled_is_plain_disk() {
-        let geom = profiles::small();
-        let mut dev = ImrModel::new(geom.clone(), ImrConfig::builder().rmw_enabled(false).build());
-        let mut plain = DiskSim::new(geom.clone());
-        // Age both devices identically, then write bottom tracks.
-        for cyl in [1u64, 3] {
-            let lbn = geom.lbn_of(cyl, 0, 0).unwrap();
-            dev.service_write(Request::new(lbn, 2)).unwrap();
-            plain.service_write(Request::new(lbn, 2)).unwrap();
-        }
-        let bottom = geom.lbn_of(2, 0, 0).unwrap();
-        let t = dev.service_write(Request::new(bottom, 2)).unwrap();
-        let p = plain.service_write(Request::new(bottom, 2)).unwrap();
-        assert_eq!(t.total_ms().to_bits(), p.total_ms().to_bits());
-        assert_eq!(dev.neighbor_rewrites(), 0);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use geometry::{
     locate_call_count, DiskBuilder, DiskGeometry, Lbn, Location, Zone, ZoneSpec,
     ROTATION_WRAP_GUARD, SECTOR_BYTES,
 };
-pub use imr::{ImrConfig, ImrConfigBuilder, ImrModel};
+pub use imr::ImrModel;
 pub use observe::{ServiceEvent, ServiceLog, Transition};
 pub use scheduler::{
     coalesce_sorted, plain_serve, service_batch_serving, service_batch_sptf_incremental,

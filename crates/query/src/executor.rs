@@ -39,22 +39,6 @@ pub(crate) fn region_outside(region: &BoxRegion, grid: &GridSpec) -> QueryError 
     }
 }
 
-/// How beam-query blocks are handed to the disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BeamPolicy {
-    /// Paper behaviour: SPTF for MultiMap (within a size limit),
-    /// ascending LBN order for the linearised mappings.
-    Auto,
-    /// Always sort ascending.
-    Ascending,
-    /// Always SPTF.
-    Sptf,
-    /// Issue in the dataset's natural cell order (no sorting) — the
-    /// ablation for the paper's remark that sorting "significantly
-    /// improves performance in practice".
-    Natural,
-}
-
 /// How range-query blocks are ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RangeOrder {
@@ -66,8 +50,6 @@ pub enum RangeOrder {
     /// Like [`RangeOrder::SortedCoalesced`] but strictly FIFO at the
     /// disk (ablation: no command queueing).
     SortedCoalescedFifo,
-    /// Sort ascending but issue single-block requests (no coalescing).
-    SortedSingles,
     /// Issue cell by cell in row-major order (ablation).
     NaturalCellOrder,
 }
@@ -79,8 +61,6 @@ pub enum RangeOrder {
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct ExecOptions {
-    /// Beam policy (default [`BeamPolicy::Auto`]).
-    pub beam: BeamPolicy,
     /// Range policy (default [`RangeOrder::SortedCoalesced`]).
     pub range: RangeOrder,
     /// Largest batch the full-SPTF scheduler is applied to; larger
@@ -95,7 +75,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            beam: BeamPolicy::Auto,
             range: RangeOrder::SortedCoalesced,
             sptf_limit: 4096,
             queue_depth: 64,
@@ -113,11 +92,8 @@ impl ExecOptions {
 /// Builder for [`ExecOptions`]; every knob defaults to the paper value.
 ///
 /// ```
-/// use multimap_query::{BeamPolicy, ExecOptions};
-/// let opts = ExecOptions::builder()
-///     .beam(BeamPolicy::Sptf)
-///     .queue_depth(16)
-///     .build();
+/// use multimap_query::ExecOptions;
+/// let opts = ExecOptions::builder().queue_depth(16).build();
 /// assert_eq!(opts.queue_depth, 16);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,12 +102,6 @@ pub struct ExecOptionsBuilder {
 }
 
 impl ExecOptionsBuilder {
-    /// Set the beam policy.
-    pub fn beam(mut self, beam: BeamPolicy) -> Self {
-        self.opts.beam = beam;
-        self
-    }
-
     /// Set the range ordering policy.
     pub fn range(mut self, range: RangeOrder) -> Self {
         self.opts.range = range;
@@ -660,8 +630,10 @@ pub fn collect_lbns(
     }
 }
 
-/// Resolve the schedule policy for a beam of `ncells` requests under
-/// `options`; `None` for a range, whose policy follows from its order.
+/// The schedule policy for a beam of `ncells` requests — the paper's:
+/// all-at-once SPTF for MultiMap (queued past `options.sptf_limit`),
+/// ascending LBN for the linearised mappings; `None` for a range, whose
+/// policy follows from its order.
 pub(crate) fn resolve_beam_schedule(
     options: &ExecOptions,
     op: QueryOp,
@@ -671,15 +643,10 @@ pub(crate) fn resolve_beam_schedule(
     if op == QueryOp::Range {
         return None;
     }
-    Some(match options.beam {
-        BeamPolicy::Ascending => SchedulePolicy::AscendingLbn,
-        BeamPolicy::Sptf => SchedulePolicy::Sptf,
-        BeamPolicy::Natural => SchedulePolicy::InOrder,
-        BeamPolicy::Auto => match mapping.kind() {
-            MappingKind::MultiMap if ncells <= options.sptf_limit as u64 => SchedulePolicy::Sptf,
-            MappingKind::MultiMap => SchedulePolicy::QueuedSptf(options.queue_depth),
-            _ => SchedulePolicy::AscendingLbn,
-        },
+    Some(match mapping.kind() {
+        MappingKind::MultiMap if ncells <= options.sptf_limit as u64 => SchedulePolicy::Sptf,
+        MappingKind::MultiMap => SchedulePolicy::QueuedSptf(options.queue_depth),
+        _ => SchedulePolicy::AscendingLbn,
     })
 }
 
@@ -691,36 +658,20 @@ pub(crate) fn resolve_beam_schedule(
 pub(crate) fn plan_requests(
     options: &ExecOptions,
     beam_policy: Option<SchedulePolicy>,
-    mut lbns: Vec<Lbn>,
+    lbns: Vec<Lbn>,
     cell_blocks: u64,
 ) -> (Vec<Request>, SchedulePolicy) {
-    match beam_policy {
-        Some(policy) => {
-            let requests: Vec<Request> =
-                lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
-            (requests, policy)
+    let per_cell = |lbns: &[Lbn]| lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
+    match (beam_policy, options.range) {
+        (Some(policy), _) => (per_cell(&lbns), policy),
+        (None, RangeOrder::NaturalCellOrder) => (per_cell(&lbns), SchedulePolicy::InOrder),
+        (None, RangeOrder::SortedCoalesced) => (
+            coalesce_runs(lbns, cell_blocks),
+            SchedulePolicy::QueuedSptf(options.queue_depth),
+        ),
+        (None, RangeOrder::SortedCoalescedFifo) => {
+            (coalesce_runs(lbns, cell_blocks), SchedulePolicy::InOrder)
         }
-        None => match options.range {
-            RangeOrder::NaturalCellOrder => {
-                let requests: Vec<Request> =
-                    lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
-                (requests, SchedulePolicy::InOrder)
-            }
-            RangeOrder::SortedSingles => {
-                lbns.sort_unstable();
-                let requests: Vec<Request> =
-                    lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
-                (requests, SchedulePolicy::InOrder)
-            }
-            RangeOrder::SortedCoalesced | RangeOrder::SortedCoalescedFifo => {
-                let policy = if options.range == RangeOrder::SortedCoalesced {
-                    SchedulePolicy::QueuedSptf(options.queue_depth)
-                } else {
-                    SchedulePolicy::InOrder
-                };
-                (coalesce_runs(lbns, cell_blocks), policy)
-            }
-        },
     }
 }
 
@@ -1186,7 +1137,8 @@ mod tests {
         let grid = GridSpec::new([60u64, 8, 6]);
         let naive = NaiveMapping::new(grid.clone(), 0);
         let region = BoxRegion::new([0u64, 0, 0], [59u64, 5, 0]);
-        let opts = ExecOptions::builder().range(RangeOrder::SortedSingles).build();
+        // One event per cell, ascending on a Naive row-major walk.
+        let opts = ExecOptions::builder().range(RangeOrder::NaturalCellOrder).build();
         for name in BACKEND_NAMES {
             let v = backend_volume(name, &geom, 1).unwrap();
             let mut events = Vec::new();
@@ -1322,17 +1274,15 @@ mod tests {
     #[test]
     fn exec_options_builder_round_trips() {
         let opts = ExecOptions::builder()
-            .beam(BeamPolicy::Natural)
-            .range(RangeOrder::SortedSingles)
+            .range(RangeOrder::NaturalCellOrder)
             .sptf_limit(128)
             .queue_depth(4)
             .build();
-        assert_eq!(opts.beam, BeamPolicy::Natural);
-        assert_eq!(opts.range, RangeOrder::SortedSingles);
+        assert_eq!(opts.range, RangeOrder::NaturalCellOrder);
         assert_eq!(opts.sptf_limit, 128);
         assert_eq!(opts.queue_depth, 4);
         let defaults = ExecOptions::builder().build();
-        assert_eq!(defaults.beam, ExecOptions::default().beam);
+        assert_eq!(defaults.range, ExecOptions::default().range);
         assert_eq!(defaults.sptf_limit, ExecOptions::default().sptf_limit);
     }
 

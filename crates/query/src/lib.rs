@@ -50,8 +50,8 @@ pub mod workload;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    collect_lbns, record_classified_event, service_lbns, BeamPolicy, ExecOptions,
-    ExecOptionsBuilder, QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
+    collect_lbns, record_classified_event, service_lbns, ExecOptions, ExecOptionsBuilder,
+    QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
 pub use plan::{explain_beam, explain_range, AccessPlan, PlanKind};
 pub use workload::{

@@ -120,7 +120,6 @@ fn explain(
         QueryOp::Range => {
             let order = match options.range {
                 RangeOrder::SortedCoalesced | RangeOrder::SortedCoalescedFifo => "sorted + coalesced",
-                RangeOrder::SortedSingles => "sorted single cells",
                 RangeOrder::NaturalCellOrder => "natural cell order",
             };
             (PlanKind::Range, format!("{order}, {}", discipline_label(policy)))
@@ -239,7 +238,7 @@ mod tests {
                 .range(RangeOrder::SortedCoalescedFifo)
                 .build(),
             ExecOptions::builder()
-                .range(RangeOrder::SortedSingles)
+                .range(RangeOrder::NaturalCellOrder)
                 .build(),
         ]
         .map(|options| assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options));
@@ -250,11 +249,10 @@ mod tests {
     }
 
     /// The same for beams, on every mapping (one with two-block cells)
-    /// along every dimension: the default policy, a forced one, the
-    /// unsorted ablation, and a beam longer than the full-SPTF limit.
+    /// along every dimension: the default limits, and a beam longer than
+    /// the full-SPTF limit.
     #[test]
     fn beam_plan_is_the_executors_batch_and_policy() {
-        use crate::executor::BeamPolicy;
         use multimap_core::{hilbert_mapping, zorder_mapping};
         let geom = profiles::small();
         let grid = GridSpec::new([16u64, 16, 8]);
@@ -267,21 +265,18 @@ mod tests {
         for mapping in &mappings {
             for dim in 0..3 {
                 let region = BoxRegion::beam(&grid, dim, &[3, 5, 2]);
-                let [auto, sptf, natural, limited] = [
+                let [auto, limited] = [
                     ExecOptions::default(),
-                    ExecOptions::builder().beam(BeamPolicy::Sptf).build(),
-                    ExecOptions::builder().beam(BeamPolicy::Natural).build(),
                     ExecOptions::builder().sptf_limit(4).build(),
                 ]
                 .map(|options| {
                     assert_plan_is_the_execution(&geom, mapping.as_ref(), &region, QueryOp::Beam, options)
                 });
                 assert_eq!(auto.requests, region.cells());
-                assert!(sptf.policy.contains("all-at-once SPTF"));
-                assert!(natural.policy.contains("FIFO"));
                 let multimap = mapping.kind() == multimap_core::MappingKind::MultiMap;
                 assert_eq!(limited.policy.contains("queued SPTF (depth 64)"), multimap);
                 assert_eq!(auto.policy.contains("ascending LBN"), !multimap);
+                assert_eq!(auto.policy.contains("all-at-once SPTF"), multimap);
             }
         }
     }

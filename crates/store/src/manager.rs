@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use multimap_core::{
-    hilbert_mapping, zorder_mapping, BoxRegion, CellStore, GridSpec, LoadReport, Mapping,
+    hilbert_mapping, zorder_mapping, BoxRegion, CellStore, GridSpec, LoadError, LoadReport, Mapping,
     MappingError, MultiMapOptions, MultiMapping, NaiveMapping, UpdateConfig,
 };
 use multimap_disksim::{DiskGeometry, Lbn, Request};
@@ -46,6 +46,8 @@ pub enum StoreError {
     },
     /// The mapping layer rejected the table.
     Mapping(MappingError),
+    /// A bulk load or reorganisation did not complete.
+    Load(LoadError),
     /// The query layer failed.
     Query(QueryError),
     /// The logical volume rejected an operation.
@@ -59,6 +61,7 @@ impl fmt::Display for StoreError {
             StoreError::NoSuchTable(n) => write!(f, "no table named {n:?}"),
             StoreError::OutOfSpace { what } => write!(f, "out of space: {what}"),
             StoreError::Mapping(e) => write!(f, "mapping error: {e}"),
+            StoreError::Load(e) => write!(f, "load error: {e}"),
             StoreError::Query(e) => write!(f, "query error: {e}"),
             StoreError::Volume(e) => write!(f, "volume error: {e}"),
         }
@@ -70,6 +73,12 @@ impl std::error::Error for StoreError {}
 impl From<MappingError> for StoreError {
     fn from(e: MappingError) -> Self {
         StoreError::Mapping(e)
+    }
+}
+
+impl From<LoadError> for StoreError {
+    fn from(e: LoadError) -> Self {
+        StoreError::Load(e)
     }
 }
 
@@ -330,8 +339,7 @@ impl StorageManager {
         let layout = match layout {
             LayoutChoice::Auto => {
                 // Advisor semantics, evaluated at the grant cursor.
-                match multimap_core::advise(&geom, &grid, &multimap_core::AdvisorConfig::default())
-                {
+                match multimap_core::advise(&geom, &grid) {
                     multimap_core::Advice::UseMultiMap { .. } => LayoutChoice::MultiMap,
                     multimap_core::Advice::UseLinear { .. } => LayoutChoice::Naive,
                 }
@@ -413,7 +421,8 @@ impl StorageManager {
     }
 
     /// Bulk-load the table: write every cell (sorted, coalesced) and mark
-    /// occupancy at the configured fill factor.
+    /// occupancy at the configured fill factor. A load the disk fails is
+    /// [`StoreError::Load`]: the table stays unloaded, occupancy untouched.
     pub fn load(&mut self, name: &str) -> Result<LoadReport> {
         let table = self
             .tables
@@ -853,6 +862,41 @@ mod tests {
         assert_eq!(m.flush_all().unwrap().pages, 10 - written);
         assert_eq!(m.cache(disk).unwrap().writeback_pending(), 0);
         assert_eq!(m.cache_stats().writeback_pages, 10);
+    }
+
+    /// A load whose write fails is an error, not a panic, and leaves the
+    /// table as it was; once the disk is healthy the load goes through.
+    #[test]
+    fn failed_load_is_a_typed_error_and_can_be_retried() {
+        use multimap_disksim::{DiskError, FaultPlan};
+        let mut m = manager();
+        m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::Naive)
+            .unwrap();
+        let table = m.table("t").unwrap();
+        let (disk, lbn) = (table.grant().disk, table.mapping().lbn_of(&[3, 2, 1]).unwrap());
+        let plan = |m: &StorageManager, plan| m.volume().with_disk(disk, |sim| sim.set_fault_plan(plan)).unwrap();
+        plan(&m, FaultPlan::new(1).with_media_error(lbn));
+        match m.load("t") {
+            Err(StoreError::Load(LoadError::Disk(DiskError::MediaError { lbn: bad }))) => assert_eq!(bad, lbn),
+            other => panic!("expected the media error to propagate, got {other:?}"),
+        }
+        let table = m.table("t").unwrap();
+        let cell = table.grid().linear_index(&[3, 2, 1]);
+        assert!(!table.is_loaded());
+        assert_eq!(table.cells().points(cell), 0);
+
+        plan(&m, FaultPlan::none());
+        m.load("t").unwrap();
+        assert!(m.table("t").unwrap().is_loaded());
+        assert_eq!(m.beam("t", 1, &[3, 0, 1]).unwrap().cells, 6);
+
+        // Reorganisation rewrites through the same loader: a failed one
+        // does not reset the occupancy the insert changed.
+        m.insert("t", &[3, 2, 1]).unwrap();
+        let points = m.table("t").unwrap().cells().points(cell);
+        plan(&m, FaultPlan::new(1).with_media_error(lbn));
+        assert!(matches!(m.reorganize("t"), Err(StoreError::Load(LoadError::Disk(_)))));
+        assert_eq!(m.table("t").unwrap().cells().points(cell), points);
     }
 
     #[test]

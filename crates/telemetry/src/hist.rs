@@ -10,7 +10,7 @@ pub const BUCKET_EDGES_MS: [f64; 16] = [
 ];
 
 /// Total bucket count: one per edge plus the overflow bucket.
-pub const NUM_BUCKETS: usize = BUCKET_EDGES_MS.len() + 1;
+const NUM_BUCKETS: usize = BUCKET_EDGES_MS.len() + 1;
 
 /// A fixed-bucket latency histogram over simulated milliseconds.
 ///
@@ -19,7 +19,7 @@ pub const NUM_BUCKETS: usize = BUCKET_EDGES_MS.len() + 1;
 /// the observed total service time (`Histogram::sum_ms` loses nothing
 /// to bucketing). Merging adds `other`'s sum once, which keeps merged
 /// sums bit-identical as long as merges happen in a deterministic
-/// order — the registry's submission-order rule.
+/// order — submission order under `multimap_engine::sweep`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     counts: [u64; NUM_BUCKETS],
@@ -109,11 +109,6 @@ impl Histogram {
         } else {
             self.sum_ms / self.count as f64
         }
-    }
-
-    /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn counts(&self) -> &[u64; NUM_BUCKETS] {
-        &self.counts
     }
 
     /// The value at quantile `q` as the **upper edge** of the bucket
@@ -297,7 +292,7 @@ mod tests {
         h.record(f64::NAN);
         h.record(1.0);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.counts()[0], 2, "clamped values land in bucket 0");
+        assert_eq!(h.counts[0], 2, "clamped values land in bucket 0");
         assert!((h.sum_ms() - 1.0).abs() < 1e-12, "sum stays finite");
         assert!((h.max_ms() - 1.0).abs() < 1e-12);
     }

@@ -3,9 +3,7 @@
 //! A small [`Value`] tree, a strict parser, and a writer that prints
 //! `f64`s with Rust's shortest round-trip `Display`, so written files
 //! parse back bit-identical. Every JSON document the workspace emits —
-//! [`Metrics`](crate::Metrics) and [`Registry`](crate::Registry)
-//! snapshots, serving reports, golden traces, static-analysis reports —
-//! is built as a `Value` and printed by [`Value::to_pretty`], so string
+//! serving reports, golden traces, static-analysis reports — is built as a `Value` and printed by [`Value::to_pretty`], so string
 //! escaping and number formatting live here and nowhere else.
 
 use std::collections::BTreeMap;

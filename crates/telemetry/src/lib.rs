@@ -3,28 +3,29 @@
 //! A lightweight observation layer threaded through the whole query
 //! path (query → plan → lvm → disksim → scheduler) without perturbing
 //! the engine's determinism contract: recording only *reads* simulator
-//! outputs, never its inputs, so every figure TSV is byte-identical
-//! with telemetry on or off.
+//! outputs, never its inputs, so every result is bit-identical
+//! with a sink attached or not.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`Metrics`] — the sink the executor records into: a plain
 //!   accumulator each unit of work owns privately (lock-free recording:
-//!   no atomics, no shared state on the hot path).
+//!   no atomics, no shared state on the hot path). Work that runs under
+//!   `multimap_engine::sweep` merges its accumulators **in submission
+//!   order** ([`Metrics::merge_ordered`]), so merged totals — including
+//!   every f64 sum — are identical at any thread count.
 //! * [`Histogram`] — fixed-bucket latency histograms (a 1–2–5 decade
 //!   grid from 1 µs to 200 ms) for the per-request service-time
 //!   decomposition into overhead / seek / settle / rotation / transfer.
-//! * [`Registry`] — the process-wide collection point. Work that runs
-//!   under `multimap_engine::sweep` accumulates one [`Metrics`] per
-//!   cell and merges them **in submission order** (the order `sweep`
-//!   returns results), so the merged totals — including every f64 sum —
-//!   are identical at any thread count.
 //! * [`json`] — the workspace's one JSON [`Value`](json::Value), writer
-//!   and parser. Every report (metrics, serving, golden traces, static
-//!   analysis) is printed through it.
+//!   and parser. Every report (serving, golden traces, static analysis)
+//!   is printed through it.
 //!
-//! See `docs/observability.md` for the determinism rules and for where
-//! the telemetry and fault numbers are recorded and checked.
+//! There is no process-wide state: a caller that wants numbers out owns
+//! a `Metrics` and reads it. The figure generators print theirs as the
+//! pinned `*_phases` tables. See `docs/observability.md` for the
+//! determinism rules and for where the telemetry and fault numbers are
+//! recorded and checked.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,8 +33,6 @@
 mod hist;
 pub mod json;
 mod metrics;
-mod registry;
 
-pub use hist::{Histogram, BUCKET_EDGES_MS, NUM_BUCKETS};
-pub use metrics::{Counter, Metrics, Phase, Span, SpanStat, HIT_RATE_FLOOR};
-pub use registry::{enabled, global, set_enabled, Registry};
+pub use hist::{Histogram, BUCKET_EDGES_MS};
+pub use metrics::{Counter, Metrics, Phase, Span, SpanStat};

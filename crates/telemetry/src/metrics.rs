@@ -1,13 +1,6 @@
 //! The sink trait, counters, phases, spans and the default accumulator.
 
 use crate::hist::Histogram;
-use crate::json::Value;
-
-/// Minimum lookups a hit/miss pair needs before its rate is reported:
-/// below this, [`Metrics::hit_rate_floored`] answers `None` and reports
-/// print `n/a` — a rate over a few dozen lookups is start-up transient,
-/// not steady state.
-pub const HIT_RATE_FLOOR: u64 = 256;
 
 /// Declares one observation enum from its single table: each row is a
 /// variant, its doc comment and its stable snake_case name. `ALL`,
@@ -260,42 +253,6 @@ impl Metrics {
             .sum()
     }
 
-    /// Hit rate of a hit/miss counter pair, or `None` with no lookups.
-    pub fn hit_rate(&self, hit: Counter, miss: Counter) -> Option<f64> {
-        let h = self.counter_value(hit);
-        let m = self.counter_value(miss);
-        if h + m == 0 {
-            None
-        } else {
-            Some(h as f64 / (h + m) as f64)
-        }
-    }
-
-    /// Fraction of prefetched pages that were hit before eviction
-    /// (`cache_prefetch_used / cache_prefetch_issued`), or `None` when
-    /// no prefetches were issued.
-    pub fn prefetch_efficiency(&self) -> Option<f64> {
-        let issued = self.counter_value(Counter::CachePrefetchIssued);
-        if issued == 0 {
-            None
-        } else {
-            Some(self.counter_value(Counter::CachePrefetchUsed) as f64 / issued as f64)
-        }
-    }
-
-    /// Like [`Metrics::hit_rate`] but `None` when the pair saw fewer
-    /// than [`HIT_RATE_FLOOR`] total lookups: a rate computed over a
-    /// handful of lookups (64 hits / 0 misses at quick bench scale
-    /// reads as a flawless 1.0000) says nothing about steady state, so
-    /// reports render it as `n/a` instead.
-    pub fn hit_rate_floored(&self, hit: Counter, miss: Counter) -> Option<f64> {
-        if self.counter_value(hit) + self.counter_value(miss) < HIT_RATE_FLOOR {
-            None
-        } else {
-            self.hit_rate(hit, miss)
-        }
-    }
-
     /// Fold another accumulator into this one. Call in a deterministic
     /// order (submission order under `sweep`) to keep sums bit-stable.
     pub fn merge(&mut self, other: &Metrics) {
@@ -349,55 +306,6 @@ impl Metrics {
                 .all(|(a, b)| a.identical(b))
             && self.service.identical(&other.service)
     }
-
-    /// Render as a JSON document (see [`crate::json`]: sorted keys,
-    /// shortest round-trip floats).
-    pub fn to_json(&self) -> String {
-        self.to_value().to_pretty()
-    }
-
-    /// The JSON tree behind [`Metrics::to_json`], for nesting in a
-    /// [`Registry`](crate::Registry) snapshot.
-    pub(crate) fn to_value(&self) -> Value {
-        let counters = Counter::ALL.map(|c| (c.name(), self.counter_value(c).into()));
-        // A low-volume translation pair renders as null: see `hit_rate_floored`.
-        let hit_rates = [
-            (
-                "translation_cache",
-                self.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss),
-            ),
-            ("page_cache", self.hit_rate(Counter::PageCacheHit, Counter::PageCacheMiss)),
-            ("cache_prefetch", self.prefetch_efficiency()),
-        ];
-        let phases = Phase::ALL.map(|p| (p.name(), hist_value(self.phase_hist(p))));
-        let spans = Span::ALL.map(|s| {
-            let st = self.span_stat(s);
-            let stat = Value::obj([("count", st.count.into()), ("wall_ms", st.wall_ms.into())]);
-            (s.name(), stat)
-        });
-        Value::obj([
-            ("counters", Value::obj(counters)),
-            ("hit_rates", Value::obj(hit_rates.map(|(k, rate)| (k, rate.into())))),
-            ("phases_ms", Value::obj(phases)),
-            ("service_ms", hist_value(&self.service)),
-            ("spans_wall_ms", Value::obj(spans)),
-        ])
-    }
-}
-
-fn hist_value(h: &Histogram) -> Value {
-    // An empty histogram has no measurements: `mean` and `max` render
-    // as null rather than a fake 0.0 reading, matching the
-    // `hit_rate_floored` n/a convention (`sum` stays 0 — an exact total
-    // over zero observations is a real quantity).
-    let measured = h.count() > 0;
-    Value::obj([
-        ("count", h.count().into()),
-        ("sum", h.sum_ms().into()),
-        ("mean", measured.then(|| h.mean_ms()).into()),
-        ("max", measured.then(|| h.max_ms()).into()),
-        ("buckets", Value::Arr(h.counts().iter().map(|&c| c.into()).collect())),
-    ])
 }
 
 #[cfg(test)]
@@ -497,65 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_handles_empty_and_mixed() {
-        let mut m = Metrics::new();
-        assert!(m
-            .hit_rate(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
-            .is_none());
-        m.counter(Counter::TranslationCacheHit, 3);
-        m.counter(Counter::TranslationCacheMiss, 1);
-        let r = m
-            .hit_rate(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
-            .unwrap();
-        assert!((r - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_has_stable_fields() {
-        let mut m = Metrics::new();
-        m.counter(Counter::RequestsServiced, 7);
-        m.phase(Phase::Seek, 3.2);
-        m.service_time(3.2);
-        let j = m.to_json();
-        assert!(j.contains("\"requests_serviced\": 7"));
-        assert!(j.contains("\"seek\""));
-        assert!(j.contains("\"translation_cache\": null"));
-        assert!(j.contains("\"spans_wall_ms\""));
-    }
-
-    #[test]
-    fn empty_histograms_render_null_mean_and_max() {
-        let mut m = Metrics::new();
-        m.phase(Phase::Seek, 3.2);
-        let j = crate::json::parse(&m.to_json()).unwrap();
-        let stats = |h: &Value| ["count", "sum", "mean", "max"].map(|k| h.get(k).cloned());
-        // The recorded phase carries real measurements...
-        let seek = j.get("phases_ms").and_then(|p| p.get("seek")).unwrap();
-        assert_eq!(stats(seek), [1.0, 3.2, 3.2, 3.2].map(|x| Some(Value::Num(x))));
-        // ...while untouched histograms report n/a, not a fake 0.0
-        // reading (the hit_rate_floored convention).
-        let empty = [Some(Value::Num(0.0)), Some(Value::Num(0.0)), Some(Value::Null), Some(Value::Null)];
-        assert_eq!(stats(j.get("phases_ms").and_then(|p| p.get("rotation")).unwrap()), empty);
-        assert_eq!(stats(j.get("service_ms").unwrap()), empty);
-    }
-
-    #[test]
-    fn hit_rate_floor_suppresses_low_volume_rates() {
-        let mut m = Metrics::new();
-        m.counter(Counter::TranslationCacheHit, 64);
-        // 64 hits / 0 misses would read as a meaningless 1.0000.
-        assert!(m
-            .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
-            .is_none());
-        assert!(m.to_json().contains("\"translation_cache\": null"));
-        m.counter(Counter::TranslationCacheMiss, HIT_RATE_FLOOR);
-        let r = m
-            .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
-            .unwrap();
-        assert!((r - 64.0 / (64.0 + HIT_RATE_FLOOR as f64)).abs() < 1e-12);
-    }
-
-    #[test]
     fn writeback_is_a_memo_phase_outside_the_component_sum() {
         let mut m = Metrics::new();
         m.phase(Phase::Seek, 3.0);
@@ -567,21 +416,5 @@ mod tests {
         assert!((m.phase_hist(Phase::Writeback).sum_ms() - 4.0).abs() < 1e-12);
         assert!(Phase::Writeback.is_memo());
         assert_eq!(Phase::ALL.iter().filter(|p| p.is_memo()).count(), 1);
-    }
-
-    #[test]
-    fn page_cache_rates_render_in_json() {
-        let mut m = Metrics::new();
-        assert!(m.to_json().contains("\"page_cache\": null"));
-        assert!(m.to_json().contains("\"cache_prefetch\": null"));
-        m.counter(Counter::PageCacheHit, 3);
-        m.counter(Counter::PageCacheMiss, 1);
-        m.counter(Counter::CachePrefetchIssued, 4);
-        m.counter(Counter::CachePrefetchUsed, 1);
-        let j = m.to_json();
-        assert!(j.contains("\"page_cache\": 0.75"), "{j}");
-        assert!(j.contains("\"cache_prefetch\": 0.25"), "{j}");
-        assert!(j.contains("\"writeback_flush\": 0"));
-        assert!((m.prefetch_efficiency().unwrap() - 0.25).abs() < 1e-12);
     }
 }
