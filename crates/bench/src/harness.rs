@@ -242,8 +242,8 @@ pub fn phase_table(title: impl Into<String>, cells: &[PhaseCell]) -> Table {
         let seeks = m.counter_value(Counter::SeekTransition);
         let mut row = vec![cell.disk.clone(), cell.mapping.clone(), cell.group.clone()];
         row.extend([requests, requests - hops - seeks, hops, seeks].map(|n| n.to_string()));
-        row.extend(PHASE_COMPONENTS.map(|p| ms(m.phase_hist(p).sum_ms())));
-        row.push(ms(m.service_hist().sum_ms()));
+        row.extend(PHASE_COMPONENTS.map(|p| ms(m.phase_tally(p).sum_ms())));
+        row.push(ms(m.service_tally().sum_ms()));
         table.row(row);
     }
     table

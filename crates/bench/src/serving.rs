@@ -5,10 +5,11 @@
 //! open-loop (Poisson) and closed-loop (think-time) tenants streaming
 //! beam queries along rotated dimensions — through
 //! [`multimap_server::serve_scenario`] on a fresh registry-built
-//! backend volume, and reports per-tenant p50/p99/p999 with admission
-//! counters. The research question (ROADMAP item 1, which the paper
-//! never measured): does MultiMap's adjacency advantage survive
-//! queueing and interleaved multi-tenant access? The table answers by
+//! backend volume, and reports exact p50/p99/p999 over the trace's
+//! completed requests with admission counters. The research question
+//! (ROADMAP item 1, which the paper never measured): does MultiMap's
+//! adjacency advantage survive queueing and interleaved multi-tenant
+//! access? The table answers by
 //! holding the workload fixed and swapping only the mapping: every
 //! non-primary-dimension beam that Naive linearisation turns into
 //! strided seeks inflates its queue, and the tail latencies diverge.
@@ -22,7 +23,7 @@ use multimap_core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap_disksim::{profiles, BACKEND_NAMES};
 use multimap_lvm::backend_volume;
 use multimap_server::{
-    serve_scenario, FairnessPolicy, LoadModel, Scenario, ServingReport, TenantSpec,
+    nearest_rank, serve_scenario, FairnessPolicy, LoadModel, Scenario, ServingReport, TenantSpec,
 };
 
 use crate::harness::{Scale, Table};
@@ -71,21 +72,17 @@ pub struct ServingCell {
 }
 
 impl ServingCell {
-    /// Merged-across-tenants quantile, upper bucket edge.
-    pub fn merged_quantile(&self, q: f64) -> Option<f64> {
-        self.report.merged_latency().quantile(q)
+    /// Merged-across-tenants exact p50, p99 and p999 latency (ms):
+    /// nearest rank over every completed request of the trace.
+    pub fn latency_quantiles(&self) -> [Option<f64>; 3] {
+        let sorted = self.report.sorted_latencies_ms(None);
+        [0.50, 0.99, 0.999].map(|q| nearest_rank(&sorted, q))
     }
 
-    /// Merged-across-tenants exact mean latency (ms). Unlike the
-    /// bucketed quantiles this resolves sub-bucket differences, so the
-    /// mapping comparison is not rounded away at the bucket edges.
+    /// Merged-across-tenants exact mean latency (ms).
     pub fn merged_mean(&self) -> Option<f64> {
-        let h = self.report.merged_latency();
-        if h.count() == 0 {
-            None
-        } else {
-            Some(h.mean_ms())
-        }
+        let merged = self.report.merged_latency();
+        (merged.count() > 0).then(|| merged.mean_ms())
     }
 
     /// Total completed requests across tenants.
@@ -207,6 +204,7 @@ pub fn serving_table(cells: &[ServingCell]) -> Table {
         None => "n/a".to_string(),
     };
     for c in cells {
+        let [p50, p99, p999] = c.latency_quantiles();
         t.row(vec![
             c.spec.backend.to_string(),
             c.spec.mapping.to_string(),
@@ -215,9 +213,9 @@ pub fn serving_table(cells: &[ServingCell]) -> Table {
             c.completed().to_string(),
             c.shed().to_string(),
             c.rejected().to_string(),
-            q(c.merged_quantile(0.50)),
-            q(c.merged_quantile(0.99)),
-            q(c.merged_quantile(0.999)),
+            q(p50),
+            q(p99),
+            q(p999),
             q(c.merged_mean()),
             format!("{:.1}", c.report.makespan_ms),
             format!("{:016x}", c.report.digest),
@@ -241,11 +239,9 @@ mod tests {
     }
 
     /// Fixed workload, swap only the mapping: on the rotating disk
-    /// MultiMap's merged p99 must not exceed Naive's and its exact mean
-    /// must be strictly lower, for every (tenants, policy) combination.
-    /// The p99 half is saturated today — both sides read the histogram's
-    /// 100 ms top edge, so it compares 100 <= 100 (ROADMAP item 3); the
-    /// mean half is the one that can fail.
+    /// MultiMap's merged exact p50, p99 and mean must each be strictly
+    /// below Naive's, for every (tenants, policy) combination. A tie or
+    /// a missing value fails.
     #[test]
     fn multimap_keeps_its_tail_advantage_over_naive_on_disk() {
         let cells = serving_sweep(Scale::Quick);
@@ -262,13 +258,16 @@ mod tests {
                 (naive.spec.tenants, naive.spec.policy),
                 "sweep order pairs the mappings cell for cell"
             );
-            let (mq, nq) = (mm.merged_quantile(0.99), naive.merged_quantile(0.99));
-            assert!(mq.is_some() && mq <= nq, "{at}: p99 {mq:?} vs Naive {nq:?}");
-            let (mmean, nmean) = (mm.merged_mean(), naive.merged_mean());
-            assert!(
-                mmean.is_some() && mmean < nmean,
-                "{at}: mean {mmean:?} vs Naive {nmean:?}"
-            );
+            let [mm_p50, mm_p99, _] = mm.latency_quantiles();
+            let [naive_p50, naive_p99, _] = naive.latency_quantiles();
+            for (what, m, n) in [
+                ("p50", mm_p50, naive_p50),
+                ("p99", mm_p99, naive_p99),
+                ("mean", mm.merged_mean(), naive.merged_mean()),
+            ] {
+                // `None < Some(_)`, so a missing MultiMap value must fail by itself.
+                assert!(m.is_some() && m < n, "{at}: {what} {m:?} vs Naive {n:?}");
+            }
             compared += 1;
         }
         assert_eq!(compared, TENANT_COUNTS.len() * SERVING_POLICIES.len());
@@ -289,6 +288,6 @@ mod tests {
         let submitted: u64 = cell.report.tenants.iter().map(|t| t.submitted).sum();
         assert_eq!(submitted, 240, "4 tenants x 60 requests");
         assert_eq!(submitted, cell.completed() + cell.shed() + cell.rejected());
-        assert!(cell.merged_quantile(0.99).is_some());
+        assert!(cell.latency_quantiles().iter().all(Option::is_some));
     }
 }

@@ -12,11 +12,11 @@ use multimap_telemetry::Counter;
 fn assert_components_are_the_total(cells: &[PhaseCell]) {
     for c in cells {
         let m = &c.metrics;
-        let parts: f64 = PHASE_COMPONENTS.iter().map(|&p| m.phase_hist(p).sum_ms()).sum();
-        let total = m.service_hist().sum_ms();
+        let parts: f64 = PHASE_COMPONENTS.iter().map(|&p| m.phase_tally(p).sum_ms()).sum();
+        let total = m.service_tally().sum_ms();
         let at = (&c.disk, &c.mapping, &c.group);
         assert!((parts - total).abs() < 1e-6, "{at:?}: components {parts} vs total {total}");
-        assert_eq!(m.service_hist().count(), m.counter_value(Counter::RequestsServiced));
+        assert_eq!(m.service_tally().count(), m.counter_value(Counter::RequestsServiced));
     }
 }
 
@@ -35,7 +35,7 @@ fn fig6a_phase_totals_reproduce_the_beam_table() {
         // A beam is one request per cell, so total / requests is the
         // figure's ms per cell.
         let requests = c.metrics.counter_value(Counter::RequestsServiced);
-        let per_cell = format!("{:.3}", c.metrics.service_hist().sum_ms() / requests as f64);
+        let per_cell = format!("{:.3}", c.metrics.service_tally().sum_ms() / requests as f64);
         let column = beams.header.iter().position(|h| *h == c.group).expect("DimK column");
         let at = (&c.disk, &c.mapping, &c.group);
         assert_eq!(per_cell, row(&beams, &[&c.disk, &c.mapping])[column], "{at:?}");
@@ -48,7 +48,7 @@ fn fig6b_phase_totals_reproduce_the_speedup_table() {
     assert_eq!(cells.len(), 48);
     assert_components_are_the_total(&cells);
     let phases = phase_table("fig6b phases", &cells);
-    let total = |c: &PhaseCell| c.metrics.service_hist().sum_ms();
+    let total = |c: &PhaseCell| c.metrics.service_tally().sum_ms();
     assert_eq!(ranges.rows.len(), 12);
     for pinned in &ranges.rows {
         let (disk, sel) = (pinned[0].as_str(), pinned[1].as_str());

@@ -74,27 +74,27 @@ pub fn check_translation_cache(geom: &DiskGeometry, grid: &GridSpec) -> Result<(
 }
 
 /// Tolerance for the telemetry phase-decomposition cross-check: the
-/// five phase histogram sums must reconstruct the measured total
+/// five phase tally sums must reconstruct the measured total
 /// service time to within this bound (pure f64 re-summation error).
 pub const TELEMETRY_SUM_EPS_MS: f64 = 1e-6;
 
 /// Verify one query's telemetry against its measured result: the phase
-/// sums and the service-time histogram must both reconstruct
+/// sums and the service-time tally must both reconstruct
 /// `total_io_ms`, and the per-request counter must match the request
 /// count. Returns a description of the first discrepancy.
 pub fn check_telemetry(label: &str, metrics: &Metrics, result: &QueryResult) -> Result<(), String> {
     let phase_sum = metrics.phase_sum_ms();
     if (phase_sum - result.total_io_ms).abs() > TELEMETRY_SUM_EPS_MS {
         return Err(format!(
-            "{label}: phase histogram sums {phase_sum} ms do not reconstruct \
+            "{label}: phase tally sums {phase_sum} ms do not reconstruct \
              the measured total {} ms",
             result.total_io_ms
         ));
     }
-    let service_sum = metrics.service_hist().sum_ms();
+    let service_sum = metrics.service_tally().sum_ms();
     if (service_sum - result.total_io_ms).abs() > TELEMETRY_SUM_EPS_MS {
         return Err(format!(
-            "{label}: service-time histogram sums {service_sum} ms \
+            "{label}: service-time tally sums {service_sum} ms \
              against a measured total of {} ms",
             result.total_io_ms
         ));

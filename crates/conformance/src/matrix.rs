@@ -20,7 +20,7 @@
 //!
 //! Backend-specific (both columns): on event-sum backends (rotating
 //! disk; IMR, whose read path delegates to the disk) the phase
-//! histogram sums reconstruct the batch total exactly and the physics
+//! tally sums reconstruct the batch total exactly and the physics
 //! oracle holds on the rotating backend; on the multi-queue SSD,
 //! per-channel service overlaps, so the invariant inverts — the makespan
 //! is *at most* the per-event busy sum — and the per-channel served

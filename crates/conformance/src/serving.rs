@@ -6,24 +6,30 @@
 //! control and cross-client batching. Its contract:
 //!
 //! * **Replay identity** — the same [`Scenario`] served twice against
-//!   fresh volumes produces bit-identical reports: same trace, same
-//!   per-tenant histograms, same digest. The serving loop introduces no
-//!   hidden state.
+//!   fresh volumes produces bit-identical reports: same trace (stamps
+//!   included), same per-tenant metrics, same digest. The serving loop
+//!   introduces no hidden state.
 //! * **Counter reconciliation** — per tenant, every submission is
 //!   exactly one of completed / deadline-shed / queue-rejected; the
-//!   latency histogram holds exactly the completed requests; the
+//!   trace holds exactly one completed entry per completion; the
 //!   telemetry request counter equals the tenant's device requests; and
 //!   the device's own request count equals the dispatch log.
+//! * **The latency record** — every entry's `arrive_ms` is the arrival
+//!   the public `ClientGen` produces when replayed against the trace;
+//!   `dispatch_ms` is set exactly for dispatched requests and lies
+//!   between arrival and resolution; the reported queue-wait and
+//!   in-device means add up to the mean latency.
 //! * **Admission exclusion** — a shed or rejected request never
 //!   appears in any served batch; every completed request does.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use multimap_core::GridSpec;
 use multimap_disksim::DiskGeometry;
 use multimap_lvm::backend_volume;
-use multimap_server::{serve_scenario, Outcome, Scenario, ServingReport};
-use multimap_telemetry::Counter;
+use multimap_server::workload::ClientGen;
+use multimap_server::{serve_scenario, Outcome, Scenario, ServingReport, TraceEntry};
+use multimap_telemetry::{json, Counter};
 
 use crate::differential::standard_mappings;
 
@@ -68,52 +74,68 @@ pub fn check_served_scenario(
             ));
         }
 
-        check_serving_counters(&label, &first, scenario)?;
+        check_serving_counters(&label, &first, scenario, grid)?;
     }
     Ok(())
 }
 
-/// Verify counter reconciliation and admission exclusion for one
-/// serving report against the scenario that produced it.
+/// Verify counter reconciliation, admission exclusion and the latency
+/// record for one serving report against the scenario (over `grid`)
+/// that produced it.
 pub fn check_serving_counters(
     label: &str,
     report: &ServingReport,
     scenario: &Scenario,
+    grid: &GridSpec,
 ) -> Result<(), String> {
     let served: BTreeSet<(usize, usize)> = report.dispatched.iter().copied().collect();
     if served.len() != report.dispatched.len() {
         return Err(format!("{label}: a request was dispatched twice"));
     }
 
-    let mut resolved = BTreeSet::new();
+    let mut fate: BTreeMap<(usize, usize), &TraceEntry> = BTreeMap::new();
     for e in &report.trace {
-        if !resolved.insert((e.tenant, e.seq)) {
+        if fate.insert((e.tenant, e.seq), e).is_some() {
             return Err(format!(
                 "{label}: request ({}, {}) resolved twice",
                 e.tenant, e.seq
             ));
         }
+        // Completed, dispatched and stamped are one fact said three ways.
         let dispatched = served.contains(&(e.tenant, e.seq));
-        match e.outcome {
-            Outcome::Completed if !dispatched => {
+        let completed = e.outcome == Outcome::Completed;
+        let stamped = e.dispatch_ms.is_some();
+        if completed != dispatched || stamped != dispatched {
+            return Err(format!(
+                "{label}: {:?} request ({}, {}) has dispatch stamp {:?} and is {} the dispatch log",
+                e.outcome,
+                e.tenant,
+                e.seq,
+                e.dispatch_ms,
+                if dispatched { "in" } else { "missing from" }
+            ));
+        }
+        if let Some(dispatch_ms) = e.dispatch_ms {
+            if !(e.arrive_ms <= dispatch_ms && dispatch_ms <= e.resolve_ms) {
                 return Err(format!(
-                    "{label}: completed request ({}, {}) missing from the dispatch log",
-                    e.tenant, e.seq
+                    "{label}: request ({}, {}) arrived {}, dispatched {dispatch_ms}, \
+                     resolved {}: out of order",
+                    e.tenant, e.seq, e.arrive_ms, e.resolve_ms
                 ));
             }
-            Outcome::Completed => {}
-            other if dispatched => {
-                return Err(format!(
-                    "{label}: {other:?} request ({}, {}) appeared in a served batch",
-                    e.tenant, e.seq
-                ));
-            }
-            _ => {}
         }
     }
 
+    // The independent reference for the arrival stamps: the public
+    // generators replayed against the trace. Open-loop arrivals depend
+    // on the seed alone, closed-loop ones on when the previous request
+    // resolved, which the trace records.
+    let summary =
+        json::parse(&report.to_json()).map_err(|e| format!("{label}: report JSON: {e}"))?;
+    let summaries = summary.get("tenants").and_then(|t| t.as_arr()).unwrap_or_default();
+
     let mut expected_trace = 0u64;
-    for (t, spec) in report.tenants.iter().zip(scenario.tenants.iter()) {
+    for (i, (t, spec)) in report.tenants.iter().zip(scenario.tenants.iter()).enumerate() {
         expected_trace += spec.requests as u64;
         if t.submitted != spec.requests as u64 {
             return Err(format!(
@@ -127,12 +149,40 @@ pub fn check_serving_counters(
                 t.name, t.submitted, t.completed, t.shed_deadline, t.rejected_queue_full
             ));
         }
-        if t.latency.count() != t.completed {
+        let mut gen = ClientGen::new(spec, i, scenario.seed, grid);
+        let mut completed = 0u64;
+        while gen.peek_arrival().is_some() {
+            let req = gen.emit();
+            let Some(e) = fate.get(&(i, req.seq)) else {
+                return Err(format!("{label}/{}: request {} never resolved", t.name, req.seq));
+            };
+            gen.resolve(e.resolve_ms);
+            // staticcheck: allow(float-cmp) — bit-equality is the point: the stamp is the generator's arrival, not close to it.
+            if e.arrive_ms.to_bits() != req.arrival_ms.to_bits() {
+                return Err(format!(
+                    "{label}/{}: request {} stamped arrive_ms {} but its generator says {}",
+                    t.name, req.seq, e.arrive_ms, req.arrival_ms
+                ));
+            }
+            completed += u64::from(e.outcome == Outcome::Completed);
+        }
+        if completed != t.completed {
             return Err(format!(
-                "{label}/{}: latency histogram holds {} samples for {} completions",
-                t.name,
-                t.latency.count(),
-                t.completed
+                "{label}/{}: trace holds {completed} completed entries for {} completions",
+                t.name, t.completed
+            ));
+        }
+        let field = |name: &str| summaries.get(i)?.get(name)?.as_f64();
+        let parts = (field("queue_wait_mean_ms"), field("in_device_mean_ms"), field("mean_ms"));
+        let adds_up = match parts {
+            (Some(wait), Some(device), Some(mean)) => (wait + device - mean).abs() <= 1e-9,
+            (None, None, None) => completed == 0,
+            _ => false,
+        };
+        if !adds_up {
+            return Err(format!(
+                "{label}/{}: (queue wait, in device, mean) = {parts:?} do not add up",
+                t.name
             ));
         }
         let serviced = t.metrics.counter_value(Counter::RequestsServiced);

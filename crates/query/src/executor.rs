@@ -195,7 +195,7 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Attach a metrics sink recording phase histograms, cache counters
+    /// Attach a metrics sink recording phase tallies, cache counters
     /// and span timings for this query (see `multimap-telemetry`).
     pub fn with_sink(mut self, sink: &'a mut Metrics) -> Self {
         self.sink = Some(sink);
@@ -934,8 +934,8 @@ mod tests {
             observed.total_io_ms
         );
         assert!(
-            (metrics.service_hist().sum_ms() - observed.total_io_ms).abs() < 1e-9,
-            "service histogram must sum to the total"
+            (metrics.service_tally().sum_ms() - observed.total_io_ms).abs() < 1e-9,
+            "service tally must sum to the total"
         );
         // A MultiMap off-primary beam is dominated by adjacency hops.
         assert!(metrics.counter_value(Counter::AdjacencyHop) > 0);

@@ -23,10 +23,14 @@
 //!   real tagged-command-queue disk (or multi-queue SSD) would.
 //! * **Fairness policies** ([`policy`]): FIFO, earliest-deadline-first,
 //!   and per-tenant weighted (deficit round-robin) request selection.
-//! * **SLO reporting** ([`report`]): per-tenant latency histograms with
-//!   p50/p99/p999 (via `Histogram::quantile`), per-phase telemetry from
-//!   backend-classified service events, and exact admission counters
-//!   that reconcile (`submitted == completed + shed + rejected`).
+//! * **SLO reporting** ([`report`]): one record per request — the
+//!   trace stamps when it was due, when its batch was submitted and
+//!   when its fate was decided — from which every latency figure is
+//!   derived: exact nearest-rank p50/p99/p999 ([`nearest_rank`]), the
+//!   mean, and its split into queue wait and in-device time. Beside it,
+//!   per-phase telemetry from backend-classified service events and
+//!   exact admission counters that reconcile
+//!   (`submitted == completed + shed + rejected`).
 //!
 //! The crate is serial by construction — one scenario is one
 //! deterministic event loop. Parallelism lives a layer up: the bench
@@ -44,6 +48,6 @@ pub mod workload;
 
 pub use error::{Result, ServerError};
 pub use policy::FairnessPolicy;
-pub use report::{Outcome, ServingReport, TenantReport, TraceEntry};
+pub use report::{nearest_rank, Outcome, ServingReport, TenantReport, TraceEntry};
 pub use server::{serve_scenario, Scenario};
 pub use workload::{LoadModel, TenantRequest, TenantSpec};

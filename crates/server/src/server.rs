@@ -16,25 +16,22 @@ use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Request};
 use multimap_lvm::{DeviceVolume, SchedulePolicy};
 use multimap_query::{collect_lbns, record_classified_event};
-use multimap_telemetry::{Histogram, Metrics};
+use multimap_telemetry::Metrics;
 
 use crate::error::{Result, ServerError};
 use crate::policy::{select_batch, FairnessPolicy, Queued};
 use crate::report::{fold_digest, mix64, Outcome, ServingReport, TenantReport, TraceEntry};
-use crate::workload::{ClientGen, LoadModel, TenantSpec};
+use crate::workload::{ClientGen, LoadModel, TenantRequest, TenantSpec};
 
-/// `x > 0` with NaN rejected (a plain `>` comparison would accept NaN
-/// through the negation).
+/// `x > 0` and finite: NaN and infinity are rejected (an infinite
+/// weight, deadline or rate is not a limit the loop can act on).
 fn positive(x: f64) -> bool {
-    matches!(x.partial_cmp(&0.0), Some(std::cmp::Ordering::Greater))
+    x.is_finite() && x > 0.0
 }
 
-/// `x >= 0` with NaN rejected.
+/// `x >= 0` and finite.
 fn non_negative(x: f64) -> bool {
-    matches!(
-        x.partial_cmp(&0.0),
-        Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-    )
+    x.is_finite() && x >= 0.0
 }
 
 /// A complete serving scenario: who the tenants are and how the server
@@ -81,17 +78,33 @@ impl Scenario {
                 ));
             }
             if !positive(t.weight) {
-                return fail(format!("tenant {i} ({}) weight must be positive", t.name));
+                return fail(format!(
+                    "tenant {i} ({}) weight must be positive and finite",
+                    t.name
+                ));
             }
             if !positive(t.deadline_ms) {
-                return fail(format!("tenant {i} ({}) deadline must be positive", t.name));
+                return fail(format!(
+                    "tenant {i} ({}) deadline_ms must be positive and finite",
+                    t.name
+                ));
             }
             match t.load {
-                LoadModel::OpenLoop { rate_rps } if !positive(rate_rps) => {
-                    return fail(format!("tenant {i} ({}) rate_rps must be positive", t.name));
+                // A denormal rate passes `positive` but its mean gap,
+                // the first idle the loop asks the device for, is `inf`.
+                LoadModel::OpenLoop { rate_rps }
+                    if !positive(rate_rps) || !(1000.0 / rate_rps).is_finite() =>
+                {
+                    return fail(format!(
+                        "tenant {i} ({}) rate_rps must be positive with a finite mean gap",
+                        t.name
+                    ));
                 }
                 LoadModel::ClosedLoop { think_ms } if !non_negative(think_ms) => {
-                    return fail(format!("tenant {i} ({}) think_ms must be non-negative", t.name));
+                    return fail(format!(
+                        "tenant {i} ({}) think_ms must be non-negative and finite",
+                        t.name
+                    ));
                 }
                 _ => {}
             }
@@ -118,12 +131,22 @@ struct LoopState {
 
 impl LoopState {
     /// Record a request's fate and (for closed-loop tenants) unblock
-    /// the next request.
-    fn resolve(&mut self, tenant: usize, seq: usize, outcome: Outcome, at_ms: f64) {
+    /// the next request. `dispatch_ms` is the clock its batch was
+    /// submitted at, `None` for a request that never reached one.
+    fn resolve(
+        &mut self,
+        req: &TenantRequest,
+        outcome: Outcome,
+        dispatch_ms: Option<f64>,
+        at_ms: f64,
+    ) {
+        let tenant = req.tenant;
         let entry = TraceEntry {
             tenant,
-            seq,
+            seq: req.seq,
             outcome,
+            arrive_ms: req.arrival_ms,
+            dispatch_ms,
             resolve_ms: at_ms,
         };
         self.digest = fold_digest(self.digest, &entry);
@@ -136,21 +159,7 @@ impl LoopState {
     /// the rest. `now` is the current device clock (admission decisions
     /// happen at server time, which may be later than the arrival).
     fn admit_arrivals(&mut self, threshold: f64, now: f64) {
-        loop {
-            // Earliest schedulable arrival, ties to the lowest tenant.
-            let mut next: Option<(usize, f64)> = None;
-            for (t, c) in self.clients.iter().enumerate() {
-                if let Some(a) = c.peek_arrival() {
-                    let earlier = match next {
-                        None => true,
-                        Some((_, best)) => a.total_cmp(&best).is_lt(),
-                    };
-                    if earlier {
-                        next = Some((t, a));
-                    }
-                }
-            }
-            let Some((tenant, arrival)) = next else { break };
+        while let Some((tenant, arrival)) = self.next_arrival() {
             if arrival.total_cmp(&threshold).is_gt() {
                 break;
             }
@@ -161,10 +170,10 @@ impl LoopState {
             let seen = now.max(arrival);
             if self.pending.len() >= self.queue_cap {
                 self.reports[tenant].rejected_queue_full += 1;
-                self.resolve(tenant, req.seq, Outcome::RejectedQueueFull, seen);
+                self.resolve(&req, Outcome::RejectedQueueFull, None, seen);
             } else if seen > req.deadline_ms {
                 self.reports[tenant].shed_deadline += 1;
-                self.resolve(tenant, req.seq, Outcome::ShedDeadline, seen);
+                self.resolve(&req, Outcome::ShedDeadline, None, seen);
             } else {
                 self.reports[tenant].admitted += 1;
                 self.pending.push(Queued {
@@ -183,7 +192,7 @@ impl LoopState {
         for q in drained {
             if now > q.req.deadline_ms {
                 self.reports[q.req.tenant].shed_deadline += 1;
-                self.resolve(q.req.tenant, q.req.seq, Outcome::ShedDeadline, now);
+                self.resolve(&q.req, Outcome::ShedDeadline, None, now);
             } else {
                 kept.push(q);
             }
@@ -191,24 +200,14 @@ impl LoopState {
         self.pending = kept;
     }
 
-    /// Earliest future arrival across all clients, if any.
-    fn next_arrival(&self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for c in &self.clients {
-            if let Some(a) = c.peek_arrival() {
-                best = Some(match best {
-                    None => a,
-                    Some(b) => {
-                        if a.total_cmp(&b).is_lt() {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-        }
-        best
+    /// Earliest schedulable arrival across all clients with its
+    /// tenant, ties to the lowest tenant (`min_by` keeps the first).
+    fn next_arrival(&self) -> Option<(usize, f64)> {
+        self.clients
+            .iter()
+            .enumerate()
+            .filter_map(|(t, c)| Some((t, c.peek_arrival()?)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -243,7 +242,6 @@ pub fn serve_scenario<D: DeviceModel>(
                 shed_deadline: 0,
                 rejected_queue_full: 0,
                 disk_requests: 0,
-                latency: Histogram::new(),
                 metrics: Metrics::new(),
             })
             .collect(),
@@ -264,7 +262,7 @@ pub fn serve_scenario<D: DeviceModel>(
         state.admit_arrivals(now, now);
         if state.pending.is_empty() {
             match state.next_arrival() {
-                Some(t) => {
+                Some((_, t)) => {
                     if t > now {
                         volume.idle_all(t - now);
                     }
@@ -333,12 +331,11 @@ pub fn serve_scenario<D: DeviceModel>(
             let tenant = q.req.tenant;
             let done = completion[bi];
             state.reports[tenant].completed += 1;
-            state
-                .reports[tenant]
-                .latency
-                .record((done - q.req.arrival_ms).max(0.0));
             state.dispatched.push((tenant, q.req.seq));
-            state.resolve(tenant, q.req.seq, Outcome::Completed, done);
+            // The clock may sit a hair under an arrival it idled
+            // towards; a batch is never stamped before its requests.
+            let dispatch_ms = now.max(q.req.arrival_ms);
+            state.resolve(&q.req, Outcome::Completed, Some(dispatch_ms), done);
         }
     }
 
@@ -431,7 +428,7 @@ mod tests {
             let s = scenario(policy);
             let report = serve_scenario(&v, &m, &s).unwrap();
             let mut total_disk = 0;
-            for (t, spec) in report.tenants.iter().zip(s.tenants.iter()) {
+            for (i, (t, spec)) in report.tenants.iter().zip(s.tenants.iter()).enumerate() {
                 assert_eq!(t.submitted, spec.requests as u64, "every request submitted");
                 assert_eq!(
                     t.submitted,
@@ -439,7 +436,11 @@ mod tests {
                     "{policy:?} {}: fate partition",
                     t.name
                 );
-                assert_eq!(t.latency.count(), t.completed, "one latency per completion");
+                assert_eq!(
+                    report.sorted_latencies_ms(Some(i)).len() as u64,
+                    t.completed,
+                    "one latency per completion"
+                );
                 assert_eq!(
                     t.metrics.counter_value(Counter::RequestsServiced),
                     t.disk_requests,
@@ -579,27 +580,38 @@ mod tests {
         assert!(report.dispatched_requests > 0);
     }
 
+    /// A malformed scenario is a typed error naming what is wrong,
+    /// before the device is touched. Every f64 a tenant carries must be
+    /// finite (and the open-loop mean gap with it): an infinite gap
+    /// used to reach `DiskSim::idle`, which panics in a debug build and
+    /// silently serves everything at t = 0 in a release one. Infinite
+    /// weights, deadlines and rates are rejected by the same rule
+    /// rather than passed through.
     #[test]
     fn malformed_scenarios_are_typed_errors() {
-        let v = volume();
-        let m = mapping();
-        let mut s = scenario(FairnessPolicy::Fifo);
-        s.tenants.clear();
-        assert!(matches!(
-            serve_scenario(&v, &m, &s),
-            Err(ServerError::Config(_))
-        ));
-        let mut s = scenario(FairnessPolicy::Fifo);
-        s.tenants[0].dim = 9;
-        assert!(matches!(
-            serve_scenario(&v, &m, &s),
-            Err(ServerError::Config(_))
-        ));
-        let mut s = scenario(FairnessPolicy::Fifo);
-        s.batch_window = 0;
-        assert!(matches!(
-            serve_scenario(&v, &m, &s),
-            Err(ServerError::Config(_))
-        ));
+        let (v, m) = (volume(), mapping());
+        let rejected = |edit: &dyn Fn(&mut Scenario), names: &[&str]| {
+            let mut s = scenario(FairnessPolicy::Fifo);
+            edit(&mut s);
+            match serve_scenario(&v, &m, &s) {
+                Err(ServerError::Config(msg)) => {
+                    assert!(names.iter().all(|n| msg.contains(n)), "{msg:?} lacks {names:?}")
+                }
+                other => panic!("{names:?}: expected a Config error, got {other:?}"),
+            }
+        };
+        rejected(&|s| s.tenants.clear(), &["no tenants"]);
+        rejected(&|s| s.tenants[0].dim = 9, &["open-a", "dim 9"]);
+        rejected(&|s| s.batch_window = 0, &["batch_window"]);
+        for think_ms in [f64::INFINITY, f64::NAN] {
+            let load = LoadModel::ClosedLoop { think_ms };
+            rejected(&|s| s.tenants[1].load = load, &["closed-b", "think_ms"]);
+        }
+        for rate_rps in [1e-320, f64::NAN, 0.0, f64::INFINITY] {
+            let load = LoadModel::OpenLoop { rate_rps };
+            rejected(&|s| s.tenants[0].load = load, &["open-a", "rate_rps"]);
+        }
+        rejected(&|s| s.tenants[2].weight = f64::INFINITY, &["open-c", "weight"]);
+        rejected(&|s| s.tenants[2].deadline_ms = f64::INFINITY, &["open-c", "deadline_ms"]);
     }
 }

@@ -103,13 +103,18 @@ proptest! {
         }
 
         // Counters partition exactly, and every submission resolved.
-        for (t, spec) in report.tenants.iter().zip(scenario.tenants.iter()) {
+        for (i, (t, spec)) in report.tenants.iter().zip(scenario.tenants.iter()).enumerate() {
             prop_assert_eq!(t.submitted, spec.requests as u64);
             prop_assert_eq!(
                 t.submitted,
                 t.completed + t.shed_deadline + t.rejected_queue_full
             );
-            prop_assert_eq!(t.latency.count(), t.completed);
+            let completed = report
+                .trace
+                .iter()
+                .filter(|e| e.tenant == i && e.outcome == Outcome::Completed)
+                .count();
+            prop_assert_eq!(completed as u64, t.completed);
         }
         prop_assert_eq!(resolved.len(), 36, "3 tenants x 12 requests all resolved");
         prop_assert_eq!(

@@ -1,7 +1,7 @@
 //! Determinism pins for the serving layer: a sweep of serving
 //! scenarios fanned across `multimap-engine` workers must produce
 //! byte-identical tenant traces and bit-identical merged per-tenant
-//! histograms at 1, 2, 4, and 8 threads.
+//! latency tallies at 1, 2, 4, and 8 threads.
 
 use multimap_core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap_disksim::{profiles, DiskSim};
@@ -102,10 +102,10 @@ fn serving_sweep_replays_byte_identically_at_1_2_4_8_threads() {
         for (i, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
             // Identical tenant traces...
             assert_eq!(a.trace, b.trace, "cell {i} trace diverged at {threads} threads");
-            // ...identical merged per-tenant histograms...
+            // ...identical merged per-tenant tallies...
             assert!(
                 a.merged_latency().identical(&b.merged_latency()),
-                "cell {i} merged histogram diverged at {threads} threads"
+                "cell {i} merged tally diverged at {threads} threads"
             );
             // ...and the full bit-equality witness + JSON bytes.
             assert!(a.identical(b), "cell {i} report diverged at {threads} threads");

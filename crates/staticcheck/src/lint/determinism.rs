@@ -15,7 +15,7 @@
 //!   IEEE addition is not associative, so a float reduction is only
 //!   deterministic when its iteration order is pinned. The blessed
 //!   homes (`telemetry`'s submission-order `merge_ordered` and the
-//!   histogram module) are exempted by the driver; everything else
+//!   tally module) are exempted by the driver; everything else
 //!   needs a justification naming the order its iterator guarantees.
 //!   `fold`s over `f64::max`/`f64::min` are exempt — those operators
 //!   are commutative and associative, so order cannot matter.

@@ -242,7 +242,7 @@ pub fn lint_files(
             raw.extend(determinism::unordered_collection(&scrubbed, &toks));
             raw.extend(determinism::unordered_iter(&scrubbed, &toks));
             // The telemetry crate is the blessed home of pinned-order
-            // float merges (`merge_ordered`, histograms) and of the span
+            // float merges (`merge_ordered`, tallies) and of the span
             // module — the one place allowed to read the wall clock.
             if class.crate_name != "telemetry" {
                 raw.extend(determinism::float_sum(&scrubbed, &toks));

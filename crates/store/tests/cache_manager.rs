@@ -183,12 +183,12 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     let metrics = m.cache_metrics();
     assert_eq!(metrics.counter_value(Counter::WritebackFlush), 1);
     assert_eq!(metrics.counter_value(Counter::RequestsServiced), 4);
-    let memo = metrics.phase_hist(Phase::Writeback).sum_ms();
+    let memo = metrics.phase_tally(Phase::Writeback).sum_ms();
     assert!(memo > 0.0, "flush did not record the Writeback memo");
     // The memo is an overlay: the component phases alone reconcile with
     // the recorded service time (the conformance invariant).
     let component_sum = metrics.phase_sum_ms();
-    let service_sum = metrics.service_hist().sum_ms();
+    let service_sum = metrics.service_tally().sum_ms();
     assert!(
         (component_sum - service_sum).abs() < 1e-6,
         "phase components ({component_sum}) drifted from service time ({service_sum})"

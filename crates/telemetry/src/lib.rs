@@ -14,9 +14,11 @@
 //!   `multimap_engine::sweep` merges its accumulators **in submission
 //!   order** ([`Metrics::merge_ordered`]), so merged totals — including
 //!   every f64 sum — are identical at any thread count.
-//! * [`Histogram`] — fixed-bucket latency histograms (a 1–2–5 decade
-//!   grid from 1 µs to 200 ms) for the per-request service-time
+//! * [`Tally`] — count, exact sum and maximum of simulated
+//!   milliseconds, one per phase of the per-request service-time
 //!   decomposition into overhead / seek / settle / rotation / transfer.
+//!   It keeps no distribution: a quantile is sorted out of the record
+//!   that holds every value (the serving trace, a `ServiceLog`).
 //! * [`json`] — the workspace's one JSON [`Value`](json::Value), writer
 //!   and parser. Every report (serving, golden traces, static analysis)
 //!   is printed through it.
@@ -30,9 +32,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod hist;
 pub mod json;
 mod metrics;
+mod tally;
 
-pub use hist::{Histogram, BUCKET_EDGES_MS};
 pub use metrics::{Counter, Metrics, Phase, Span, SpanStat};
+pub use tally::Tally;

@@ -1,6 +1,6 @@
 //! The sink trait, counters, phases, spans and the default accumulator.
 
-use crate::hist::Histogram;
+use crate::tally::Tally;
 
 /// Declares one observation enum from its single table: each row is a
 /// variant, its doc comment and its stable snake_case name. `ALL`,
@@ -166,7 +166,7 @@ schema! {
 
 /// Accumulated wall-clock time of one span kind.
 ///
-/// Spans measure the *host's* time, so unlike counters and histograms
+/// Spans measure the *host's* time, so unlike counters and tallies
 /// they are not deterministic across runs; they are reported for humans
 /// and excluded from determinism assertions ([`Metrics::identical`]).
 #[derive(Clone, Copy, Debug, Default)]
@@ -187,8 +187,8 @@ pub struct SpanStat {
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     counters: [u64; Counter::ALL.len()],
-    phases: [Histogram; Phase::ALL.len()],
-    service: Histogram,
+    phases: [Tally; Phase::ALL.len()],
+    service: Tally,
     spans: [SpanStat; Span::ALL.len()],
 }
 
@@ -225,13 +225,13 @@ impl Metrics {
         self.counters[counter.index()]
     }
 
-    /// Histogram of one service-time component.
-    pub fn phase_hist(&self, phase: Phase) -> &Histogram {
+    /// Tally of one service-time component.
+    pub fn phase_tally(&self, phase: Phase) -> &Tally {
         &self.phases[phase.index()]
     }
 
-    /// Histogram of per-request total service times.
-    pub fn service_hist(&self) -> &Histogram {
+    /// Tally of per-request total service times.
+    pub fn service_tally(&self) -> &Tally {
         &self.service
     }
 
@@ -240,7 +240,7 @@ impl Metrics {
         self.spans[span.index()]
     }
 
-    /// Sum of all *component* phase-histogram sums — by construction
+    /// Sum of all *component* phase-tally sums — by construction
     /// equal to the total observed service time (the oracle cross-checks
     /// this). Memo phases ([`Phase::is_memo`], currently only
     /// [`Phase::Writeback`]) overlay the same time a second way and are
@@ -249,7 +249,7 @@ impl Metrics {
         Phase::ALL
             .iter()
             .filter(|p| !p.is_memo())
-            .map(|&p| self.phase_hist(p).sum_ms())
+            .map(|&p| self.phase_tally(p).sum_ms())
             .sum()
     }
 
@@ -280,8 +280,8 @@ impl Metrics {
     }
 
     /// Whether two accumulators carry bit-identical *deterministic*
-    /// observations: counters, phase histograms and the service
-    /// histogram. Two kinds of observation are deliberately excluded
+    /// observations: counters, phase tallies and the service
+    /// tally. Two kinds of observation are deliberately excluded
     /// because they measure the host, not the simulation: span
     /// wall-clock times, and the *split* of translation-cache lookups
     /// into hits and misses. That cache is one LRU shared by every
@@ -413,7 +413,7 @@ mod tests {
         m.service_time(4.0);
         // The memo overlay does not perturb phase-sum reconciliation.
         assert!((m.phase_sum_ms() - 4.0).abs() < 1e-12);
-        assert!((m.phase_hist(Phase::Writeback).sum_ms() - 4.0).abs() < 1e-12);
+        assert!((m.phase_tally(Phase::Writeback).sum_ms() - 4.0).abs() < 1e-12);
         assert!(Phase::Writeback.is_memo());
         assert_eq!(Phase::ALL.iter().filter(|p| p.is_memo()).count(), 1);
     }

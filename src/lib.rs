@@ -16,7 +16,7 @@
 //! | [`server`] | `multimap-server` | multi-tenant serving loop: admission, fairness, SLO reports |
 //! | [`model`] | `multimap-model` | analytical I/O-cost model |
 //! | [`engine`] | `multimap-engine` | deterministic parallel experiment engine |
-//! | [`telemetry`] | `multimap-telemetry` | metrics sinks, histograms, spans (see `docs/observability.md`) |
+//! | [`telemetry`] | `multimap-telemetry` | the metrics sink, phase tallies, spans (see `docs/observability.md`) |
 //!
 //! ## Quickstart
 //!

@@ -173,7 +173,7 @@ fn serving_loop_runs_on_a_recovering_volume() {
         for t in &report.tenants {
             let faults = t.metrics.counter_value(Counter::TransientFault)
                 + t.metrics.counter_value(Counter::MediaFault);
-            let tenant_recovery = t.metrics.phase_hist(Phase::Recovery).sum_ms();
+            let tenant_recovery = t.metrics.phase_tally(Phase::Recovery).sum_ms();
             assert_eq!(
                 faults > 0,
                 tenant_recovery > 0.0,
