@@ -519,6 +519,41 @@ mod tests {
         }
     }
 
+    /// Every curve key of two grids, folded to one word and pinned at the
+    /// values the pre-fixed-arity kernels produced: a kernel that moves
+    /// one key of one curve turns this red.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn curve_keys_are_pinned() {
+        let fold = |keys: &[u64]| {
+            keys.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &k| {
+                (h ^ k).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        // Rows: 37x29x11, 259x64x32. Columns: Z-order, Hilbert, Gray.
+        let got = [[37u64, 29, 11], [259, 64, 32]].map(|extents| {
+            let grid = GridSpec::new(extents);
+            [
+                fold(zorder_mapping(grid.clone(), 0, 1).unwrap().curve_keys()),
+                fold(hilbert_mapping(grid.clone(), 0, 1).unwrap().curve_keys()),
+                fold(gray_mapping(grid, 0, 1).unwrap().curve_keys()),
+            ]
+        });
+        let pins = [
+            [
+                0xD431_C2E8_13FB_9DA6,
+                0x983A_0B61_3AC6_5004,
+                0xD55D_063C_C42B_AFF7,
+            ],
+            [
+                0x86B7_1C3A_3406_2B25,
+                0x52F3_CA46_9917_5325,
+                0x9C1C_BCCA_5F19_AB25,
+            ],
+        ];
+        assert_eq!(got, pins);
+    }
+
     #[test]
     fn z_order_of_power_of_two_grid_matches_raw_curve() {
         let grid = GridSpec::new([4u64, 4]);

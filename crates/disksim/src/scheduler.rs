@@ -73,7 +73,7 @@ pub enum Discipline {
 /// `tests/scheduler_equivalence.rs`), but building the band structure
 /// costs more than it saves on a handful of candidates. The bound is
 /// compared with the *effective* window, `depth.min(requests.len())`.
-pub const SPTF_INCREMENTAL_MIN_WINDOW: usize = 48;
+pub const SPTF_INCREMENTAL_MIN_WINDOW: usize = 32;
 
 /// How a batch policy actually serves one chosen request. The default
 /// ([`plain_serve`]) calls [`DiskSim::service`] directly; a storage

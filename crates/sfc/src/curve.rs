@@ -12,6 +12,14 @@ pub enum CurveError {
         /// Requested bits per dimension.
         bits: u32,
     },
+    /// A point had a different number of coordinates than the curve has
+    /// dimensions.
+    ArityMismatch {
+        /// The curve's dimensionality.
+        expected: usize,
+        /// Number of coordinates given.
+        got: usize,
+    },
     /// A coordinate exceeded `2^bits - 1`.
     CoordinateOutOfRange {
         /// Offending dimension.
@@ -29,6 +37,10 @@ impl fmt::Display for CurveError {
             CurveError::InvalidShape { dims, bits } => write!(
                 f,
                 "invalid curve shape: {dims} dims x {bits} bits (need 1..=64 total bits)"
+            ),
+            CurveError::ArityMismatch { expected, got } => write!(
+                f,
+                "{got} coordinates given to a {expected}-dimensional curve"
             ),
             CurveError::CoordinateOutOfRange { dim, value, bits } => write!(
                 f,
@@ -104,7 +116,12 @@ pub(crate) fn check_shape(dims: usize, bits: u32) -> Result<(), CurveError> {
 
 /// Validate coordinates against a shape, shared by all curves.
 pub(crate) fn check_coords(coords: &[u64], dims: usize, bits: u32) -> Result<(), CurveError> {
-    assert_eq!(coords.len(), dims, "coordinate arity mismatch");
+    if coords.len() != dims {
+        return Err(CurveError::ArityMismatch {
+            expected: dims,
+            got: coords.len(),
+        });
+    }
     let max = if bits == 64 {
         u64::MAX
     } else {
@@ -163,5 +180,25 @@ mod tests {
                 bits: 2
             })
         );
+    }
+
+    #[test]
+    fn wrong_arity_is_an_error_on_every_curve() {
+        use crate::{GrayCurve, HilbertCurve, ZCurve};
+        let curves: [Box<dyn SpaceFillingCurve>; 3] = [
+            Box::new(ZCurve::new(3, 4).unwrap()),
+            Box::new(HilbertCurve::new(3, 4).unwrap()),
+            Box::new(GrayCurve::new(3, 4).unwrap()),
+        ];
+        for curve in &curves {
+            for got in [2, 4] {
+                let err = curve.try_index(&[1, 2, 3, 4][..got]).unwrap_err();
+                assert_eq!(err, CurveError::ArityMismatch { expected: 3, got });
+                assert_eq!(
+                    err.to_string(),
+                    format!("{got} coordinates given to a 3-dimensional curve")
+                );
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! a power of two. This improves on Z-order's worst-case jumps while
 //! remaining cheap to compute.
 
-use crate::curve::{check_coords, check_shape, CurveError, SpaceFillingCurve};
+use crate::curve::{check_shape, CurveError, SpaceFillingCurve};
 use crate::zorder::ZCurve;
 
 /// The Gray-coded curve of `dims` dimensions with `bits` bits per
@@ -53,7 +53,6 @@ impl SpaceFillingCurve for GrayCurve {
     }
 
     fn try_index(&self, coords: &[u64]) -> Result<u64, CurveError> {
-        check_coords(coords, self.dims(), self.bits())?;
         let morton = self.z.try_index(coords)?;
         Ok(Self::gray_decode(morton))
     }
@@ -99,27 +98,5 @@ mod tests {
             let changed = a.iter().zip(&b).filter(|(x, y)| x != y).count();
             assert_eq!(changed, 1, "step {i}: {a:?} -> {b:?}");
         }
-    }
-
-    #[test]
-    fn roundtrip_exhaustive() {
-        let g = GrayCurve::new(3, 3).unwrap();
-        for i in 0..g.len() {
-            assert_eq!(g.index(&g.coords(i)), i);
-        }
-    }
-
-    #[test]
-    fn bijective() {
-        let g = GrayCurve::new(2, 3).unwrap();
-        let mut seen = [false; 64];
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                let i = g.index(&[x, y]) as usize;
-                assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

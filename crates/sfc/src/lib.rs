@@ -21,12 +21,12 @@ pub mod clustering;
 pub mod curve;
 pub mod gray;
 pub mod hilbert;
+#[cfg(test)]
+mod reference;
 pub mod zorder;
-pub mod zscan;
 
 pub use clustering::{average_clusters, box_clusters, ClusterStats};
 pub use curve::{bits_for_extent, CurveError, SpaceFillingCurve};
 pub use gray::GrayCurve;
 pub use hilbert::HilbertCurve;
 pub use zorder::ZCurve;
-pub use zscan::{bigmin, ZBoxScan};

@@ -1,9 +1,7 @@
-//! Property tests for the storage manager, bulk loader
-//! and Z-order range scanning.
+//! Property tests for the storage manager and bulk loader.
 
 use multimap::core::{write_schedule, BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap::disksim::profiles;
-use multimap::sfc::{SpaceFillingCurve, ZBoxScan, ZCurve};
 use multimap::store::{LayoutChoice, StorageManager};
 use proptest::prelude::*;
 
@@ -45,29 +43,6 @@ proptest! {
             expected.sort_unstable();
             prop_assert_eq!(blocks, expected, "{} block set", m.name());
         }
-    }
-
-    /// Z-order box scans equal brute-force enumeration on random boxes.
-    #[test]
-    fn zscan_equals_enumeration(
-        bits in 2u32..=6,
-        seed in 0u64..1_000_000,
-    ) {
-        let curve = ZCurve::new(2, bits).unwrap();
-        let side = 1u64 << bits;
-        let x0 = seed % side;
-        let y0 = (seed / side) % side;
-        let x1 = x0 + (seed / 7) % (side - x0);
-        let y1 = y0 + (seed / 13) % (side - y0);
-        let got: Vec<u64> = ZBoxScan::new(&curve, &[x0, y0], &[x1, y1]).collect();
-        let mut expect = Vec::new();
-        for x in x0..=x1 {
-            for y in y0..=y1 {
-                expect.push(curve.index(&[x, y]));
-            }
-        }
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
     }
 
     /// Storage-manager queries always fetch exactly the requested cells
