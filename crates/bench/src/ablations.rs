@@ -483,21 +483,31 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn queue_depth_one_is_worst_for_multimap() {
-        let t = queue_depth(Scale::Quick);
-        let d1: f64 = t.rows[0][2].parse().unwrap();
-        let d64: f64 = t.rows[2][2].parse().unwrap();
-        assert!(d64 <= d1, "TCQ must help MultiMap ranges: {d64} vs {d1}");
+    /// Cell `col` of `row` as a number; an unparsable cell fails the
+    /// gate, naming the row.
+    fn cell(row: &[String], col: usize) -> f64 {
+        row[col]
+            .parse()
+            .unwrap_or_else(|_| panic!("row {row:?}: column {col} is not a number"))
     }
 
     #[test]
+    fn queue_depth_one_is_worst_for_multimap() {
+        let t = queue_depth(Scale::Quick);
+        let d1 = cell(&t.rows[0], 2);
+        let d64 = cell(&t.rows[2], 2);
+        assert!(d64 < d1, "TCQ must help MultiMap ranges: depth 64 {d64} vs depth 1 {d1}");
+    }
+
+    /// Per edge, Hilbert clusters strictly better than Gray, and Gray
+    /// strictly better than Z-order; a tie fails.
+    #[test]
     fn hilbert_clusters_better_than_zorder() {
         let t = curve_clustering(Scale::Quick);
+        assert_eq!(t.header[1..], ["Z-order", "Hilbert", "Gray"]);
         for row in &t.rows {
-            let z: f64 = row[1].parse().unwrap();
-            let h: f64 = row[2].parse().unwrap();
-            assert!(h <= z + 1e-9, "edge {}: hilbert {h} vs z {z}", row[0]);
+            let (z, h, g) = (cell(row, 1), cell(row, 2), cell(row, 3));
+            assert!(h < g && g < z, "edge {}: Hilbert {h} < Gray {g} < Z-order {z} fails", row[0]);
         }
     }
 

@@ -2,7 +2,9 @@
 //! every device backend × {plain, cached} on a workload of beam and
 //! range queries — demanded-cell, cell-set and per-mapping payload
 //! identity, cache transparency with exact sink↔`CacheStats`
-//! reconciliation, per-backend timing semantics — plus the faulted
+//! reconciliation, per-backend timing semantics — the `store` column
+//! (the storage manager's inserts, write-back and beams on every
+//! backend), plus the faulted
 //! column (seeded fault plans on the recovering disk volume: payload
 //! identity and exact fault/retry/remap counter reconciliation), and
 //! determinism of the whole matrix across engine thread counts. The CI
@@ -14,7 +16,9 @@ use multimap_conformance::{
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, DeviceModel, FaultPlan, Request, BACKEND_NAMES};
 use multimap_lvm::{backend_volume, DeviceVolume, LogicalVolume, RecoveryConfig, SchedulePolicy};
-use multimap_store::{CacheConfig, EvictionKind};
+use multimap_query::{QueryExecutor, QueryRequest};
+use multimap_store::{CacheConfig, EvictionKind, LayoutChoice, StorageManager};
+use multimap_telemetry::{Counter, Metrics, Phase};
 use proptest::prelude::*;
 
 fn grid() -> GridSpec {
@@ -143,6 +147,95 @@ fn admission_ranks_index_the_submitted_slice_on_every_device() {
     let recovering = LogicalVolume::with_recovery(geom, 1, plan, RecoveryConfig::default()).unwrap();
     check("recovering disk", &recovering);
     assert!(recovering.recovery_stats().remaps > 0, "the plan's media errors were hit");
+}
+
+/// The `store` column: the one storage manager on every backend. A
+/// MultiMap table takes a fixed insert stream through the page cache,
+/// is drained, and answers one beam per dimension. The beams deliver
+/// identical payloads on every backend; the cache counters the sinks
+/// record equal `CacheStats`; every flush's per-event phases sum to its
+/// time and its serviced requests to its pages; and on IMR the
+/// `NeighborRewrite` counter is the device's own rewrite count.
+#[test]
+fn store_column_reconciles_on_every_backend() {
+    let geom = profiles::small();
+    let grid = grid();
+    let config = CacheConfig {
+        capacity_pages: 64,
+        writeback_batch: 16,
+        ..CacheConfig::default()
+    };
+    let rewrites = |sm: &StorageManager<Box<dyn DeviceModel>>| {
+        let counters = sm.volume().counters(0).unwrap();
+        counters.into_iter().find(|(k, _)| k == "imr.neighbor_rewrites").map_or(0, |(_, v)| v)
+    };
+    let mut payloads = Vec::new();
+    for name in BACKEND_NAMES {
+        let mut sm = StorageManager::from_volume(backend_volume(name, &geom, 1).unwrap());
+        sm.enable_cache(config);
+        sm.create_table("t", grid.clone(), LayoutChoice::MultiMap).unwrap();
+        sm.load("t").unwrap();
+        let rewrites_before = rewrites(&sm);
+        let flush_state = |sm: &StorageManager<Box<dyn DeviceModel>>| {
+            let m = sm.cache_metrics();
+            (
+                m.counter_value(Counter::WritebackFlush),
+                m.counter_value(Counter::RequestsServiced),
+                sm.cache_stats().writeback_pages,
+                m.phase_sum_ms(),
+                m.phase_tally(Phase::Writeback).sum_ms(),
+            )
+        };
+        let mut flushes = 0;
+        for i in 0..250u64 {
+            let before = flush_state(&sm);
+            sm.insert("t", &[i * 7 % 40, i * 3 % 8, i * 5 % 6]).unwrap();
+            let after = flush_state(&sm);
+            if after.0 > before.0 {
+                flushes += 1;
+                assert_eq!(after.1 - before.1, after.2 - before.2, "{name}: requests vs pages");
+                let (phases, total) = (after.3 - before.3, after.4 - before.4);
+                assert!(total > 0.0 && (phases - total).abs() < 1e-9, "{name}: {phases} vs {total}");
+            }
+        }
+        let before = flush_state(&sm);
+        let drained = sm.flush_all().unwrap();
+        let after = flush_state(&sm);
+        assert!(flushes > 1 && drained.batches == 1, "{name}: {flushes} flushes, {drained:?}");
+        assert_eq!(after.1 - before.1, drained.pages, "{name}");
+        assert!((after.3 - before.3 - drained.total_io_ms).abs() < 1e-9, "{name}");
+        let m = sm.cache_metrics();
+        assert_eq!(m.counter_value(Counter::WritebackFlush), flushes + 1, "{name}");
+        assert_eq!(m.counter_value(Counter::RequestsServiced), sm.cache_stats().writeback_pages, "{name}");
+        assert_eq!(m.counter_value(Counter::NeighborRewrite), rewrites(&sm) - rewrites_before, "{name}");
+        assert_eq!(m.counter_value(Counter::NeighborRewrite) > 0, name == "imr", "{name}");
+
+        let table = sm.table("t").unwrap();
+        let disk = table.grant().disk;
+        let exec = QueryExecutor::new(sm.volume(), disk);
+        let (stats_before, mut sink) = (sm.cache_stats(), Metrics::new());
+        let mut outcome = Vec::new();
+        // Through the last cell inserted, which is resident.
+        let anchor = [249 * 7 % 40, 249 * 3 % 8, 249 * 5 % 6];
+        for dim in 0..3 {
+            let region = BoxRegion::beam(&grid, dim, &anchor);
+            let request = QueryRequest::beam(table.mapping(), &region)
+                .with_cache(sm.cache(disk).unwrap())
+                .with_sink(&mut sink);
+            let r = exec.execute(request).unwrap();
+            outcome.push((r.cells, r.payload));
+        }
+        let stats = sm.cache_stats();
+        assert!(stats.hits > stats_before.hits, "{name}: the beams hit flushed pages");
+        assert_eq!(sink.counter_value(Counter::PageCacheHit), stats.hits - stats_before.hits, "{name}");
+        assert_eq!(sink.counter_value(Counter::PageCacheMiss), stats.misses - stats_before.misses, "{name}");
+        for dim in 0..3 {
+            let r = sm.beam("t", dim, &anchor).unwrap();
+            outcome.push((r.cells, r.payload));
+        }
+        payloads.push(outcome);
+    }
+    assert!(payloads.windows(2).all(|w| w[0] == w[1]), "{payloads:?}");
 }
 
 fn fault_grid() -> GridSpec {

@@ -8,11 +8,12 @@
 //!
 //! The loader turns a region of cells into a write schedule (sorted by
 //! LBN, coalesced into maximal sequential writes) and services it on a
-//! simulated disk, reporting load time and effective bandwidth.
+//! simulated device of any backend, reporting load time and effective
+//! bandwidth.
 
 use std::fmt;
 
-use multimap_disksim::{DiskError, DiskSim, Lbn, Request, SECTOR_BYTES};
+use multimap_disksim::{DeviceModel, DiskError, Lbn, Request, SECTOR_BYTES};
 
 use crate::grid::BoxRegion;
 use crate::mapping::{Mapping, MappingError, Result};
@@ -122,19 +123,20 @@ pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<R
     Ok(out)
 }
 
-/// Bulk-load an entire dataset onto the disk.
-pub fn bulk_load(
-    sim: &mut DiskSim,
+/// Bulk-load an entire dataset onto a device of any backend.
+pub fn bulk_load<D: DeviceModel + ?Sized>(
+    device: &mut D,
     mapping: &dyn Mapping,
 ) -> std::result::Result<LoadReport, LoadError> {
-    load_region(sim, mapping, &mapping.grid().bounding_region())
+    load_region(device, mapping, &mapping.grid().bounding_region())
 }
 
-/// Bulk-load one region (e.g. a freshly appended slab of observations).
-/// The first write the disk fails ends the load with its error; the
-/// writes before it have been serviced.
-pub fn load_region(
-    sim: &mut DiskSim,
+/// Bulk-load one region (e.g. a freshly appended slab of observations)
+/// as one [`DeviceModel::service_write`] per coalesced run. The first
+/// write the device fails ends the load with its error; the writes
+/// before it have been serviced.
+pub fn load_region<D: DeviceModel + ?Sized>(
+    device: &mut D,
     mapping: &dyn Mapping,
     region: &BoxRegion,
 ) -> std::result::Result<LoadReport, LoadError> {
@@ -144,7 +146,7 @@ pub fn load_region(
         ..LoadReport::default()
     };
     for req in &schedule {
-        let t = sim.service_write(*req)?;
+        let t = device.service_write(*req)?;
         report.blocks += req.nblocks;
         report.requests += 1;
         report.total_ms += t.total_ms();
@@ -154,8 +156,8 @@ pub fn load_region(
 
 /// Append the slab `dim = index` (one hyperplane of new observations),
 /// as a time-series ingest would.
-pub fn append_slab(
-    sim: &mut DiskSim,
+pub fn append_slab<D: DeviceModel + ?Sized>(
+    device: &mut D,
     mapping: &dyn Mapping,
     dim: usize,
     index: u64,
@@ -171,7 +173,7 @@ pub fn append_slab(
     let mut hi: Vec<u64> = grid.extents().iter().map(|e| e - 1).collect();
     lo[dim] = index;
     hi[dim] = index;
-    load_region(sim, mapping, &BoxRegion::new(lo, hi))
+    load_region(device, mapping, &BoxRegion::new(lo, hi))
 }
 
 #[cfg(test)]
@@ -180,7 +182,7 @@ mod tests {
     use crate::grid::GridSpec;
     use crate::multimap::MultiMapping;
     use crate::naive::NaiveMapping;
-    use multimap_disksim::profiles;
+    use multimap_disksim::{profiles, DiskSim};
 
     fn setup() -> (DiskSim, GridSpec) {
         (

@@ -26,8 +26,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::device::DeviceModel;
+use crate::device::{serial_writes, DeviceModel};
 use crate::error::Result;
+use crate::fault::FaultOutcome;
 use crate::geometry::{DiskGeometry, Lbn};
 use crate::observe::{ServiceEvent, Transition};
 use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipline};
@@ -182,6 +183,32 @@ impl DeviceModel for ImrModel {
         // Read batches ride the inner drive's scheduler unchanged: the
         // IMR read path is the rotating drive's read path.
         service_batch_serving(&mut self.inner, requests, discipline, &mut plain_serve, observe)
+    }
+
+    /// Ascending writes, each through [`DeviceModel::service_write`], so
+    /// every bottom-track page pays the read-modify-write of its written
+    /// top neighbours; the event spans the rewrites.
+    fn service_writeback(
+        &mut self,
+        pages: &[Request],
+        _depth: usize,
+        observe: &mut dyn FnMut(ServiceEvent),
+    ) -> Result<BatchTiming> {
+        serial_writes(pages, observe, |request, rank| {
+            let before = self.inner.state();
+            let timing = self.service_write(request)?;
+            Ok(ServiceEvent {
+                seq: rank,
+                admission_rank: rank,
+                queue_len: 1,
+                kind: AccessKind::Write,
+                request,
+                before,
+                after: self.inner.state(),
+                timing,
+                fault: FaultOutcome::default(),
+            })
+        })
     }
 
     fn classify(&self, event: &ServiceEvent) -> Transition {

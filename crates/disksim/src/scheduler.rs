@@ -145,7 +145,7 @@ pub struct BatchTiming {
 }
 
 impl BatchTiming {
-    fn add(&mut self, req: Request, timing: &RequestTiming, fault: &FaultOutcome) {
+    pub(crate) fn add(&mut self, req: Request, timing: &RequestTiming, fault: &FaultOutcome) {
         self.requests += 1;
         self.blocks += req.nblocks;
         self.payload = self.payload.wrapping_add(request_payload(req));

@@ -34,7 +34,7 @@
 //! invariant "sum of event times == batch total" intentionally breaks;
 //! the conformance harness checks makespan ≤ busy-sum instead.
 
-use crate::device::DeviceModel;
+use crate::device::{serial_writes, DeviceModel};
 use crate::error::{DiskError, Result};
 use crate::geometry::Lbn;
 use crate::observe::{ServiceEvent, Transition};
@@ -253,6 +253,16 @@ impl SsdModel {
         };
         (event, end)
     }
+
+    /// Serve one request on its own at the device clock: no batch
+    /// peers, so it pays no queue-depth surcharge. `rank` is its place
+    /// in the caller's sequence.
+    fn serve_alone(&mut self, req: Request, kind: AccessKind, rank: usize) -> Result<ServiceEvent> {
+        self.validate(req)?;
+        let (event, end) = self.dispatch(req, kind, self.now_ms, 0, rank, rank, 1);
+        self.now_ms = end;
+        Ok(event)
+    }
 }
 
 impl DeviceModel for SsdModel {
@@ -269,11 +279,7 @@ impl DeviceModel for SsdModel {
     }
 
     fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming> {
-        self.validate(req)?;
-        let t0 = self.now_ms;
-        let (event, end) = self.dispatch(req, kind, t0, 0, 0, 0, 1);
-        self.now_ms = end;
-        Ok(event.timing)
+        self.serve_alone(req, kind, 0).map(|e| e.timing)
     }
 
     fn estimate(&self, req: Request) -> Result<f64> {
@@ -369,6 +375,19 @@ impl DeviceModel for SsdModel {
         out.total_ms = makespan_end - t0;
         self.now_ms = makespan_end;
         Ok(out)
+    }
+
+    /// Ascending writes, one command at a time: each is programmed
+    /// whole before the next is issued, so channels do not overlap.
+    fn service_writeback(
+        &mut self,
+        pages: &[Request],
+        _depth: usize,
+        observe: &mut dyn FnMut(ServiceEvent),
+    ) -> Result<BatchTiming> {
+        serial_writes(pages, observe, |req, rank| {
+            self.serve_alone(req, AccessKind::Write, rank)
+        })
     }
 
     fn classify(&self, event: &ServiceEvent) -> Transition {

@@ -191,11 +191,40 @@ impl<D: DeviceModel> DeviceVolume<D> {
         device: usize,
         requests: &[Request],
         policy: SchedulePolicy,
+        record: impl FnMut(Transition, &ServiceEvent),
+    ) -> Result<BatchTiming> {
+        self.serve_classified(device, record, |d, observe| {
+            d.service_batch_observed(requests, policy, observe)
+        })
+    }
+
+    /// [`DeviceVolume::service_batch_classified`] for a write-back flush:
+    /// the device writes `pages` in its own write-back order
+    /// ([`DeviceModel::service_writeback`]) at queue depth `depth`.
+    pub fn service_writeback_classified(
+        &self,
+        device: usize,
+        pages: &[Request],
+        depth: usize,
+        record: impl FnMut(Transition, &ServiceEvent),
+    ) -> Result<BatchTiming> {
+        self.serve_classified(device, record, |d, observe| {
+            d.service_writeback(pages, depth, observe)
+        })
+    }
+
+    /// The one serve-and-classify loop: `serve` runs on the locked
+    /// device with an event log, then every logged event is classified
+    /// under the same lock and handed to `record`.
+    fn serve_classified(
+        &self,
+        device: usize,
         mut record: impl FnMut(Transition, &ServiceEvent),
+        serve: impl FnOnce(&mut D, &mut dyn FnMut(ServiceEvent)) -> multimap_disksim::Result<BatchTiming>,
     ) -> Result<BatchTiming> {
         let mut dev = self.device(device)?.lock();
         let mut log = ServiceLog::new();
-        let timing = dev.service_batch_observed(requests, policy, &mut log.recorder());
+        let timing = serve(&mut dev, &mut log.recorder());
         for e in log.events() {
             record(dev.classify(e), e);
         }
@@ -663,6 +692,35 @@ mod tests {
                 assert_eq!(*t, expect, "{name}");
             }
         }
+    }
+
+    /// The rotating drive's write-back is, on purpose, a queued-SPTF read
+    /// batch: bit-equal in timing and events on the bare disk and under
+    /// the recovery layer, so a flush pays no write-settle surcharge.
+    #[test]
+    fn rotating_write_back_is_a_queued_sptf_read_batch() {
+        fn check<D: DeviceModel>(label: &str, make: impl Fn() -> D) {
+            let pages: Vec<Request> = (0..48u64)
+                .map(|i| Request::new(i * 3_001 % 150_000, 1 + i % 3))
+                .collect();
+            for depth in [1usize, 8, 64] {
+                let (mut flushed, mut read) = (make(), make());
+                let (mut log_w, mut log_r) = (ServiceLog::new(), ServiceLog::new());
+                let tw = flushed.service_writeback(&pages, depth, &mut log_w.recorder()).unwrap();
+                let tr = read
+                    .service_batch_observed(&pages, SchedulePolicy::QueuedSptf(depth), &mut log_r.recorder())
+                    .unwrap();
+                assert_eq!(tw, tr, "{label} depth {depth}");
+                assert_eq!(tw.total_ms.to_bits(), tr.total_ms.to_bits(), "{label} depth {depth}");
+                assert_eq!(log_w, log_r, "{label} depth {depth}");
+            }
+        }
+        let geom = profiles::small();
+        check("disk", || DiskSim::new(geom.clone()));
+        check("recovering disk", || RecoveringDisk::plain(geom.clone()));
+        check("recovering disk, empty plan", || {
+            RecoveringDisk::recovering(geom.clone(), FaultPlan::none(), RecoveryConfig::default())
+        });
     }
 
     #[test]

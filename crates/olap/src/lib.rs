@@ -27,10 +27,8 @@
 
 pub mod cube;
 pub mod queries;
-pub mod rollup;
 pub mod rows;
 
 pub use cube::{disk_chunk, full_cube, rolled_up_cube, OlapDim, CHUNKS_PER_CUBE};
 pub use queries::{OlapQuery, ALL_QUERIES};
-pub use rollup::{mean_points_per_occupied_cell, rolled_grid, rollup_counts};
 pub use rows::{generate_rows, LineItemRow, RowGenConfig};

@@ -285,10 +285,11 @@ impl QueryResult {
 /// [`Phase::Settle`] (per the transition classification) and zero
 /// charges are skipped, so the five phase sums add up *exactly* to the
 /// batch's total service time — the conformance oracle's cross-check.
-/// Public so every service path above the volume (the stores'
+/// Public so every service path above the volume (the store's
 /// write-back and demand batches, the serving loop) records the
 /// identical decomposition; pair it with
-/// [`DeviceVolume::service_batch_classified`].
+/// [`DeviceVolume::service_batch_classified`] or
+/// [`DeviceVolume::service_writeback_classified`].
 pub fn record_classified_event(sink: &mut Metrics, transition: Transition, e: &ServiceEvent) {
     let t = e.timing;
     sink.counter(Counter::RequestsServiced, 1);

@@ -89,20 +89,20 @@ impl Scenario {
                     t.name
                 ));
             }
+            // A tiny rate or a huge think time passes the sign check but
+            // can draw an infinite gap, which the loop would ask the
+            // device to idle for: the largest drawable gap must be finite.
+            let finite_gaps = t.load.max_gap_ms().is_finite();
             match t.load {
-                // A denormal rate passes `positive` but its mean gap,
-                // the first idle the loop asks the device for, is `inf`.
-                LoadModel::OpenLoop { rate_rps }
-                    if !positive(rate_rps) || !(1000.0 / rate_rps).is_finite() =>
-                {
+                LoadModel::OpenLoop { rate_rps } if !positive(rate_rps) || !finite_gaps => {
                     return fail(format!(
-                        "tenant {i} ({}) rate_rps must be positive with a finite mean gap",
+                        "tenant {i} ({}) rate_rps must be positive with finite arrival gaps",
                         t.name
                     ));
                 }
-                LoadModel::ClosedLoop { think_ms } if !non_negative(think_ms) => {
+                LoadModel::ClosedLoop { think_ms } if !non_negative(think_ms) || !finite_gaps => {
                     return fail(format!(
-                        "tenant {i} ({}) think_ms must be non-negative and finite",
+                        "tenant {i} ({}) think_ms must be non-negative with finite think gaps",
                         t.name
                     ));
                 }
@@ -582,11 +582,13 @@ mod tests {
 
     /// A malformed scenario is a typed error naming what is wrong,
     /// before the device is touched. Every f64 a tenant carries must be
-    /// finite (and the open-loop mean gap with it): an infinite gap
-    /// used to reach `DiskSim::idle`, which panics in a debug build and
-    /// silently serves everything at t = 0 in a release one. Infinite
-    /// weights, deadlines and rates are rejected by the same rule
-    /// rather than passed through.
+    /// finite, and so must the largest gap its load model can draw: an
+    /// infinite gap used to reach `DiskSim::idle`, which panics in a
+    /// debug build and silently serves everything at t = 0 in a release
+    /// one. A think time of 1.5e308 or a rate of 1e-305 is finite but
+    /// draws such a gap on a fraction of its draws. Infinite weights,
+    /// deadlines and rates are rejected by the same rule rather than
+    /// passed through.
     #[test]
     fn malformed_scenarios_are_typed_errors() {
         let (v, m) = (volume(), mapping());
@@ -603,11 +605,11 @@ mod tests {
         rejected(&|s| s.tenants.clear(), &["no tenants"]);
         rejected(&|s| s.tenants[0].dim = 9, &["open-a", "dim 9"]);
         rejected(&|s| s.batch_window = 0, &["batch_window"]);
-        for think_ms in [f64::INFINITY, f64::NAN] {
+        for think_ms in [f64::INFINITY, f64::NAN, 1.5e308] {
             let load = LoadModel::ClosedLoop { think_ms };
             rejected(&|s| s.tenants[1].load = load, &["closed-b", "think_ms"]);
         }
-        for rate_rps in [1e-320, f64::NAN, 0.0, f64::INFINITY] {
+        for rate_rps in [1e-320, 1e-305, f64::NAN, 0.0, f64::INFINITY] {
             let load = LoadModel::OpenLoop { rate_rps };
             rejected(&|s| s.tenants[0].load = load, &["open-a", "rate_rps"]);
         }

@@ -25,6 +25,9 @@ fn draw(seed: u64, stream: u64, n: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The largest value [`draw`] returns, `1 - 2⁻⁵³`.
+const MAX_DRAW: f64 = ((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64;
+
 /// How a tenant generates load.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LoadModel {
@@ -52,6 +55,22 @@ impl LoadModel {
             LoadModel::OpenLoop { .. } => "open",
             LoadModel::ClosedLoop { .. } => "closed",
         }
+    }
+
+    /// The gap, in ms, a uniform draw `u` turns into: an exponential
+    /// inter-arrival with mean `1000 / rate_rps` (open loop), or the
+    /// think time jittered to `[0.5, 1.5)` of itself (closed loop).
+    fn gap_ms(&self, u: f64) -> f64 {
+        match *self {
+            LoadModel::OpenLoop { rate_rps } => -(1.0 - u).ln() * 1000.0 / rate_rps,
+            LoadModel::ClosedLoop { think_ms } => think_ms * (0.5 + u),
+        }
+    }
+
+    /// The largest gap any draw can produce; a scenario whose largest
+    /// gap is not finite cannot run.
+    pub(crate) fn max_gap_ms(&self) -> f64 {
+        self.gap_ms(MAX_DRAW)
     }
 }
 
@@ -133,18 +152,11 @@ impl ClientGen {
 
     /// The inter-arrival (or think) gap preceding request `seq`.
     fn gap_before(&self, seq: usize) -> f64 {
-        match self.spec.load {
-            LoadModel::OpenLoop { rate_rps } => {
-                // Exponential inter-arrival with mean 1000/rate ms.
-                let u = draw(self.seed, STREAM_ARRIVAL, seq as u64);
-                -(1.0 - u).ln() * 1000.0 / rate_rps
-            }
-            LoadModel::ClosedLoop { think_ms } => {
-                // Uniform jitter in [0.5, 1.5) × think.
-                let u = draw(self.seed, STREAM_THINK, seq as u64);
-                think_ms * (0.5 + u)
-            }
-        }
+        let stream = match self.spec.load {
+            LoadModel::OpenLoop { .. } => STREAM_ARRIVAL,
+            LoadModel::ClosedLoop { .. } => STREAM_THINK,
+        };
+        self.spec.load.gap_ms(draw(self.seed, stream, seq as u64))
     }
 
     /// Requests not yet emitted.

@@ -15,8 +15,9 @@
 //! * **Dirty pages** — updates mark pages dirty
 //!   ([`PageCache::mark_dirty`]); the write-back batcher
 //!   ([`PageCache::take_writeback`]) hands all pending dirty pages to
-//!   the storage manager, which flushes them as one queued-SPTF batch
-//!   instead of one positioned write per insert.
+//!   the storage manager, which flushes them as one batch in the
+//!   device's write-back order instead of one positioned write per
+//!   insert.
 //!
 //! Everything is interior-mutable behind one mutex so the cache can sit
 //! behind the `&dyn BlockCache` the executor carries; all internal maps
@@ -307,8 +308,8 @@ pub struct CacheConfig {
     /// Dirty pages that accumulate before the storage manager flushes
     /// a write-back batch.
     pub writeback_batch: usize,
-    /// Disk command-queue depth the flush batch is scheduled with
-    /// (queued SPTF).
+    /// Device command-queue depth of flush and demand batches (queued
+    /// SPTF on the rotating disk; see `DeviceModel::service_writeback`).
     pub queue_depth: usize,
 }
 

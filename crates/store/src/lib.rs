@@ -15,14 +15,15 @@
 //! * runs beam and range queries that transparently read overflow
 //!   chains.
 //!
-//! Both stores here sit on the one volume type
-//! ([`multimap_lvm::DeviceVolume`]) and record telemetry through the one
-//! serve-and-classify path: [`StorageManager`] manages tables on the
-//! rotating-disk `LogicalVolume` (write-back flushes as one queued-SPTF
-//! batch), [`DeviceStore`] serves raw cell reads and writes over any
-//! backend (write-back flushes as ascending page writes, so an IMR
-//! backend can amplify each one). The [`PageCache`] they share plugs
-//! into the query executor on every backend.
+//! There is one store. [`StorageManager`] runs on a
+//! [`multimap_lvm::DeviceVolume`] over any backend — the rotating-disk
+//! `LogicalVolume` by default — and its [`PageCache`] plugs into the
+//! query executor. Its one write-back flush hands the dirty pages to the
+//! device, which writes them in its own order
+//! ([`multimap_disksim::DeviceModel::service_writeback`]: queued SPTF on
+//! the rotating disk, ascending writes on IMR and SSD), and records
+//! every event through the volume's serve-and-classify path.
+//! [`DeviceStore`] is a facade over it for raw cell reads and writes.
 //!
 //! ```
 //! use multimap_core::{BoxRegion, GridSpec};
@@ -44,7 +45,6 @@ pub mod alloc;
 pub mod backend;
 pub mod cache;
 pub mod manager;
-pub mod page;
 pub mod prefetch;
 
 pub use alloc::{ZoneAllocator, ZoneGrant};
@@ -54,5 +54,4 @@ pub use cache::{
     PageCache, TwoQPolicy,
 };
 pub use manager::{LayoutChoice, Result, SpatialTable, StorageManager, StoreError};
-pub use page::{CellPage, PageError};
 pub use prefetch::{adjacency_plan, sequential_plan, PrefetchMode, StreamModel, StreamVector};

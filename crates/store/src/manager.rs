@@ -1,4 +1,5 @@
-//! The storage manager: tables, loading, updates, and queries.
+//! The storage manager: tables, loading, updates, queries and the page
+//! cache's one write-back flush, on a volume of any backend.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -7,14 +8,16 @@ use multimap_core::{
     hilbert_mapping, zorder_mapping, BoxRegion, CellStore, GridSpec, LoadError, LoadReport, Mapping,
     MappingError, MultiMapOptions, MultiMapping, NaiveMapping, UpdateConfig,
 };
-use multimap_disksim::{DiskGeometry, Lbn, Request};
-use multimap_lvm::{LogicalVolume, LvmError, SchedulePolicy};
+use multimap_disksim::{DeviceModel, DiskGeometry, Lbn, Request};
+use multimap_lvm::{DeviceVolume, LogicalVolume, LvmError, RecoveringDisk, SchedulePolicy};
 use multimap_query::{
-    record_classified_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
+    record_classified_event, service_lbns, BlockCache, CacheProbe, QueryError, QueryExecutor,
+    QueryRequest, QueryResult,
 };
 use multimap_telemetry::{Counter, Metrics, Phase};
 
 use crate::alloc::{ZoneAllocator, ZoneGrant};
+use crate::backend::BackendReadReport;
 use crate::cache::{CacheConfig, CacheStats, PageCache};
 
 /// Which placement a table uses.
@@ -145,10 +148,14 @@ pub struct FlushReport {
     pub batches: u64,
     /// Dirty pages written.
     pub pages: u64,
-    /// Blocks written across them.
+    /// Blocks written across them (user writes; excludes read-modify-
+    /// write amplification).
     pub blocks: u64,
     /// Simulated I/O time of the batches, in milliseconds.
     pub total_io_ms: f64,
+    /// Neighbour-track rewrites the device performed during the flush
+    /// (nonzero only on IMR backends with interlacing engaged).
+    pub neighbor_rewrites: u64,
 }
 
 impl FlushReport {
@@ -157,22 +164,26 @@ impl FlushReport {
         self.pages += other.pages;
         self.blocks += other.blocks;
         self.total_io_ms += other.total_io_ms;
+        self.neighbor_rewrites += other.neighbor_rewrites;
     }
 }
 
 /// The database storage manager of the paper's prototype: owns the
-/// logical volume, allocates zone ranges to tables, and runs loads,
-/// updates and queries against them.
+/// volume, allocates zone ranges to tables, and runs loads, updates and
+/// queries against them — on the rotating-disk [`LogicalVolume`] by
+/// default, or on a [`DeviceVolume`] over any other backend (the two
+/// differ only in `D`; see [`StorageManager::from_volume`]).
 ///
 /// With [`StorageManager::enable_cache`] the manager interposes one
 /// [`PageCache`] per disk between queries/updates and the volume:
 /// queries run with the cache attached (hits skip disk I/O, the
 /// prefetcher rides their batches), and inserts dirty cache pages
 /// instead of issuing one positioned write each — a write-back batcher
-/// flushes accumulated dirty pages through the queued-SPTF scheduler
-/// once `writeback_batch` of them are pending.
-pub struct StorageManager {
-    volume: LogicalVolume,
+/// flushes accumulated dirty pages once `writeback_batch` of them are
+/// pending, in the order the device writes back
+/// ([`DeviceModel::service_writeback`]).
+pub struct StorageManager<D: DeviceModel = RecoveringDisk> {
+    volume: DeviceVolume<D>,
     allocator: ZoneAllocator,
     tables: BTreeMap<String, SpatialTable>,
     update_config: UpdateConfig,
@@ -182,11 +193,32 @@ pub struct StorageManager {
 }
 
 impl StorageManager {
-    /// A manager over `ndisks` disks of the given geometry.
+    /// A manager over `ndisks` rotating disks of the given geometry.
     pub fn new(geometry: DiskGeometry, ndisks: usize) -> Self {
+        Self::from_volume(LogicalVolume::new(geometry, ndisks))
+    }
+}
+
+impl<D: DeviceModel> StorageManager<D> {
+    /// A manager over every device of `volume`, whatever its backend.
+    ///
+    /// ```
+    /// use multimap_core::GridSpec;
+    /// use multimap_disksim::profiles;
+    /// use multimap_lvm::backend_volume;
+    /// use multimap_store::{LayoutChoice, StorageManager};
+    ///
+    /// let volume = backend_volume("ssd", &profiles::small(), 1).unwrap();
+    /// let mut db = StorageManager::from_volume(volume);
+    /// db.create_table("t", GridSpec::new([80u64, 8, 4]), LayoutChoice::MultiMap)
+    ///     .unwrap();
+    /// db.load("t").unwrap();
+    /// assert_eq!(db.beam("t", 1, &[10, 0, 2]).unwrap().cells, 8);
+    /// ```
+    pub fn from_volume(volume: DeviceVolume<D>) -> Self {
         StorageManager {
-            volume: LogicalVolume::new(geometry, ndisks),
-            allocator: ZoneAllocator::new(ndisks),
+            allocator: ZoneAllocator::new(volume.num_devices()),
+            volume,
             tables: BTreeMap::new(),
             update_config: UpdateConfig::default(),
             caches: BTreeMap::new(),
@@ -243,15 +275,17 @@ impl StorageManager {
         total
     }
 
-    /// Telemetry recorded by the write-back batcher: the per-request
-    /// phase decomposition of every flush, the [`Phase::Writeback`]
-    /// memo overlay, and the `writeback_flush` counter.
+    /// Telemetry recorded by the write-back batcher (and by raw page
+    /// reads through a [`crate::DeviceStore`]): the per-request phase
+    /// decomposition of every flush, the [`Phase::Writeback`] memo
+    /// overlay, and the `writeback_flush` and `neighbor_rewrite`
+    /// counters.
     pub fn cache_metrics(&self) -> &Metrics {
         &self.cache_metrics
     }
 
-    /// Flush the pending dirty pages of every disk as queued-SPTF
-    /// batches (a no-op without a cache or dirty pages).
+    /// Flush the pending dirty pages of every disk (a no-op without a
+    /// cache or dirty pages).
     pub fn flush_all(&mut self) -> Result<FlushReport> {
         let disks: Vec<usize> = self.caches.keys().copied().collect();
         let mut report = FlushReport::default();
@@ -261,10 +295,15 @@ impl StorageManager {
         Ok(report)
     }
 
-    /// Flush one disk's pending dirty pages as one queued-SPTF batch.
-    fn flush_disk(&mut self, disk: usize) -> Result<FlushReport> {
+    /// The one write-back flush: one disk's pending dirty pages, written
+    /// in the device's own order ([`DeviceModel::service_writeback`]) at
+    /// the configured queue depth. Every event is recorded under its
+    /// device's classification; a flush that fails part-way keeps the
+    /// pages it did not write dirty.
+    pub(crate) fn flush_disk(&mut self, disk: usize) -> Result<FlushReport> {
         let Some(cache) = self.caches.get(&disk) else {
-            return Ok(FlushReport::default());
+            // Nothing is pending; a disk past the volume is its error.
+            return Ok(self.volume.with_device(disk, |_| FlushReport::default())?);
         };
         let pages = cache.take_writeback();
         if pages.is_empty() {
@@ -275,11 +314,12 @@ impl StorageManager {
             .cache_config
             .map(|c| c.queue_depth.max(1))
             .unwrap_or(1);
+        let rewrites_before = neighbor_rewrites(&self.volume, disk)?;
         let metrics = &mut self.cache_metrics;
         let mut served = vec![false; requests.len()];
         let timing = self
             .volume
-            .service_batch_classified(disk, &requests, SchedulePolicy::QueuedSptf(depth), |t, e| {
+            .service_writeback_classified(disk, &requests, depth, |t, e| {
                 record_classified_event(metrics, t, e);
                 if let Some(s) = served.get_mut(e.admission_rank) {
                     *s = true;
@@ -291,21 +331,99 @@ impl StorageManager {
                     pages.iter().zip(&served).filter(|(_, &s)| !s).map(|(&p, _)| p).collect();
                 cache.restore_writeback(&unserved);
             })?;
+        let rewrites = neighbor_rewrites(&self.volume, disk)? - rewrites_before;
         // The per-event decomposition above already sums to the batch
         // total; the Writeback phase is a memo overlay (excluded from
         // `phase_sum_ms`) attributing that time to the flusher.
         metrics.phase(Phase::Writeback, timing.total_ms);
         metrics.counter(Counter::WritebackFlush, 1);
+        metrics.counter(Counter::NeighborRewrite, rewrites);
         Ok(FlushReport {
             batches: 1,
             pages: pages.len() as u64,
             blocks: timing.blocks,
             total_io_ms: timing.total_ms,
+            neighbor_rewrites: rewrites,
         })
     }
 
+    /// Write `pages` on `disk`. With a cache they are dirtied, and once
+    /// `writeback_batch` are pending the disk is flushed and that flush
+    /// returned; without one, or at capacity 0, each page is written
+    /// through at once.
+    pub(crate) fn write_pages(
+        &mut self,
+        disk: usize,
+        pages: &[(Lbn, u64)],
+    ) -> Result<Option<FlushReport>> {
+        if let Some(cache) = self.caches.get(&disk) {
+            // `mark_dirty` refuses only at capacity 0, and then every page.
+            if pages.iter().all(|&(l, n)| cache.mark_dirty(l, n)) {
+                let batch = self
+                    .cache_config
+                    .map(|c| c.writeback_batch.max(1))
+                    .unwrap_or(1);
+                if cache.writeback_pending() >= batch {
+                    return self.flush_disk(disk).map(Some);
+                }
+                return Ok(None);
+            }
+        }
+        for &(l, n) in pages {
+            self.volume.service_write(disk, Request::new(l, n))?;
+        }
+        Ok(None)
+    }
+
+    /// Fetch `nblocks`-block pages at `lbns` on `disk`: probe its cache,
+    /// serve the misses as one queued-SPTF batch, admit them, and record
+    /// hit/miss counters plus the per-event phase decomposition.
+    pub(crate) fn read_pages(
+        &mut self,
+        disk: usize,
+        lbns: &[Lbn],
+        nblocks: u64,
+    ) -> Result<BackendReadReport> {
+        let cache = self.caches.get(&disk);
+        let mut missed: Vec<Lbn> = Vec::new();
+        for &l in lbns {
+            if !cache.is_some_and(|c| matches!(c.probe(l), CacheProbe::Hit { .. })) {
+                missed.push(l);
+            }
+        }
+        let misses = missed.len() as u64;
+        let hits = lbns.len() as u64 - misses;
+        let mut report = BackendReadReport {
+            cells: lbns.len() as u64,
+            hits,
+            misses,
+            ..BackendReadReport::default()
+        };
+        if !missed.is_empty() {
+            let requests: Vec<Request> = missed.iter().map(|&l| Request::new(l, nblocks)).collect();
+            let depth = self.cache_config.map_or(1, |c| c.queue_depth.max(1));
+            let metrics = &mut self.cache_metrics;
+            let timing = self.volume.service_batch_classified(
+                disk,
+                &requests,
+                SchedulePolicy::QueuedSptf(depth),
+                |t, e| record_classified_event(metrics, t, e),
+            )?;
+            if let Some(cache) = cache {
+                for &l in &missed {
+                    cache.admit(l, nblocks, false);
+                }
+            }
+            report.blocks = timing.blocks;
+            report.total_io_ms = timing.total_ms;
+        }
+        self.cache_metrics.counter(Counter::PageCacheHit, hits);
+        self.cache_metrics.counter(Counter::PageCacheMiss, misses);
+        Ok(report)
+    }
+
     /// The underlying volume (for direct experimentation).
-    pub fn volume(&self) -> &LogicalVolume {
+    pub fn volume(&self) -> &DeviceVolume<D> {
         &self.volume
     }
 
@@ -428,8 +546,8 @@ impl StorageManager {
             .tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.into()))?;
-        let report = self.volume.with_disk(table.grant.disk, |sim| {
-            multimap_core::bulk_load(sim, table.mapping.as_ref())
+        let report = self.volume.with_device(table.grant.disk, |device| {
+            multimap_core::bulk_load(device, table.mapping.as_ref())
         })??;
         let cells = table.grid().cells();
         for c in 0..cells {
@@ -470,30 +588,7 @@ impl StorageManager {
         let mut writes: Vec<(Lbn, u64)> = vec![(lbn, table.mapping.cell_blocks())];
         writes.extend(table.cells.insert(cell).map(|over| (over, 1)));
         let disk = table.grant.disk;
-
-        // Write-back path: dirty the pages and let the batcher flush.
-        if let Some(cache) = self.caches.get(&disk) {
-            if cache.mark_dirty(writes[0].0, writes[0].1) {
-                for &(l, n) in &writes[1..] {
-                    cache.mark_dirty(l, n);
-                }
-                let batch = self
-                    .cache_config
-                    .map(|c| c.writeback_batch.max(1))
-                    .unwrap_or(1);
-                if cache.writeback_pending() >= batch {
-                    self.flush_disk(disk)?;
-                }
-                return Ok(());
-            }
-        }
-
-        // Write-through path (no cache, or capacity 0): one positioned
-        // write per page, exactly the pre-cache behaviour.
-        for (w, _) in writes {
-            self.volume.service_write(disk, Request::single(w))?;
-        }
-        Ok(())
+        self.write_pages(disk, &writes).map(|_| ())
     }
 
     /// Delete one point at `coord` (no physical I/O beyond the in-memory
@@ -554,8 +649,8 @@ impl StorageManager {
             .tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.into()))?;
-        let report = self.volume.with_disk(table.grant.disk, |sim| {
-            multimap_core::bulk_load(sim, table.mapping.as_ref())
+        let report = self.volume.with_device(table.grant.disk, |device| {
+            multimap_core::bulk_load(device, table.mapping.as_ref())
         })??;
         // Fresh occupancy at the fill factor; overflow chains dissolve.
         let overflow_base =
@@ -607,6 +702,16 @@ impl StorageManager {
         }
         Ok(service_lbns(&self.volume, table.grant.disk, &lbns, false)?)
     }
+}
+
+/// The device's `imr.neighbor_rewrites` counter, or 0 on backends that
+/// do not report one.
+fn neighbor_rewrites<D: DeviceModel>(volume: &DeviceVolume<D>, disk: usize) -> Result<u64> {
+    Ok(volume
+        .counters(disk)?
+        .into_iter()
+        .find(|(k, _)| k == "imr.neighbor_rewrites")
+        .map_or(0, |(_, v)| v))
 }
 
 #[cfg(test)]

@@ -141,11 +141,11 @@ schema! {
         /// First hit on a page the prefetcher brought in — a prefetch that
         /// paid off. Never exceeds [`Counter::CachePrefetchIssued`].
         CachePrefetchUsed => "cache_prefetch_used",
-        /// Dirty pages written out by the write-back batcher.
+        /// Write-back flushes, one per drained batch of dirty pages.
         WritebackFlush => "writeback_flush",
         /// Neighbor-track rewrites an IMR backend performed to preserve
         /// interlaced top tracks across bottom-track writes (read-modify-
-        /// write amplification observed by the device store's flusher).
+        /// write amplification observed by the store's write-back flush).
         NeighborRewrite => "neighbor_rewrite",
     }
 }

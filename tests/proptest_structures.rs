@@ -1,10 +1,9 @@
-//! Property tests for the structural substrates: octree rebuilds, the
-//! cell-page codec, and per-zone mappings.
+//! Property tests for the structural substrates: octree rebuilds and
+//! per-zone mappings.
 
 use multimap::core::{GridSpec, Mapping, ZonedMultiMapping};
 use multimap::disksim::profiles;
 use multimap::octree::{BoxRefinement, Octree};
-use multimap::store::CellPage;
 use proptest::prelude::*;
 
 proptest! {
@@ -38,33 +37,6 @@ proptest! {
         let rebuilt = rebuilt.unwrap();
         prop_assert_eq!(rebuilt.leaf_count(), tree.leaf_count());
         prop_assert_eq!(rebuilt.leaves(), tree.leaves());
-    }
-
-    /// Cell pages round-trip any record content at any fill level.
-    #[test]
-    fn cell_page_roundtrips(
-        record_len in 1usize..=100,
-        fill in 0u32..=64,
-        seed in 0u64..u64::MAX,
-    ) {
-        let cap = CellPage::capacity(record_len);
-        let n = fill.min(cap);
-        let mut page = CellPage::new(record_len);
-        let mut x = seed | 1;
-        for _ in 0..n {
-            let rec: Vec<u8> = (0..record_len)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(17);
-                    (x >> (i % 57)) as u8
-                })
-                .collect();
-            page.push(&rec).unwrap();
-        }
-        let bytes = page.to_bytes();
-        prop_assert_eq!(bytes.len(), 512);
-        let back = CellPage::from_bytes(&bytes, record_len).unwrap();
-        prop_assert_eq!(&back, &page);
-        prop_assert_eq!(back.len() as u32, n);
     }
 
     /// Zoned mappings stay injective and invertible for random datasets
