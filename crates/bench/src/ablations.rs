@@ -2,7 +2,10 @@
 //! None of these appear in the paper; they quantify how much each
 //! mechanism contributes.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{
     hilbert_mapping, BoxRegion, Mapping, MultiMapOptions, MultiMapping, NaiveMapping,

@@ -15,7 +15,10 @@
 //! Cells fan out through [`multimap_engine::sweep`], so both tables are
 //! bit-identical at any thread count.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, BACKEND_NAMES};

@@ -20,6 +20,8 @@
 //! `tests/results_pin.rs`. A result that cannot be written is an error
 //! (exit status 1).
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -126,7 +128,10 @@ fn main() {
     }
 
     for fig in figures {
-        // staticcheck: allow(det-wall-clock) — progress reporting only: the elapsed time is printed to stderr and never reaches a figure table.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress reporting only: the elapsed time is printed to stderr and never reaches a figure table"
+        )]
         let started = Instant::now();
         // A `--backend`-restricted matrix is a view of the full one:
         // printed, never saved over the pinned tables.

@@ -8,7 +8,10 @@
 //! Payload identity under faults is a conformance property
 //! (`stack_matrix.rs`); the `payload_match` column restates it here.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, FaultPlan};

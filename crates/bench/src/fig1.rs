@@ -1,7 +1,10 @@
 //! Figure 1(a): the conceptual seek profile of modern disks — a settle
 //! plateau up to `C` cylinders, then a growing tail.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_disksim::profiles;
 

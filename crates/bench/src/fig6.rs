@@ -3,7 +3,10 @@
 //! ≤259³ chunks, one per disk; performance is reported per disk, so the
 //! experiment runs one chunk on each evaluation drive.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::BoxRegion;
 use multimap_disksim::profiles;

@@ -1,7 +1,10 @@
 //! Figure 7: beam and range queries on the (synthetic) earthquake
 //! dataset (Section 5.4).
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;

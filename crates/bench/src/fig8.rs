@@ -1,7 +1,10 @@
 //! Figure 8: OLAP queries Q1–Q5 on the TPC-H-derived 4-D cube
 //! (Section 5.5).
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;

@@ -2,7 +2,10 @@
 //! to the simulator's measurements for beams and ranges (the paper
 //! validates its tech-report model the same way).
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{BoxRegion, MultiMapping, NaiveMapping};
 use multimap_disksim::profiles;

@@ -12,7 +12,10 @@
 //! [`multimap_engine::sweep`], so the table is bit-identical at any
 //! thread count.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;

@@ -2,7 +2,10 @@
 //! grouped bars (Figures 6a, 7a, 8) and line plots with optional log-x
 //! (Figures 1 and 6b).
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use std::fmt::Write as _;
 use std::fs;
@@ -293,12 +296,20 @@ fn min_max(v: &[f64]) -> (f64, f64) {
         lo = lo.min(x);
         hi = hi.max(x);
     }
+    #[expect(
+        clippy::float_cmp,
+        reason = "an axis is degenerate exactly when every value is the same"
+    )]
     if lo == hi {
         hi = lo + 1.0;
     }
     (lo, hi)
 }
 
+#[expect(
+    clippy::float_cmp,
+    reason = "integral values print without decimals, so integrality is an exact test"
+)]
 fn trim_float(x: f64) -> String {
     if x == x.floor() && x.abs() < 1e6 {
         format!("{}", x as i64)

@@ -17,7 +17,11 @@
 //! Cells fan out through [`multimap_engine::sweep`], so the whole table
 //! is bit-identical at any thread count.
 
-// staticcheck: allow-file(no-unwrap) — figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode.
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
+)]
 
 use multimap_core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap_disksim::{profiles, BACKEND_NAMES};

@@ -30,14 +30,15 @@ pub const MODEL_RANGE_TOLERANCE: f64 = 0.5;
 /// Build the four mappings under differential test, all with
 /// one-block cells based at LBN 0: Naive (row-major), Z-order and
 /// Hilbert space-filling curves, and MultiMap.
+#[expect(
+    clippy::expect_used,
+    reason = "standard curves on a fresh grid always build; failure is harness setup breakage"
+)]
 pub fn standard_mappings(geom: &DiskGeometry, grid: &GridSpec) -> Vec<Box<dyn Mapping>> {
     vec![
         Box::new(NaiveMapping::new(grid.clone(), 0)),
-        // staticcheck: allow(no-unwrap) — standard curves on a fresh grid always build; failure is harness setup breakage.
         Box::new(zorder_mapping(grid.clone(), 0, 1).expect("z-order mapping must build")),
-        // staticcheck: allow(no-unwrap) — same setup-breakage argument as the z-order line above.
         Box::new(hilbert_mapping(grid.clone(), 0, 1).expect("hilbert mapping must build")),
-        // staticcheck: allow(no-unwrap) — same setup-breakage argument as the curve lines above.
         Box::new(MultiMapping::new(geom, grid.clone()).expect("multimap mapping must build")),
     ]
 }
@@ -146,9 +147,12 @@ fn steady_beam_per_cell(
 ) -> f64 {
     let mut log = multimap_disksim::ServiceLog::new();
     let mut rec = log.recorder();
+    #[expect(
+        clippy::expect_used,
+        reason = "agreement rows use fixed in-grid regions; failure is harness breakage"
+    )]
     let r = exec
         .execute(QueryRequest::beam(mapping, region).with_observer(&mut rec))
-        // staticcheck: allow(no-unwrap) — agreement rows use fixed in-grid regions; failure is harness breakage.
         .expect("agreement beam must execute");
     drop(rec);
     let first = log
@@ -172,7 +176,10 @@ pub fn model_agreement(geom: &DiskGeometry) -> Vec<ModelAgreementRow> {
     let grid = GridSpec::new([100u64, 12, 8]);
     let volume = LogicalVolume::new(geom.clone(), 1);
     let naive = NaiveMapping::new(grid.clone(), 0);
-    // staticcheck: allow(no-unwrap) — agreement grid is sized for every evaluation profile; build failure is harness breakage.
+    #[expect(
+        clippy::expect_used,
+        reason = "agreement grid is sized for every evaluation profile; build failure is harness breakage"
+    )]
     let mm = MultiMapping::new(geom, grid.clone()).expect("multimap mapping must build");
     let exec = QueryExecutor::new(&volume, 0);
     let mut rows = Vec::new();
@@ -201,9 +208,9 @@ pub fn model_agreement(geom: &DiskGeometry) -> Vec<ModelAgreementRow> {
     let query = BoxRegion::new([10u64, 2, 1], [29u64, 7, 4]);
     let qext = [20u64, 6, 4];
     volume.reset();
+    #[expect(clippy::expect_used, reason = "same fixed in-grid range as above")]
     let sim_naive = exec
         .execute(QueryRequest::range(&naive, &query))
-        // staticcheck: allow(no-unwrap) — same fixed in-grid range as above.
         .expect("agreement range runs");
     rows.push(ModelAgreementRow {
         label: "naive_range_20x6x4".into(),
@@ -212,9 +219,9 @@ pub fn model_agreement(geom: &DiskGeometry) -> Vec<ModelAgreementRow> {
         tolerance: MODEL_RANGE_TOLERANCE,
     });
     volume.reset();
+    #[expect(clippy::expect_used, reason = "same fixed in-grid range as above")]
     let sim_mm = exec
         .execute(QueryRequest::range(&mm, &query))
-        // staticcheck: allow(no-unwrap) — same fixed in-grid range as above.
         .expect("agreement range runs");
     rows.push(ModelAgreementRow {
         label: "multimap_range_20x6x4".into(),

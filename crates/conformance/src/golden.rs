@@ -1,11 +1,12 @@
 //! Golden-trace regression harness.
 //!
 //! A fixed, seeded workload matrix (two disk profiles x eight access
-//! patterns) is serviced through the scheduler layer, and the resulting
-//! [`TraceRecord`] streams are serialized to `tests/golden/*.json` at
-//! the repository root. The checked-in files pin the simulator's exact
-//! timing behaviour: any change to seek curve, skew, rotational phase or
-//! scheduling order shows up as a record-level diff.
+//! patterns) is serviced through the scheduler layer, and one record per
+//! [`ServiceEvent`] (start time, extent and the four timing components)
+//! is serialized to `tests/golden/*.json` at the repository root. The
+//! checked-in files pin the simulator's exact timing behaviour: any
+//! change to seek curve, skew, rotational phase or scheduling order
+//! shows up as a record-level diff.
 //!
 //! Regenerate after an *intentional* behaviour change with:
 //!
@@ -19,7 +20,7 @@
 use std::path::PathBuf;
 
 use multimap_disksim::{
-    profiles, semi_sequential_path, DiskGeometry, Request, Trace, TraceRecord,
+    profiles, semi_sequential_path, DiskGeometry, Request, ServiceEvent, ServiceLog,
 };
 use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use rand::rngs::StdRng;
@@ -47,14 +48,17 @@ impl GoldenCase {
         format!("{}__{}", self.profile, self.workload)
     }
 
-    /// Service the workload on a fresh disk and return its trace.
-    pub fn run(&self) -> Trace {
+    /// Service the workload on a fresh disk and return its log.
+    #[expect(
+        clippy::expect_used,
+        reason = "golden workloads are generated in-range; a service failure is trace-harness breakage"
+    )]
+    pub fn run(&self) -> ServiceLog {
         let volume = LogicalVolume::new(self.geometry.clone(), 1);
         let (_, log) = volume
             .service_batch_logged(0, &self.requests, self.policy)
-            // staticcheck: allow(no-unwrap) — golden workloads are generated in-range; a service failure is trace-harness breakage.
             .expect("golden workloads must be serviceable");
-        log.to_trace()
+        log
     }
 }
 
@@ -145,62 +149,38 @@ pub fn workload_matrix() -> Vec<GoldenCase> {
     out
 }
 
-/// Serialize one case's trace for its golden file.
-pub fn trace_to_json(case: &GoldenCase, trace: &Trace) -> Value {
-    let records = trace
-        .records()
-        .iter()
-        .map(|r| {
-            Value::obj([
-                ("start_ms", r.start_ms.into()),
-                ("lbn", r.lbn.into()),
-                ("nblocks", r.nblocks.into()),
-                ("overhead_ms", r.overhead_ms.into()),
-                ("seek_ms", r.seek_ms.into()),
-                ("rotation_ms", r.rotation_ms.into()),
-                ("transfer_ms", r.transfer_ms.into()),
-            ])
-        })
-        .collect();
+/// One golden record: when the request started service, its extent and
+/// its four timing components.
+fn event_record(e: &ServiceEvent) -> Value {
+    Value::obj([
+        ("start_ms", e.before.time_ms.into()),
+        ("lbn", e.request.lbn.into()),
+        ("nblocks", e.request.nblocks.into()),
+        ("overhead_ms", e.timing.overhead_ms.into()),
+        ("seek_ms", e.timing.seek_ms.into()),
+        ("rotation_ms", e.timing.rotation_ms.into()),
+        ("transfer_ms", e.timing.transfer_ms.into()),
+    ])
+}
+
+/// Serialize one case's service log for its golden file.
+pub fn log_to_json(case: &GoldenCase, log: &ServiceLog) -> Value {
     Value::obj([
         ("profile", case.profile.into()),
         ("workload", case.workload.into()),
         ("policy", format!("{:?}", case.policy).into()),
-        ("records", Value::Arr(records)),
+        (
+            "records",
+            Value::Arr(log.events().iter().map(event_record).collect()),
+        ),
     ])
 }
 
-/// Parse the record stream back out of a golden file.
-pub fn records_from_json(v: &Value) -> Result<Vec<TraceRecord>, String> {
-    let arr = v
-        .get("records")
+/// The record array of a golden document.
+pub fn records(v: &Value) -> Result<&[Value], String> {
+    v.get("records")
         .and_then(Value::as_arr)
-        .ok_or("golden file has no 'records' array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let num = |k: &str| {
-                r.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("record {i}: missing '{k}'"))
-            };
-            Ok(TraceRecord {
-                start_ms: num("start_ms")?,
-                lbn: r
-                    .get("lbn")
-                    .and_then(Value::as_u64)
-                    .ok_or(format!("record {i}: missing 'lbn'"))?,
-                nblocks: r
-                    .get("nblocks")
-                    .and_then(Value::as_u64)
-                    .ok_or(format!("record {i}: missing 'nblocks'"))?,
-                overhead_ms: num("overhead_ms")?,
-                seek_ms: num("seek_ms")?,
-                rotation_ms: num("rotation_ms")?,
-                transfer_ms: num("transfer_ms")?,
-            })
-        })
-        .collect()
+        .ok_or_else(|| "golden file has no 'records' array".to_string())
 }
 
 /// Directory holding the golden files (`tests/golden` at the repo root).
@@ -217,10 +197,9 @@ pub fn update_mode() -> bool {
 }
 
 /// Run one golden case: regenerate its file in update mode, otherwise
-/// diff the fresh trace against the checked-in file record by record.
+/// diff the fresh log against the checked-in file record by record.
 pub fn check_case(case: &GoldenCase) -> Result<(), String> {
-    let trace = case.run();
-    let fresh = trace_to_json(case, &trace);
+    let fresh = log_to_json(case, &case.run());
     let path = golden_dir().join(format!("{}.json", case.name()));
     if update_mode() {
         std::fs::create_dir_all(golden_dir()).map_err(|e| e.to_string())?;
@@ -235,15 +214,11 @@ pub fn check_case(case: &GoldenCase) -> Result<(), String> {
         )
     })?;
     let golden = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    diff_traces(&case.name(), &records_from_json(&golden)?, trace.records())
+    diff_records(&case.name(), records(&golden)?, records(&fresh)?)
 }
 
 /// Record-by-record comparison with a first-divergence message.
-pub fn diff_traces(
-    name: &str,
-    golden: &[TraceRecord],
-    fresh: &[TraceRecord],
-) -> Result<(), String> {
+pub fn diff_records(name: &str, golden: &[Value], fresh: &[Value]) -> Result<(), String> {
     if golden.len() != fresh.len() {
         return Err(format!(
             "{name}: golden has {} records, fresh run has {}",
@@ -254,7 +229,9 @@ pub fn diff_traces(
     for (i, (g, f)) in golden.iter().zip(fresh).enumerate() {
         if g != f {
             return Err(format!(
-                "{name}: first divergence at record {i}:\n  golden: {g:?}\n  fresh:  {f:?}"
+                "{name}: first divergence at record {i}:\n  golden: {}\n  fresh:  {}",
+                g.to_pretty().trim_end(),
+                f.to_pretty().trim_end()
             ));
         }
     }
@@ -273,32 +250,37 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name(), y.name());
             assert_eq!(x.requests, y.requests);
-            let ta = x.run();
-            let tb = y.run();
-            assert_eq!(ta.records(), tb.records(), "{} replay differs", x.name());
+            assert_eq!(x.run(), y.run(), "{} replay differs", x.name());
         }
     }
 
     #[test]
     fn json_roundtrip_is_bit_exact() {
         let case = &workload_matrix()[0];
-        let trace = case.run();
-        let v = trace_to_json(case, &trace);
+        let v = log_to_json(case, &case.run());
         let parsed = json::parse(&v.to_pretty()).unwrap();
-        let back = records_from_json(&parsed).unwrap();
-        assert_eq!(back.as_slice(), trace.records());
-        assert_eq!(parsed.get("profile").unwrap().as_str(), Some("cheetah_36es"));
+        assert_eq!(parsed, v);
+        assert_eq!(parsed.to_pretty(), v.to_pretty());
+        assert_eq!(
+            parsed.get("profile").unwrap().as_str(),
+            Some("cheetah_36es")
+        );
     }
 
     #[test]
     fn diff_reports_first_divergence() {
         let case = &workload_matrix()[0];
-        let trace = case.run();
-        let mut tampered = trace.records().to_vec();
-        tampered[3].seek_ms += 0.5;
-        let err = diff_traces("t", trace.records(), &tampered).unwrap_err();
+        let fresh = log_to_json(case, &case.run());
+        let fresh = records(&fresh).unwrap();
+        let mut tampered = fresh.to_vec();
+        let Value::Obj(record) = &mut tampered[3] else {
+            panic!("records are objects");
+        };
+        let seek_ms = record["seek_ms"].as_f64().unwrap();
+        record.insert("seek_ms".into(), (seek_ms + 0.5).into());
+        let err = diff_records("t", fresh, &tampered).unwrap_err();
         assert!(err.contains("record 3"), "{err}");
-        let err = diff_traces("t", &tampered[..5], trace.records()).unwrap_err();
+        let err = diff_records("t", &tampered[..5], fresh).unwrap_err();
         assert!(err.contains("5 records"), "{err}");
     }
 }

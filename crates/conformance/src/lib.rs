@@ -43,7 +43,7 @@
 //! [`ServiceLog`]: multimap_disksim::ServiceLog
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 
 pub mod differential;
 pub mod fault;

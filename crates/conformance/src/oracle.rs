@@ -210,7 +210,6 @@ pub fn check_event(geom: &DiskGeometry, e: &ServiceEvent) -> Vec<Violation> {
 
     // Transfer is identical on the prefetch and the positioned path:
     // every sector pays exactly one sector-time of its zone.
-    // staticcheck: allow(det-float-sum) — `segs` is the per-request segment walk in LBN order; the oracle must mirror the simulator's own left-to-right accumulation.
     let expected_transfer: f64 =
         segs.iter().map(|s| s.take as f64 * geom.sector_time_ms(&geom.zones()[s.loc.zone])).sum();
     if (t.transfer_ms - expected_transfer).abs() > TIME_EPS_MS {
@@ -226,7 +225,6 @@ pub fn check_event(geom: &DiskGeometry, e: &ServiceEvent) -> Vec<Violation> {
     if e.is_prefetch_hit() {
         // A sequential continuation never repositions and never waits:
         // the next sector is already arriving under the head.
-        // staticcheck: allow(float-cmp) — a prefetch hit must report exactly-zero positioning; the sim writes literal 0.0.
         if t.seek_ms != 0.0 || t.rotation_ms != 0.0 {
             fail(
                 "prefetch-free-positioning",
@@ -469,7 +467,10 @@ impl OracleDisk {
     fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming> {
         let before = self.sim.state();
         let timing = match kind {
-            // staticcheck: allow(no-direct-service) — the oracle wraps its own private sim and audits every call right here.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the oracle wraps its own private sim and audits every call right here"
+            )]
             AccessKind::Read => self.sim.service(req)?,
             AccessKind::Write => self.sim.service_write(req)?,
         };

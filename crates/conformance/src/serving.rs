@@ -157,7 +157,6 @@ pub fn check_serving_counters(
                 return Err(format!("{label}/{}: request {} never resolved", t.name, req.seq));
             };
             gen.resolve(e.resolve_ms);
-            // staticcheck: allow(float-cmp) — bit-equality is the point: the stamp is the generator's arrival, not close to it.
             if e.arrive_ms.to_bits() != req.arrival_ms.to_bits() {
                 return Err(format!(
                     "{label}/{}: request {} stamped arrive_ms {} but its generator says {}",

@@ -90,10 +90,13 @@ impl ChunkedDataset {
     /// The actual grid of one chunk (edge chunks are truncated to the
     /// dataset boundary).
     pub fn chunk_shape(&self, chunk_id: u64) -> GridSpec {
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk_id is drawn from the chunk grid's own linear range"
+        )]
         let c = self
             .chunk_grid
             .coord_of_linear(chunk_id)
-            // staticcheck: allow(no-unwrap) — chunk_id is drawn from the chunk grid's own linear range.
             .expect("chunk id in range");
         let extents: Vec<u64> = (0..self.global.ndims())
             .map(|d| {
@@ -106,10 +109,13 @@ impl ChunkedDataset {
 
     /// Lower corner of a chunk in global coordinates.
     pub fn chunk_origin(&self, chunk_id: u64) -> Coord {
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk_id is drawn from the chunk grid's own linear range"
+        )]
         let c = self
             .chunk_grid
             .coord_of_linear(chunk_id)
-            // staticcheck: allow(no-unwrap) — chunk_id is drawn from the chunk grid's own linear range.
             .expect("chunk id in range");
         c.iter()
             .zip(&self.chunk_extents)

@@ -77,7 +77,6 @@ pub struct LoadReport {
 impl LoadReport {
     /// Effective load bandwidth in MB/s.
     pub fn bandwidth_mb_s(&self) -> f64 {
-        // staticcheck: allow(float-cmp) — sentinel: a zero-duration load reports zero bandwidth instead of dividing by zero.
         if self.total_ms == 0.0 {
             0.0
         } else {
@@ -96,7 +95,10 @@ pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<R
     let cell_blocks = mapping.cell_blocks();
     let mut lbns: Vec<Lbn> = Vec::with_capacity(region.cells().min(1 << 24) as usize);
     region.for_each_cell(|c| {
-        // staticcheck: allow(no-unwrap) — region.fits(grid) was checked above, so every enumerated cell maps.
+        #[expect(
+            clippy::expect_used,
+            reason = "region.fits(grid) was checked above, so every enumerated cell maps"
+        )]
         lbns.push(mapping.lbn_of(c).expect("region cell maps"));
     });
     lbns.sort_unstable();

@@ -170,6 +170,10 @@ impl CubeLayout {
     }
 
     /// One past the highest LBN any laid-out slot can touch.
+    #[expect(
+        clippy::expect_used,
+        reason = "end_track is derived from a placement this layout produced"
+    )]
     pub fn end_lbn(&self, geom: &DiskGeometry) -> Lbn {
         let last = self.place(geom, self.total_slots - 1);
         let zone = &geom.zones()[last.zone_index];
@@ -177,7 +181,6 @@ impl CubeLayout {
         let cylinder = end_track / geom.surfaces as u64;
         let surface = (end_track % geom.surfaces as u64) as u32;
         geom.lbn_of(cylinder, surface, zone.sectors_per_track - 1)
-            // staticcheck: allow(no-unwrap) — end_track is derived from a placement this layout produced.
             .expect("laid-out track must exist")
             + 1
     }

@@ -93,7 +93,10 @@ impl MultiMapping {
                 .map(|z| z.sectors_per_track as u64)
                 .collect();
             track_candidates.dedup();
-            // staticcheck: allow(no-unwrap) — DiskGeometry validates at least one zone at build time.
+            #[expect(
+                clippy::expect_used,
+                reason = "DiskGeometry validates at least one zone at build time"
+            )]
             let mut t = *track_candidates.last().expect("zones non-empty") / 2;
             while t >= 8 && track_candidates.len() < 24 {
                 track_candidates.push(t);
@@ -238,12 +241,15 @@ impl MultiMapping {
         let surfaces = self.geom.surfaces as u64;
         let cylinder = place.base_track / surfaces;
         let surface = (place.base_track % surfaces) as u32;
+        #[expect(
+            clippy::expect_used,
+            reason = "placements come from the layout, which only uses on-disk tracks"
+        )]
         let mut lbn = self
             .geom
             .lbn_of(cylinder, surface, place.base_sector + within[0] as u32)
-            // staticcheck: allow(no-unwrap) — placements come from the layout, which only uses on-disk tracks.
             .expect("cube base must be on disk");
-        #[allow(clippy::needless_range_loop)] // parallel index into shape.k
+        #[expect(clippy::needless_range_loop, reason = "parallel index into shape.k")]
         for i in 1..within.len() {
             let step = self.shape.step(i) as u32;
             for _ in 0..within[i] {
@@ -270,6 +276,10 @@ impl Mapping for MultiMapping {
         &self.grid
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "cylinder/surface/sector are derived from this disk's own zone table"
+    )]
     fn lbn_of(&self, coord: &[u64]) -> Result<Lbn> {
         if !self.grid.contains(coord) {
             return Err(MappingError::CoordOutOfGrid {
@@ -308,7 +318,6 @@ impl Mapping for MultiMapping {
         Ok(self
             .geom
             .lbn_of(cylinder, surface, sector)
-            // staticcheck: allow(no-unwrap) — cylinder/surface/sector are derived from this disk's own zone table.
             .expect("mapped cell must be on disk"))
     }
 
@@ -321,7 +330,7 @@ impl Mapping for MultiMapping {
         let mut within = vec![0u64; n];
         let mut rem = within_track;
         let mut jumps = 0u64;
-        #[allow(clippy::needless_range_loop)] // parallel index into shape.k
+        #[expect(clippy::needless_range_loop, reason = "parallel index into shape.k")]
         for i in 1..n {
             within[i] = rem % self.shape.k[i];
             rem /= self.shape.k[i];

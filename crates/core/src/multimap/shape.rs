@@ -229,10 +229,13 @@ fn balanced_heuristic(mids: &[u64], s_last: u64, c: &ShapeConstraints) -> Option
         // Grow the dimension with the worst fill ratio that still fits.
         let mut grew = false;
         let mut order: Vec<usize> = (0..k.len()).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "ratios of positive in-range integers are finite, never NaN"
+        )]
         order.sort_by(|&a, &b| {
             let ra = k[a] as f64 / mids[a] as f64;
             let rb = k[b] as f64 / mids[b] as f64;
-            // staticcheck: allow(no-unwrap) — ratios of positive in-range integers are finite, never NaN.
             ra.partial_cmp(&rb).expect("fill ratios are finite")
         });
         for i in order {

@@ -56,8 +56,11 @@ impl ZonedMultiMapping {
             if lo == 0 {
                 continue; // Zone too small for even one layer.
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the preceding binary search proved try_segment succeeds at lo"
+            )]
             let mapping = Self::try_segment(geom, &grid, zone, start, lo)
-                // staticcheck: allow(no-unwrap) — the preceding binary search proved try_segment succeeds at lo.
                 .expect("binary search verified this length");
             segments.push(Segment { start, mapping });
             start += lo;

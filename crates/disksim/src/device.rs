@@ -28,7 +28,7 @@ use crate::imr::ImrModel;
 use crate::observe::{ServiceEvent, Transition};
 use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipline};
 use crate::sim::{AccessKind, DiskSim, Request, RequestTiming};
-use crate::ssd::{SsdConfig, SsdModel};
+use crate::ssd::SsdModel;
 use crate::stats::AccessStats;
 
 /// The service interface every storage backend implements.
@@ -186,6 +186,10 @@ impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
     fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming> {
         (**self).service_kind(req, kind)
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the box forwards the service primitive itself"
+    )]
     fn service(&mut self, req: Request) -> Result<RequestTiming> {
         (**self).service(req)
     }
@@ -255,6 +259,10 @@ impl DeviceModel for DiskSim {
 
     fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming> {
         match kind {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the trait's read path is the simulator's own service primitive"
+            )]
             AccessKind::Read => DiskSim::service(self, req),
             AccessKind::Write => DiskSim::service_write(self, req),
         }
@@ -324,19 +332,14 @@ pub const BACKEND_NAMES: [&str; 3] = ["disk", "ssd", "imr"];
 /// Construct a backend by registry name, addressed through `geom`.
 ///
 /// * `"disk"` — the rotating [`DiskSim`] on `geom` exactly.
-/// * `"ssd"` — an [`SsdModel`] sized to `geom.total_blocks()` with the
-///   default channel configuration ([`SsdConfig::builder`]).
+/// * `"ssd"` — an [`SsdModel`] sized to `geom.total_blocks()`.
 /// * `"imr"` — an [`ImrModel`] interlacing `geom`'s cylinders.
 ///
 /// Unknown names are a typed [`DiskError::UnknownBackend`] error.
 pub fn build_backend(name: &str, geom: &DiskGeometry) -> Result<Box<dyn DeviceModel>> {
     match name {
         "disk" => Ok(Box::new(DiskSim::new(geom.clone()))),
-        "ssd" => Ok(Box::new(SsdModel::new(
-            SsdConfig::builder()
-                .capacity_blocks(geom.total_blocks())
-                .build(),
-        ))),
+        "ssd" => Ok(Box::new(SsdModel::new(geom.total_blocks()))),
         "imr" => Ok(Box::new(ImrModel::new(geom.clone()))),
         other => Err(DiskError::UnknownBackend {
             name: other.to_string(),

@@ -100,6 +100,10 @@ impl ImrModel {
         let first = geom.lbn_of(cylinder, surface, 0)?;
         let (tfirst, tlast) = geom.track_boundaries(first)?;
         let track = Request::new(tfirst, tlast - tfirst + 1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the read half of a read-modify-write on the inner drive"
+        )]
         let r = self.inner.service(track)?;
         let w = self.inner.service_write(track)?;
         Ok(r.total_ms() + w.total_ms())
@@ -123,6 +127,10 @@ impl DeviceModel for ImrModel {
         match kind {
             // Reads are untouched rotating mechanics: bit-identical to
             // the "disk" backend.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "reads are the inner drive's service primitive, bit-identical to the disk backend"
+            )]
             AccessKind::Read => self.inner.service(req),
             AccessKind::Write => {
                 req.checked_end(self.capacity_blocks())?;

@@ -43,7 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 
 pub mod adjacency;
 pub mod device;
@@ -58,7 +58,6 @@ mod selector;
 pub mod sim;
 pub mod ssd;
 pub mod stats;
-pub mod trace;
 
 pub use adjacency::{adjacency_offset_sectors, adjacent_lbn, semi_sequential_path};
 pub use device::{build_backend, DeviceModel, BACKEND_NAMES};
@@ -76,9 +75,8 @@ pub use scheduler::{
     SPTF_INCREMENTAL_MIN_WINDOW,
 };
 pub use sim::{AccessKind, DiskSim, HeadState, Request, RequestProfile, RequestTiming};
-pub use ssd::{SsdConfig, SsdConfigBuilder, SsdModel};
+pub use ssd::SsdModel;
 pub use stats::AccessStats;
-pub use trace::{Trace, TraceRecord};
 
 #[cfg(test)]
 mod integration_tests {

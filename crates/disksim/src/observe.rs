@@ -11,7 +11,6 @@
 use crate::fault::FaultOutcome;
 use crate::geometry::DiskGeometry;
 use crate::sim::{AccessKind, HeadState, Request, RequestTiming};
-use crate::trace::Trace;
 
 /// How the head reached a request, classified from the positioning time
 /// the simulator actually charged.
@@ -147,17 +146,7 @@ impl ServiceLog {
     /// Sum of all recorded service times (including fault-recovery
     /// time, which is zero for clean events).
     pub fn total_ms(&self) -> f64 {
-        // staticcheck: allow(det-float-sum) — `events` is an append-only Vec summed in service (push) order; single-threaded, order pinned.
         self.events.iter().map(|e| e.elapsed_ms()).sum()
-    }
-
-    /// Project the log onto a plain [`Trace`] (timing components only).
-    pub fn to_trace(&self) -> Trace {
-        let mut trace = Trace::new();
-        for e in &self.events {
-            trace.push(e.before.time_ms, e.request, &e.timing);
-        }
-        trace
     }
 }
 
@@ -170,7 +159,7 @@ mod tests {
     use crate::sim::DiskSim;
 
     #[test]
-    fn log_collects_events_and_projects_trace() {
+    fn log_collects_events() {
         let mut sim = DiskSim::new(profiles::small());
         let reqs: Vec<Request> = (0..8u64).map(|i| Request::single(i * 999)).collect();
         let mut log = ServiceLog::new();
@@ -180,9 +169,6 @@ mod tests {
         assert_eq!(log.len(), 8);
         assert!(!log.is_empty());
         assert!((log.total_ms() - timing.total_ms).abs() < 1e-9);
-        let trace = log.to_trace();
-        assert_eq!(trace.len(), 8);
-        assert!((trace.total_ms() - timing.total_ms).abs() < 1e-9);
         for (i, e) in log.events().iter().enumerate() {
             assert_eq!(e.seq, i);
             assert_eq!(e.admission_rank, i);

@@ -22,6 +22,10 @@ fn linear_zones(n: u32, cyls_per_zone: u32, outer_spt: u32, step: u32) -> Vec<Zo
 }
 
 /// Seagate Cheetah 36ES (ST336938LW): 36.7 GB, 10k RPM, 4 surfaces.
+#[expect(
+    clippy::expect_used,
+    reason = "compiled-in profile constants; unit tests build every profile"
+)]
 pub fn cheetah_36es() -> DiskGeometry {
     DiskBuilder::new("Seagate Cheetah 36ES")
         .rpm(10_000.0)
@@ -35,11 +39,14 @@ pub fn cheetah_36es() -> DiskGeometry {
         .max_seek_ms(10.5)
         .adjacency_limit(128)
         .build()
-        // staticcheck: allow(no-unwrap) — compiled-in profile constants; unit tests build every profile.
         .expect("static profile must be valid")
 }
 
 /// Maxtor Atlas 10k III: 36.7 GB, 10k RPM, 4 surfaces.
+#[expect(
+    clippy::expect_used,
+    reason = "compiled-in profile constants; unit tests build every profile"
+)]
 pub fn atlas_10k_iii() -> DiskGeometry {
     DiskBuilder::new("Maxtor Atlas 10k III")
         .rpm(10_000.0)
@@ -53,7 +60,6 @@ pub fn atlas_10k_iii() -> DiskGeometry {
         .max_seek_ms(9.5)
         .adjacency_limit(128)
         .build()
-        // staticcheck: allow(no-unwrap) — compiled-in profile constants; unit tests build every profile.
         .expect("static profile must be valid")
 }
 
@@ -65,6 +71,10 @@ pub fn evaluation_disks() -> Vec<DiskGeometry> {
 /// A deliberately tiny disk mirroring the paper's running example
 /// (Section 4.1): track length `T = 5` in the outer zone and `D = 9`
 /// adjacent blocks. Useful for unit tests and doc examples.
+#[expect(
+    clippy::expect_used,
+    reason = "compiled-in profile constants; unit tests build every profile"
+)]
 pub fn toy() -> DiskGeometry {
     DiskBuilder::new("toy (paper example, T=5, D=9)")
         .rpm(6_000.0)
@@ -87,7 +97,6 @@ pub fn toy() -> DiskGeometry {
         .max_seek_ms(6.0)
         .adjacency_limit(9)
         .build()
-        // staticcheck: allow(no-unwrap) — compiled-in profile constants; unit tests build every profile.
         .expect("static profile must be valid")
 }
 
@@ -95,6 +104,10 @@ pub fn toy() -> DiskGeometry {
 /// the Cheetah 36ES (Section 3.1: track density grows while settle time
 /// barely improves, so the settle plateau covers ever more tracks and
 /// `D` grows). Generation 0 reproduces `cheetah_36es`.
+#[expect(
+    clippy::expect_used,
+    reason = "compiled-in profile constants; unit tests build every profile"
+)]
 pub fn density_trend(generations: u32) -> DiskGeometry {
     let factor = 1u32 << generations;
     DiskBuilder::new(format!("trend-gen{generations} (Cheetah-36ES-like)"))
@@ -110,11 +123,14 @@ pub fn density_trend(generations: u32) -> DiskGeometry {
         .max_seek_ms(10.5)
         .adjacency_limit(128 * factor)
         .build()
-        // staticcheck: allow(no-unwrap) — compiled-in profile constants; unit tests build every profile.
         .expect("static profile must be valid")
 }
 
 /// A mid-size disk for fast integration tests: two zones, `D = 32`.
+#[expect(
+    clippy::expect_used,
+    reason = "compiled-in profile constants; unit tests build every profile"
+)]
 pub fn small() -> DiskGeometry {
     DiskBuilder::new("small-test-disk")
         .rpm(10_000.0)
@@ -137,7 +153,6 @@ pub fn small() -> DiskGeometry {
         .max_seek_ms(9.0)
         .adjacency_limit(32)
         .build()
-        // staticcheck: allow(no-unwrap) — compiled-in profile constants; unit tests build every profile.
         .expect("static profile must be valid")
 }
 

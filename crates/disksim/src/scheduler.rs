@@ -83,6 +83,10 @@ pub const SPTF_INCREMENTAL_MIN_WINDOW: usize = 32;
 pub type ServeFn<'a> = dyn FnMut(&mut DiskSim, Request) -> Result<(RequestTiming, FaultOutcome)> + 'a;
 
 /// The recovery-free serve: one attempt, no fault handling.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the recovery-free serve is the batch paths' one raw service call"
+)]
 pub fn plain_serve(sim: &mut DiskSim, req: Request) -> Result<(RequestTiming, FaultOutcome)> {
     sim.service(req).map(|t| (t, FaultOutcome::default()))
 }

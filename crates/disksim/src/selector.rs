@@ -190,7 +190,10 @@ impl Round<'_> {
         debug_assert_ne!(e.vec_pos, GONE);
         let est = self.sim.estimate_positioned(&e.profile, pos, wait)?;
         self.candidates += 1;
-        // staticcheck: allow(float-cmp) — exact tie detection is the point: equal estimates fall through to the vec-position tie-break, replicating the reference argmin bit for bit.
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact tie detection is the point: equal estimates fall through to the vec-position tie-break, replicating the reference argmin bit for bit"
+        )]
         let wins = self
             .best
             .is_none_or(|(b_est, b_pos, _)| est < b_est || (est == b_est && e.vec_pos < b_pos));

@@ -58,7 +58,6 @@ impl Default for HeadState {
 /// arrival time and target track, so identical workloads replay
 /// identically while distinct seeks see varied settles.
 fn settle_jitter(geom: &DiskGeometry, t_ms: f64, track: u64) -> f64 {
-    // staticcheck: allow(float-cmp) — exact sentinel: profiles store literal 0.0 to disable jitter.
     if geom.settle_jitter_ms == 0.0 {
         return 0.0;
     }

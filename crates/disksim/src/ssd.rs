@@ -42,115 +42,27 @@ use crate::scheduler::{BatchTiming, Discipline};
 use crate::sim::{AccessKind, HeadState, Request, RequestTiming};
 use crate::stats::AccessStats;
 
-/// Configuration of the multi-queue SSD model.
-///
-/// `#[non_exhaustive]` with a builder ([`SsdConfig::builder`]), matching
-/// the crate-wide options convention: new fields may appear without a
-/// breaking change.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub struct SsdConfig {
-    /// Total addressable blocks.
-    pub capacity_blocks: u64,
-    /// Independent channels (parallel flash buses). Must be ≥ 1.
-    pub channels: usize,
-    /// Consecutive blocks mapped to one channel before striping rotates
-    /// to the next. Must be ≥ 1.
-    pub stripe_blocks: u64,
-    /// Fixed per-command controller overhead in milliseconds.
-    pub command_overhead_ms: f64,
-    /// Flash read time per block in milliseconds.
-    pub read_ms_per_block: f64,
-    /// Flash program (write) time per block in milliseconds.
-    pub write_ms_per_block: f64,
-    /// Additional controller latency per command already queued on the
-    /// same channel at dispatch — the queue-depth-dependent term.
-    pub queue_slot_ms: f64,
-}
-
-impl Default for SsdConfig {
-    fn default() -> Self {
-        SsdConfig {
-            capacity_blocks: 1 << 20,
-            channels: 8,
-            stripe_blocks: 64,
-            command_overhead_ms: 0.02,
-            read_ms_per_block: 0.015,
-            write_ms_per_block: 0.06,
-            queue_slot_ms: 0.004,
-        }
-    }
-}
-
-impl SsdConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> SsdConfigBuilder {
-        SsdConfigBuilder {
-            cfg: SsdConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`SsdConfig`].
-#[derive(Clone, Debug)]
-pub struct SsdConfigBuilder {
-    cfg: SsdConfig,
-}
-
-impl SsdConfigBuilder {
-    /// Total addressable blocks.
-    pub fn capacity_blocks(mut self, blocks: u64) -> Self {
-        self.cfg.capacity_blocks = blocks;
-        self
-    }
-
-    /// Number of independent channels (clamped to ≥ 1).
-    pub fn channels(mut self, channels: usize) -> Self {
-        self.cfg.channels = channels.max(1);
-        self
-    }
-
-    /// Striping width in blocks (clamped to ≥ 1).
-    pub fn stripe_blocks(mut self, blocks: u64) -> Self {
-        self.cfg.stripe_blocks = blocks.max(1);
-        self
-    }
-
-    /// Fixed per-command controller overhead in milliseconds.
-    pub fn command_overhead_ms(mut self, ms: f64) -> Self {
-        self.cfg.command_overhead_ms = ms;
-        self
-    }
-
-    /// Flash read time per block in milliseconds.
-    pub fn read_ms_per_block(mut self, ms: f64) -> Self {
-        self.cfg.read_ms_per_block = ms;
-        self
-    }
-
-    /// Flash program time per block in milliseconds.
-    pub fn write_ms_per_block(mut self, ms: f64) -> Self {
-        self.cfg.write_ms_per_block = ms;
-        self
-    }
-
-    /// Per-queued-command controller surcharge in milliseconds.
-    pub fn queue_slot_ms(mut self, ms: f64) -> Self {
-        self.cfg.queue_slot_ms = ms;
-        self
-    }
-
-    /// Finish, yielding the configuration.
-    pub fn build(self) -> SsdConfig {
-        self.cfg
-    }
-}
+/// Independent channels (parallel flash buses).
+const CHANNELS: usize = 8;
+/// Consecutive blocks mapped to one channel before striping rotates to
+/// the next.
+const STRIPE_BLOCKS: u64 = 64;
+/// Fixed per-command controller overhead in milliseconds.
+const COMMAND_OVERHEAD_MS: f64 = 0.02;
+/// Flash read time per block in milliseconds.
+const READ_MS_PER_BLOCK: f64 = 0.015;
+/// Flash program (write) time per block in milliseconds.
+const WRITE_MS_PER_BLOCK: f64 = 0.06;
+/// Additional controller latency per command already queued on the same
+/// channel at dispatch — the queue-depth-dependent term.
+const QUEUE_SLOT_MS: f64 = 0.004;
 
 /// The multi-queue SSD device model. See the [module docs](self) for
 /// the latency model and phase semantics.
 #[derive(Clone, Debug)]
 pub struct SsdModel {
-    cfg: SsdConfig,
+    /// Total addressable blocks.
+    capacity_blocks: u64,
     /// Device clock: completion time of the last submitted work.
     now_ms: f64,
     /// Absolute time each channel is busy until.
@@ -163,27 +75,22 @@ pub struct SsdModel {
 }
 
 impl SsdModel {
-    /// New idle device with the given configuration.
-    pub fn new(cfg: SsdConfig) -> Self {
-        let channels = cfg.channels.max(1);
+    /// New idle device of `capacity_blocks` blocks striped over eight
+    /// channels in 64-block stripes.
+    pub fn new(capacity_blocks: u64) -> Self {
         SsdModel {
-            cfg,
+            capacity_blocks,
             now_ms: 0.0,
-            busy_until: vec![0.0; channels],
-            last_end: vec![None; channels],
-            served: vec![0; channels],
+            busy_until: vec![0.0; CHANNELS],
+            last_end: vec![None; CHANNELS],
+            served: vec![0; CHANNELS],
             stats: AccessStats::default(),
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
     /// Channel a block is striped to.
     pub fn channel_of(&self, lbn: Lbn) -> usize {
-        ((lbn / self.cfg.stripe_blocks) % self.busy_until.len() as u64) as usize
+        ((lbn / STRIPE_BLOCKS) % CHANNELS as u64) as usize
     }
 
     /// Requests served per channel since the last stats reset.
@@ -192,14 +99,17 @@ impl SsdModel {
     }
 
     fn validate(&self, req: Request) -> Result<()> {
-        req.checked_end(self.cfg.capacity_blocks).map(|_| ())
+        req.checked_end(self.capacity_blocks).map(|_| ())
     }
 
     /// Dispatch one validated request at batch clock `t0` with
     /// `queued_ahead` commands already dispatched to its channel in this
     /// batch. Returns the emitted event; channel state and stats are
     /// updated.
-    #[allow(clippy::too_many_arguments)] // one slot per ServiceEvent field the caller threads through
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one slot per ServiceEvent field the caller threads through"
+    )]
     fn dispatch(
         &mut self,
         req: Request,
@@ -214,11 +124,11 @@ impl SsdModel {
         let start = self.busy_until[c].max(t0);
         let wait = start - t0;
         let per_block = match kind {
-            AccessKind::Read => self.cfg.read_ms_per_block,
-            AccessKind::Write => self.cfg.write_ms_per_block,
+            AccessKind::Read => READ_MS_PER_BLOCK,
+            AccessKind::Write => WRITE_MS_PER_BLOCK,
         };
         let timing = RequestTiming {
-            overhead_ms: self.cfg.command_overhead_ms + self.cfg.queue_slot_ms * queued_ahead as f64,
+            overhead_ms: COMMAND_OVERHEAD_MS + QUEUE_SLOT_MS * queued_ahead as f64,
             seek_ms: wait,
             rotation_ms: 0.0,
             transfer_ms: req.nblocks as f64 * per_block,
@@ -271,7 +181,7 @@ impl DeviceModel for SsdModel {
     }
 
     fn capacity_blocks(&self) -> u64 {
-        self.cfg.capacity_blocks
+        self.capacity_blocks
     }
 
     fn now_ms(&self) -> f64 {
@@ -286,7 +196,7 @@ impl DeviceModel for SsdModel {
         self.validate(req)?;
         let c = self.channel_of(req.lbn);
         let wait = (self.busy_until[c] - self.now_ms).max(0.0);
-        Ok(wait + self.cfg.command_overhead_ms + req.nblocks as f64 * self.cfg.read_ms_per_block)
+        Ok(wait + COMMAND_OVERHEAD_MS + req.nblocks as f64 * READ_MS_PER_BLOCK)
     }
 
     fn service_batch_observed(
@@ -445,27 +355,29 @@ mod tests {
     use super::*;
 
     fn ssd() -> SsdModel {
-        SsdModel::new(
-            SsdConfig::builder()
-                .capacity_blocks(100_000)
-                .channels(4)
-                .stripe_blocks(8)
-                .build(),
-        )
+        SsdModel::new(100_000)
     }
 
     #[test]
     fn parallel_channels_overlap() {
-        // Four single-block reads on four distinct channels: the batch
-        // makespan is one command, not four.
+        // One single-block read on each of the eight channels: the batch
+        // makespan is one command, not eight.
         let mut dev = ssd();
-        let reqs: Vec<Request> = (0..4u64).map(|i| Request::single(i * 8)).collect();
+        let reqs: Vec<Request> = (0..8u64)
+            .map(|i| Request::single(i * STRIPE_BLOCKS))
+            .collect();
         let t = dev.service_batch(&reqs, Discipline::InOrder).unwrap();
-        let one = dev.cfg.command_overhead_ms + dev.cfg.read_ms_per_block;
-        assert!((t.total_ms - one).abs() < 1e-12, "makespan {} vs {}", t.total_ms, one);
-        // Busy time is four commands.
+        let one = COMMAND_OVERHEAD_MS + READ_MS_PER_BLOCK;
+        assert!(
+            (t.total_ms - one).abs() < 1e-12,
+            "makespan {} vs {}",
+            t.total_ms,
+            one
+        );
+        // Busy time is eight commands.
         let stats = DeviceModel::stats(&dev);
-        assert!((stats.total_ms - 4.0 * one).abs() < 1e-12);
+        assert!((stats.total_ms - 8.0 * one).abs() < 1e-12);
+        assert!(dev.channel_served().iter().all(|&n| n == 1));
     }
 
     #[test]
@@ -501,7 +413,11 @@ mod tests {
         // Channel 0, channel 1, then channel 0 again (queued? no — the
         // batch dispatches sequentially in order; third waits only if
         // channel 0 is still busy at its dispatch).
-        let reqs = [Request::single(0), Request::single(8), Request::single(1)];
+        let reqs = [
+            Request::single(0),
+            Request::single(STRIPE_BLOCKS),
+            Request::single(1),
+        ];
         dev.service_batch_observed(&reqs, Discipline::InOrder, &mut log.recorder())
             .unwrap();
         assert_eq!(dev.classify(&log.events()[0]), Transition::AdjacencyHop);
@@ -580,7 +496,7 @@ mod tests {
     #[test]
     fn channel_counters_reconcile_with_stats() {
         let mut dev = ssd();
-        let reqs: Vec<Request> = (0..40u64).map(|i| Request::single(i * 3)).collect();
+        let reqs: Vec<Request> = (0..40u64).map(|i| Request::single(i * 37)).collect();
         dev.service_batch(&reqs, Discipline::Sptf).unwrap();
         let served: u64 = dev.channel_served().iter().sum();
         assert_eq!(served, DeviceModel::stats(&dev).requests);

@@ -26,7 +26,7 @@
 //! available parallelism), or a typed [`ThreadsError`] from
 //! [`try_threads`] for callers that must not run misconfigured.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 #![warn(missing_docs)]
 
 use std::panic::resume_unwind;

@@ -213,7 +213,10 @@ fn recovering_serve(
     let mut attempts = 0u32;
     while remaining > 0 {
         let seg = remap.first_segment(cursor, remaining);
-        // staticcheck: allow(no-direct-service) — this IS the recovery serve path: it must call the raw simulator to observe injected faults; outer callers all route through it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this IS the recovery serve path: it must call the raw simulator to observe injected faults; outer callers all route through it"
+        )]
         match sim.service(seg) {
             Ok(t) => {
                 total.overhead_ms += t.overhead_ms;
@@ -358,7 +361,10 @@ impl DeviceModel for RecoveringDisk {
     ) -> multimap_disksim::Result<RequestTiming> {
         match (kind, &mut self.recovery) {
             (AccessKind::Write, _) => self.sim.service_write(req),
-            // staticcheck: allow(no-direct-service) — the pass-through service primitive itself; conformance audits the observed paths.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pass-through service primitive itself; conformance audits the observed paths"
+            )]
             (AccessKind::Read, None) => self.sim.service(req),
             (AccessKind::Read, Some(r)) => {
                 let (mut t, outcome) =

@@ -45,7 +45,6 @@ impl VolumeBatchTiming {
 
     /// Sum of busy time across all disks.
     pub fn total_busy_ms(&self) -> f64 {
-        // staticcheck: allow(det-float-sum) — `per_disk` has one slot per member disk in fixed disk-index order; the sum order never varies.
         self.per_disk.iter().map(|b| b.total_ms).sum()
     }
 }
@@ -130,8 +129,11 @@ impl<D: DeviceModel> DeviceVolume<D> {
     }
 
     /// Service one read on one device.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the volume service primitive itself; conformance audits the observed paths"
+    )]
     pub fn service(&self, device: usize, req: Request) -> Result<RequestTiming> {
-        // staticcheck: allow(no-direct-service) — the volume service primitive itself; conformance audits the observed paths.
         Ok(self.device(device)?.lock().service(req)?)
     }
 
@@ -319,9 +321,11 @@ impl DeviceVolume<RecoveringDisk> {
     /// # Panics
     /// Panics if `ndisks` is zero; [`LogicalVolume::try_new`] is the
     /// non-panicking variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on a construction precondition; every fallible caller has try_new"
+    )]
     pub fn new(geometry: DiskGeometry, ndisks: usize) -> Self {
-        // staticcheck: allow(no-unwrap) — documented panic on a construction
-        // precondition; every fallible caller has try_new.
         Self::try_new(geometry, ndisks).expect("a volume needs at least one disk")
     }
 

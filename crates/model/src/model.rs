@@ -207,7 +207,7 @@ pub fn multimap_range_total_ms(p: &ModelParams, extents: &[u64], query: &[u64]) 
     // Cube-boundary crossings replace an adjacency step with a short
     // seek + average rotational miss.
     let mut crossings = 0u64;
-    #[allow(clippy::needless_range_loop)] // parallel index into shape.k
+    #[expect(clippy::needless_range_loop, reason = "parallel index into shape.k")]
     for d in 1..n {
         if query[d] > 1 {
             let per_line = (query[d] - 1) / shape.k[d];
@@ -222,6 +222,10 @@ pub fn multimap_range_total_ms(p: &ModelParams, extents: &[u64], query: &[u64]) 
 }
 
 /// The basic-cube shape the mapping layer would pick.
+#[expect(
+    clippy::expect_used,
+    reason = "ModelParams::from_geometry derives feasible constraints from a real geometry"
+)]
 fn multimap_shape(p: &ModelParams, extents: &[u64]) -> BasicCubeShape {
     solve_basic_cube(
         extents,
@@ -231,7 +235,6 @@ fn multimap_shape(p: &ModelParams, extents: &[u64]) -> BasicCubeShape {
             zone_tracks: p.zone_tracks,
         },
     )
-    // staticcheck: allow(no-unwrap) — ModelParams::from_geometry derives feasible constraints from a real geometry.
     .expect("model inputs must admit a basic cube")
 }
 

@@ -48,12 +48,18 @@ fn leaf_key(order: LeafOrder, leaf: &Leaf, max_level: u32) -> u64 {
             (leaf.corner[2] << 42) | (leaf.corner[1] << 21) | leaf.corner[0]
         }
         LeafOrder::ZOrder => {
-            // staticcheck: allow(no-unwrap) — debug_assert above bounds max_level at 20, under the per-axis bit cap.
+            #[expect(
+                clippy::expect_used,
+                reason = "debug_assert above bounds max_level at 20, under the per-axis bit cap"
+            )]
             let z = ZCurve::new(3, max_level.max(1)).expect("≤ 60 bits");
             z.index(&leaf.corner)
         }
         LeafOrder::Hilbert => {
-            // staticcheck: allow(no-unwrap) — same max_level bound as the Z-order arm above.
+            #[expect(
+                clippy::expect_used,
+                reason = "same max_level bound as the Z-order arm above"
+            )]
             let h = HilbertCurve::new(3, max_level.max(1)).expect("≤ 60 bits");
             h.index(&leaf.corner)
         }
@@ -157,11 +163,14 @@ impl SkewedMultiMap {
                 },
             ) {
                 Ok(m) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "MultiMapping layouts always occupy at least one zone"
+                    )]
                     let last_zone = m
                         .layout()
                         .zones()
                         .last()
-                        // staticcheck: allow(no-unwrap) — MultiMapping layouts always occupy at least one zone.
                         .expect("layout uses at least one zone")
                         .zone_index;
                     zone_cursor = last_zone + 1;
@@ -223,9 +232,12 @@ impl SkewedMultiMap {
         for (region, mapping) in &self.regions {
             if region.contains_leaf(leaf, self.max_level) {
                 let c = region.cell_coord(leaf, self.max_level);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "contains_leaf just verified the leaf lies inside this region's grid"
+                )]
                 return mapping
                     .lbn_of(&[c[0], c[1], c[2]])
-                    // staticcheck: allow(no-unwrap) — contains_leaf just verified the leaf lies inside this region's grid.
                     .expect("region cell coords are in the region grid");
             }
         }

@@ -193,7 +193,6 @@ impl Octree {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn query(
         node: &Node,
         level: u32,

@@ -15,7 +15,10 @@
 //! device-owned transition classification are the same code on all of
 //! them.
 
-// staticcheck: allow-file(det-wall-clock) — span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them"
+)]
 use std::time::Instant;
 
 use multimap_core::{

@@ -38,7 +38,7 @@
 //! perturbing simulated timings (see `docs/observability.md`), and a
 //! [`BlockCache`] on any backend.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 #![warn(missing_docs)]
 
 pub mod cache;

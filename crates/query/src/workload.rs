@@ -31,7 +31,10 @@ pub fn range_edge_for_selectivity(grid: &GridSpec, selectivity_pct: f64) -> u64 
     let n = grid.ndims() as f64;
     let target = grid.cells() as f64 * selectivity_pct / 100.0;
     let edge = target.powf(1.0 / n).round().max(1.0) as u64;
-    // staticcheck: allow(no-unwrap) — GridSpec construction rejects zero-dimension grids.
+    #[expect(
+        clippy::expect_used,
+        reason = "GridSpec construction rejects zero-dimension grids"
+    )]
     let min_extent = grid.extents().iter().copied().min().expect("non-empty");
     edge.min(min_extent)
 }

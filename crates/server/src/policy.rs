@@ -127,13 +127,19 @@ pub fn select_batch(
                         },
                     }
                 }
-                // staticcheck: allow(no-unwrap) — loop precondition: pending is non-empty while batch < take, so a max-credit tenant exists.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "loop precondition: pending is non-empty while batch < take, so a max-credit tenant exists"
+                )]
                 let t = best.expect("pending is non-empty while batch < take");
                 // That tenant's earliest-admitted request.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`t` was selected from tenants with queued work just above"
+                )]
                 let i = pending
                     .iter()
                     .position(|q| q.req.tenant == t)
-                    // staticcheck: allow(no-unwrap) — `t` was selected from tenants with queued work two lines up.
                     .expect("winner has queued work");
                 credits[t] -= 1.0;
                 batch.push(pending.remove(i));

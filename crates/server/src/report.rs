@@ -178,8 +178,6 @@ impl ServingReport {
             && self.policy == other.policy
             && self.batches == other.batches
             && self.dispatched_requests == other.dispatched_requests
-            // staticcheck: allow(float-cmp) — bit-equality is the point
-            // of the determinism witness.
             && self.makespan_ms.to_bits() == other.makespan_ms.to_bits()
             && self.digest == other.digest
             && self.dispatched == other.dispatched
@@ -192,10 +190,8 @@ impl ServingReport {
                     a.tenant == b.tenant
                         && a.seq == b.seq
                         && a.outcome == b.outcome
-                        // staticcheck: allow(float-cmp) — exact-bits witness.
                         && a.arrive_ms.to_bits() == b.arrive_ms.to_bits()
                         && a.dispatch_ms.map(f64::to_bits) == b.dispatch_ms.map(f64::to_bits)
-                        // staticcheck: allow(float-cmp) — exact-bits witness.
                         && a.resolve_ms.to_bits() == b.resolve_ms.to_bits()
                 })
             && self.tenants.len() == other.tenants.len()

@@ -175,7 +175,10 @@ impl ClientGen {
     /// announced). Panics if none is schedulable — the serving loop only
     /// calls this behind a `peek_arrival()` check.
     pub fn emit(&mut self) -> TenantRequest {
-        // staticcheck: allow(no-unwrap) — documented contract: callers gate emit() behind peek_arrival().
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: callers gate emit() behind peek_arrival()"
+        )]
         let arrival = self.next_arrival.take().expect("emit() without a schedulable arrival");
         let seq = self.emitted;
         self.emitted += 1;

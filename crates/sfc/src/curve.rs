@@ -66,8 +66,11 @@ pub trait SpaceFillingCurve {
     /// # Panics
     /// Panics if `coords.len() != dims()` or any coordinate is out of
     /// range; use [`Self::try_index`] for a checked variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking variant; the # Panics contract points at try_index"
+    )]
     fn index(&self, coords: &[u64]) -> u64 {
-        // staticcheck: allow(no-unwrap) — documented panicking variant; the # Panics contract points at try_index.
         self.try_index(coords).expect("coords out of range")
     }
 

@@ -11,8 +11,6 @@
 //!   deterministic sample of cells to pin the implementation to the
 //!   structure the argument reasoned about.
 
-use std::collections::HashSet;
-
 use multimap_core::{CurveMapping, Mapping, MultiMapping, NaiveMapping};
 use multimap_sfc::SpaceFillingCurve;
 
@@ -30,8 +28,11 @@ const STRUCTURAL_SAMPLES: usize = 4_096;
 pub fn check_exhaustive(m: &dyn Mapping, dense: bool) -> Verdict {
     let grid = m.grid();
     let cells = grid.cells();
-    // staticcheck: allow(det-unordered-collection) — membership-only duplicate detector: insert/contains by exact LBN, never iterated; verdict text orders findings by cell walk, not by set order.
-    let mut seen = HashSet::with_capacity(cells as usize);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only duplicate detector: insert/contains by exact LBN, never iterated; verdict text orders findings by cell walk, not by set order"
+    )]
+    let mut seen = std::collections::HashSet::with_capacity(cells as usize);
     let mut details = Vec::new();
     let mut min_lbn = u64::MAX;
     let mut max_lbn = 0u64;
@@ -352,8 +353,11 @@ pub enum MappingClass<'a> {
 }
 
 fn spot_check_roundtrip(m: &dyn Mapping, details: &mut Vec<String>) {
-    // staticcheck: allow(det-unordered-collection) — membership-only duplicate detector over sampled coords; never iterated.
-    let mut seen = HashSet::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only duplicate detector over sampled coords; never iterated"
+    )]
+    let mut seen = std::collections::HashSet::new();
     for c in sample_coords(m.grid(), STRUCTURAL_SAMPLES) {
         if details.len() >= 8 {
             return;

@@ -1,51 +1,46 @@
-//! `staticcheck` CLI: run the invariant prover, the source lint and/or
-//! the determinism analyzer.
+//! `staticcheck` CLI: run the layout invariant prover and the
+//! selector-bound prover.
 //!
 //! ```text
-//! staticcheck verify      [--quick] [--json PATH]        layout invariant sweep
-//! staticcheck lint        [--json PATH] [ROOT]           classic source lint
-//! staticcheck determinism [--quick] [--json PATH] [ROOT] det lints + selector bounds
-//! staticcheck all         [--quick] [--json PATH] [ROOT] every prong
+//! staticcheck verify [--quick] [--json PATH]
 //! ```
 //!
 //! Exit code 0 when every check passes (or is skipped), 1 on any
 //! violation, 2 on usage or I/O errors.
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use staticcheck::lint::{self, RuleSelection};
 use staticcheck::report::Report;
 use staticcheck::selector_bounds;
 use staticcheck::sweep;
 
 struct Args {
-    command: String,
     quick: bool,
     json: Option<PathBuf>,
-    root: Option<PathBuf>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: staticcheck <verify|lint|determinism|all> [--quick] [--json PATH] [ROOT]");
+    eprintln!("usage: staticcheck verify [--quick] [--json PATH]");
     ExitCode::from(2)
 }
 
 fn parse_args() -> Option<Args> {
     let mut args = std::env::args().skip(1);
-    let command = args.next()?;
+    if args.next()? != "verify" {
+        return None;
+    }
     let mut parsed = Args {
-        command,
         quick: false,
         json: None,
-        root: None,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => parsed.quick = true,
             "--json" => parsed.json = Some(PathBuf::from(args.next()?)),
-            _ if a.starts_with("--") => return None,
-            _ => parsed.root = Some(PathBuf::from(a)),
+            _ => return None,
         }
     }
     Some(parsed)
@@ -57,18 +52,11 @@ fn run_verify(quick: bool) -> Report {
     } else {
         sweep::default_sweep()
     };
-    eprintln!("staticcheck: proving layout invariants over {} configurations…", configs.len());
-    sweep::run_sweep(&configs)
-}
-
-fn run_lint(root: &std::path::Path, sel: RuleSelection) -> std::io::Result<Report> {
-    let outcome = lint::lint_workspace_selected(root, sel)?;
-    let allowed: usize = outcome.allowed.values().sum();
     eprintln!(
-        "staticcheck: linted {} files ({allowed} findings allowlisted)",
-        outcome.files
+        "staticcheck: proving layout invariants over {} configurations…",
+        configs.len()
     );
-    Ok(outcome.report)
+    sweep::run_sweep(&configs)
 }
 
 fn run_selector_bounds(quick: bool) -> Report {
@@ -84,59 +72,12 @@ fn run_selector_bounds(quick: bool) -> Report {
     selector_bounds::run(&configs)
 }
 
-fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
-    if let Some(r) = explicit {
-        return r;
-    }
-    // The manifest dir is crates/staticcheck; the workspace root is two up.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
 fn main() -> ExitCode {
     let Some(args) = parse_args() else {
         return usage();
     };
-    let mut report = Report::new();
-    match args.command.as_str() {
-        "verify" => report.merge(run_verify(args.quick)),
-        "lint" => match run_lint(&workspace_root(args.root.clone()), RuleSelection::Classic) {
-            Ok(r) => report.merge(r),
-            Err(e) => {
-                eprintln!("staticcheck: lint failed: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        "determinism" => {
-            match run_lint(
-                &workspace_root(args.root.clone()),
-                RuleSelection::Determinism,
-            ) {
-                Ok(r) => report.merge(r),
-                Err(e) => {
-                    eprintln!("staticcheck: lint failed: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            report.merge(run_selector_bounds(args.quick));
-        }
-        "all" => {
-            report.merge(run_verify(args.quick));
-            match run_lint(&workspace_root(args.root.clone()), RuleSelection::All) {
-                Ok(r) => report.merge(r),
-                Err(e) => {
-                    eprintln!("staticcheck: lint failed: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            report.merge(run_selector_bounds(args.quick));
-        }
-        _ => return usage(),
-    }
+    let mut report = run_verify(args.quick);
+    report.merge(run_selector_bounds(args.quick));
     print!("{}", report.render_text());
     if let Some(path) = &args.json {
         let doc = report.to_json().to_pretty();

@@ -1,13 +1,13 @@
 //! Machine-readable results of a static-analysis run.
 //!
-//! Both prongs (the layout invariant prover and the source lint) reduce
-//! to a [`Report`]: a list of named checks, each with a [`Verdict`].
+//! Both provers (layout invariants and selector bounds) reduce to a
+//! [`Report`]: a list of named checks, each with a [`Verdict`].
 //! Reports serialize to JSON (via `multimap_telemetry::json`) so CI
 //! can archive them, and `is_clean` drives the process exit code.
 
 use multimap_telemetry::json::Value;
 
-/// Outcome of one invariant check or lint rule on one subject.
+/// Outcome of one invariant check on one subject.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The invariant holds; `method` names the proof strategy
@@ -39,11 +39,11 @@ impl Verdict {
 /// One named check applied to one subject under one configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckOutcome {
-    /// Invariant or rule identifier (`bijection`, `adjacency-step`, …).
+    /// Invariant identifier (`bijection`, `adjacency-step`, …).
     pub invariant: String,
-    /// What was checked (mapping name, file path, …).
+    /// What was checked (mapping name, drive, …).
     pub subject: String,
-    /// Sweep configuration (profile and grid) or rule scope.
+    /// Sweep configuration (profile and grid).
     pub config: String,
     /// The result.
     pub verdict: Verdict,

@@ -290,7 +290,10 @@ fn build_snapshots(geom: &DiskGeometry, profiles: &[RequestProfile]) -> Vec<Disk
     let mut out = vec![sim.clone()];
     let stride = (profiles.len() / 9).max(1);
     for (i, p) in profiles.iter().step_by(stride).enumerate() {
-        // staticcheck: allow(no-direct-service) — the prover drives a private throwaway simulator to mint head states; no observed scheduling path is bypassed.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the prover drives a private throwaway simulator to mint head states; no observed scheduling path is bypassed"
+        )]
         if sim.service(p.request()).is_err() {
             continue;
         }
@@ -579,7 +582,6 @@ fn check_bucket(geom: &DiskGeometry, items: &[u64], t_arrive: f64, details: &mut
         let wait = geom.rotational_wait_from_phase(angle, phase);
         let delta = angle - phase;
         let in_clamp = delta < 0.0 && delta + 1.0 > 1.0 - ROTATION_WRAP_GUARD;
-        // staticcheck: allow(float-cmp) — exactness is the property under proof: the clamp must report a wait of literal 0.0, not merely a small one.
         if in_clamp && wait != 0.0 {
             details.push(format!(
                 "angle {angle} phase {phase}: clamp-window wait {wait} != 0"

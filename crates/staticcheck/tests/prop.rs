@@ -4,8 +4,7 @@
 //! enumeration on every small grid it could be handed — for all four
 //! mapping families, in both directions: correct mappings prove clean,
 //! and deliberately corrupted mappings are flagged. A final self-test
-//! runs the quick sweep and the workspace lint so `cargo test` fails the
-//! moment either prong regresses.
+//! runs the quick sweep so `cargo test` fails the moment it regresses.
 
 use std::collections::HashSet;
 
@@ -16,7 +15,7 @@ use multimap_disksim::{adjacent_lbn, profiles, Lbn};
 use proptest::prelude::*;
 use staticcheck::bijection::{check_auto, check_exhaustive, MappingClass};
 use staticcheck::report::Report;
-use staticcheck::{adjacency, lint, sweep};
+use staticcheck::{adjacency, sweep};
 
 /// Brute-force bijection oracle, independent of the analyzer: enumerate
 /// every cell, demand distinct LBNs and exact inverses, and (for dense
@@ -231,25 +230,14 @@ proptest! {
     }
 }
 
-/// Self-test: the quick invariant sweep and the workspace lint must both
-/// be clean, so plain `cargo test` enforces what CI enforces.
+/// Self-test: the quick invariant sweep must be clean, so plain
+/// `cargo test` enforces what CI enforces.
 #[test]
-fn quick_sweep_and_workspace_lint_are_clean() {
+fn quick_sweep_is_clean() {
     let report = sweep::run_sweep(&sweep::quick_sweep());
     assert!(
         report.is_clean(),
         "quick sweep found violations:\n{}",
         report.render_text()
-    );
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists");
-    let outcome = lint::lint_workspace(&root).expect("lint reads workspace sources");
-    assert!(
-        outcome.report.is_clean(),
-        "workspace lint found violations:\n{}",
-        outcome.report.render_text()
     );
 }

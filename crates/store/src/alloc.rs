@@ -48,10 +48,13 @@ impl ZoneAllocator {
     }
 
     /// The disk with the most free zones (ties go to the lowest index).
+    #[expect(
+        clippy::expect_used,
+        reason = "ZoneAllocator::new requires at least one disk, so the range is never empty"
+    )]
     pub fn most_free_disk(&self, geom: &DiskGeometry) -> usize {
         (0..self.cursors.len())
             .max_by_key(|&d| (self.free_zones(geom, d), usize::MAX - d))
-            // staticcheck: allow(no-unwrap) — ZoneAllocator::new requires at least one disk, so the range is never empty.
             .expect("at least one disk")
     }
 

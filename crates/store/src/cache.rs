@@ -105,7 +105,10 @@ impl ClockPolicy {
 
 impl EvictionPolicy for ClockPolicy {
     fn on_admit(&mut self, lbn: Lbn) {
-        // staticcheck: allow(no-unwrap) — the cache evicts before admitting past capacity, so a slot is always free.
+        #[expect(
+            clippy::expect_used,
+            reason = "the cache evicts before admitting past capacity, so a slot is always free"
+        )]
         let slot = self.free.pop().expect("a slot is free on admit");
         self.slots[slot] = Some((lbn, false));
         self.index.insert(lbn, slot);

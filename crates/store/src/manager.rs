@@ -482,18 +482,24 @@ impl<D: DeviceModel> StorageManager<D> {
                         zone_limit: None,
                     },
                 )?;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "MultiMapping layouts always occupy at least one zone"
+                )]
                 let last_zone = m
                     .layout()
                     .zones()
                     .last()
-                    // staticcheck: allow(no-unwrap) — MultiMapping layouts always occupy at least one zone.
                     .expect("layout uses at least one zone")
                     .zone_index;
                 let zones = last_zone + 1 - first_zone;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "disk selection above verified the allocator can grant these zones"
+                )]
                 let grant = self
                     .allocator
                     .grant(&geom, disk, zones)
-                    // staticcheck: allow(no-unwrap) — disk selection above verified the allocator can grant these zones.
                     .expect("cursor was checked");
                 (grant, Box::new(m))
             }

@@ -77,7 +77,6 @@ impl Value {
     /// The value as `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // staticcheck: allow(float-cmp) — exact integrality test: fract() of an integral f64 is exactly 0.0.
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }

@@ -29,7 +29,7 @@
 //! determinism rules and for where the telemetry and fault numbers are
 //! recorded and checked.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 #![deny(missing_docs)]
 
 pub mod json;

@@ -81,10 +81,7 @@ impl Tally {
     /// exact sum and maximum — the determinism witness).
     pub fn identical(&self, other: &Tally) -> bool {
         self.count == other.count
-            // staticcheck: allow(float-cmp) — bit-equality is the point:
-            // this is the determinism witness, not a tolerance check.
             && self.sum_ms.to_bits() == other.sum_ms.to_bits()
-            // staticcheck: allow(float-cmp) — same: exact-bits witness.
             && self.max_ms.to_bits() == other.max_ms.to_bits()
     }
 }

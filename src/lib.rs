@@ -45,7 +45,7 @@
 //! assert!(t_mm.total_io_ms < t_naive.total_io_ms);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 
 pub use multimap_core as core;
 pub use multimap_disksim as disksim;
