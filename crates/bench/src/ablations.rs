@@ -88,7 +88,10 @@ pub fn queue_depth(scale: Scale) -> Table {
         let exec = QueryExecutor::with_options(
             &volume,
             0,
-            ExecOptions::builder().queue_depth(depth).build(),
+            ExecOptions {
+                queue_depth: depth,
+                ..ExecOptions::default()
+            },
         );
         let mut rng = workload_rng(0xab2);
         let region = random_range(&grid, 10.0, &mut rng);
@@ -125,7 +128,10 @@ pub fn request_sorting(scale: Scale) -> Table {
             let exec = QueryExecutor::with_options(
                 &volume,
                 0,
-                ExecOptions::builder().range(order).build(),
+                ExecOptions {
+                    range: order,
+                    ..ExecOptions::default()
+                },
             );
             let mut rng = workload_rng(0xab3);
             let region = random_range(&grid, 1.0, &mut rng);

@@ -103,24 +103,13 @@ fn write_pairs(scale: Scale) -> u64 {
     }
 }
 
-/// The registry backends the sweep covers: all of them, or just the one
-/// named by a `--backend` CLI filter.
-pub fn selected_backends(filter: Option<&str>) -> Vec<&'static str> {
-    BACKEND_NAMES
-        .iter()
-        .copied()
-        .filter(|b| filter.map(|f| f == *b).unwrap_or(true))
-        .collect()
-}
-
-/// Run the backend × mapping matrix: every selected backend serves the
+/// Run the backend × mapping matrix: every registry backend serves the
 /// same deterministic beam workload and interior range query on every
 /// mapping, through [`QueryExecutor`] over a registry-built volume.
-pub fn run(scale: Scale, filter: Option<&str>) -> Vec<BackendCell> {
+pub fn run(scale: Scale) -> Vec<BackendCell> {
     let geom = &profiles::evaluation_disks()[0];
     let grid = bench_grid(scale);
     let mappings = build_mappings(geom, &grid);
-    let backends = selected_backends(filter);
     let beams = beam_count(scale);
     let range = BoxRegion::new(
         [1u64, 1, 1],
@@ -131,7 +120,7 @@ pub fn run(scale: Scale, filter: Option<&str>) -> Vec<BackendCell> {
         ],
     );
 
-    let items: Vec<(&'static str, usize)> = backends
+    let items: Vec<(&'static str, usize)> = BACKEND_NAMES
         .iter()
         .flat_map(|&b| (0..mappings.len()).map(move |m| (b, m)))
         .collect();
@@ -171,15 +160,14 @@ pub fn run(scale: Scale, filter: Option<&str>) -> Vec<BackendCell> {
     })
 }
 
-/// Run the write sweep: each selected backend flushes the same
+/// Run the write sweep: each registry backend flushes the same
 /// interlaced track-pair write workload through [`DeviceStore`]. Top
 /// (odd-cylinder) tracks are written and flushed first, then the
 /// interlaced bottom (even-cylinder) neighbors — the order that forces
 /// an IMR backend to pay read-modify-write on every bottom write.
-pub fn write_sweep(scale: Scale, filter: Option<&str>) -> Vec<WriteCell> {
-    let backends = selected_backends(filter);
+pub fn write_sweep(scale: Scale) -> Vec<WriteCell> {
     let pairs = write_pairs(scale);
-    multimap_engine::sweep(&backends, |&backend| {
+    multimap_engine::sweep(&BACKEND_NAMES, |&backend| {
         let geom = profiles::small();
         let volume = backend_volume(backend, &geom, 1).expect("registry backend builds");
         let mut store = DeviceStore::new(volume, CacheConfig::default());
@@ -278,15 +266,12 @@ pub fn write_table(scale: Scale, cells: &[WriteCell]) -> Table {
 
 /// Both tables of the `backends` figure id as `(TSV file stem, table)`
 /// pairs: the query matrix, then the write sweep.
-pub fn tables(scale: Scale, filter: Option<&str>) -> Vec<(String, Table)> {
+pub fn tables(scale: Scale) -> Vec<(String, Table)> {
     vec![
-        (
-            "backend_matrix".to_string(),
-            table(scale, &run(scale, filter)),
-        ),
+        ("backend_matrix".to_string(), table(scale, &run(scale))),
         (
             "backend_write_sweep".to_string(),
-            write_table(scale, &write_sweep(scale, filter)),
+            write_table(scale, &write_sweep(scale)),
         ),
     ]
 }
@@ -297,7 +282,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_backends_times_mappings_with_matching_payloads() {
-        let cells = run(Scale::Quick, None);
+        let cells = run(Scale::Quick);
         assert_eq!(cells.len(), BACKEND_NAMES.len() * 4);
         assert!(payload_match(&cells), "payloads diverged across backends");
         for c in &cells {
@@ -307,19 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_filter_restricts_the_matrix() {
-        let cells = run(Scale::Quick, Some("ssd"));
-        assert_eq!(cells.len(), 4);
-        assert!(cells.iter().all(|c| c.backend == "ssd"));
-        assert_eq!(selected_backends(Some("imr")), vec!["imr"]);
-        assert_eq!(selected_backends(None), BACKEND_NAMES.to_vec());
-    }
-
-    #[test]
     fn imr_reads_are_bit_identical_to_the_rotating_disk() {
         // The IMR read path delegates to the rotating mechanics, so the
         // whole query matrix must agree bit-for-bit between the two.
-        let cells = run(Scale::Quick, None);
+        let cells = run(Scale::Quick);
         for mapping in ["Naive", "Z-order", "Hilbert", "MultiMap"] {
             let pick = |backend: &str| {
                 cells
@@ -341,7 +317,7 @@ mod tests {
 
     #[test]
     fn only_the_imr_backend_amplifies_the_write_sweep() {
-        let cells = write_sweep(Scale::Quick, None);
+        let cells = write_sweep(Scale::Quick);
         assert_eq!(cells.len(), BACKEND_NAMES.len());
         assert!(
             sweep_rewrites(&cells, "imr") > 0,

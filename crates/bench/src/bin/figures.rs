@@ -5,15 +5,11 @@
 //! cargo run --release -p multimap-bench --bin figures -- fig6a fig6b
 //! cargo run --release -p multimap-bench --bin figures -- --quick all
 //! cargo run --release -p multimap-bench --bin figures -- --replot all
-//! cargo run --release -p multimap-bench --bin figures -- --quick --backend ssd backends
 //! ```
 //!
 //! `--replot` rebuilds the SVG charts from previously saved TSVs without
-//! re-running any experiment. `--backend` restricts the `backends`
-//! matrix to one registry device backend (`disk`, `ssd` or `imr`); a
-//! restricted matrix is printed but not saved, so it never replaces the
-//! full tables. An option or figure id this binary does not know is a
-//! usage error (exit status 2) before anything runs.
+//! re-running any experiment. An option or figure id this binary does
+//! not know is a usage error (exit status 2) before anything runs.
 //!
 //! Results are printed and saved as TSV under `results/<scale>/`. The
 //! quick-scale TSVs are checked in and pinned byte-exact by
@@ -27,7 +23,7 @@ use std::time::Instant;
 
 use multimap_bench::figure_plots::auto_plots;
 use multimap_bench::plot::save_svg;
-use multimap_bench::{backends, run_figure, Scale, Table, FIGURE_IDS};
+use multimap_bench::{run_figure, Scale, Table, FIGURE_IDS};
 
 /// TSV file name for each figure id.
 fn tsv_name(fig: &str) -> Option<&'static str> {
@@ -42,8 +38,7 @@ fn tsv_name(fig: &str) -> Option<&'static str> {
     })
 }
 
-const USAGE: &str =
-    "usage: figures [--quick] [--replot] [--backend disk|ssd|imr] [all | <figure id>...]";
+const USAGE: &str = "usage: figures [--quick] [--replot] [all | <figure id>...]";
 
 /// A command line this binary does not understand: say why, exit 2.
 /// Nothing has run or been written yet.
@@ -56,20 +51,11 @@ fn usage_error(why: String) -> ! {
 
 fn main() {
     let (mut quick, mut replot, mut all) = (false, false, false);
-    let mut backend: Option<String> = None;
     let mut figures: Vec<&str> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => quick = true,
             "--replot" => replot = true,
-            "--backend" => match args.next() {
-                Some(name) if multimap_disksim::BACKEND_NAMES.contains(&name.as_str()) => {
-                    backend = Some(name)
-                }
-                Some(name) => usage_error(format!("unknown --backend '{name}'")),
-                None => usage_error("--backend needs a value".into()),
-            },
             "all" => all = true,
             flag if flag.starts_with("--") => usage_error(format!("unknown option '{flag}'")),
             id => match FIGURE_IDS.iter().find(|known| **known == id) {
@@ -133,24 +119,13 @@ fn main() {
             reason = "progress reporting only: the elapsed time is printed to stderr and never reaches a figure table"
         )]
         let started = Instant::now();
-        // A `--backend`-restricted matrix is a view of the full one:
-        // printed, never saved over the pinned tables.
-        let filtered = fig == "backends" && backend.is_some();
-        let tables = if filtered {
-            backends::tables(scale, backend.as_deref())
-        } else {
-            run_figure(fig, scale).expect("ids were checked against FIGURE_IDS")
-        };
+        let tables = run_figure(fig, scale).expect("ids were checked against FIGURE_IDS");
         for (name, table) in &tables {
             table.print();
             println!();
-            if !filtered {
-                saved(&format!("{name}.tsv"), table.save_tsv(&out_dir, name));
-            }
+            saved(&format!("{name}.tsv"), table.save_tsv(&out_dir, name));
         }
-        if filtered {
-            println!("(--backend view: printed only, results/ left untouched)\n");
-        } else if let Some((_, first)) = tables.first() {
+        if let Some((_, first)) = tables.first() {
             // Charts are drawn from an id's first table.
             for (plot_name, svg) in auto_plots(fig, first) {
                 saved(

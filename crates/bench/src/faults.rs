@@ -15,7 +15,7 @@
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, FaultPlan};
-use multimap_lvm::{LogicalVolume, RecoveryConfig};
+use multimap_lvm::{DeviceVolume, LogicalVolume};
 use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
 
 use crate::harness::{build_mappings, ms, Table};
@@ -84,9 +84,8 @@ pub fn run() -> Table {
         let clean = QueryExecutor::new(&clean_volume, 0)
             .execute(query())
             .expect("clean query runs");
-        let volume =
-            LogicalVolume::with_recovery(geom.clone(), 1, plan.clone(), RecoveryConfig::default())
-                .expect("recovering volume builds");
+        let volume = DeviceVolume::with_recovery(geom.clone(), 1, plan.clone())
+            .expect("recovering volume builds");
         let faulted = QueryExecutor::new(&volume, 0)
             .execute(query())
             .expect("faulted query recovers");

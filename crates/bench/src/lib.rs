@@ -77,7 +77,7 @@ pub fn run_figure(fig: &str, scale: Scale) -> Option<Vec<(String, Table)>> {
                 .map(|(i, t)| (format!("ablation_{i}"), t))
                 .collect(),
         ),
-        "backends" => Some(backends::tables(scale, None)),
+        "backends" => Some(backends::tables(scale)),
         "pagecache" => one(
             "page_cache_sweep",
             pagecache::table(scale, &pagecache::run(scale)),

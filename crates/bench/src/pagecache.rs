@@ -125,12 +125,9 @@ pub fn run(scale: Scale) -> Vec<CacheCell> {
     let regions = streaming_beams(&grid, stream_count(scale));
     let mappings = build_mappings(geom, &grid);
     // A beam holds `extent(1)` cells; give sequential readahead the same
-    // speculative budget per query as a depth-1 adjacency prediction.
+    // speculative budget per query as a one-region adjacency prediction.
     let window = grid.extent(1);
-    let modes = [
-        PrefetchMode::Sequential { window },
-        PrefetchMode::Adjacency { depth: 1 },
-    ];
+    let modes = [PrefetchMode::Sequential { window }, PrefetchMode::Adjacency];
 
     let cells: Vec<(usize, usize, usize, usize)> = (0..mappings.len())
         .flat_map(|m| {

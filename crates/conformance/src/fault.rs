@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 
 use multimap_core::{BoxRegion, Coord, GridSpec};
 use multimap_disksim::{DiskGeometry, FaultCounts, FaultPlan};
-use multimap_lvm::{LogicalVolume, RecoveryConfig, RecoveryStats};
+use multimap_lvm::{DeviceVolume, LogicalVolume, RecoveryStats};
 use multimap_query::{QueryError, QueryResult};
 use multimap_telemetry::{Counter, Metrics};
 
@@ -67,7 +67,6 @@ pub fn fault_query(
     region: &BoxRegion,
     beam: bool,
     plan: &FaultPlan,
-    cfg: RecoveryConfig,
 ) -> Result<Vec<FaultRow>, QueryError> {
     let mappings = standard_mappings(geom, grid);
     let workload = [(region.clone(), beam)];
@@ -75,8 +74,8 @@ pub fn fault_query(
         let clean_volume = LogicalVolume::new(geom.clone(), 1);
         let clean = run_observed(&clean_volume, mapping.as_ref(), &workload, None)?.total();
 
-        let volume = LogicalVolume::with_recovery(geom.clone(), 1, plan.clone(), cfg)
-            .map_err(QueryError::from)?;
+        let volume =
+            DeviceVolume::with_recovery(geom.clone(), 1, plan.clone()).map_err(QueryError::from)?;
         let faulted = run_observed(&volume, mapping.as_ref(), &workload, None)?;
         let remaps = volume.remap_count(0).map_err(QueryError::from)?;
         Ok(FaultRow {
@@ -106,8 +105,8 @@ pub fn check_fault_plan(
     plan: &FaultPlan,
 ) -> Result<(), String> {
     let expected: BTreeSet<Coord> = region.cells_vec().into_iter().collect();
-    let rows = fault_query(geom, grid, region, beam, plan, RecoveryConfig::default())
-        .map_err(|e| format!("query failed: {e}"))?;
+    let rows =
+        fault_query(geom, grid, region, beam, plan).map_err(|e| format!("query failed: {e}"))?;
     for r in &rows {
         let label = &r.mapping;
         if r.faulted.payload != r.clean.payload {
@@ -210,9 +209,7 @@ mod tests {
         let grid = harness_grid();
         let region = BoxRegion::new([0u64, 0, 0], [12u64, 5, 3]);
         check_fault_plan(&geom, &grid, &region, false, &FaultPlan::none()).unwrap();
-        let rows =
-            fault_query(&geom, &grid, &region, false, &FaultPlan::none(), RecoveryConfig::default())
-                .unwrap();
+        let rows = fault_query(&geom, &grid, &region, false, &FaultPlan::none()).unwrap();
         for r in rows {
             assert!(r.stats.transients == 0 && r.stats.media_errors == 0);
             // With nothing injected the recovering path is also
@@ -241,8 +238,7 @@ mod tests {
         let grid = harness_grid();
         let plan = FaultPlan::new(42).with_media_error(7).with_transients(0.2, 2.5);
         let region = BoxRegion::new([0u64, 0, 0], [20u64, 7, 5]);
-        let rows =
-            fault_query(&geom, &grid, &region, false, &plan, RecoveryConfig::default()).unwrap();
+        let rows = fault_query(&geom, &grid, &region, false, &plan).unwrap();
         for r in rows {
             assert!(r.stats.transients > 0, "{}: no transients fired", r.mapping);
             assert_eq!(r.stats.media_errors, 1, "{}", r.mapping);

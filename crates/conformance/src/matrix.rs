@@ -467,7 +467,7 @@ pub fn check_cached_sweep(
     let config = CacheConfig {
         capacity_pages,
         eviction,
-        prefetch: PrefetchMode::Adjacency { depth: 1 },
+        prefetch: PrefetchMode::Adjacency,
         ..CacheConfig::default()
     };
     check_matrix(geom, grid, &workload, &config).map_err(|e| format!("{}: {e}", eviction.name()))

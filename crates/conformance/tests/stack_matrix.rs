@@ -15,7 +15,7 @@ use multimap_conformance::{
 };
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, DeviceModel, FaultPlan, Request, BACKEND_NAMES};
-use multimap_lvm::{backend_volume, DeviceVolume, LogicalVolume, RecoveryConfig, SchedulePolicy};
+use multimap_lvm::{backend_volume, DeviceVolume, SchedulePolicy};
 use multimap_query::{QueryExecutor, QueryRequest};
 use multimap_store::{CacheConfig, EvictionKind, LayoutChoice, StorageManager};
 use multimap_telemetry::{Counter, Metrics, Phase};
@@ -144,7 +144,7 @@ fn admission_ranks_index_the_submitted_slice_on_every_device() {
         check(name, &backend_volume(name, &geom, 1).unwrap());
     }
     let plan = FaultPlan::new(21).with_media_errors([997, 1_994]).with_transients(0.1, 2.0);
-    let recovering = LogicalVolume::with_recovery(geom, 1, plan, RecoveryConfig::default()).unwrap();
+    let recovering = DeviceVolume::with_recovery(geom, 1, plan).unwrap();
     check("recovering disk", &recovering);
     assert!(recovering.recovery_stats().remaps > 0, "the plan's media errors were hit");
 }
@@ -278,15 +278,7 @@ fn empty_plan_is_timing_identical_to_pristine_volume() {
     let geom = profiles::small();
     let grid = fault_grid();
     let region = BoxRegion::new([0u64, 0, 0], [23u64, 7, 5]);
-    let rows = fault_query(
-        &geom,
-        &grid,
-        &region,
-        false,
-        &FaultPlan::none(),
-        RecoveryConfig::default(),
-    )
-    .unwrap();
+    let rows = fault_query(&geom, &grid, &region, false, &FaultPlan::none()).unwrap();
     for r in rows {
         // Bit-level determinism pin: an empty plan must not perturb
         // timing, not merely stay within a tolerance.
@@ -335,15 +327,7 @@ fn matrix_is_thread_count_invariant() {
     let plan = plan_matrix().remove(3).1;
     let faulted = |threads: usize| {
         multimap_engine::set_threads(threads);
-        fault_query(
-            &geom,
-            &fault_grid,
-            &region,
-            false,
-            &plan,
-            RecoveryConfig::default(),
-        )
-        .unwrap()
+        fault_query(&geom, &fault_grid, &region, false, &plan).unwrap()
     };
     let serial = faulted(1);
     let parallel = faulted(4);

@@ -56,4 +56,4 @@ pub use naive::NaiveMapping;
 pub use translation::{
     shared_cache, FlatTranslation, TranslationCache, TranslationKey, MIN_CACHED_LOOKUPS,
 };
-pub use updates::{CellStore, UpdateConfig, UpdateStats};
+pub use updates::{CellStore, UpdateStats, CELL_CAPACITY};

@@ -16,7 +16,7 @@
 //! mapping families.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use multimap_disksim::Lbn;
 
@@ -218,32 +218,25 @@ impl TranslationKey {
 /// A small LRU of recently built [`FlatTranslation`] tables, shared
 /// across threads.
 ///
-/// Capacity is a handful of grids — benchmark sweeps cycle through at
-/// most a few (drive × mapping) combinations at a time, and one table
-/// for the paper-scale grid is a few MiB.
+/// [`shared_cache`] is the one instance. It holds eight grids —
+/// benchmark sweeps cycle through at most a few (drive × mapping)
+/// combinations at a time, and one table for the paper-scale grid is a
+/// few MiB.
 #[derive(Debug)]
 pub struct TranslationCache {
     entries: Mutex<Vec<(TranslationKey, Arc<FlatTranslation>)>>,
-    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl TranslationCache {
-    /// Default number of tables retained.
-    pub const DEFAULT_CAPACITY: usize = 8;
+/// Tables the cache retains.
+const CAPACITY: usize = 8;
 
-    /// An empty cache holding at most `capacity` tables.
-    ///
-    /// A capacity of zero means *caching disabled*: every lookup builds
-    /// a fresh table, counts as a miss, and nothing is ever retained.
-    /// (Earlier versions silently clamped 0 to 1, so a caller asking
-    /// for "no caching" got a one-entry cache instead — surprising under
-    /// memory pressure and impossible to express otherwise.)
-    pub fn new(capacity: usize) -> Self {
+impl TranslationCache {
+    /// An empty cache.
+    const fn empty() -> Self {
         TranslationCache {
             entries: Mutex::new(Vec::new()),
-            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -261,13 +254,6 @@ impl TranslationCache {
     /// where the process-wide [`TranslationCache::hits`] counters would
     /// be racy deltas under a parallel sweep.
     pub fn translate_tracked(&self, mapping: &dyn Mapping) -> Result<(Arc<FlatTranslation>, bool)> {
-        if self.capacity == 0 {
-            // Caching disabled: pure pass-through. Every lookup builds
-            // and is a miss; no key probing, no lock traffic.
-            let table = Arc::new(FlatTranslation::build(mapping)?);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((table, false));
-        }
         let key = TranslationKey::of(mapping)?;
         {
             let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
@@ -293,7 +279,7 @@ impl TranslationCache {
             return Ok((table, false));
         }
         entries.insert(0, (key, Arc::clone(&table)));
-        entries.truncate(self.capacity);
+        entries.truncate(CAPACITY);
         Ok((table, false))
     }
 
@@ -329,17 +315,11 @@ impl TranslationCache {
     }
 }
 
-impl Default for TranslationCache {
-    fn default() -> Self {
-        TranslationCache::new(Self::DEFAULT_CAPACITY)
-    }
-}
-
 /// The process-wide cache used by the query executors and the
 /// conformance harness.
 pub fn shared_cache() -> &'static TranslationCache {
-    static SHARED: OnceLock<TranslationCache> = OnceLock::new();
-    SHARED.get_or_init(TranslationCache::default)
+    static SHARED: TranslationCache = TranslationCache::empty();
+    &SHARED
 }
 
 #[cfg(test)]
@@ -459,11 +439,10 @@ mod tests {
 
     #[test]
     fn cache_hits_on_equal_mappings_and_evicts_lru() {
-        let cache = TranslationCache::new(2);
+        let cache = TranslationCache::empty();
         let a = NaiveMapping::new(GridSpec::new([8u64, 8]), 0);
         let a2 = NaiveMapping::new(GridSpec::new([8u64, 8]), 0);
         let b = NaiveMapping::new(GridSpec::new([8u64, 8]), 64); // different base
-        let c = NaiveMapping::new(GridSpec::new([4u64, 4]), 0);
 
         let t1 = cache.translate(&a).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -473,30 +452,22 @@ mod tests {
 
         cache.translate(&b).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        cache.translate(&c).unwrap(); // evicts `a` (LRU, capacity 2)
-        assert_eq!(cache.len(), 2);
+        // Seven more grids make nine: the least recently used, `a`, goes.
+        let grid = |side: u64| NaiveMapping::new(GridSpec::new([side, 3]), 0);
+        for side in 1..8 {
+            cache.translate(&grid(side)).unwrap();
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        assert_eq!(cache.misses(), 9);
         let t3 = cache.translate(&a).unwrap();
-        assert_eq!(cache.misses(), 4, "evicted table must rebuild");
+        assert_eq!(cache.misses(), 10, "evicted table must rebuild");
         assert!(!Arc::ptr_eq(&t1, &t3));
+        // The most recently used grid is still retained.
+        cache.translate(&grid(7)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (2, 10));
 
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_means_caching_disabled() {
-        let cache = TranslationCache::new(0);
-        let m = NaiveMapping::new(GridSpec::new([8u64, 8]), 0);
-        let t1 = cache.translate(&m).unwrap();
-        let t2 = cache.translate(&m).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2), "every lookup builds");
-        assert!(
-            !Arc::ptr_eq(&t1, &t2),
-            "nothing is retained, so repeat lookups build fresh tables"
-        );
-        assert!(cache.is_empty(), "a disabled cache never stores entries");
-        // The tables are still correct, just not shared.
-        assert_eq!(t1.lbn_of(&[0, 0]).unwrap(), t2.lbn_of(&[0, 0]).unwrap());
     }
 
     #[test]

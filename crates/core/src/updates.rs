@@ -1,36 +1,23 @@
 //! Online updates: fill factors and overflow pages (Section 4.6).
 //!
 //! MultiMap handles updates like any linearised mapping: the initial bulk
-//! load leaves a tunable fraction of each cell empty (the *fill factor*);
+//! load leaves a fixed fraction of each cell empty (the *fill factor*);
 //! later inserts go to the destination cell while it has space and spill
 //! into chained *overflow pages* otherwise. Underflowing cells are
-//! flagged for reorganisation once they drop below a tunable threshold.
+//! flagged for reorganisation once they drop below a fixed threshold.
 
 use std::collections::BTreeMap;
 
 use multimap_disksim::Lbn;
 
-/// Tunables for the update path.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateConfig {
-    /// Points a full cell can hold.
-    pub cell_capacity: u32,
-    /// Fraction of each cell filled at bulk load, in `(0, 1]`.
-    pub fill_factor: f64,
-    /// Occupancy fraction below which a cell is flagged for
-    /// reorganisation.
-    pub reclaim_threshold: f64,
-}
+/// Points a full cell (or overflow page) can hold.
+pub const CELL_CAPACITY: u32 = 64;
 
-impl Default for UpdateConfig {
-    fn default() -> Self {
-        UpdateConfig {
-            cell_capacity: 64,
-            fill_factor: 0.8,
-            reclaim_threshold: 0.25,
-        }
-    }
-}
+/// Fraction of each cell filled at bulk load.
+const FILL_FACTOR: f64 = 0.8;
+
+/// Occupancy fraction below which a cell is flagged for reorganisation.
+const RECLAIM_THRESHOLD: f64 = 0.25;
 
 /// Counters describing update activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,7 +40,6 @@ pub struct UpdateStats {
 /// linear mapping techniques").
 #[derive(Clone, Debug)]
 pub struct CellStore {
-    config: UpdateConfig,
     /// Points currently stored per cell (primary page only).
     occupancy: BTreeMap<u64, u32>,
     /// Overflow chains per cell, plus points in the last page.
@@ -66,21 +52,8 @@ pub struct CellStore {
 impl CellStore {
     /// Create a store whose overflow pages are allocated from
     /// `overflow_base` upward.
-    ///
-    /// # Panics
-    /// Panics if the configuration is out of range.
-    pub fn new(config: UpdateConfig, overflow_base: Lbn) -> Self {
-        assert!(config.cell_capacity > 0, "cell capacity must be positive");
-        assert!(
-            config.fill_factor > 0.0 && config.fill_factor <= 1.0,
-            "fill factor must be in (0, 1]"
-        );
-        assert!(
-            (0.0..1.0).contains(&config.reclaim_threshold),
-            "reclaim threshold must be in [0, 1)"
-        );
+    pub fn new(overflow_base: Lbn) -> Self {
         CellStore {
-            config,
             occupancy: BTreeMap::new(),
             overflow: BTreeMap::new(),
             next_overflow: overflow_base,
@@ -90,8 +63,7 @@ impl CellStore {
 
     /// Initial points per cell at bulk load.
     pub fn bulk_load_points(&self) -> u32 {
-        ((self.config.cell_capacity as f64 * self.config.fill_factor).floor() as u32)
-            .clamp(1, self.config.cell_capacity)
+        (f64::from(CELL_CAPACITY) * FILL_FACTOR) as u32
     }
 
     /// Bulk-load a cell at its fill factor.
@@ -106,8 +78,7 @@ impl CellStore {
             .overflow
             .get(&cell)
             .map(|(pages, last)| {
-                (pages.len().saturating_sub(1)) as u64 * self.config.cell_capacity as u64
-                    + *last as u64
+                (pages.len().saturating_sub(1)) as u64 * u64::from(CELL_CAPACITY) + *last as u64
             })
             .unwrap_or(0);
         primary + over
@@ -117,7 +88,7 @@ impl CellStore {
     /// overflow page (the cell and its last overflow page are full), so
     /// a caller can enforce its space budget before anything changes.
     pub fn insert_allocates(&self, cell: u64) -> bool {
-        let cap = self.config.cell_capacity;
+        let cap = CELL_CAPACITY;
         self.occupancy.get(&cell).is_some_and(|&occ| occ >= cap)
             && self.overflow.get(&cell).is_none_or(|(_, last)| *last == cap)
     }
@@ -125,7 +96,7 @@ impl CellStore {
     /// Insert one point into `cell`; allocates an overflow page when the
     /// cell (and its last overflow page) are full and returns its LBN.
     pub fn insert(&mut self, cell: u64) -> Option<Lbn> {
-        let cap = self.config.cell_capacity;
+        let cap = CELL_CAPACITY;
         let occ = self.occupancy.entry(cell).or_insert(0);
         if *occ < cap {
             *occ += 1;
@@ -168,7 +139,7 @@ impl CellStore {
     /// threshold — candidates for the (expensive) reorganisation pass.
     /// The B-tree walk already yields ascending cell indices.
     pub fn underflowing_cells(&self) -> Vec<u64> {
-        let limit = self.config.cell_capacity as f64 * self.config.reclaim_threshold;
+        let limit = f64::from(CELL_CAPACITY) * RECLAIM_THRESHOLD;
         self.occupancy
             .iter()
             .filter(|(_, &occ)| (occ as f64) < limit)
@@ -193,43 +164,40 @@ mod tests {
     use super::*;
 
     fn store() -> CellStore {
-        CellStore::new(
-            UpdateConfig {
-                cell_capacity: 4,
-                fill_factor: 0.5,
-                reclaim_threshold: 0.3,
-            },
-            1_000_000,
-        )
+        CellStore::new(1_000_000)
     }
 
     #[test]
     fn bulk_load_respects_fill_factor() {
         let mut s = store();
         s.bulk_load(7);
-        assert_eq!(s.points(7), 2); // 4 * 0.5
+        assert_eq!(s.points(7), 51); // floor(64 * 0.8)
     }
 
     #[test]
     fn inserts_fill_then_overflow() {
         let mut s = store();
         s.bulk_load(1);
-        s.insert(1);
-        s.insert(1); // now full (4)
-        assert_eq!(s.points(1), 4);
+        for _ in 0..13 {
+            assert_eq!(s.insert(1), None);
+        }
+        assert_eq!(s.points(1), 64); // now full
         assert!(s.overflow_lbns(1).is_empty());
-        s.insert(1); // overflow page 1
+        assert!(s.insert_allocates(1));
+        assert_eq!(s.insert(1), Some(1_000_000)); // overflow page 1
         assert_eq!(s.overflow_lbns(1), &[1_000_000]);
-        assert_eq!(s.points(1), 5);
+        assert_eq!(s.points(1), 65);
+        assert!(!s.insert_allocates(1));
         // Fill the overflow page, then a second page appears.
-        for _ in 0..4 {
+        for _ in 0..64 {
             s.insert(1);
         }
         assert_eq!(s.overflow_lbns(1), &[1_000_000, 1_000_001]);
-        assert_eq!(s.points(1), 9);
+        assert_eq!(s.points(1), 129);
+        assert_eq!(s.next_overflow_lbn(), 1_000_002);
         let st = s.stats();
-        assert_eq!(st.direct_inserts, 2);
-        assert_eq!(st.overflow_inserts, 5);
+        assert_eq!(st.direct_inserts, 13);
+        assert_eq!(st.overflow_inserts, 65);
         assert_eq!(st.overflow_pages, 2);
     }
 
@@ -238,36 +206,31 @@ mod tests {
         let mut s = store();
         s.bulk_load(3);
         s.bulk_load(4);
+        for _ in 0..35 {
+            s.delete(3);
+        }
+        // 16 points is not below 64 * 0.25; 15 is.
+        assert!(s.underflowing_cells().is_empty());
         s.delete(3);
-        s.delete(3); // occupancy 0 < 4*0.3
         assert_eq!(s.underflowing_cells(), vec![3]);
-        assert_eq!(s.stats().deletes, 2);
+        assert_eq!(s.stats().deletes, 36);
         // Deleting an empty cell is a no-op.
-        s.delete(3);
-        assert_eq!(s.stats().deletes, 2);
+        for _ in 0..20 {
+            s.delete(3);
+        }
+        assert_eq!(s.points(3), 0);
+        assert_eq!(s.stats().deletes, 51);
     }
 
     #[test]
     fn separate_cells_do_not_interfere() {
         let mut s = store();
-        for _ in 0..6 {
+        for _ in 0..70 {
             s.insert(10);
         }
         assert_eq!(s.points(11), 0);
         assert!(s.overflow_lbns(11).is_empty());
-        assert_eq!(s.points(10), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "fill factor")]
-    fn invalid_fill_factor_panics() {
-        let _ = CellStore::new(
-            UpdateConfig {
-                cell_capacity: 4,
-                fill_factor: 0.0,
-                reclaim_threshold: 0.3,
-            },
-            0,
-        );
+        assert_eq!(s.points(10), 70);
+        assert_eq!(s.overflow_lbns(10).len(), 1);
     }
 }

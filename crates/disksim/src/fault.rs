@@ -116,7 +116,7 @@ impl FaultPlan {
 
     /// Cap on back-to-back transient failures (default 2). The injector
     /// forces a success after this many consecutive transients, which is
-    /// what makes `max_retries >= cap` a recovery guarantee.
+    /// what makes a retry budget `>= cap` a recovery guarantee.
     pub fn with_max_consecutive_transients(mut self, cap: u32) -> Self {
         self.max_consecutive_transients = cap;
         self

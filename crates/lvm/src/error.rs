@@ -23,19 +23,6 @@ pub enum LvmError {
     Disk(DiskError),
     /// A volume cannot be built over zero disks.
     EmptyVolume,
-    /// A transient fault persisted through the configured retry budget.
-    RetriesExhausted {
-        /// First LBN of the failing physical segment.
-        lbn: u64,
-        /// Retries that were attempted before giving up.
-        attempts: u32,
-    },
-    /// A hard-failed block could not be remapped: its track's spare
-    /// region is fully allocated.
-    SpareExhausted {
-        /// The logical block that could not be remapped.
-        lbn: u64,
-    },
 }
 
 impl fmt::Display for LvmError {
@@ -46,14 +33,6 @@ impl fmt::Display for LvmError {
             }
             LvmError::Disk(e) => write!(f, "disk error: {e}"),
             LvmError::EmptyVolume => write!(f, "a volume needs at least one disk"),
-            LvmError::RetriesExhausted { lbn, attempts } => write!(
-                f,
-                "transient fault at LBN {lbn} persisted through {attempts} retries"
-            ),
-            LvmError::SpareExhausted { lbn } => write!(
-                f,
-                "no spare sectors left on the track of LBN {lbn} for remapping"
-            ),
         }
     }
 }
@@ -68,16 +47,10 @@ impl std::error::Error for LvmError {
 }
 
 impl From<DiskError> for LvmError {
-    /// Recovery failures travel through the device layer as
-    /// [`DiskError`]s and surface here under their volume-level names.
+    /// Every device failure, recovery failures included, is wrapped as
+    /// [`LvmError::Disk`].
     fn from(e: DiskError) -> Self {
-        match e {
-            DiskError::RetriesExhausted { lbn, attempts } => {
-                LvmError::RetriesExhausted { lbn, attempts }
-            }
-            DiskError::SpareExhausted { lbn } => LvmError::SpareExhausted { lbn },
-            other => LvmError::Disk(other),
-        }
+        LvmError::Disk(e)
     }
 }
 
@@ -95,9 +68,12 @@ mod tests {
         let wrapped: LvmError = DiskError::EmptyRequest.into();
         assert_eq!(wrapped, LvmError::Disk(DiskError::EmptyRequest));
         assert!(wrapped.to_string().contains("disk error"));
-        let exhausted: LvmError = DiskError::RetriesExhausted { lbn: 7, attempts: 2 }.into();
-        assert_eq!(exhausted, LvmError::RetriesExhausted { lbn: 7, attempts: 2 });
+        let exhausted = DiskError::RetriesExhausted {
+            lbn: 7,
+            attempts: 2,
+        };
+        assert_eq!(LvmError::from(exhausted.clone()), LvmError::Disk(exhausted));
         let spares: LvmError = DiskError::SpareExhausted { lbn: 9 }.into();
-        assert_eq!(spares, LvmError::SpareExhausted { lbn: 9 });
+        assert_eq!(spares, LvmError::Disk(DiskError::SpareExhausted { lbn: 9 }));
     }
 }

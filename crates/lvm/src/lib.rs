@@ -9,10 +9,10 @@
 //!
 //! There is one volume type, [`DeviceVolume`], generic over the
 //! [`multimap_disksim::DeviceModel`] backend. [`LogicalVolume`] — the
-//! rotating-disk LVM of the paper — is an alias for it over
-//! [`RecoveringDisk`], the fault-recovery layer of [`recovery`] stacked
-//! on a plain `DiskSim`; [`backend_volume`] builds one over a
-//! registry-selected backend.
+//! rotating-disk LVM of the paper — is an alias for it over the bare
+//! `DiskSim`; [`DeviceVolume::with_recovery`] builds one over
+//! [`RecoveringDisk`], the fault-recovery layer of [`recovery`], and
+//! [`backend_volume`] one over a registry-selected backend.
 //!
 //! Time is simulated, so multi-disk parallelism needs no threads: a
 //! striped batch is serviced per disk and the volume reports the
@@ -41,7 +41,7 @@ pub mod volume;
 
 pub use decluster::{Cyclic, Declustering, RoundRobin};
 pub use error::{LvmError, Result};
-pub use recovery::{RecoveringDisk, RecoveryConfig, RecoveryStats, RemapTable};
+pub use recovery::{RecoveringDisk, RecoveryStats, RemapTable};
 pub use volume::{
     backend_volume, DeviceVolume, LogicalVolume, SchedulePolicy, VolumeBatchTiming,
 };

@@ -19,10 +19,10 @@
 //!   blocks and routes them through scheduled seeks instead of
 //!   semi-sequential hops.
 //!
-//! The volume above knows nothing of this: a
-//! [`crate::LogicalVolume`] is the generic [`crate::DeviceVolume`] over
-//! `RecoveringDisk`s, and a decorator built without a recovery
-//! configuration passes every call straight through to its `DiskSim`.
+//! The volume above knows nothing of this: a recovering volume is the
+//! generic [`crate::DeviceVolume`] over `RecoveringDisk`s, built by
+//! [`crate::DeviceVolume::with_recovery`]; a fault-free
+//! [`crate::LogicalVolume`] runs the bare `DiskSim`.
 //!
 //! All recovery time is reported in the per-request
 //! [`FaultOutcome::recovery_ms`], so an event log still satisfies
@@ -31,37 +31,23 @@
 use std::collections::BTreeMap;
 
 use multimap_disksim::{
-    plain_serve, service_batch_serving, AccessKind, AccessStats, BatchTiming, DeviceModel,
-    Discipline, DiskError, DiskGeometry, DiskSim, FaultCounts, FaultOutcome, FaultPlan, Lbn,
-    Request, RequestTiming, ServiceEvent, Transition,
+    service_batch_serving, AccessKind, AccessStats, BatchTiming, DeviceModel, Discipline,
+    DiskError, DiskGeometry, DiskSim, FaultCounts, FaultOutcome, FaultPlan, Lbn, Request,
+    RequestTiming, ServiceEvent, Transition,
 };
 
-/// Tunables for the volume's recovery path.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryConfig {
-    /// Retries allowed per physical segment before
-    /// [`LvmError::RetriesExhausted`](crate::LvmError::RetriesExhausted).
-    /// Must be at least the fault plan's consecutive-transient cap for
-    /// recovery to be guaranteed.
-    pub max_retries: u32,
-    /// Backoff base: the `k`-th retry of a segment idles the disk for
-    /// `k * backoff_ms` first (deterministic, so replays are exact).
-    pub backoff_ms: f64,
-    /// Spare sectors reserved at the tail of every track for bad-block
-    /// remapping; [`LvmError::SpareExhausted`](crate::LvmError::SpareExhausted)
-    /// when a track runs out.
-    pub spare_per_track: u32,
-}
+/// Retries allowed per physical segment before
+/// [`DiskError::RetriesExhausted`]; a fault plan whose
+/// consecutive-transient cap is at most this always recovers.
+const MAX_RETRIES: u32 = 4;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 4,
-            backoff_ms: 1.0,
-            spare_per_track: 4,
-        }
-    }
-}
+/// Backoff base: the `k`-th retry of a segment idles the disk for
+/// `k * BACKOFF_MS` first (deterministic, so replays are exact).
+const BACKOFF_MS: f64 = 1.0;
+
+/// Spare sectors reserved at the tail of every track for bad-block
+/// remapping; [`DiskError::SpareExhausted`] when a track runs out.
+const SPARE_PER_TRACK: u32 = 4;
 
 /// Cumulative recovery actions taken by one volume (or one disk of it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -153,18 +139,13 @@ impl RemapTable {
     /// Remap the failing physical block `bad` to a fresh spare on the
     /// owning logical block's track. If `bad` is itself a spare that
     /// went bad, the original logical block is re-remapped.
-    fn remap(
-        &mut self,
-        geom: &DiskGeometry,
-        cfg: &RecoveryConfig,
-        bad: Lbn,
-    ) -> Result<Lbn, DiskError> {
+    fn remap(&mut self, geom: &DiskGeometry, bad: Lbn) -> Result<Lbn, DiskError> {
         let logical = self.reverse.get(&bad).copied().unwrap_or(bad);
         let (first, last) = geom.track_boundaries(logical)?;
         let track_len = last - first + 1;
         loop {
             let used = self.used.entry(first).or_insert(0);
-            if u64::from(*used) >= u64::from(cfg.spare_per_track).min(track_len) {
+            if u64::from(*used) >= u64::from(SPARE_PER_TRACK).min(track_len) {
                 return Err(DiskError::SpareExhausted { lbn: logical });
             }
             let spare = last - u64::from(*used);
@@ -190,11 +171,10 @@ impl RemapTable {
 /// [`FaultOutcome`] accounting for everything else.
 ///
 /// Unrecoverable conditions surface as [`DiskError::RetriesExhausted`] /
-/// [`DiskError::SpareExhausted`] (which the volume reports under their
-/// [`LvmError`](crate::LvmError) names); malformed requests propagate
-/// the underlying [`DiskError`] unchanged.
+/// [`DiskError::SpareExhausted`] (which the volume wraps as
+/// [`LvmError::Disk`](crate::LvmError::Disk)); malformed requests
+/// propagate the underlying [`DiskError`] unchanged.
 fn recovering_serve(
-    cfg: &RecoveryConfig,
     remap: &mut RemapTable,
     stats: &mut RecoveryStats,
     sim: &mut DiskSim,
@@ -231,7 +211,7 @@ fn recovering_serve(
             Err(DiskError::TransientTimeout { .. }) => {
                 outcome.transients += 1;
                 stats.transients += 1;
-                if attempts >= cfg.max_retries {
+                if attempts >= MAX_RETRIES {
                     return Err(DiskError::RetriesExhausted {
                         lbn: seg.lbn,
                         attempts,
@@ -240,14 +220,12 @@ fn recovering_serve(
                 attempts += 1;
                 outcome.retries += 1;
                 stats.retries += 1;
-                if cfg.backoff_ms > 0.0 {
-                    sim.idle(cfg.backoff_ms * f64::from(attempts));
-                }
+                sim.idle(BACKOFF_MS * f64::from(attempts));
             }
             Err(DiskError::MediaError { lbn: bad }) => {
                 outcome.media_errors += 1;
                 stats.media_errors += 1;
-                remap.remap(sim.geometry(), cfg, bad)?;
+                remap.remap(sim.geometry(), bad)?;
                 outcome.remaps += 1;
                 stats.remaps += 1;
                 // Loop again: the next first_segment reflects the new
@@ -270,68 +248,40 @@ fn recovering_serve(
     Ok((total, outcome))
 }
 
-/// Retry and remap state of one recovering disk.
-struct Recovery {
-    cfg: RecoveryConfig,
+/// The rotating disk with the recovery path stacked on top: a
+/// [`DeviceModel`] decorator around a [`DiskSim`] that serves every
+/// read through bounded retry and bad-block remapping. With an empty
+/// [`FaultPlan`] that path is bit-identical to the bare `DiskSim`.
+pub struct RecoveringDisk {
+    sim: DiskSim,
     remap: RemapTable,
     stats: RecoveryStats,
 }
 
-/// The rotating disk with the recovery path stacked on top: a
-/// [`DeviceModel`] decorator around a [`DiskSim`].
-///
-/// Built with [`RecoveringDisk::plain`] it passes every call straight
-/// through — batches reach [`service_batch_serving`] with
-/// [`plain_serve`], exactly as `DiskSim`'s own `DeviceModel` impl does.
-/// Built with [`RecoveringDisk::recovering`] every read is served
-/// through bounded retry and bad-block remapping, and with an empty
-/// [`FaultPlan`] that path stays bit-identical to the plain one.
-pub struct RecoveringDisk {
-    sim: DiskSim,
-    recovery: Option<Recovery>,
-}
-
 impl RecoveringDisk {
-    /// A pass-through disk: no fault plan, no recovery path.
-    pub fn plain(geometry: DiskGeometry) -> Self {
-        RecoveringDisk {
-            sim: DiskSim::new(geometry),
-            recovery: None,
-        }
-    }
-
     /// A disk running `plan` with the recovery path (bounded retry +
     /// bad-block remapping) active on every read.
-    pub fn recovering(geometry: DiskGeometry, plan: FaultPlan, cfg: RecoveryConfig) -> Self {
+    pub fn new(geometry: DiskGeometry, plan: FaultPlan) -> Self {
         let mut sim = DiskSim::new(geometry);
         sim.set_fault_plan(plan);
         RecoveringDisk {
             sim,
-            recovery: Some(Recovery {
-                cfg,
-                remap: RemapTable::default(),
-                stats: RecoveryStats::default(),
-            }),
+            remap: RemapTable::default(),
+            stats: RecoveryStats::default(),
         }
-    }
-
-    /// Mutable access to the simulator under the recovery layer (for
-    /// callers that bypass recovery: bulk loads, custom scheduling).
-    pub fn sim_mut(&mut self) -> &mut DiskSim {
-        &mut self.sim
     }
 
     /// Logical blocks remapped to spares so far.
     pub fn remap_count(&self) -> usize {
-        self.recovery.as_ref().map_or(0, |r| r.remap.len())
+        self.remap.len()
     }
 
-    /// Recovery actions taken so far (all zero when inactive).
+    /// Recovery actions taken so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
+        self.stats
     }
 
-    /// Faults the disk injected so far (all zero without a fault plan).
+    /// Faults the disk injected so far (all zero under an empty plan).
     pub fn injected_counts(&self) -> FaultCounts {
         self.sim.fault_counts()
     }
@@ -350,25 +300,20 @@ impl DeviceModel for RecoveringDisk {
         self.sim.state().time_ms
     }
 
-    /// With recovery active a read is retried/remapped as needed and the
-    /// returned timing folds the recovery time into `overhead_ms`, so the
-    /// total still reflects the wall-clock the disk was busy. Writes go
-    /// to the simulator as they are.
+    /// A read is retried/remapped as needed and the returned timing
+    /// folds the recovery time into `overhead_ms`, so the total still
+    /// reflects the wall-clock the disk was busy. Writes go to the
+    /// simulator as they are.
     fn service_kind(
         &mut self,
         req: Request,
         kind: AccessKind,
     ) -> multimap_disksim::Result<RequestTiming> {
-        match (kind, &mut self.recovery) {
-            (AccessKind::Write, _) => self.sim.service_write(req),
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the pass-through service primitive itself; conformance audits the observed paths"
-            )]
-            (AccessKind::Read, None) => self.sim.service(req),
-            (AccessKind::Read, Some(r)) => {
+        match kind {
+            AccessKind::Write => self.sim.service_write(req),
+            AccessKind::Read => {
                 let (mut t, outcome) =
-                    recovering_serve(&r.cfg, &mut r.remap, &mut r.stats, &mut self.sim, req)?;
+                    recovering_serve(&mut self.remap, &mut self.stats, &mut self.sim, req)?;
                 if !outcome.is_clean() {
                     t.overhead_ms += outcome.recovery_ms;
                 }
@@ -387,20 +332,9 @@ impl DeviceModel for RecoveringDisk {
         discipline: Discipline,
         observe: &mut dyn FnMut(ServiceEvent),
     ) -> multimap_disksim::Result<BatchTiming> {
-        match &mut self.recovery {
-            // The same call DiskSim's own DeviceModel impl makes: the
-            // pass-through is bit-identical to the bare backend (pinned
-            // by tests/backend_dispatch.rs).
-            None => {
-                service_batch_serving(&mut self.sim, requests, discipline, &mut plain_serve, observe)
-            }
-            Some(r) => {
-                let Recovery { cfg, remap, stats } = r;
-                let mut serve =
-                    |sim: &mut DiskSim, req: Request| recovering_serve(cfg, remap, stats, sim, req);
-                service_batch_serving(&mut self.sim, requests, discipline, &mut serve, observe)
-            }
-        }
+        let (remap, stats) = (&mut self.remap, &mut self.stats);
+        let mut serve = |sim: &mut DiskSim, req: Request| recovering_serve(remap, stats, sim, req);
+        service_batch_serving(&mut self.sim, requests, discipline, &mut serve, observe)
     }
 
     fn classify(&self, event: &ServiceEvent) -> Transition {
@@ -416,10 +350,8 @@ impl DeviceModel for RecoveringDisk {
     /// full return to the freshly-constructed state.
     fn reset(&mut self) {
         self.sim.reset();
-        if let Some(r) = &mut self.recovery {
-            r.remap = RemapTable::default();
-            r.stats = RecoveryStats::default();
-        }
+        self.remap = RemapTable::default();
+        self.stats = RecoveryStats::default();
     }
 
     fn reset_stats(&mut self) {
@@ -435,9 +367,7 @@ impl DeviceModel for RecoveringDisk {
     }
 
     fn lost_adjacency(&self, lbn: Lbn, nblocks: u64) -> bool {
-        self.recovery
-            .as_ref()
-            .is_some_and(|r| r.remap.overlaps(lbn, nblocks))
+        self.remap.overlaps(lbn, nblocks)
     }
 }
 
@@ -463,17 +393,16 @@ mod tests {
     #[test]
     fn remap_allocates_track_tail_spares() {
         let g = geom();
-        let cfg = RecoveryConfig::default();
         let mut t = RemapTable::default();
         let bad = 100u64;
         let (first, last) = g.track_boundaries(bad).unwrap();
-        let spare = t.remap(&g, &cfg, bad).unwrap();
+        let spare = t.remap(&g, bad).unwrap();
         assert_eq!(spare, last);
         assert_eq!(t.physical(bad), spare);
         assert!(t.overlaps(bad, 1));
         assert!((first..=last).contains(&spare), "spare stays on the track");
         // A bad spare re-remaps the original logical block.
-        let spare2 = t.remap(&g, &cfg, spare).unwrap();
+        let spare2 = t.remap(&g, spare).unwrap();
         assert_eq!(spare2, last - 1);
         assert_eq!(t.physical(bad), spare2);
         assert_eq!(t.len(), 1, "still one logical block remapped");
@@ -482,23 +411,20 @@ mod tests {
     #[test]
     fn spares_exhaust_to_typed_error() {
         let g = geom();
-        let cfg = RecoveryConfig {
-            spare_per_track: 2,
-            ..RecoveryConfig::default()
-        };
         let mut t = RemapTable::default();
-        t.remap(&g, &cfg, 100).unwrap();
-        t.remap(&g, &cfg, 101).unwrap();
-        let err = t.remap(&g, &cfg, 102).unwrap_err();
+        // Five media errors on one track: four spares, then none.
+        for bad in 100..100 + u64::from(SPARE_PER_TRACK) {
+            t.remap(&g, bad).unwrap();
+        }
+        let err = t.remap(&g, 100 + u64::from(SPARE_PER_TRACK)).unwrap_err();
         assert!(matches!(err, DiskError::SpareExhausted { .. }), "{err:?}");
     }
 
     #[test]
     fn first_segment_splits_around_remapped_blocks() {
         let g = geom();
-        let cfg = RecoveryConfig::default();
         let mut t = RemapTable::default();
-        t.remap(&g, &cfg, 12).unwrap();
+        t.remap(&g, 12).unwrap();
         let spare = t.physical(12);
         // [10, 16): 10-11 contiguous, 12 remapped, 13-15 contiguous.
         assert_eq!(t.first_segment(10, 6), Request::new(10, 2));
@@ -509,14 +435,12 @@ mod tests {
     #[test]
     fn recovering_serve_clean_request_is_untouched() {
         let g = geom();
-        let cfg = RecoveryConfig::default();
         let mut remap = RemapTable::default();
         let mut stats = RecoveryStats::default();
         let mut sim = DiskSim::new(g.clone());
         let mut plain = DiskSim::new(g.clone());
         let req = Request::new(500, 8);
-        let (t, o) =
-            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+        let (t, o) = recovering_serve(&mut remap, &mut stats, &mut sim, req).unwrap();
         let tp = plain.service(req).unwrap();
         assert!(o.is_clean());
         assert_eq!(t.total_ms().to_bits(), tp.total_ms().to_bits());
@@ -526,7 +450,6 @@ mod tests {
     #[test]
     fn recovering_serve_retries_transients() {
         let g = geom();
-        let cfg = RecoveryConfig::default();
         let mut remap = RemapTable::default();
         let mut stats = RecoveryStats::default();
         let mut sim = DiskSim::new(g.clone());
@@ -537,8 +460,7 @@ mod tests {
         );
         let req = Request::new(500, 4);
         let before = sim.state().time_ms;
-        let (t, o) =
-            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+        let (t, o) = recovering_serve(&mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.transients, 2);
         assert_eq!(o.retries, 2);
         assert_eq!(stats.retries, 2);
@@ -552,14 +474,12 @@ mod tests {
     #[test]
     fn recovering_serve_remaps_media_errors() {
         let g = geom();
-        let cfg = RecoveryConfig::default();
         let mut remap = RemapTable::default();
         let mut stats = RecoveryStats::default();
         let mut sim = DiskSim::new(g.clone());
         sim.set_fault_plan(FaultPlan::new(0).with_media_error(502));
         let req = Request::new(500, 6);
-        let (_, o) =
-            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+        let (_, o) = recovering_serve(&mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.media_errors, 1);
         assert_eq!(o.remaps, 1);
         assert!(o.extra_segments >= 1, "split around the remapped block");
@@ -567,8 +487,7 @@ mod tests {
         assert_ne!(remap.physical(502), 502);
         // A later read of the same span goes straight through the remap
         // with no further media errors.
-        let (_, o2) =
-            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+        let (_, o2) = recovering_serve(&mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o2.media_errors, 0);
         assert!(o2.extra_segments >= 1);
         assert_eq!(stats.media_errors, 1);
@@ -577,20 +496,16 @@ mod tests {
     #[test]
     fn retries_exhausted_is_a_typed_error() {
         let g = geom();
-        let cfg = RecoveryConfig {
-            max_retries: 1,
-            ..RecoveryConfig::default()
-        };
         let mut remap = RemapTable::default();
         let mut stats = RecoveryStats::default();
         let mut sim = DiskSim::new(g.clone());
         sim.set_fault_plan(
             FaultPlan::new(3)
                 .with_transients(1.0, 5.0)
-                .with_max_consecutive_transients(3),
+                .with_max_consecutive_transients(MAX_RETRIES + 1),
         );
-        let err = recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, Request::single(0))
-            .unwrap_err();
+        let err =
+            recovering_serve(&mut remap, &mut stats, &mut sim, Request::single(0)).unwrap_err();
         assert!(matches!(err, DiskError::RetriesExhausted { .. }), "{err:?}");
     }
 }

@@ -5,9 +5,10 @@
 //! [`DeviceModel`] backend, so the rotating disk, the multi-queue SSD
 //! and the IMR drive differ only in the type parameter:
 //!
-//! * [`LogicalVolume`] — the paper's LVM — is `DeviceVolume` over
-//!   [`RecoveringDisk`]s (a `DiskSim` with the optional fault-recovery
-//!   layer of [`crate::recovery`] stacked on top);
+//! * [`LogicalVolume`] — the paper's LVM — is `DeviceVolume` over bare
+//!   [`DiskSim`]s;
+//! * `DeviceVolume<RecoveringDisk>` ([`DeviceVolume::with_recovery`])
+//!   runs a fault plan under the recovery layer of [`crate::recovery`];
 //! * `DeviceVolume<Box<dyn DeviceModel>>` holds registry-built backends
 //!   so bins can select `disk`/`ssd`/`imr` with a CLI flag — see
 //!   [`backend_volume`].
@@ -19,7 +20,7 @@ use multimap_disksim::{
 use parking_lot::Mutex;
 
 use crate::error::{LvmError, Result};
-use crate::recovery::{RecoveringDisk, RecoveryConfig, RecoveryStats};
+use crate::recovery::{RecoveringDisk, RecoveryStats};
 
 /// How a batch of requests is ordered before being serviced.
 ///
@@ -63,10 +64,9 @@ pub struct DeviceVolume<D: DeviceModel> {
     devices: Vec<Mutex<D>>,
 }
 
-/// The paper's logical volume: rotating disks with the optional
-/// fault-recovery layer ([`RecoveringDisk`]) under the one generic
-/// volume.
-pub type LogicalVolume = DeviceVolume<RecoveringDisk>;
+/// The paper's logical volume: fault-free rotating disks under the one
+/// generic volume.
+pub type LogicalVolume = DeviceVolume<DiskSim>;
 
 impl<D: DeviceModel> DeviceVolume<D> {
     /// Create a volume from pre-built devices addressed through
@@ -313,9 +313,8 @@ impl<D: DeviceModel> DeviceVolume<D> {
     }
 }
 
-/// The rotating-disk constructors and recovery accessors of the
-/// paper's LVM.
-impl DeviceVolume<RecoveringDisk> {
+/// The rotating-disk constructors of the paper's LVM.
+impl DeviceVolume<DiskSim> {
     /// Create a volume of `ndisks` identical disks.
     ///
     /// # Panics
@@ -333,26 +332,30 @@ impl DeviceVolume<RecoveringDisk> {
     /// [`LvmError::EmptyVolume`] when `ndisks` is zero.
     pub fn try_new(geometry: DiskGeometry, ndisks: usize) -> Result<Self> {
         let disks = (0..ndisks)
-            .map(|_| Mutex::new(RecoveringDisk::plain(geometry.clone())))
+            .map(|_| Mutex::new(DiskSim::new(geometry.clone())))
             .collect();
         Self::from_locked(geometry, disks)
     }
 
+    /// Run a closure with mutable access to one disk's simulator (bulk
+    /// loads, custom scheduling).
+    pub fn with_disk<T>(&self, disk: usize, f: impl FnOnce(&mut DiskSim) -> T) -> Result<T> {
+        self.with_device(disk, f)
+    }
+}
+
+/// The recovering constructor and recovery accessors.
+impl DeviceVolume<RecoveringDisk> {
     /// Create a volume whose disks all run the given fault plan, with
     /// the recovery path (bounded retry + bad-block remapping) active on
     /// every service entry point.
     ///
     /// An empty plan installs no injector, but the recovery path still
-    /// runs — and produces bit-identical timing to a plain volume, which
-    /// the determinism tests pin.
-    pub fn with_recovery(
-        geometry: DiskGeometry,
-        ndisks: usize,
-        plan: FaultPlan,
-        cfg: RecoveryConfig,
-    ) -> Result<Self> {
+    /// runs — and produces bit-identical timing to a [`LogicalVolume`],
+    /// which the determinism tests pin.
+    pub fn with_recovery(geometry: DiskGeometry, ndisks: usize, plan: FaultPlan) -> Result<Self> {
         let disks = (0..ndisks)
-            .map(|_| Mutex::new(RecoveringDisk::recovering(geometry.clone(), plan.clone(), cfg)))
+            .map(|_| Mutex::new(RecoveringDisk::new(geometry.clone(), plan.clone())))
             .collect();
         Self::from_locked(geometry, disks)
     }
@@ -362,8 +365,7 @@ impl DeviceVolume<RecoveringDisk> {
         Ok(self.device(disk)?.lock().remap_count())
     }
 
-    /// Recovery actions taken so far, merged across all disks (all zero
-    /// when recovery is inactive).
+    /// Recovery actions taken so far, merged across all disks.
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut out = RecoveryStats::default();
         for d in &self.devices {
@@ -373,19 +375,13 @@ impl DeviceVolume<RecoveringDisk> {
     }
 
     /// Faults the disks injected so far, merged across all disks (all
-    /// zero without a fault plan).
+    /// zero under an empty plan).
     pub fn injected_counts(&self) -> FaultCounts {
         let mut out = FaultCounts::default();
         for d in &self.devices {
             out.merge(&d.lock().injected_counts());
         }
         out
-    }
-
-    /// Run a closure with mutable access to one disk's simulator,
-    /// beneath the recovery layer (bulk loads, custom scheduling).
-    pub fn with_disk<T>(&self, disk: usize, f: impl FnOnce(&mut DiskSim) -> T) -> Result<T> {
-        self.with_device(disk, |d| f(d.sim_mut()))
     }
 }
 
@@ -408,7 +404,7 @@ pub fn backend_volume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multimap_disksim::profiles;
+    use multimap_disksim::{profiles, DiskError};
 
     fn volume(n: usize) -> LogicalVolume {
         LogicalVolume::new(profiles::small(), n)
@@ -522,13 +518,8 @@ mod tests {
             SchedulePolicy::QueuedSptf(8),
         ] {
             let plain = volume(1);
-            let recovering = LogicalVolume::with_recovery(
-                profiles::small(),
-                1,
-                FaultPlan::none(),
-                crate::recovery::RecoveryConfig::default(),
-            )
-            .unwrap();
+            let recovering =
+                DeviceVolume::with_recovery(profiles::small(), 1, FaultPlan::none()).unwrap();
             let (tp, log_p) = plain.service_batch_logged(0, &reqs, policy).unwrap();
             let (tr, log_r) = recovering.service_batch_logged(0, &reqs, policy).unwrap();
             assert_eq!(
@@ -550,13 +541,7 @@ mod tests {
             .with_transients(0.25, 5.0)
             .with_media_errors([401u64, 4_802, 8_000]);
         let clean = volume(1);
-        let faulted = LogicalVolume::with_recovery(
-            profiles::small(),
-            1,
-            plan.clone(),
-            crate::recovery::RecoveryConfig::default(),
-        )
-        .unwrap();
+        let faulted = DeviceVolume::with_recovery(profiles::small(), 1, plan.clone()).unwrap();
         let tc = clean
             .service_batch(0, &reqs, SchedulePolicy::Sptf)
             .unwrap();
@@ -587,32 +572,20 @@ mod tests {
         let plan = FaultPlan::new(3)
             .with_transients(1.0, 5.0)
             .with_max_consecutive_transients(5);
-        let v = LogicalVolume::with_recovery(
-            profiles::small(),
-            1,
-            plan,
-            crate::recovery::RecoveryConfig {
-                max_retries: 2,
-                ..crate::recovery::RecoveryConfig::default()
-            },
-        )
-        .unwrap();
+        let v = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let err = v
             .service_batch(0, &[Request::single(0)], SchedulePolicy::InOrder)
             .unwrap_err();
-        assert!(matches!(err, LvmError::RetriesExhausted { .. }), "{err:?}");
+        assert!(
+            matches!(err, LvmError::Disk(DiskError::RetriesExhausted { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn reset_restores_pristine_recovery_state() {
         let plan = FaultPlan::new(1).with_media_error(500);
-        let v = LogicalVolume::with_recovery(
-            profiles::small(),
-            1,
-            plan,
-            crate::recovery::RecoveryConfig::default(),
-        )
-        .unwrap();
+        let v = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let reqs = [Request::new(498, 5)];
         let t1 = v
             .service_batch(0, &reqs, SchedulePolicy::InOrder)
@@ -721,9 +694,8 @@ mod tests {
         }
         let geom = profiles::small();
         check("disk", || DiskSim::new(geom.clone()));
-        check("recovering disk", || RecoveringDisk::plain(geom.clone()));
         check("recovering disk, empty plan", || {
-            RecoveringDisk::recovering(geom.clone(), FaultPlan::none(), RecoveryConfig::default())
+            RecoveringDisk::new(geom.clone(), FaultPlan::none())
         });
     }
 
@@ -752,13 +724,7 @@ mod tests {
     #[test]
     fn degraded_range_check_saturates_at_the_address_space_end() {
         let plan = FaultPlan::new(1).with_media_error(500);
-        let v = LogicalVolume::with_recovery(
-            profiles::small(),
-            1,
-            plan,
-            crate::recovery::RecoveryConfig::default(),
-        )
-        .unwrap();
+        let v = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         v.service_batch(0, &[Request::new(498, 5)], SchedulePolicy::InOrder)
             .unwrap();
         assert!(v.is_degraded_range(0, 0, u64::MAX).unwrap());

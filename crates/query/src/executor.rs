@@ -25,10 +25,10 @@ use multimap_core::{
     shared_cache, BoxRegion, GridSpec, Mapping, MappingError, MappingKind, MIN_CACHED_LOOKUPS,
 };
 use multimap_disksim::{
-    coalesce_sorted, request_payload, BatchTiming, DeviceModel, Lbn, Request, ServiceEvent,
-    Transition,
+    coalesce_sorted, request_payload, BatchTiming, DeviceModel, DiskSim, Lbn, Request,
+    ServiceEvent, Transition,
 };
-use multimap_lvm::{DeviceVolume, RecoveringDisk, SchedulePolicy};
+use multimap_lvm::{DeviceVolume, SchedulePolicy};
 use multimap_telemetry::{Counter, Metrics, Phase, Span};
 
 use crate::cache::{BlockCache, CacheProbe, PrefetchContext};
@@ -57,12 +57,15 @@ pub enum RangeOrder {
     NaturalCellOrder,
 }
 
-/// Executor tunables.
+/// Executor tunables. Start from [`ExecOptions::default`] (the paper's
+/// values) and override fields with struct-update syntax:
 ///
-/// Non-exhaustive: construct with [`ExecOptions::default`] or
-/// [`ExecOptions::builder`], so future knobs are not breaking changes.
+/// ```
+/// use multimap_query::ExecOptions;
+/// let opts = ExecOptions { queue_depth: 16, ..ExecOptions::default() };
+/// assert_eq!(opts.sptf_limit, ExecOptions::default().sptf_limit);
+/// ```
 #[derive(Clone, Copy, Debug)]
-#[non_exhaustive]
 pub struct ExecOptions {
     /// Range policy (default [`RangeOrder::SortedCoalesced`]).
     pub range: RangeOrder,
@@ -82,50 +85,6 @@ impl Default for ExecOptions {
             sptf_limit: 4096,
             queue_depth: 64,
         }
-    }
-}
-
-impl ExecOptions {
-    /// A builder starting from the default (paper) options.
-    pub fn builder() -> ExecOptionsBuilder {
-        ExecOptionsBuilder::default()
-    }
-}
-
-/// Builder for [`ExecOptions`]; every knob defaults to the paper value.
-///
-/// ```
-/// use multimap_query::ExecOptions;
-/// let opts = ExecOptions::builder().queue_depth(16).build();
-/// assert_eq!(opts.queue_depth, 16);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExecOptionsBuilder {
-    opts: ExecOptions,
-}
-
-impl ExecOptionsBuilder {
-    /// Set the range ordering policy.
-    pub fn range(mut self, range: RangeOrder) -> Self {
-        self.opts.range = range;
-        self
-    }
-
-    /// Set the full-SPTF batch-size limit.
-    pub fn sptf_limit(mut self, limit: usize) -> Self {
-        self.opts.sptf_limit = limit;
-        self
-    }
-
-    /// Set the queued-SPTF command-queue depth.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.opts.queue_depth = depth;
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> ExecOptions {
-        self.opts
     }
 }
 
@@ -425,7 +384,7 @@ struct Probed {
 ///     .unwrap();
 /// assert_eq!(result.cells, 8);
 /// ```
-pub struct QueryExecutor<'a, D: DeviceModel = RecoveringDisk> {
+pub struct QueryExecutor<'a, D: DeviceModel = DiskSim> {
     volume: &'a DeviceVolume<D>,
     device: usize,
     options: ExecOptions,
@@ -883,9 +842,10 @@ mod tests {
         let natural = QueryExecutor::with_options(
             &vol,
             0,
-            ExecOptions::builder()
-                .range(RangeOrder::NaturalCellOrder)
-                .build(),
+            ExecOptions {
+                range: RangeOrder::NaturalCellOrder,
+                ..ExecOptions::default()
+            },
         )
         .execute(QueryRequest::range(&mm, &region))
         .unwrap();
@@ -1142,7 +1102,10 @@ mod tests {
         let naive = NaiveMapping::new(grid.clone(), 0);
         let region = BoxRegion::new([0u64, 0, 0], [59u64, 5, 0]);
         // One event per cell, ascending on a Naive row-major walk.
-        let opts = ExecOptions::builder().range(RangeOrder::NaturalCellOrder).build();
+        let opts = ExecOptions {
+            range: RangeOrder::NaturalCellOrder,
+            ..ExecOptions::default()
+        };
         for name in BACKEND_NAMES {
             let v = backend_volume(name, &geom, 1).unwrap();
             let mut events = Vec::new();
@@ -1276,21 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_options_builder_round_trips() {
-        let opts = ExecOptions::builder()
-            .range(RangeOrder::NaturalCellOrder)
-            .sptf_limit(128)
-            .queue_depth(4)
-            .build();
-        assert_eq!(opts.range, RangeOrder::NaturalCellOrder);
-        assert_eq!(opts.sptf_limit, 128);
-        assert_eq!(opts.queue_depth, 4);
-        let defaults = ExecOptions::builder().build();
-        assert_eq!(defaults.range, ExecOptions::default().range);
-        assert_eq!(defaults.sptf_limit, ExecOptions::default().sptf_limit);
-    }
-
-    #[test]
     fn request_accessors_expose_inputs() {
         let (_vol, grid) = setup();
         let naive = NaiveMapping::new(grid.clone(), 0);
@@ -1304,7 +1252,6 @@ mod tests {
     #[test]
     fn faulted_query_payload_matches_fault_free_and_counters_reconcile() {
         use multimap_disksim::FaultPlan;
-        use multimap_lvm::RecoveryConfig;
 
         let grid = GridSpec::new([60u64, 8, 6]);
         let naive = NaiveMapping::new(grid.clone(), 0);
@@ -1322,9 +1269,7 @@ mod tests {
         let plan = FaultPlan::new(0xFA17)
             .with_media_errors([15, 500])
             .with_transients(0.10, 3.0);
-        let vol =
-            LogicalVolume::with_recovery(profiles::small(), 1, plan, RecoveryConfig::default())
-                .unwrap();
+        let vol = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let exec = QueryExecutor::new(&vol, 0);
         let mut m = Metrics::new();
         let r = exec
@@ -1357,7 +1302,6 @@ mod tests {
     #[test]
     fn degraded_cells_fall_back_to_scheduled_seeks() {
         use multimap_disksim::FaultPlan;
-        use multimap_lvm::RecoveryConfig;
 
         let grid = GridSpec::new([60u64, 8, 6]);
         let naive = NaiveMapping::new(grid.clone(), 0);
@@ -1366,9 +1310,7 @@ mod tests {
         // Only hard errors: the first query remaps LBN 130, after which
         // the executor must split it out of later primary batches.
         let plan = FaultPlan::new(1).with_media_error(130);
-        let vol =
-            LogicalVolume::with_recovery(profiles::small(), 1, plan, RecoveryConfig::default())
-                .unwrap();
+        let vol = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let exec = QueryExecutor::new(&vol, 0);
         let warm = BoxRegion::new([0u64, 0, 0], [10u64, 7, 5]);
         exec.execute(QueryRequest::range(&naive, &warm)).unwrap();

@@ -50,7 +50,7 @@ pub mod workload;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    collect_lbns, record_classified_event, service_lbns, ExecOptions, ExecOptionsBuilder,
+    collect_lbns, record_classified_event, service_lbns, ExecOptions,
     QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
 pub use plan::{explain_beam, explain_range, AccessPlan, PlanKind};

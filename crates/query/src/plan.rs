@@ -233,13 +233,18 @@ mod tests {
         let region = BoxRegion::new([1u64, 2, 0], [12u64, 13, 6]);
         let priced = [
             ExecOptions::default(),
-            ExecOptions::builder().queue_depth(8).build(),
-            ExecOptions::builder()
-                .range(RangeOrder::SortedCoalescedFifo)
-                .build(),
-            ExecOptions::builder()
-                .range(RangeOrder::NaturalCellOrder)
-                .build(),
+            ExecOptions {
+                queue_depth: 8,
+                ..ExecOptions::default()
+            },
+            ExecOptions {
+                range: RangeOrder::SortedCoalescedFifo,
+                ..ExecOptions::default()
+            },
+            ExecOptions {
+                range: RangeOrder::NaturalCellOrder,
+                ..ExecOptions::default()
+            },
         ]
         .map(|options| assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options));
         assert!(priced[1].policy.contains("depth 8"));
@@ -267,7 +272,10 @@ mod tests {
                 let region = BoxRegion::beam(&grid, dim, &[3, 5, 2]);
                 let [auto, limited] = [
                     ExecOptions::default(),
-                    ExecOptions::builder().sptf_limit(4).build(),
+                    ExecOptions {
+                        sptf_limit: 4,
+                        ..ExecOptions::default()
+                    },
                 ]
                 .map(|options| {
                     assert_plan_is_the_execution(&geom, mapping.as_ref(), &region, QueryOp::Beam, options)

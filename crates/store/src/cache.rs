@@ -321,7 +321,7 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity_pages: 256,
             eviction: EvictionKind::Clock,
-            prefetch: PrefetchMode::Adjacency { depth: 1 },
+            prefetch: PrefetchMode::Adjacency,
             writeback_batch: 64,
             queue_depth: 64,
         }
@@ -580,12 +580,11 @@ impl BlockCache for PageCache {
         let stream = state.stream.observe(ctx.region);
         let cell_blocks = ctx.mapping.cell_blocks();
         let raw = match self.prefetch {
-            PrefetchMode::None => Vec::new(),
             PrefetchMode::Sequential { window } => {
                 sequential_plan(ctx.missed, cell_blocks, window)
             }
-            PrefetchMode::Adjacency { depth } => match stream {
-                Some(v) => adjacency_plan(ctx.mapping, ctx.region, v, depth),
+            PrefetchMode::Adjacency => match stream {
+                Some(v) => adjacency_plan(ctx.mapping, ctx.region, v),
                 None => Vec::new(),
             },
         };

@@ -5,11 +5,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use multimap_core::{
-    hilbert_mapping, zorder_mapping, BoxRegion, CellStore, GridSpec, LoadError, LoadReport, Mapping,
-    MappingError, MultiMapOptions, MultiMapping, NaiveMapping, UpdateConfig,
+    hilbert_mapping, zorder_mapping, BoxRegion, CellStore, GridSpec, LoadError, LoadReport,
+    Mapping, MappingError, MultiMapOptions, MultiMapping, NaiveMapping,
 };
-use multimap_disksim::{DeviceModel, DiskGeometry, Lbn, Request};
-use multimap_lvm::{DeviceVolume, LogicalVolume, LvmError, RecoveringDisk, SchedulePolicy};
+use multimap_disksim::{DeviceModel, DiskGeometry, DiskSim, Lbn, Request};
+use multimap_lvm::{DeviceVolume, LogicalVolume, LvmError, SchedulePolicy};
 use multimap_query::{
     record_classified_event, service_lbns, BlockCache, CacheProbe, QueryError, QueryExecutor,
     QueryRequest, QueryResult,
@@ -182,11 +182,10 @@ impl FlushReport {
 /// flushes accumulated dirty pages once `writeback_batch` of them are
 /// pending, in the order the device writes back
 /// ([`DeviceModel::service_writeback`]).
-pub struct StorageManager<D: DeviceModel = RecoveringDisk> {
+pub struct StorageManager<D: DeviceModel = DiskSim> {
     volume: DeviceVolume<D>,
     allocator: ZoneAllocator,
     tables: BTreeMap<String, SpatialTable>,
-    update_config: UpdateConfig,
     caches: BTreeMap<usize, PageCache>,
     cache_config: Option<CacheConfig>,
     cache_metrics: Metrics,
@@ -220,16 +219,10 @@ impl<D: DeviceModel> StorageManager<D> {
             allocator: ZoneAllocator::new(volume.num_devices()),
             volume,
             tables: BTreeMap::new(),
-            update_config: UpdateConfig::default(),
             caches: BTreeMap::new(),
             cache_config: None,
             cache_metrics: Metrics::new(),
         }
-    }
-
-    /// Override the update tunables used for new tables.
-    pub fn set_update_config(&mut self, cfg: UpdateConfig) {
-        self.update_config = cfg;
     }
 
     /// Interpose a page cache per disk. A `capacity_pages` of 0 leaves
@@ -523,7 +516,7 @@ impl<D: DeviceModel> StorageManager<D> {
         };
 
         let overflow_base = grant.base_lbn + grant.blocks.min(self.spanned(&*mapping, &grant));
-        let cells = CellStore::new(self.update_config, overflow_base);
+        let cells = CellStore::new(overflow_base);
         self.tables.insert(
             name.clone(),
             SpatialTable {
@@ -661,7 +654,7 @@ impl<D: DeviceModel> StorageManager<D> {
         // Fresh occupancy at the fill factor; overflow chains dissolve.
         let overflow_base =
             table.grant.base_lbn + table.mapping.blocks_spanned().min(table.grant.blocks);
-        table.cells = CellStore::new(self.update_config, overflow_base);
+        table.cells = CellStore::new(overflow_base);
         for c in 0..table.grid().cells() {
             table.cells.bulk_load(c);
         }
@@ -723,7 +716,7 @@ fn neighbor_rewrites<D: DeviceModel>(volume: &DeviceVolume<D>, disk: usize) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multimap_core::MappingKind;
+    use multimap_core::{MappingKind, CELL_CAPACITY};
     use multimap_disksim::profiles;
 
     fn manager() -> StorageManager {
@@ -800,16 +793,12 @@ mod tests {
     #[test]
     fn inserts_spill_to_overflow_and_queries_read_it() {
         let mut m = manager();
-        m.set_update_config(UpdateConfig {
-            cell_capacity: 4,
-            fill_factor: 1.0,
-            reclaim_threshold: 0.25,
-        });
         m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
             .unwrap();
         m.load("t").unwrap();
-        // The cell is full after load; inserts overflow.
-        for _ in 0..5 {
+        // 13 inserts fill the cell (51 of 64 points after load); the
+        // next 65 spill into two overflow pages.
+        for _ in 0..13 + CELL_CAPACITY + 1 {
             m.insert("t", &[3, 2, 1]).unwrap();
         }
         let table = m.table("t").unwrap();
@@ -824,15 +813,11 @@ mod tests {
     #[test]
     fn reorganize_dissolves_overflow_chains() {
         let mut m = manager();
-        m.set_update_config(UpdateConfig {
-            cell_capacity: 4,
-            fill_factor: 1.0,
-            reclaim_threshold: 0.25,
-        });
         m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
             .unwrap();
         m.load("t").unwrap();
-        for _ in 0..6 {
+        // 13 inserts fill the cell; the 14th overflows.
+        for _ in 0..14 {
             m.insert("t", &[1, 1, 1]).unwrap();
         }
         let cell = m.table("t").unwrap().grid().linear_index(&[1, 1, 1]);
@@ -858,17 +843,15 @@ mod tests {
     #[test]
     fn underflow_reporting() {
         let mut m = manager();
-        m.set_update_config(UpdateConfig {
-            cell_capacity: 8,
-            fill_factor: 0.5,
-            reclaim_threshold: 0.4,
-        });
         m.create_table("t", GridSpec::new([10u64, 4]), LayoutChoice::Naive)
             .unwrap();
         m.load("t").unwrap();
         assert!(m.underflowing_cells("t").unwrap().is_empty());
-        // Deleting below 40% of 8 = 3.2 flags the cell.
-        m.delete("t", &[3, 1]).unwrap();
+        // Deleting from 51 points to below 25% of 64 = 16 flags the cell.
+        for _ in 0..35 {
+            m.delete("t", &[3, 1]).unwrap();
+        }
+        assert!(m.underflowing_cells("t").unwrap().is_empty());
         m.delete("t", &[3, 1]).unwrap();
         let cell = m.table("t").unwrap().grid().linear_index(&[3, 1]);
         assert_eq!(m.underflowing_cells("t").unwrap(), vec![cell]);
@@ -904,11 +887,6 @@ mod tests {
     #[test]
     fn out_of_space_insert_leaves_the_table_unchanged() {
         let mut m = manager();
-        m.set_update_config(UpdateConfig {
-            cell_capacity: 1,
-            fill_factor: 1.0,
-            reclaim_threshold: 0.25,
-        });
         // A Naive grant is whole zones, so the overflow area is the
         // zone's tail past the grid: three blocks of zone 0's 288 000.
         m.create_table("t", GridSpec::new([5647u64, 17, 3]), LayoutChoice::Naive)
@@ -924,18 +902,19 @@ mod tests {
                 Err(e) => panic!("unexpected {e}"),
             }
         };
-        assert_eq!(inserted, 3);
+        // 13 fill the cell, then three overflow pages of 64 each.
+        assert_eq!(inserted, 13 + 3 * u64::from(CELL_CAPACITY));
         let table = m.table("t").unwrap();
         let grant = table.grant();
         let cell = table.grid().linear_index(&coord);
         let chain = table.cells().overflow_lbns(cell);
-        assert_eq!(chain.len() as u64, inserted);
+        assert_eq!(chain.len(), 3);
         assert!(chain.iter().all(|&l| l < grant.base_lbn + grant.blocks), "{chain:?} vs {grant:?}");
         let after = m.beam("t", 1, &coord).unwrap();
         assert_eq!((after.cells, after.blocks, after.payload), (before.cells, before.blocks, before.payload));
         // And it stays refused, still without side effects.
         assert!(matches!(m.insert("t", &coord), Err(StoreError::OutOfSpace { .. })));
-        assert_eq!(m.table("t").unwrap().cells().overflow_lbns(cell).len() as u64, inserted);
+        assert_eq!(m.table("t").unwrap().cells().overflow_lbns(cell).len(), 3);
     }
 
     /// A write-back flush that fails part-way keeps what it did not

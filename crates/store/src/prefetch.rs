@@ -11,9 +11,9 @@
 //! * **Adjacency-aware prefetch** — the paper-informed strategy: watch
 //!   the *query stream*, not the address stream. When successive
 //!   regions are the same box shifted along one dimension (a beam
-//!   sweep, a sliding range), predict the next `depth` regions and
-//!   translate them through the table's [`Mapping`] — under MultiMap
-//!   the predicted cells are exactly the semi-sequential successors the
+//!   sweep, a sliding range), predict the next region and translate it
+//!   through the table's [`Mapping`] — under MultiMap the predicted
+//!   cells are exactly the semi-sequential successors the
 //!   adjacency model lays out, so the speculative batch rides the SPTF
 //!   scheduler along settle-cost paths.
 //!
@@ -26,30 +26,23 @@ use multimap_disksim::Lbn;
 /// Which speculative-read strategy the cache runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchMode {
-    /// No speculative reads.
-    None,
     /// Plain LBN readahead: fetch `window` pages following the highest
     /// demand miss of each query.
     Sequential {
         /// Pages fetched past the highest missed page.
         window: u64,
     },
-    /// Mapping-aware stream prefetch: predict the next `depth` query
-    /// regions from the observed stream and translate them through the
-    /// mapping.
-    Adjacency {
-        /// Predicted regions fetched ahead of the stream.
-        depth: u64,
-    },
+    /// Mapping-aware stream prefetch: predict the next query region
+    /// from the observed stream and translate it through the mapping.
+    Adjacency,
 }
 
 impl PrefetchMode {
     /// Stable lower-case label (bench JSON field values).
     pub fn name(self) -> &'static str {
         match self {
-            PrefetchMode::None => "none",
             PrefetchMode::Sequential { .. } => "sequential",
-            PrefetchMode::Adjacency { .. } => "adjacency",
+            PrefetchMode::Adjacency => "adjacency",
         }
     }
 }
@@ -142,35 +135,25 @@ fn shift_region(
     Some(BoxRegion::new(lo, hi))
 }
 
-/// Translate the next `depth` predicted regions of a stream into page
-/// starts, in prediction order (nearest region first, row-major cells
-/// within it). Regions that fall off the grid end the prediction.
-pub fn adjacency_plan(
-    mapping: &dyn Mapping,
-    region: &BoxRegion,
-    stream: StreamVector,
-    depth: u64,
-) -> Vec<Lbn> {
-    let extents = mapping.grid().extents().to_vec();
+/// Translate the next predicted region of a stream into page starts,
+/// row-major: empty when that region falls off the grid, cut short at
+/// the first cell the mapping cannot place.
+pub fn adjacency_plan(mapping: &dyn Mapping, region: &BoxRegion, stream: StreamVector) -> Vec<Lbn> {
+    let extents = mapping.grid().extents();
+    let Some(next) = shift_region(region, stream.dim, stream.stride, extents) else {
+        return Vec::new();
+    };
     let mut plan = Vec::new();
-    for step in 1..=depth as i64 {
-        let Some(next) = shift_region(region, stream.dim, stream.stride * step, &extents) else {
-            break;
-        };
-        let mut failed = false;
-        next.for_each_cell(|c| {
-            if failed {
-                return;
-            }
-            match mapping.lbn_of(c) {
-                Ok(lbn) => plan.push(lbn),
-                Err(_) => failed = true,
-            }
-        });
+    let mut failed = false;
+    next.for_each_cell(|c| {
         if failed {
-            break;
+            return;
         }
-    }
+        match mapping.lbn_of(c) {
+            Ok(lbn) => plan.push(lbn),
+            Err(_) => failed = true,
+        }
+    });
     plan
 }
 
@@ -238,13 +221,13 @@ mod tests {
         let naive = NaiveMapping::new(grid.clone(), 0);
         let region = BoxRegion::beam(&grid, 1, &[2, 0, 4]);
         let stream = StreamVector { dim: 2, stride: 1 };
-        // Depth 3 but only z=5 exists: prediction stops at the edge.
-        let plan = adjacency_plan(&naive, &region, stream, 3);
+        // One step ahead: the z=5 beam.
+        let plan = adjacency_plan(&naive, &region, stream);
         let expect: Vec<Lbn> = (0..8).map(|y| 2 + 10 * y + 80 * 5).collect();
         assert_eq!(plan, expect);
         // A stream already at the boundary predicts nothing.
         let edge = BoxRegion::beam(&grid, 1, &[2, 0, 5]);
-        assert!(adjacency_plan(&naive, &edge, stream, 3).is_empty());
+        assert!(adjacency_plan(&naive, &edge, stream).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! every thread count), warm-cache result identity, write-back
 //! batching, and invalidation.
 
-use multimap_core::{BoxRegion, GridSpec, UpdateConfig};
+use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;
 use multimap_store::{
     CacheConfig, EvictionKind, LayoutChoice, PrefetchMode, StorageManager,
@@ -27,11 +27,6 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// the payload checksum, so two runs can be compared byte for byte.
 fn run_workload(layout: LayoutChoice, cache: Option<CacheConfig>) -> (Vec<u64>, u64) {
     let mut m = StorageManager::new(profiles::small(), 1);
-    m.set_update_config(UpdateConfig {
-        cell_capacity: 4,
-        fill_factor: 1.0,
-        reclaim_threshold: 0.25,
-    });
     if let Some(config) = cache {
         m.enable_cache(config);
     }
@@ -52,8 +47,12 @@ fn run_workload(layout: LayoutChoice, cache: Option<CacheConfig>) -> (Vec<u64>, 
         bits.push(r.total_io_ms.to_bits());
         payload = payload.wrapping_add(r.payload);
     }
+    // 14 inserts per cell: 13 fill it (51 of 64 points after load),
+    // the 14th allocates an overflow page.
     for i in 0..10u64 {
-        m.insert("t", &[i % 80, i % 8, i % 6]).expect("insert");
+        for _ in 0..14 {
+            m.insert("t", &[i % 80, i % 8, i % 6]).expect("insert");
+        }
     }
     let flushed = m.flush_all().expect("flush");
     bits.push(flushed.total_io_ms.to_bits());
@@ -118,7 +117,7 @@ fn warm_cache_preserves_results_and_serves_repeats_from_memory() {
         cached.enable_cache(CacheConfig {
             capacity_pages: 128,
             eviction,
-            prefetch: PrefetchMode::Adjacency { depth: 1 },
+            prefetch: PrefetchMode::Adjacency,
             ..CacheConfig::default()
         });
         for m in [&mut bare, &mut cached] {
@@ -241,7 +240,7 @@ fn adjacency_prefetch_converts_a_beam_sweep_into_hits() {
     let mut m = StorageManager::new(profiles::small(), 1);
     m.enable_cache(CacheConfig {
         capacity_pages: 64,
-        prefetch: PrefetchMode::Adjacency { depth: 1 },
+        prefetch: PrefetchMode::Adjacency,
         ..CacheConfig::default()
     });
     m.create_table("t", GridSpec::new([80u64, 8, 6]), LayoutChoice::MultiMap)
@@ -253,7 +252,7 @@ fn adjacency_prefetch_converts_a_beam_sweep_into_hits() {
     }
     // z=0 misses cold; z=1 misses but detects the stream and prefetches
     // z=2; from there every beam's demand is already resident and the
-    // only I/O a query carries is its own depth-1 prefetch. The final
+    // only I/O a query carries is its own one-region prefetch. The final
     // beam (z=5) predicts z=6 — off the grid — so it does no I/O at all.
     assert_eq!(last, 0.0, "the all-hit final beam still touched the disk");
     let stats = m.cache_stats();

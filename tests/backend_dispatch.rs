@@ -1,16 +1,19 @@
 //! Backend dispatch equivalence: the rotating disk served behind the
 //! [`DeviceModel`] trait — concretely, boxed as `dyn DeviceModel` via
-//! the backend registry, or wrapped in the pre-trait `LogicalVolume` —
-//! must be **byte-identical** in every caller-visible output: batch
-//! timings (bit-exact `total_ms`), payload checksums, and full
-//! `ServiceEvent` logs. The equivalence must also survive the
-//! experiment engine at 1, 2, 4 and 8 threads, since that is how the
-//! bench and conformance suites actually drive the backends.
+//! the backend registry, in a `LogicalVolume`, or under the recovery
+//! layer with nothing to recover — must be **byte-identical** in every
+//! caller-visible output: batch timings (bit-exact `total_ms`), payload
+//! checksums, and full `ServiceEvent` logs. The equivalence must also
+//! survive the experiment engine at 1, 2, 4 and 8 threads, since that
+//! is how the bench and conformance suites actually drive the backends.
 
 use multimap::disksim::{
-    build_backend, profiles, DeviceModel, Discipline, DiskSim, Request, ServiceLog,
+    build_backend, profiles, DeviceModel, Discipline, DiskSim, FaultPlan, Request, ServiceLog,
 };
-use multimap::lvm::LogicalVolume;
+use multimap::lvm::{DeviceVolume, LogicalVolume};
+
+/// Number of dispatch paths [`serve`] knows.
+const PATHS: usize = 4;
 
 type Run = (u64, u64, u64, u64, ServiceLog);
 
@@ -28,13 +31,13 @@ fn workload(total: u64, seed: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Serve `reqs` on a fresh rotating device through one of the three
-/// dispatch paths, returning every caller-visible output.
+/// Serve `reqs` on a fresh rotating device through one of the
+/// [`PATHS`] dispatch paths, returning every caller-visible output.
 fn serve(path: usize, reqs: &[Request], policy: Discipline) -> Run {
     let geom = profiles::small();
     let mut log = ServiceLog::new();
     let timing = match path {
-        // (a) The pre-trait logical volume.
+        // (a) The logical volume.
         0 => {
             let volume = LogicalVolume::new(geom, 1);
             let (t, l) = volume
@@ -50,10 +53,20 @@ fn serve(path: usize, reqs: &[Request], policy: Discipline) -> Run {
                 .expect("workload is in range")
         }
         // (c) A registry-built boxed trait object.
-        _ => {
+        2 => {
             let mut dev = build_backend("disk", &geom).expect("disk is registered");
             dev.service_batch_observed(reqs, policy, &mut log.recorder())
                 .expect("workload is in range")
+        }
+        // (d) A recovering volume with nothing to recover.
+        _ => {
+            let volume = DeviceVolume::with_recovery(geom, 1, FaultPlan::none())
+                .expect("one disk is a volume");
+            let (t, l) = volume
+                .service_batch_logged(0, reqs, policy)
+                .expect("workload is in range");
+            log = l;
+            t
         }
     };
     (
@@ -76,20 +89,20 @@ fn trait_dispatch_is_byte_identical_for_every_policy() {
     ] {
         let reqs = workload(total, 7);
         let reference = serve(0, &reqs, policy);
-        for path in [1usize, 2] {
+        for path in 1..PATHS {
             let run = serve(path, &reqs, policy);
             assert_eq!(run, reference, "path {path} diverged under {policy:?}");
         }
     }
 }
 
-/// The three dispatch paths, fanned across the experiment engine: the
-/// full (path × seed) matrix is identical at 1, 2, 4 and 8 threads,
-/// and within each thread count the three paths agree cell for cell.
+/// The dispatch paths, fanned across the experiment engine: the full
+/// (path × seed) matrix is identical at 1, 2, 4 and 8 threads, and
+/// within each thread count the paths agree cell for cell.
 #[test]
 fn trait_dispatch_is_thread_count_invariant() {
     let total = profiles::small().total_blocks();
-    let cells: Vec<(usize, u64)> = (0..3usize)
+    let cells: Vec<(usize, u64)> = (0..PATHS)
         .flat_map(|p| (0..4u64).map(move |s| (p, s)))
         .collect();
     let run_all = |threads: usize| {
@@ -103,7 +116,7 @@ fn trait_dispatch_is_thread_count_invariant() {
     // Within one thread count, every path serves each seed identically.
     for seed in 0..4usize {
         let base = &reference[seed];
-        for path in 1..3usize {
+        for path in 1..PATHS {
             assert_eq!(
                 &reference[path * 4 + seed],
                 base,

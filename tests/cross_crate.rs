@@ -123,24 +123,19 @@ fn updates_compose_with_mapping() {
     let grid = GridSpec::new([40u64, 8, 4]);
     let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
     let overflow_base = mm.layout().end_lbn(&geom);
-    let mut store = multimap::core::CellStore::new(
-        multimap::core::UpdateConfig {
-            cell_capacity: 8,
-            fill_factor: 0.75,
-            reclaim_threshold: 0.25,
-        },
-        overflow_base,
-    );
+    let mut store = multimap::core::CellStore::new(overflow_base);
     // Bulk-load everything, then hammer one cell.
     for i in 0..grid.cells() {
         store.bulk_load(i);
     }
+    // 13 inserts fill the hot cell (51 of 64 points after load); the
+    // next 130 spill into three overflow pages.
     let hot = grid.linear_index(&[3, 2, 1]);
-    for _ in 0..20 {
+    for _ in 0..143 {
         store.insert(hot);
     }
     let overflow = store.overflow_lbns(hot);
-    assert!(!overflow.is_empty());
+    assert_eq!(overflow.len(), 3);
     assert!(overflow.iter().all(|&l| l >= overflow_base));
     // A query for the hot cell reads its block plus the overflow chain.
     let volume = LogicalVolume::new(geom.clone(), 1);

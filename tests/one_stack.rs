@@ -12,7 +12,7 @@
 
 use multimap::core::{BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping};
 use multimap::disksim::{profiles, DeviceModel, DiskSim, FaultPlan, ServiceLog};
-use multimap::lvm::{backend_volume, DeviceVolume, LogicalVolume, RecoveryConfig};
+use multimap::lvm::{backend_volume, DeviceVolume, LogicalVolume};
 use multimap::query::{QueryExecutor, QueryOp, QueryRequest, QueryResult};
 use multimap::server::{serve_scenario, FairnessPolicy, LoadModel, Scenario, TenantSpec};
 use multimap::store::{CacheConfig, PageCache};
@@ -105,7 +105,7 @@ fn faulted_scenario(seed: u64, policy: FairnessPolicy) -> Scenario {
     }
 }
 
-/// (b) `serve_scenario` on `LogicalVolume::with_recovery` under a
+/// (b) `serve_scenario` on `DeviceVolume::with_recovery` under a
 /// seeded transient + media-error plan: every submission resolves
 /// exactly once, recovery time lands in the owning tenants' metrics
 /// (reconciling exactly with the volume's recovery stats), and the
@@ -126,13 +126,7 @@ fn serving_loop_runs_on_a_recovering_volume() {
     let run = |threads: usize| {
         multimap::engine::set_threads(threads);
         let out = multimap::engine::sweep(&cells, |&(seed, policy)| {
-            let volume = LogicalVolume::with_recovery(
-                geom.clone(),
-                1,
-                plan.clone(),
-                RecoveryConfig::default(),
-            )
-            .unwrap();
+            let volume = DeviceVolume::with_recovery(geom.clone(), 1, plan.clone()).unwrap();
             let mapping = NaiveMapping::new(grid.clone(), 0);
             let scenario = faulted_scenario(seed, policy);
             let report = serve_scenario(&volume, &mapping, &scenario).unwrap();
