@@ -265,3 +265,47 @@ fn adjacency_prefetch_converts_a_beam_sweep_into_hits() {
         "every prefetched beam should be consumed by the sweep"
     );
 }
+
+/// A capacity far beyond anything resident costs nothing up front: the
+/// arena grows with the pages admitted, so `usize::MAX` and `1 << 40`
+/// pages run beams, an insert and a flush like any other cache.
+fn run_with_huge_capacity(eviction: EvictionKind) {
+    for capacity_pages in [usize::MAX, 1 << 40] {
+        let mut m = StorageManager::new(profiles::small(), 1);
+        m.enable_cache(CacheConfig {
+            capacity_pages,
+            eviction,
+            ..CacheConfig::default()
+        });
+        m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
+            .expect("create");
+        m.load("t").expect("load");
+        for z in 0..4 {
+            assert_eq!(m.beam("t", 1, &[5, 0, z]).expect("beam").cells, 6);
+        }
+        m.insert("t", &[7, 1, 1]).expect("insert");
+        assert_eq!(m.flush_all().expect("flush").pages, 1);
+        let stats = m.cache_stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            4 * 6,
+            "{eviction:?} at {capacity_pages}"
+        );
+        assert_eq!(stats.evictions, 0, "{eviction:?} evicted below capacity");
+    }
+}
+
+#[test]
+fn clock_accepts_a_huge_capacity() {
+    run_with_huge_capacity(EvictionKind::Clock);
+}
+
+#[test]
+fn lru_accepts_a_huge_capacity() {
+    run_with_huge_capacity(EvictionKind::Lru);
+}
+
+#[test]
+fn two_q_accepts_a_huge_capacity() {
+    run_with_huge_capacity(EvictionKind::TwoQ);
+}

@@ -1,13 +1,16 @@
-//! Eviction-policy conformance: each production policy (index maps,
-//! free-slot stacks, stamp LRUs) is driven through random access
-//! strings against a brute-force reference built from plain `Vec`s and
-//! linear scans. Any divergence in the eviction sequence or the final
-//! resident set fails.
+//! Eviction-policy conformance: each production policy (per-slot
+//! marks, intrusive slot queues, a lazily trimmed ghost list) is driven
+//! through random access strings against a brute-force reference built
+//! from plain `Vec`s and linear scans (`reference/mod.rs`). Any
+//! divergence in the eviction sequence or the final resident set fails.
+
+mod reference;
 
 use std::collections::BTreeSet;
 
 use multimap_store::{make_policy, EvictionKind, EvictionPolicy};
 use proptest::prelude::*;
+use reference::{reference_for, RefPolicy};
 
 /// One step of an access string.
 #[derive(Clone, Copy, Debug)]
@@ -21,7 +24,7 @@ enum Op {
 /// Drive a policy through the cache harness semantics: hits touch,
 /// misses evict-then-admit at capacity, removals forget. Returns the
 /// eviction sequence and the final resident set.
-fn drive(policy: &mut dyn EvictionPolicy, capacity: usize, ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
+fn drive(policy: &mut dyn RefPolicy, capacity: usize, ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
     let mut resident: BTreeSet<u64> = BTreeSet::new();
     let mut evictions = Vec::new();
     for &op in ops {
@@ -49,156 +52,58 @@ fn drive(policy: &mut dyn EvictionPolicy, capacity: usize, ops: &[Op]) -> (Vec<u
     (evictions, resident.into_iter().collect())
 }
 
-// ---------------------------------------------------------------------
-// Brute-force references (Vecs + linear scans only).
-// ---------------------------------------------------------------------
-
-/// CLOCK reference: a slot array with reference bits and a hand.
-/// Freed slots are reused most-recent-first; before any frees, slots
-/// fill in ascending order. New pages get a cleared bit; the hand
-/// sweeps circularly, clearing set bits, evicting the first clear one.
-struct ClockRef {
-    slots: Vec<Option<(u64, bool)>>,
-    free: Vec<usize>,
-    hand: usize,
+/// A production policy seen through the reference contract: the slots
+/// a `PageCache` would give each page (the most recently vacated first,
+/// else a new one at the end), found by linear scan.
+struct BySlot {
+    policy: Box<dyn EvictionPolicy>,
+    slots: Vec<Option<u64>>,
+    free: Vec<u32>,
 }
 
-impl ClockRef {
-    fn new(capacity: usize) -> Self {
-        ClockRef {
-            slots: vec![None; capacity],
-            free: (0..capacity).rev().collect(),
-            hand: 0,
+impl BySlot {
+    fn new(kind: EvictionKind, capacity: usize) -> Self {
+        BySlot {
+            policy: make_policy(kind, capacity),
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    fn find(&self, lbn: u64) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| matches!(s, Some((l, _)) if *l == lbn))
+    fn slot_of(&self, lbn: u64) -> u32 {
+        let slot = self.slots.iter().position(|&s| s == Some(lbn));
+        slot.expect("the harness only names resident pages") as u32
+    }
+
+    fn vacate(&mut self, slot: u32) -> u64 {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("the slot is occupied")
     }
 }
 
-impl EvictionPolicy for ClockRef {
+impl RefPolicy for BySlot {
     fn on_admit(&mut self, lbn: u64) {
-        let slot = self.free.pop().expect("reference never admits past capacity");
-        self.slots[slot] = Some((lbn, false));
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = Some(lbn);
+        self.policy.on_admit(slot, lbn);
     }
     fn on_hit(&mut self, lbn: u64) {
-        if let Some(slot) = self.find(lbn) {
-            self.slots[slot] = Some((lbn, true));
-        }
+        let slot = self.slot_of(lbn);
+        self.policy.on_hit(slot);
     }
     fn on_remove(&mut self, lbn: u64) {
-        if let Some(slot) = self.find(lbn) {
-            self.slots[slot] = None;
-            self.free.push(slot);
-        }
+        let slot = self.slot_of(lbn);
+        self.vacate(slot);
+        self.policy.on_remove(slot);
     }
     fn victim(&mut self) -> Option<u64> {
-        if self.slots.iter().all(Option::is_none) {
-            return None;
-        }
-        loop {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            match self.slots[slot] {
-                None => continue,
-                Some((lbn, referenced)) => {
-                    if referenced {
-                        self.slots[slot] = Some((lbn, false));
-                    } else {
-                        self.slots[slot] = None;
-                        self.free.push(slot);
-                        return Some(lbn);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// LRU reference: a recency list, front = least recent.
-#[derive(Default)]
-struct LruRef {
-    order: Vec<u64>,
-}
-
-impl EvictionPolicy for LruRef {
-    fn on_admit(&mut self, lbn: u64) {
-        self.order.push(lbn);
-    }
-    fn on_hit(&mut self, lbn: u64) {
-        self.order.retain(|&l| l != lbn);
-        self.order.push(lbn);
-    }
-    fn on_remove(&mut self, lbn: u64) {
-        self.order.retain(|&l| l != lbn);
-    }
-    fn victim(&mut self) -> Option<u64> {
-        if self.order.is_empty() {
-            None
-        } else {
-            Some(self.order.remove(0))
-        }
-    }
-}
-
-/// 2Q reference: three plain lists with the production parameters
-/// (`kin` = capacity/4, `kout` = capacity/2, both at least 1).
-struct TwoQRef {
-    kin: usize,
-    kout: usize,
-    a1in: Vec<u64>,
-    ghosts: Vec<u64>,
-    am: Vec<u64>, // recency list, front = least recent
-}
-
-impl TwoQRef {
-    fn new(capacity: usize) -> Self {
-        TwoQRef {
-            kin: (capacity / 4).max(1),
-            kout: (capacity / 2).max(1),
-            a1in: Vec::new(),
-            ghosts: Vec::new(),
-            am: Vec::new(),
-        }
-    }
-}
-
-impl EvictionPolicy for TwoQRef {
-    fn on_admit(&mut self, lbn: u64) {
-        if self.ghosts.contains(&lbn) {
-            self.ghosts.retain(|&g| g != lbn);
-            self.am.push(lbn);
-        } else {
-            self.a1in.push(lbn);
-        }
-    }
-    fn on_hit(&mut self, lbn: u64) {
-        if self.am.contains(&lbn) {
-            self.am.retain(|&l| l != lbn);
-            self.am.push(lbn);
-        }
-    }
-    fn on_remove(&mut self, lbn: u64) {
-        self.a1in.retain(|&l| l != lbn);
-        self.am.retain(|&l| l != lbn);
-    }
-    fn victim(&mut self) -> Option<u64> {
-        if (self.a1in.len() > self.kin || self.am.is_empty()) && !self.a1in.is_empty() {
-            let lbn = self.a1in.remove(0);
-            self.ghosts.push(lbn);
-            while self.ghosts.len() > self.kout {
-                self.ghosts.remove(0);
-            }
-            return Some(lbn);
-        }
-        if self.am.is_empty() {
-            None
-        } else {
-            Some(self.am.remove(0))
-        }
+        let slot = self.policy.victim()?;
+        Some(self.vacate(slot))
     }
 }
 
@@ -218,21 +123,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-fn reference_for(kind: EvictionKind, capacity: usize) -> Box<dyn EvictionPolicy> {
-    match kind {
-        EvictionKind::Clock => Box::new(ClockRef::new(capacity)),
-        EvictionKind::Lru => Box::new(LruRef::default()),
-        EvictionKind::TwoQ => Box::new(TwoQRef::new(capacity)),
-    }
-}
-
 fn assert_matches_reference(kind: EvictionKind, capacity: usize, ops: &[Op]) {
-    let mut production = make_policy(kind, capacity);
+    let mut production = BySlot::new(kind, capacity);
     let mut reference = reference_for(kind, capacity);
-    let got = drive(production.as_mut(), capacity, ops);
+    let got = drive(&mut production, capacity, ops);
     let want = drive(reference.as_mut(), capacity, ops);
     assert_eq!(
-        got, want,
+        got,
+        want,
         "{} diverged from reference at capacity {capacity}: {ops:?}",
         kind.name()
     );
@@ -270,9 +168,9 @@ proptest! {
 #[test]
 fn two_q_promotes_ghosted_pages_to_the_main_area() {
     let capacity = 4; // kin = 1, kout = 2
-    let mut p = make_policy(EvictionKind::TwoQ, capacity);
+    let mut p = BySlot::new(EvictionKind::TwoQ, capacity);
     let (evictions, resident) = drive(
-        p.as_mut(),
+        &mut p,
         capacity,
         &[
             Op::Access(1),
