@@ -10,7 +10,7 @@
 use multimap_core::{Mapping, MultiMapping};
 use multimap_disksim::{adjacency_offset_sectors, adjacent_lbn, DiskGeometry};
 
-use crate::report::{Report, Verdict};
+use crate::report::{verdict, Report, Verdict};
 use crate::sample::sample_coords;
 
 /// Neighbor-step probes per dimension in the sampled regime.
@@ -174,16 +174,6 @@ fn neighbor_steps(m: &MultiMapping, geom: &DiskGeometry, exhaustive: bool) -> Ve
     verdict(if exhaustive { "exhaustive" } else { "sampled" }, details)
 }
 
-fn verdict(method: &str, details: Vec<String>) -> Verdict {
-    if details.is_empty() {
-        Verdict::Proved {
-            method: method.into(),
-        }
-    } else {
-        Verdict::Violated { details }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +186,7 @@ mod tests {
         let m = MultiMapping::new(&geom, GridSpec::new([5u64, 3, 3])).unwrap();
         let mut r = Report::new();
         check(&m, true, &mut r, "toy 5x3x3");
-        assert!(r.is_clean(), "{}", r.render_text());
+        assert!(r.is_clean(), "{:?}", r.violations());
         assert_eq!(r.outcomes.len(), 4);
     }
 
@@ -206,7 +196,7 @@ mod tests {
             let m = MultiMapping::new(&geom, GridSpec::new([259u64, 259, 259])).unwrap();
             let mut r = Report::new();
             check(&m, false, &mut r, "chunk 259^3");
-            assert!(r.is_clean(), "{}: {}", geom.name, r.render_text());
+            assert!(r.is_clean(), "{}: {:?}", geom.name, r.violations());
         }
     }
 

@@ -14,7 +14,7 @@
 use multimap_core::{CurveMapping, Mapping, MultiMapping, NaiveMapping};
 use multimap_sfc::SpaceFillingCurve;
 
-use crate::report::Verdict;
+use crate::report::{verdict, Verdict};
 use crate::sample::sample_coords;
 
 /// Cell-count ceiling for the exhaustive regime.
@@ -72,13 +72,7 @@ pub fn check_exhaustive(m: &dyn Mapping, dense: bool) -> Verdict {
             ));
         }
     }
-    if details.is_empty() {
-        Verdict::Proved {
-            method: "exhaustive".into(),
-        }
-    } else {
-        Verdict::Violated { details }
-    }
+    verdict("exhaustive", details)
 }
 
 /// Structural proof for [`NaiveMapping`]: `lbn = base + linear(c)·b` where
@@ -377,16 +371,6 @@ fn spot_check_roundtrip(m: &dyn Mapping, details: &mut Vec<String>) {
             }
             Err(e) => details.push(format!("sample {c:?} failed to map: {e}")),
         }
-    }
-}
-
-fn verdict(method: &str, details: Vec<String>) -> Verdict {
-    if details.is_empty() {
-        Verdict::Proved {
-            method: method.into(),
-        }
-    } else {
-        Verdict::Violated { details }
     }
 }
 

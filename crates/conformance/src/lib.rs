@@ -2,7 +2,7 @@
 //!
 //! The simulator, the mappings, the query executor and the analytical
 //! model all claim to describe the same disk. This crate holds them to
-//! it, three ways:
+//! it:
 //!
 //! * **Physics oracle** ([`oracle`]): every serviced request is
 //!   re-derived from the public [`DiskGeometry`] model and checked
@@ -36,6 +36,18 @@
 //!   [`Scenario`](multimap_server::Scenario) replayed twice produces
 //!   bit-identical reports; per-tenant admission counters partition
 //!   exactly; shed or rejected requests never reach the device.
+//! * **Provers** ([`sweep`], [`selector_bounds`]): two static provers
+//!   that reason from geometry and layout metadata without running a
+//!   workload. The layout prover ([`bijection`], [`adjacency`],
+//!   [`zones`]) checks, over a (drive × dataset geometry) sweep, that
+//!   the four mappings are bijections onto their LBN ranges, that every
+//!   non-primary-dimension neighbour step in MultiMap lands within the
+//!   adjacency distance `D`, and that zone transitions respect
+//!   `GET_TRACK_BOUNDARIES`. The selector-bound prover machine-checks
+//!   the incremental SPTF selector's pruning bounds against the
+//!   reference estimator. Both reduce to a [`Report`];
+//!   `tests/provers.rs` runs both full sweeps and demands an exact,
+//!   violation-free tally.
 //!
 //! See `docs/conformance.md` for the invariant catalogue and workflow.
 //!
@@ -45,12 +57,19 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 
+pub mod adjacency;
+pub mod bijection;
 pub mod differential;
 pub mod fault;
 pub mod golden;
 pub mod matrix;
 pub mod oracle;
+pub mod report;
+pub mod sample;
+pub mod selector_bounds;
 pub mod serving;
+pub mod sweep;
+pub mod zones;
 
 pub use differential::{
     assert_model_agreement, check_telemetry, check_translation_cache, model_agreement,
@@ -63,5 +82,6 @@ pub use matrix::{
     Observed, WorkloadQuery,
 };
 pub use golden::{check_case, workload_matrix, GoldenCase};
+pub use report::{CheckOutcome, Report, Verdict};
 pub use oracle::{check_event, check_log, check_ranks, OracleDisk, OracleReport, Violation};
 pub use serving::{check_served_scenario, check_serving_counters};

@@ -54,90 +54,53 @@ use std::collections::BTreeMap;
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
-use multimap_disksim::{DiskGeometry, DiskSim, Request, RequestProfile, ROTATION_WRAP_GUARD};
+use multimap_disksim::{
+    profiles, DiskGeometry, DiskSim, Request, RequestProfile, ROTATION_WRAP_GUARD,
+};
 
-use crate::report::{Report, Verdict};
+use crate::report::{verdict, Report, Verdict};
 use crate::sample;
-use crate::sweep::{profile_by_name, SweepConfig};
+use crate::sweep::{self, SweepConfig};
 
-/// The CI sweep: both evaluation drives, each with an exhaustive-regime
-/// 3-D grid and a flatter grid that shifts the track-boundary mix.
+/// The sweep: the small test disk on two exhaustive-regime grids, then
+/// both evaluation drives, each with an exhaustive-regime 3-D grid and a
+/// flatter grid that shifts the track-boundary mix.
 pub fn default_configs() -> Vec<SweepConfig> {
-    let mut cfgs = Vec::new();
-    for profile in ["cheetah-36es", "atlas-10k-iii"] {
-        cfgs.push(SweepConfig {
-            profile,
-            extents: vec![120, 40, 20],
-        });
-        cfgs.push(SweepConfig {
-            profile,
-            extents: vec![150, 40, 12],
-        });
+    let small = profiles::small();
+    let mut cfgs = vec![
+        SweepConfig::new(&small, &[60, 8, 6]),
+        SweepConfig::new(&small, &[100, 4, 4]),
+    ];
+    for geom in [profiles::cheetah_36es(), profiles::atlas_10k_iii()] {
+        cfgs.push(SweepConfig::new(&geom, &[120, 40, 20]));
+        cfgs.push(SweepConfig::new(&geom, &[150, 40, 12]));
     }
     cfgs
-}
-
-/// A fast subset used by the test suite.
-pub fn quick_configs() -> Vec<SweepConfig> {
-    vec![
-        SweepConfig {
-            profile: "small",
-            extents: vec![60, 8, 6],
-        },
-        SweepConfig {
-            profile: "small",
-            extents: vec![100, 4, 4],
-        },
-    ]
 }
 
 /// Run the selector-bound checks over every configuration, fanning the
 /// independent configs across the experiment engine and merging their
 /// reports in sweep order (identical to a serial run).
 pub fn run(configs: &[SweepConfig]) -> Report {
-    let mut report = Report::new();
-    let partials = multimap_engine::sweep(configs, |c| {
-        let mut partial = Report::new();
-        run_config(c, &mut partial);
-        partial
-    });
-    for partial in partials {
-        report.merge(partial);
-    }
-    report
-}
-
-fn label_of(config: &SweepConfig) -> String {
-    let dims: Vec<String> = config.extents.iter().map(u64::to_string).collect();
-    format!("{} {}", config.profile, dims.join("x"))
+    sweep::fan_out(configs, run_config)
 }
 
 /// Run one configuration, appending outcomes to `report`.
 pub fn run_config(config: &SweepConfig, report: &mut Report) {
-    let label = label_of(config);
-    let Some(geom) = profile_by_name(config.profile) else {
-        report.push(
-            "selector-bounds",
-            config.profile,
-            label,
-            Verdict::Violated {
-                details: vec![format!("unknown drive profile {:?}", config.profile)],
-            },
-        );
-        return;
-    };
+    let label = config.label();
+    let geom = &config.geom;
 
-    check_seek_floor_monotone(&geom, report, &label);
-    check_wrap_guard_headroom(&geom, report, &label);
+    check_seek_floor_monotone(geom, report, &label);
+    check_wrap_guard_headroom(geom, report, &label);
 
-    let profiles = build_profiles(&geom, config, report, &label);
+    let profiles = build_profiles(geom, config, report, &label);
     if profiles.is_empty() {
         return;
     }
-    let snapshots = build_snapshots(&geom, &profiles);
+    let snapshots = build_snapshots(geom, &profiles);
 
     check_estimate_bounds(&snapshots, &profiles, report, &label);
-    check_wrap_guard_replay(&geom, &snapshots, &profiles, report, &label);
+    check_wrap_guard_replay(geom, &snapshots, &profiles, report, &label);
 }
 
 /// 1. `seek_floor_ms` is weakly monotone over every admissible cylinder
@@ -164,7 +127,7 @@ fn check_seek_floor_monotone(geom: &DiskGeometry, report: &mut Report, label: &s
         "selector-seek-monotone",
         geom.name.to_string(),
         label,
-        verdict(details, format!("exhaustive over {max_d} distances")),
+        verdict(format!("exhaustive over {max_d} distances"), details),
     );
 }
 
@@ -188,7 +151,7 @@ fn check_wrap_guard_headroom(geom: &DiskGeometry, report: &mut Report, label: &s
         "selector-wrap-headroom",
         geom.name.to_string(),
         label,
-        verdict(details, format!("exhaustive over {zones} zones")),
+        verdict(format!("exhaustive over {zones} zones"), details),
     );
 }
 
@@ -444,19 +407,19 @@ fn check_estimate_bounds(
         "selector-estimate-exact",
         "estimate_profiled",
         label,
-        verdict(exact_details, method.clone()),
+        verdict(&method, exact_details),
     );
     report.push(
         "selector-seek-floor",
         "cylinder walk",
         label,
-        verdict(floor_details, method.clone()),
+        verdict(&method, floor_details),
     );
     report.push(
         "selector-bucket-bound",
         "rotational band",
         label,
-        verdict(bucket_details, method),
+        verdict(method, bucket_details),
     );
 }
 
@@ -547,8 +510,8 @@ fn check_wrap_guard_replay(
         "clamp replay",
         label,
         verdict(
-            details,
             format!("exhaustive over {buckets} buckets + {probes} boundary probes"),
+            details,
         ),
     );
 }
@@ -612,42 +575,35 @@ fn next_down(x: f64) -> f64 {
     f64::from_bits(x.to_bits() - 1)
 }
 
-fn verdict(details: Vec<String>, method: String) -> Verdict {
-    if details.is_empty() {
-        Verdict::Proved { method }
-    } else {
-        Verdict::Violated { details }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quick_configs_prove_clean() {
-        let report = run(&quick_configs());
-        assert!(report.is_clean(), "{}", report.render_text());
-        let (proved, _, _) = report.tallies();
-        // 6 checks per config x 2 configs.
-        assert!(proved >= 12, "expected a substantive run, got {proved}");
-    }
-
-    #[test]
     fn multi_track_requests_reach_the_bound_checks() {
         let mut report = Report::new();
-        let cfg = &quick_configs()[0];
-        run_config(cfg, &mut report);
-        // A zero multi-track count is itself reported as a violation, so
-        // cleanliness implies the multi-track path was exercised.
-        assert!(report.is_clean(), "{}", report.render_text());
-        let json = report.to_json().to_pretty();
-        assert!(json.contains("multi-track"), "{json}");
+        run_config(&default_configs()[0], &mut report);
+        assert!(report.is_clean(), "{:?}", report.violations());
+        let floor = report
+            .outcomes
+            .iter()
+            .find(|o| o.invariant == "selector-seek-floor")
+            .expect("the seek-floor check ran");
+        let Verdict::Proved { method } = &floor.verdict else {
+            panic!("{floor:?}");
+        };
+        // "…, N multi-track": the count the bound checks saw.
+        let count = method
+            .rsplit(", ")
+            .next()
+            .and_then(|t| t.strip_suffix(" multi-track"))
+            .and_then(|n| n.parse::<u64>().ok());
+        assert!(count.is_some_and(|n| n > 0), "{method}");
     }
 
     #[test]
     fn predicate_matches_clamp_classification_at_boundaries() {
-        let geom = profile_by_name("small").unwrap();
+        let geom = profiles::small();
         let t = 7.03;
         let phase = geom.phase_at(t);
         // Exactly on phase: forward hit, wait 0, not wrapped.
@@ -672,7 +628,7 @@ mod tests {
     fn violated_bounds_are_reported() {
         // A bucket whose items are deliberately out of order must fail
         // the partition check.
-        let geom = profile_by_name("small").unwrap();
+        let geom = profiles::small();
         let t = 3.1;
         let phase = geom.phase_at(t);
         let lo = (phase * 0.5).max(ROTATION_WRAP_GUARD);

@@ -15,7 +15,7 @@ use multimap_disksim::{profiles, DiskGeometry};
 use multimap_sfc::SpaceFillingCurve;
 
 use crate::bijection::{self, MappingClass, EXHAUSTIVE_CELL_LIMIT};
-use crate::report::{Report, Verdict};
+use crate::report::{verdict, Report, Verdict};
 use crate::{adjacency, zones};
 
 /// Rank-table ceiling for the space-filling-curve mappings: above this
@@ -23,80 +23,58 @@ use crate::{adjacency, zones};
 /// already been discharged on smaller grids plus the curve lemma.
 pub const SFC_CELL_LIMIT: u64 = 4_000_000;
 
-/// One sweep entry: a drive profile paired with a dataset geometry.
+/// One sweep entry: a drive paired with a dataset geometry.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Profile name resolvable by [`profile_by_name`].
-    pub profile: &'static str,
+    /// The drive the layout is built on.
+    pub geom: DiskGeometry,
     /// Dataset extents.
     pub extents: Vec<u64>,
 }
 
 impl SweepConfig {
-    fn label(&self) -> String {
+    /// Pair `geom` with a grid of the given extents.
+    pub fn new(geom: &DiskGeometry, extents: &[u64]) -> Self {
+        SweepConfig {
+            geom: geom.clone(),
+            extents: extents.to_vec(),
+        }
+    }
+
+    /// The drive name and extents, as outcomes name their config.
+    pub fn label(&self) -> String {
         let dims: Vec<String> = self.extents.iter().map(u64::to_string).collect();
-        format!("{} {}", self.profile, dims.join("x"))
+        format!("{} {}", self.geom.name, dims.join("x"))
     }
 }
 
-/// Resolve a drive profile by its sweep name.
-pub fn profile_by_name(name: &str) -> Option<DiskGeometry> {
-    match name {
-        "toy" => Some(profiles::toy()),
-        "small" => Some(profiles::small()),
-        "cheetah-36es" => Some(profiles::cheetah_36es()),
-        "atlas-10k-iii" => Some(profiles::atlas_10k_iii()),
-        "trend-gen1" => Some(profiles::density_trend(1)),
-        _ => None,
-    }
-}
-
-/// The full CI sweep: paper examples, both evaluation drives at the
+/// The full sweep: paper examples, both evaluation drives at the
 /// paper's dataset scales (Sections 5.3–5.5), and a trend projection.
 pub fn default_sweep() -> Vec<SweepConfig> {
+    let (toy, small) = (profiles::toy(), profiles::small());
     let mut cfgs = vec![
         // Paper running examples (Figures 2–4) on the toy disk.
-        cfg("toy", &[5, 3]),
-        cfg("toy", &[5, 3, 3]),
-        cfg("toy", &[5, 3, 3, 2]),
+        SweepConfig::new(&toy, &[5, 3]),
+        SweepConfig::new(&toy, &[5, 3, 3]),
+        SweepConfig::new(&toy, &[5, 3, 3, 2]),
         // Integration-scale grids on the small test disk.
-        cfg("small", &[500]),
-        cfg("small", &[60, 30]),
-        cfg("small", &[60, 8, 6]),
-        cfg("small", &[100, 4, 4]),
-        cfg("small", &[150, 40, 12]),
+        SweepConfig::new(&small, &[500]),
+        SweepConfig::new(&small, &[60, 30]),
+        SweepConfig::new(&small, &[60, 8, 6]),
+        SweepConfig::new(&small, &[100, 4, 4]),
+        SweepConfig::new(&small, &[150, 40, 12]),
     ];
-    for profile in ["cheetah-36es", "atlas-10k-iii"] {
+    for geom in [profiles::cheetah_36es(), profiles::atlas_10k_iii()] {
         // Exhaustive-regime 3-D grid, then the paper's 259^3 chunk
         // (Section 5.3), a mid-size structural grid exercising the
         // rank-table argument, and the 4-D OLAP chunk (Section 5.5).
-        cfgs.push(cfg(profile, &[120, 40, 20]));
-        cfgs.push(cfg(profile, &[259, 128, 82]));
-        cfgs.push(cfg(profile, &[259, 259, 259]));
-        cfgs.push(cfg(profile, &[591, 75, 25, 25]));
+        cfgs.push(SweepConfig::new(&geom, &[120, 40, 20]));
+        cfgs.push(SweepConfig::new(&geom, &[259, 128, 82]));
+        cfgs.push(SweepConfig::new(&geom, &[259, 259, 259]));
+        cfgs.push(SweepConfig::new(&geom, &[591, 75, 25, 25]));
     }
-    cfgs.push(cfg("trend-gen1", &[259, 259, 259]));
+    cfgs.push(SweepConfig::new(&profiles::density_trend(1), &[259, 259, 259]));
     cfgs
-}
-
-/// A fast subset of the sweep (exhaustive-regime configs only) used by
-/// the test suite so `cargo test` stays quick.
-pub fn quick_sweep() -> Vec<SweepConfig> {
-    vec![
-        cfg("toy", &[5, 3]),
-        cfg("toy", &[5, 3, 3]),
-        cfg("toy", &[5, 3, 3, 2]),
-        cfg("small", &[500]),
-        cfg("small", &[60, 30]),
-        cfg("small", &[60, 8, 6]),
-    ]
-}
-
-fn cfg(profile: &'static str, extents: &[u64]) -> SweepConfig {
-    SweepConfig {
-        profile,
-        extents: extents.to_vec(),
-    }
 }
 
 /// Run every invariant over every configuration.
@@ -107,12 +85,19 @@ fn cfg(profile: &'static str, extents: &[u64]) -> SweepConfig {
 pub fn run_sweep(configs: &[SweepConfig]) -> Report {
     let mut report = Report::new();
     curve_lemma(&mut report);
-    let partials = multimap_engine::sweep(configs, |c| {
+    report.merge(fan_out(configs, run_config));
+    report
+}
+
+/// Run `check` on every configuration across the experiment engine and
+/// merge the per-config reports in sweep order.
+pub(crate) fn fan_out(configs: &[SweepConfig], check: fn(&SweepConfig, &mut Report)) -> Report {
+    let mut report = Report::new();
+    for partial in multimap_engine::sweep(configs, |c| {
         let mut partial = Report::new();
-        run_config(c, &mut partial);
+        check(c, &mut partial);
         partial
-    });
-    for partial in partials {
+    }) {
         report.merge(partial);
     }
     report
@@ -121,17 +106,6 @@ pub fn run_sweep(configs: &[SweepConfig]) -> Report {
 /// Run one configuration, appending outcomes to `report`.
 pub fn run_config(config: &SweepConfig, report: &mut Report) {
     let label = config.label();
-    let Some(geom) = profile_by_name(config.profile) else {
-        report.push(
-            "config",
-            config.profile,
-            label,
-            Verdict::Violated {
-                details: vec![format!("unknown drive profile {:?}", config.profile)],
-            },
-        );
-        return;
-    };
     let grid = GridSpec::new(config.extents.clone());
     let cells = grid.cells();
     let exhaustive = cells <= EXHAUSTIVE_CELL_LIMIT;
@@ -183,7 +157,7 @@ pub fn run_config(config: &SweepConfig, report: &mut Report) {
     }
 
     // MultiMap: bijection plus the adjacency and zone invariants.
-    match MultiMapping::new(&geom, grid) {
+    match MultiMapping::new(&config.geom, grid) {
         Ok(mm) => {
             report.push(
                 "bijection",
@@ -217,33 +191,41 @@ fn construction_verdict(e: MappingError) -> Verdict {
 }
 
 /// The curve lemma: each space-filling curve is a bijection on its full
-/// power-of-two hypercube, verified exhaustively for every (dims, bits)
-/// pair small enough to enumerate. Rank compaction (checked per config)
-/// lifts this to arbitrary extents.
+/// power-of-two hypercube, verified exhaustively for every `dims` in
+/// 1–4 and `bits` in 1–3 (at most 2^12 indices per cube). Rank
+/// compaction (checked per config) lifts this to arbitrary extents.
 fn curve_lemma(report: &mut Report) {
     use multimap_sfc::{GrayCurve, HilbertCurve, ZCurve};
     for dims in [1usize, 2, 3, 4] {
         for bits in [1u32, 2, 3] {
-            if dims as u32 * bits > 12 {
-                continue;
-            }
-            let curves: Vec<(&str, Box<dyn SpaceFillingCurve>)> = vec![
-                ("Z-order", Box::new(match ZCurve::new(dims, bits) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                })),
-                ("Hilbert", Box::new(match HilbertCurve::new(dims, bits) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                })),
-                ("Gray", Box::new(match GrayCurve::new(dims, bits) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                })),
+            let config = format!("dims={dims} bits={bits}");
+            let curves = [
+                (
+                    "Z-order",
+                    ZCurve::new(dims, bits).map(|c| Box::new(c) as Box<dyn SpaceFillingCurve>),
+                ),
+                ("Hilbert", HilbertCurve::new(dims, bits).map(|c| Box::new(c) as _)),
+                ("Gray", GrayCurve::new(dims, bits).map(|c| Box::new(c) as _)),
             ];
             let total = 1u64 << (dims as u32 * bits);
             let side = 1u64 << bits;
             for (name, curve) in curves {
+                // A constructor that rejects an enumerable cube is a
+                // violation of the lemma, not a reason to skip it.
+                let curve = match curve {
+                    Ok(c) => c,
+                    Err(e) => {
+                        report.push(
+                            "curve-lemma",
+                            name,
+                            &config,
+                            Verdict::Violated {
+                                details: vec![format!("constructor failed: {e}")],
+                            },
+                        );
+                        continue;
+                    }
+                };
                 let mut details = Vec::new();
                 for idx in 0..total {
                     if details.len() >= 8 {
@@ -259,18 +241,7 @@ fn curve_lemma(report: &mut Report) {
                         details.push(format!("index {idx} -> {coords:?} -> {back}"));
                     }
                 }
-                report.push(
-                    "curve-lemma",
-                    name,
-                    format!("dims={dims} bits={bits}"),
-                    if details.is_empty() {
-                        Verdict::Proved {
-                            method: "exhaustive".into(),
-                        }
-                    } else {
-                        Verdict::Violated { details }
-                    },
-                );
+                report.push("curve-lemma", name, &config, verdict("exhaustive", details));
             }
         }
     }
@@ -281,32 +252,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_is_clean() {
-        let report = run_sweep(&quick_sweep());
-        assert!(report.is_clean(), "{}", report.render_text());
-        let (proved, _, _) = report.tallies();
-        assert!(proved >= 30, "expected a substantive sweep, got {proved}");
-    }
-
-    #[test]
-    fn unknown_profile_is_a_violation() {
-        let mut r = Report::new();
-        run_config(
-            &SweepConfig {
-                profile: "no-such-disk",
-                extents: vec![4, 4],
-            },
-            &mut r,
-        );
-        assert!(!r.is_clean());
-    }
-
-    #[test]
-    fn default_sweep_names_resolve_and_cover_both_drives() {
+    fn default_sweep_covers_both_evaluation_drives() {
         let cfgs = default_sweep();
-        assert!(cfgs.iter().all(|c| profile_by_name(c.profile).is_some()));
-        for drive in ["cheetah-36es", "atlas-10k-iii"] {
-            assert!(cfgs.iter().filter(|c| c.profile == drive).count() >= 4);
+        for drive in profiles::evaluation_disks() {
+            assert!(cfgs.iter().filter(|c| c.geom.name == drive.name).count() >= 4);
         }
     }
 }

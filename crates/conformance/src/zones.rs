@@ -9,7 +9,7 @@
 use multimap_core::{Mapping, MultiMapping};
 use multimap_disksim::DiskGeometry;
 
-use crate::report::{Report, Verdict};
+use crate::report::{verdict, Report, Verdict};
 use crate::sample::sample_coords;
 
 /// Cells sampled for the track-boundary spot check.
@@ -178,16 +178,6 @@ fn track_boundaries(m: &MultiMapping, geom: &DiskGeometry) -> Verdict {
     verdict("sampled", details)
 }
 
-fn verdict(method: &str, details: Vec<String>) -> Verdict {
-    if details.is_empty() {
-        Verdict::Proved {
-            method: method.into(),
-        }
-    } else {
-        Verdict::Violated { details }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,7 +193,7 @@ mod tests {
             let m = MultiMapping::new(&geom, grid).unwrap();
             let mut r = Report::new();
             check(&m, &mut r, "test");
-            assert!(r.is_clean(), "{}: {}", geom.name, r.render_text());
+            assert!(r.is_clean(), "{}: {:?}", geom.name, r.violations());
             assert_eq!(r.outcomes.len(), 3);
         }
     }
@@ -226,7 +216,7 @@ mod tests {
         assert_eq!(m.layout().zones().len(), 2, "transition not exercised");
         let mut r = Report::new();
         check(&m, &mut r, "toy two-zone");
-        assert!(r.is_clean(), "{}", r.render_text());
+        assert!(r.is_clean(), "{:?}", r.violations());
     }
 
     #[test]
@@ -235,7 +225,7 @@ mod tests {
             let m = MultiMapping::new(&geom, GridSpec::new([259u64, 259, 259])).unwrap();
             let mut r = Report::new();
             check(&m, &mut r, "chunk 259^3");
-            assert!(r.is_clean(), "{}: {}", geom.name, r.render_text());
+            assert!(r.is_clean(), "{}: {:?}", geom.name, r.violations());
         }
     }
 }

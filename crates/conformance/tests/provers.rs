@@ -1,10 +1,13 @@
-//! Property tests pinning the analyzer to ground truth.
+//! The prover gate, and property tests pinning the provers to ground
+//! truth.
 //!
-//! The invariant prover must agree with an independent brute-force
-//! enumeration on every small grid it could be handed — for all four
-//! mapping families, in both directions: correct mappings prove clean,
-//! and deliberately corrupted mappings are flagged. A final self-test
-//! runs the quick sweep so `cargo test` fails the moment it regresses.
+//! The gate runs the full layout sweep and the full selector-bound
+//! sweep and demands an exact tally with no violation, so a dropped
+//! configuration or check fails as loudly as a broken invariant. The
+//! property tests hold the invariant prover to an independent
+//! brute-force enumeration on every small grid it could be handed — for
+//! all four mapping families, in both directions: correct mappings
+//! prove clean, and deliberately corrupted mappings are flagged.
 
 use std::collections::HashSet;
 
@@ -13,9 +16,8 @@ use multimap_core::{
 };
 use multimap_disksim::{adjacent_lbn, profiles, Lbn};
 use proptest::prelude::*;
-use staticcheck::bijection::{check_auto, check_exhaustive, MappingClass};
-use staticcheck::report::Report;
-use staticcheck::{adjacency, sweep};
+use multimap_conformance::bijection::{check_auto, check_exhaustive, MappingClass};
+use multimap_conformance::{adjacency, selector_bounds, sweep, Report};
 
 /// Brute-force bijection oracle, independent of the analyzer: enumerate
 /// every cell, demand distinct LBNs and exact inverses, and (for dense
@@ -230,14 +232,16 @@ proptest! {
     }
 }
 
-/// Self-test: the quick invariant sweep must be clean, so plain
-/// `cargo test` enforces what CI enforces.
+/// The gate: both full sweeps, every check accounted for. The 259
+/// checks are 36 curve-lemma checks, 11 layout checks on each of the 17
+/// sweep configurations (10 of them rank tables skipped above
+/// `SFC_CELL_LIMIT`), and 6 selector-bound checks on each of 6
+/// configurations.
 #[test]
-fn quick_sweep_is_clean() {
-    let report = sweep::run_sweep(&sweep::quick_sweep());
-    assert!(
-        report.is_clean(),
-        "quick sweep found violations:\n{}",
-        report.render_text()
-    );
+fn full_sweeps_prove_every_check() {
+    let mut report = sweep::run_sweep(&sweep::default_sweep());
+    report.merge(selector_bounds::run(&selector_bounds::default_configs()));
+    assert!(report.is_clean(), "{:#?}", report.violations());
+    assert_eq!(report.outcomes.len(), 259);
+    assert_eq!(report.tallies(), (249, 0, 10));
 }

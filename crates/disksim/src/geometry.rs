@@ -52,8 +52,8 @@ pub const SECTOR_BYTES: u32 = 512;
 /// (`angle - phase`, `+ 1.0`, `1.0 - ROTATION_WRAP_GUARD`), never a
 /// separately rounded threshold, so the two can never disagree on a
 /// boundary angle.
-/// Public so the staticcheck selector-bound prover can replay the exact
-/// clamp expressions when it machine-checks that classification.
+/// Public so the conformance crate's selector-bound prover can replay the
+/// exact clamp expressions when it machine-checks that classification.
 pub const ROTATION_WRAP_GUARD: f64 = 1e-9;
 
 /// A declarative zone description used when building a [`DiskGeometry`].

@@ -227,8 +227,9 @@ impl RequestProfile {
 
     /// Start angle of the first block, in revolutions.
     ///
-    /// Public so the staticcheck selector-bound prover can reconstruct
-    /// the selector's rotational-band bounds from the same cached float.
+    /// Public so the conformance crate's selector-bound prover can
+    /// reconstruct the selector's rotational-band bounds from the same
+    /// cached float.
     #[inline]
     pub fn start_angle(&self) -> f64 {
         self.start_angle
@@ -247,8 +248,8 @@ impl RequestProfile {
     /// estimate's transfer component, bit-identical to the estimator's
     /// own first-segment term.
     ///
-    /// Public so the staticcheck selector-bound prover can verify the
-    /// lower-bound claim against the reference estimator.
+    /// Public so the conformance crate's selector-bound prover can
+    /// verify the lower-bound claim against the reference estimator.
     #[inline]
     pub fn first_segment_xfer_ms(&self) -> f64 {
         self.first_segment_xfer_ms

@@ -96,5 +96,5 @@ fn every_crate_root_carries_the_lint_line() {
             checked += 1;
         }
     }
-    assert!(checked >= 18, "checked only {checked} crate roots");
+    assert!(checked >= 16, "checked only {checked} crate roots");
 }
