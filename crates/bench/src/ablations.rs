@@ -23,6 +23,24 @@ fn grid(scale: Scale) -> multimap_core::GridSpec {
     scale.synthetic_grid()
 }
 
+/// A one-zone Cheetah-like drive with `sectors_per_track` per track:
+/// the base each geometry ablation changes one setting of.
+fn cheetah_like(name: String, sectors_per_track: u32) -> DiskBuilder {
+    DiskBuilder::new(name)
+        .rpm(10_000.0)
+        .surfaces(4)
+        .zones(vec![ZoneSpec {
+            cylinders: 26_300,
+            sectors_per_track,
+        }])
+        .settle_ms(1.3)
+        .settle_cylinders(32)
+        .head_switch_ms(1.0)
+        .command_overhead_ms(0.025)
+        .avg_seek_ms(5.2)
+        .max_seek_ms(10.5)
+}
+
 /// Basic-cube shape: the cube-count-minimising solver choice vs a
 /// paper-style "K1 as large as D allows" override.
 pub fn cube_shape(scale: Scale) -> Table {
@@ -152,19 +170,8 @@ pub fn adjacency_depth(scale: Scale) -> Table {
         &["D", "beam_Dim1", "beam_Dim2"],
     );
     for c in [8u32, 16, 32] {
-        let geom = DiskBuilder::new(format!("cheetah-like C={c}"))
-            .rpm(10_000.0)
-            .surfaces(4)
-            .zones(vec![ZoneSpec {
-                cylinders: 26_300,
-                sectors_per_track: 740,
-            }])
-            .settle_ms(1.3)
+        let geom = cheetah_like(format!("cheetah-like C={c}"), 740)
             .settle_cylinders(c)
-            .head_switch_ms(1.0)
-            .command_overhead_ms(0.025)
-            .avg_seek_ms(5.2)
-            .max_seek_ms(10.5)
             .build()
             .expect("valid geometry");
         let d = geom.adjacency_limit;
@@ -194,20 +201,8 @@ pub fn adjacency_slack(scale: Scale) -> Table {
         &["slack_ms", "beam_Dim1", "range0.1pct_total"],
     );
     for slack in [0.0f64, 0.15, 0.3, 0.6] {
-        let geom = DiskBuilder::new(format!("cheetah-like slack={slack}"))
-            .rpm(10_000.0)
-            .surfaces(4)
-            .zones(vec![ZoneSpec {
-                cylinders: 26_300,
-                sectors_per_track: 740,
-            }])
-            .settle_ms(1.3)
-            .settle_cylinders(32)
-            .head_switch_ms(1.0)
-            .command_overhead_ms(0.025)
+        let geom = cheetah_like(format!("cheetah-like slack={slack}"), 740)
             .adjacency_slack_ms(slack)
-            .avg_seek_ms(5.2)
-            .max_seek_ms(10.5)
             .adjacency_limit(128)
             .build()
             .expect("valid geometry");
@@ -271,19 +266,7 @@ pub fn track_waste(scale: Scale) -> Table {
     // A Cheetah-like disk with the stock T=740 (30% waste for K0=259)
     // vs one whose track length is exactly K0 (zero waste).
     for spt in [740u32, k0 as u32] {
-        let geom = DiskBuilder::new(format!("cheetah-like T={spt}"))
-            .rpm(10_000.0)
-            .surfaces(4)
-            .zones(vec![ZoneSpec {
-                cylinders: 26_300,
-                sectors_per_track: spt,
-            }])
-            .settle_ms(1.3)
-            .settle_cylinders(32)
-            .head_switch_ms(1.0)
-            .command_overhead_ms(0.025)
-            .avg_seek_ms(5.2)
-            .max_seek_ms(10.5)
+        let geom = cheetah_like(format!("cheetah-like T={spt}"), spt)
             .adjacency_limit(128)
             .build()
             .expect("valid geometry");
@@ -351,21 +334,9 @@ pub fn settle_jitter(scale: Scale) -> Table {
     for jitter in [0.0f64, 0.1, 0.25] {
         let mut row = vec![format!("{jitter}")];
         for slack in [0.0f64, 0.3] {
-            let geom = DiskBuilder::new(format!("jitter={jitter} slack={slack}"))
-                .rpm(10_000.0)
-                .surfaces(4)
-                .zones(vec![ZoneSpec {
-                    cylinders: 26_300,
-                    sectors_per_track: 740,
-                }])
-                .settle_ms(1.3)
-                .settle_cylinders(32)
-                .head_switch_ms(1.0)
-                .command_overhead_ms(0.025)
+            let geom = cheetah_like(format!("jitter={jitter} slack={slack}"), 740)
                 .settle_jitter_ms(jitter)
                 .adjacency_slack_ms(slack)
-                .avg_seek_ms(5.2)
-                .max_seek_ms(10.5)
                 .adjacency_limit(128)
                 .build()
                 .expect("valid geometry");
@@ -486,139 +457,4 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
         sptf_crossover,
     ];
     multimap_engine::sweep(&experiments, |f| f(scale))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Cell `col` of `row` as a number; an unparsable cell fails the
-    /// gate, naming the row.
-    fn cell(row: &[String], col: usize) -> f64 {
-        row[col]
-            .parse()
-            .unwrap_or_else(|_| panic!("row {row:?}: column {col} is not a number"))
-    }
-
-    #[test]
-    fn queue_depth_one_is_worst_for_multimap() {
-        let t = queue_depth(Scale::Quick);
-        let d1 = cell(&t.rows[0], 2);
-        let d64 = cell(&t.rows[2], 2);
-        assert!(d64 < d1, "TCQ must help MultiMap ranges: depth 64 {d64} vs depth 1 {d1}");
-    }
-
-    /// Per edge, Hilbert clusters strictly better than Gray, and Gray
-    /// strictly better than Z-order; a tie fails.
-    #[test]
-    fn hilbert_clusters_better_than_zorder() {
-        let t = curve_clustering(Scale::Quick);
-        assert_eq!(t.header[1..], ["Z-order", "Hilbert", "Gray"]);
-        for row in &t.rows {
-            let (z, h, g) = (cell(row, 1), cell(row, 2), cell(row, 3));
-            assert!(h < g && g < z, "edge {}: Hilbert {h} < Gray {g} < Z-order {z} fails", row[0]);
-        }
-    }
-
-    #[test]
-    fn slack_zero_hurts_ranges() {
-        let t = adjacency_slack(Scale::Quick);
-        let r0: f64 = t.rows[0][2].parse().unwrap(); // slack 0
-        let r3: f64 = t.rows[2][2].parse().unwrap(); // slack 0.3
-        assert!(r3 < r0 * 1.15, "slack 0.3 range {r3} vs slack 0 {r0}");
-        // Beams get (slightly) slower with slack.
-        let b0: f64 = t.rows[0][1].parse().unwrap();
-        let b3: f64 = t.rows[2][1].parse().unwrap();
-        assert!(b3 >= b0 - 0.05, "beam {b3} vs {b0}");
-    }
-
-    #[test]
-    fn zoned_layout_spans_more_zones() {
-        let t = zoned_shapes(Scale::Quick);
-        let single_util: f64 = t.rows[0][2].parse().unwrap();
-        let zoned_segments: usize = t.rows[1][1].parse().unwrap();
-        let zoned_util: f64 = t.rows[1][2].parse().unwrap();
-        assert!(zoned_segments >= 2);
-        assert!(zoned_util >= single_util - 1e-9);
-        // Both keep beams settle-bound.
-        for row in &t.rows {
-            let beam: f64 = row[3].parse().unwrap();
-            assert!(beam < 3.0, "{}: {beam}", row[0]);
-        }
-    }
-
-    #[test]
-    fn slack_absorbs_settle_jitter() {
-        let t = settle_jitter(Scale::Quick);
-        // At the highest jitter, slack 0.3 must beat slack 0 clearly.
-        let last = t.rows.last().unwrap();
-        let no_slack: f64 = last[1].parse().unwrap();
-        let with_slack: f64 = last[2].parse().unwrap();
-        assert!(
-            with_slack < no_slack,
-            "slack must absorb jitter: {with_slack} vs {no_slack}"
-        );
-        // Without jitter, slack costs a little but not much.
-        let first = &t.rows[0];
-        let base: f64 = first[1].parse().unwrap();
-        let padded: f64 = first[2].parse().unwrap();
-        assert!(padded < base + 0.5);
-    }
-
-    #[test]
-    fn density_trend_monotone_nmax() {
-        let t = density_trend(Scale::Quick);
-        let nmax: Vec<u32> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        assert!(nmax.windows(2).all(|w| w[1] == w[0] + 1), "{nmax:?}");
-        // Semi-sequential step cost stays settle-bound across generations.
-        for row in &t.rows {
-            let beam: f64 = row[3].parse().unwrap();
-            assert!(beam < 2.5, "gen {}: {beam}", row[0]);
-        }
-    }
-
-    #[test]
-    fn zero_waste_track_length_converges_full_scans() {
-        let t = track_waste(Scale::Quick);
-        let stock: f64 = t.rows[0][4].parse().unwrap();
-        let exact: f64 = t.rows[1][4].parse().unwrap();
-        // With T = 2*K0 the full scan converges with Naive; with the
-        // stock track length it runs at the utilization.
-        assert!(exact > stock, "exact-fit {exact} vs stock {stock}");
-        assert!(
-            exact > 0.85,
-            "exact-fit speedup {exact} should approach 1.0"
-        );
-    }
-
-    #[test]
-    fn full_sptf_no_worse_than_queued_at_beam_scale() {
-        let t = sptf_crossover(Scale::Quick);
-        // Paper-scale beam row (the grid's largest extent) and below:
-        // the full scheduler must not lose to the admission window, so
-        // raising sptf_limit past those sizes is sound.
-        for row in &t.rows[..2] {
-            let full: f64 = row[1].parse().unwrap();
-            let queued: f64 = row[2].parse().unwrap();
-            assert!(
-                full <= queued * 1.02 + 0.5,
-                "batch {}: full {full} vs queued {queued}",
-                row[0]
-            );
-        }
-    }
-
-    #[test]
-    fn sorting_beats_natural_order() {
-        let t = request_sorting(Scale::Quick);
-        for row in &t.rows {
-            let natural: f64 = row[1].parse().unwrap();
-            let tcq: f64 = row[3].parse().unwrap();
-            assert!(
-                tcq <= natural * 1.05,
-                "{}: {tcq} vs natural {natural}",
-                row[0]
-            );
-        }
-    }
 }

@@ -107,19 +107,3 @@ pub fn run() -> Table {
     t.row(all.cells("all"));
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_mapping_recovers_its_payload_at_a_cost() {
-        let t = run();
-        assert_eq!(t.rows.len(), 5, "four mappings plus the total");
-        for row in &t.rows {
-            let (clean, degraded): (f64, f64) = (row[1].parse().unwrap(), row[2].parse().unwrap());
-            assert!(degraded > clean, "{}: recovery was free", row[0]);
-            assert_eq!(row[6], "true", "{}: faulted payload diverged", row[0]);
-        }
-    }
-}

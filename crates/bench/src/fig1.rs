@@ -44,22 +44,3 @@ pub fn run() -> Table {
     }
     table
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_has_plateau_then_growth() {
-        let t = run();
-        // Distances 1 and 32 share the settle plateau; the last row is
-        // the full stroke, well above it.
-        let first: f64 = t.rows[0][1].parse().unwrap();
-        let at_c: f64 = t.rows.iter().find(|r| r[0] == "32").expect("row for C")[1]
-            .parse()
-            .unwrap();
-        let last: f64 = t.rows.last().unwrap()[1].parse().unwrap();
-        assert_eq!(first, at_c, "settle plateau must be flat");
-        assert!(last > 4.0 * first, "full stroke must dominate settle");
-    }
-}

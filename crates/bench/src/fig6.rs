@@ -149,22 +149,24 @@ pub fn run_ranges(scale: Scale) -> (Table, Vec<PhaseCell>) {
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
 
+    /// The pinned quick beam table (which `results_pin` holds equal to
+    /// [`run_beams`]) has the paper's shape: per drive, Naive streams
+    /// Dim0 and MultiMap beats Naive on Dim1 and Dim2.
     #[test]
     fn quick_beams_have_paper_shape() {
-        let (t, _) = run_beams(Scale::Quick);
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/quick/fig6a_synthetic_beams.tsv");
+        let t = Table::load_tsv(&path, "fig6a").expect("results/quick is checked in");
         assert_eq!(t.rows.len(), 8); // 2 disks x 4 mappings
-                                     // Per disk: Naive Dim0 streams; MultiMap Dim1/Dim2 beat Naive.
         for disk_rows in t.rows.chunks(4) {
-            let naive: Vec<f64> = disk_rows[0][2..5]
-                .iter()
-                .map(|s| s.parse().unwrap())
-                .collect();
-            let mm: Vec<f64> = disk_rows[3][2..5]
-                .iter()
-                .map(|s| s.parse().unwrap())
-                .collect();
+            let cells = |row: &[String]| -> Vec<f64> {
+                row[2..5].iter().map(|s| s.parse().unwrap()).collect()
+            };
+            let (naive, mm) = (cells(&disk_rows[0]), cells(&disk_rows[3]));
             assert!(naive[0] < 0.3, "Naive Dim0 should stream: {naive:?}");
             assert!(mm[1] < naive[1], "MultiMap must beat Naive on Dim1");
             assert!(mm[2] < naive[2], "MultiMap must beat Naive on Dim2");

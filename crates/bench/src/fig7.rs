@@ -31,19 +31,18 @@ fn min_region_cells(scale: Scale) -> u64 {
     }
 }
 
-/// Figure 7(a): beam queries along X, Y, Z (avg ms per element).
-pub fn run_beams(scale: Scale) -> Table {
-    let tree = earthquake_tree(&config(scale));
-    run_beams_on(&tree, scale)
+/// The three linearised baselines, in table order: Naive (X-major),
+/// Z-order and Hilbert leaf orders.
+fn baselines(tree: &Octree) -> [LeafLinearMapping; 3] {
+    [LeafOrder::XMajor, LeafOrder::ZOrder, LeafOrder::Hilbert]
+        .map(|order| LeafLinearMapping::new(tree, order, 0))
 }
 
-fn run_beams_on(tree: &Octree, scale: Scale) -> Table {
+/// Figure 7(a): beam queries along X, Y, Z (avg ms per element).
+pub fn run_beams(scale: Scale) -> Table {
+    let tree = &earthquake_tree(&config(scale));
     let runs = scale.beam_runs();
-    let baselines = [
-        LeafLinearMapping::new(tree, LeafOrder::XMajor, 0),
-        LeafLinearMapping::new(tree, LeafOrder::ZOrder, 0),
-        LeafLinearMapping::new(tree, LeafOrder::Hilbert, 0),
-    ];
+    let baselines = baselines(tree);
 
     let mut table = Table::new(
         format!(
@@ -129,11 +128,7 @@ pub fn run_ranges(scale: Scale) -> Table {
     // different regime. Report the paper's values plus element-count-
     // matched ones (scaled by the element ratio).
     let selectivities = [0.0001f64, 0.001, 0.003, 0.01, 0.05, 0.1];
-    let baselines = [
-        LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0),
-        LeafLinearMapping::new(&tree, LeafOrder::ZOrder, 0),
-        LeafLinearMapping::new(&tree, LeafOrder::Hilbert, 0),
-    ];
+    let baselines = baselines(&tree);
 
     let mut table = Table::new(
         format!(
@@ -201,28 +196,4 @@ pub fn run_ranges(scale: Scale) -> Table {
         }
     }
     table
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_beams_favor_multimap_on_y_and_z() {
-        let t = run_beams(Scale::Quick);
-        assert_eq!(t.rows.len(), 8);
-        for disk_rows in t.rows.chunks(4) {
-            let naive_y: f64 = disk_rows[0][3].parse().unwrap();
-            let naive_z: f64 = disk_rows[0][4].parse().unwrap();
-            let mm_y: f64 = disk_rows[3][3].parse().unwrap();
-            let mm_z: f64 = disk_rows[3][4].parse().unwrap();
-            // At quick scale Naive's Y stride fits inside a track, so
-            // its Y beams are near-sequential while MultiMap pays one
-            // settle per cell: demand MultiMap stays within the
-            // settle/sequential cost gap on Y. Z must be a clear
-            // MultiMap win (Naive strides a full plane per cell).
-            assert!(mm_y < naive_y * 2.5, "MultiMap Y {mm_y} vs Naive {naive_y}");
-            assert!(mm_z * 2.0 < naive_z, "MultiMap Z {mm_z} vs Naive {naive_z}");
-        }
-    }
 }

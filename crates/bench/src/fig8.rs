@@ -68,30 +68,3 @@ pub fn run(scale: Scale) -> (Table, Vec<PhaseCell>) {
     });
     with_phases(table, rows)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_olap_shape() {
-        let (t, _) = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 8);
-        for disk_rows in t.rows.chunks(4) {
-            // Q1 (major-order beam): Naive streams, curves are orders of
-            // magnitude slower; MultiMap close to Naive.
-            let naive_q1: f64 = disk_rows[0][2].parse().unwrap();
-            let hilb_q1: f64 = disk_rows[2][2].parse().unwrap();
-            let mm_q1: f64 = disk_rows[3][2].parse().unwrap();
-            assert!(hilb_q1 > 5.0 * naive_q1, "curves must lose Q1 badly");
-            assert!(
-                mm_q1 < 3.0 * naive_q1,
-                "MultiMap must stay near Naive on Q1"
-            );
-            // Q2 (nation beam): MultiMap beats Naive.
-            let naive_q2: f64 = disk_rows[0][3].parse().unwrap();
-            let mm_q2: f64 = disk_rows[3][3].parse().unwrap();
-            assert!(mm_q2 < naive_q2, "MultiMap must beat Naive on Q2");
-        }
-    }
-}

@@ -12,9 +12,13 @@
 //! full earthquake configuration); `Scale::Quick` shrinks everything
 //! proportionally for smoke tests and CI. Everything here reports the
 //! *simulated* clock and is deterministic: the quick tables are checked
-//! in under `results/quick/` and `tests/results_pin.rs` holds them
-//! byte-exact. Host-clock measurement lives in the repo benchmark
-//! (`benchmark/`), not in this crate.
+//! in under `results/quick/`: `tests/results_pin.rs` holds them
+//! byte-exact and `tests/determinism.rs` holds the engine-swept figures
+//! to the same bytes at 2, 4 and 8 engine threads.
+//! `tests/paper_claims.rs` asserts EXPERIMENTS.md's verdicts over
+//! those tables. Host-clock
+//! measurement lives in the repo benchmark (`benchmark/`), not in this
+//! crate.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]

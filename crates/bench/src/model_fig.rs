@@ -105,23 +105,3 @@ pub fn run(scale: Scale) -> Table {
     }
     table
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn model_tracks_simulator_within_2x() {
-        let t = run(Scale::Quick);
-        for row in &t.rows {
-            for (sim_col, model_col) in [(1usize, 2usize), (3, 4)] {
-                let sim: f64 = row[sim_col].parse().unwrap();
-                let model: f64 = row[model_col].parse().unwrap();
-                if sim > 0.1 {
-                    let ratio = (sim / model).max(model / sim);
-                    assert!(ratio < 2.0, "{}: sim {sim} vs model {model}", row[0]);
-                }
-            }
-        }
-    }
-}

@@ -196,42 +196,9 @@ pub fn table(scale: Scale, cells: &[CacheCell]) -> Table {
     t
 }
 
-/// Headline figure: the hit rate a given mapping achieves under
-/// `prefetch` with the default (clock) policy at the roomy capacity —
-/// the number the CI cache-smoke gate tracks.
-pub fn headline(cells: &[CacheCell], mapping: &str, prefetch: &str) -> f64 {
-    cells
-        .iter()
-        .find(|c| {
-            c.mapping == mapping
-                && c.prefetch == prefetch
-                && c.policy == EvictionKind::Clock.name()
-                && c.capacity == *CAPACITIES.iter().max().expect("non-empty")
-        })
-        .map(CacheCell::hit_rate)
-        .expect("sweep covers every (mapping, prefetch) pair")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adjacency_beats_sequential_readahead_for_every_mapping() {
-        let cells = run(Scale::Quick);
-        assert_eq!(cells.len(), 4 * 3 * 2 * 2);
-        for mapping in ["Naive", "Z-order", "Hilbert", "MultiMap"] {
-            let adj = headline(&cells, mapping, "adjacency");
-            let seq = headline(&cells, mapping, "sequential");
-            assert!(
-                adj > seq,
-                "{mapping}: adjacency {adj:.4} does not beat sequential {seq:.4}"
-            );
-        }
-        // The geometry-aware prefetcher sustains the stream: most of the
-        // sweep is served from memory once the stride is detected.
-        assert!(headline(&cells, "MultiMap", "adjacency") > 0.8);
-    }
 
     #[test]
     fn small_capacity_evicts_and_large_retains_the_revisit() {

@@ -242,41 +242,6 @@ mod tests {
         );
     }
 
-    /// Fixed workload, swap only the mapping: on the rotating disk
-    /// MultiMap's merged exact p50, p99 and mean must each be strictly
-    /// below Naive's, for every (tenants, policy) combination. A tie or
-    /// a missing value fails.
-    #[test]
-    fn multimap_keeps_its_tail_advantage_over_naive_on_disk() {
-        let cells = serving_sweep(Scale::Quick);
-        let on_disk = |mapping: &'static str| {
-            cells
-                .iter()
-                .filter(move |c| c.spec.backend == "disk" && c.spec.mapping == mapping)
-        };
-        let mut compared = 0;
-        for (mm, naive) in on_disk("MultiMap").zip(on_disk("Naive")) {
-            let at = format!("{} tenants, {}", mm.spec.tenants, mm.spec.policy);
-            assert_eq!(
-                (mm.spec.tenants, mm.spec.policy),
-                (naive.spec.tenants, naive.spec.policy),
-                "sweep order pairs the mappings cell for cell"
-            );
-            let [mm_p50, mm_p99, _] = mm.latency_quantiles();
-            let [naive_p50, naive_p99, _] = naive.latency_quantiles();
-            for (what, m, n) in [
-                ("p50", mm_p50, naive_p50),
-                ("p99", mm_p99, naive_p99),
-                ("mean", mm.merged_mean(), naive.merged_mean()),
-            ] {
-                // `None < Some(_)`, so a missing MultiMap value must fail by itself.
-                assert!(m.is_some() && m < n, "{at}: {what} {m:?} vs Naive {n:?}");
-            }
-            compared += 1;
-        }
-        assert_eq!(compared, TENANT_COUNTS.len() * SERVING_POLICIES.len());
-    }
-
     #[test]
     fn one_cell_serves_and_reconciles() {
         let cell = run_cell(

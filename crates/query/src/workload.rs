@@ -39,23 +39,58 @@ pub fn range_edge_for_selectivity(grid: &GridSpec, selectivity_pct: f64) -> u64 
     edge.min(min_extent)
 }
 
-/// Random equal-length cube range at the given selectivity.
+/// Random box at the given selectivity: the equal-sided cube of
+/// [`range_edge_for_selectivity`] while that cube fits the grid. Once
+/// the cube edge exceeds an extent, that dimension is taken whole and
+/// the remaining cells are spread evenly over the longer dimensions, so
+/// 100 % is the whole grid.
 pub fn random_range(grid: &GridSpec, selectivity_pct: f64, rng: &mut WorkloadRng) -> BoxRegion {
-    let edge = range_edge_for_selectivity(grid, selectivity_pct);
-    random_range_with_edge(grid, edge, rng)
+    random_box(grid, &range_shape(grid, selectivity_pct), rng)
+}
+
+/// Per-dimension lengths of [`random_range`]'s box: shortest extents
+/// first, each is the edge of the cube over the dimensions still open,
+/// or the whole extent when that cube does not fit.
+fn range_shape(grid: &GridSpec, selectivity_pct: f64) -> Vec<u64> {
+    assert!(selectivity_pct > 0.0, "selectivity must be positive");
+    let extents = grid.extents();
+    let mut order: Vec<usize> = (0..extents.len()).collect();
+    order.sort_by_key(|&d| extents[d]);
+    let mut lens = extents.to_vec();
+    let mut target = grid.cells() as f64 * selectivity_pct / 100.0;
+    for (i, &d) in order.iter().enumerate() {
+        let open = (order.len() - i) as f64;
+        let edge = target.powf(1.0 / open).round().max(1.0) as u64;
+        if edge <= extents[d] {
+            for &rest in &order[i..] {
+                lens[rest] = edge;
+            }
+            break;
+        }
+        target /= extents[d] as f64;
+    }
+    lens
 }
 
 /// Random cube range with an explicit edge length (clamped per
 /// dimension).
 pub fn random_range_with_edge(grid: &GridSpec, edge: u64, rng: &mut WorkloadRng) -> BoxRegion {
-    let mut lo = Vec::with_capacity(grid.ndims());
-    let mut hi = Vec::with_capacity(grid.ndims());
-    for &e in grid.extents() {
-        let len = edge.clamp(1, e);
-        let start = rng.random_range(0..=(e - len));
-        lo.push(start);
-        hi.push(start + len - 1);
-    }
+    let lens: Vec<u64> = grid.extents().iter().map(|&e| edge.clamp(1, e)).collect();
+    random_box(grid, &lens, rng)
+}
+
+/// A box of the given per-dimension lengths (each in `1..=extent`) at a
+/// random corner, drawn one dimension at a time.
+fn random_box(grid: &GridSpec, lens: &[u64], rng: &mut WorkloadRng) -> BoxRegion {
+    let (lo, hi): (Vec<u64>, Vec<u64>) = grid
+        .extents()
+        .iter()
+        .zip(lens)
+        .map(|(&e, &len)| {
+            let start = rng.random_range(0..=(e - len));
+            (start, start + len - 1)
+        })
+        .unzip();
     BoxRegion::new(lo, hi)
 }
 
@@ -107,6 +142,40 @@ mod tests {
             assert!(r.fits(&grid));
             let edge = range_edge_for_selectivity(&grid, 1.0);
             assert_eq!(r.cells(), edge.pow(3));
+        }
+    }
+
+    #[test]
+    fn ranges_grow_past_short_dimensions_to_the_whole_grid() {
+        let grid = GridSpec::new([259u64, 64, 32]);
+        let mut rng = workload_rng(5);
+        assert_eq!(
+            random_range(&grid, 100.0, &mut rng),
+            BoxRegion::new([0u64, 0, 0], [258u64, 63, 31])
+        );
+        // 10 %: the 38-cell cube edge does not fit Dim2, so Dim2 is
+        // whole and the other 1 657.6 cells per plane form a 41 x 41 square.
+        let r = random_range(&grid, 10.0, &mut rng);
+        assert_eq!((r.extent(0), r.extent(1), r.extent(2)), (41, 41, 32));
+        // 40 %: Dim2 and Dim1 whole, Dim0 takes the remaining 103.6.
+        let r = random_range(&grid, 40.0, &mut rng);
+        assert_eq!((r.extent(0), r.extent(1), r.extent(2)), (104, 64, 32));
+        assert!(r.fits(&grid));
+    }
+
+    #[test]
+    fn a_fitting_cube_keeps_its_box_and_draws() {
+        let grid = GridSpec::new([259u64, 64, 32]);
+        for sel in [0.01, 0.1, 1.0, 6.0] {
+            let (mut a, mut b) = (workload_rng(11), workload_rng(11));
+            let edge = range_edge_for_selectivity(&grid, sel);
+            for _ in 0..4 {
+                assert_eq!(
+                    random_range(&grid, sel, &mut a),
+                    random_range_with_edge(&grid, edge, &mut b),
+                    "{sel} %"
+                );
+            }
         }
     }
 
