@@ -23,7 +23,7 @@
 //! perf/figures binaries can select one with a CLI flag.
 
 use crate::error::{DiskError, Result};
-use crate::geometry::{DiskGeometry, Lbn};
+use crate::geometry::DiskGeometry;
 use crate::imr::ImrModel;
 use crate::observe::{ServiceEvent, Transition};
 use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipline};
@@ -163,14 +163,6 @@ pub trait DeviceModel: Send {
     fn counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
-
-    /// Whether any block of `[lbn, lbn + nblocks)` has lost the
-    /// adjacency its mapping promised (a recovery layer relocated it),
-    /// so a query should reach it by a scheduled seek instead of a
-    /// semi-sequential hop. Bare devices never relocate blocks.
-    fn lost_adjacency(&self, _lbn: Lbn, _nblocks: u64) -> bool {
-        false
-    }
 }
 
 impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
@@ -238,9 +230,6 @@ impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
     }
     fn counters(&self) -> Vec<(String, u64)> {
         (**self).counters()
-    }
-    fn lost_adjacency(&self, lbn: Lbn, nblocks: u64) -> bool {
-        (**self).lost_adjacency(lbn, nblocks)
     }
 }
 

@@ -41,7 +41,7 @@ pub mod volume;
 
 pub use decluster::{Cyclic, Declustering, RoundRobin};
 pub use error::{LvmError, Result};
-pub use recovery::{RecoveringDisk, RecoveryStats, RemapTable};
+pub use recovery::{RecoveringDisk, RecoveryStats};
 pub use volume::{
     backend_volume, DeviceVolume, LogicalVolume, SchedulePolicy, VolumeBatchTiming,
 };

@@ -13,13 +13,12 @@
 //!   (with a linearly growing, deterministic backoff) and remaps
 //!   hard-failed blocks into spare sectors reserved at the tail of the
 //!   failing block's own track, keeping track locality but giving up
-//!   the adjacency guarantee for that block;
-//! * the **query executor** asks the device
-//!   ([`DeviceModel::lost_adjacency`]) which requests touch remapped
-//!   blocks and routes them through scheduled seeks instead of
-//!   semi-sequential hops.
+//!   the adjacency guarantee for that block. It also schedules what it
+//!   relocated: requests touching a remapped block are served after the
+//!   healthy ones of their batch, as ascending-LBN scheduled seeks.
 //!
-//! The volume above knows nothing of this: a recovering volume is the
+//! Nothing above (volume, query executor, serving loop, storage
+//! manager) asks which blocks moved: a recovering volume is the
 //! generic [`crate::DeviceVolume`] over `RecoveringDisk`s, built by
 //! [`crate::DeviceVolume::with_recovery`]; a fault-free
 //! [`crate::LogicalVolume`] runs the bare `DiskSim`.
@@ -81,10 +80,10 @@ impl RecoveryStats {
 /// Identity everywhere except blocks that hard-failed: those point into
 /// the spare region at the tail of their own track (allocated last LBN
 /// first). A remapped block keeps track locality but loses the
-/// adjacency/sequential guarantee — the executor treats any cell
-/// touching one as degraded.
+/// adjacency/sequential guarantee — [`RecoveringDisk`] serves any
+/// request touching one as degraded.
 #[derive(Clone, Debug, Default)]
-pub struct RemapTable {
+pub(crate) struct RemapTable {
     forward: BTreeMap<Lbn, Lbn>,
     reverse: BTreeMap<Lbn, Lbn>,
     /// Spares handed out per track, keyed by the track's first LBN.
@@ -93,36 +92,26 @@ pub struct RemapTable {
 
 impl RemapTable {
     /// Number of remapped blocks.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.forward.len()
-    }
-
-    /// Whether no block has been remapped.
-    pub fn is_empty(&self) -> bool {
-        self.forward.is_empty()
     }
 
     /// Physical address of logical block `lbn` (identity unless
     /// remapped).
     #[inline]
-    pub fn physical(&self, lbn: Lbn) -> Lbn {
+    fn physical(&self, lbn: Lbn) -> Lbn {
         self.forward.get(&lbn).copied().unwrap_or(lbn)
     }
 
     /// Whether any logical block in `[lbn, lbn + nblocks)` is remapped
     /// (and has therefore lost its adjacency guarantee).
-    pub fn overlaps(&self, lbn: Lbn, nblocks: u64) -> bool {
+    pub(crate) fn overlaps(&self, lbn: Lbn, nblocks: u64) -> bool {
         // Saturating: a range reaching past the address space simply
         // ends at it instead of overflowing.
         self.forward
             .range(lbn..lbn.saturating_add(nblocks))
             .next()
             .is_some()
-    }
-
-    /// The remapped logical blocks, ascending.
-    pub fn remapped(&self) -> impl Iterator<Item = (Lbn, Lbn)> + '_ {
-        self.forward.iter().map(|(&l, &p)| (l, p))
     }
 
     /// The longest physically-contiguous prefix of the logical span
@@ -164,6 +153,14 @@ impl RemapTable {
     }
 }
 
+/// Add one segment's timing components to a request's.
+fn accumulate(total: &mut RequestTiming, t: &RequestTiming) {
+    total.overhead_ms += t.overhead_ms;
+    total.seek_ms += t.seek_ms;
+    total.rotation_ms += t.rotation_ms;
+    total.transfer_ms += t.transfer_ms;
+}
+
 /// Serve one *logical* request through the recovery path: rewrite it
 /// through `remap` into physically-contiguous segments, retry transient
 /// timeouts with deterministic backoff, and remap hard-failed blocks on
@@ -199,10 +196,7 @@ fn recovering_serve(
         )]
         match sim.service(seg) {
             Ok(t) => {
-                total.overhead_ms += t.overhead_ms;
-                total.seek_ms += t.seek_ms;
-                total.rotation_ms += t.rotation_ms;
-                total.transfer_ms += t.transfer_ms;
+                accumulate(&mut total, &t);
                 segments_served += 1;
                 cursor += seg.nblocks;
                 remaining -= seg.nblocks;
@@ -254,7 +248,7 @@ fn recovering_serve(
 /// [`FaultPlan`] that path is bit-identical to the bare `DiskSim`.
 pub struct RecoveringDisk {
     sim: DiskSim,
-    remap: RemapTable,
+    pub(crate) remap: RemapTable,
     stats: RecoveryStats,
 }
 
@@ -285,6 +279,18 @@ impl RecoveringDisk {
     pub fn injected_counts(&self) -> FaultCounts {
         self.sim.fault_counts()
     }
+
+    /// One batch under `discipline`, every read recovering.
+    fn serve_batch(
+        &mut self,
+        requests: &[Request],
+        discipline: Discipline,
+        observe: &mut dyn FnMut(ServiceEvent),
+    ) -> multimap_disksim::Result<BatchTiming> {
+        let (remap, stats) = (&mut self.remap, &mut self.stats);
+        let mut serve = |sim: &mut DiskSim, req: Request| recovering_serve(remap, stats, sim, req);
+        service_batch_serving(&mut self.sim, requests, discipline, &mut serve, observe)
+    }
 }
 
 impl DeviceModel for RecoveringDisk {
@@ -302,14 +308,25 @@ impl DeviceModel for RecoveringDisk {
 
     /// A read is retried/remapped as needed and the returned timing
     /// folds the recovery time into `overhead_ms`, so the total still
-    /// reflects the wall-clock the disk was busy. Writes go to the
-    /// simulator as they are.
+    /// reflects the wall-clock the disk was busy. A write goes to the
+    /// simulator one physically contiguous segment at a time, so blocks
+    /// already remapped are written on their spares; its faults are not
+    /// recovered.
     fn service_kind(
         &mut self,
         req: Request,
         kind: AccessKind,
     ) -> multimap_disksim::Result<RequestTiming> {
         match kind {
+            AccessKind::Write if self.remap.overlaps(req.lbn, req.nblocks) => {
+                let (mut total, mut cursor) = (RequestTiming::default(), req.lbn);
+                while cursor < req.end() {
+                    let seg = self.remap.first_segment(cursor, req.end() - cursor);
+                    accumulate(&mut total, &self.sim.service_write(seg)?);
+                    cursor += seg.nblocks;
+                }
+                Ok(total)
+            }
             AccessKind::Write => self.sim.service_write(req),
             AccessKind::Read => {
                 let (mut t, outcome) =
@@ -326,15 +343,42 @@ impl DeviceModel for RecoveringDisk {
         self.sim.estimate(req)
     }
 
+    /// Requests touching a remapped block lost their adjacency, so they
+    /// follow the healthy ones (which keep `discipline`) as an
+    /// ascending-LBN tail. Every event's `admission_rank` indexes
+    /// `requests` and `seq` runs across both halves.
     fn service_batch_observed(
         &mut self,
         requests: &[Request],
         discipline: Discipline,
         observe: &mut dyn FnMut(ServiceEvent),
     ) -> multimap_disksim::Result<BatchTiming> {
-        let (remap, stats) = (&mut self.remap, &mut self.stats);
-        let mut serve = |sim: &mut DiskSim, req: Request| recovering_serve(remap, stats, sim, req);
-        service_batch_serving(&mut self.sim, requests, discipline, &mut serve, observe)
+        let lost = |r: &Request| self.remap.overlaps(r.lbn, r.nblocks);
+        if !requests.iter().any(lost) {
+            return self.serve_batch(requests, discipline, observe);
+        }
+        let (healthy, degraded): (Vec<usize>, Vec<usize>) =
+            (0..requests.len()).partition(|&i| !lost(&requests[i]));
+        let (mut seq, mut batch) = (0, BatchTiming::default());
+        let halves = [(healthy, discipline), (degraded, Discipline::AscendingLbn)];
+        for (mut ranks, discipline) in halves {
+            // Sorted here, so every rank keeps pointing into `requests`.
+            let discipline = if discipline == Discipline::AscendingLbn {
+                ranks.sort_by_key(|&i| requests[i].lbn);
+                Discipline::InOrder
+            } else {
+                discipline
+            };
+            let half: Vec<Request> = ranks.iter().map(|&i| requests[i]).collect();
+            let mut relabel = |mut e: ServiceEvent| {
+                e.admission_rank = ranks[e.admission_rank];
+                e.seq = seq;
+                seq += 1;
+                observe(e);
+            };
+            batch.merge(&self.serve_batch(&half, discipline, &mut relabel)?);
+        }
+        Ok(batch)
     }
 
     fn classify(&self, event: &ServiceEvent) -> Transition {
@@ -365,10 +409,6 @@ impl DeviceModel for RecoveringDisk {
     fn geometry(&self) -> Option<&DiskGeometry> {
         Some(self.sim.geometry())
     }
-
-    fn lost_adjacency(&self, lbn: Lbn, nblocks: u64) -> bool {
-        self.remap.overlaps(lbn, nblocks)
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +423,7 @@ mod tests {
     #[test]
     fn remap_table_identity_by_default() {
         let t = RemapTable::default();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.physical(123), 123);
         assert!(!t.overlaps(0, 1_000));
         assert!(!t.overlaps(u64::MAX - 1, 8), "end bound saturates");
@@ -491,6 +531,23 @@ mod tests {
         assert_eq!(o2.media_errors, 0);
         assert!(o2.extra_segments >= 1);
         assert_eq!(stats.media_errors, 1);
+    }
+
+    /// A read remaps the bad block 130; a later write of it lands on
+    /// the spare instead of hitting the media error again.
+    #[test]
+    fn write_to_a_remapped_block_lands_on_its_spare() {
+        let mut disk = RecoveringDisk::new(geom(), FaultPlan::new(1).with_media_error(130));
+        disk.service_batch(&[Request::new(128, 4)], Discipline::InOrder)
+            .unwrap();
+        let spare = disk.remap.physical(130);
+        assert_ne!(spare, 130);
+        disk.service_write(Request::single(130)).unwrap();
+        assert_eq!(disk.sim.state().last_end_lbn, Some(spare + 1));
+        // A write spanning the remapped block is split around it.
+        disk.service_write(Request::new(129, 3)).unwrap();
+        assert_eq!(disk.sim.state().last_end_lbn, Some(132));
+        assert_eq!(disk.injected_counts().media_errors, 1);
     }
 
     #[test]

@@ -242,25 +242,13 @@ impl<D: DeviceModel> DeviceVolume<D> {
     ) -> Result<VolumeBatchTiming> {
         let mut per_disk = vec![BatchTiming::default(); self.devices.len()];
         for (disk, requests, policy) in batches {
-            let t = self.service_batch(*disk, requests, *policy)?;
-            per_disk[*disk].requests += t.requests;
-            per_disk[*disk].blocks += t.blocks;
-            per_disk[*disk].total_ms += t.total_ms;
-            per_disk[*disk].payload = per_disk[*disk].payload.wrapping_add(t.payload);
+            per_disk[*disk].merge(&self.service_batch(*disk, requests, *policy)?);
         }
         let makespan_ms = per_disk.iter().map(|b| b.total_ms).fold(0.0, f64::max);
         Ok(VolumeBatchTiming {
             per_disk,
             makespan_ms,
         })
-    }
-
-    /// Whether any block of `[lbn, lbn + nblocks)` on `device` has lost
-    /// its adjacency guarantee (see [`DeviceModel::lost_adjacency`]), so
-    /// a query should fall back from semi-sequential hops to scheduled
-    /// seeks for it.
-    pub fn is_degraded_range(&self, device: usize, lbn: Lbn, nblocks: u64) -> Result<bool> {
-        Ok(self.device(device)?.lock().lost_adjacency(lbn, nblocks))
     }
 
     /// Accumulated statistics of one device.
@@ -363,6 +351,13 @@ impl DeviceVolume<RecoveringDisk> {
     /// Number of logical blocks remapped to spares on `disk` so far.
     pub fn remap_count(&self, disk: usize) -> Result<usize> {
         Ok(self.device(disk)?.lock().remap_count())
+    }
+
+    /// Whether any block of `[lbn, lbn + nblocks)` on `disk` was
+    /// remapped and so lost its adjacency guarantee; the disk serves
+    /// requests touching one as scheduled seeks after the healthy ones.
+    pub fn is_degraded_range(&self, disk: usize, lbn: Lbn, nblocks: u64) -> Result<bool> {
+        Ok(self.device(disk)?.lock().remap.overlaps(lbn, nblocks))
     }
 
     /// Recovery actions taken so far, merged across all disks.
@@ -484,6 +479,63 @@ mod tests {
         assert!(
             (t.total_busy_ms() - (t.per_disk[0].total_ms + t.per_disk[1].total_ms)).abs() < 1e-9
         );
+    }
+
+    /// A striped batch reports the scheduler's own counters per disk.
+    #[test]
+    fn striped_batch_keeps_scheduler_stats() {
+        let reqs: Vec<Request> = (0..48u64)
+            .map(|i| Request::single(i * 7_919 % 150_000))
+            .collect();
+        let policy = SchedulePolicy::QueuedSptf(64);
+        let striped = volume(2)
+            .service_striped(&[(0, reqs.clone(), policy)])
+            .unwrap();
+        let alone = volume(1).service_batch(0, &reqs, policy).unwrap();
+        assert_ne!(alone.sched, Default::default());
+        assert_eq!(striped.per_disk[0], alone);
+    }
+
+    /// Under every issue-order policy, requests touching a remapped
+    /// block are served after all healthy ones, ascending, and every
+    /// event's admission rank indexes the submitted slice.
+    #[test]
+    fn recovering_volume_serves_remapped_requests_last() {
+        // Healthy requests start at LBN 200; two more touch LBN 130.
+        let healthy = (0..40u64).map(|i| Request::new(200 + i * 7_919 % 997, 2));
+        let mut reqs: Vec<Request> = healthy.collect();
+        reqs.insert(20, Request::new(129, 2));
+        reqs.push(Request::single(130));
+        let n = reqs.len();
+        for policy in [
+            SchedulePolicy::InOrder,
+            SchedulePolicy::Sptf,
+            SchedulePolicy::QueuedSptf(8),
+        ] {
+            let plan = FaultPlan::new(1).with_media_error(130);
+            let v = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
+            v.service_batch(0, &[Request::new(128, 4)], SchedulePolicy::InOrder)
+                .unwrap();
+            assert_eq!(v.remap_count(0).unwrap(), 1);
+            let (_, log) = v.service_batch_logged(0, &reqs, policy).unwrap();
+            let served: Vec<Lbn> = log.events().iter().map(|e| e.request.lbn).collect();
+            assert!(
+                served[..n - 2].iter().all(|&l| l >= 200),
+                "{policy:?}: {served:?}"
+            );
+            assert_eq!(served[n - 2..], [129, 130], "{policy:?}");
+            let mut ranks = Vec::new();
+            for (seq, e) in log.events().iter().enumerate() {
+                assert_eq!(
+                    (e.seq, e.request),
+                    (seq, reqs[e.admission_rank]),
+                    "{policy:?}"
+                );
+                ranks.push(e.admission_rank);
+            }
+            ranks.sort_unstable();
+            assert_eq!(ranks, (0..n).collect::<Vec<_>>(), "{policy:?}");
+        }
     }
 
     #[test]
@@ -637,7 +689,6 @@ mod tests {
             payloads.push(t.payload);
             assert_eq!(v.stats(0).unwrap().requests, 20);
             assert_eq!(v.stats(1).unwrap().requests, 0);
-            assert!(!v.is_degraded_range(0, 0, 1_000).unwrap(), "{name}");
         }
         // Payload identity across backends: same logical data delivered.
         assert!(payloads.windows(2).all(|w| w[0] == w[1]));

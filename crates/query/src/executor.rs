@@ -11,9 +11,10 @@
 //! The executor is generic over the volume's
 //! [`DeviceModel`] backend, and planning never looks at the backend, so
 //! a query issues the identical request batch whichever device model
-//! serves it — and the cache probe, the degraded-range split and the
+//! serves it, in one device call — and the cache probe and the
 //! device-owned transition classification are the same code on all of
-//! them.
+//! them. Blocks a recovery layer relocated are scheduled by that layer
+//! ([`multimap_lvm::recovery`]), not here.
 
 #![expect(
     clippy::disallowed_methods,
@@ -298,17 +299,6 @@ pub fn record_classified_event(sink: &mut Metrics, transition: Transition, e: &S
 /// recorded under its device's own classification; with only an
 /// observer events go straight to it; with neither nothing is logged or
 /// classified at all.
-///
-/// Requests touching blocks that lost adjacency are split out first. A
-/// hard media error relocates a block into its track's spare region, so
-/// the cell loses the adjacency the mapping promised: semi-sequential
-/// scheduling (SPTF hop chains, prefetch runs) no longer describes its
-/// true position. Such requests are pulled out of the primary batch and
-/// served afterwards as plain scheduled seeks in ascending LBN order;
-/// healthy requests keep the chosen policy. On a device that relocated
-/// nothing (every fault-free run, every backend without a recovery
-/// layer) this is exactly one batch under `policy`, at the cost of one
-/// uncontended lock to ask.
 fn serve<D: DeviceModel>(
     volume: &DeviceVolume<D>,
     device: usize,
@@ -317,10 +307,7 @@ fn serve<D: DeviceModel>(
     observer: &mut Option<&mut dyn FnMut(ServiceEvent)>,
     sink: &mut Option<&mut Metrics>,
 ) -> Result<BatchTiming> {
-    let mut run = |requests: &[Request], policy: SchedulePolicy| match (
-        sink.as_deref_mut(),
-        observer.as_deref_mut(),
-    ) {
+    Ok(match (sink.as_deref_mut(), observer.as_deref_mut()) {
         (Some(s), mut o) => volume.service_batch_classified(device, requests, policy, |t, e| {
             record_classified_event(s, t, e);
             if let Some(o) = o.as_mut() {
@@ -329,20 +316,7 @@ fn serve<D: DeviceModel>(
         }),
         (None, Some(o)) => volume.service_batch_observed(device, requests, policy, o),
         (None, None) => volume.service_batch(device, requests, policy),
-    };
-    let lost = |d: &D, r: &Request| d.lost_adjacency(r.lbn, r.nblocks);
-    let split = volume.with_device(device, |d| {
-        requests
-            .iter()
-            .any(|r| lost(d, r))
-            .then(|| requests.iter().partition::<Vec<Request>, _>(|r| !lost(d, r)))
-    })?;
-    let Some((healthy, degraded)) = split else {
-        return Ok(run(requests, policy)?);
-    };
-    let mut batch = run(&healthy, policy)?;
-    batch.merge(&run(&degraded, SchedulePolicy::AscendingLbn)?);
-    Ok(batch)
+    }?)
 }
 
 /// Close a span opened with `Instant::now()` (no-op without a sink).
@@ -723,7 +697,7 @@ fn coalesce_runs(mut lbns: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
 mod tests {
     use super::*;
     use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
-    use multimap_disksim::{profiles, BACKEND_NAMES};
+    use multimap_disksim::{profiles, ServiceLog, BACKEND_NAMES};
     use multimap_lvm::{backend_volume, LogicalVolume};
     use multimap_telemetry::Metrics;
 
@@ -1308,7 +1282,7 @@ mod tests {
         let clean_vol = LogicalVolume::new(profiles::small(), 1);
 
         // Only hard errors: the first query remaps LBN 130, after which
-        // the executor must split it out of later primary batches.
+        // the recovery layer splits it out of later primary batches.
         let plan = FaultPlan::new(1).with_media_error(130);
         let vol = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let exec = QueryExecutor::new(&vol, 0);
@@ -1320,13 +1294,20 @@ mod tests {
         // A beam crossing the remapped cell (LBN = x + 60y + 480z, so
         // the dim-0 beam at y=2, z=0 covers 120..=179 ∋ 130) still
         // returns the exact fault-free payload, via the degraded
-        // AscendingLbn tail batch.
+        // AscendingLbn tail batch: the remapped cell is served last.
         let beam = BoxRegion::beam(&grid, 0, &[0, 2, 0]);
         let clean = QueryExecutor::new(&clean_vol, 0)
             .execute(QueryRequest::beam(&naive, &beam))
             .unwrap();
-        let r = exec.execute(QueryRequest::beam(&naive, &beam)).unwrap();
+        let mut log = ServiceLog::new();
+        let mut rec = log.recorder();
+        let r = exec
+            .execute(QueryRequest::beam(&naive, &beam).with_observer(&mut rec))
+            .unwrap();
+        drop(rec);
         assert_eq!(r.payload, clean.payload);
         assert_eq!(r.cells, clean.cells);
+        let last = log.events().last().unwrap();
+        assert_eq!((log.len(), last.seq, last.request.lbn), (60, 59, 130));
     }
 }
