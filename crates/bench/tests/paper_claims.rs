@@ -216,6 +216,28 @@ fn full_scans_converge_within_2x_of_naive() {
     }
 }
 
+/// Cause 1, falsified: with no command queue to reorder (depth 1) a
+/// 10 % range costs MultiMap more than Naive, so FIFO service does not
+/// widen MultiMap's lead.
+#[test]
+fn fifo_service_does_not_widen_multimaps_lead() {
+    let p = Pinned::load("ablation_1", "EXPERIMENTS.md §Figure 6(b), cause 1");
+    p.at(&["1"], "Naive").below(1.0, &p.at(&["1"], "MultiMap"));
+}
+
+/// Cause 2, partial: Naive reads the whole grid in one request per box,
+/// MultiMap in over a thousand times as many, some of them seeks past
+/// the settle plateau — costs the track-waste term leaves out.
+#[test]
+fn full_scans_cost_multimap_requests_and_seeks() {
+    let p = Pinned::load("fig6b_phases", "EXPERIMENTS.md §Figure 6(b), cause 2");
+    for disk in DISKS {
+        let full = |m: &str, col: &str| p.at(&[disk, m, "100"], col);
+        full("Naive", "requests").below(0.001, &full("MultiMap", "requests"));
+        full("MultiMap", "seeks").above(0.0);
+    }
+}
+
 /// Naive's Y stride fits inside a track at quick scale, so its Y beams
 /// are near-sequential while MultiMap pays a settle per cell: MultiMap
 /// stays within that gap on Y and wins Z by more than 2x.

@@ -46,6 +46,12 @@ pub enum MappingError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The mapping's blocks lie too far apart for a flat translation
+    /// table's 32-bit offsets; translate its cells directly instead.
+    SpanTooWide {
+        /// Blocks the table would have to address.
+        blocks: u64,
+    },
 }
 
 impl fmt::Display for MappingError {
@@ -59,6 +65,9 @@ impl fmt::Display for MappingError {
             }
             MappingError::InfeasibleBasicCube { reason } => {
                 write!(f, "no feasible basic cube: {reason}")
+            }
+            MappingError::SpanTooWide { blocks } => {
+                write!(f, "{blocks} blocks exceed a flat table's 32-bit offsets")
             }
         }
     }

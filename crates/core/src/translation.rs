@@ -10,6 +10,13 @@
 //! recently used tables in a small process-wide LRU ([`TranslationCache`])
 //! keyed by a structural fingerprint of the mapping.
 //!
+//! A table stores each cell's first LBN as a 32-bit offset from one base
+//! LBN (the first cell's), 4 B per cell, and widens it on the way out.
+//! A mapping whose [`Mapping::blocks_spanned`] exceeds 2^32 blocks gets
+//! no table: [`FlatTranslation::build`] refuses it with
+//! [`MappingError::SpanTooWide`] before walking the grid, and callers
+//! translate its cells directly.
+//!
 //! The cache is transparent: a cached lookup is pinned to the direct
 //! trait computation by construction (the table *is* the mapping's own
 //! `lbn_of` output) and by property tests over random grids for all four
@@ -35,34 +42,56 @@ pub const MIN_CACHED_LOOKUPS: u64 = 4096;
 /// cell).
 const KEY_PROBES: u64 = 16;
 
+/// Most blocks a mapping may span and still have a [`FlatTranslation`].
+const MAX_TABLE_SPAN: u64 = 1 << u32::BITS;
+
 /// A dense, precomputed cell→LBN table for one mapping instance.
 ///
 /// The table is row-major with dimension 0 varying fastest, i.e. indexed
 /// by [`GridSpec::linear_index`], so a lookup is one multiply-free index
 /// computation plus a vector read — no per-cell layout arithmetic.
+/// Entries are `u32` offsets from `base`, the first cell's LBN; every
+/// reader adds `base` back, so callers only ever see [`Lbn`]s.
 #[derive(Clone, Debug)]
 pub struct FlatTranslation {
     grid: GridSpec,
     cell_blocks: u64,
-    table: Vec<Lbn>,
+    base: Lbn,
+    table: Vec<u32>,
 }
 
 impl FlatTranslation {
     /// Precompute the full cell→LBN table of `mapping`.
     ///
     /// Costs one [`Mapping::lbn_of`] call per grid cell; fails if any
-    /// cell fails to translate (an injective mapping never does).
+    /// cell fails to translate (an injective mapping never does). A
+    /// mapping spanning more than 2^32 blocks is
+    /// [`MappingError::SpanTooWide`] before any cell is translated. A
+    /// cell placed below the first cell's LBN, or 2^32 or more blocks
+    /// past it, is the same error when the walk reaches it; no mapping
+    /// in this workspace places one.
     pub fn build(mapping: &dyn Mapping) -> Result<Self> {
+        let span = mapping.blocks_spanned();
+        if span > MAX_TABLE_SPAN {
+            return Err(MappingError::SpanTooWide { blocks: span });
+        }
         let grid = mapping.grid().clone();
-        let cells = grid.cells() as usize;
-        let mut table = Vec::with_capacity(cells);
+        let base = mapping.lbn_of(&vec![0; grid.ndims()])?;
+        let mut table = Vec::with_capacity(grid.cells() as usize);
         let mut first_err: Option<MappingError> = None;
         grid.for_each_cell(|coord| {
             if first_err.is_some() {
                 return;
             }
             match mapping.lbn_of(coord) {
-                Ok(lbn) => table.push(lbn),
+                Ok(lbn) => match lbn.checked_sub(base).map(u32::try_from) {
+                    Some(Ok(offset)) => table.push(offset),
+                    _ => {
+                        first_err = Some(MappingError::SpanTooWide {
+                            blocks: base.abs_diff(lbn).saturating_add(mapping.cell_blocks()),
+                        });
+                    }
+                },
                 Err(e) => first_err = Some(e),
             }
         });
@@ -71,6 +100,7 @@ impl FlatTranslation {
             None => Ok(FlatTranslation {
                 grid,
                 cell_blocks: mapping.cell_blocks(),
+                base,
                 table,
             }),
         }
@@ -96,7 +126,7 @@ impl FlatTranslation {
         }
         let idx = self.grid.linear_index(coord) as usize;
         match self.table.get(idx) {
-            Some(&lbn) => Ok(lbn),
+            Some(&offset) => Ok(self.base + u64::from(offset)),
             None => Err(MappingError::CoordOutOfGrid {
                 coord: coord.to_vec(),
             }),
@@ -120,6 +150,10 @@ impl FlatTranslation {
         // bounds the up-front reservation.
         let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
         let mut failed = None;
+        // A by-value copy, moved into the widening closure below: a base
+        // read through `self` is reloaded per cell (the output could
+        // alias it), which keeps the loop from vectorising.
+        let base = self.base;
         region.for_each_dim0_run(|start, len| {
             if failed.is_some() {
                 return;
@@ -129,7 +163,7 @@ impl FlatTranslation {
                 .checked_add(len)
                 .and_then(|end| self.table.get(idx as usize..end as usize));
             match row {
-                Some(row) => lbns.extend_from_slice(row),
+                Some(row) => lbns.extend(row.iter().map(move |&o| base + u64::from(o))),
                 None => failed = Some(outside(start)),
             }
         });
@@ -147,7 +181,8 @@ impl FlatTranslation {
         let idx = self
             .table
             .iter()
-            .position(|&base| base <= lbn && lbn < base + self.cell_blocks)?;
+            .map(|&offset| self.base + u64::from(offset))
+            .position(|first| first <= lbn && lbn < first + self.cell_blocks)?;
         self.grid.coord_of_linear(idx as u64)
     }
 
@@ -220,8 +255,8 @@ impl TranslationKey {
 ///
 /// [`shared_cache`] is the one instance. It holds eight grids —
 /// benchmark sweeps cycle through at most a few (drive × mapping)
-/// combinations at a time, and one table for the paper-scale grid is a
-/// few MiB.
+/// combinations at a time, and a table costs 4 B per cell: 16.4 MiB
+/// for the paper's 259×259×64 chunk.
 #[derive(Debug)]
 pub struct TranslationCache {
     entries: Mutex<Vec<(TranslationKey, Arc<FlatTranslation>)>>,
@@ -353,6 +388,60 @@ mod tests {
         check_table_matches(&hilbert_mapping(grid.clone(), 0, 1).unwrap());
         check_table_matches(&gray_mapping(grid.clone(), 3, 1).unwrap());
         check_table_matches(&MultiMapping::new(&geom, grid).unwrap());
+        // The widest span a table addresses: 2^32 blocks, from a base
+        // above 2^32, with offsets past `i32::MAX`.
+        check_table_matches(&zorder_mapping(GridSpec::new([2u64, 2]), 5 << 32, 1 << 30).unwrap());
+    }
+
+    /// `inner` counting its `lbn_of` calls.
+    struct Counting<M> {
+        inner: M,
+        lbn_of_calls: AtomicU64,
+    }
+
+    impl<M: Mapping> Mapping for Counting<M> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kind(&self) -> MappingKind {
+            self.inner.kind()
+        }
+        fn grid(&self) -> &GridSpec {
+            self.inner.grid()
+        }
+        fn cell_blocks(&self) -> u64 {
+            self.inner.cell_blocks()
+        }
+        fn lbn_of(&self, coord: &[u64]) -> Result<Lbn> {
+            self.lbn_of_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.lbn_of(coord)
+        }
+        fn coord_of(&self, lbn: Lbn) -> Option<Coord> {
+            self.inner.coord_of(lbn)
+        }
+        fn blocks_spanned(&self) -> u64 {
+            self.inner.blocks_spanned()
+        }
+    }
+
+    #[test]
+    fn span_past_the_offset_width_is_refused_before_the_walk() {
+        for (grid, cell_blocks) in [
+            (GridSpec::new([64u64, 64, 2]), 1 << 20),  // 2^33 blocks
+            (GridSpec::new([2u64, 2]), (1 << 30) + 1), // 2^32 + 4 blocks
+        ] {
+            let wide = Counting {
+                inner: zorder_mapping(grid, 0, cell_blocks).unwrap(),
+                lbn_of_calls: AtomicU64::new(0),
+            };
+            let span = wide.blocks_spanned();
+            assert!(span > 1 << 32);
+            assert_eq!(
+                FlatTranslation::build(&wide).unwrap_err(),
+                MappingError::SpanTooWide { blocks: span }
+            );
+            assert_eq!(wide.lbn_of_calls.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]

@@ -536,10 +536,16 @@ pub(crate) fn translate_region(
 ) -> Result<(Vec<Lbn>, Option<bool>)> {
     // Large regions amortise a flat cell→LBN table (built once per
     // grid, shared process-wide); small ones — beams are `S_i` cells
-    // — translate directly, as a table build would dwarf the query.
+    // — translate directly, as a table build would dwarf the query, and
+    // so does a mapping too wide for a table's 32-bit offsets.
     if region.cells() >= MIN_CACHED_LOOKUPS {
-        let (table, cache_hit) = shared_cache().translate_tracked(mapping)?;
-        return Ok((table.lbns_of_region(region)?, Some(cache_hit)));
+        match shared_cache().translate_tracked(mapping) {
+            Ok((table, cache_hit)) => {
+                return Ok((table.lbns_of_region(region)?, Some(cache_hit)));
+            }
+            Err(MappingError::SpanTooWide { .. }) => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     Ok((collect_lbns(mapping, region)?, None))
 }
@@ -696,7 +702,7 @@ fn coalesce_runs(mut lbns: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
+    use multimap_core::{zorder_mapping, GridSpec, MultiMapping, NaiveMapping};
     use multimap_disksim::{profiles, ServiceLog, BACKEND_NAMES};
     use multimap_lvm::{backend_volume, LogicalVolume};
     use multimap_telemetry::Metrics;
@@ -842,6 +848,17 @@ mod tests {
         let (cached, outcome) = translate_region(&mm, &region).unwrap();
         assert!(outcome.is_some(), "`FlatTranslation::lbns_of_region` answered");
         assert_eq!(cached, collect_lbns(&mm, &region).unwrap());
+
+        // A mapping spanning 2^33 blocks has no table: the same large
+        // region translates directly, to the same LBNs.
+        let wide_grid = GridSpec::new([64u64, 64, 2]);
+        let wide = zorder_mapping(wide_grid.clone(), 0, 1 << 20).unwrap();
+        let region = wide_grid.bounding_region();
+        assert!(region.cells() >= MIN_CACHED_LOOKUPS);
+        let (direct, outcome) = translate_region(&wide, &region).unwrap();
+        assert_eq!(outcome, None, "no table answered");
+        assert_eq!(direct, collect_lbns(&wide, &region).unwrap());
+        assert!(direct.iter().any(|&lbn| lbn >= 1 << 32));
     }
 
     /// A sink must not change the result, and its phase sums must add
