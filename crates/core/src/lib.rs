@@ -32,7 +32,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
 
 pub mod advisor;
-pub mod chunking;
 pub mod curve_map;
 pub mod grid;
 pub mod loader;
@@ -43,7 +42,6 @@ pub mod translation;
 pub mod updates;
 
 pub use advisor::{advise, Advice};
-pub use chunking::ChunkedDataset;
 pub use curve_map::{gray_mapping, hilbert_mapping, zorder_mapping, CurveMapping};
 pub use grid::{BoxRegion, Coord, GridSpec};
 pub use loader::{append_slab, bulk_load, load_region, write_schedule, LoadError, LoadReport};

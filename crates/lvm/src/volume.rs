@@ -28,28 +28,6 @@ use crate::recovery::{RecoveringDisk, RecoveryStats};
 /// under its historical volume-level name.
 pub use multimap_disksim::Discipline as SchedulePolicy;
 
-/// Timing of a striped, multi-disk batch.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct VolumeBatchTiming {
-    /// Per-disk batch timings (index = disk id).
-    pub per_disk: Vec<BatchTiming>,
-    /// Completion time of the slowest disk — what a caller waiting on all
-    /// parallel I/O would observe.
-    pub makespan_ms: f64,
-}
-
-impl VolumeBatchTiming {
-    /// Total blocks transferred across all disks.
-    pub fn blocks(&self) -> u64 {
-        self.per_disk.iter().map(|b| b.blocks).sum()
-    }
-
-    /// Sum of busy time across all disks.
-    pub fn total_busy_ms(&self) -> f64 {
-        self.per_disk.iter().map(|b| b.total_ms).sum()
-    }
-}
-
 /// A volume of one or more identical devices behind any
 /// [`DeviceModel`] backend.
 ///
@@ -231,24 +209,6 @@ impl<D: DeviceModel> DeviceVolume<D> {
             record(dev.classify(e), e);
         }
         Ok(timing?)
-    }
-
-    /// Service one batch per device "in parallel": each device runs its
-    /// batch independently and the makespan is the slowest device's
-    /// busy time.
-    pub fn service_striped(
-        &self,
-        batches: &[(usize, Vec<Request>, SchedulePolicy)],
-    ) -> Result<VolumeBatchTiming> {
-        let mut per_disk = vec![BatchTiming::default(); self.devices.len()];
-        for (disk, requests, policy) in batches {
-            per_disk[*disk].merge(&self.service_batch(*disk, requests, *policy)?);
-        }
-        let makespan_ms = per_disk.iter().map(|b| b.total_ms).fold(0.0, f64::max);
-        Ok(VolumeBatchTiming {
-            per_disk,
-            makespan_ms,
-        })
     }
 
     /// Accumulated statistics of one device.
@@ -460,40 +420,6 @@ mod tests {
         let total = v.geometry().total_blocks();
         let err = v.service(0, Request::single(total + 10)).unwrap_err();
         assert!(matches!(err, LvmError::Disk(_)), "{err:?}");
-    }
-
-    #[test]
-    fn striped_makespan_is_max_of_disks() {
-        let v = volume(2);
-        let heavy: Vec<Request> = (0..40u64).map(|i| Request::single(i * 1000)).collect();
-        let light = vec![Request::single(0)];
-        let t = v
-            .service_striped(&[
-                (0, heavy, SchedulePolicy::AscendingLbn),
-                (1, light, SchedulePolicy::AscendingLbn),
-            ])
-            .unwrap();
-        assert!(t.per_disk[0].total_ms > t.per_disk[1].total_ms);
-        assert_eq!(t.makespan_ms, t.per_disk[0].total_ms);
-        assert_eq!(t.blocks(), 41);
-        assert!(
-            (t.total_busy_ms() - (t.per_disk[0].total_ms + t.per_disk[1].total_ms)).abs() < 1e-9
-        );
-    }
-
-    /// A striped batch reports the scheduler's own counters per disk.
-    #[test]
-    fn striped_batch_keeps_scheduler_stats() {
-        let reqs: Vec<Request> = (0..48u64)
-            .map(|i| Request::single(i * 7_919 % 150_000))
-            .collect();
-        let policy = SchedulePolicy::QueuedSptf(64);
-        let striped = volume(2)
-            .service_striped(&[(0, reqs.clone(), policy)])
-            .unwrap();
-        let alone = volume(1).service_batch(0, &reqs, policy).unwrap();
-        assert_ne!(alone.sched, Default::default());
-        assert_eq!(striped.per_disk[0], alone);
     }
 
     /// Under every issue-order policy, requests touching a remapped

@@ -770,6 +770,37 @@ mod tests {
         );
     }
 
+    /// A table lives on the one device it was granted: querying it
+    /// advances that device's clock and statistics and no other's.
+    #[test]
+    fn queries_touch_only_the_granted_device() {
+        let mut m = manager();
+        for name in ["a", "b"] {
+            m.create_table(name, GridSpec::new([60u64, 6, 4]), LayoutChoice::MultiMap)
+                .unwrap();
+        }
+        let name = ["a", "b"]
+            .into_iter()
+            .find(|name| m.table(name).unwrap().grant().disk == 1)
+            .expect("no table on device 1");
+        m.load(name).unwrap();
+        let snapshot = |m: &StorageManager, d: usize| {
+            let clock = m.volume().with_device(d, |dev| dev.now_ms()).unwrap();
+            (clock, m.volume().stats(d).unwrap())
+        };
+        let (idle_clock, idle_stats) = snapshot(&m, 0);
+        let (busy_clock, busy_stats) = snapshot(&m, 1);
+        let r = m.beam(name, 1, &[10, 0, 2]).unwrap();
+        assert_eq!(r.cells, 6);
+        let (clock, stats) = snapshot(&m, 1);
+        assert!(clock > busy_clock, "device 1's clock did not advance");
+        assert!(stats.requests > busy_stats.requests);
+        assert_eq!(stats.blocks - busy_stats.blocks, 6);
+        let (clock, stats) = snapshot(&m, 0);
+        assert_eq!(clock.to_bits(), idle_clock.to_bits(), "device 0's clock moved");
+        assert_eq!(stats, idle_stats, "device 0's statistics moved");
+    }
+
     #[test]
     fn auto_layout_uses_the_advisor() {
         let mut m = manager();

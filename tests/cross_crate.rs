@@ -1,11 +1,11 @@
-//! Cross-crate integration: earthquake and OLAP pipelines end to end,
-//! multi-disk volumes, and the update path.
+//! Cross-crate integration: earthquake and OLAP pipelines end to end
+//! and the update path.
 
 use multimap::core::{
     hilbert_mapping, zorder_mapping, BoxRegion, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
 use multimap::disksim::{profiles, request_payload, Request};
-use multimap::lvm::{Cyclic, Declustering, LogicalVolume, RoundRobin, SchedulePolicy};
+use multimap::lvm::LogicalVolume;
 use multimap::octree::{
     beam_box, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder, SkewedMultiMap,
 };
@@ -78,41 +78,6 @@ fn olap_pipeline_end_to_end() {
     let q1 = exec.execute(QueryRequest::beam(&mm, &OlapQuery::Q1.region(&chunk, &mut rng))).unwrap();
     let q2 = exec.execute(QueryRequest::beam(&mm, &OlapQuery::Q2.region(&chunk, &mut rng))).unwrap();
     assert!(q1.per_cell_ms() < q2.per_cell_ms());
-}
-
-/// Multi-disk volume: declustering spreads chunks; striped service
-/// reports the makespan of the slowest disk.
-#[test]
-fn multi_disk_declustered_volume() {
-    let geom = profiles::small();
-    let volume = LogicalVolume::new(geom.clone(), 4);
-    let strategy = RoundRobin;
-    // 8 chunks declustered over 4 disks, each chunk one batch.
-    let batches: Vec<(usize, Vec<Request>, SchedulePolicy)> = (0..8u64)
-        .map(|chunk| {
-            let disk = strategy.disk_for(chunk, std::num::NonZeroUsize::new(4).unwrap());
-            let reqs = (0..16u64)
-                .map(|i| Request::single(chunk * 4096 + i * 37))
-                .collect();
-            (disk, reqs, SchedulePolicy::AscendingLbn)
-        })
-        .collect();
-    let t = volume.service_striped(&batches).unwrap();
-    assert_eq!(t.blocks(), 8 * 16);
-    // Every disk got exactly two chunks' worth of requests.
-    for d in 0..4 {
-        assert_eq!(t.per_disk[d].requests, 32);
-    }
-    assert!(t.makespan_ms <= t.total_busy_ms());
-    assert!(t.makespan_ms >= t.total_busy_ms() / 4.0);
-
-    // Cyclic declustering with coprime skip also balances.
-    let cyc = Cyclic::new(3);
-    let mut counts = [0; 4];
-    for u in 0..100 {
-        counts[cyc.disk_for(u, std::num::NonZeroUsize::new(4).unwrap())] += 1;
-    }
-    assert!(counts.iter().all(|&c| c == 25));
 }
 
 /// The update path (Section 4.6) composes with a mapping: overflow pages
