@@ -19,6 +19,8 @@ pub enum QueryError {
         /// Extents of the dataset grid.
         grid: Vec<u64>,
     },
+    /// A cell list with no cells.
+    NoCells,
     /// The mapping layer rejected a cell lookup.
     Mapping(MappingError),
     /// The logical volume rejected the I/O.
@@ -32,6 +34,7 @@ impl fmt::Display for QueryError {
                 f,
                 "query region {region} must lie inside the dataset grid {grid:?}"
             ),
+            QueryError::NoCells => write!(f, "a cell list query needs at least one cell"),
             QueryError::Mapping(e) => write!(f, "mapping error: {e}"),
             QueryError::Volume(e) => write!(f, "volume error: {e}"),
         }
@@ -41,7 +44,7 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            QueryError::RegionOutsideGrid { .. } => None,
+            QueryError::RegionOutsideGrid { .. } | QueryError::NoCells => None,
             QueryError::Mapping(e) => Some(e),
             QueryError::Volume(e) => Some(e),
         }

@@ -4,9 +4,9 @@
 //! [`QueryExecutor::execute`], which takes a [`QueryRequest`]
 //! describing the mapping, the region, the operation and (optionally)
 //! a per-request [`ServiceEvent`] observer and a
-//! [`multimap_telemetry::Metrics`] sink. The former `beam`/`range`
-//! method quartet is gone; [`QueryRequest::beam`] and
-//! [`QueryRequest::range`] are the shorthand constructors.
+//! [`multimap_telemetry::Metrics`] sink. A beam and an explicit cell
+//! list ([`QueryRequest::cells`]) take one per-cell path, and one
+//! function plans every grid query's request batch and discipline.
 //!
 //! The executor is generic over the volume's
 //! [`DeviceModel`] backend, and planning never looks at the backend, so
@@ -20,10 +20,12 @@
     clippy::disallowed_methods,
     reason = "span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them"
 )]
+use std::borrow::Cow;
 use std::time::Instant;
 
 use multimap_core::{
-    shared_cache, BoxRegion, GridSpec, Mapping, MappingError, MappingKind, MIN_CACHED_LOOKUPS,
+    shared_cache, BoxRegion, Coord, GridSpec, Mapping, MappingError, MappingKind,
+    MIN_CACHED_LOOKUPS,
 };
 use multimap_disksim::{
     coalesce_sorted, request_payload, BatchTiming, DeviceModel, DiskSim, Lbn, Request,
@@ -92,35 +94,24 @@ impl Default for ExecOptions {
 /// The operation a [`QueryRequest`] performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryOp {
-    /// Fetch every cell of the region as individual cell requests (the
-    /// region is usually a line along one dimension).
+    /// Fetch every demanded cell as an individual cell request: a
+    /// region's cells (usually a line along one dimension), or an
+    /// explicit list ([`QueryRequest::cells`]).
     Beam,
     /// Fetch every cell of an N-D box, ordered per
     /// [`ExecOptions::range`].
     Range,
 }
 
-/// One query for [`QueryExecutor::execute`]: the mapping and region to
-/// fetch, the operation, and optional observation hooks.
-///
-/// ```
-/// use multimap_core::{BoxRegion, GridSpec, NaiveMapping};
-/// use multimap_disksim::profiles;
-/// use multimap_lvm::LogicalVolume;
-/// use multimap_query::{QueryExecutor, QueryRequest};
-///
-/// let volume = LogicalVolume::new(profiles::small(), 1);
-/// let grid = GridSpec::new([60u64, 8, 6]);
-/// let mapping = NaiveMapping::new(grid.clone(), 0);
-/// let exec = QueryExecutor::new(&volume, 0);
-/// let result = exec
-///     .execute(QueryRequest::beam(&mapping, &BoxRegion::beam(&grid, 1, &[3, 0, 2])))
-///     .unwrap();
-/// assert_eq!(result.cells, 8);
-/// ```
+/// One query for [`QueryExecutor::execute`]: the mapping and the region
+/// or cell list to fetch, the operation, and optional observation hooks
+/// (the crate and [`QueryExecutor`] docs show a beam end to end).
 pub struct QueryRequest<'a> {
     pub(crate) mapping: &'a dyn Mapping,
-    pub(crate) region: &'a BoxRegion,
+    /// The region queried: a cell list's bounding box.
+    pub(crate) region: Cow<'a, BoxRegion>,
+    /// A cell list's cells in demand order; `None` demands all of `region`.
+    pub(crate) cells: Option<&'a [Coord]>,
     pub(crate) op: QueryOp,
     pub(crate) observer: Option<&'a mut dyn FnMut(ServiceEvent)>,
     pub(crate) sink: Option<&'a mut Metrics>,
@@ -132,12 +123,47 @@ impl<'a> QueryRequest<'a> {
     pub fn new(op: QueryOp, mapping: &'a dyn Mapping, region: &'a BoxRegion) -> Self {
         QueryRequest {
             mapping,
-            region,
+            region: Cow::Borrowed(region),
+            cells: None,
             op,
             observer: None,
             sink: None,
             cache: None,
         }
+    }
+
+    /// A fetch of exactly `cells`, in that order, as a beam: one request
+    /// per cell under the beam policy, so a beam's cells in row-major
+    /// order fetch exactly what the beam does. The request's region is
+    /// the cells' bounding box. An empty list or a cell outside the grid
+    /// is an error.
+    ///
+    /// ```
+    /// # use multimap_core::{BoxRegion, GridSpec, NaiveMapping};
+    /// # let mapping = NaiveMapping::new(GridSpec::new([60u64, 8, 6]), 0);
+    /// let faces = [vec![2u64, 3, 3], vec![4, 3, 3], vec![3, 2, 3]];
+    /// let req = multimap_query::QueryRequest::cells(&mapping, &faces).unwrap();
+    /// assert_eq!(req.region(), &BoxRegion::new([2u64, 2, 3], [4u64, 3, 3]));
+    /// ```
+    pub fn cells(mapping: &'a dyn Mapping, cells: &'a [Coord]) -> Result<Self> {
+        let grid = mapping.grid();
+        if let Some(c) = cells.iter().find(|c| !grid.contains(c)) {
+            return Err(MappingError::CoordOutOfGrid { coord: c.clone() }.into());
+        }
+        let first = cells.first().ok_or(QueryError::NoCells)?;
+        let (mut lo, mut hi) = (first.clone(), first.clone());
+        for (d, &x) in cells.iter().flat_map(|c| c.iter().enumerate()) {
+            (lo[d], hi[d]) = (lo[d].min(x), hi[d].max(x));
+        }
+        Ok(QueryRequest {
+            mapping,
+            region: Cow::Owned(BoxRegion::new(lo, hi)),
+            cells: Some(cells),
+            op: QueryOp::Beam,
+            observer: None,
+            sink: None,
+            cache: None,
+        })
     }
 
     /// A beam query (shorthand for [`QueryRequest::new`]).
@@ -184,9 +210,9 @@ impl<'a> QueryRequest<'a> {
         self.mapping
     }
 
-    /// The region queried.
+    /// The region queried (a cell list's bounding box).
     pub fn region(&self) -> &BoxRegion {
-        self.region
+        &self.region
     }
 }
 
@@ -332,7 +358,6 @@ struct Probed {
     missed: Vec<Lbn>,
     /// Page starts the cache wants read speculatively with this batch.
     prefetch: Vec<Lbn>,
-    hits: u64,
     prefetch_used: u64,
     /// Payload of every demanded cell, resident or not.
     payload: u64,
@@ -407,6 +432,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         let QueryRequest {
             mapping,
             region,
+            cells,
             op,
             mut observer,
             mut sink,
@@ -414,18 +440,23 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         } = req;
         let timed = sink.is_some();
 
-        // Plan: validate the region and resolve the schedule policy.
+        // Plan: validate the region.
         let t_plan = timed.then(Instant::now);
         if !region.fits(mapping.grid()) {
-            return Err(region_outside(region, mapping.grid()));
+            return Err(region_outside(&region, mapping.grid()));
         }
         let cell_blocks = mapping.cell_blocks();
-        let beam_policy = resolve_beam_schedule(&self.options, op, mapping, region.cells());
         finish_span(&mut sink, Span::Plan, t_plan);
 
-        // Translate: region cells → LBNs (direct or via the flat table).
+        // Translate: demanded cells → LBNs (direct or via the flat table).
         let t_translate = timed.then(Instant::now);
-        let (lbns, cache_hit) = translate_region(mapping, region)?;
+        let (lbns, cache_hit) = match cells {
+            Some(cells) => {
+                let lbns = cells.iter().map(|c| mapping.lbn_of(c));
+                (lbns.collect::<std::result::Result<_, _>>()?, None)
+            }
+            None => translate_region(mapping, &region)?,
+        };
         if let Some(s) = sink.as_deref_mut() {
             match cache_hit {
                 Some(true) => s.counter(Counter::TranslationCacheHit, 1),
@@ -441,13 +472,11 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         let t_schedule = timed.then(Instant::now);
         let probed = cache.map(|cache| {
             let mut missed: Vec<Lbn> = Vec::new();
-            let mut hits = 0u64;
             let mut prefetch_used = 0u64;
             for &l in &lbns {
                 match cache.probe(l) {
                     CacheProbe::Hit { first_prefetch_use } => {
-                        hits += 1;
-                        prefetch_used += u64::from(first_prefetch_use);
+                        prefetch_used += u64::from(first_prefetch_use)
                     }
                     CacheProbe::Miss => missed.push(l),
                 }
@@ -464,7 +493,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             // ahead of it.
             let prefetch = cache.plan_prefetch(&PrefetchContext {
                 mapping,
-                region,
+                region: &region,
                 demand: &lbns,
                 missed: &missed,
                 lbn_limit: self.volume.geometry().total_blocks(),
@@ -472,18 +501,14 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             Probed {
                 missed,
                 prefetch,
-                hits,
                 prefetch_used,
                 payload,
             }
         });
         // The misses are scheduled exactly as an uncached query over
         // them would be; the speculative reads are appended after.
-        let demand = match &probed {
-            Some(p) => p.missed.clone(),
-            None => lbns,
-        };
-        let (mut requests, policy) = plan_requests(&self.options, beam_policy, demand, cell_blocks);
+        let demand = probed.as_ref().map_or(lbns, |p| p.missed.clone());
+        let (mut requests, policy) = plan_batch(&self.options, op, mapping, demand);
         if let Some(p) = &probed {
             requests.extend(p.prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
         }
@@ -510,7 +535,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
                 cache.admit(l, cell_blocks, true);
             }
             if let Some(s) = sink.as_deref_mut() {
-                s.counter(Counter::PageCacheHit, p.hits);
+                s.counter(Counter::PageCacheHit, cells - p.missed.len() as u64);
                 s.counter(Counter::PageCacheMiss, p.missed.len() as u64);
                 s.counter(Counter::CachePrefetchIssued, p.prefetch.len() as u64);
                 s.counter(Counter::CachePrefetchUsed, p.prefetch_used);
@@ -557,62 +582,45 @@ pub fn collect_lbns(
     region: &BoxRegion,
 ) -> std::result::Result<Vec<Lbn>, MappingError> {
     let mut lbns = Vec::with_capacity(region.cells().min(1 << 26) as usize);
-    let mut failed = None;
+    let mut outcome = Ok(());
     region.for_each_cell(|c| {
-        if failed.is_some() {
-            return;
-        }
-        match mapping.lbn_of(c) {
-            Ok(lbn) => lbns.push(lbn),
-            Err(e) => failed = Some(e),
+        if outcome.is_ok() {
+            match mapping.lbn_of(c) {
+                Ok(lbn) => lbns.push(lbn),
+                Err(e) => outcome = Err(e),
+            }
         }
     });
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(lbns),
-    }
+    outcome.map(|()| lbns)
 }
 
-/// The schedule policy for a beam of `ncells` requests — the paper's:
-/// all-at-once SPTF for MultiMap (queued past `options.sptf_limit`),
-/// ascending LBN for the linearised mappings; `None` for a range, whose
-/// policy follows from its order.
-pub(crate) fn resolve_beam_schedule(
+/// The request batch, in issue order, and its discipline for the
+/// cell-start `lbns` of an `op` query: one request per cell for a beam,
+/// all-at-once SPTF for MultiMap up to `options.sptf_limit` cells,
+/// queued SPTF past it, ascending LBN for the linearised mappings; a
+/// range ordered per `options.range`. Every grid query's batch, cached
+/// (its misses) or not, and every [`crate::plan`] price come from here.
+pub(crate) fn plan_batch(
     options: &ExecOptions,
     op: QueryOp,
     mapping: &dyn Mapping,
-    ncells: u64,
-) -> Option<SchedulePolicy> {
-    if op == QueryOp::Range {
-        return None;
-    }
-    Some(match mapping.kind() {
-        MappingKind::MultiMap if ncells <= options.sptf_limit as u64 => SchedulePolicy::Sptf,
-        MappingKind::MultiMap => SchedulePolicy::QueuedSptf(options.queue_depth),
-        _ => SchedulePolicy::AscendingLbn,
-    })
-}
-
-/// Build the device request batch (issue order plus schedule policy)
-/// for cell-start `lbns` under `options`: a beam's under its resolved
-/// policy, a range's (`None`) under `options.range`. Shared by the
-/// cached and uncached paths, so a cache that misses every probe issues
-/// exactly the batch an uncached run would.
-pub(crate) fn plan_requests(
-    options: &ExecOptions,
-    beam_policy: Option<SchedulePolicy>,
     lbns: Vec<Lbn>,
-    cell_blocks: u64,
 ) -> (Vec<Request>, SchedulePolicy) {
-    let per_cell = |lbns: &[Lbn]| lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
-    match (beam_policy, options.range) {
-        (Some(policy), _) => (per_cell(&lbns), policy),
-        (None, RangeOrder::NaturalCellOrder) => (per_cell(&lbns), SchedulePolicy::InOrder),
-        (None, RangeOrder::SortedCoalesced) => (
-            coalesce_runs(lbns, cell_blocks),
-            SchedulePolicy::QueuedSptf(options.queue_depth),
-        ),
-        (None, RangeOrder::SortedCoalescedFifo) => {
+    let cell_blocks = mapping.cell_blocks();
+    let per_cell = |lbns: Vec<Lbn>| lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
+    let queued = SchedulePolicy::QueuedSptf(options.queue_depth);
+    match (op, options.range) {
+        (QueryOp::Beam, _) => {
+            let policy = match mapping.kind() {
+                MappingKind::MultiMap if lbns.len() <= options.sptf_limit => SchedulePolicy::Sptf,
+                MappingKind::MultiMap => queued,
+                _ => SchedulePolicy::AscendingLbn,
+            };
+            (per_cell(lbns), policy)
+        }
+        (QueryOp::Range, RangeOrder::NaturalCellOrder) => (per_cell(lbns), SchedulePolicy::InOrder),
+        (QueryOp::Range, RangeOrder::SortedCoalesced) => (coalesce_runs(lbns, cell_blocks), queued),
+        (QueryOp::Range, RangeOrder::SortedCoalescedFifo) => {
             (coalesce_runs(lbns, cell_blocks), SchedulePolicy::InOrder)
         }
     }

@@ -53,7 +53,7 @@ pub use executor::{
     collect_lbns, record_classified_event, service_lbns, ExecOptions,
     QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
-pub use plan::{explain_beam, explain_range, AccessPlan, PlanKind};
+pub use plan::{explain_beam, explain_range, AccessPlan};
 pub use workload::{
     random_anchor, random_range, random_range_with_edge, range_edge_for_selectivity, workload_rng,
     WorkloadRng,

@@ -10,21 +10,12 @@ use std::fmt;
 
 use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim};
+use multimap_lvm::LvmError;
 
 use crate::error::Result;
 use crate::executor::{
-    plan_requests, region_outside, resolve_beam_schedule, translate_region, ExecOptions, QueryOp,
-    RangeOrder,
+    plan_batch, region_outside, translate_region, ExecOptions, QueryOp, RangeOrder,
 };
-
-/// Shape of the planned query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanKind {
-    /// Single-cell requests issued together (a beam).
-    Beam,
-    /// Sorted, coalesced multi-block requests (a range).
-    Range,
-}
 
 /// A priced access plan.
 #[derive(Clone, Debug)]
@@ -32,7 +23,7 @@ pub struct AccessPlan {
     /// Mapping name.
     pub mapping: String,
     /// Query shape.
-    pub kind: PlanKind,
+    pub kind: QueryOp,
     /// Cells the query touches.
     pub cells: u64,
     /// Requests after coalescing (ranges) or one per cell (beams).
@@ -67,7 +58,8 @@ impl fmt::Display for AccessPlan {
 /// Plan a range query over `region` for `mapping` on a disk with
 /// `geom`, pricing it on a private simulator: the request batch and
 /// schedule policy are the ones [`QueryExecutor::execute`](crate::QueryExecutor::execute)
-/// builds for `options`.
+/// builds for `options`, and a batch the disk refuses is the error
+/// `execute` returns.
 pub fn explain_range(
     geom: &DiskGeometry,
     mapping: &dyn Mapping,
@@ -112,28 +104,23 @@ fn explain(
     if !region.fits(mapping.grid()) {
         return Err(region_outside(region, mapping.grid()));
     }
-    let beam_policy = resolve_beam_schedule(options, op, mapping, region.cells());
     let (lbns, _) = translate_region(mapping, region)?;
-    let (requests, policy) = plan_requests(options, beam_policy, lbns, mapping.cell_blocks());
-    let (kind, label) = match op {
-        QueryOp::Beam => (PlanKind::Beam, discipline_label(policy)),
-        QueryOp::Range => {
-            let order = match options.range {
-                RangeOrder::SortedCoalesced | RangeOrder::SortedCoalescedFifo => "sorted + coalesced",
-                RangeOrder::NaturalCellOrder => "natural cell order",
-            };
-            (PlanKind::Range, format!("{order}, {}", discipline_label(policy)))
+    let (requests, policy) = plan_batch(options, op, mapping, lbns);
+    let label = match (op, options.range) {
+        (QueryOp::Beam, _) => discipline_label(policy),
+        (QueryOp::Range, RangeOrder::NaturalCellOrder) => {
+            format!("natural cell order, {}", discipline_label(policy))
         }
+        (QueryOp::Range, _) => format!("sorted + coalesced, {}", discipline_label(policy)),
     };
     let blocks: u64 = requests.iter().map(|r| r.nblocks).sum();
     let max_run = requests.iter().map(|r| r.nblocks).max().unwrap_or(0);
     // Price on a throwaway simulator so the live head state is untouched.
     let mut sim = DiskSim::new(geom.clone());
-    let priced = DeviceModel::service_batch(&mut sim, &requests, policy);
-    let estimated_ms = priced.map(|b| b.total_ms).unwrap_or(f64::NAN);
+    let priced = DeviceModel::service_batch(&mut sim, &requests, policy).map_err(LvmError::from)?;
     Ok(AccessPlan {
         mapping: mapping.name().to_string(),
-        kind,
+        kind: op,
         cells: region.cells(),
         requests: requests.len() as u64,
         mean_run: if requests.is_empty() {
@@ -143,7 +130,7 @@ fn explain(
         },
         max_run,
         policy: label,
-        estimated_ms,
+        estimated_ms: priced.total_ms,
     })
 }
 
@@ -287,6 +274,46 @@ mod tests {
                 assert_eq!(auto.policy.contains("all-at-once SPTF"), multimap);
             }
         }
+    }
+
+    /// A batch the disk refuses is the error `execute` returns, not a
+    /// plan priced at NaN: Z-order based at the small disk's last block.
+    fn assert_explain_is_the_executors_error(op: QueryOp) {
+        use crate::executor::{QueryExecutor, QueryRequest};
+        use crate::QueryError;
+        use multimap_core::zorder_mapping;
+        use multimap_lvm::LogicalVolume;
+        let geom = profiles::small();
+        let grid = GridSpec::new([8u64, 8, 2]);
+        let zorder = zorder_mapping(grid.clone(), geom.total_blocks(), 1).unwrap();
+        let region = match op {
+            QueryOp::Beam => BoxRegion::beam(&grid, 1, &[3, 0, 1]),
+            QueryOp::Range => grid.bounding_region(),
+        };
+        let options = ExecOptions::default();
+        let volume = LogicalVolume::new(geom.clone(), 1);
+        let executed = QueryExecutor::new(&volume, 0)
+            .execute(QueryRequest::new(op, &zorder, &region))
+            .unwrap_err();
+        assert!(
+            matches!(executed, QueryError::Volume(LvmError::Disk(_))),
+            "{executed:?}"
+        );
+        let explained = match op {
+            QueryOp::Beam => explain_beam(&geom, &zorder, &region, &options),
+            QueryOp::Range => explain_range(&geom, &zorder, &region, &options),
+        };
+        assert_eq!(explained.unwrap_err(), executed);
+    }
+
+    #[test]
+    fn explain_range_returns_the_executors_error() {
+        assert_explain_is_the_executors_error(QueryOp::Range);
+    }
+
+    #[test]
+    fn explain_beam_returns_the_executors_error() {
+        assert_explain_is_the_executors_error(QueryOp::Beam);
     }
 
     #[test]

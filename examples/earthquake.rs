@@ -7,10 +7,9 @@
 use multimap::disksim::profiles;
 use multimap::lvm::LogicalVolume;
 use multimap::octree::{
-    beam_box, detect_regions, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder,
-    SkewedMultiMap,
+    detect_regions, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder, LeafPlacement,
+    LeafQueryExecutor, SkewedMultiMap,
 };
-use multimap::query::service_lbns;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -62,36 +61,20 @@ fn main() {
         })
         .collect();
 
-    for b in &baselines {
-        let mut row = format!("{:>10}", b.name());
+    // The leaf executor picks each placement's beam policy: ascending
+    // LBN for the linear layouts, the disk's SPTF for MultiMap.
+    let exec = LeafQueryExecutor::new(&volume, 0);
+    let placements = baselines.iter().map(LeafPlacement::Linear);
+    for placement in placements.chain([LeafPlacement::MultiMap(&skewed)]) {
+        let mut row = format!("{:>10}", placement.name());
         for dim in 0..3 {
             let mut total = 0.0;
             let mut cells = 0u64;
             for anchor in &anchors {
-                let (lo, hi) = beam_box(&tree, dim, *anchor);
-                let leaves = tree.leaves_intersecting(lo, hi);
-                let lbns: Vec<u64> = leaves.iter().map(|l| b.lbn_of_leaf(l)).collect();
                 volume.reset();
-                let r = service_lbns(&volume, 0, &lbns, false).expect("leaf LBNs serviceable");
-                total += r.total_io_ms;
-                cells += r.cells;
-            }
-            row.push_str(&format!(" {:>8.3}", total / cells as f64));
-        }
-        println!("{row}");
-    }
-    {
-        let mut row = format!("{:>10}", "MultiMap");
-        for dim in 0..3 {
-            let mut total = 0.0;
-            let mut cells = 0u64;
-            for anchor in &anchors {
-                let (lo, hi) = beam_box(&tree, dim, *anchor);
-                let leaves = tree.leaves_intersecting(lo, hi);
-                let lbns: Vec<u64> = leaves.iter().map(|l| skewed.lbn_of_leaf(l)).collect();
-                volume.reset();
-                let sptf = lbns.len() <= 2048;
-                let r = service_lbns(&volume, 0, &lbns, sptf).expect("leaf LBNs serviceable");
+                let r = exec
+                    .beam(&tree, &placement, dim, *anchor)
+                    .expect("leaf LBNs serviceable");
                 total += r.total_io_ms;
                 cells += r.cells;
             }
