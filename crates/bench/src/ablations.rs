@@ -79,11 +79,17 @@ pub fn cube_shape(scale: Scale) -> Table {
         for dim in 1..3 {
             let region = BoxRegion::beam(&grid, dim, &anchor);
             volume.idle_all(7.3);
-            cells.push(ms(exec.execute(QueryRequest::beam(m, &region)).expect("figure query runs in-grid").per_cell_ms()));
+            cells.push(ms(exec
+                .execute(QueryRequest::beam(m, &region))
+                .expect("figure query runs in-grid")
+                .per_cell_ms()));
         }
         let region = random_range(&grid, 1.0, &mut rng);
         volume.idle_all(7.3);
-        let range = exec.execute(QueryRequest::range(m, &region)).expect("figure query runs in-grid").total_io_ms;
+        let range = exec
+            .execute(QueryRequest::range(m, &region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         table.row(vec![label, cells[0].clone(), cells[1].clone(), ms(range)]);
     }
     table
@@ -114,9 +120,15 @@ pub fn queue_depth(scale: Scale) -> Table {
         let mut rng = workload_rng(0xab2);
         let region = random_range(&grid, 10.0, &mut rng);
         volume.idle_all(5.0);
-        let t_naive = exec.execute(QueryRequest::range(&naive, &region)).expect("figure query runs in-grid").total_io_ms;
+        let t_naive = exec
+            .execute(QueryRequest::range(&naive, &region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         volume.idle_all(5.0);
-        let t_mm = exec.execute(QueryRequest::range(&mm, &region)).expect("figure query runs in-grid").total_io_ms;
+        let t_mm = exec
+            .execute(QueryRequest::range(&mm, &region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         table.row(vec![depth.to_string(), ms(t_naive), ms(t_mm)]);
     }
     table
@@ -154,7 +166,10 @@ pub fn request_sorting(scale: Scale) -> Table {
             let mut rng = workload_rng(0xab3);
             let region = random_range(&grid, 1.0, &mut rng);
             volume.idle_all(5.0);
-            row.push(ms(exec.execute(QueryRequest::range(m, &region)).expect("figure query runs in-grid").total_io_ms));
+            row.push(ms(exec
+                .execute(QueryRequest::range(m, &region))
+                .expect("figure query runs in-grid")
+                .total_io_ms));
         }
         table.row(row);
     }
@@ -184,7 +199,10 @@ pub fn adjacency_depth(scale: Scale) -> Table {
         for dim in 1..3 {
             let region = BoxRegion::beam(&grid, dim, &anchor);
             volume.idle_all(7.3);
-            row.push(ms(exec.execute(QueryRequest::beam(&mm, &region)).expect("figure query runs in-grid").per_cell_ms()));
+            row.push(ms(exec
+                .execute(QueryRequest::beam(&mm, &region))
+                .expect("figure query runs in-grid")
+                .per_cell_ms()));
         }
         table.row(row);
     }
@@ -213,10 +231,16 @@ pub fn adjacency_slack(scale: Scale) -> Table {
         let anchor = multimap_query::random_anchor(&grid, &mut rng);
         let region = BoxRegion::beam(&grid, 1, &anchor);
         volume.idle_all(7.3);
-        let beam = exec.execute(QueryRequest::beam(&mm, &region)).expect("figure query runs in-grid").per_cell_ms();
+        let beam = exec
+            .execute(QueryRequest::beam(&mm, &region))
+            .expect("figure query runs in-grid")
+            .per_cell_ms();
         let range_region = random_range(&grid, 0.1, &mut rng);
         volume.idle_all(7.3);
-        let range = exec.execute(QueryRequest::range(&mm, &range_region)).expect("figure query runs in-grid").total_io_ms;
+        let range = exec
+            .execute(QueryRequest::range(&mm, &range_region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         table.row(vec![format!("{slack}"), ms(beam), ms(range)]);
     }
     table
@@ -277,9 +301,15 @@ pub fn track_waste(scale: Scale) -> Table {
         let exec = QueryExecutor::new(&volume, 0);
         let region = grid.bounding_region();
         volume.idle_all(5.0);
-        let t_naive = exec.execute(QueryRequest::range(&naive, &region)).expect("figure query runs in-grid").total_io_ms;
+        let t_naive = exec
+            .execute(QueryRequest::range(&naive, &region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         volume.idle_all(5.0);
-        let t_mm = exec.execute(QueryRequest::range(&mm, &region)).expect("figure query runs in-grid").total_io_ms;
+        let t_mm = exec
+            .execute(QueryRequest::range(&mm, &region))
+            .expect("figure query runs in-grid")
+            .total_io_ms;
         table.row(vec![
             spt.to_string(),
             format!("{util:.2}"),
@@ -311,7 +341,10 @@ pub fn density_trend(scale: Scale) -> Table {
         let anchor = multimap_query::random_anchor(&grid, &mut rng);
         let region = BoxRegion::beam(&grid, 1, &anchor);
         volume.idle_all(7.3);
-        let beam = exec.execute(QueryRequest::beam(&mm, &region)).expect("figure query runs in-grid").per_cell_ms();
+        let beam = exec
+            .execute(QueryRequest::beam(&mm, &region))
+            .expect("figure query runs in-grid")
+            .per_cell_ms();
         table.row(vec![
             generation.to_string(),
             d.to_string(),
@@ -347,7 +380,10 @@ pub fn settle_jitter(scale: Scale) -> Table {
             let anchor = multimap_query::random_anchor(&grid, &mut rng);
             let region = BoxRegion::beam(&grid, 1, &anchor);
             volume.idle_all(7.3);
-            row.push(ms(exec.execute(QueryRequest::beam(&mm, &region)).expect("figure query runs in-grid").per_cell_ms()));
+            row.push(ms(exec
+                .execute(QueryRequest::beam(&mm, &region))
+                .expect("figure query runs in-grid")
+                .per_cell_ms()));
         }
         table.row(row);
     }
@@ -375,7 +411,10 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
 
     let single = MultiMapping::new(&geom, grid.clone()).expect("fits");
     volume.idle_all(7.3);
-    let b1 = exec.execute(QueryRequest::beam(&single, &region)).expect("figure query runs in-grid").per_cell_ms();
+    let b1 = exec
+        .execute(QueryRequest::beam(&single, &region))
+        .expect("figure query runs in-grid")
+        .per_cell_ms();
     table.row(vec![
         "single-shape".into(),
         "1".into(),
@@ -386,7 +425,10 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
     let zoned = ZonedMultiMapping::new(&geom, grid.clone()).expect("fits");
     volume.reset();
     volume.idle_all(7.3);
-    let b2 = exec.execute(QueryRequest::beam(&zoned, &region)).expect("figure query runs in-grid").per_cell_ms();
+    let b2 = exec
+        .execute(QueryRequest::beam(&zoned, &region))
+        .expect("figure query runs in-grid")
+        .per_cell_ms();
     table.row(vec![
         "per-zone".into(),
         zoned.segment_count().to_string(),
@@ -409,7 +451,12 @@ pub fn sptf_crossover(scale: Scale) -> Table {
     let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
     let mut table = Table::new(
         "Ablation: queued (TCQ-64) vs full SPTF on MultiMap cell batches (simulated total ms)",
-        &["batch_cells", "full_sptf_ms", "queued_tcq64_ms", "queued_over_full"],
+        &[
+            "batch_cells",
+            "full_sptf_ms",
+            "queued_tcq64_ms",
+            "queued_over_full",
+        ],
     );
     let paper_beam = grid.extents().iter().copied().max().unwrap_or(1) as usize;
     for n in [64usize, paper_beam, 1024, 2048] {

@@ -113,11 +113,7 @@ pub fn run(scale: Scale) -> Vec<BackendCell> {
     let beams = beam_count(scale);
     let range = BoxRegion::new(
         [1u64, 1, 1],
-        [
-            grid.extent(0) / 4,
-            grid.extent(1) - 2,
-            grid.extent(2) / 2,
-        ],
+        [grid.extent(0) / 4, grid.extent(1) - 2, grid.extent(2) / 2],
     );
 
     let items: Vec<(&'static str, usize)> = BACKEND_NAMES
@@ -276,7 +272,11 @@ mod tests {
             };
             let disk = pick("disk");
             let imr = pick("imr");
-            assert_eq!(disk.beam_io_ms.to_bits(), imr.beam_io_ms.to_bits(), "{mapping}");
+            assert_eq!(
+                disk.beam_io_ms.to_bits(),
+                imr.beam_io_ms.to_bits(),
+                "{mapping}"
+            );
             assert_eq!(
                 disk.range_io_ms.to_bits(),
                 imr.range_io_ms.to_bits(),

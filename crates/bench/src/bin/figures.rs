@@ -16,7 +16,15 @@
 //! `tests/results_pin.rs`. A result that cannot be written is an error
 //! (exit status 1).
 
-#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::path::PathBuf;
 use std::time::Instant;

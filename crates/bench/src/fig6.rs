@@ -8,13 +8,13 @@
     reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
 )]
 
+use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 use multimap_core::BoxRegion;
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_query::{
     random_anchor, random_range, workload_rng, QueryExecutor, QueryRequest, QueryResult,
 };
-use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 
 /// Figure 6(a): average I/O time per cell for beam queries along each
 /// dimension, for all four mappings on both disks, and what each
@@ -36,7 +36,10 @@ pub fn run_beams(scale: Scale) -> (Table, Vec<PhaseCell>) {
     // fresh volume and the same anchor workload (seeded rng), so rows
     // are reproducible and identical at any thread count.
     let disks = profiles::evaluation_disks();
-    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &grid)).collect();
+    let mappings: Vec<_> = disks
+        .iter()
+        .map(|geom| build_mappings(geom, &grid))
+        .collect();
     let cells: Vec<(usize, usize)> = (0..disks.len())
         .flat_map(|d| (0..4usize).map(move |m| (d, m)))
         .collect();
@@ -104,7 +107,10 @@ pub fn run_ranges(scale: Scale) -> (Table, Vec<PhaseCell>) {
     // out and returns rows in submission order (simulator time is
     // virtual, so parallelism cannot change any number).
     let disks = profiles::evaluation_disks();
-    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &grid)).collect();
+    let mappings: Vec<_> = disks
+        .iter()
+        .map(|geom| build_mappings(geom, &grid))
+        .collect();
     let sels = scale.selectivities();
     let cells: Vec<(usize, f64)> = disks
         .iter()

@@ -6,11 +6,11 @@
     reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
 )]
 
+use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_olap::{cube, ALL_QUERIES};
 use multimap_query::{workload_rng, QueryExecutor, QueryOp, QueryRequest, QueryResult};
-use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
 
 /// Figure 8: average I/O time per cell for Q1–Q5 on both disks, and
 /// what each (disk, mapping, query) recorded while producing it.
@@ -33,7 +33,10 @@ pub fn run(scale: Scale) -> (Table, Vec<PhaseCell>) {
     // One engine cell per (disk, mapping); each query draws from its own
     // seeded rng, so regions are identical across mappings and threads.
     let disks = profiles::evaluation_disks();
-    let mappings: Vec<_> = disks.iter().map(|geom| build_mappings(geom, &chunk)).collect();
+    let mappings: Vec<_> = disks
+        .iter()
+        .map(|geom| build_mappings(geom, &chunk))
+        .collect();
     let cells: Vec<(usize, usize)> = (0..disks.len())
         .flat_map(|d| (0..4usize).map(move |m| (d, m)))
         .collect();

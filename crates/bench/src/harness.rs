@@ -234,8 +234,19 @@ pub fn phase_table(title: impl Into<String>, cells: &[PhaseCell]) -> Table {
     let mut table = Table::new(
         title,
         &[
-            "disk", "mapping", "group", "requests", "sequential", "hops", "seeks", "overhead_ms",
-            "seek_ms", "settle_ms", "rotation_ms", "transfer_ms", "total_ms",
+            "disk",
+            "mapping",
+            "group",
+            "requests",
+            "sequential",
+            "hops",
+            "seeks",
+            "overhead_ms",
+            "seek_ms",
+            "settle_ms",
+            "rotation_ms",
+            "transfer_ms",
+            "total_ms",
         ],
     );
     for cell in cells {

@@ -21,7 +21,18 @@
 //! crate.
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod ablations;
 pub mod backends;
@@ -63,8 +74,14 @@ pub fn run_figure(fig: &str, scale: Scale) -> Option<Vec<(String, Table)>> {
     // The figures that attach sinks: their result table, then where its
     // simulated milliseconds went.
     let phased = |name: &str, (table, cells): (Table, Vec<PhaseCell>)| {
-        let phases = phase_table(format!("{} — phases (ms summed per group)", table.title), &cells);
-        Some(vec![(name.to_string(), table), (format!("{fig}_phases"), phases)])
+        let phases = phase_table(
+            format!("{} — phases (ms summed per group)", table.title),
+            &cells,
+        );
+        Some(vec![
+            (name.to_string(), table),
+            (format!("{fig}_phases"), phases),
+        ])
     };
     match fig {
         "fig1" => one("fig1_seek_profile", fig1::run()),

@@ -31,7 +31,8 @@ use crate::harness::{build_mappings, Scale, Table};
 pub const CAPACITIES: [usize; 2] = [64, 1024];
 
 /// Eviction policies swept by the bench.
-pub const POLICIES: [EvictionKind; 3] = [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ];
+pub const POLICIES: [EvictionKind; 3] =
+    [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ];
 
 /// One `(mapping, policy, capacity, prefetch)` measurement.
 #[derive(Clone, Debug)]

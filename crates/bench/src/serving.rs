@@ -101,7 +101,11 @@ impl ServingCell {
 
     /// Total queue-cap rejections across tenants.
     pub fn rejected(&self) -> u64 {
-        self.report.tenants.iter().map(|t| t.rejected_queue_full).sum()
+        self.report
+            .tenants
+            .iter()
+            .map(|t| t.rejected_queue_full)
+            .sum()
     }
 }
 
@@ -199,8 +203,19 @@ pub fn serving_table(cells: &[ServingCell]) -> Table {
     let mut t = Table::new(
         "serving: per-tenant SLOs under multi-tenant load (mapping x backend x tenants x policy)",
         &[
-            "backend", "mapping", "tenants", "policy", "completed", "shed", "rejected",
-            "p50 ms", "p99 ms", "p999 ms", "mean ms", "makespan ms", "digest",
+            "backend",
+            "mapping",
+            "tenants",
+            "policy",
+            "completed",
+            "shed",
+            "rejected",
+            "p50 ms",
+            "p99 ms",
+            "p999 ms",
+            "mean ms",
+            "makespan ms",
+            "digest",
         ],
     );
     let q = |v: Option<f64>| match v {
@@ -237,7 +252,9 @@ mod tests {
         let specs = sweep_specs();
         assert_eq!(
             specs.len(),
-            BACKEND_NAMES.len() * SERVING_MAPPINGS.len() * TENANT_COUNTS.len()
+            BACKEND_NAMES.len()
+                * SERVING_MAPPINGS.len()
+                * TENANT_COUNTS.len()
                 * SERVING_POLICIES.len()
         );
     }

@@ -12,17 +12,29 @@ use multimap_telemetry::Counter;
 fn assert_components_are_the_total(cells: &[PhaseCell]) {
     for c in cells {
         let m = &c.metrics;
-        let parts: f64 = PHASE_COMPONENTS.iter().map(|&p| m.phase_tally(p).sum_ms()).sum();
+        let parts: f64 = PHASE_COMPONENTS
+            .iter()
+            .map(|&p| m.phase_tally(p).sum_ms())
+            .sum();
         let total = m.service_tally().sum_ms();
         let at = (&c.disk, &c.mapping, &c.group);
-        assert!((parts - total).abs() < 1e-6, "{at:?}: components {parts} vs total {total}");
-        assert_eq!(m.service_tally().count(), m.counter_value(Counter::RequestsServiced));
+        assert!(
+            (parts - total).abs() < 1e-6,
+            "{at:?}: components {parts} vs total {total}"
+        );
+        assert_eq!(
+            m.service_tally().count(),
+            m.counter_value(Counter::RequestsServiced)
+        );
     }
 }
 
 /// The row of `table` whose leading columns are `key`.
 fn row<'a>(table: &'a Table, key: &[&str]) -> &'a [String] {
-    let found = table.rows.iter().find(|r| r.iter().zip(key).all(|(cell, k)| cell == k));
+    let found = table
+        .rows
+        .iter()
+        .find(|r| r.iter().zip(key).all(|(cell, k)| cell == k));
     found.unwrap_or_else(|| panic!("no row {key:?} in {}", table.title))
 }
 
@@ -35,10 +47,21 @@ fn fig6a_phase_totals_reproduce_the_beam_table() {
         // A beam is one request per cell, so total / requests is the
         // figure's ms per cell.
         let requests = c.metrics.counter_value(Counter::RequestsServiced);
-        let per_cell = format!("{:.3}", c.metrics.service_tally().sum_ms() / requests as f64);
-        let column = beams.header.iter().position(|h| *h == c.group).expect("DimK column");
+        let per_cell = format!(
+            "{:.3}",
+            c.metrics.service_tally().sum_ms() / requests as f64
+        );
+        let column = beams
+            .header
+            .iter()
+            .position(|h| *h == c.group)
+            .expect("DimK column");
         let at = (&c.disk, &c.mapping, &c.group);
-        assert_eq!(per_cell, row(&beams, &[&c.disk, &c.mapping])[column], "{at:?}");
+        assert_eq!(
+            per_cell,
+            row(&beams, &[&c.disk, &c.mapping])[column],
+            "{at:?}"
+        );
     }
 }
 
@@ -53,7 +76,9 @@ fn fig6b_phase_totals_reproduce_the_speedup_table() {
     for pinned in &ranges.rows {
         let (disk, sel) = (pinned[0].as_str(), pinned[1].as_str());
         let of = |mapping: &str| {
-            let cell = cells.iter().find(|c| c.disk == disk && c.group == sel && c.mapping == mapping);
+            let cell = cells
+                .iter()
+                .find(|c| c.disk == disk && c.group == sel && c.mapping == mapping);
             cell.unwrap_or_else(|| panic!("no {mapping} cell for {disk} at {sel} %"))
         };
         let naive = of("Naive");

@@ -289,10 +289,20 @@ mod dump_tests {
     #[test]
     #[ignore]
     fn dump_agreement_tables() {
-        for geom in [profiles::small(), profiles::cheetah_36es(), profiles::atlas_10k_iii()] {
+        for geom in [
+            profiles::small(),
+            profiles::cheetah_36es(),
+            profiles::atlas_10k_iii(),
+        ] {
             eprintln!("== {}", geom.name);
             for r in model_agreement(&geom) {
-                eprintln!("  {:24} sim {:8.3} model {:8.3} err {:.3}", r.label, r.sim_ms, r.model_ms, r.rel_err());
+                eprintln!(
+                    "  {:24} sim {:8.3} model {:8.3} err {:.3}",
+                    r.label,
+                    r.sim_ms,
+                    r.model_ms,
+                    r.rel_err()
+                );
             }
         }
     }

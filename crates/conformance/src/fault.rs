@@ -236,7 +236,9 @@ mod tests {
     fn seeded_plan_actually_injects() {
         let geom = profiles::small();
         let grid = harness_grid();
-        let plan = FaultPlan::new(42).with_media_error(7).with_transients(0.2, 2.5);
+        let plan = FaultPlan::new(42)
+            .with_media_error(7)
+            .with_transients(0.2, 2.5);
         let region = BoxRegion::new([0u64, 0, 0], [20u64, 7, 5]);
         let rows = fault_query(&geom, &grid, &region, false, &plan).unwrap();
         for r in rows {

@@ -185,10 +185,7 @@ pub fn records(v: &Value) -> Result<&[Value], String> {
 
 /// Directory holding the golden files (`tests/golden` at the repo root).
 pub fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden"
-    ))
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
 }
 
 /// Whether this run should (re)write golden files instead of diffing.

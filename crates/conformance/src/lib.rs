@@ -55,7 +55,18 @@
 //! [`ServiceLog`]: multimap_disksim::ServiceLog
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod adjacency;
 pub mod bijection;
@@ -77,11 +88,11 @@ pub use differential::{
     TELEMETRY_SUM_EPS_MS,
 };
 pub use fault::{check_fault_plan, fault_query, FaultRow};
+pub use golden::{check_case, workload_matrix, GoldenCase};
 pub use matrix::{
     check_cached_sweep, check_matrix, check_region, matrix_query, run_observed, MatrixOutcome,
     Observed, WorkloadQuery,
 };
-pub use golden::{check_case, workload_matrix, GoldenCase};
-pub use report::{CheckOutcome, Report, Verdict};
 pub use oracle::{check_event, check_log, check_ranks, OracleDisk, OracleReport, Violation};
+pub use report::{CheckOutcome, Report, Verdict};
 pub use serving::{check_served_scenario, check_serving_counters};

@@ -210,8 +210,10 @@ pub fn check_event(geom: &DiskGeometry, e: &ServiceEvent) -> Vec<Violation> {
 
     // Transfer is identical on the prefetch and the positioned path:
     // every sector pays exactly one sector-time of its zone.
-    let expected_transfer: f64 =
-        segs.iter().map(|s| s.take as f64 * geom.sector_time_ms(&geom.zones()[s.loc.zone])).sum();
+    let expected_transfer: f64 = segs
+        .iter()
+        .map(|s| s.take as f64 * geom.sector_time_ms(&geom.zones()[s.loc.zone]))
+        .sum();
     if (t.transfer_ms - expected_transfer).abs() > TIME_EPS_MS {
         fail(
             "transfer-exact",
@@ -416,13 +418,22 @@ pub fn check_ranks(requests: &[Request], log: &ServiceLog) -> OracleReport {
         let rank = e.admission_rank;
         let submitted = requests.get(rank);
         if submitted != Some(&e.request) {
-            fail(e.seq, format!("rank {rank} was submitted as {submitted:?}, the event served {:?}", e.request));
+            fail(
+                e.seq,
+                format!(
+                    "rank {rank} was submitted as {submitted:?}, the event served {:?}",
+                    e.request
+                ),
+            );
         } else if std::mem::replace(&mut seen[rank], true) {
             fail(e.seq, format!("rank {rank} served twice"));
         }
     }
     if let Some(rank) = seen.iter().position(|&s| !s) {
-        fail(log.len(), format!("rank {rank} ({:?}) never served", requests[rank]));
+        fail(
+            log.len(),
+            format!("rank {rank} ({:?}) never served", requests[rank]),
+        );
     }
     report.checked = log.len();
     report
@@ -533,7 +544,8 @@ mod tests {
     fn clean_workload_produces_clean_report() {
         let mut disk = OracleDisk::new(profiles::small());
         for i in 0..50u64 {
-            disk.service(Request::new(i * 997 % 10_000, 1 + i % 4)).unwrap();
+            disk.service(Request::new(i * 997 % 10_000, 1 + i % 4))
+                .unwrap();
         }
         assert_eq!(disk.report().checked, 50);
         disk.report().assert_clean();
@@ -598,7 +610,11 @@ mod tests {
     #[test]
     fn misattributed_ranks_are_flagged() {
         use multimap_disksim::{DeviceModel, Discipline};
-        let reqs = [Request::single(0), Request::single(5_000), Request::single(0)];
+        let reqs = [
+            Request::single(0),
+            Request::single(5_000),
+            Request::single(0),
+        ];
         let mut log = ServiceLog::new();
         DiskSim::new(profiles::small())
             .service_batch_observed(&reqs, Discipline::Sptf, &mut log.recorder())
@@ -614,9 +630,19 @@ mod tests {
         };
         // Another request's rank, a twin's rank claimed twice, a rank
         // past the slice, and a request the log never served.
-        let far = log.events().iter().position(|e| e.request.lbn == 5_000).unwrap();
+        let far = log
+            .events()
+            .iter()
+            .position(|e| e.request.lbn == 5_000)
+            .unwrap();
         assert!(tampered(&|ev| ev[far].admission_rank = 0) > 0);
-        assert!(tampered(&|ev| ev.iter_mut().filter(|e| e.request.lbn == 0).for_each(|e| e.admission_rank = 2)) > 0);
+        assert!(
+            tampered(&|ev| ev
+                .iter_mut()
+                .filter(|e| e.request.lbn == 0)
+                .for_each(|e| e.admission_rank = 2))
+                > 0
+        );
         assert!(tampered(&|ev| ev[0].admission_rank = 3) > 0);
         assert!(tampered(&|ev| ev.truncate(2)) > 0);
     }

@@ -128,7 +128,14 @@ mod tests {
     fn tallies_and_cleanliness() {
         let mut r = Report::new();
         r.push("a", "x", "cfg", Verdict::Proved { method: "m".into() });
-        r.push("b", "y", "cfg", Verdict::Skipped { reason: "n/a".into() });
+        r.push(
+            "b",
+            "y",
+            "cfg",
+            Verdict::Skipped {
+                reason: "n/a".into(),
+            },
+        );
         assert!(r.is_clean());
         assert_eq!(r.tallies(), (1, 0, 1));
         r.push(

@@ -217,10 +217,8 @@ fn build_profiles(
                     Ok(p) => out.push(p),
                     Err(e) => {
                         if details.len() < 8 {
-                            details.push(format!(
-                                "{name}: profile for lbn {} failed: {e}",
-                                req.lbn
-                            ));
+                            details
+                                .push(format!("{name}: profile for lbn {} failed: {e}", req.lbn));
                         }
                     }
                 }
@@ -397,9 +395,8 @@ fn check_estimate_bounds(
             }
         }
     }
-    let method = format!(
-        "exhaustive over {pairs} (state x request) pairs, {multi_track} multi-track"
-    );
+    let method =
+        format!("exhaustive over {pairs} (state x request) pairs, {multi_track} multi-track");
     if multi_track == 0 {
         floor_details.push("no multi-track request reached the bound checks".into());
     }

@@ -132,10 +132,18 @@ pub fn check_serving_counters(
     // resolved, which the trace records.
     let summary =
         json::parse(&report.to_json()).map_err(|e| format!("{label}: report JSON: {e}"))?;
-    let summaries = summary.get("tenants").and_then(|t| t.as_arr()).unwrap_or_default();
+    let summaries = summary
+        .get("tenants")
+        .and_then(|t| t.as_arr())
+        .unwrap_or_default();
 
     let mut expected_trace = 0u64;
-    for (i, (t, spec)) in report.tenants.iter().zip(scenario.tenants.iter()).enumerate() {
+    for (i, (t, spec)) in report
+        .tenants
+        .iter()
+        .zip(scenario.tenants.iter())
+        .enumerate()
+    {
         expected_trace += spec.requests as u64;
         if t.submitted != spec.requests as u64 {
             return Err(format!(
@@ -154,7 +162,10 @@ pub fn check_serving_counters(
         while gen.peek_arrival().is_some() {
             let req = gen.emit();
             let Some(e) = fate.get(&(i, req.seq)) else {
-                return Err(format!("{label}/{}: request {} never resolved", t.name, req.seq));
+                return Err(format!(
+                    "{label}/{}: request {} never resolved",
+                    t.name, req.seq
+                ));
             };
             gen.resolve(e.resolve_ms);
             if e.arrive_ms.to_bits() != req.arrival_ms.to_bits() {
@@ -172,7 +183,11 @@ pub fn check_serving_counters(
             ));
         }
         let field = |name: &str| summaries.get(i)?.get(name)?.as_f64();
-        let parts = (field("queue_wait_mean_ms"), field("in_device_mean_ms"), field("mean_ms"));
+        let parts = (
+            field("queue_wait_mean_ms"),
+            field("in_device_mean_ms"),
+            field("mean_ms"),
+        );
         let adds_up = match parts {
             (Some(wait), Some(device), Some(mean)) => (wait + device - mean).abs() <= 1e-9,
             (None, None, None) => completed == 0,

@@ -73,7 +73,10 @@ pub fn default_sweep() -> Vec<SweepConfig> {
         cfgs.push(SweepConfig::new(&geom, &[259, 259, 259]));
         cfgs.push(SweepConfig::new(&geom, &[591, 75, 25, 25]));
     }
-    cfgs.push(SweepConfig::new(&profiles::density_trend(1), &[259, 259, 259]));
+    cfgs.push(SweepConfig::new(
+        &profiles::density_trend(1),
+        &[259, 259, 259],
+    ));
     cfgs
 }
 
@@ -204,7 +207,10 @@ fn curve_lemma(report: &mut Report) {
                     "Z-order",
                     ZCurve::new(dims, bits).map(|c| Box::new(c) as Box<dyn SpaceFillingCurve>),
                 ),
-                ("Hilbert", HilbertCurve::new(dims, bits).map(|c| Box::new(c) as _)),
+                (
+                    "Hilbert",
+                    HilbertCurve::new(dims, bits).map(|c| Box::new(c) as _),
+                ),
                 ("Gray", GrayCurve::new(dims, bits).map(|c| Box::new(c) as _)),
             ];
             let total = 1u64 << (dims as u32 * bits);

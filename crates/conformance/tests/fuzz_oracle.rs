@@ -7,8 +7,8 @@
 //! (one cell per scheduling policy, verdicts in submission order), the
 //! same engine the figure sweeps use.
 
-use multimap_conformance::oracle::{check_log, OracleDisk};
 use multimap_conformance::check_region;
+use multimap_conformance::oracle::{check_log, OracleDisk};
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, Request};
 use multimap_lvm::{LogicalVolume, SchedulePolicy};

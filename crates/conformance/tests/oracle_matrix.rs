@@ -144,7 +144,8 @@ fn idle_gaps_between_batches_are_legal() {
     let mut disk = OracleDisk::new(geom);
     for burst in 0..5u64 {
         for i in 0..10u64 {
-            disk.service(Request::single(burst * 10_000 + i * 137)).unwrap();
+            disk.service(Request::single(burst * 10_000 + i * 137))
+                .unwrap();
         }
         disk.idle(7.3);
     }

@@ -11,13 +11,13 @@
 
 use std::collections::HashSet;
 
+use multimap_conformance::bijection::{check_auto, check_exhaustive, MappingClass};
+use multimap_conformance::{adjacency, selector_bounds, sweep, Report};
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MappingKind, MultiMapping, NaiveMapping,
 };
 use multimap_disksim::{adjacent_lbn, profiles, Lbn};
 use proptest::prelude::*;
-use multimap_conformance::bijection::{check_auto, check_exhaustive, MappingClass};
-use multimap_conformance::{adjacency, selector_bounds, sweep, Report};
 
 /// Brute-force bijection oracle, independent of the analyzer: enumerate
 /// every cell, demand distinct LBNs and exact inverses, and (for dense
@@ -114,18 +114,16 @@ impl Mapping for BrokenMapping {
     fn lbn_of(&self, coord: &[u64]) -> multimap_core::Result<Lbn> {
         let lin = self.grid().linear_index(coord);
         match self.mode {
-            BreakMode::Collide if lin == self.victim => {
-                self.inner.lbn_of(&vec![0u64; coord.len()])
-            }
+            BreakMode::Collide if lin == self.victim => self.inner.lbn_of(&vec![0u64; coord.len()]),
             _ => self.inner.lbn_of(coord),
         }
     }
     fn coord_of(&self, lbn: Lbn) -> Option<Vec<u64>> {
         let back = self.inner.coord_of(lbn)?;
         match self.mode {
-            BreakMode::BadInverse if self.grid().linear_index(&back) == self.victim => {
-                self.grid().coord_of_linear((self.victim + 1) % self.grid().cells())
-            }
+            BreakMode::BadInverse if self.grid().linear_index(&back) == self.victim => self
+                .grid()
+                .coord_of_linear((self.victim + 1) % self.grid().cells()),
             _ => Some(back),
         }
     }

@@ -94,9 +94,8 @@ fn serving_matrix_is_thread_count_invariant() {
                 .expect("registry backend builds");
             let mapping = multimap_core::MultiMapping::new(&geom, grid.clone())
                 .expect("multimap mapping must build");
-            let report =
-                multimap_server::serve_scenario(&volume, &mapping, &scenario(policies[p]))
-                    .expect("scenario serves");
+            let report = multimap_server::serve_scenario(&volume, &mapping, &scenario(policies[p]))
+                .expect("scenario serves");
             format!("{:016x}\n{}", report.digest, report.to_json())
         })
     };
@@ -104,7 +103,11 @@ fn serving_matrix_is_thread_count_invariant() {
     let serial = run();
     for threads in [2, 8] {
         multimap_engine::set_threads(threads);
-        assert_eq!(serial, run(), "serving matrix diverged at {threads} threads");
+        assert_eq!(
+            serial,
+            run(),
+            "serving matrix diverged at {threads} threads"
+        );
     }
     multimap_engine::set_threads(0);
 }

@@ -126,7 +126,9 @@ fn cached_sweeps_reconcile_across_policies_mappings_and_backends() {
 fn admission_ranks_index_the_submitted_slice_on_every_device() {
     fn check<D: DeviceModel>(label: &str, volume: &DeviceVolume<D>) {
         // Scattered cells, each asked for twice (two tenants, one cell).
-        let reqs: Vec<Request> = (0..80u64).map(|i| Request::new((i % 40) * 997 % 9_000, 2)).collect();
+        let reqs: Vec<Request> = (0..80u64)
+            .map(|i| Request::new((i % 40) * 997 % 9_000, 2))
+            .collect();
         for policy in [
             SchedulePolicy::InOrder,
             SchedulePolicy::Sptf,
@@ -136,17 +138,26 @@ fn admission_ranks_index_the_submitted_slice_on_every_device() {
             let (_, log) = volume.service_batch_logged(0, &reqs, policy).unwrap();
             let report = check_ranks(&reqs, &log);
             assert_eq!(report.checked, reqs.len(), "{label} {policy:?}");
-            assert!(report.is_clean(), "{label} {policy:?}: {:?}", report.violations);
+            assert!(
+                report.is_clean(),
+                "{label} {policy:?}: {:?}",
+                report.violations
+            );
         }
     }
     let geom = profiles::small();
     for name in BACKEND_NAMES {
         check(name, &backend_volume(name, &geom, 1).unwrap());
     }
-    let plan = FaultPlan::new(21).with_media_errors([997, 1_994]).with_transients(0.1, 2.0);
+    let plan = FaultPlan::new(21)
+        .with_media_errors([997, 1_994])
+        .with_transients(0.1, 2.0);
     let recovering = DeviceVolume::with_recovery(geom, 1, plan).unwrap();
     check("recovering disk", &recovering);
-    assert!(recovering.recovery_stats().remaps > 0, "the plan's media errors were hit");
+    assert!(
+        recovering.recovery_stats().remaps > 0,
+        "the plan's media errors were hit"
+    );
 }
 
 /// The `store` column: the one storage manager on every backend. A
@@ -167,13 +178,17 @@ fn store_column_reconciles_on_every_backend() {
     };
     let rewrites = |sm: &StorageManager<Box<dyn DeviceModel>>| {
         let counters = sm.volume().counters(0).unwrap();
-        counters.into_iter().find(|(k, _)| k == "imr.neighbor_rewrites").map_or(0, |(_, v)| v)
+        counters
+            .into_iter()
+            .find(|(k, _)| k == "imr.neighbor_rewrites")
+            .map_or(0, |(_, v)| v)
     };
     let mut payloads = Vec::new();
     for name in BACKEND_NAMES {
         let mut sm = StorageManager::from_volume(backend_volume(name, &geom, 1).unwrap());
         sm.enable_cache(config);
-        sm.create_table("t", grid.clone(), LayoutChoice::MultiMap).unwrap();
+        sm.create_table("t", grid.clone(), LayoutChoice::MultiMap)
+            .unwrap();
         sm.load("t").unwrap();
         let rewrites_before = rewrites(&sm);
         let flush_state = |sm: &StorageManager<Box<dyn DeviceModel>>| {
@@ -193,22 +208,51 @@ fn store_column_reconciles_on_every_backend() {
             let after = flush_state(&sm);
             if after.0 > before.0 {
                 flushes += 1;
-                assert_eq!(after.1 - before.1, after.2 - before.2, "{name}: requests vs pages");
+                assert_eq!(
+                    after.1 - before.1,
+                    after.2 - before.2,
+                    "{name}: requests vs pages"
+                );
                 let (phases, total) = (after.3 - before.3, after.4 - before.4);
-                assert!(total > 0.0 && (phases - total).abs() < 1e-9, "{name}: {phases} vs {total}");
+                assert!(
+                    total > 0.0 && (phases - total).abs() < 1e-9,
+                    "{name}: {phases} vs {total}"
+                );
             }
         }
         let before = flush_state(&sm);
         let drained = sm.flush_all().unwrap();
         let after = flush_state(&sm);
-        assert!(flushes > 1 && drained.batches == 1, "{name}: {flushes} flushes, {drained:?}");
+        assert!(
+            flushes > 1 && drained.batches == 1,
+            "{name}: {flushes} flushes, {drained:?}"
+        );
         assert_eq!(after.1 - before.1, drained.pages, "{name}");
-        assert!((after.3 - before.3 - drained.total_io_ms).abs() < 1e-9, "{name}");
+        assert!(
+            (after.3 - before.3 - drained.total_io_ms).abs() < 1e-9,
+            "{name}"
+        );
         let m = sm.cache_metrics();
-        assert_eq!(m.counter_value(Counter::WritebackFlush), flushes + 1, "{name}");
-        assert_eq!(m.counter_value(Counter::RequestsServiced), sm.cache_stats().writeback_pages, "{name}");
-        assert_eq!(m.counter_value(Counter::NeighborRewrite), rewrites(&sm) - rewrites_before, "{name}");
-        assert_eq!(m.counter_value(Counter::NeighborRewrite) > 0, name == "imr", "{name}");
+        assert_eq!(
+            m.counter_value(Counter::WritebackFlush),
+            flushes + 1,
+            "{name}"
+        );
+        assert_eq!(
+            m.counter_value(Counter::RequestsServiced),
+            sm.cache_stats().writeback_pages,
+            "{name}"
+        );
+        assert_eq!(
+            m.counter_value(Counter::NeighborRewrite),
+            rewrites(&sm) - rewrites_before,
+            "{name}"
+        );
+        assert_eq!(
+            m.counter_value(Counter::NeighborRewrite) > 0,
+            name == "imr",
+            "{name}"
+        );
 
         let table = sm.table("t").unwrap();
         let disk = table.grant().disk;
@@ -226,9 +270,20 @@ fn store_column_reconciles_on_every_backend() {
             outcome.push((r.cells, r.payload));
         }
         let stats = sm.cache_stats();
-        assert!(stats.hits > stats_before.hits, "{name}: the beams hit flushed pages");
-        assert_eq!(sink.counter_value(Counter::PageCacheHit), stats.hits - stats_before.hits, "{name}");
-        assert_eq!(sink.counter_value(Counter::PageCacheMiss), stats.misses - stats_before.misses, "{name}");
+        assert!(
+            stats.hits > stats_before.hits,
+            "{name}: the beams hit flushed pages"
+        );
+        assert_eq!(
+            sink.counter_value(Counter::PageCacheHit),
+            stats.hits - stats_before.hits,
+            "{name}"
+        );
+        assert_eq!(
+            sink.counter_value(Counter::PageCacheMiss),
+            stats.misses - stats_before.misses,
+            "{name}"
+        );
         for dim in 0..3 {
             let r = sm.beam("t", dim, &anchor).unwrap();
             outcome.push((r.cells, r.payload));

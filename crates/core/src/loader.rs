@@ -166,7 +166,10 @@ pub fn append_slab<D: DeviceModel + ?Sized>(
 ) -> std::result::Result<LoadReport, LoadError> {
     let grid = mapping.grid();
     if dim >= grid.ndims() {
-        return Err(LoadError::NoSuchDimension { dim, ndims: grid.ndims() });
+        return Err(LoadError::NoSuchDimension {
+            dim,
+            ndims: grid.ndims(),
+        });
     }
     if index >= grid.extent(dim) {
         return Err(MappingError::CoordOutOfGrid { coord: vec![index] }.into());
@@ -237,7 +240,10 @@ mod tests {
         let m = NaiveMapping::new(grid, 0);
         let lbn = m.lbn_of(&[3, 2, 1]).unwrap();
         sim.set_fault_plan(FaultPlan::new(1).with_media_error(lbn));
-        assert_eq!(bulk_load(&mut sim, &m), Err(LoadError::Disk(DiskError::MediaError { lbn })));
+        assert_eq!(
+            bulk_load(&mut sim, &m),
+            Err(LoadError::Disk(DiskError::MediaError { lbn }))
+        );
         sim.set_fault_plan(FaultPlan::none());
         assert!(bulk_load(&mut sim, &m).is_ok());
     }

@@ -90,7 +90,10 @@ impl CellStore {
     pub fn insert_allocates(&self, cell: u64) -> bool {
         let cap = CELL_CAPACITY;
         self.occupancy.get(&cell).is_some_and(|&occ| occ >= cap)
-            && self.overflow.get(&cell).is_none_or(|(_, last)| *last == cap)
+            && self
+                .overflow
+                .get(&cell)
+                .is_none_or(|(_, last)| *last == cap)
     }
 
     /// Insert one point into `cell`; allocates an overflow page when the
@@ -105,7 +108,10 @@ impl CellStore {
         }
         self.stats.overflow_inserts += 1;
         // A cell's first overflow insert finds a "full" empty chain.
-        let (pages, last) = self.overflow.entry(cell).or_insert_with(|| (Vec::new(), cap));
+        let (pages, last) = self
+            .overflow
+            .entry(cell)
+            .or_insert_with(|| (Vec::new(), cap));
         let page = (*last == cap).then_some(self.next_overflow);
         if let Some(lbn) = page {
             pages.push(lbn);

@@ -93,7 +93,11 @@ pub trait DeviceModel: Send {
     ) -> Result<BatchTiming>;
 
     /// [`DeviceModel::service_batch_observed`] without an observer.
-    fn service_batch(&mut self, requests: &[Request], discipline: Discipline) -> Result<BatchTiming> {
+    fn service_batch(
+        &mut self,
+        requests: &[Request],
+        discipline: Discipline,
+    ) -> Result<BatchTiming> {
         self.service_batch_observed(requests, discipline, &mut |_| {})
     }
 
@@ -199,7 +203,11 @@ impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
     ) -> Result<BatchTiming> {
         (**self).service_batch_observed(requests, discipline, observe)
     }
-    fn service_batch(&mut self, requests: &[Request], discipline: Discipline) -> Result<BatchTiming> {
+    fn service_batch(
+        &mut self,
+        requests: &[Request],
+        discipline: Discipline,
+    ) -> Result<BatchTiming> {
         (**self).service_batch(requests, discipline)
     }
     fn service_writeback(
@@ -414,18 +422,28 @@ mod tests {
         for name in ["imr", "ssd"] {
             let mut flushed = build_backend(name, &geom).unwrap();
             let mut log = crate::observe::ServiceLog::new();
-            let t = flushed.service_writeback(&pages, 64, &mut log.recorder()).unwrap();
+            let t = flushed
+                .service_writeback(&pages, 64, &mut log.recorder())
+                .unwrap();
             let mut by_hand = build_backend(name, &geom).unwrap();
             let mut total = 0.0;
             for (rank, (&p, e)) in pages.iter().zip(log.events()).enumerate() {
                 let w = by_hand.service_write(p).unwrap();
                 total += w.total_ms();
-                assert_eq!((e.admission_rank, e.request, e.kind), (rank, p, AccessKind::Write), "{name}");
+                assert_eq!(
+                    (e.admission_rank, e.request, e.kind),
+                    (rank, p, AccessKind::Write),
+                    "{name}"
+                );
                 assert_eq!(e.timing, w, "{name} page {rank}");
             }
             assert_eq!((t.requests, t.blocks), (12, 48), "{name}");
             assert_eq!(t.total_ms.to_bits(), total.to_bits(), "{name}");
-            assert_eq!(flushed.now_ms().to_bits(), by_hand.now_ms().to_bits(), "{name}");
+            assert_eq!(
+                flushed.now_ms().to_bits(),
+                by_hand.now_ms().to_bits(),
+                "{name}"
+            );
             assert_eq!(flushed.counters(), by_hand.counters(), "{name}");
         }
     }
@@ -438,8 +456,9 @@ mod tests {
     fn boxed_imr_write_back_amplifies() {
         let geom = profiles::small();
         let pages = interlaced_pages(&geom);
-        let (top, bottom): (Vec<Request>, Vec<Request>) =
-            pages.iter().partition(|r| geom.locate(r.lbn).unwrap().cylinder % 2 == 1);
+        let (top, bottom): (Vec<Request>, Vec<Request>) = pages
+            .iter()
+            .partition(|r| geom.locate(r.lbn).unwrap().cylinder % 2 == 1);
         let mut imr: Box<dyn DeviceModel> = build_backend("imr", &geom).unwrap();
         imr.service_writeback(&top, 64, &mut |_| {}).unwrap();
         imr.service_writeback(&bottom, 64, &mut |_| {}).unwrap();

@@ -107,9 +107,16 @@ impl FaultPlan {
     /// [`max_consecutive_transients`](Self::with_max_consecutive_transients)
     /// commands in a row fail, so a bounded retry loop always converges.
     pub fn with_transients(mut self, prob: f64, timeout_ms: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&prob), "transient prob {prob} outside [0, 1]");
+        debug_assert!(
+            (0.0..=1.0).contains(&prob),
+            "transient prob {prob} outside [0, 1]"
+        );
         debug_assert!(timeout_ms.is_finite() && timeout_ms >= 0.0);
-        self.transient_prob = if prob.is_nan() { 0.0 } else { prob.clamp(0.0, 1.0) };
+        self.transient_prob = if prob.is_nan() {
+            0.0
+        } else {
+            prob.clamp(0.0, 1.0)
+        };
         self.timeout_ms = timeout_ms.max(0.0);
         self
     }
@@ -126,9 +133,16 @@ impl FaultPlan {
     /// independently pays `extra_ms` of additional rotational delay with
     /// probability `prob` (clamped to `[0, 1]`).
     pub fn with_slow_reads(mut self, prob: f64, extra_ms: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&prob), "slow-read prob {prob} outside [0, 1]");
+        debug_assert!(
+            (0.0..=1.0).contains(&prob),
+            "slow-read prob {prob} outside [0, 1]"
+        );
         debug_assert!(extra_ms.is_finite() && extra_ms >= 0.0);
-        self.slow_read_prob = if prob.is_nan() { 0.0 } else { prob.clamp(0.0, 1.0) };
+        self.slow_read_prob = if prob.is_nan() {
+            0.0
+        } else {
+            prob.clamp(0.0, 1.0)
+        };
         self.slow_read_extra_ms = extra_ms.max(0.0);
         self
     }
@@ -426,8 +440,8 @@ mod tests {
     #[test]
     fn payload_is_order_independent_and_length_sensitive() {
         let whole = request_payload(Request::new(10, 6));
-        let split = request_payload(Request::new(10, 2))
-            .wrapping_add(request_payload(Request::new(12, 4)));
+        let split =
+            request_payload(Request::new(10, 2)).wrapping_add(request_payload(Request::new(12, 4)));
         assert_eq!(whole, split, "payload must commute across splits");
         assert_ne!(whole, request_payload(Request::new(10, 5)));
         assert_ne!(whole, request_payload(Request::new(11, 6)));

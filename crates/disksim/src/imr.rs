@@ -190,7 +190,13 @@ impl DeviceModel for ImrModel {
     ) -> Result<BatchTiming> {
         // Read batches ride the inner drive's scheduler unchanged: the
         // IMR read path is the rotating drive's read path.
-        service_batch_serving(&mut self.inner, requests, discipline, &mut plain_serve, observe)
+        service_batch_serving(
+            &mut self.inner,
+            requests,
+            discipline,
+            &mut plain_serve,
+            observe,
+        )
     }
 
     /// Ascending writes, each through [`DeviceModel::service_write`], so
@@ -278,7 +284,11 @@ mod tests {
         let reqs: Vec<Request> = (0..80u64)
             .map(|i| Request::new((i * 6151) % (geom.total_blocks() - 4), 1 + i % 4))
             .collect();
-        for d in [Discipline::AscendingLbn, Discipline::Sptf, Discipline::QueuedSptf(16)] {
+        for d in [
+            Discipline::AscendingLbn,
+            Discipline::Sptf,
+            Discipline::QueuedSptf(16),
+        ] {
             let mut disk = DiskSim::new(geom.clone());
             let mut log_d = crate::observe::ServiceLog::new();
             let td = disk
@@ -337,7 +347,10 @@ mod tests {
             let mut plain = DiskSim::new(geom.clone());
             // Put the plain drive in a comparable position first.
             plain.service_write(Request::new(top, 2)).unwrap();
-            plain.service_write(Request::new(bottom, 2)).unwrap().total_ms()
+            plain
+                .service_write(Request::new(bottom, 2))
+                .unwrap()
+                .total_ms()
         };
         let t = dev.service_write(Request::new(bottom, 2)).unwrap();
         assert_eq!(dev.neighbor_rewrites(), 1);
@@ -360,7 +373,11 @@ mod tests {
         }
         assert_eq!(dev.neighbor_rewrites(), 0);
         let counters = dev.counters();
-        let top = counters.iter().find(|(k, _)| k == "imr.top_track_writes").unwrap().1;
+        let top = counters
+            .iter()
+            .find(|(k, _)| k == "imr.top_track_writes")
+            .unwrap()
+            .1;
         assert_eq!(top, 3);
     }
 

@@ -43,7 +43,18 @@
 //! ```
 
 #![deny(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod adjacency;
 pub mod device;
@@ -62,7 +73,9 @@ pub mod stats;
 pub use adjacency::{adjacency_offset_sectors, adjacent_lbn, semi_sequential_path};
 pub use device::{build_backend, DeviceModel, BACKEND_NAMES};
 pub use error::{DiskError, Result};
-pub use fault::{request_payload, FaultCounts, FaultDecision, FaultInjector, FaultOutcome, FaultPlan};
+pub use fault::{
+    request_payload, FaultCounts, FaultDecision, FaultInjector, FaultOutcome, FaultPlan,
+};
 pub use geometry::{
     locate_call_count, DiskBuilder, DiskGeometry, Lbn, Location, Zone, ZoneSpec,
     ROTATION_WRAP_GUARD, SECTOR_BYTES,

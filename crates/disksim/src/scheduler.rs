@@ -80,7 +80,8 @@ pub const SPTF_INCREMENTAL_MIN_WINDOW: usize = 32;
 /// manager supplies its own closure to add retry, bad-block remapping
 /// or any other recovery, returning the successful attempts' timing
 /// plus a [`FaultOutcome`] describing what recovery cost.
-pub type ServeFn<'a> = dyn FnMut(&mut DiskSim, Request) -> Result<(RequestTiming, FaultOutcome)> + 'a;
+pub type ServeFn<'a> =
+    dyn FnMut(&mut DiskSim, Request) -> Result<(RequestTiming, FaultOutcome)> + 'a;
 
 /// The recovery-free serve: one attempt, no fault handling.
 #[expect(
@@ -618,7 +619,9 @@ mod tests {
     #[test]
     fn batch_per_block_metric() {
         let mut s = sim();
-        let t = s.service_batch(&[Request::new(0, 10)], Discipline::AscendingLbn).unwrap();
+        let t = s
+            .service_batch(&[Request::new(0, 10)], Discipline::AscendingLbn)
+            .unwrap();
         assert!((t.per_block_ms() - t.total_ms / 10.0).abs() < 1e-12);
         assert_eq!(BatchTiming::default().per_block_ms(), 0.0);
     }

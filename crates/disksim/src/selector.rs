@@ -593,7 +593,12 @@ mod tests {
                 inspect(&selector);
             }
             let got = selector.take_best(s).unwrap();
-            assert_eq!(got, reference.take_best(s).unwrap(), "pick {} diverged", served.len());
+            assert_eq!(
+                got,
+                reference.take_best(s).unwrap(),
+                "pick {} diverged",
+                served.len()
+            );
             let Some((rank, req)) = got else {
                 break;
             };

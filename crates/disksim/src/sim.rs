@@ -297,10 +297,7 @@ impl DiskSim {
 
     /// Counts of faults injected so far (all zero without a plan).
     pub fn fault_counts(&self) -> FaultCounts {
-        self.fault
-            .as_ref()
-            .map(|i| i.counts())
-            .unwrap_or_default()
+        self.fault.as_ref().map(|i| i.counts()).unwrap_or_default()
     }
 
     /// The disk's geometry.
@@ -392,7 +389,8 @@ impl DiskSim {
                     let t = Self::simulate_kind(&self.geom, &mut self.state, prefix, kind)?;
                     self.stats.record(&t, prefix.nblocks);
                 }
-                let _ = Self::simulate_kind(&self.geom, &mut self.state, Request::single(lbn), kind)?;
+                let _ =
+                    Self::simulate_kind(&self.geom, &mut self.state, Request::single(lbn), kind)?;
                 self.state.last_end_lbn = None;
                 Err(DiskError::MediaError { lbn })
             }
@@ -638,7 +636,10 @@ mod tests {
         // Plain service and estimate.
         assert_eq!(sim.service(req), past_end);
         assert_eq!(sim.service_write(req), past_end);
-        assert_eq!(sim.estimate(req).map(|_| RequestTiming::default()), past_end);
+        assert_eq!(
+            sim.estimate(req).map(|_| RequestTiming::default()),
+            past_end
+        );
         // Profiled (what every SPTF batch builds per request).
         assert_eq!(
             RequestProfile::new(sim.geometry(), req).map(|_| RequestTiming::default()),
@@ -910,7 +911,11 @@ mod tests {
             distinct.insert(j.to_bits());
         }
         // The hash must actually vary across inputs, not collapse.
-        assert!(distinct.len() > 400, "only {} distinct draws", distinct.len());
+        assert!(
+            distinct.len() > 400,
+            "only {} distinct draws",
+            distinct.len()
+        );
     }
 
     #[test]

@@ -263,7 +263,8 @@ impl DeviceModel for SsdModel {
             };
             let (rank, req) = pending.remove(pick);
             let c = self.channel_of(req.lbn);
-            let (event, end) = self.dispatch(req, AccessKind::Read, t0, depth_on[c], seq, rank, queue_len);
+            let (event, end) =
+                self.dispatch(req, AccessKind::Read, t0, depth_on[c], seq, rank, queue_len);
             depth_on[c] += 1;
             makespan_end = makespan_end.max(end);
             out.requests += 1;
@@ -392,7 +393,10 @@ mod tests {
         let e0 = &log.events()[0];
         let e1 = &log.events()[1];
         assert_eq!(e0.timing.seek_ms, 0.0);
-        assert!(e1.timing.seek_ms > 0.0, "second command waits for the channel");
+        assert!(
+            e1.timing.seek_ms > 0.0,
+            "second command waits for the channel"
+        );
         assert!(
             e1.timing.overhead_ms > e0.timing.overhead_ms,
             "queue-depth surcharge applies to the queued command"
@@ -433,8 +437,12 @@ mod tests {
         dev.reset();
         dev.service(Request::new(0, 4)).unwrap();
         let mut log = crate::observe::ServiceLog::new();
-        dev.service_batch_observed(&[Request::new(4, 4)], Discipline::InOrder, &mut log.recorder())
-            .unwrap();
+        dev.service_batch_observed(
+            &[Request::new(4, 4)],
+            Discipline::InOrder,
+            &mut log.recorder(),
+        )
+        .unwrap();
         assert_eq!(dev.classify(&log.events()[0]), Transition::Sequential);
     }
 

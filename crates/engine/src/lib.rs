@@ -26,7 +26,18 @@
 //! available parallelism), or a typed [`ThreadsError`] from
 //! [`try_threads`] for callers that must not run misconfigured.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 use std::panic::resume_unwind;
@@ -63,7 +74,10 @@ impl std::fmt::Display for ThreadsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ThreadsError::Zero => {
-                write!(f, "MULTIMAP_THREADS=0 is invalid (unset it to use available parallelism)")
+                write!(
+                    f,
+                    "MULTIMAP_THREADS=0 is invalid (unset it to use available parallelism)"
+                )
             }
             ThreadsError::Unparsable(val) => {
                 write!(f, "MULTIMAP_THREADS={val:?} is not an unsigned integer")

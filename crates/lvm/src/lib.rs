@@ -27,7 +27,18 @@
 //! assert_eq!(volume.adjacency_limit(), 32);
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod error;

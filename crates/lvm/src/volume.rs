@@ -128,7 +128,10 @@ impl<D: DeviceModel> DeviceVolume<D> {
         requests: &[Request],
         policy: SchedulePolicy,
     ) -> Result<BatchTiming> {
-        Ok(self.device(device)?.lock().service_batch(requests, policy)?)
+        Ok(self
+            .device(device)?
+            .lock()
+            .service_batch(requests, policy)?)
     }
 
     /// [`DeviceVolume::service_batch`] with a per-request observer: the
@@ -200,7 +203,10 @@ impl<D: DeviceModel> DeviceVolume<D> {
         &self,
         device: usize,
         mut record: impl FnMut(Transition, &ServiceEvent),
-        serve: impl FnOnce(&mut D, &mut dyn FnMut(ServiceEvent)) -> multimap_disksim::Result<BatchTiming>,
+        serve: impl FnOnce(
+            &mut D,
+            &mut dyn FnMut(ServiceEvent),
+        ) -> multimap_disksim::Result<BatchTiming>,
     ) -> Result<BatchTiming> {
         let mut dev = self.device(device)?.lock();
         let mut log = ServiceLog::new();
@@ -512,17 +518,13 @@ mod tests {
 
     #[test]
     fn faulted_batch_payload_matches_fault_free_run() {
-        let reqs: Vec<Request> = (0..30u64)
-            .map(|i| Request::new(i * 400, 3))
-            .collect();
+        let reqs: Vec<Request> = (0..30u64).map(|i| Request::new(i * 400, 3)).collect();
         let plan = FaultPlan::new(77)
             .with_transients(0.25, 5.0)
             .with_media_errors([401u64, 4_802, 8_000]);
         let clean = volume(1);
         let faulted = DeviceVolume::with_recovery(profiles::small(), 1, plan.clone()).unwrap();
-        let tc = clean
-            .service_batch(0, &reqs, SchedulePolicy::Sptf)
-            .unwrap();
+        let tc = clean.service_batch(0, &reqs, SchedulePolicy::Sptf).unwrap();
         let tf = faulted
             .service_batch(0, &reqs, SchedulePolicy::Sptf)
             .unwrap();
@@ -537,7 +539,10 @@ mod tests {
         assert_eq!(stats.retries, injected.transients);
         assert_eq!(stats.media_errors, injected.media_errors);
         assert_eq!(stats.remaps, stats.media_errors);
-        assert_eq!(injected.transients, plan.count_transients(injected.commands));
+        assert_eq!(
+            injected.transients,
+            plan.count_transients(injected.commands)
+        );
         assert!(stats.remaps >= 3, "all three bad blocks were touched");
         // The remapped cells are now degraded.
         assert!(faulted.is_degraded_range(0, 401, 1).unwrap());
@@ -565,16 +570,15 @@ mod tests {
         let plan = FaultPlan::new(1).with_media_error(500);
         let v = DeviceVolume::with_recovery(profiles::small(), 1, plan).unwrap();
         let reqs = [Request::new(498, 5)];
-        let t1 = v
-            .service_batch(0, &reqs, SchedulePolicy::InOrder)
-            .unwrap();
+        let t1 = v.service_batch(0, &reqs, SchedulePolicy::InOrder).unwrap();
         assert_eq!(v.remap_count(0).unwrap(), 1);
         v.reset();
         assert_eq!(v.remap_count(0).unwrap(), 0);
-        assert_eq!(v.recovery_stats(), crate::recovery::RecoveryStats::default());
-        let t2 = v
-            .service_batch(0, &reqs, SchedulePolicy::InOrder)
-            .unwrap();
+        assert_eq!(
+            v.recovery_stats(),
+            crate::recovery::RecoveryStats::default()
+        );
+        let t2 = v.service_batch(0, &reqs, SchedulePolicy::InOrder).unwrap();
         assert_eq!(t1.total_ms.to_bits(), t2.total_ms.to_bits());
     }
 
@@ -591,8 +595,8 @@ mod tests {
         ] {
             let lv = LogicalVolume::new(geom.clone(), 1);
             let (tl, log_l) = lv.service_batch_logged(0, &reqs, policy).unwrap();
-            let dv = DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom.clone())])
-                .unwrap();
+            let dv =
+                DeviceVolume::from_devices(geom.clone(), vec![DiskSim::new(geom.clone())]).unwrap();
             let (td, log_d) = dv.service_batch_logged(0, &reqs, policy).unwrap();
             assert_eq!(tl, td, "{policy:?}");
             assert_eq!(tl.total_ms.to_bits(), td.total_ms.to_bits());
@@ -625,7 +629,9 @@ mod tests {
     #[test]
     fn classified_batch_matches_logged_batch_and_device_classification() {
         let geom = profiles::small();
-        let reqs: Vec<Request> = (0..30u64).map(|i| Request::new(i * 257, 1 + i % 2)).collect();
+        let reqs: Vec<Request> = (0..30u64)
+            .map(|i| Request::new(i * 257, 1 + i % 2))
+            .collect();
         for name in multimap_disksim::BACKEND_NAMES {
             let logged = backend_volume(name, &geom, 1).unwrap();
             let (tl, log) = logged
@@ -660,12 +666,22 @@ mod tests {
             for depth in [1usize, 8, 64] {
                 let (mut flushed, mut read) = (make(), make());
                 let (mut log_w, mut log_r) = (ServiceLog::new(), ServiceLog::new());
-                let tw = flushed.service_writeback(&pages, depth, &mut log_w.recorder()).unwrap();
+                let tw = flushed
+                    .service_writeback(&pages, depth, &mut log_w.recorder())
+                    .unwrap();
                 let tr = read
-                    .service_batch_observed(&pages, SchedulePolicy::QueuedSptf(depth), &mut log_r.recorder())
+                    .service_batch_observed(
+                        &pages,
+                        SchedulePolicy::QueuedSptf(depth),
+                        &mut log_r.recorder(),
+                    )
                     .unwrap();
                 assert_eq!(tw, tr, "{label} depth {depth}");
-                assert_eq!(tw.total_ms.to_bits(), tr.total_ms.to_bits(), "{label} depth {depth}");
+                assert_eq!(
+                    tw.total_ms.to_bits(),
+                    tr.total_ms.to_bits(),
+                    "{label} depth {depth}"
+                );
                 assert_eq!(log_w, log_r, "{label} depth {depth}");
             }
         }

@@ -131,9 +131,13 @@ mod tests {
         let exec = LeafQueryExecutor::new(&volume, 0);
 
         volume.reset();
-        let rn = exec.beam(&tree, &LeafPlacement::Linear(&naive), 2, [9, 3, 0]).unwrap();
+        let rn = exec
+            .beam(&tree, &LeafPlacement::Linear(&naive), 2, [9, 3, 0])
+            .unwrap();
         volume.reset();
-        let rm = exec.beam(&tree, &LeafPlacement::MultiMap(&skewed), 2, [9, 3, 0]).unwrap();
+        let rm = exec
+            .beam(&tree, &LeafPlacement::MultiMap(&skewed), 2, [9, 3, 0])
+            .unwrap();
         assert_eq!(rn.cells, rm.cells);
         assert!(rm.total_io_ms <= rn.total_io_ms * 1.2);
     }

@@ -520,7 +520,14 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         let batch = if requests.is_empty() {
             BatchTiming::default()
         } else {
-            serve(self.volume, self.device, &requests, policy, &mut observer, &mut sink)?
+            serve(
+                self.volume,
+                self.device,
+                &requests,
+                policy,
+                &mut observer,
+                &mut sink,
+            )?
         };
         finish_span(&mut sink, Span::Service, t_service);
 
@@ -545,7 +552,10 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         if let Some(s) = sink {
             s.counter(Counter::SptfWindowEviction, batch.sched.window_evictions);
             s.counter(Counter::SptfBucketScan, batch.sched.bucket_scans);
-            s.counter(Counter::SptfCandidateExamined, batch.sched.candidates_examined);
+            s.counter(
+                Counter::SptfCandidateExamined,
+                batch.sched.candidates_examined,
+            );
             s.counter(Counter::SptfSelectorRepair, batch.sched.selector_repairs);
         }
         Ok(result)
@@ -854,7 +864,10 @@ mod tests {
         assert!(region.cells() >= MIN_CACHED_LOOKUPS);
 
         let (cached, outcome) = translate_region(&mm, &region).unwrap();
-        assert!(outcome.is_some(), "`FlatTranslation::lbns_of_region` answered");
+        assert!(
+            outcome.is_some(),
+            "`FlatTranslation::lbns_of_region` answered"
+        );
         assert_eq!(cached, collect_lbns(&mm, &region).unwrap());
 
         // A mapping spanning 2^33 blocks has no table: the same large
@@ -995,7 +1008,11 @@ mod tests {
                     .unwrap();
                 vol.reset();
                 assert_eq!(bare, cached, "{name}");
-                assert_eq!(bare.total_io_ms.to_bits(), cached.total_io_ms.to_bits(), "{name}");
+                assert_eq!(
+                    bare.total_io_ms.to_bits(),
+                    cached.total_io_ms.to_bits(),
+                    "{name}"
+                );
             }
         }
     }
@@ -1028,8 +1045,16 @@ mod tests {
                         .with_sink(&mut second_m),
                 )
                 .unwrap();
-            assert_eq!(first_m.counter_value(Counter::PageCacheMiss), first.cells, "{name}");
-            assert_eq!(second_m.counter_value(Counter::PageCacheHit), second.cells, "{name}");
+            assert_eq!(
+                first_m.counter_value(Counter::PageCacheMiss),
+                first.cells,
+                "{name}"
+            );
+            assert_eq!(
+                second_m.counter_value(Counter::PageCacheHit),
+                second.cells,
+                "{name}"
+            );
             assert_eq!(second.cells, first.cells, "{name}");
             assert_eq!(second.payload, first.payload, "{name}");
             assert_eq!((second.blocks, second.requests), (0, 0), "{name}");
@@ -1075,7 +1100,11 @@ mod tests {
             let r = QueryExecutor::new(&v, 0)
                 .execute(QueryRequest::beam(&mm, &region).with_sink(&mut m))
                 .unwrap();
-            assert_eq!(m.counter_value(Counter::RequestsServiced), r.requests, "{name}");
+            assert_eq!(
+                m.counter_value(Counter::RequestsServiced),
+                r.requests,
+                "{name}"
+            );
             if name == "ssd" {
                 assert!(m.phase_sum_ms() >= r.total_io_ms - 1e-9);
             } else {
@@ -1233,7 +1262,10 @@ mod tests {
             let err = QueryExecutor::new(&v, 0)
                 .execute(QueryRequest::range(&naive, &region))
                 .unwrap_err();
-            assert!(matches!(err, QueryError::RegionOutsideGrid { .. }), "{name}");
+            assert!(
+                matches!(err, QueryError::RegionOutsideGrid { .. }),
+                "{name}"
+            );
         }
     }
 

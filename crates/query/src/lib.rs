@@ -38,7 +38,18 @@
 //! perturbing simulated timings (see `docs/observability.md`), and a
 //! [`BlockCache`] on any backend.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -50,8 +61,8 @@ pub mod workload;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    collect_lbns, record_classified_event, service_lbns, ExecOptions,
-    QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
+    collect_lbns, record_classified_event, service_lbns, ExecOptions, QueryExecutor, QueryOp,
+    QueryRequest, QueryResult, RangeOrder,
 };
 pub use plan::{explain_beam, explain_range, AccessPlan};
 pub use workload::{

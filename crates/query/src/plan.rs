@@ -198,7 +198,11 @@ mod tests {
         assert_eq!(plan.requests, actual.requests, "{ctx}");
         let blocks = (plan.mean_run * plan.requests as f64).round();
         assert_eq!(blocks, actual.blocks as f64, "{ctx}");
-        assert_eq!(actual.blocks, mapping.cell_blocks() * region.cells(), "{ctx}");
+        assert_eq!(
+            actual.blocks,
+            mapping.cell_blocks() * region.cells(),
+            "{ctx}"
+        );
         assert_eq!(
             plan.estimated_ms.to_bits(),
             actual.total_io_ms.to_bits(),
@@ -233,7 +237,9 @@ mod tests {
                 ..ExecOptions::default()
             },
         ]
-        .map(|options| assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options));
+        .map(|options| {
+            assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options)
+        });
         assert!(priced[1].policy.contains("depth 8"));
         assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms);
         assert!(priced[2].policy.contains("FIFO"));
@@ -265,7 +271,13 @@ mod tests {
                     },
                 ]
                 .map(|options| {
-                    assert_plan_is_the_execution(&geom, mapping.as_ref(), &region, QueryOp::Beam, options)
+                    assert_plan_is_the_execution(
+                        &geom,
+                        mapping.as_ref(),
+                        &region,
+                        QueryOp::Beam,
+                        options,
+                    )
                 });
                 assert_eq!(auto.requests, region.cells());
                 let multimap = mapping.kind() == multimap_core::MappingKind::MultiMap;

@@ -88,8 +88,7 @@ pub fn select_batch(
             });
             let mut winners = order[..take].to_vec();
             winners.sort_unstable();
-            let mut batch: Vec<Queued> =
-                winners.iter().rev().map(|&i| pending.remove(i)).collect();
+            let mut batch: Vec<Queued> = winners.iter().rev().map(|&i| pending.remove(i)).collect();
             // `remove` back-to-front reversed the order; dispatch order
             // is earliest deadline first.
             batch.sort_by(|a, b| {
@@ -187,7 +186,13 @@ mod tests {
             q(2, 0, 1.0, 2),
             q(0, 1, 5.0, 3),
         ];
-        let batch = select_batch(FairnessPolicy::EarliestDeadline, &mut pending, 3, &mut [], &[]);
+        let batch = select_batch(
+            FairnessPolicy::EarliestDeadline,
+            &mut pending,
+            3,
+            &mut [],
+            &[],
+        );
         assert_eq!(
             batch.iter().map(|b| b.admit_seq).collect::<Vec<_>>(),
             vec![1, 2, 3],
@@ -224,16 +229,17 @@ mod tests {
             }
         }
         let ratio = served[0] as f64 / served[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "served {served:?}, ratio {ratio}");
+        assert!(
+            (ratio - 3.0).abs() < 0.2,
+            "served {served:?}, ratio {ratio}"
+        );
     }
 
     #[test]
     fn weighted_never_starves_a_backlogged_tenant() {
         let weights = [100.0, 1.0];
         let mut credits = [0.0, 0.0];
-        let mut pending: Vec<Queued> = (0..40)
-            .map(|i| q(i % 2, i / 2, 1e9, i as u64))
-            .collect();
+        let mut pending: Vec<Queued> = (0..40).map(|i| q(i % 2, i / 2, 1e9, i as u64)).collect();
         let mut served1 = 0;
         for _ in 0..10 {
             for b in select_batch(

@@ -182,18 +182,14 @@ impl ServingReport {
             && self.digest == other.digest
             && self.dispatched == other.dispatched
             && self.trace.len() == other.trace.len()
-            && self
-                .trace
-                .iter()
-                .zip(other.trace.iter())
-                .all(|(a, b)| {
-                    a.tenant == b.tenant
-                        && a.seq == b.seq
-                        && a.outcome == b.outcome
-                        && a.arrive_ms.to_bits() == b.arrive_ms.to_bits()
-                        && a.dispatch_ms.map(f64::to_bits) == b.dispatch_ms.map(f64::to_bits)
-                        && a.resolve_ms.to_bits() == b.resolve_ms.to_bits()
-                })
+            && self.trace.iter().zip(other.trace.iter()).all(|(a, b)| {
+                a.tenant == b.tenant
+                    && a.seq == b.seq
+                    && a.outcome == b.outcome
+                    && a.arrive_ms.to_bits() == b.arrive_ms.to_bits()
+                    && a.dispatch_ms.map(f64::to_bits) == b.dispatch_ms.map(f64::to_bits)
+                    && a.resolve_ms.to_bits() == b.resolve_ms.to_bits()
+            })
             && self.tenants.len() == other.tenants.len()
             && self
                 .tenants
@@ -223,8 +219,14 @@ impl ServingReport {
                 ("p999_ms", nearest_rank(&sorted, 0.999).into()),
                 ("mean_ms", measured.then(|| latency.mean_ms()).into()),
                 ("max_ms", measured.then(|| latency.max_ms()).into()),
-                ("queue_wait_mean_ms", measured.then(|| queue_wait.mean_ms()).into()),
-                ("in_device_mean_ms", measured.then(|| in_device.mean_ms()).into()),
+                (
+                    "queue_wait_mean_ms",
+                    measured.then(|| queue_wait.mean_ms()).into(),
+                ),
+                (
+                    "in_device_mean_ms",
+                    measured.then(|| in_device.mean_ms()).into(),
+                ),
             ])
         });
         Value::obj([
@@ -274,9 +276,18 @@ mod tests {
         }
         let ten: Vec<f64> = (1..=10).map(f64::from).collect();
         let at = |q| nearest_rank(&ten, q);
-        assert_eq!((at(0.0), at(0.1), at(0.11)), (Some(1.0), Some(1.0), Some(2.0)));
-        assert_eq!((at(0.5), at(0.51), at(0.99)), (Some(5.0), Some(6.0), Some(10.0)));
+        assert_eq!(
+            (at(0.0), at(0.1), at(0.11)),
+            (Some(1.0), Some(1.0), Some(2.0))
+        );
+        assert_eq!(
+            (at(0.5), at(0.51), at(0.99)),
+            (Some(5.0), Some(6.0), Some(10.0))
+        );
         assert_eq!((at(0.999), at(1.0)), (Some(10.0), Some(10.0)));
-        assert_eq!((at(-3.0), at(f64::NAN), at(7.0)), (Some(1.0), Some(1.0), Some(10.0)));
+        assert_eq!(
+            (at(-3.0), at(f64::NAN), at(7.0)),
+            (Some(1.0), Some(1.0), Some(10.0))
+        );
     }
 }

@@ -362,10 +362,10 @@ pub fn serve_scenario<D: DeviceModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::TenantSpec;
     use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
     use multimap_disksim::{profiles, DiskSim};
     use multimap_telemetry::Counter;
-    use crate::workload::TenantSpec;
 
     fn small_grid() -> GridSpec {
         GridSpec::new([24u64, 12, 8])
@@ -504,19 +504,31 @@ mod tests {
         }
         let mut lbns: Vec<u64> = reqs.iter().map(|r| r.lbn).collect();
         lbns.sort_unstable();
-        assert!(lbns.windows(2).any(|w| w[0] == w[1]), "the beams share a cell");
+        assert!(
+            lbns.windows(2).any(|w| w[0] == w[1]),
+            "the beams share a cell"
+        );
         let (_, log) = volume()
             .service_batch_logged(0, &reqs, SchedulePolicy::QueuedSptf(s.queue_depth))
             .unwrap();
         for (t, ranks) in owned.iter().enumerate() {
-            assert_eq!(report.tenants[t].disk_requests, grid.extent(s.tenants[t].dim), "tenant {t}");
+            assert_eq!(
+                report.tenants[t].disk_requests,
+                grid.extent(s.tenants[t].dim),
+                "tenant {t}"
+            );
             let done = log
                 .events()
                 .iter()
                 .filter(|e| ranks.contains(&e.admission_rank))
                 .map(|e| e.after.time_ms)
                 .fold(0.0, f64::max);
-            let resolved = report.trace.iter().find(|e| e.tenant == t).unwrap().resolve_ms;
+            let resolved = report
+                .trace
+                .iter()
+                .find(|e| e.tenant == t)
+                .unwrap()
+                .resolve_ms;
             assert_eq!(resolved.to_bits(), done.to_bits(), "tenant {t}");
         }
     }
@@ -537,7 +549,10 @@ mod tests {
             .collect();
         assert!(!shed.is_empty(), "scenario must actually shed");
         for id in &shed {
-            assert!(!report.dispatched.contains(id), "{id:?} shed yet dispatched");
+            assert!(
+                !report.dispatched.contains(id),
+                "{id:?} shed yet dispatched"
+            );
         }
     }
 
@@ -564,7 +579,10 @@ mod tests {
             .expect("the report is valid JSON whatever a tenant is called");
         let tenants = parsed.get("tenants").and_then(|t| t.as_arr()).unwrap();
         assert_eq!(tenants.len(), s.tenants.len());
-        assert_eq!(tenants[0].get("name").and_then(|n| n.as_str()), Some("a\"b\\"));
+        assert_eq!(
+            tenants[0].get("name").and_then(|n| n.as_str()),
+            Some("a\"b\\")
+        );
         assert_eq!(
             tenants[0].get("completed").and_then(|c| c.as_u64()),
             Some(report.tenants[0].completed)
@@ -597,7 +615,10 @@ mod tests {
             edit(&mut s);
             match serve_scenario(&v, &m, &s) {
                 Err(ServerError::Config(msg)) => {
-                    assert!(names.iter().all(|n| msg.contains(n)), "{msg:?} lacks {names:?}")
+                    assert!(
+                        names.iter().all(|n| msg.contains(n)),
+                        "{msg:?} lacks {names:?}"
+                    )
                 }
                 other => panic!("{names:?}: expected a Config error, got {other:?}"),
             }
@@ -613,7 +634,13 @@ mod tests {
             let load = LoadModel::OpenLoop { rate_rps };
             rejected(&|s| s.tenants[0].load = load, &["open-a", "rate_rps"]);
         }
-        rejected(&|s| s.tenants[2].weight = f64::INFINITY, &["open-c", "weight"]);
-        rejected(&|s| s.tenants[2].deadline_ms = f64::INFINITY, &["open-c", "deadline_ms"]);
+        rejected(
+            &|s| s.tenants[2].weight = f64::INFINITY,
+            &["open-c", "weight"],
+        );
+        rejected(
+            &|s| s.tenants[2].deadline_ms = f64::INFINITY,
+            &["open-c", "deadline_ms"],
+        );
     }
 }

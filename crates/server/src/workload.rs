@@ -179,7 +179,10 @@ impl ClientGen {
             clippy::expect_used,
             reason = "documented contract: callers gate emit() behind peek_arrival()"
         )]
-        let arrival = self.next_arrival.take().expect("emit() without a schedulable arrival");
+        let arrival = self
+            .next_arrival
+            .take()
+            .expect("emit() without a schedulable arrival");
         let seq = self.emitted;
         self.emitted += 1;
         match self.spec.load {

@@ -8,9 +8,7 @@ use std::collections::BTreeSet;
 use multimap_core::{GridSpec, MultiMapping};
 use multimap_disksim::{profiles, DiskSim};
 use multimap_lvm::DeviceVolume;
-use multimap_server::{
-    serve_scenario, FairnessPolicy, LoadModel, Outcome, Scenario, TenantSpec,
-};
+use multimap_server::{serve_scenario, FairnessPolicy, LoadModel, Outcome, Scenario, TenantSpec};
 use proptest::prelude::*;
 
 fn policy_strategy() -> impl Strategy<Value = FairnessPolicy> {

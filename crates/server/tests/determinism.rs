@@ -37,9 +37,7 @@ fn cells() -> Vec<(Scenario, bool)> {
     .iter()
     .enumerate()
     {
-        for &(multimap, deadline, cap) in
-            &[(true, 300.0, 48), (false, 40.0, 6)]
-        {
+        for &(multimap, deadline, cap) in &[(true, 300.0, 48), (false, 40.0, 6)] {
             out.push((
                 Scenario {
                     seed: 0xFEED + i as u64,
@@ -101,14 +99,20 @@ fn serving_sweep_replays_byte_identically_at_1_2_4_8_threads() {
         assert_eq!(serial.len(), parallel.len());
         for (i, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
             // Identical tenant traces...
-            assert_eq!(a.trace, b.trace, "cell {i} trace diverged at {threads} threads");
+            assert_eq!(
+                a.trace, b.trace,
+                "cell {i} trace diverged at {threads} threads"
+            );
             // ...identical merged per-tenant tallies...
             assert!(
                 a.merged_latency().identical(&b.merged_latency()),
                 "cell {i} merged tally diverged at {threads} threads"
             );
             // ...and the full bit-equality witness + JSON bytes.
-            assert!(a.identical(b), "cell {i} report diverged at {threads} threads");
+            assert!(
+                a.identical(b),
+                "cell {i} report diverged at {threads} threads"
+            );
             assert_eq!(a.to_json(), b.to_json());
         }
     }

@@ -161,7 +161,11 @@ mod tests {
                 }
             }
             let report = flushed.expect("8th dirty page must trigger the batch flush");
-            assert_eq!((report.batches, report.pages, report.blocks), (1, 8, 16), "{backend}");
+            assert_eq!(
+                (report.batches, report.pages, report.blocks),
+                (1, 8, 16),
+                "{backend}"
+            );
             assert!(report.total_io_ms > 0.0, "{backend}");
             assert_eq!(report.neighbor_rewrites, 0, "{backend}");
             let m = s.metrics();
@@ -214,7 +218,10 @@ mod tests {
             let mut s = DeviceStore::new(volume, config);
             assert_eq!(s.write(0, 4_000, 2).unwrap(), None, "{backend}");
             assert_eq!(s.volume().stats(0).unwrap().requests, 1, "{backend}");
-            assert!(s.volume().with_device(0, |d| d.now_ms()).unwrap() > 0.0, "{backend}");
+            assert!(
+                s.volume().with_device(0, |d| d.now_ms()).unwrap() > 0.0,
+                "{backend}"
+            );
             assert_eq!(s.cache(0).unwrap().writeback_pending(), 0, "{backend}");
         }
     }
@@ -231,7 +238,9 @@ mod tests {
             assert!(s.write(0, i * 1000, 2).unwrap().is_none());
         }
         s.volume()
-            .with_disk(0, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(4001)))
+            .with_disk(0, |sim| {
+                sim.set_fault_plan(FaultPlan::new(1).with_media_error(4001))
+            })
             .unwrap();
         assert!(s.flush(0).is_err());
         let written = s.metrics().counter_value(Counter::RequestsServiced);
@@ -246,7 +255,10 @@ mod tests {
             .unwrap();
         assert_eq!(s.flush(0).unwrap().pages, 10 - written);
         let cache = s.cache(0).unwrap();
-        assert_eq!((cache.writeback_pending(), cache.stats().writeback_pages), (0, 10));
+        assert_eq!(
+            (cache.writeback_pending(), cache.stats().writeback_pages),
+            (0, 10)
+        );
     }
 
     /// A device index past the volume is the volume's typed error on

@@ -807,9 +807,7 @@ impl BlockCache for PageCache {
         let stream = state.stream.observe(ctx.region);
         let cell_blocks = ctx.mapping.cell_blocks();
         let raw = match self.prefetch {
-            PrefetchMode::Sequential { window } => {
-                sequential_plan(ctx.missed, cell_blocks, window)
-            }
+            PrefetchMode::Sequential { window } => sequential_plan(ctx.missed, cell_blocks, window),
             PrefetchMode::Adjacency => match stream {
                 Some(v) => adjacency_plan(ctx.mapping, ctx.region, v),
                 None => Vec::new(),

@@ -303,10 +303,7 @@ impl<D: DeviceModel> StorageManager<D> {
             return Ok(FlushReport::default());
         }
         let requests: Vec<Request> = pages.iter().map(|&(l, n)| Request::new(l, n)).collect();
-        let depth = self
-            .cache_config
-            .map(|c| c.queue_depth.max(1))
-            .unwrap_or(1);
+        let depth = self.cache_config.map(|c| c.queue_depth.max(1)).unwrap_or(1);
         let rewrites_before = neighbor_rewrites(&self.volume, disk)?;
         let metrics = &mut self.cache_metrics;
         let mut served = vec![false; requests.len()];
@@ -320,8 +317,12 @@ impl<D: DeviceModel> StorageManager<D> {
             })
             .inspect_err(|_| {
                 // What the device never wrote is still dirty.
-                let unserved: Vec<(Lbn, u64)> =
-                    pages.iter().zip(&served).filter(|(_, &s)| !s).map(|(&p, _)| p).collect();
+                let unserved: Vec<(Lbn, u64)> = pages
+                    .iter()
+                    .zip(&served)
+                    .filter(|(_, &s)| !s)
+                    .map(|(&p, _)| p)
+                    .collect();
                 cache.restore_writeback(&unserved);
             })?;
         let rewrites = neighbor_rewrites(&self.volume, disk)? - rewrites_before;
@@ -797,7 +798,11 @@ mod tests {
         assert!(stats.requests > busy_stats.requests);
         assert_eq!(stats.blocks - busy_stats.blocks, 6);
         let (clock, stats) = snapshot(&m, 0);
-        assert_eq!(clock.to_bits(), idle_clock.to_bits(), "device 0's clock moved");
+        assert_eq!(
+            clock.to_bits(),
+            idle_clock.to_bits(),
+            "device 0's clock moved"
+        );
         assert_eq!(stats, idle_stats, "device 0's statistics moved");
     }
 
@@ -900,9 +905,14 @@ mod tests {
             .unwrap();
         m.load("t").unwrap();
         let table = m.table("t").unwrap();
-        let (disk, lbn) = (table.grant().disk, table.mapping().lbn_of(&[3, 2, 1]).unwrap());
+        let (disk, lbn) = (
+            table.grant().disk,
+            table.mapping().lbn_of(&[3, 2, 1]).unwrap(),
+        );
         m.volume()
-            .with_disk(disk, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(lbn)))
+            .with_disk(disk, |sim| {
+                sim.set_fault_plan(FaultPlan::new(1).with_media_error(lbn))
+            })
             .unwrap();
         match m.insert("t", &[3, 2, 1]) {
             Err(StoreError::Volume(LvmError::Disk(DiskError::MediaError { lbn: bad }))) => {
@@ -940,11 +950,20 @@ mod tests {
         let cell = table.grid().linear_index(&coord);
         let chain = table.cells().overflow_lbns(cell);
         assert_eq!(chain.len(), 3);
-        assert!(chain.iter().all(|&l| l < grant.base_lbn + grant.blocks), "{chain:?} vs {grant:?}");
+        assert!(
+            chain.iter().all(|&l| l < grant.base_lbn + grant.blocks),
+            "{chain:?} vs {grant:?}"
+        );
         let after = m.beam("t", 1, &coord).unwrap();
-        assert_eq!((after.cells, after.blocks, after.payload), (before.cells, before.blocks, before.payload));
+        assert_eq!(
+            (after.cells, after.blocks, after.payload),
+            (before.cells, before.blocks, before.payload)
+        );
         // And it stays refused, still without side effects.
-        assert!(matches!(m.insert("t", &coord), Err(StoreError::OutOfSpace { .. })));
+        assert!(matches!(
+            m.insert("t", &coord),
+            Err(StoreError::OutOfSpace { .. })
+        ));
         assert_eq!(m.table("t").unwrap().cells().overflow_lbns(cell).len(), 3);
     }
 
@@ -967,7 +986,9 @@ mod tests {
         assert_eq!(pending, 10);
         let bad = m.table("t").unwrap().mapping().lbn_of(&[20, 2, 1]).unwrap();
         m.volume()
-            .with_disk(disk, |sim| sim.set_fault_plan(FaultPlan::new(1).with_media_error(bad)))
+            .with_disk(disk, |sim| {
+                sim.set_fault_plan(FaultPlan::new(1).with_media_error(bad))
+            })
             .unwrap();
         assert!(m.flush_all().is_err());
         let written = m.cache_metrics().counter_value(Counter::RequestsServiced);
@@ -994,11 +1015,20 @@ mod tests {
         m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::Naive)
             .unwrap();
         let table = m.table("t").unwrap();
-        let (disk, lbn) = (table.grant().disk, table.mapping().lbn_of(&[3, 2, 1]).unwrap());
-        let plan = |m: &StorageManager, plan| m.volume().with_disk(disk, |sim| sim.set_fault_plan(plan)).unwrap();
+        let (disk, lbn) = (
+            table.grant().disk,
+            table.mapping().lbn_of(&[3, 2, 1]).unwrap(),
+        );
+        let plan = |m: &StorageManager, plan| {
+            m.volume()
+                .with_disk(disk, |sim| sim.set_fault_plan(plan))
+                .unwrap()
+        };
         plan(&m, FaultPlan::new(1).with_media_error(lbn));
         match m.load("t") {
-            Err(StoreError::Load(LoadError::Disk(DiskError::MediaError { lbn: bad }))) => assert_eq!(bad, lbn),
+            Err(StoreError::Load(LoadError::Disk(DiskError::MediaError { lbn: bad }))) => {
+                assert_eq!(bad, lbn)
+            }
             other => panic!("expected the media error to propagate, got {other:?}"),
         }
         let table = m.table("t").unwrap();
@@ -1016,7 +1046,10 @@ mod tests {
         m.insert("t", &[3, 2, 1]).unwrap();
         let points = m.table("t").unwrap().cells().points(cell);
         plan(&m, FaultPlan::new(1).with_media_error(lbn));
-        assert!(matches!(m.reorganize("t"), Err(StoreError::Load(LoadError::Disk(_)))));
+        assert!(matches!(
+            m.reorganize("t"),
+            Err(StoreError::Load(LoadError::Disk(_)))
+        ));
         assert_eq!(m.table("t").unwrap().cells().points(cell), points);
     }
 

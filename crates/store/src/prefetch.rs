@@ -109,12 +109,7 @@ impl StreamModel {
 
 /// Shift `region` by `offset` cells along `dim`, clamped to the grid:
 /// `None` when any part of the shifted box leaves the dataset.
-fn shift_region(
-    region: &BoxRegion,
-    dim: usize,
-    offset: i64,
-    extents: &[u64],
-) -> Option<BoxRegion> {
+fn shift_region(region: &BoxRegion, dim: usize, offset: i64, extents: &[u64]) -> Option<BoxRegion> {
     let mut lo = region.lo().to_vec();
     let mut hi = region.hi().to_vec();
     if offset >= 0 {

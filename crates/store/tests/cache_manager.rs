@@ -4,9 +4,7 @@
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;
-use multimap_store::{
-    CacheConfig, EvictionKind, LayoutChoice, PrefetchMode, StorageManager,
-};
+use multimap_store::{CacheConfig, EvictionKind, LayoutChoice, PrefetchMode, StorageManager};
 use multimap_telemetry::{Counter, Phase};
 
 /// Serialise tests that flip the global engine thread override.
@@ -258,7 +256,11 @@ fn adjacency_prefetch_converts_a_beam_sweep_into_hits() {
     let stats = m.cache_stats();
     assert_eq!(stats.misses, 2 * 8, "only the first two beams may miss");
     assert_eq!(stats.hits, 4 * 8, "beams z=2..5 should hit entirely");
-    assert_eq!(stats.prefetch_issued, 4 * 8, "one beam prefetched per stream step");
+    assert_eq!(
+        stats.prefetch_issued,
+        4 * 8,
+        "one beam prefetched per stream step"
+    );
     assert_eq!(
         stats.prefetch_used,
         4 * 8,

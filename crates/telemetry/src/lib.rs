@@ -29,7 +29,18 @@
 //! determinism rules and for where the telemetry and fault numbers are
 //! recorded and checked.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::disallowed_methods, clippy::disallowed_types, clippy::allow_attributes_without_reason))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![deny(missing_docs)]
 
 pub mod json;

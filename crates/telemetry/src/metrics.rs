@@ -336,7 +336,10 @@ mod tests {
         for s in Span::ALL {
             assert_eq!(s.name(), snake(format!("{s:?}")));
         }
-        assert_eq!((Counter::ALL.len(), Phase::ALL.len(), Span::ALL.len()), (23, 7, 4));
+        assert_eq!(
+            (Counter::ALL.len(), Phase::ALL.len(), Span::ALL.len()),
+            (23, 7, 4)
+        );
         assert_eq!(Counter::SeekMemoHit.name(), "seek_memo_hit");
         assert_eq!(Counter::NeighborRewrite.name(), "neighbor_rewrite");
     }
@@ -347,17 +350,26 @@ mod tests {
     fn the_doc_tables_list_the_schema() {
         let doc = include_str!("../../../docs/observability.md");
         let table_of = |heading: &str| -> String {
-            let section = doc.split(heading).nth(1).unwrap_or_else(|| panic!("no {heading:?} section"));
+            let section = doc
+                .split(heading)
+                .nth(1)
+                .unwrap_or_else(|| panic!("no {heading:?} section"));
             let section = section.split("\n## ").next().unwrap();
             section.lines().filter(|l| l.starts_with('|')).collect()
         };
         let counters = table_of("\n## Counters\n");
         for c in Counter::ALL {
-            assert!(counters.contains(&format!("`{c:?}`")), "Counters table lacks {c:?}");
+            assert!(
+                counters.contains(&format!("`{c:?}`")),
+                "Counters table lacks {c:?}"
+            );
         }
         let phases = table_of("\n## Phase decomposition\n");
         for p in Phase::ALL {
-            assert!(phases.contains(&format!("`{p:?}`")), "Phase table lacks {p:?}");
+            assert!(
+                phases.contains(&format!("`{p:?}`")),
+                "Phase table lacks {p:?}"
+            );
         }
     }
 

@@ -24,12 +24,18 @@ fn main() {
     println!("=== EXPLAIN beam along Dim1 through (100, *, 15) ===");
     let beam = BoxRegion::beam(&grid, 1, &[100, 0, 15]);
     for m in &mappings {
-        println!("{}\n", explain_beam(&geom, m.as_ref(), &beam, &options).expect("in-grid"));
+        println!(
+            "{}\n",
+            explain_beam(&geom, m.as_ref(), &beam, &options).expect("in-grid")
+        );
     }
 
     println!("=== EXPLAIN 16x16x16 range at (100, 20, 10) ===");
     let range = BoxRegion::new([100u64, 20, 10], [115u64, 35, 25]);
     for m in &mappings {
-        println!("{}\n", explain_range(&geom, m.as_ref(), &range, &options).expect("in-grid"));
+        println!(
+            "{}\n",
+            explain_range(&geom, m.as_ref(), &range, &options).expect("in-grid")
+        );
     }
 }

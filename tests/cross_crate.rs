@@ -75,8 +75,18 @@ fn olap_pipeline_end_to_end() {
     }
     // Q1 streams on the major order; Q2 is semi-sequential.
     let mut rng = workload_rng(2);
-    let q1 = exec.execute(QueryRequest::beam(&mm, &OlapQuery::Q1.region(&chunk, &mut rng))).unwrap();
-    let q2 = exec.execute(QueryRequest::beam(&mm, &OlapQuery::Q2.region(&chunk, &mut rng))).unwrap();
+    let q1 = exec
+        .execute(QueryRequest::beam(
+            &mm,
+            &OlapQuery::Q1.region(&chunk, &mut rng),
+        ))
+        .unwrap();
+    let q2 = exec
+        .execute(QueryRequest::beam(
+            &mm,
+            &OlapQuery::Q2.region(&chunk, &mut rng),
+        ))
+        .unwrap();
     assert!(q1.per_cell_ms() < q2.per_cell_ms());
 }
 

@@ -12,7 +12,12 @@ fn readme_lists_exactly_the_examples() {
     let listed: BTreeSet<String> = readme
         .split("--example ")
         .skip(1)
-        .map(|rest| rest.split_whitespace().next().unwrap_or_default().to_string())
+        .map(|rest| {
+            rest.split_whitespace()
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
         .collect();
     let present: BTreeSet<String> = std::fs::read_dir(root.join("examples"))
         .unwrap()
@@ -41,12 +46,19 @@ fn paper_map_names_existing_files_and_functions() {
             .unwrap_or_else(|e| panic!("PAPER_MAP names `{path}`, which cannot be read: {e}"));
         files += 1;
         let Some(name) = name else { continue };
-        let declared = source.match_indices(&format!("fn {name}")).any(|(at, decl)| {
-            !source[at + decl.len()..]
-                .starts_with(|c: char| c.is_alphanumeric() || c == '_')
-        });
-        assert!(declared, "PAPER_MAP names `{span}`, but {path} has no `fn {name}`");
+        let declared = source
+            .match_indices(&format!("fn {name}"))
+            .any(|(at, decl)| {
+                !source[at + decl.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            });
+        assert!(
+            declared,
+            "PAPER_MAP names `{span}`, but {path} has no `fn {name}`"
+        );
         functions += 1;
     }
-    assert!(files > 0 && functions > 0, "PAPER_MAP names no source files or functions");
+    assert!(
+        files > 0 && functions > 0,
+        "PAPER_MAP names no source files or functions"
+    );
 }

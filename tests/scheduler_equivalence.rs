@@ -68,7 +68,9 @@ fn try_run(
     let mut events = Vec::new();
     let mut observe = |e: ServiceEvent| events.push(e);
     let t = match entry {
-        Entry::Reference => service_batch_sptf_reference(&mut sim, reqs, depth, serve, &mut observe),
+        Entry::Reference => {
+            service_batch_sptf_reference(&mut sim, reqs, depth, serve, &mut observe)
+        }
         Entry::Incremental => {
             service_batch_sptf_incremental(&mut sim, reqs, depth, serve, &mut observe)
         }
@@ -394,8 +396,9 @@ fn single_request_windows_are_identical() {
         check_workload(&geom, &req, "single request");
         // Depth-1 queued service over many requests: a window of one is
         // in-order service in both implementations.
-        let reqs: Vec<Request> =
-            (0..70u64).map(|i| Request::single((i * 48_611) % 1_000_000)).collect();
+        let reqs: Vec<Request> = (0..70u64)
+            .map(|i| Request::single((i * 48_611) % 1_000_000))
+            .collect();
         assert_same(
             &run_queued(&geom, &reqs, 1, Entry::Reference),
             &run_queued(&geom, &reqs, 1, Entry::Incremental),
@@ -462,7 +465,10 @@ fn invalid_request_fails_when_it_would_enter_the_window() {
                 let ctx = format!("{entry:?} k={k} depth={depth}");
                 assert_eq!(outcome, &Err(error.clone()), "{ctx}");
                 assert_eq!(events.len(), expected, "{ctx}: events before the error");
-                assert_eq!(events, &runs[0].1, "{ctx}: events diverged from the reference");
+                assert_eq!(
+                    events, &runs[0].1,
+                    "{ctx}: events diverged from the reference"
+                );
             }
         }
     }
@@ -495,9 +501,15 @@ fn failing_serve_ends_the_batch_with_its_error() {
                     matches!(outcome, Err(DiskError::MediaError { .. })),
                     "{ctx}: {outcome:?}"
                 );
-                assert_eq!(outcome, &runs[0].0, "{ctx}: error diverged from the reference");
+                assert_eq!(
+                    outcome, &runs[0].0,
+                    "{ctx}: error diverged from the reference"
+                );
                 assert_eq!(events.len(), k - 1, "{ctx}: events before the error");
-                assert_eq!(events, &runs[0].1, "{ctx}: events diverged from the reference");
+                assert_eq!(
+                    events, &runs[0].1,
+                    "{ctx}: events diverged from the reference"
+                );
             }
         }
     }
