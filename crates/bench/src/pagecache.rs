@@ -1,13 +1,12 @@
 //! Page-cache benchmark: hit rate versus mapping on a streaming beam
-//! workload (the PR 8 headline). A client sweeps a beam along one
+//! workload. A client sweeps a beam along one
 //! dimension while stepping its anchor along another — the access
 //! pattern MultiMap's semi-sequential layout is built for — and the
 //! cache either notices (adjacency prefetch, which asks the mapping for
 //! the next region's blocks) or doesn't (plain LBN readahead, which
 //! fetches whatever happens to follow on disk).
 //!
-//! Every `(mapping, eviction policy, capacity, prefetch mode)` cell is
-//! independent: a fresh volume, executor and cache, the same
+//! Every `(mapping, capacity, prefetch mode)` cell is independent: a fresh volume, executor and cache, the same
 //! deterministic query stream. Cells fan out through
 //! [`multimap_engine::sweep`], so the table is bit-identical at any
 //! thread count.
@@ -21,26 +20,20 @@ use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_query::{QueryExecutor, QueryRequest};
-use multimap_store::{CacheConfig, EvictionKind, PageCache, PrefetchMode};
+use multimap_store::{CacheConfig, PageCache, PrefetchMode};
 
 use crate::harness::{build_mappings, Scale, Table};
 
 /// Cache capacities swept by the bench, in pages. The small one holds a
 /// fraction of the working set (constant eviction pressure); the large
-/// one holds all of it (retention is what distinguishes policies).
+/// one holds all of it, so the revisit hits.
 pub const CAPACITIES: [usize; 2] = [64, 1024];
 
-/// Eviction policies swept by the bench.
-pub const POLICIES: [EvictionKind; 3] =
-    [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ];
-
-/// One `(mapping, policy, capacity, prefetch)` measurement.
+/// One `(mapping, capacity, prefetch)` measurement.
 #[derive(Clone, Debug)]
 pub struct CacheCell {
     /// Mapping family name (`Naive`, `Z-order`, `Hilbert`, `MultiMap`).
     pub mapping: String,
-    /// Eviction policy name (`clock`, `lru`, `2q`).
-    pub policy: &'static str,
     /// Prefetch mode name (`sequential`, `adjacency`).
     pub prefetch: &'static str,
     /// Cache capacity in pages.
@@ -80,7 +73,7 @@ impl CacheCell {
     }
 }
 
-/// The bench grid. Much smaller than the figure chunk: each of the 48
+/// The bench grid. Much smaller than the figure chunk: each of the 16
 /// cells replays the full stream, and hit rates saturate long before
 /// figure-scale extents add information.
 fn bench_grid(scale: Scale) -> GridSpec {
@@ -117,8 +110,8 @@ fn streaming_beams(grid: &GridSpec, streams: u64) -> Vec<BoxRegion> {
     regions
 }
 
-/// Run the full sweep: 4 mappings × 3 eviction policies × 2 capacities
-/// × {sequential, adjacency} prefetch, each cell an independent cached
+/// Run the full sweep: 4 mappings × 2 capacities × {sequential,
+/// adjacency} prefetch, each cell an independent cached
 /// replay of the same streaming-beam workload.
 pub fn run(scale: Scale) -> Vec<CacheCell> {
     let geom = &profiles::evaluation_disks()[0];
@@ -130,21 +123,18 @@ pub fn run(scale: Scale) -> Vec<CacheCell> {
     let window = grid.extent(1);
     let modes = [PrefetchMode::Sequential { window }, PrefetchMode::Adjacency];
 
-    let cells: Vec<(usize, usize, usize, usize)> = (0..mappings.len())
+    let cells: Vec<(usize, usize, usize)> = (0..mappings.len())
         .flat_map(|m| {
-            (0..POLICIES.len()).flat_map(move |p| {
-                (0..CAPACITIES.len()).flat_map(move |c| (0..modes.len()).map(move |f| (m, p, c, f)))
-            })
+            (0..CAPACITIES.len()).flat_map(move |c| (0..modes.len()).map(move |f| (m, c, f)))
         })
         .collect();
 
-    multimap_engine::sweep(&cells, |&(mi, pi, ci, fi)| {
+    multimap_engine::sweep(&cells, |&(mi, ci, fi)| {
         let mapping = mappings[mi].as_ref();
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
         let cache = PageCache::new(&CacheConfig {
             capacity_pages: CAPACITIES[ci],
-            eviction: POLICIES[pi],
             prefetch: modes[fi],
             ..CacheConfig::default()
         });
@@ -158,7 +148,6 @@ pub fn run(scale: Scale) -> Vec<CacheCell> {
         let stats = cache.stats();
         CacheCell {
             mapping: mapping.name().to_string(),
-            policy: POLICIES[pi].name(),
             prefetch: modes[fi].name(),
             capacity: CAPACITIES[ci],
             hits: stats.hits,
@@ -180,13 +169,12 @@ pub fn table(scale: Scale, cells: &[CacheCell]) -> Table {
             bench_grid(scale).extents()
         ),
         &[
-            "mapping", "policy", "prefetch", "capacity", "hit_rate", "pf_eff", "io_ms",
+            "mapping", "prefetch", "capacity", "hit_rate", "pf_eff", "io_ms",
         ],
     );
     for c in cells {
         t.row(vec![
             c.mapping.clone(),
-            c.policy.to_string(),
             c.prefetch.to_string(),
             c.capacity.to_string(),
             format!("{:.4}", c.hit_rate()),
@@ -208,10 +196,7 @@ mod tests {
             cells
                 .iter()
                 .find(|c| {
-                    c.mapping == "MultiMap"
-                        && c.policy == "lru"
-                        && c.prefetch == "adjacency"
-                        && c.capacity == capacity
+                    c.mapping == "MultiMap" && c.prefetch == "adjacency" && c.capacity == capacity
                 })
                 .expect("cell present")
         };

@@ -1,5 +1,5 @@
-//! Multi-tenant serving sweep: mapping × backend × tenant-count ×
-//! fairness policy (the PR 10 headline).
+//! Multi-tenant serving sweep: mapping × read backend × tenant-count ×
+//! fairness policy.
 //!
 //! Each cell runs one standard serving scenario — a mixed population of
 //! open-loop (Poisson) and closed-loop (think-time) tenants streaming
@@ -24,12 +24,13 @@
 )]
 
 use multimap_core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
-use multimap_disksim::{profiles, BACKEND_NAMES};
+use multimap_disksim::profiles;
 use multimap_lvm::backend_volume;
 use multimap_server::{
     nearest_rank, serve_scenario, FairnessPolicy, LoadModel, Scenario, ServingReport, TenantSpec,
 };
 
+use crate::backends::READ_BACKENDS;
 use crate::harness::{Scale, Table};
 
 /// The serving dataset: small enough that a cell serves in well under a
@@ -175,7 +176,7 @@ pub fn run_cell(spec: ServingCellSpec, scale: Scale) -> ServingCell {
 /// Every cell of the full sweep, in table order.
 pub fn sweep_specs() -> Vec<ServingCellSpec> {
     let mut specs = Vec::new();
-    for backend in BACKEND_NAMES {
+    for backend in READ_BACKENDS {
         for mapping in SERVING_MAPPINGS {
             for tenants in TENANT_COUNTS {
                 for policy in SERVING_POLICIES {
@@ -252,7 +253,7 @@ mod tests {
         let specs = sweep_specs();
         assert_eq!(
             specs.len(),
-            BACKEND_NAMES.len()
+            READ_BACKENDS.len()
                 * SERVING_MAPPINGS.len()
                 * TENANT_COUNTS.len()
                 * SERVING_POLICIES.len()
@@ -275,5 +276,29 @@ mod tests {
         assert_eq!(submitted, 240, "4 tenants x 60 requests");
         assert_eq!(submitted, cell.completed() + cell.shed() + cell.rejected());
         assert!(cell.latency_quantiles().iter().all(Option::is_some));
+    }
+
+    /// The sweep leaves IMR out because it serves reads exactly as the
+    /// rotating disk does: the whole report, trace and digest included,
+    /// differs only in its backend label.
+    #[test]
+    fn imr_serves_exactly_as_the_disk() {
+        for mapping in SERVING_MAPPINGS {
+            let run = |backend| {
+                let spec = ServingCellSpec {
+                    backend,
+                    mapping,
+                    tenants: 8,
+                    policy: FairnessPolicy::WeightedTenant,
+                };
+                run_cell(spec, Scale::Quick).report
+            };
+            let disk = run("disk");
+            let mut imr = run("imr");
+            assert_eq!(imr.backend, "imr");
+            imr.backend = disk.backend.clone();
+            assert!(imr.identical(&disk), "{mapping}: imr diverged from disk");
+            assert_eq!(imr.digest, disk.digest, "{mapping}");
+        }
     }
 }

@@ -9,6 +9,7 @@
 
 use std::path::Path;
 
+use multimap_bench::backends::READ_BACKENDS;
 use multimap_bench::Table;
 use multimap_disksim::BACKEND_NAMES;
 
@@ -132,6 +133,23 @@ fn multimap_matches_naive_streaming_on_dim0() {
         p.at(&[disk, "Naive"], "Dim0").within(0.0, 0.2);
         p.at(&[disk, "MultiMap"], "Dim0")
             .below(2.0, &p.at(&[disk, "Naive"], "Dim0"));
+    }
+}
+
+/// MultiMap's Dim0 gap to Naive is not basic-cube boundary jumps: on
+/// both drives its Dim0 beams issue exactly Naive's request classes (no
+/// hop, no extra seek) and pay the difference in rotational wait.
+#[test]
+fn multimap_dim0_beams_pay_rotation_not_boundary_jumps() {
+    let p = Pinned::load("fig6a_phases", FIG6A);
+    for disk in DISKS {
+        let at = |m: &str, col: &str| p.at(&[disk, m, "Dim0"], col);
+        for col in ["requests", "sequential", "hops", "seeks"] {
+            let naive = at("Naive", col);
+            at("MultiMap", col).within(naive.value, naive.value);
+        }
+        at("MultiMap", "hops").within(0.0, 0.0);
+        at("Naive", "rotation_ms").below(1.0, &at("MultiMap", "rotation_ms"));
     }
 }
 
@@ -460,17 +478,17 @@ fn multimap_keeps_its_tail_advantage_over_naive_on_disk() {
 
 const BACKENDS: &str = "EXPERIMENTS.md §Backend matrix";
 
-/// Every backend runs every mapping, with positive beam and range times
-/// and the mapping's one payload checksum.
+/// Every read backend runs every mapping, with positive beam and range
+/// times and the mapping's one payload checksum.
 #[test]
 fn matrix_covers_backends_times_mappings_with_matching_payloads() {
     let p = Pinned::load("backend_matrix", BACKENDS);
     assert_eq!(
         p.table.rows.len(),
-        BACKEND_NAMES.len() * MAPPINGS.len(),
+        READ_BACKENDS.len() * MAPPINGS.len(),
         "{BACKENDS}"
     );
-    for (backend, m) in BACKEND_NAMES.map(|b| MAPPINGS.map(|m| (b, m))).concat() {
+    for (backend, m) in READ_BACKENDS.map(|b| MAPPINGS.map(|m| (b, m))).concat() {
         let payload = p.text(&["disk", m], "payload");
         assert_eq!(
             p.text(&[backend, m], "payload"),
@@ -509,13 +527,13 @@ fn only_the_imr_backend_amplifies_the_write_sweep() {
     }
 }
 
-/// At the roomy capacity under CLOCK, adjacency prefetch beats
+/// At the roomy capacity, adjacency prefetch beats
 /// sequential readahead for every mapping, and MultiMap serves over 80 %
 /// of its stream from memory.
 #[test]
 fn adjacency_beats_sequential_readahead_for_every_mapping() {
     let p = Pinned::load("page_cache_sweep", "EXPERIMENTS.md §Page-cache sweep");
-    let hits = |m: &str, prefetch: &str| p.at(&[m, "clock", prefetch, "1024"], "hit_rate");
+    let hits = |m: &str, prefetch: &str| p.at(&[m, prefetch, "1024"], "hit_rate");
     for m in MAPPINGS {
         hits(m, "sequential").below(1.0, &hits(m, "adjacency"));
     }

@@ -32,7 +32,7 @@ use multimap_core::{BoxRegion, Coord, GridSpec, Mapping};
 use multimap_disksim::{DeviceModel, DiskGeometry, ServiceLog, BACKEND_NAMES};
 use multimap_lvm::{backend_volume, DeviceVolume};
 use multimap_query::{BlockCache, QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
-use multimap_store::{CacheConfig, CacheStats, EvictionKind, PageCache, PrefetchMode};
+use multimap_store::{CacheConfig, CacheStats, PageCache, PrefetchMode};
 use multimap_telemetry::{Counter, Metrics};
 
 use crate::differential::{check_telemetry, standard_mappings, TELEMETRY_SUM_EPS_MS};
@@ -447,13 +447,12 @@ pub fn check_region(
 }
 
 /// [`check_matrix`] for a streaming beam sweep along the last dimension
-/// (one Dim1 beam per step) with adjacency prefetch, under `eviction`
-/// at `capacity_pages` — the workload that makes the cache hit, read
-/// ahead and evict.
+/// (one Dim1 beam per step) with adjacency prefetch at
+/// `capacity_pages` — the workload that makes the cache hit, read ahead
+/// and evict.
 pub fn check_cached_sweep(
     geom: &DiskGeometry,
     grid: &GridSpec,
-    eviction: EvictionKind,
     capacity_pages: usize,
 ) -> Result<(), String> {
     let last_dim = grid.extents().len() - 1;
@@ -466,11 +465,10 @@ pub fn check_cached_sweep(
         .collect();
     let config = CacheConfig {
         capacity_pages,
-        eviction,
         prefetch: PrefetchMode::Adjacency,
         ..CacheConfig::default()
     };
-    check_matrix(geom, grid, &workload, &config).map_err(|e| format!("{}: {e}", eviction.name()))
+    check_matrix(geom, grid, &workload, &config)
 }
 
 #[cfg(test)]

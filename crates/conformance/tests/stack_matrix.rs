@@ -17,7 +17,7 @@ use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, DeviceModel, FaultPlan, Request, BACKEND_NAMES};
 use multimap_lvm::{backend_volume, DeviceVolume, SchedulePolicy};
 use multimap_query::{QueryExecutor, QueryRequest};
-use multimap_store::{CacheConfig, EvictionKind, LayoutChoice, StorageManager};
+use multimap_store::{CacheConfig, LayoutChoice, StorageManager};
 use multimap_telemetry::{Counter, Metrics, Phase};
 use proptest::prelude::*;
 
@@ -103,18 +103,16 @@ fn mappings_disagree_on_layout_but_not_on_content() {
 }
 
 /// Result identity and counter reconciliation across all mapping
-/// families × backends × eviction policies, at a capacity that evicts
-/// and one that doesn't.
+/// families × backends under the cache's CLOCK eviction, at a capacity
+/// that evicts and one that doesn't.
 #[test]
 fn cached_sweeps_reconcile_across_policies_mappings_and_backends() {
     let geom = profiles::small();
     let grid = GridSpec::new([60u64, 8, 6]);
-    for eviction in [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ] {
-        // Roomy: the whole sweep fits, nothing evicts.
-        check_cached_sweep(&geom, &grid, eviction, 128).unwrap_or_else(|e| panic!("roomy {e}"));
-        // Tight: a fraction of one beam, constant eviction pressure.
-        check_cached_sweep(&geom, &grid, eviction, 5).unwrap_or_else(|e| panic!("tight {e}"));
-    }
+    // Roomy: the whole sweep fits, nothing evicts.
+    check_cached_sweep(&geom, &grid, 128).unwrap_or_else(|e| panic!("roomy {e}"));
+    // Tight: a fraction of one beam, constant eviction pressure.
+    check_cached_sweep(&geom, &grid, 5).unwrap_or_else(|e| panic!("tight {e}"));
 }
 
 /// The attribution contract the serving loop leans on: under every

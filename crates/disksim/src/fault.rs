@@ -27,18 +27,21 @@ use crate::sim::Request;
 const STREAM_TRANSIENT: u64 = 0x9E6C_63D1_0C50_33F5;
 const STREAM_SLOW_READ: u64 = 0x2545_F491_4F6C_DD1D;
 
-/// The splitmix64 finaliser: a cheap, well-mixed 64-bit hash.
+/// The splitmix64 finaliser: a cheap, well-mixed 64-bit hash. The
+/// fault schedules, request payloads and the serving layer's digest and
+/// client draws all hash with it.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-/// A uniform draw in `[0, 1)` for command `n` of `stream`.
+/// A uniform draw in `[0, 1)` for counter `n` of `stream`: it depends
+/// only on `(seed, stream, n)`, never on evaluation order.
 #[inline]
-fn draw(seed: u64, stream: u64, n: u64) -> f64 {
+pub fn draw(seed: u64, stream: u64, n: u64) -> f64 {
     let x = mix64(seed ^ stream ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93));
     (x >> 11) as f64 / (1u64 << 53) as f64
 }

@@ -16,8 +16,9 @@ use crate::sim::{AccessKind, HeadState, Request, RequestTiming};
 /// the simulator actually charged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transition {
-    /// No positioning at all — sequential continuation (including the
-    /// read-ahead prefetch fast path).
+    /// No seek, settle or head switch: the head stayed on its track. A
+    /// read-ahead continuation (the prefetch fast path) is one; so is a
+    /// jump along the same track, which pays only rotational wait.
     Sequential,
     /// Positioning fit inside the settle plateau (settle or pure head
     /// switch, plus jitter): an adjacency hop, the paper's

@@ -1,5 +1,6 @@
 //! Per-tenant SLO reports and the scenario-level serving report.
 
+use multimap_disksim::fault::mix64;
 use multimap_telemetry::json::Value;
 use multimap_telemetry::{Metrics, Tally};
 
@@ -241,15 +242,6 @@ impl ServingReport {
         ])
         .to_pretty()
     }
-}
-
-/// splitmix64 finaliser: the digest mixer and the client generators'
-/// draw function.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Fold one trace entry into the running digest.

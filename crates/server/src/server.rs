@@ -13,6 +13,7 @@
 //! the loop is serial and byte-identically replayable.
 
 use multimap_core::{BoxRegion, Mapping};
+use multimap_disksim::fault::mix64;
 use multimap_disksim::{DeviceModel, Request};
 use multimap_lvm::{DeviceVolume, SchedulePolicy};
 use multimap_query::{collect_lbns, record_classified_event};
@@ -20,7 +21,7 @@ use multimap_telemetry::Metrics;
 
 use crate::error::{Result, ServerError};
 use crate::policy::{select_batch, FairnessPolicy, Queued};
-use crate::report::{fold_digest, mix64, Outcome, ServingReport, TenantReport, TraceEntry};
+use crate::report::{fold_digest, Outcome, ServingReport, TenantReport, TraceEntry};
 use crate::workload::{ClientGen, LoadModel, TenantRequest, TenantSpec};
 
 /// `x > 0` and finite: NaN and infinity are rejected (an infinite

@@ -2,14 +2,14 @@
 //! generators.
 //!
 //! Every random quantity is a counter-indexed splitmix64 draw (the
-//! fault-injection idiom from `multimap-disksim`): a draw depends only
+//! fault layer's [`draw`] from `multimap-disksim`): a draw depends only
 //! on `(scenario seed, tenant, stream, sequence number)`, never on
 //! evaluation order, so a scenario replays byte-identically regardless
 //! of host, thread count, or how the serving loop interleaves tenants.
 
 use multimap_core::{Coord, GridSpec};
 
-use crate::report::mix64;
+use multimap_disksim::fault::{draw, mix64};
 
 /// Stream selector for inter-arrival draws (open-loop clients).
 const STREAM_ARRIVAL: u64 = 0x8F1B_ADD0_C355_9A42;
@@ -17,13 +17,6 @@ const STREAM_ARRIVAL: u64 = 0x8F1B_ADD0_C355_9A42;
 const STREAM_THINK: u64 = 0x2E86_D5B4_9D6C_7A31;
 /// Stream selector for anchor-coordinate draws.
 const STREAM_ANCHOR: u64 = 0x713C_F0E1_8A5B_22D7;
-
-/// A uniform draw in `[0, 1)` for counter `n` of `stream`.
-#[inline]
-fn draw(seed: u64, stream: u64, n: u64) -> f64 {
-    let x = mix64(seed ^ stream ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The largest value [`draw`] returns, `1 - 2⁻⁵³`.
 const MAX_DRAW: f64 = ((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64;

@@ -5,8 +5,8 @@
 //! cell-granular: the key is a cell's first LBN and the page spans the
 //! mapping's `cell_blocks()`. Three pieces:
 //!
-//! * **Pluggable eviction** — CLOCK, LRU and 2Q behind the
-//!   [`EvictionPolicy`] trait, capacity counted in pages.
+//! * **Eviction** — second-chance CLOCK ([`ClockPolicy`]), capacity
+//!   counted in pages.
 //! * **Prefetch** — planned by [`crate::prefetch`]: either plain
 //!   sequential readahead or the adjacency-aware stream prefetcher
 //!   that translates predicted query regions through the table's
@@ -21,10 +21,10 @@
 //!
 //! **One page table.** Resident pages live in a slot arena that grows
 //! as pages are admitted; one open-addressed LBN → slot index with a
-//! fixed hash finds them, and the eviction policies address pages by
-//! slot id (CLOCK's hand sweeps the arena's slots). A vacated slot is
-//! reused before the arena grows, most recently vacated first. Nothing
-//! iterates the index, and every output whose order can be observed —
+//! fixed hash finds them, and CLOCK addresses pages by slot id (its
+//! hand sweeps the arena's slots). A vacated slot is reused before the
+//! arena grows, most recently vacated first. Nothing iterates the
+//! index, and every output whose order can be observed —
 //! the write-back list, the removals of an invalidation — is sorted by
 //! LBN, so behaviour stays deterministic for the engine's bit-identity
 //! contract.
@@ -35,59 +35,11 @@
 //! is admitted, and queries behave byte-identically to runs without a
 //! cache attached.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use multimap_disksim::Lbn;
 use multimap_query::{BlockCache, CacheProbe, PrefetchContext};
 use parking_lot::Mutex;
 
 use crate::prefetch::{adjacency_plan, sequential_plan, PrefetchMode, StreamModel};
-
-/// Which eviction policy a [`PageCache`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvictionKind {
-    /// Second-chance CLOCK: a circular scan clearing reference bits.
-    Clock,
-    /// Strict least-recently-used.
-    Lru,
-    /// Simplified full 2Q (Johnson & Shasha): a FIFO admission queue
-    /// (`A1in`), a ghost list of recently evicted keys (`A1out`), and
-    /// an LRU main area (`Am`) reserved for re-referenced pages.
-    TwoQ,
-}
-
-impl EvictionKind {
-    /// Stable lower-case label (bench JSON field values).
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionKind::Clock => "clock",
-            EvictionKind::Lru => "lru",
-            EvictionKind::TwoQ => "2q",
-        }
-    }
-}
-
-/// A page-replacement policy ordering evictions over the cache's slots.
-///
-/// The cache core owns the page table and places each resident page in
-/// a slot of its arena; the policy sees slot ids (and, on admission, the
-/// page's LBN, which 2Q's ghost list is keyed by) and keeps its own
-/// per-slot state. Call discipline (enforced by [`PageCache`]):
-/// `on_admit` for a slot the policy is not tracking, `on_hit`/`on_remove`
-/// only for tracked slots, and `victim` only when at least one slot is
-/// tracked. A victim is immediately forgotten by the policy, and its
-/// slot may come back in a later `on_admit`.
-pub trait EvictionPolicy: Send {
-    /// Start tracking the page `lbn`, newly placed in `slot`.
-    fn on_admit(&mut self, slot: u32, lbn: Lbn);
-    /// The page in a tracked slot was referenced.
-    fn on_hit(&mut self, slot: u32);
-    /// Stop tracking a slot vacated for a reason other than eviction
-    /// (cache invalidation).
-    fn on_remove(&mut self, slot: u32);
-    /// Choose, and forget, the slot to evict; `None` if none tracked.
-    fn victim(&mut self) -> Option<u32>;
-}
 
 /// The per-slot state of a [`ClockPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,10 +67,10 @@ impl ClockPolicy {
     pub fn new() -> Self {
         ClockPolicy::default()
     }
-}
 
-impl EvictionPolicy for ClockPolicy {
-    fn on_admit(&mut self, slot: u32, _lbn: Lbn) {
+    /// Start tracking the page newly placed in `slot` (untracked until
+    /// now), with a cleared reference bit.
+    pub fn on_admit(&mut self, slot: u32) {
         let slot = slot as usize;
         if slot >= self.marks.len() {
             self.marks.resize(slot + 1, Mark::Untracked);
@@ -127,7 +79,8 @@ impl EvictionPolicy for ClockPolicy {
         self.tracked += 1;
     }
 
-    fn on_hit(&mut self, slot: u32) {
+    /// The page in `slot` was referenced: set its bit if tracked.
+    pub fn on_hit(&mut self, slot: u32) {
         if let Some(mark) = self.marks.get_mut(slot as usize) {
             if *mark != Mark::Untracked {
                 *mark = Mark::Referenced;
@@ -135,7 +88,9 @@ impl EvictionPolicy for ClockPolicy {
         }
     }
 
-    fn on_remove(&mut self, slot: u32) {
+    /// Stop tracking a slot vacated for a reason other than eviction
+    /// (cache invalidation).
+    pub fn on_remove(&mut self, slot: u32) {
         if let Some(mark) = self.marks.get_mut(slot as usize) {
             if *mark != Mark::Untracked {
                 *mark = Mark::Untracked;
@@ -144,7 +99,9 @@ impl EvictionPolicy for ClockPolicy {
         }
     }
 
-    fn victim(&mut self) -> Option<u32> {
+    /// Choose, and forget, the slot to evict; `None` if none tracked.
+    /// A victim's slot may come back in a later [`ClockPolicy::on_admit`].
+    pub fn victim(&mut self) -> Option<u32> {
         if self.tracked == 0 {
             return None;
         }
@@ -164,245 +121,6 @@ impl EvictionPolicy for ClockPolicy {
     }
 }
 
-/// The end of a [`SlotQueue`] chain.
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Copy, Debug)]
-struct Link {
-    prev: u32,
-    next: u32,
-    queued: bool,
-}
-
-const UNLINKED: Link = Link {
-    prev: NIL,
-    next: NIL,
-    queued: false,
-};
-
-/// A queue of slot ids as an intrusive doubly-linked list: O(1) push at
-/// the back, pop at the front and removal from anywhere.
-#[derive(Debug)]
-struct SlotQueue {
-    links: Vec<Link>,
-    head: u32,
-    tail: u32,
-    len: usize,
-}
-
-impl Default for SlotQueue {
-    fn default() -> Self {
-        SlotQueue {
-            links: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-}
-
-impl SlotQueue {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn contains(&self, slot: u32) -> bool {
-        self.links.get(slot as usize).is_some_and(|l| l.queued)
-    }
-
-    fn push_back(&mut self, slot: u32) {
-        let i = slot as usize;
-        if i >= self.links.len() {
-            self.links.resize(i + 1, UNLINKED);
-        }
-        self.links[i] = Link {
-            prev: self.tail,
-            next: NIL,
-            queued: true,
-        };
-        match self.tail {
-            NIL => self.head = slot,
-            tail => self.links[tail as usize].next = slot,
-        }
-        self.tail = slot;
-        self.len += 1;
-    }
-
-    /// Unlink `slot`; `false` if it was not queued.
-    fn remove(&mut self, slot: u32) -> bool {
-        if !self.contains(slot) {
-            return false;
-        }
-        let Link { prev, next, .. } = self.links[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.links[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.links[n as usize].prev = prev,
-        }
-        self.links[slot as usize] = UNLINKED;
-        self.len -= 1;
-        true
-    }
-
-    fn pop_front(&mut self) -> Option<u32> {
-        let head = self.head;
-        (head != NIL && self.remove(head)).then_some(head)
-    }
-}
-
-/// Strict LRU: a recency queue, least recent at the front.
-#[derive(Default)]
-pub struct LruPolicy {
-    recency: SlotQueue,
-}
-
-impl LruPolicy {
-    /// An empty LRU.
-    pub fn new() -> Self {
-        LruPolicy::default()
-    }
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn on_admit(&mut self, slot: u32, _lbn: Lbn) {
-        self.recency.push_back(slot);
-    }
-
-    fn on_hit(&mut self, slot: u32) {
-        if self.recency.remove(slot) {
-            self.recency.push_back(slot);
-        }
-    }
-
-    fn on_remove(&mut self, slot: u32) {
-        self.recency.remove(slot);
-    }
-
-    fn victim(&mut self) -> Option<u32> {
-        self.recency.pop_front()
-    }
-}
-
-/// Simplified full 2Q.
-///
-/// First-touch pages enter the FIFO `A1in` queue; pages evicted from it
-/// leave a ghost key in `A1out`. A page readmitted while its ghost is
-/// alive goes to the LRU `Am` area — surviving scans that would flush a
-/// plain LRU. `A1in` is held near a quarter of capacity and the ghost
-/// list near half (the paper's `Kin`/`Kout` defaults); eviction drains
-/// an over-full `A1in` first, else `Am`'s LRU tail.
-///
-/// A readmitted ghost is dropped from the ghost map only; its entry in
-/// the ghost queue goes stale and is skipped when the queue is trimmed,
-/// so both removals cost O(log n) instead of a scan.
-pub struct TwoQPolicy {
-    kin: usize,
-    kout: usize,
-    /// The LBN each tracked slot holds (ghosts are keyed by LBN).
-    lbns: Vec<Lbn>,
-    a1in: SlotQueue,
-    am: SlotQueue,
-    /// Ghost keys in eviction order, each with its ghosting sequence
-    /// number; an entry not matching `live_ghosts` is stale.
-    ghosts: VecDeque<(Lbn, u64)>,
-    /// Each live ghost's sequence number.
-    live_ghosts: BTreeMap<Lbn, u64>,
-    next_seq: u64,
-}
-
-impl TwoQPolicy {
-    /// A 2Q for a cache of `capacity` pages.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TwoQPolicy {
-            kin: (capacity / 4).max(1),
-            kout: (capacity / 2).max(1),
-            lbns: Vec::new(),
-            a1in: SlotQueue::default(),
-            am: SlotQueue::default(),
-            ghosts: VecDeque::new(),
-            live_ghosts: BTreeMap::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn ghost_insert(&mut self, lbn: Lbn) {
-        self.ghosts.push_back((lbn, self.next_seq));
-        self.live_ghosts.insert(lbn, self.next_seq);
-        self.next_seq += 1;
-        while self.live_ghosts.len() > self.kout {
-            if let Some((old, seq)) = self.ghosts.pop_front() {
-                if self.live_ghosts.get(&old) == Some(&seq) {
-                    self.live_ghosts.remove(&old);
-                }
-            }
-        }
-    }
-}
-
-impl EvictionPolicy for TwoQPolicy {
-    fn on_admit(&mut self, slot: u32, lbn: Lbn) {
-        let i = slot as usize;
-        if i >= self.lbns.len() {
-            self.lbns.resize(i + 1, 0);
-        }
-        self.lbns[i] = lbn;
-        if self.live_ghosts.remove(&lbn).is_some() {
-            // Compact once stale entries outnumber live ones, so the
-            // queue stays O(kout) at O(1) amortised cost.
-            if self.ghosts.len() > 2 * self.live_ghosts.len() + 8 {
-                let live = &self.live_ghosts;
-                self.ghosts.retain(|(l, seq)| live.get(l) == Some(seq));
-            }
-            self.am.push_back(slot);
-        } else {
-            self.a1in.push_back(slot);
-        }
-    }
-
-    fn on_hit(&mut self, slot: u32) {
-        // A1in hits do nothing (2Q: correlated references stay in the
-        // admission queue); Am hits refresh recency.
-        if self.am.remove(slot) {
-            self.am.push_back(slot);
-        }
-    }
-
-    fn on_remove(&mut self, slot: u32) {
-        if !self.a1in.remove(slot) {
-            self.am.remove(slot);
-        }
-    }
-
-    fn victim(&mut self) -> Option<u32> {
-        // Drain an over-full admission queue first; otherwise evict
-        // from the main area, falling back to A1in when Am is empty.
-        if self.a1in.len() > self.kin || self.am.is_empty() {
-            if let Some(slot) = self.a1in.pop_front() {
-                self.ghost_insert(self.lbns[slot as usize]);
-                return Some(slot);
-            }
-        }
-        self.am.pop_front()
-    }
-}
-
-/// Build the policy for `kind` at `capacity` pages.
-pub fn make_policy(kind: EvictionKind, capacity: usize) -> Box<dyn EvictionPolicy> {
-    match kind {
-        EvictionKind::Clock => Box::new(ClockPolicy::new()),
-        EvictionKind::Lru => Box::new(LruPolicy::new()),
-        EvictionKind::TwoQ => Box::new(TwoQPolicy::new(capacity)),
-    }
-}
-
 /// Page-cache tunables.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CacheConfig {
@@ -411,8 +129,6 @@ pub struct CacheConfig {
     /// grows with the pages actually admitted, so any value is accepted;
     /// at most `u32::MAX` pages are resident at once.
     pub capacity_pages: usize,
-    /// Replacement policy.
-    pub eviction: EvictionKind,
     /// Speculative-read strategy.
     pub prefetch: PrefetchMode,
     /// Dirty pages that accumulate before the storage manager flushes
@@ -427,7 +143,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity_pages: 256,
-            eviction: EvictionKind::Clock,
             prefetch: PrefetchMode::Adjacency,
             writeback_batch: 64,
             queue_depth: 64,
@@ -485,7 +200,7 @@ struct PageTable {
 }
 
 impl PageTable {
-    /// Slot ids run below [`EMPTY`] and [`NIL`].
+    /// Slot ids run below [`EMPTY`].
     const MAX_PAGES: usize = u32::MAX as usize;
 
     fn len(&self) -> usize {
@@ -584,7 +299,7 @@ impl PageTable {
 
 struct CacheState {
     table: PageTable,
-    policy: Box<dyn EvictionPolicy>,
+    policy: ClockPolicy,
     stream: StreamModel,
     /// Evicted-dirty pages awaiting a flush, in eviction order.
     writeback: Vec<(Lbn, u64)>,
@@ -634,7 +349,7 @@ impl CacheState {
         if dirty {
             self.dirty_resident += 1;
         }
-        self.policy.on_admit(slot, lbn);
+        self.policy.on_admit(slot);
     }
 }
 
@@ -647,14 +362,14 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// A cache per `config` (eviction, capacity, prefetch mode).
+    /// A cache per `config` (capacity, prefetch mode).
     pub fn new(config: &CacheConfig) -> Self {
         PageCache {
             capacity: config.capacity_pages,
             prefetch: config.prefetch,
             inner: Mutex::new(CacheState {
                 table: PageTable::default(),
-                policy: make_policy(config.eviction, config.capacity_pages),
+                policy: ClockPolicy::new(),
                 stream: StreamModel::new(),
                 writeback: Vec::new(),
                 dirty_resident: 0,

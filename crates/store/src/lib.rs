@@ -60,9 +60,6 @@ pub mod prefetch;
 
 pub use alloc::{ZoneAllocator, ZoneGrant};
 pub use backend::{BackendFlushReport, BackendReadReport, DeviceStore};
-pub use cache::{
-    make_policy, CacheConfig, CacheStats, ClockPolicy, EvictionKind, EvictionPolicy, LruPolicy,
-    PageCache, TwoQPolicy,
-};
+pub use cache::{CacheConfig, CacheStats, ClockPolicy, PageCache};
 pub use manager::{LayoutChoice, Result, SpatialTable, StorageManager, StoreError};
 pub use prefetch::{adjacency_plan, sequential_plan, PrefetchMode, StreamModel, StreamVector};

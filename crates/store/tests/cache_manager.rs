@@ -4,7 +4,7 @@
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;
-use multimap_store::{CacheConfig, EvictionKind, LayoutChoice, PrefetchMode, StorageManager};
+use multimap_store::{CacheConfig, LayoutChoice, PrefetchMode, StorageManager};
 use multimap_telemetry::{Counter, Phase};
 
 /// Serialise tests that flip the global engine thread override.
@@ -105,43 +105,40 @@ fn cache_off_sweep_is_identical_at_all_thread_counts() {
 }
 
 /// A real cache must not change *what* a query returns, only the I/O it
-/// costs: payload checksums and cell counts match the uncached run for
-/// every policy, and a repeated beam is served without disk time.
+/// costs: payload checksums and cell counts match the uncached run, and
+/// a repeated beam is served without disk time.
 #[test]
 fn warm_cache_preserves_results_and_serves_repeats_from_memory() {
-    for eviction in [EvictionKind::Clock, EvictionKind::Lru, EvictionKind::TwoQ] {
-        let mut bare = StorageManager::new(profiles::small(), 1);
-        let mut cached = StorageManager::new(profiles::small(), 1);
-        cached.enable_cache(CacheConfig {
-            capacity_pages: 128,
-            eviction,
-            prefetch: PrefetchMode::Adjacency,
-            ..CacheConfig::default()
-        });
-        for m in [&mut bare, &mut cached] {
-            m.create_table("t", GridSpec::new([80u64, 8, 6]), LayoutChoice::MultiMap)
-                .expect("create");
-            m.load("t").expect("load");
-        }
-        for z in 0..6 {
-            let want = bare.beam("t", 1, &[10, 0, z]).expect("bare beam");
-            let got = cached.beam("t", 1, &[10, 0, z]).expect("cached beam");
-            assert_eq!(got.payload, want.payload, "{eviction:?} payload diverged");
-            assert_eq!(got.cells, want.cells, "{eviction:?} cells diverged");
-        }
-        // Everything probed again is resident: zero I/O, same payload.
-        let want = bare.beam("t", 1, &[10, 0, 0]).expect("bare beam");
-        let again = cached.beam("t", 1, &[10, 0, 0]).expect("warm beam");
-        assert_eq!(again.payload, want.payload);
-        assert_eq!(again.total_io_ms, 0.0, "{eviction:?} warm beam did I/O");
-        let stats = cached.cache_stats();
-        assert!(stats.hits > 0, "{eviction:?} never hit");
-        assert_eq!(
-            stats.hits + stats.misses,
-            7 * 8,
-            "{eviction:?} probe counts do not reconcile with demanded cells"
-        );
+    let mut bare = StorageManager::new(profiles::small(), 1);
+    let mut cached = StorageManager::new(profiles::small(), 1);
+    cached.enable_cache(CacheConfig {
+        capacity_pages: 128,
+        prefetch: PrefetchMode::Adjacency,
+        ..CacheConfig::default()
+    });
+    for m in [&mut bare, &mut cached] {
+        m.create_table("t", GridSpec::new([80u64, 8, 6]), LayoutChoice::MultiMap)
+            .expect("create");
+        m.load("t").expect("load");
     }
+    for z in 0..6 {
+        let want = bare.beam("t", 1, &[10, 0, z]).expect("bare beam");
+        let got = cached.beam("t", 1, &[10, 0, z]).expect("cached beam");
+        assert_eq!(got.payload, want.payload, "payload diverged");
+        assert_eq!(got.cells, want.cells, "cells diverged");
+    }
+    // Everything probed again is resident: zero I/O, same payload.
+    let want = bare.beam("t", 1, &[10, 0, 0]).expect("bare beam");
+    let again = cached.beam("t", 1, &[10, 0, 0]).expect("warm beam");
+    assert_eq!(again.payload, want.payload);
+    assert_eq!(again.total_io_ms, 0.0, "warm beam did I/O");
+    let stats = cached.cache_stats();
+    assert!(stats.hits > 0, "never hit");
+    assert_eq!(
+        stats.hits + stats.misses,
+        7 * 8,
+        "probe counts do not reconcile with demanded cells"
+    );
 }
 
 /// Inserts under a cache dirty pages instead of writing; the batcher
@@ -271,12 +268,12 @@ fn adjacency_prefetch_converts_a_beam_sweep_into_hits() {
 /// A capacity far beyond anything resident costs nothing up front: the
 /// arena grows with the pages admitted, so `usize::MAX` and `1 << 40`
 /// pages run beams, an insert and a flush like any other cache.
-fn run_with_huge_capacity(eviction: EvictionKind) {
+#[test]
+fn clock_accepts_a_huge_capacity() {
     for capacity_pages in [usize::MAX, 1 << 40] {
         let mut m = StorageManager::new(profiles::small(), 1);
         m.enable_cache(CacheConfig {
             capacity_pages,
-            eviction,
             ..CacheConfig::default()
         });
         m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
@@ -288,26 +285,7 @@ fn run_with_huge_capacity(eviction: EvictionKind) {
         m.insert("t", &[7, 1, 1]).expect("insert");
         assert_eq!(m.flush_all().expect("flush").pages, 1);
         let stats = m.cache_stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            4 * 6,
-            "{eviction:?} at {capacity_pages}"
-        );
-        assert_eq!(stats.evictions, 0, "{eviction:?} evicted below capacity");
+        assert_eq!(stats.hits + stats.misses, 4 * 6, "at {capacity_pages}");
+        assert_eq!(stats.evictions, 0, "evicted below capacity");
     }
-}
-
-#[test]
-fn clock_accepts_a_huge_capacity() {
-    run_with_huge_capacity(EvictionKind::Clock);
-}
-
-#[test]
-fn lru_accepts_a_huge_capacity() {
-    run_with_huge_capacity(EvictionKind::Lru);
-}
-
-#[test]
-fn two_q_accepts_a_huge_capacity() {
-    run_with_huge_capacity(EvictionKind::TwoQ);
 }

@@ -1,16 +1,16 @@
-//! Eviction-policy conformance: each production policy (per-slot
-//! marks, intrusive slot queues, a lazily trimmed ghost list) is driven
-//! through random access strings against a brute-force reference built
-//! from plain `Vec`s and linear scans (`reference/mod.rs`). Any
-//! divergence in the eviction sequence or the final resident set fails.
+//! Eviction-policy conformance: the production CLOCK (per-slot marks
+//! over the cache's slot arena) is driven through random access strings
+//! against a brute-force reference built from a plain `Vec` and linear
+//! scans (`reference/mod.rs`). Any divergence in the eviction sequence
+//! or the final resident set fails.
 
 mod reference;
 
 use std::collections::BTreeSet;
 
-use multimap_store::{make_policy, EvictionKind, EvictionPolicy};
+use multimap_store::ClockPolicy;
 use proptest::prelude::*;
-use reference::{reference_for, RefPolicy};
+use reference::{ClockRef, RefPolicy};
 
 /// One step of an access string.
 #[derive(Clone, Copy, Debug)]
@@ -52,19 +52,19 @@ fn drive(policy: &mut dyn RefPolicy, capacity: usize, ops: &[Op]) -> (Vec<u64>, 
     (evictions, resident.into_iter().collect())
 }
 
-/// A production policy seen through the reference contract: the slots
+/// The production CLOCK seen through the reference contract: the slots
 /// a `PageCache` would give each page (the most recently vacated first,
 /// else a new one at the end), found by linear scan.
 struct BySlot {
-    policy: Box<dyn EvictionPolicy>,
+    policy: ClockPolicy,
     slots: Vec<Option<u64>>,
     free: Vec<u32>,
 }
 
 impl BySlot {
-    fn new(kind: EvictionKind, capacity: usize) -> Self {
+    fn new() -> Self {
         BySlot {
-            policy: make_policy(kind, capacity),
+            policy: ClockPolicy::new(),
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -90,7 +90,7 @@ impl RefPolicy for BySlot {
             (self.slots.len() - 1) as u32
         });
         self.slots[slot as usize] = Some(lbn);
-        self.policy.on_admit(slot, lbn);
+        self.policy.on_admit(slot);
     }
     fn on_hit(&mut self, lbn: u64) {
         let slot = self.slot_of(lbn);
@@ -123,65 +123,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-fn assert_matches_reference(kind: EvictionKind, capacity: usize, ops: &[Op]) {
-    let mut production = BySlot::new(kind, capacity);
-    let mut reference = reference_for(kind, capacity);
-    let got = drive(&mut production, capacity, ops);
-    let want = drive(reference.as_mut(), capacity, ops);
-    assert_eq!(
-        got,
-        want,
-        "{} diverged from reference at capacity {capacity}: {ops:?}",
-        kind.name()
-    );
-}
-
 proptest! {
     #[test]
     fn clock_matches_reference(
         capacity in 1usize..=8,
         ops in proptest::collection::vec(op_strategy(), 1..200),
     ) {
-        assert_matches_reference(EvictionKind::Clock, capacity, &ops);
+        let got = drive(&mut BySlot::new(), capacity, &ops);
+        let want = drive(&mut ClockRef::new(capacity), capacity, &ops);
+        assert_eq!(got, want, "diverged from reference at capacity {capacity}: {ops:?}");
     }
-
-    #[test]
-    fn lru_matches_reference(
-        capacity in 1usize..=8,
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        assert_matches_reference(EvictionKind::Lru, capacity, &ops);
-    }
-
-    #[test]
-    fn two_q_matches_reference(
-        capacity in 1usize..=8,
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        assert_matches_reference(EvictionKind::TwoQ, capacity, &ops);
-    }
-}
-
-/// The worked example from the 2Q paper's intuition: a page referenced
-/// once cycles out through the ghost list; re-reference while ghosted
-/// promotes it to the protected main area.
-#[test]
-fn two_q_promotes_ghosted_pages_to_the_main_area() {
-    let capacity = 4; // kin = 1, kout = 2
-    let mut p = BySlot::new(EvictionKind::TwoQ, capacity);
-    let (evictions, resident) = drive(
-        &mut p,
-        capacity,
-        &[
-            Op::Access(1),
-            Op::Access(2), // a1in over kin: evicting begins with FIFO order
-            Op::Access(3),
-            Op::Access(4),
-            Op::Access(5), // evicts 1 (ghosted)
-            Op::Access(1), // readmit from ghost -> Am
-            Op::Access(6), // evicts 3 from a1in, not the hot 1
-        ],
-    );
-    assert_eq!(evictions, vec![1, 2, 3]);
-    assert!(resident.contains(&1), "ghost-promoted page was evicted");
 }

@@ -2,11 +2,11 @@
 //!
 //! `PageCache` keeps its pages in a slot arena behind a hashed LBN
 //! index; the model keeps them in a `BTreeMap` and orders evictions with
-//! the store's reference policies (plain `Vec`s and linear scans). Both
+//! the store's reference CLOCK (a plain `Vec` and linear scans). Both
 //! are driven through the same random strings of probes, prefetch plans,
 //! admissions, dirty marks, write-back takes and restores, and range
-//! invalidations, for CLOCK, LRU and 2Q at capacities 0, 1, 7 and 64 and
-//! under both prefetch modes. After every step the probe outcome, the
+//! invalidations, at capacities 0, 1, 7 and 64 and under both prefetch
+//! modes. After every step the probe outcome, the
 //! plan, the write-back list, the stats, the pending count and the
 //! resident set must agree.
 
@@ -18,11 +18,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use multimap::core::{BoxRegion, GridSpec, Mapping, NaiveMapping};
 use multimap::query::{BlockCache, CacheProbe, PrefetchContext};
 use multimap::store::{
-    adjacency_plan, sequential_plan, CacheConfig, CacheStats, EvictionKind, PageCache,
-    PrefetchMode, StreamModel,
+    adjacency_plan, sequential_plan, CacheConfig, CacheStats, PageCache, PrefetchMode, StreamModel,
 };
 use proptest::prelude::*;
-use reference::{reference_for, RefPolicy};
+use reference::{ClockRef, RefPolicy};
 
 /// Blocks per cell (and per page) of the test mapping.
 const CELL_BLOCKS: u64 = 2;
@@ -43,12 +42,12 @@ struct Meta {
 }
 
 /// The page cache's contract, brute force: an ordered page table, a
-/// reference policy keyed by LBN, and sets for the prefetch filter.
+/// reference CLOCK keyed by LBN, and sets for the prefetch filter.
 struct Model {
     capacity: usize,
     prefetch: PrefetchMode,
     pages: BTreeMap<u64, Meta>,
-    policy: Box<dyn RefPolicy>,
+    policy: ClockRef,
     stream: StreamModel,
     writeback: Vec<(u64, u64)>,
     stats: CacheStats,
@@ -60,7 +59,7 @@ impl Model {
             capacity: config.capacity_pages,
             prefetch: config.prefetch,
             pages: BTreeMap::new(),
-            policy: reference_for(config.eviction, config.capacity_pages),
+            policy: ClockRef::new(config.capacity_pages),
             stream: StreamModel::new(),
             writeback: Vec::new(),
             stats: CacheStats::default(),
@@ -261,12 +260,11 @@ fn assert_same_state(cache: &PageCache, model: &Model, step: usize) {
     }
 }
 
-fn run(eviction: EvictionKind, capacity_pages: usize, prefetch: PrefetchMode, ops: &[Op]) {
+fn run(capacity_pages: usize, prefetch: PrefetchMode, ops: &[Op]) {
     let grid = GridSpec::new([4u64, 4, 4]);
     let mapping = NaiveMapping::with_cell_blocks(grid.clone(), 0, CELL_BLOCKS);
     let config = CacheConfig {
         capacity_pages,
-        eviction,
         prefetch,
         ..CacheConfig::default()
     };
@@ -334,13 +332,13 @@ fn run(eviction: EvictionKind, capacity_pages: usize, prefetch: PrefetchMode, op
     }
 }
 
-fn check(eviction: EvictionKind, ops: &[Op]) {
+fn check(ops: &[Op]) {
     for capacity in [0, 1, 7, 64] {
         for prefetch in [
             PrefetchMode::Adjacency,
             PrefetchMode::Sequential { window: 3 },
         ] {
-            run(eviction, capacity, prefetch, ops);
+            run(capacity, prefetch, ops);
         }
     }
 }
@@ -350,16 +348,6 @@ proptest! {
 
     #[test]
     fn clock_cache_matches_the_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        check(EvictionKind::Clock, &ops);
-    }
-
-    #[test]
-    fn lru_cache_matches_the_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        check(EvictionKind::Lru, &ops);
-    }
-
-    #[test]
-    fn two_q_cache_matches_the_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        check(EvictionKind::TwoQ, &ops);
+        check(&ops);
     }
 }
