@@ -8,10 +8,10 @@
 //! semantics (see `docs/backends.md`).
 //!
 //! A separate write sweep drives every registry backend, IMR included,
-//! through the store's
-//! write-back flusher ([`DeviceStore`]) on interlaced track pairs:
-//! only the IMR backend amplifies the flush with neighbor-track
-//! read-modify-writes, and that amplification is the sweep's headline.
+//! through the store's write-back flusher ([`DeviceStore`]) on
+//! interlaced track pairs: only the IMR backend amplifies the flush
+//! with neighbor-track read-modify-writes, and that amplification is
+//! the sweep's headline.
 //!
 //! Cells fan out through [`multimap_engine::sweep`], so both tables are
 //! bit-identical at any thread count.
@@ -23,17 +23,17 @@
 
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, BACKEND_NAMES};
+use multimap_lvm::backend_volume;
+use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
+use multimap_store::{CacheConfig, DeviceStore};
+
+use crate::harness::{build_mappings, ms, Scale, Table};
 
 /// The backends the read tables (this matrix and the serving sweep)
 /// tabulate. IMR's read path is the rotating disk's, so its rows would
 /// repeat the disk's byte for byte; the bench's unit tests hold it to
 /// that, and IMR differs only on writes, which the write sweep shows.
 pub const READ_BACKENDS: [&str; 2] = ["disk", "ssd"];
-use multimap_lvm::backend_volume;
-use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
-use multimap_store::{CacheConfig, DeviceStore};
-
-use crate::harness::{build_mappings, ms, Scale, Table};
 
 /// One `(backend, mapping)` measurement: a deterministic beam workload
 /// plus one interior range query.

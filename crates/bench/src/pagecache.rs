@@ -1,15 +1,15 @@
 //! Page-cache benchmark: hit rate versus mapping on a streaming beam
-//! workload. A client sweeps a beam along one
-//! dimension while stepping its anchor along another — the access
-//! pattern MultiMap's semi-sequential layout is built for — and the
-//! cache either notices (adjacency prefetch, which asks the mapping for
-//! the next region's blocks) or doesn't (plain LBN readahead, which
-//! fetches whatever happens to follow on disk).
+//! workload. A client sweeps a beam along one dimension while stepping
+//! its anchor along another — the access pattern MultiMap's
+//! semi-sequential layout is built for — and the cache either notices
+//! (adjacency prefetch, which asks the mapping for the next region's
+//! blocks) or doesn't (plain LBN readahead, which fetches whatever
+//! happens to follow on disk).
 //!
-//! Every `(mapping, capacity, prefetch mode)` cell is independent: a fresh volume, executor and cache, the same
-//! deterministic query stream. Cells fan out through
-//! [`multimap_engine::sweep`], so the table is bit-identical at any
-//! thread count.
+//! Every `(mapping, capacity, prefetch mode)` cell is independent: a
+//! fresh volume, executor and cache, the same deterministic query
+//! stream. Cells fan out through [`multimap_engine::sweep`], so the
+//! table is bit-identical at any thread count.
 
 #![expect(
     clippy::expect_used,
@@ -111,8 +111,8 @@ fn streaming_beams(grid: &GridSpec, streams: u64) -> Vec<BoxRegion> {
 }
 
 /// Run the full sweep: 4 mappings × 2 capacities × {sequential,
-/// adjacency} prefetch, each cell an independent cached
-/// replay of the same streaming-beam workload.
+/// adjacency} prefetch, each cell an independent cached replay of the
+/// same streaming-beam workload.
 pub fn run(scale: Scale) -> Vec<CacheCell> {
     let geom = &profiles::evaluation_disks()[0];
     let grid = bench_grid(scale);

@@ -527,9 +527,9 @@ fn only_the_imr_backend_amplifies_the_write_sweep() {
     }
 }
 
-/// At the roomy capacity, adjacency prefetch beats
-/// sequential readahead for every mapping, and MultiMap serves over 80 %
-/// of its stream from memory.
+/// At the roomy capacity, adjacency prefetch beats sequential readahead
+/// for every mapping, and MultiMap serves over 80 % of its stream from
+/// memory.
 #[test]
 fn adjacency_beats_sequential_readahead_for_every_mapping() {
     let p = Pinned::load("page_cache_sweep", "EXPERIMENTS.md §Page-cache sweep");
