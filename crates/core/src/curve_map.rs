@@ -6,11 +6,18 @@
 //! is computed over the enclosing power-of-two hypercube and occupied
 //! cells are *rank-compacted*: the cell with the k-th smallest curve
 //! value lands at `base_lbn + k * cell_blocks`, with no holes.
+//!
+//! The sorted key table is built in curve order: Z-order, Hilbert and
+//! Gray fill each aligned `2^j`-sided sub-cube with one aligned block of
+//! `2^(dims·j)` keys, so one walk down those blocks adds each sub-cube
+//! inside the grid as one key range and indexes single cells only where
+//! the grid's boundary cuts a small sub-cube (`keys_in_curve_order`).
+//! The same block property sizes the rank directory that `lbn_of` reads.
 
 use multimap_disksim::Lbn;
 use multimap_sfc::{bits_for_extent, GrayCurve, HilbertCurve, SpaceFillingCurve, ZCurve};
 
-use crate::grid::{Coord, GridSpec};
+use crate::grid::{BoxRegion, Coord, GridSpec};
 use crate::mapping::{Mapping, MappingError, MappingKind, Result};
 
 pub use multimap_sfc::curve::bits_for_extent as curve_bits_for_extent;
@@ -99,12 +106,8 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
                 ),
             });
         }
-        let mut keys = Vec::with_capacity(cells as usize);
-        grid.for_each_cell(|c| {
-            // Safe: every grid cell is within curve range (checked above).
-            keys.push(curve.index(c));
-        });
-        keys.sort_unstable();
+        // Every grid cell is within curve range (checked above).
+        let keys = keys_in_curve_order(&curve, &grid.bounding_region());
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "curve not injective");
         let shift = directory_shift(&curve, &keys);
         let dir = build_directory(&keys, shift);
@@ -170,6 +173,106 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
     fn rank_by_table_search(&self, coord: &[u64]) -> u64 {
         let key = self.curve.index(coord);
         self.keys.partition_point(|&k| k < key) as u64
+    }
+}
+
+/// A cut sub-cube with at most this many region cells per child
+/// (`2^dims` children) is indexed and sorted instead of split: below it
+/// a decode per child costs more than the cells it would spare.
+const SORTED_CELLS_PER_CHILD: u64 = 64;
+
+/// The curve keys of every cell of `region`, ascending, from one walk
+/// over aligned sub-cubes in curve order.
+///
+/// The walk starts at the block of all keys and visits child blocks in
+/// ascending order. Each block's first key is decoded once and masked to
+/// its sub-cube's origin; a sub-cube outside `region` adds nothing, one
+/// wholly inside adds its key block, and one the region's boundary cuts
+/// splits into its `2^dims` children — unless its part of the region
+/// holds at most `64·2^dims` cells, which are then indexed and sorted.
+/// That base case keeps skinny and high-dimensional regions (a 64-D
+/// curve has `2^64` children at its root) from paying a decode per
+/// child.
+///
+/// `region` must lie inside the curve's hypercube.
+fn keys_in_curve_order<C: SpaceFillingCurve>(curve: &C, region: &BoxRegion) -> Vec<u64> {
+    let dims = curve.dims();
+    debug_assert_eq!(region.ndims(), dims);
+    debug_assert!(region.hi().iter().all(|&h| h <= low_bits(curve.bits())));
+    let mut walk = CurveWalk {
+        curve,
+        region,
+        base_cells: 1u64.checked_shl(dims as u32).map_or(u64::MAX, |children| {
+            children.saturating_mul(SORTED_CELLS_PER_CHILD)
+        }),
+        point: vec![0; dims],
+        lo: vec![0; dims],
+        hi: vec![0; dims],
+        keys: Vec::with_capacity(region.cells() as usize),
+    };
+    walk.visit(0, curve.bits());
+    walk.keys
+}
+
+/// The `n` low bits set, for `n` in `0..=64`.
+fn low_bits(n: u32) -> u64 {
+    1u64.checked_shl(n).map_or(u64::MAX, |bit| bit - 1)
+}
+
+/// The state of [`keys_in_curve_order`]'s walk.
+struct CurveWalk<'a, C> {
+    curve: &'a C,
+    region: &'a BoxRegion,
+    /// The largest cut that is indexed and sorted rather than split.
+    base_cells: u64,
+    /// Scratch: a decoded point.
+    point: Vec<u64>,
+    /// The corners of the current sub-cube's part of the region.
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    /// The keys found so far, ascending.
+    keys: Vec<u64>,
+}
+
+impl<C: SpaceFillingCurve> CurveWalk<'_, C> {
+    /// Add the region's keys in the block of `2^(dims·level)` keys from
+    /// `first`: the `2^level`-sided sub-cube that holds `first`'s point.
+    fn visit(&mut self, first: u64, level: u32) {
+        let dims = self.point.len();
+        self.curve.coords_into(first, &mut self.point);
+        let side = low_bits(level);
+        let mut cells = 1u64;
+        let mut whole = true;
+        for d in 0..dims {
+            let origin = self.point[d] & !side;
+            let lo = origin.max(self.region.lo()[d]);
+            let hi = (origin | side).min(self.region.hi()[d]);
+            if lo > hi {
+                return;
+            }
+            whole &= lo == origin && hi == origin | side;
+            cells = cells.saturating_mul(hi - lo + 1);
+            self.lo[d] = lo;
+            self.hi[d] = hi;
+        }
+        if whole {
+            let last = first | low_bits(dims as u32 * level);
+            self.keys.extend(first..=last);
+        } else if cells <= self.base_cells {
+            let start = self.keys.len();
+            BoxRegion::new(self.lo.clone(), self.hi.clone())
+                .for_each_cell(|c| self.keys.push(self.curve.index(c)));
+            self.keys[start..].sort_unstable();
+        } else {
+            // A cut sub-cube has `level >= 1` (a single cell is in or
+            // out), and more cells than `base_cells` means `dims < 58`,
+            // so neither shift overflows.
+            let child = level - 1;
+            let stride = 1u64 << (dims as u32 * child);
+            for c in 0..1u64 << dims {
+                self.visit(first + c * stride, child);
+            }
+        }
     }
 }
 
@@ -519,9 +622,75 @@ mod tests {
         }
     }
 
-    /// Every curve key of two grids, folded to one word and pinned at the
-    /// values the pre-fixed-arity kernels produced: a kernel that moves
-    /// one key of one curve turns this red.
+    /// The per-cell oracle for [`keys_in_curve_order`]: index every cell
+    /// of the region, then sort.
+    fn keys_by_cell_sort<C: SpaceFillingCurve>(curve: &C, region: &BoxRegion) -> Vec<u64> {
+        let mut keys = Vec::new();
+        region.for_each_cell(|c| keys.push(curve.index(c)));
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The walk's keys equal the per-cell sort's on `extents` under all
+    /// three curves.
+    fn check_walk_against_cell_sort(extents: &[u64]) {
+        fn check<C: SpaceFillingCurve>(curve: C, region: &BoxRegion) {
+            assert!(
+                keys_in_curve_order(&curve, region) == keys_by_cell_sort(&curve, region),
+                "{region:?}: {} bits per dimension",
+                curve.bits()
+            );
+        }
+        let grid = GridSpec::new(extents.to_vec());
+        let (dims, bits) = (grid.ndims(), max_bits(&grid));
+        let region = grid.bounding_region();
+        check(ZCurve::new(dims, bits).unwrap(), &region);
+        check(HilbertCurve::new(dims, bits).unwrap(), &region);
+        check(GrayCurve::new(dims, bits).unwrap(), &region);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn curve_order_walk_matches_cell_sort_on_edge_grids() {
+        // Keys over all 64 bits (the root block is 2^64 keys), 2^64
+        // children at the root of a 64-D curve, and two skinny grids
+        // that the boundary cuts at every level above the base case.
+        let wide: Vec<u64> = (0..64).map(|d| 1 + u64::from(d % 4 == 0)).collect();
+        for extents in [
+            vec![32_769u64, 1, 1, 1],
+            wide.clone(),
+            vec![1, 1_000_003],
+            vec![2, 2, 100_000],
+        ] {
+            check_walk_against_cell_sort(&extents);
+        }
+        // Mappings over all 64 key bits round-trip like any other.
+        check_all_curves(&GridSpec::new([32_769u64, 1, 1, 1]), 3, 2);
+        check_all_curves(&GridSpec::new(wide), 3, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random 1–4-D grids in every `styled_grid` style: free extents,
+        /// power-of-two cubes, key spaces under one bucket and grids with
+        /// extent-1 dimensions.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn curve_order_walk_matches_cell_sort_on_random_grids(
+            ndims in 1usize..5,
+            style in 0u32..4,
+            draws in proptest::collection::vec(0u64..1 << 32, 4),
+        ) {
+            check_walk_against_cell_sort(styled_grid(ndims, style, &draws).extents());
+        }
+    }
+
+    /// Every curve key of three grids, folded to one word and pinned: the
+    /// first two rows at the values the pre-fixed-arity kernels produced,
+    /// the benchmark chunk's at the per-cell index-and-sort build the
+    /// curve-order walk replaced. A kernel or a walk that moves one key
+    /// of one curve turns this red.
     #[test]
     #[cfg_attr(miri, ignore)]
     fn curve_keys_are_pinned() {
@@ -530,8 +699,9 @@ mod tests {
                 (h ^ k).wrapping_mul(0x0000_0100_0000_01B3)
             })
         };
-        // Rows: 37x29x11, 259x64x32. Columns: Z-order, Hilbert, Gray.
-        let got = [[37u64, 29, 11], [259, 64, 32]].map(|extents| {
+        // Rows: 37x29x11, 259x64x32 and the benchmark's 259x259x64
+        // chunk. Columns: Z-order, Hilbert, Gray.
+        let got = [[37u64, 29, 11], [259, 64, 32], [259, 259, 64]].map(|extents| {
             let grid = GridSpec::new(extents);
             [
                 fold(zorder_mapping(grid.clone(), 0, 1).unwrap().curve_keys()),
@@ -549,6 +719,11 @@ mod tests {
                 0x86B7_1C3A_3406_2B25,
                 0x52F3_CA46_9917_5325,
                 0x9C1C_BCCA_5F19_AB25,
+            ],
+            [
+                0xA1DE_8A00_13DB_3125,
+                0x1B85_A12C_CAF4_41DB,
+                0x3463_B002_CFC5_C4E5,
             ],
         ];
         assert_eq!(got, pins);
