@@ -8,19 +8,41 @@
 )]
 
 use multimap_core::{
-    hilbert_mapping, BoxRegion, Mapping, MultiMapOptions, MultiMapping, NaiveMapping,
+    hilbert_mapping, BoxRegion, GridSpec, Mapping, MultiMapOptions, MultiMapping, NaiveMapping,
     ZonedMultiMapping,
 };
-use multimap_disksim::{profiles, DiskBuilder, Request, ZoneSpec};
+use multimap_disksim::{profiles, DiskBuilder, DiskGeometry, Request, ZoneSpec};
 use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use multimap_query::{
-    random_range, workload_rng, ExecOptions, QueryExecutor, QueryRequest, RangeOrder,
+    random_anchor, random_range, workload_rng, ExecOptions, QueryExecutor, QueryOp, QueryRequest,
+    RangeOrder,
 };
 
-use crate::harness::{ms, Scale, Table};
+use crate::harness::{grid_query, ms, Runner, Scale, Table, BEAM_GAP, SCAN_GAP};
 
-fn grid(scale: Scale) -> multimap_core::GridSpec {
-    scale.synthetic_grid()
+/// Serve `queries` on `m` in order on a fresh one-disk volume of `geom`,
+/// [`BEAM_GAP`] before each, and print each run as the tables do: a
+/// beam's ms per cell, a range's total ms.
+fn fresh_runs(
+    geom: &DiskGeometry,
+    m: &dyn Mapping,
+    queries: &[(QueryOp, BoxRegion)],
+) -> Vec<String> {
+    let volume = LogicalVolume::new(geom.clone(), 1);
+    let exec = QueryExecutor::new(&volume, 0);
+    let served = Runner::new(&volume, BEAM_GAP).serve(None, queries, |(op, region), sink| {
+        grid_query(&exec, QueryRequest::new(*op, m, region), sink)
+    });
+    let printed = queries.iter().zip(&served.0).map(|((op, _), r)| match op {
+        QueryOp::Beam => r.per_cell_ms(),
+        QueryOp::Range => r.total_io_ms,
+    });
+    printed.map(ms).collect()
+}
+
+/// A Dim`dim` beam through `anchor`, for [`fresh_runs`].
+fn beam(grid: &GridSpec, dim: usize, anchor: &[u64]) -> (QueryOp, BoxRegion) {
+    (QueryOp::Beam, BoxRegion::beam(grid, dim, anchor))
 }
 
 /// A one-zone Cheetah-like drive with `sectors_per_track` per track:
@@ -46,7 +68,7 @@ fn cheetah_like(name: String, sectors_per_track: u32) -> DiskBuilder {
 /// fresh volume, and a paper-style shape equal to the solver's (the
 /// grid's extents cap both at quick scale) is tabulated once.
 pub fn cube_shape(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let geom = profiles::cheetah_36es();
     let solver = MultiMapping::new(&geom, grid.clone()).expect("fits");
     // Paper-style: K1 = D (or the extent), K2 from the zone budget.
@@ -73,32 +95,17 @@ pub fn cube_shape(scale: Scale) -> Table {
     if paper_style.shape().k != solver.shape().k {
         shapes.push(&paper_style);
     }
+    let mut rng = workload_rng(0xab1);
+    let anchor = random_anchor(&grid, &mut rng);
+    let queries = [
+        beam(&grid, 1, &anchor),
+        beam(&grid, 2, &anchor),
+        (QueryOp::Range, random_range(&grid, 1.0, &mut rng)),
+    ];
     for m in shapes {
-        let volume = LogicalVolume::new(geom.clone(), 1);
-        let exec = QueryExecutor::new(&volume, 0);
-        let mut rng = workload_rng(0xab1);
-        let anchor = multimap_query::random_anchor(&grid, &mut rng);
-        let mut cells = Vec::new();
-        for dim in 1..3 {
-            let region = BoxRegion::beam(&grid, dim, &anchor);
-            volume.idle_all(7.3);
-            cells.push(ms(exec
-                .execute(QueryRequest::beam(m, &region))
-                .expect("figure query runs in-grid")
-                .per_cell_ms()));
-        }
-        let region = random_range(&grid, 1.0, &mut rng);
-        volume.idle_all(7.3);
-        let range = exec
-            .execute(QueryRequest::range(m, &region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
-        table.row(vec![
-            format!("{:?}", m.shape().k),
-            cells[0].clone(),
-            cells[1].clone(),
-            ms(range),
-        ]);
+        let mut row = vec![format!("{:?}", m.shape().k)];
+        row.extend(fresh_runs(&geom, m, &queries));
+        table.row(row);
     }
     table
 }
@@ -106,7 +113,7 @@ pub fn cube_shape(scale: Scale) -> Table {
 /// Command-queue depth: how much the disk's internal scheduler
 /// contributes to range-query performance.
 pub fn queue_depth(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let geom = profiles::cheetah_36es();
     let naive = NaiveMapping::new(grid.clone(), 0);
     let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
@@ -116,6 +123,9 @@ pub fn queue_depth(scale: Scale) -> Table {
         "Ablation: disk command-queue depth (10% range, total ms)",
         &["queue_depth", "Naive", "MultiMap"],
     );
+    let region = random_range(&grid, 10.0, &mut workload_rng(0xab2));
+    let runner = Runner::new(&volume, SCAN_GAP);
+    let mappings: [&dyn Mapping; 2] = [&naive, &mm];
     for depth in [1usize, 8, 64, 256] {
         let exec = QueryExecutor::with_options(
             &volume,
@@ -125,19 +135,12 @@ pub fn queue_depth(scale: Scale) -> Table {
                 ..ExecOptions::default()
             },
         );
-        let mut rng = workload_rng(0xab2);
-        let region = random_range(&grid, 10.0, &mut rng);
-        volume.idle_all(5.0);
-        let t_naive = exec
-            .execute(QueryRequest::range(&naive, &region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
-        volume.idle_all(5.0);
-        let t_mm = exec
-            .execute(QueryRequest::range(&mm, &region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
-        table.row(vec![depth.to_string(), ms(t_naive), ms(t_mm)]);
+        let served = runner.serve(None, mappings, |m, sink| {
+            grid_query(&exec, QueryRequest::range(m, &region), sink)
+        });
+        let mut row = vec![depth.to_string()];
+        row.extend(served.0.iter().map(|r| ms(r.total_io_ms)));
+        table.row(row);
     }
     table
 }
@@ -145,7 +148,7 @@ pub fn queue_depth(scale: Scale) -> Table {
 /// Request sorting: the paper notes that sorting ascending before issue
 /// "significantly improves performance in practice".
 pub fn request_sorting(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let geom = profiles::cheetah_36es();
     let hilb = hilbert_mapping(grid.clone(), 0, 1).expect("fits");
     let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
@@ -160,25 +163,19 @@ pub fn request_sorting(scale: Scale) -> Table {
         RangeOrder::SortedCoalescedFifo,
         RangeOrder::SortedCoalesced,
     ];
+    let region = random_range(&grid, 1.0, &mut workload_rng(0xab3));
+    let runner = Runner::new(&volume, SCAN_GAP);
     for m in [&hilb as &dyn Mapping, &mm] {
         let mut row = vec![m.name().to_string()];
-        for order in orders {
-            let exec = QueryExecutor::with_options(
-                &volume,
-                0,
-                ExecOptions {
-                    range: order,
-                    ..ExecOptions::default()
-                },
-            );
-            let mut rng = workload_rng(0xab3);
-            let region = random_range(&grid, 1.0, &mut rng);
-            volume.idle_all(5.0);
-            row.push(ms(exec
-                .execute(QueryRequest::range(m, &region))
-                .expect("figure query runs in-grid")
-                .total_io_ms));
-        }
+        let served = runner.serve(None, orders, |order, sink| {
+            let options = ExecOptions {
+                range: order,
+                ..ExecOptions::default()
+            };
+            let exec = QueryExecutor::with_options(&volume, 0, options);
+            grid_query(&exec, QueryRequest::range(m, &region), sink)
+        });
+        row.extend(served.0.iter().map(|r| ms(r.total_io_ms)));
         table.row(row);
     }
     table
@@ -187,7 +184,7 @@ pub fn request_sorting(scale: Scale) -> Table {
 /// Adjacency depth `D`: MultiMap's non-primary beam cost as the disk
 /// exposes fewer adjacent blocks (C shrinks).
 pub fn adjacency_depth(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let mut table = Table::new(
         "Ablation: adjacency depth D (MultiMap beams, avg ms/cell)",
         &["D", "beam_Dim1", "beam_Dim2"],
@@ -197,21 +194,11 @@ pub fn adjacency_depth(scale: Scale) -> Table {
             .settle_cylinders(c)
             .build()
             .expect("valid geometry");
-        let d = geom.adjacency_limit;
         let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
-        let volume = LogicalVolume::new(geom, 1);
-        let exec = QueryExecutor::new(&volume, 0);
-        let mut rng = workload_rng(0xab4);
-        let anchor = multimap_query::random_anchor(&grid, &mut rng);
-        let mut row = vec![d.to_string()];
-        for dim in 1..3 {
-            let region = BoxRegion::beam(&grid, dim, &anchor);
-            volume.idle_all(7.3);
-            row.push(ms(exec
-                .execute(QueryRequest::beam(&mm, &region))
-                .expect("figure query runs in-grid")
-                .per_cell_ms()));
-        }
+        let anchor = random_anchor(&grid, &mut workload_rng(0xab4));
+        let queries = [beam(&grid, 1, &anchor), beam(&grid, 2, &anchor)];
+        let mut row = vec![geom.adjacency_limit.to_string()];
+        row.extend(fresh_runs(&geom, &mm, &queries));
         table.row(row);
     }
     table
@@ -221,7 +208,7 @@ pub fn adjacency_depth(scale: Scale) -> Table {
 /// semi-sequential beam latency for range-query robustness (runs longer
 /// than the margin miss their adjacency window).
 pub fn adjacency_slack(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let mut table = Table::new(
         "Ablation: adjacency slack (MultiMap Dim1 beam ms/cell, 0.1% range total ms)",
         &["slack_ms", "beam_Dim1", "range0.1pct_total"],
@@ -233,23 +220,15 @@ pub fn adjacency_slack(scale: Scale) -> Table {
             .build()
             .expect("valid geometry");
         let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
-        let volume = LogicalVolume::new(geom, 1);
-        let exec = QueryExecutor::new(&volume, 0);
         let mut rng = workload_rng(0xab5);
-        let anchor = multimap_query::random_anchor(&grid, &mut rng);
-        let region = BoxRegion::beam(&grid, 1, &anchor);
-        volume.idle_all(7.3);
-        let beam = exec
-            .execute(QueryRequest::beam(&mm, &region))
-            .expect("figure query runs in-grid")
-            .per_cell_ms();
-        let range_region = random_range(&grid, 0.1, &mut rng);
-        volume.idle_all(7.3);
-        let range = exec
-            .execute(QueryRequest::range(&mm, &range_region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
-        table.row(vec![format!("{slack}"), ms(beam), ms(range)]);
+        let anchor = random_anchor(&grid, &mut rng);
+        let queries = [
+            beam(&grid, 1, &anchor),
+            (QueryOp::Range, random_range(&grid, 0.1, &mut rng)),
+        ];
+        let mut row = vec![format!("{slack}")];
+        row.extend(fresh_runs(&geom, &mm, &queries));
+        table.row(row);
     }
     table
 }
@@ -283,7 +262,7 @@ pub fn curve_clustering(_scale: Scale) -> Table {
 /// MultiMap converges with Naive at 100% selectivity — explaining the
 /// 100% endpoint of Figure 6(b).
 pub fn track_waste(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let k0 = grid.extent(0);
     let mut table = Table::new(
         "Ablation: track waste at 100% selectivity (full scan, total ms)",
@@ -308,16 +287,11 @@ pub fn track_waste(scale: Scale) -> Table {
         let volume = LogicalVolume::new(geom, 1);
         let exec = QueryExecutor::new(&volume, 0);
         let region = grid.bounding_region();
-        volume.idle_all(5.0);
-        let t_naive = exec
-            .execute(QueryRequest::range(&naive, &region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
-        volume.idle_all(5.0);
-        let t_mm = exec
-            .execute(QueryRequest::range(&mm, &region))
-            .expect("figure query runs in-grid")
-            .total_io_ms;
+        let mappings: [&dyn Mapping; 2] = [&naive, &mm];
+        let served = Runner::new(&volume, SCAN_GAP).serve(None, mappings, |m, sink| {
+            grid_query(&exec, QueryRequest::range(m, &region), sink)
+        });
+        let (t_naive, t_mm) = (served.0[0].total_io_ms, served.0[1].total_io_ms);
         table.row(vec![
             spt.to_string(),
             format!("{util:.2}"),
@@ -333,7 +307,7 @@ pub fn track_waste(scale: Scale) -> Table {
 /// and with it the number of dimensions MultiMap can support (Eq. 5),
 /// without changing the semi-sequential step cost.
 pub fn density_trend(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let mut table = Table::new(
         "Ablation: track-density trend (D, N_max, MultiMap Dim1 beam ms/cell)",
         &["generation", "D", "N_max", "beam_Dim1"],
@@ -343,22 +317,10 @@ pub fn density_trend(scale: Scale) -> Table {
         let d = geom.adjacency_limit as u64;
         let nmax = multimap_core::max_dimensions(d);
         let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
-        let volume = LogicalVolume::new(geom, 1);
-        let exec = QueryExecutor::new(&volume, 0);
-        let mut rng = workload_rng(0xab6);
-        let anchor = multimap_query::random_anchor(&grid, &mut rng);
-        let region = BoxRegion::beam(&grid, 1, &anchor);
-        volume.idle_all(7.3);
-        let beam = exec
-            .execute(QueryRequest::beam(&mm, &region))
-            .expect("figure query runs in-grid")
-            .per_cell_ms();
-        table.row(vec![
-            generation.to_string(),
-            d.to_string(),
-            nmax.to_string(),
-            ms(beam),
-        ]);
+        let anchor = random_anchor(&grid, &mut workload_rng(0xab6));
+        let mut row = vec![generation.to_string(), d.to_string(), nmax.to_string()];
+        row.extend(fresh_runs(&geom, &mm, &[beam(&grid, 1, &anchor)]));
+        table.row(row);
     }
     table
 }
@@ -367,7 +329,7 @@ pub fn density_trend(scale: Scale) -> Table {
 /// zero-slack adjacency offset misses whole revolutions on marginally
 /// slow settles; the default 0.3 ms margin absorbs them.
 pub fn settle_jitter(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let mut table = Table::new(
         "Ablation: settle jitter x adjacency slack (MultiMap Dim1 beam, ms/cell)",
         &["jitter_ms", "slack_0", "slack_0.3"],
@@ -382,16 +344,8 @@ pub fn settle_jitter(scale: Scale) -> Table {
                 .build()
                 .expect("valid geometry");
             let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
-            let volume = LogicalVolume::new(geom, 1);
-            let exec = QueryExecutor::new(&volume, 0);
-            let mut rng = workload_rng(0xab7);
-            let anchor = multimap_query::random_anchor(&grid, &mut rng);
-            let region = BoxRegion::beam(&grid, 1, &anchor);
-            volume.idle_all(7.3);
-            row.push(ms(exec
-                .execute(QueryRequest::beam(&mm, &region))
-                .expect("figure query runs in-grid")
-                .per_cell_ms()));
+            let anchor = random_anchor(&grid, &mut workload_rng(0xab7));
+            row.extend(fresh_runs(&geom, &mm, &[beam(&grid, 1, &anchor)]));
         }
         table.row(row);
     }
@@ -406,43 +360,34 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
     let geom = profiles::cheetah_36es(); // T = 740..470
                                          // Dim0 = 700 fits only the two outermost zones' tracks, and Dim2 is
                                          // deep enough that the dataset must span several zones.
-    let grid = multimap_core::GridSpec::new([700u64, 16, 2000]);
+    let grid = GridSpec::new([700u64, 16, 2000]);
     let mut table = Table::new(
         "Ablation: per-zone cube shapes (Dim0=700 vs zone tracks 740..470)",
         &["layout", "segments", "utilization", "beam_Dim1"],
     );
-    let volume = LogicalVolume::new(geom.clone(), 1);
-    let exec = QueryExecutor::new(&volume, 0);
-    let mut rng = workload_rng(0xab8);
-    let anchor = multimap_query::random_anchor(&grid, &mut rng);
-    let region = BoxRegion::beam(&grid, 1, &anchor);
+    let anchor = random_anchor(&grid, &mut workload_rng(0xab8));
+    let queries = [beam(&grid, 1, &anchor)];
 
     let single = MultiMapping::new(&geom, grid.clone()).expect("fits");
-    volume.idle_all(7.3);
-    let b1 = exec
-        .execute(QueryRequest::beam(&single, &region))
-        .expect("figure query runs in-grid")
-        .per_cell_ms();
-    table.row(vec![
-        "single-shape".into(),
-        "1".into(),
-        format!("{:.2}", single.space_utilization()),
-        ms(b1),
-    ]);
-
     let zoned = ZonedMultiMapping::new(&geom, grid.clone()).expect("fits");
-    volume.reset();
-    volume.idle_all(7.3);
-    let b2 = exec
-        .execute(QueryRequest::beam(&zoned, &region))
-        .expect("figure query runs in-grid")
-        .per_cell_ms();
-    table.row(vec![
-        "per-zone".into(),
-        zoned.segment_count().to_string(),
-        format!("{:.2}", zoned.space_utilization()),
-        ms(b2),
-    ]);
+    let layouts: [(&str, usize, f64, &dyn Mapping); 2] = [
+        ("single-shape", 1, single.space_utilization(), &single),
+        (
+            "per-zone",
+            zoned.segment_count(),
+            zoned.space_utilization(),
+            &zoned,
+        ),
+    ];
+    for (layout, segments, utilization, m) in layouts {
+        let mut row = vec![
+            layout.into(),
+            segments.to_string(),
+            format!("{utilization:.2}"),
+        ];
+        row.extend(fresh_runs(&geom, m, &queries));
+        table.row(row);
+    }
     table
 }
 
@@ -454,7 +399,7 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
 /// full scheduler sees the whole batch and should never lose to the
 /// admission-windowed queue.
 pub fn sptf_crossover(scale: Scale) -> Table {
-    let grid = grid(scale);
+    let grid = scale.synthetic_grid();
     let geom = profiles::cheetah_36es();
     let mm = MultiMapping::new(&geom, grid.clone()).expect("fits");
     let mut table = Table::new(
@@ -471,20 +416,19 @@ pub fn sptf_crossover(scale: Scale) -> Table {
         let mut rng = workload_rng(0xab9 + n as u64);
         let requests: Vec<Request> = (0..n)
             .map(|_| {
-                let anchor = multimap_query::random_anchor(&grid, &mut rng);
+                let anchor = random_anchor(&grid, &mut rng);
                 Request::single(mm.lbn_of(&anchor).expect("anchor in grid"))
             })
             .collect();
-        let volume = LogicalVolume::new(geom.clone(), 1);
-        let full = volume
-            .service_batch(0, &requests, SchedulePolicy::Sptf)
-            .expect("batch serves")
-            .total_ms;
-        volume.reset();
-        let queued = volume
-            .service_batch(0, &requests, SchedulePolicy::QueuedSptf(64))
-            .expect("batch serves")
-            .total_ms;
+        // Each policy serves the batch on its own fresh volume.
+        let serve = |policy| {
+            LogicalVolume::new(geom.clone(), 1)
+                .service_batch(0, &requests, policy)
+                .expect("batch serves")
+                .total_ms
+        };
+        let full = serve(SchedulePolicy::Sptf);
+        let queued = serve(SchedulePolicy::QueuedSptf(64));
         table.row(vec![
             n.to_string(),
             ms(full),

@@ -24,10 +24,10 @@
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::{profiles, BACKEND_NAMES};
 use multimap_lvm::backend_volume;
-use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
+use multimap_query::{QueryExecutor, QueryRequest};
 use multimap_store::{CacheConfig, DeviceStore};
 
-use crate::harness::{build_mappings, ms, Scale, Table};
+use crate::harness::{build_mappings, grid_query, ms, Gap, Runner, Scale, Table};
 
 /// The backends the read tables (this matrix and the serving sweep)
 /// tabulate. IMR's read path is the rotating disk's, so its rows would
@@ -133,32 +133,27 @@ pub fn run(scale: Scale, backends: &[&'static str]) -> Vec<BackendCell> {
         let volume = backend_volume(backend, geom, 1).expect("registry backend builds");
         let exec = QueryExecutor::new(&volume, 0);
         let step = grid.extent(0) / beams;
-        let mut beam_io_ms = 0.0;
-        let mut requests = 0u64;
-        for a in 0..beams {
-            let anchor = [a * step, 0, a % grid.extent(2)];
-            let r = exec
-                .execute(QueryRequest::new(
-                    QueryOp::Beam,
-                    mapping,
-                    &BoxRegion::beam(&grid, 1, &anchor),
-                ))
-                .expect("bench beam runs in-grid");
-            beam_io_ms += r.total_io_ms;
-            requests += r.requests;
-        }
-        let r = exec
-            .execute(QueryRequest::new(QueryOp::Range, mapping, &range))
-            .expect("bench range runs in-grid");
-        requests += r.requests;
+        let anchors = (0..beams).map(|a| [a * step, 0, a % grid.extent(2)]);
+        let runner = Runner::new(&volume, Gap::BackToBack);
+        let beam = runner
+            .serve(None, anchors, |anchor: [u64; 3], sink| {
+                let region = BoxRegion::beam(&grid, 1, &anchor);
+                grid_query(&exec, QueryRequest::beam(mapping, &region), sink)
+            })
+            .sum();
+        let range = runner
+            .serve(None, [&range], |range, sink| {
+                grid_query(&exec, QueryRequest::range(mapping, range), sink)
+            })
+            .sum();
         BackendCell {
             backend,
             mapping: mapping.name().to_string(),
             beams,
-            beam_io_ms,
-            range_io_ms: r.total_io_ms,
-            requests,
-            payload: r.payload,
+            beam_io_ms: beam.total_io_ms,
+            range_io_ms: range.total_io_ms,
+            requests: beam.requests + range.requests,
+            payload: range.payload,
         }
     })
 }

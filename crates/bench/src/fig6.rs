@@ -3,18 +3,14 @@
 //! ≤259³ chunks, one per disk; performance is reported per disk, so the
 //! experiment runs one chunk on each evaluation drive.
 
-#![expect(
-    clippy::expect_used,
-    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
-)]
-
-use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
+use crate::harness::{
+    build_mappings, grid_query, ms, with_phases, PhaseCell, Runner, Scale, Table, BEAM_GAP,
+    RANGE_GAP,
+};
 use multimap_core::BoxRegion;
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
-use multimap_query::{
-    random_anchor, random_range, workload_rng, QueryExecutor, QueryRequest, QueryResult,
-};
+use multimap_query::{random_anchor, random_range, workload_rng, QueryExecutor, QueryRequest};
 
 /// Figure 6(a): average I/O time per cell for beam queries along each
 /// dimension, for all four mappings on both disks, and what each
@@ -48,32 +44,23 @@ pub fn run_beams(scale: Scale) -> (Table, Vec<PhaseCell>) {
         let m = mappings[d][mi].as_ref();
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
+        let runner = Runner::new(&volume, BEAM_GAP);
 
         // Same anchors for every mapping (paper: random fixed coords).
         let mut rng = workload_rng(0x6a61);
         let anchors: Vec<Vec<u64>> = (0..runs).map(|_| random_anchor(&grid, &mut rng)).collect();
 
         let mut phases = Vec::new();
-        let mut per_dim = Vec::new();
+        let mut row = vec![geom.name.to_string(), m.name().to_string()];
         for dim in 0..3 {
             let mut cell = PhaseCell::new(&geom.name, m.name(), format!("Dim{dim}"));
-            let mut acc = QueryResult::default();
-            for anchor in &anchors {
+            let served = runner.serve(Some(&mut cell), &anchors, |anchor, sink| {
                 let region = BoxRegion::beam(&grid, dim, anchor);
-                volume.idle_all(7.3); // decorrelate rotational phase
-                let req = QueryRequest::beam(m, &region).with_sink(&mut cell.metrics);
-                acc.accumulate(&exec.execute(req).expect("figure query runs in-grid"));
-            }
-            per_dim.push(acc.per_cell_ms());
+                grid_query(&exec, QueryRequest::beam(m, &region), sink)
+            });
+            row.push(ms(served.per_cell_ms()));
             phases.push(cell);
         }
-        let row = vec![
-            geom.name.to_string(),
-            m.name().to_string(),
-            ms(per_dim[0]),
-            ms(per_dim[1]),
-            ms(per_dim[2]),
-        ];
         (row, phases)
     });
     with_phases(table, rows)
@@ -121,6 +108,7 @@ pub fn run_ranges(scale: Scale) -> (Table, Vec<PhaseCell>) {
         let geom = &disks[d];
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
+        let runner = Runner::new(&volume, RANGE_GAP);
         // Identical query boxes for every mapping.
         let mut rng = workload_rng(0x6b00 + (sel * 100.0) as u64);
         let regions: Vec<BoxRegion> = (0..runs)
@@ -128,16 +116,12 @@ pub fn run_ranges(scale: Scale) -> (Table, Vec<PhaseCell>) {
             .collect();
         let mut phases = Vec::new();
         let mut totals = [0.0f64; 4];
-        for (i, m) in mappings[d].iter().enumerate() {
+        for (total, m) in totals.iter_mut().zip(&mappings[d]) {
             let mut cell = PhaseCell::new(&geom.name, m.name(), format!("{sel}"));
-            for region in &regions {
-                volume.idle_all(11.7);
-                let req = QueryRequest::range(m.as_ref(), region).with_sink(&mut cell.metrics);
-                totals[i] += exec
-                    .execute(req)
-                    .expect("figure query runs in-grid")
-                    .total_io_ms;
-            }
+            let served = runner.serve(Some(&mut cell), &regions, |region, sink| {
+                grid_query(&exec, QueryRequest::range(m.as_ref(), region), sink)
+            });
+            *total = served.sum().total_io_ms;
             phases.push(cell);
         }
         let row = vec![

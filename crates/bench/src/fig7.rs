@@ -15,7 +15,7 @@ use multimap_octree::{
 use multimap_query::workload_rng;
 use rand::RngExt;
 
-use crate::harness::{ms, Scale, Table};
+use crate::harness::{ms, Runner, Scale, Table, BEAM_GAP, RANGE_GAP};
 
 fn config(scale: Scale) -> EarthquakeConfig {
     match scale {
@@ -85,27 +85,15 @@ pub fn run_beams(scale: Scale) -> Table {
             })
             .collect();
 
-        let mut per_dim = Vec::new();
+        let runner = Runner::new(&volume, BEAM_GAP);
+        let mut row = vec![geom.name.to_string(), placement.name().to_string()];
         for dim in 0..3 {
-            let mut total = 0.0;
-            let mut cells = 0u64;
-            for anchor in &anchors {
-                volume.idle_all(7.3);
-                let r = exec
-                    .beam(tree, &placement, dim, *anchor)
-                    .expect("figure query runs in-grid");
-                total += r.total_io_ms;
-                cells += r.cells;
-            }
-            per_dim.push(total / cells.max(1) as f64);
+            let served = runner.serve(None, &anchors, |anchor, _| {
+                exec.beam(tree, &placement, dim, *anchor)
+            });
+            row.push(ms(served.per_cell_ms()));
         }
-        vec![
-            geom.name.to_string(),
-            placement.name().to_string(),
-            ms(per_dim[0]),
-            ms(per_dim[1]),
-            ms(per_dim[2]),
-        ]
+        row
     });
     for row in rows {
         table.row(row);
@@ -157,6 +145,7 @@ pub fn run_ranges(scale: Scale) -> Table {
         placements.push(LeafPlacement::MultiMap(&skewed));
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = LeafQueryExecutor::new(&volume, 0);
+        let runner = Runner::new(&volume, RANGE_GAP);
 
         let mut rows = Vec::new();
         for sel in selectivities {
@@ -176,15 +165,9 @@ pub fn run_ranges(scale: Scale) -> Table {
 
             let mut row = vec![geom.name.to_string(), format!("{sel}")];
             for p in &placements {
-                let mut total = 0.0;
-                for (lo, hi) in &boxes {
-                    volume.idle_all(11.7);
-                    total += exec
-                        .range(&tree, p, *lo, *hi)
-                        .expect("figure query runs in-grid")
-                        .total_io_ms;
-                }
-                row.push(ms(total / runs as f64));
+                let served =
+                    runner.serve(None, &boxes, |(lo, hi), _| exec.range(&tree, p, *lo, *hi));
+                row.push(ms(served.mean_total_ms()));
             }
             rows.push(row);
         }

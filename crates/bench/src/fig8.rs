@@ -1,16 +1,13 @@
 //! Figure 8: OLAP queries Q1–Q5 on the TPC-H-derived 4-D cube
 //! (Section 5.5).
 
-#![expect(
-    clippy::expect_used,
-    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
-)]
-
-use crate::harness::{build_mappings, ms, with_phases, PhaseCell, Scale, Table};
+use crate::harness::{
+    build_mappings, grid_query, ms, with_phases, PhaseCell, Runner, Scale, Table, OLAP_GAP,
+};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_olap::{cube, ALL_QUERIES};
-use multimap_query::{workload_rng, QueryExecutor, QueryOp, QueryRequest, QueryResult};
+use multimap_query::{workload_rng, QueryExecutor, QueryOp, QueryRequest};
 
 /// Figure 8: average I/O time per cell for Q1–Q5 on both disks, and
 /// what each (disk, mapping, query) recorded while producing it.
@@ -45,26 +42,24 @@ pub fn run(scale: Scale) -> (Table, Vec<PhaseCell>) {
         let m = mappings[d][mi].as_ref();
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
+        let runner = Runner::new(&volume, OLAP_GAP);
 
         let mut phases = Vec::new();
         let mut row = vec![geom.name.to_string(), m.name().to_string()];
         for q in ALL_QUERIES {
             // Same regions per query across mappings.
             let mut rng = workload_rng(0x8000 + q.label().as_bytes()[1] as u64);
+            let op = if q.is_beam() {
+                QueryOp::Beam
+            } else {
+                QueryOp::Range
+            };
             let mut cell = PhaseCell::new(&geom.name, m.name(), q.label());
-            let mut acc = QueryResult::default();
-            for _ in 0..runs {
-                let region = q.region(&chunk, &mut rng);
-                volume.idle_all(9.1);
-                let op = if q.is_beam() {
-                    QueryOp::Beam
-                } else {
-                    QueryOp::Range
-                };
-                let req = QueryRequest::new(op, m, &region).with_sink(&mut cell.metrics);
-                acc.accumulate(&exec.execute(req).expect("figure query runs in-grid"));
-            }
-            row.push(ms(acc.per_cell_ms()));
+            let regions = (0..runs).map(|_| q.region(&chunk, &mut rng));
+            let served = runner.serve(Some(&mut cell), regions, |region, sink| {
+                grid_query(&exec, QueryRequest::new(op, m, &region), sink)
+            });
+            row.push(ms(served.per_cell_ms()));
             phases.push(cell);
         }
         (row, phases)

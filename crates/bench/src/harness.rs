@@ -12,7 +12,9 @@ use std::path::Path;
 use multimap_core::{
     hilbert_mapping, zorder_mapping, GridSpec, Mapping, MultiMapping, NaiveMapping,
 };
-use multimap_disksim::DiskGeometry;
+use multimap_disksim::{DeviceModel, DiskGeometry};
+use multimap_lvm::DeviceVolume;
+use multimap_query::{QueryExecutor, QueryRequest, QueryResult};
 use multimap_telemetry::{Counter, Metrics, Phase};
 
 /// Experiment scale.
@@ -202,6 +204,103 @@ impl PhaseCell {
     }
 }
 
+/// What a figure does to the volume before each of its runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Gap {
+    /// Idle every device this many simulated ms, so a run does not start
+    /// phase-locked to the rotation the last one ended on.
+    Idle(f64),
+    /// Reset every device: each run starts cold, as if first.
+    Reset,
+    /// No gap: the runs share a page cache or a device's history on
+    /// purpose.
+    BackToBack,
+}
+
+/// Beam runs (Figures 6(a), 7(a)) and the ablations' runs beside them.
+pub const BEAM_GAP: Gap = Gap::Idle(7.3);
+/// Range runs: Figures 6(b) and 7(b).
+pub const RANGE_GAP: Gap = Gap::Idle(11.7);
+/// OLAP runs: Figure 8.
+pub const OLAP_GAP: Gap = Gap::Idle(9.1);
+/// The scheduling ablations' ranges and full scans.
+pub const SCAN_GAP: Gap = Gap::Idle(5.0);
+/// Model validation: the steady-state model knows no previous query.
+pub const COLD_GAP: Gap = Gap::Reset;
+
+/// One engine cell's runner: it serves the cell's runs in order on the
+/// cell's volume, the figure's gap before each. Every figure that runs
+/// queries measures through one, so the gap and the per-run results
+/// live in one place.
+pub struct Runner<'v, D: DeviceModel> {
+    volume: &'v DeviceVolume<D>,
+    gap: Gap,
+}
+
+impl<'v, D: DeviceModel> Runner<'v, D> {
+    /// A runner for the cell served on `volume`.
+    pub fn new(volume: &'v DeviceVolume<D>, gap: Gap) -> Self {
+        Runner { volume, gap }
+    }
+
+    /// Apply the gap, then `execute` each of `runs`, handing it `cell`'s
+    /// sink where the figure keeps phases.
+    pub fn serve<R, E: std::fmt::Debug>(
+        &self,
+        mut cell: Option<&mut PhaseCell>,
+        runs: impl IntoIterator<Item = R>,
+        mut execute: impl FnMut(R, Option<&mut Metrics>) -> Result<QueryResult, E>,
+    ) -> Runs {
+        let results = runs.into_iter().map(|run| {
+            match self.gap {
+                Gap::Idle(ms) => self.volume.idle_all(ms),
+                Gap::Reset => self.volume.reset(),
+                Gap::BackToBack => {}
+            }
+            let sink = cell.as_mut().map(|c| &mut c.metrics);
+            execute(run, sink).expect("figure query runs in-grid")
+        });
+        Runs(results.collect())
+    }
+}
+
+/// The `execute` step of a [`Runner`] over the grid executor.
+pub fn grid_query<'a, D: DeviceModel>(
+    exec: &QueryExecutor<'_, D>,
+    req: QueryRequest<'a>,
+    sink: Option<&'a mut Metrics>,
+) -> multimap_query::Result<QueryResult> {
+    exec.execute(match sink {
+        Some(sink) => req.with_sink(sink),
+        None => req,
+    })
+}
+
+/// One cell's run results, in run order.
+#[derive(Debug)]
+pub struct Runs(pub Vec<QueryResult>);
+
+impl Runs {
+    /// Every run [accumulated](QueryResult::accumulate) in run order.
+    pub fn sum(&self) -> QueryResult {
+        let mut sum = QueryResult::default();
+        for r in &self.0 {
+            sum.accumulate(r);
+        }
+        sum
+    }
+
+    /// I/O time per cell over all runs (the beam tables' metric).
+    pub fn per_cell_ms(&self) -> f64 {
+        self.sum().per_cell_ms()
+    }
+
+    /// Mean total I/O time of one run (the range tables' metric).
+    pub fn mean_total_ms(&self) -> f64 {
+        self.sum().total_io_ms / self.0.len() as f64
+    }
+}
+
 /// Fill `table` from a sweep's `(row, phase cells)` results, in
 /// submission order, and hand the cells back flattened.
 pub fn with_phases(
@@ -267,6 +366,61 @@ pub fn phase_table(title: impl Into<String>, cells: &[PhaseCell]) -> Table {
 mod tests {
     use super::*;
     use multimap_disksim::profiles;
+
+    /// The runner serves its runs in order with the gap before each, hands
+    /// back every run's result in that order, records into the cell's
+    /// sink, and reduces exactly as `QueryResult::accumulate` does.
+    #[test]
+    fn runner_keeps_run_order_and_reduces_like_accumulate() {
+        use multimap_core::BoxRegion;
+        use multimap_lvm::LogicalVolume;
+
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let mapping = MultiMapping::new(&geom, grid.clone()).unwrap();
+        // Beams along different dimensions fetch different cell counts,
+        // so each result names its run.
+        let regions: Vec<BoxRegion> = [
+            (0, [0, 3, 2]),
+            (1, [5, 0, 1]),
+            (2, [7, 4, 0]),
+            (0, [0, 6, 5]),
+        ]
+        .iter()
+        .map(|(dim, anchor)| BoxRegion::beam(&grid, *dim, anchor))
+        .collect();
+
+        let by_hand = LogicalVolume::new(geom.clone(), 1);
+        let exec = QueryExecutor::new(&by_hand, 0);
+        let expected: Vec<QueryResult> = regions
+            .iter()
+            .map(|region| {
+                by_hand.idle_all(7.3);
+                exec.execute(QueryRequest::beam(&mapping, region)).unwrap()
+            })
+            .collect();
+
+        let volume = LogicalVolume::new(geom, 1);
+        let exec = QueryExecutor::new(&volume, 0);
+        let mut cell = PhaseCell::new("small", mapping.name(), "beams");
+        let runs = Runner::new(&volume, BEAM_GAP).serve(Some(&mut cell), &regions, |r, sink| {
+            grid_query(&exec, QueryRequest::beam(&mapping, r), sink)
+        });
+        assert_eq!(runs.0, expected);
+        let cells: Vec<u64> = runs.0.iter().map(|r| r.cells).collect();
+        assert_eq!(cells, [60, 8, 6, 60]);
+
+        let mut acc = QueryResult::default();
+        for r in &expected {
+            acc.accumulate(r);
+        }
+        assert_eq!(runs.sum(), acc);
+        assert_eq!(runs.per_cell_ms().to_bits(), acc.per_cell_ms().to_bits());
+        let mean = acc.total_io_ms / expected.len() as f64;
+        assert_eq!(runs.mean_total_ms().to_bits(), mean.to_bits());
+        let recorded = cell.metrics.counter_value(Counter::RequestsServiced);
+        assert_eq!(recorded, acc.requests);
+    }
 
     #[test]
     fn scales_differ() {

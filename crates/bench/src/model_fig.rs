@@ -7,16 +7,18 @@
     reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
 )]
 
-use multimap_core::{BoxRegion, MultiMapping, NaiveMapping};
+use multimap_core::{BoxRegion, Mapping, MultiMapping, NaiveMapping};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_model::{
     multimap_beam_per_cell_ms, multimap_range_total_ms, naive_beam_per_cell_ms,
     naive_range_total_ms, ModelParams,
 };
-use multimap_query::{random_anchor, random_range, workload_rng, QueryExecutor, QueryRequest};
+use multimap_query::{
+    random_anchor, random_range, workload_rng, QueryExecutor, QueryOp, QueryRequest,
+};
 
-use crate::harness::{ms, Scale, Table};
+use crate::harness::{grid_query, ms, Runner, Scale, Table, COLD_GAP};
 
 /// Model vs simulator on beams (per cell) and ranges (total), Cheetah.
 pub fn run(scale: Scale) -> Table {
@@ -44,26 +46,23 @@ pub fn run(scale: Scale) -> Table {
     let rows = multimap_engine::sweep(&specs, |spec| {
         let volume = LogicalVolume::new(geom.clone(), 1);
         let exec = QueryExecutor::new(&volume, 0);
+        let runner = Runner::new(&volume, COLD_GAP);
+        // Every run starts cold, so each mapping's runs are served apart.
+        let sim = |op, m: &dyn Mapping, regions: &[BoxRegion]| {
+            runner.serve(None, regions, |region, sink| {
+                grid_query(&exec, QueryRequest::new(op, m, region), sink)
+            })
+        };
         match *spec {
             RowSpec::Beam(dim) => {
                 let mut rng = workload_rng(0x30de1 + dim as u64);
                 let anchor = random_anchor(&grid, &mut rng);
-                let region = BoxRegion::beam(&grid, dim, &anchor);
-                volume.reset();
-                let ns = exec
-                    .execute(QueryRequest::beam(&naive, &region))
-                    .expect("figure query runs in-grid")
-                    .per_cell_ms();
-                volume.reset();
-                let ms_sim = exec
-                    .execute(QueryRequest::beam(&mm, &region))
-                    .expect("figure query runs in-grid")
-                    .per_cell_ms();
+                let region = [BoxRegion::beam(&grid, dim, &anchor)];
                 vec![
                     format!("beam_dim{dim}_per_cell"),
-                    ms(ns),
+                    ms(sim(QueryOp::Beam, &naive, &region).per_cell_ms()),
                     ms(naive_beam_per_cell_ms(&params, grid.extents(), dim)),
-                    ms(ms_sim),
+                    ms(sim(QueryOp::Beam, &mm, &region).per_cell_ms()),
                     ms(multimap_beam_per_cell_ms(&params, grid.extents(), dim)),
                 ]
             }
@@ -71,31 +70,23 @@ pub fn run(scale: Scale) -> Table {
             // tiny range is dominated by one request's rotational phase,
             // which the steady-state model deliberately ignores.
             RowSpec::Range(sel) => {
-                let range_draws = 4 * scale.range_runs();
                 let mut rng = workload_rng(0x30de1 + 0x100 + (sel * 100.0) as u64);
-                let mut sums = [0.0f64; 4];
-                for _ in 0..range_draws {
-                    let region = random_range(&grid, sel, &mut rng);
-                    let qext: Vec<u64> = (0..grid.ndims()).map(|d| region.extent(d)).collect();
-                    volume.reset();
-                    sums[0] += exec
-                        .execute(QueryRequest::range(&naive, &region))
-                        .expect("figure query runs in-grid")
-                        .total_io_ms;
-                    sums[1] += naive_range_total_ms(&params, grid.extents(), &qext);
-                    volume.reset();
-                    sums[2] += exec
-                        .execute(QueryRequest::range(&mm, &region))
-                        .expect("figure query runs in-grid")
-                        .total_io_ms;
-                    sums[3] += multimap_range_total_ms(&params, grid.extents(), &qext);
-                }
+                let regions: Vec<BoxRegion> = (0..4 * scale.range_runs())
+                    .map(|_| random_range(&grid, sel, &mut rng))
+                    .collect();
+                let model = |total_ms: fn(&ModelParams, &[u64], &[u64]) -> f64| {
+                    let sum = regions.iter().fold(0.0, |sum, region| {
+                        let qext: Vec<u64> = (0..grid.ndims()).map(|d| region.extent(d)).collect();
+                        sum + total_ms(&params, grid.extents(), &qext)
+                    });
+                    sum / regions.len() as f64
+                };
                 vec![
                     format!("range_{sel}pct_total"),
-                    ms(sums[0] / range_draws as f64),
-                    ms(sums[1] / range_draws as f64),
-                    ms(sums[2] / range_draws as f64),
-                    ms(sums[3] / range_draws as f64),
+                    ms(sim(QueryOp::Range, &naive, &regions).mean_total_ms()),
+                    ms(model(naive_range_total_ms)),
+                    ms(sim(QueryOp::Range, &mm, &regions).mean_total_ms()),
+                    ms(model(multimap_range_total_ms)),
                 ]
             }
         }

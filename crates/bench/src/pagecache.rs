@@ -11,18 +11,13 @@
 //! stream. Cells fan out through [`multimap_engine::sweep`], so the
 //! table is bit-identical at any thread count.
 
-#![expect(
-    clippy::expect_used,
-    reason = "figure/CLI generator: aborting with a message on a malformed experiment is the intended failure mode"
-)]
-
 use multimap_core::{BoxRegion, GridSpec};
 use multimap_disksim::profiles;
 use multimap_lvm::LogicalVolume;
 use multimap_query::{QueryExecutor, QueryRequest};
 use multimap_store::{CacheConfig, PageCache, PrefetchMode};
 
-use crate::harness::{build_mappings, Scale, Table};
+use crate::harness::{build_mappings, grid_query, Gap, Runner, Scale, Table};
 
 /// Cache capacities swept by the bench, in pages. The small one holds a
 /// fraction of the working set (constant eviction pressure); the large
@@ -138,13 +133,16 @@ pub fn run(scale: Scale) -> Vec<CacheCell> {
             prefetch: modes[fi],
             ..CacheConfig::default()
         });
-        let mut io_ms = 0.0;
-        for region in &regions {
-            io_ms += exec
-                .execute(QueryRequest::beam(mapping, region).with_cache(&cache))
-                .expect("bench query runs in-grid")
-                .total_io_ms;
-        }
+        let io_ms = Runner::new(&volume, Gap::BackToBack)
+            .serve(None, &regions, |region, sink| {
+                grid_query(
+                    &exec,
+                    QueryRequest::beam(mapping, region).with_cache(&cache),
+                    sink,
+                )
+            })
+            .sum()
+            .total_io_ms;
         let stats = cache.stats();
         CacheCell {
             mapping: mapping.name().to_string(),

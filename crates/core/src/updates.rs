@@ -62,7 +62,7 @@ impl CellStore {
     }
 
     /// Initial points per cell at bulk load.
-    pub fn bulk_load_points(&self) -> u32 {
+    fn bulk_load_points(&self) -> u32 {
         (f64::from(CELL_CAPACITY) * FILL_FACTOR) as u32
     }
 

@@ -21,7 +21,7 @@ use crate::geometry::{DiskGeometry, Lbn, Zone};
 /// start of its adjacent blocks, before rounding up to a sector boundary:
 /// one sector of transfer plus command overhead plus settle time plus the
 /// firmware's conservative settle margin.
-pub fn adjacency_delta_rev(geom: &DiskGeometry, zone: &Zone) -> f64 {
+fn adjacency_delta_rev(geom: &DiskGeometry, zone: &Zone) -> f64 {
     let rev = geom.revolution_ms();
     let delta_ms = geom.sector_time_ms(zone)
         + geom.command_overhead_ms

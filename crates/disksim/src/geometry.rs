@@ -243,7 +243,7 @@ impl DiskGeometry {
     }
 
     /// The zone containing the given global cylinder index.
-    pub fn zone_of_cylinder(&self, cylinder: u64) -> Result<&Zone> {
+    fn zone_of_cylinder(&self, cylinder: u64) -> Result<&Zone> {
         if cylinder >= self.total_cylinders {
             return Err(DiskError::CylinderOutOfRange {
                 cylinder,

@@ -481,19 +481,9 @@ impl DiskSim {
         self.state.last_end_lbn = None;
     }
 
-    /// Core service-time computation. Pure function of geometry and state;
-    /// exposed so schedulers can evaluate candidate orderings on copies of
-    /// the state.
-    pub fn simulate(
-        geom: &DiskGeometry,
-        state: &mut HeadState,
-        req: Request,
-    ) -> Result<RequestTiming> {
-        Self::simulate_kind(geom, state, req, AccessKind::Read)
-    }
-
-    /// [`Self::simulate`] with an explicit access kind.
-    pub fn simulate_kind(
+    /// Core service-time computation for one `kind` of access: a pure
+    /// function of geometry and state, with settle jitter drawn.
+    fn simulate_kind(
         geom: &DiskGeometry,
         state: &mut HeadState,
         req: Request,

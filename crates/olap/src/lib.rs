@@ -7,8 +7,8 @@
 //! partitions it into per-disk chunks of `(591, 75, 25, 25)`. Queries
 //! Q1–Q5 are beams and ranges over that cube.
 //!
-//! Only cell coordinates matter for I/O time, but a small synthetic row
-//! generator is included so the cube can be materialised end to end.
+//! Only cell coordinates matter for I/O time, so no row data is
+//! generated: the cube is its shape, and a query is its footprint.
 //!
 //! ```
 //! use multimap_olap::{disk_chunk, OlapQuery};
@@ -38,8 +38,6 @@
 
 pub mod cube;
 pub mod queries;
-pub mod rows;
 
 pub use cube::{disk_chunk, full_cube, rolled_up_cube, OlapDim, CHUNKS_PER_CUBE};
 pub use queries::{OlapQuery, ALL_QUERIES};
-pub use rows::{generate_rows, LineItemRow, RowGenConfig};

@@ -43,7 +43,7 @@ impl ZoneAllocator {
     }
 
     /// Zones still free on `disk`.
-    pub fn free_zones(&self, geom: &DiskGeometry, disk: usize) -> usize {
+    fn free_zones(&self, geom: &DiskGeometry, disk: usize) -> usize {
         geom.zones().len().saturating_sub(self.cursors[disk])
     }
 

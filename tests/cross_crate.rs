@@ -46,18 +46,11 @@ fn earthquake_pipeline_end_to_end() {
     );
 }
 
-/// OLAP pipeline: rows -> cube -> chunk mapping -> Q1..Q5 run and fetch
-/// the right cell counts.
+/// OLAP pipeline: cube -> chunk mapping -> Q1..Q5 run and fetch the
+/// right cell counts.
 #[test]
 fn olap_pipeline_end_to_end() {
     let chunk = olap::cube::small_chunk();
-    let rows = olap::generate_rows(&olap::RowGenConfig {
-        rows: 10_000,
-        seed: 5,
-    });
-    let counts = olap::rows::load_into_cube(&rows, &olap::rolled_up_cube());
-    assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), 10_000);
-
     let geom = profiles::cheetah_36es();
     let volume = LogicalVolume::new(geom.clone(), 1);
     let mm = MultiMapping::new(&geom, chunk.clone()).unwrap();
