@@ -18,21 +18,26 @@ use multimap_query::{
     RangeOrder,
 };
 
-use crate::harness::{grid_query, ms, Runner, Scale, Table, BEAM_GAP, SCAN_GAP};
+use crate::harness::{grid_query, ms, Runner, Runs, Scale, Table, BEAM_GAP, SCAN_GAP};
 
 /// Serve `queries` on `m` in order on a fresh one-disk volume of `geom`,
-/// [`BEAM_GAP`] before each, and print each run as the tables do: a
-/// beam's ms per cell, a range's total ms.
+/// [`BEAM_GAP`] before each.
+fn fresh_serve(geom: &DiskGeometry, m: &dyn Mapping, queries: &[(QueryOp, BoxRegion)]) -> Runs {
+    let volume = LogicalVolume::new(geom.clone(), 1);
+    let exec = QueryExecutor::new(&volume, 0);
+    Runner::new(&volume, BEAM_GAP).serve(None, queries, |(op, region), sink| {
+        grid_query(&exec, QueryRequest::new(*op, m, region), sink)
+    })
+}
+
+/// [`fresh_serve`], each run printed as the tables do: a beam's ms per
+/// cell, a range's total ms.
 fn fresh_runs(
     geom: &DiskGeometry,
     m: &dyn Mapping,
     queries: &[(QueryOp, BoxRegion)],
 ) -> Vec<String> {
-    let volume = LogicalVolume::new(geom.clone(), 1);
-    let exec = QueryExecutor::new(&volume, 0);
-    let served = Runner::new(&volume, BEAM_GAP).serve(None, queries, |(op, region), sink| {
-        grid_query(&exec, QueryRequest::new(*op, m, region), sink)
-    });
+    let served = fresh_serve(geom, m, queries);
     let printed = queries.iter().zip(&served.0).map(|((op, _), r)| match op {
         QueryOp::Beam => r.per_cell_ms(),
         QueryOp::Range => r.total_io_ms,
@@ -355,8 +360,9 @@ pub fn settle_jitter(scale: Scale) -> Table {
 /// Per-zone cube shapes (Section 4.4's refinement): when `Dim0` exceeds
 /// the inner zones' track lengths, a single cube shape is confined to
 /// the outer zones while the zoned layout exploits every zone with its
-/// own `K0`.
-pub fn zoned_shapes(_scale: Scale) -> Table {
+/// own `K0`. `beam_Dim1` is the ms per cell over the scale's beam runs,
+/// each through its own anchor.
+pub fn zoned_shapes(scale: Scale) -> Table {
     let geom = profiles::cheetah_36es(); // T = 740..470
                                          // Dim0 = 700 fits only the two outermost zones' tracks, and Dim2 is
                                          // deep enough that the dataset must span several zones.
@@ -365,8 +371,10 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
         "Ablation: per-zone cube shapes (Dim0=700 vs zone tracks 740..470)",
         &["layout", "segments", "utilization", "beam_Dim1"],
     );
-    let anchor = random_anchor(&grid, &mut workload_rng(0xab8));
-    let queries = [beam(&grid, 1, &anchor)];
+    let mut rng = workload_rng(0xab8);
+    let queries: Vec<_> = (0..scale.beam_runs())
+        .map(|_| beam(&grid, 1, &random_anchor(&grid, &mut rng)))
+        .collect();
 
     let single = MultiMapping::new(&geom, grid.clone()).expect("fits");
     let zoned = ZonedMultiMapping::new(&geom, grid.clone()).expect("fits");
@@ -380,13 +388,12 @@ pub fn zoned_shapes(_scale: Scale) -> Table {
         ),
     ];
     for (layout, segments, utilization, m) in layouts {
-        let mut row = vec![
+        table.row(vec![
             layout.into(),
             segments.to_string(),
             format!("{utilization:.2}"),
-        ];
-        row.extend(fresh_runs(&geom, m, &queries));
-        table.row(row);
+            ms(fresh_serve(&geom, m, &queries).per_cell_ms()),
+        ]);
     }
     table
 }

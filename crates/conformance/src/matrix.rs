@@ -18,18 +18,22 @@
 //! every prefetch use pairs with an issued prefetch); and a cache that
 //! never hit and never prefetched leaves every result bit-identical.
 //!
-//! Backend-specific (both columns): on event-sum backends (rotating
-//! disk; IMR, whose read path delegates to the disk) the phase
-//! tally sums reconstruct the batch total exactly and the physics
-//! oracle holds on the rotating backend; on the multi-queue SSD,
-//! per-channel service overlaps, so the invariant inverts — the makespan
-//! is *at most* the per-event busy sum — and the per-channel served
-//! counters must add up to exactly the serviced request count.
+//! Device-specific (both columns), by the [`PhaseIdentity`] each
+//! backend declares: on an event-sum device (the rotating disk; IMR,
+//! whose read path is the disk's) the phase tally sums reconstruct each
+//! query's total exactly and the physics oracle holds; on a busy-bound
+//! device (the multi-queue SSD) per-channel service overlaps, so the
+//! makespan is *at most* the per-event busy sum. On every device the
+//! record's requests equal the executor's, its per-channel serves (where
+//! it has channels) partition them, and a read-only workload rewrites no
+//! neighbour track.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use multimap_core::{BoxRegion, Coord, GridSpec, Mapping};
-use multimap_disksim::{DeviceModel, DiskGeometry, ServiceLog, BACKEND_NAMES};
+use multimap_disksim::{
+    AccessStats, DeviceModel, DiskGeometry, PhaseIdentity, ServiceLog, BACKEND_NAMES,
+};
 use multimap_lvm::{backend_volume, DeviceVolume};
 use multimap_query::{BlockCache, QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
 use multimap_store::{CacheConfig, CacheStats, PageCache, PrefetchMode};
@@ -128,8 +132,13 @@ pub struct MatrixOutcome {
     pub cached: bool,
     /// What the executor's hooks observed.
     pub observed: Observed,
-    /// The backend's own counters after the workload.
-    pub counters: Vec<(String, u64)>,
+    /// The phase identity the device declares.
+    pub identity: PhaseIdentity,
+    /// The device's record after the workload.
+    pub stats: AccessStats,
+    /// The device's per-channel serves after the workload (empty on a
+    /// device without channels).
+    pub channel_served: Vec<u64>,
     /// The cache's own bookkeeping and resident page count (cached
     /// column only).
     pub cache: Option<(CacheStats, usize)>,
@@ -172,29 +181,24 @@ pub fn matrix_query(
             workload,
             pages.as_ref().map(|p| p as &dyn BlockCache),
         )?;
+        let (identity, channel_served) =
+            volume.with_device(0, |d| (d.phase_identity(), d.channel_served().to_vec()))?;
         Ok(MatrixOutcome {
             backend,
             mapping: mapping.name().to_string(),
             cached,
             observed,
-            counters: volume.counters(0)?,
+            identity,
+            stats: volume.stats(0)?,
+            channel_served,
             cache: pages.map(|p| (p.stats(), p.len())),
         })
     });
     outcomes.into_iter().collect()
 }
 
-/// One backend counter by name, or 0 when the backend does not report it.
-fn counter(o: &MatrixOutcome, name: &str) -> u64 {
-    o.counters
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|&(_, v)| v)
-        .unwrap_or(0)
-}
-
-/// Verify the backend-specific contract of one cell: what each
-/// backend's counters and event sums must obey, whichever column.
+/// Verify the device-specific contract of one cell: the identity its
+/// device declares, and its record against what the executor saw.
 fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), String> {
     let label = o.label();
     let serviced: u64 = o
@@ -211,11 +215,11 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), S
             total.requests
         ));
     }
-    match o.backend {
-        // Event-sum backends: phases reconstruct each query's total
-        // exactly (cache hits contribute zero), and the rotating
-        // backend additionally passes the physics oracle.
-        "disk" | "imr" => {
+    match o.identity {
+        // Phases reconstruct each query's total exactly (cache hits
+        // contribute zero), and the rotating mechanics obey the physics
+        // oracle.
+        PhaseIdentity::EventSum => {
             for (i, (m, r)) in o
                 .observed
                 .per_query
@@ -225,29 +229,18 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), S
             {
                 check_telemetry(&format!("{label} query {i}"), m, r)?;
             }
-            if o.backend == "disk" {
-                let report = check_log(geom, &o.observed.log);
-                if !report.is_clean() {
-                    return Err(format!(
-                        "{label}: physics oracle flagged {} violation(s), first: {}",
-                        report.violations.len(),
-                        report.violations[0]
-                    ));
-                }
-            }
-            // A read-only query must never trigger IMR write
-            // amplification.
-            if o.backend == "imr" && counter(o, "imr.neighbor_rewrites") != 0 {
+            let report = check_log(geom, &o.observed.log);
+            if !report.is_clean() {
                 return Err(format!(
-                    "{label}: read-only query performed {} neighbor rewrites",
-                    counter(o, "imr.neighbor_rewrites")
+                    "{label}: physics oracle flagged {} violation(s), first: {}",
+                    report.violations.len(),
+                    report.violations[0]
                 ));
             }
         }
-        // Parallel-channel backend: service overlaps, so the makespan
-        // is bounded by (not equal to) the per-event busy sum, and the
-        // per-channel counters partition the request count exactly.
-        "ssd" => {
+        // Service overlaps, so the makespan is bounded by (not equal
+        // to) the per-event busy sum.
+        PhaseIdentity::BusyBound => {
             let busy_sum = o.observed.merged().phase_sum_ms();
             if total.total_io_ms > busy_sum + TELEMETRY_SUM_EPS_MS {
                 return Err(format!(
@@ -255,25 +248,28 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), S
                     total.total_io_ms
                 ));
             }
-            let ssd_requests = counter(o, "ssd.requests");
-            if ssd_requests != total.requests {
-                return Err(format!(
-                    "{label}: ssd.requests counter {ssd_requests} vs executor {}",
-                    total.requests
-                ));
-            }
-            let channels = counter(o, "ssd.channels");
-            let per_channel: u64 = (0..channels)
-                .map(|c| counter(o, &format!("ssd.channel{c}.served")))
-                .sum();
-            if per_channel != ssd_requests {
-                return Err(format!(
-                    "{label}: per-channel served counters sum to {per_channel}, \
-                     not the {ssd_requests} requests serviced"
-                ));
-            }
         }
-        other => return Err(format!("{label}: unknown backend {other:?} in matrix")),
+    }
+    if o.stats.requests != total.requests {
+        return Err(format!(
+            "{label}: the device served {} requests, the executor reported {}",
+            o.stats.requests, total.requests
+        ));
+    }
+    let per_channel: u64 = o.channel_served.iter().sum();
+    if !o.channel_served.is_empty() && per_channel != o.stats.requests {
+        return Err(format!(
+            "{label}: per-channel serves sum to {per_channel}, \
+             not the {} requests served",
+            o.stats.requests
+        ));
+    }
+    // A read-only workload must never trigger write amplification.
+    if o.stats.neighbor_rewrites != 0 {
+        return Err(format!(
+            "{label}: read-only queries performed {} neighbor rewrites",
+            o.stats.neighbor_rewrites
+        ));
     }
     Ok(())
 }
@@ -367,7 +363,7 @@ fn check_cached_outcome(
 /// backend and both columns, cell-set identity on the plain column,
 /// cache transparency and exact sink↔[`CacheStats`] reconciliation on
 /// the cached column, counter reconciliation and each backend's own
-/// timing semantics everywhere. Returns a description of the first
+/// phase identity everywhere. Returns a description of the first
 /// discrepancy.
 pub fn check_matrix(
     geom: &DiskGeometry,
@@ -492,6 +488,28 @@ mod tests {
         assert!(outcomes
             .chunks(2)
             .all(|pair| !pair[0].cached && pair[1].cached));
+    }
+
+    /// Each record reconciliation can fail: a device record or channel
+    /// partition tampered after the run is flagged on its cell.
+    #[test]
+    fn tampered_records_are_flagged() {
+        let geom = profiles::small();
+        let grid = grid();
+        let workload = [(BoxRegion::beam(&grid, 1, &[3, 0, 2]), true)];
+        let mut outcomes = matrix_query(&geom, &grid, &workload, &CacheConfig::default()).unwrap();
+        let mut flagged = |backend: &str, needle: &str, tamper: fn(&mut MatrixOutcome)| {
+            let o = outcomes.iter_mut().find(|o| o.backend == backend).unwrap();
+            check_backend_outcome(&geom, o).unwrap();
+            tamper(o);
+            let err = check_backend_outcome(&geom, o).unwrap_err();
+            assert!(err.contains(needle), "{backend}: {err}");
+        };
+        flagged("ssd", "per-channel serves", |o| o.channel_served[0] += 1);
+        flagged("disk", "the device served", |o| o.stats.requests += 1);
+        flagged("imr", "neighbor rewrites", |o| {
+            o.stats.neighbor_rewrites = 1
+        });
     }
 
     /// The cached column really exercises the cache: a repeated query

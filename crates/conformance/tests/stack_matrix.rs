@@ -174,13 +174,8 @@ fn store_column_reconciles_on_every_backend() {
         writeback_batch: 16,
         ..CacheConfig::default()
     };
-    let rewrites = |sm: &StorageManager<Box<dyn DeviceModel>>| {
-        let counters = sm.volume().counters(0).unwrap();
-        counters
-            .into_iter()
-            .find(|(k, _)| k == "imr.neighbor_rewrites")
-            .map_or(0, |(_, v)| v)
-    };
+    let rewrites =
+        |sm: &StorageManager<Box<dyn DeviceModel>>| sm.volume().stats(0).unwrap().neighbor_rewrites;
     let mut payloads = Vec::new();
     for name in BACKEND_NAMES {
         let mut sm = StorageManager::from_volume(backend_volume(name, &geom, 1).unwrap());

@@ -139,18 +139,26 @@ pub trait DeviceModel: Send {
     /// Let the device sit idle for `ms` simulated milliseconds.
     fn idle(&mut self, ms: f64);
 
-    /// Reset all device state (clock, position, stats, wear tracking) to
-    /// the initial state.
+    /// Reset all device state (clock, position, record, wear tracking)
+    /// to the initial state.
     fn reset(&mut self);
 
-    /// Reset accumulated statistics and counters without disturbing the
-    /// mechanical/clock state.
-    fn reset_stats(&mut self);
-
-    /// Accumulated per-request statistics. For parallel backends the
-    /// per-phase sums count device busy time, which can exceed the
-    /// wall-clock makespan reported by [`BatchTiming::total_ms`].
+    /// The device's record of its own work since construction or
+    /// [`DeviceModel::reset`].
     fn stats(&self) -> AccessStats;
+
+    /// Requests served per parallel channel since construction or
+    /// reset, for devices that have channels (empty otherwise). On such
+    /// a device they partition [`AccessStats::requests`].
+    fn channel_served(&self) -> &[u64] {
+        &[]
+    }
+
+    /// How this device's per-event phases reconcile with a batch's
+    /// [`BatchTiming::total_ms`].
+    fn phase_identity(&self) -> PhaseIdentity {
+        PhaseIdentity::EventSum
+    }
 
     /// The rotating-disk geometry, for backends that have one. Layout
     /// translation (mappings, adjacency) is defined against a geometry,
@@ -159,14 +167,18 @@ pub trait DeviceModel: Send {
     fn geometry(&self) -> Option<&DiskGeometry> {
         None
     }
+}
 
-    /// Backend-specific counters for exact reconciliation in the
-    /// conformance harness (e.g. per-channel serves on the SSD,
-    /// neighbor-track rewrites on IMR). Keys are stable per backend;
-    /// order is deterministic.
-    fn counters(&self) -> Vec<(String, u64)> {
-        Vec::new()
-    }
+/// The identity between a device's per-event phases and its batch
+/// totals: what the conformance harness holds each backend to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PhaseIdentity {
+    /// One request at a time: the phases of a batch's events sum to its
+    /// [`BatchTiming::total_ms`] exactly (the rotating disk, IMR).
+    EventSum,
+    /// Requests overlap on parallel channels: [`BatchTiming::total_ms`]
+    /// is the makespan, at most the events' summed busy time (the SSD).
+    BusyBound,
 }
 
 impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
@@ -227,17 +239,17 @@ impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
     fn reset(&mut self) {
         (**self).reset()
     }
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
-    }
     fn stats(&self) -> AccessStats {
         (**self).stats()
     }
+    fn channel_served(&self) -> &[u64] {
+        (**self).channel_served()
+    }
+    fn phase_identity(&self) -> PhaseIdentity {
+        (**self).phase_identity()
+    }
     fn geometry(&self) -> Option<&DiskGeometry> {
         (**self).geometry()
-    }
-    fn counters(&self) -> Vec<(String, u64)> {
-        (**self).counters()
     }
 }
 
@@ -290,10 +302,6 @@ impl DeviceModel for DiskSim {
 
     fn reset(&mut self) {
         DiskSim::reset(self)
-    }
-
-    fn reset_stats(&mut self) {
-        DiskSim::reset_stats(self)
     }
 
     fn stats(&self) -> AccessStats {
@@ -444,7 +452,8 @@ mod tests {
                 by_hand.now_ms().to_bits(),
                 "{name}"
             );
-            assert_eq!(flushed.counters(), by_hand.counters(), "{name}");
+            assert_eq!(flushed.stats(), by_hand.stats(), "{name}");
+            assert_eq!(flushed.channel_served(), by_hand.channel_served(), "{name}");
         }
     }
 
@@ -462,12 +471,7 @@ mod tests {
         let mut imr: Box<dyn DeviceModel> = build_backend("imr", &geom).unwrap();
         imr.service_writeback(&top, 64, &mut |_| {}).unwrap();
         imr.service_writeback(&bottom, 64, &mut |_| {}).unwrap();
-        let rewrites = imr
-            .counters()
-            .into_iter()
-            .find(|(k, _)| k == "imr.neighbor_rewrites")
-            .map(|(_, v)| v);
-        assert!(rewrites > Some(0), "{rewrites:?}");
+        assert!(imr.stats().neighbor_rewrites > 0, "{:?}", imr.stats());
     }
 
     #[test]

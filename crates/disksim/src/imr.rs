@@ -42,10 +42,8 @@ pub struct ImrModel {
     inner: DiskSim,
     /// Tracks written since reset, keyed `(cylinder, surface)`.
     written: BTreeSet<(u64, u32)>,
-    bottom_writes: u64,
-    top_writes: u64,
+    /// Top tracks read-modify-written since reset.
     neighbor_rewrites: u64,
-    rmw_ms: f64,
 }
 
 impl ImrModel {
@@ -54,27 +52,13 @@ impl ImrModel {
         ImrModel {
             inner: DiskSim::new(geom),
             written: BTreeSet::new(),
-            bottom_writes: 0,
-            top_writes: 0,
             neighbor_rewrites: 0,
-            rmw_ms: 0.0,
         }
     }
 
     /// Whether a cylinder holds bottom (overlapped) tracks.
     pub fn is_bottom_cylinder(cylinder: u64) -> bool {
         cylinder.is_multiple_of(2)
-    }
-
-    /// Neighbor-track rewrites performed since the last stats reset.
-    pub fn neighbor_rewrites(&self) -> u64 {
-        self.neighbor_rewrites
-    }
-
-    /// Total simulated time spent on neighbor RMW since the last stats
-    /// reset.
-    pub fn rmw_ms(&self) -> f64 {
-        self.rmw_ms
     }
 
     /// The `(cylinder, surface)` tracks a request touches, in LBN walk
@@ -142,7 +126,6 @@ impl DeviceModel for ImrModel {
                 let mut extra = 0.0;
                 for &(cyl, surface, _, _) in &touched {
                     if Self::is_bottom_cylinder(cyl) {
-                        self.bottom_writes += 1;
                         // The interlaced top neighbors: cylinders cyl±1
                         // (odd by construction), same surface.
                         let mut neighbors = Vec::new();
@@ -164,12 +147,9 @@ impl DeviceModel for ImrModel {
                                 self.neighbor_rewrites += 1;
                             }
                         }
-                    } else {
-                        self.top_writes += 1;
                     }
                 }
                 self.written.extend(touched_keys);
-                self.rmw_ms += extra;
                 Ok(RequestTiming {
                     overhead_ms: t.overhead_ms + extra,
                     ..t
@@ -236,36 +216,20 @@ impl DeviceModel for ImrModel {
     fn reset(&mut self) {
         self.inner.reset();
         self.written.clear();
-        self.bottom_writes = 0;
-        self.top_writes = 0;
         self.neighbor_rewrites = 0;
-        self.rmw_ms = 0.0;
     }
 
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-        self.bottom_writes = 0;
-        self.top_writes = 0;
-        self.neighbor_rewrites = 0;
-        self.rmw_ms = 0.0;
-    }
-
+    /// The inner drive's requests (each rewrite serves two) and the
+    /// rewrites themselves.
     fn stats(&self) -> AccessStats {
-        *self.inner.stats()
+        AccessStats {
+            neighbor_rewrites: self.neighbor_rewrites,
+            ..*self.inner.stats()
+        }
     }
 
     fn geometry(&self) -> Option<&DiskGeometry> {
         Some(self.inner.geometry())
-    }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        vec![
-            ("imr.bottom_track_writes".to_string(), self.bottom_writes),
-            ("imr.top_track_writes".to_string(), self.top_writes),
-            ("imr.neighbor_rewrites".to_string(), self.neighbor_rewrites),
-            ("imr.tracks_written".to_string(), self.written.len() as u64),
-            ("imr.rmw_time_us".to_string(), (self.rmw_ms * 1000.0) as u64),
-        ]
     }
 }
 
@@ -319,7 +283,7 @@ mod tests {
         };
         assert_eq!(dev.service(req).unwrap_err(), past_end);
         assert_eq!(dev.service_write(req).unwrap_err(), past_end);
-        assert_eq!(dev.neighbor_rewrites(), 0);
+        assert_eq!(dev.stats().neighbor_rewrites, 0);
     }
 
     #[test]
@@ -330,7 +294,7 @@ mod tests {
         let mut plain = DiskSim::new(profiles::small());
         let p = plain.service_write(Request::new(0, 4)).unwrap();
         assert_eq!(t.total_ms().to_bits(), p.total_ms().to_bits());
-        assert_eq!(dev.neighbor_rewrites(), 0);
+        assert_eq!(dev.stats().neighbor_rewrites, 0);
     }
 
     #[test]
@@ -340,7 +304,7 @@ mod tests {
         // Write the top track on cylinder 1, surface 0…
         let top = geom.lbn_of(1, 0, 0).unwrap();
         dev.service_write(Request::new(top, 2)).unwrap();
-        assert_eq!(dev.neighbor_rewrites(), 0);
+        assert_eq!(dev.stats().neighbor_rewrites, 0);
         // …then write its bottom neighbor on cylinder 0 or 2: RMW fires.
         let bottom = geom.lbn_of(2, 0, 0).unwrap();
         let plain_t = {
@@ -353,8 +317,7 @@ mod tests {
                 .total_ms()
         };
         let t = dev.service_write(Request::new(bottom, 2)).unwrap();
-        assert_eq!(dev.neighbor_rewrites(), 1);
-        assert!(dev.rmw_ms() > 0.0);
+        assert_eq!(dev.stats().neighbor_rewrites, 1);
         assert!(
             t.total_ms() > plain_t,
             "RMW write {} must exceed the plain write {}",
@@ -371,18 +334,13 @@ mod tests {
             let lbn = geom.lbn_of(cyl, 0, 0).unwrap();
             dev.service_write(Request::new(lbn, 4)).unwrap();
         }
-        assert_eq!(dev.neighbor_rewrites(), 0);
-        let counters = dev.counters();
-        let top = counters
-            .iter()
-            .find(|(k, _)| k == "imr.top_track_writes")
-            .unwrap()
-            .1;
-        assert_eq!(top, 3);
+        assert_eq!(dev.stats().neighbor_rewrites, 0);
+        // Three user writes, and no read-modify-write requests beside them.
+        assert_eq!(dev.stats().requests, 3);
     }
 
     #[test]
-    fn counters_reconcile_with_inner_stats() {
+    fn record_reconciles_with_inner_requests() {
         let mut dev = imr();
         let geom = dev.geometry().unwrap().clone();
         // Age a top track, then hit its bottom neighbor twice.
@@ -391,10 +349,10 @@ mod tests {
         let bottom = geom.lbn_of(0, 0, 0).unwrap();
         dev.service_write(Request::new(bottom, 1)).unwrap();
         dev.service_write(Request::new(bottom, 1)).unwrap();
-        // Inner stats count user requests plus one read + one write per
+        // The record counts user requests plus one read + one write per
         // neighbor rewrite: exact reconciliation.
-        let rewrites = dev.neighbor_rewrites();
-        assert_eq!(rewrites, 2);
-        assert_eq!(DeviceModel::stats(&dev).requests, 3 + 2 * rewrites);
+        let stats = dev.stats();
+        assert_eq!(stats.neighbor_rewrites, 2);
+        assert_eq!(stats.requests, 3 + 2 * stats.neighbor_rewrites);
     }
 }

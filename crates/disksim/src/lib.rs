@@ -71,7 +71,7 @@ pub mod ssd;
 pub mod stats;
 
 pub use adjacency::{adjacency_offset_sectors, adjacent_lbn, semi_sequential_path};
-pub use device::{build_backend, DeviceModel, BACKEND_NAMES};
+pub use device::{build_backend, DeviceModel, PhaseIdentity, BACKEND_NAMES};
 pub use error::{DiskError, Result};
 pub use fault::{
     request_payload, FaultCounts, FaultDecision, FaultInjector, FaultOutcome, FaultPlan,
@@ -95,31 +95,30 @@ pub use stats::AccessStats;
 mod integration_tests {
     use super::*;
 
+    /// Mean time per block of `lbns[1..]`, served one at a time in order
+    /// after `lbns[0]` has put the head in place.
+    fn per_block_ms(geom: &DiskGeometry, lbns: &[Lbn]) -> f64 {
+        let mut sim = DiskSim::new(geom.clone());
+        sim.service(Request::single(lbns[0])).unwrap();
+        let rest: Vec<Request> = lbns[1..].iter().map(|&l| Request::single(l)).collect();
+        DeviceModel::service_batch(&mut sim, &rest, Discipline::InOrder)
+            .unwrap()
+            .per_block_ms()
+    }
+
     /// The headline property of the adjacency model: semi-sequential
     /// access beats strided access within D tracks by about 4x (Sec. 3.2).
     #[test]
     fn semi_sequential_beats_nearby_strided_access() {
         let geom = profiles::small();
-        let path = semi_sequential_path(&geom, 0, 1, 50);
-
-        let mut semi = DiskSim::new(geom.clone());
-        semi.service(Request::single(path[0])).unwrap();
-        semi.reset_stats();
-        for &lbn in &path[1..] {
-            semi.service(Request::single(lbn)).unwrap();
-        }
-        let semi_per_block = semi.stats().per_block_ms();
+        let semi_per_block = per_block_ms(&geom, &semi_sequential_path(&geom, 0, 1, 50));
 
         // Strided access: same tracks, but target the block straight below
         // the previous one (same sector index) — incurs rotational latency.
-        let mut strided = DiskSim::new(geom.clone());
-        strided.service(Request::single(0)).unwrap();
-        strided.reset_stats();
-        for i in 1..50u64 {
-            let lbn = geom.lbn_of(i / 4, (i % 4) as u32, 0).unwrap();
-            strided.service(Request::single(lbn)).unwrap();
-        }
-        let strided_per_block = strided.stats().per_block_ms();
+        let strided: Vec<Lbn> = (0..50u64)
+            .map(|i| geom.lbn_of(i / 4, (i % 4) as u32, 0).unwrap())
+            .collect();
+        let strided_per_block = per_block_ms(&geom, &strided);
 
         assert!(
             semi_per_block * 2.0 < strided_per_block,
@@ -132,37 +131,21 @@ mod integration_tests {
     #[test]
     fn access_pattern_hierarchy() {
         let geom = profiles::small();
+        let seq: Vec<Lbn> = (0..200u64).collect();
+        let seq_ms = per_block_ms(&geom, &seq);
+        let semi_ms = per_block_ms(&geom, &semi_sequential_path(&geom, 0, 1, 200));
 
-        let mut seq = DiskSim::new(geom.clone());
-        seq.service(Request::single(0)).unwrap();
-        seq.reset_stats();
-        for lbn in 1..200u64 {
-            seq.service(Request::single(lbn)).unwrap();
-        }
-        let seq_ms = seq.stats().per_block_ms();
-
-        let path = semi_sequential_path(&geom, 0, 1, 200);
-        let mut semi = DiskSim::new(geom.clone());
-        semi.service(Request::single(path[0])).unwrap();
-        semi.reset_stats();
-        for &lbn in &path[1..] {
-            semi.service(Request::single(lbn)).unwrap();
-        }
-        let semi_ms = semi.stats().per_block_ms();
-
-        let mut random = DiskSim::new(geom.clone());
-        random.service(Request::single(0)).unwrap();
-        random.reset_stats();
         let total = geom.total_blocks();
         let mut x = 12345u64;
+        let mut random = vec![0];
         for _ in 0..200 {
             // Simple LCG to scatter accesses deterministically.
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            random.service(Request::single(x % total)).unwrap();
+            random.push(x % total);
         }
-        let rand_ms = random.stats().per_block_ms();
+        let rand_ms = per_block_ms(&geom, &random);
 
         assert!(
             seq_ms * 10.0 < semi_ms,

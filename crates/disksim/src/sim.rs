@@ -312,7 +312,7 @@ impl DiskSim {
         self.state
     }
 
-    /// Accumulated access statistics.
+    /// The drive's record: requests served since construction or reset.
     #[inline]
     pub fn stats(&self) -> &AccessStats {
         &self.stats
@@ -326,12 +326,6 @@ impl DiskSim {
         if let Some(inj) = self.fault.as_mut() {
             inj.reset();
         }
-    }
-
-    /// Clear only the statistics, keeping the mechanical state (useful to
-    /// exclude warm-up requests from a measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
     }
 
     /// Service a read request, advancing time and head position.
@@ -355,7 +349,7 @@ impl DiskSim {
     fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming> {
         let Some(inj) = self.fault.as_mut() else {
             let timing = Self::simulate_kind(&self.geom, &mut self.state, req, kind)?;
-            self.stats.record(&timing, req.nblocks);
+            self.stats.requests += 1;
             return Ok(timing);
         };
         // Validate before drawing, so malformed requests fail identically
@@ -370,7 +364,7 @@ impl DiskSim {
                     timing.rotation_ms += slow_extra_ms;
                     self.state.time_ms += slow_extra_ms;
                 }
-                self.stats.record(&timing, req.nblocks);
+                self.stats.requests += 1;
                 Ok(timing)
             }
             FaultDecision::Transient { timeout_ms } => {
@@ -386,8 +380,8 @@ impl DiskSim {
                 // drive gives up on it.
                 if lbn > req.lbn {
                     let prefix = Request::new(req.lbn, lbn - req.lbn);
-                    let t = Self::simulate_kind(&self.geom, &mut self.state, prefix, kind)?;
-                    self.stats.record(&t, prefix.nblocks);
+                    let _ = Self::simulate_kind(&self.geom, &mut self.state, prefix, kind)?;
+                    self.stats.requests += 1;
                 }
                 let _ =
                     Self::simulate_kind(&self.geom, &mut self.state, Request::single(lbn), kind)?;
@@ -747,11 +741,8 @@ mod tests {
         let mut sim = disk();
         sim.service(Request::new(0, 10)).unwrap();
         sim.service(Request::new(100, 5)).unwrap();
-        let s = sim.stats();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.blocks, 15);
-        assert!(s.total_ms > 0.0);
-        sim.reset_stats();
+        assert_eq!(sim.stats().requests, 2);
+        sim.reset();
         assert_eq!(sim.stats().requests, 0);
     }
 
@@ -964,7 +955,7 @@ mod tests {
         let err = sim.service(Request::new(100, 10)).unwrap_err();
         assert_eq!(err, DiskError::MediaError { lbn: 105 });
         // The readable prefix [100, 105) was transferred and recorded.
-        assert_eq!(sim.stats().blocks, 5);
+        assert_eq!(sim.stats().requests, 1);
         // Time advanced past zero: prefix + failed probe both cost.
         assert!(sim.state().time_ms > 0.0);
         assert_eq!(sim.state().last_end_lbn, None);

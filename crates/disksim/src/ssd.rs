@@ -29,12 +29,13 @@
 //!
 //! Batch wall-clock ([`BatchTiming::total_ms`]) is the **makespan** —
 //! time from batch submission until the last channel falls idle — while
-//! [`AccessStats`] accumulates per-request busy time, whose sum can
-//! exceed the makespan. This is the one place the rotating-disk
-//! invariant "sum of event times == batch total" intentionally breaks;
-//! the conformance harness checks makespan ≤ busy-sum instead.
+//! the events' phases carry per-request busy time, whose sum can exceed
+//! the makespan. This is the one place the rotating-disk invariant "sum
+//! of event times == batch total" intentionally breaks: the model
+//! declares [`PhaseIdentity::BusyBound`], and the conformance harness
+//! checks makespan ≤ busy-sum instead.
 
-use crate::device::{serial_writes, DeviceModel};
+use crate::device::{serial_writes, DeviceModel, PhaseIdentity};
 use crate::error::{DiskError, Result};
 use crate::geometry::Lbn;
 use crate::observe::{ServiceEvent, Transition};
@@ -66,11 +67,11 @@ pub struct SsdModel {
     /// Device clock: completion time of the last submitted work.
     now_ms: f64,
     /// Absolute time each channel is busy until.
-    busy_until: Vec<f64>,
+    busy_until: [f64; CHANNELS],
     /// One past the last LBN each channel transferred (stream tracking).
-    last_end: Vec<Option<Lbn>>,
-    /// Requests served per channel since the last stats reset.
-    served: Vec<u64>,
+    last_end: [Option<Lbn>; CHANNELS],
+    /// Requests served per channel since reset.
+    served: [u64; CHANNELS],
     stats: AccessStats,
 }
 
@@ -81,9 +82,9 @@ impl SsdModel {
         SsdModel {
             capacity_blocks,
             now_ms: 0.0,
-            busy_until: vec![0.0; CHANNELS],
-            last_end: vec![None; CHANNELS],
-            served: vec![0; CHANNELS],
+            busy_until: [0.0; CHANNELS],
+            last_end: [None; CHANNELS],
+            served: [0; CHANNELS],
             stats: AccessStats::default(),
         }
     }
@@ -93,18 +94,13 @@ impl SsdModel {
         ((lbn / STRIPE_BLOCKS) % CHANNELS as u64) as usize
     }
 
-    /// Requests served per channel since the last stats reset.
-    pub fn channel_served(&self) -> &[u64] {
-        &self.served
-    }
-
     fn validate(&self, req: Request) -> Result<()> {
         req.checked_end(self.capacity_blocks).map(|_| ())
     }
 
     /// Dispatch one validated request at batch clock `t0` with
     /// `queued_ahead` commands already dispatched to its channel in this
-    /// batch. Returns the emitted event; channel state and stats are
+    /// batch. Returns the emitted event; channel state and the record are
     /// updated.
     #[expect(
         clippy::too_many_arguments,
@@ -149,7 +145,7 @@ impl SsdModel {
         self.busy_until[c] = end;
         self.last_end[c] = Some(req.end());
         self.served[c] += 1;
-        self.stats.record(&timing, req.nblocks);
+        self.stats.requests += 1;
         let event = ServiceEvent {
             seq,
             admission_rank,
@@ -224,7 +220,7 @@ impl DeviceModel for SsdModel {
         }
         // Commands already dispatched per channel in this batch — the
         // queue-depth term of each dispatch.
-        let mut depth_on: Vec<u64> = vec![0; self.busy_until.len()];
+        let mut depth_on = [0u64; CHANNELS];
         let mut makespan_end = t0;
         let mut seq = 0usize;
         while !pending.is_empty() {
@@ -320,34 +316,19 @@ impl DeviceModel for SsdModel {
     }
 
     fn reset(&mut self) {
-        let channels = self.busy_until.len();
-        self.now_ms = 0.0;
-        self.busy_until = vec![0.0; channels];
-        self.last_end = vec![None; channels];
-        self.served = vec![0; channels];
-        self.stats = AccessStats::default();
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
-        for s in &mut self.served {
-            *s = 0;
-        }
+        *self = SsdModel::new(self.capacity_blocks);
     }
 
     fn stats(&self) -> AccessStats {
         self.stats
     }
 
-    fn counters(&self) -> Vec<(String, u64)> {
-        let mut out = vec![
-            ("ssd.channels".to_string(), self.busy_until.len() as u64),
-            ("ssd.requests".to_string(), self.stats.requests),
-        ];
-        for (i, served) in self.served.iter().enumerate() {
-            out.push((format!("ssd.channel{i}.served"), *served));
-        }
-        out
+    fn channel_served(&self) -> &[u64] {
+        &self.served
+    }
+
+    fn phase_identity(&self) -> PhaseIdentity {
+        PhaseIdentity::BusyBound
     }
 }
 
@@ -367,7 +348,10 @@ mod tests {
         let reqs: Vec<Request> = (0..8u64)
             .map(|i| Request::single(i * STRIPE_BLOCKS))
             .collect();
-        let t = dev.service_batch(&reqs, Discipline::InOrder).unwrap();
+        let mut log = crate::observe::ServiceLog::new();
+        let t = dev
+            .service_batch_observed(&reqs, Discipline::InOrder, &mut log.recorder())
+            .unwrap();
         let one = COMMAND_OVERHEAD_MS + READ_MS_PER_BLOCK;
         assert!(
             (t.total_ms - one).abs() < 1e-12,
@@ -376,8 +360,8 @@ mod tests {
             one
         );
         // Busy time is eight commands.
-        let stats = DeviceModel::stats(&dev);
-        assert!((stats.total_ms - 8.0 * one).abs() < 1e-12);
+        let busy: f64 = log.events().iter().map(|e| e.timing.total_ms()).sum();
+        assert!((busy - 8.0 * one).abs() < 1e-12);
         assert!(dev.channel_served().iter().all(|&n| n == 1));
     }
 
@@ -502,12 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn channel_counters_reconcile_with_stats() {
+    fn channel_served_partitions_the_record() {
         let mut dev = ssd();
         let reqs: Vec<Request> = (0..40u64).map(|i| Request::single(i * 37)).collect();
         dev.service_batch(&reqs, Discipline::Sptf).unwrap();
         let served: u64 = dev.channel_served().iter().sum();
-        assert_eq!(served, DeviceModel::stats(&dev).requests);
+        assert_eq!(served, dev.stats().requests);
         assert_eq!(served, 40);
     }
 

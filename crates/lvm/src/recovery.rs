@@ -398,10 +398,6 @@ impl DeviceModel for RecoveringDisk {
         self.stats = RecoveryStats::default();
     }
 
-    fn reset_stats(&mut self) {
-        self.sim.reset_stats();
-    }
-
     fn stats(&self) -> AccessStats {
         *self.sim.stats()
     }

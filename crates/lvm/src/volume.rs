@@ -217,38 +217,35 @@ impl<D: DeviceModel> DeviceVolume<D> {
         Ok(timing?)
     }
 
-    /// Accumulated statistics of one device.
+    /// One device's record ([`DeviceModel::stats`]).
     pub fn stats(&self, device: usize) -> Result<AccessStats> {
         Ok(self.device(device)?.lock().stats())
     }
 
-    /// Statistics merged across all devices.
-    pub fn merged_stats(&self) -> AccessStats {
-        let mut out = AccessStats::default();
-        for d in &self.devices {
-            out.merge(&d.lock().stats());
-        }
-        out
-    }
-
-    /// Backend-specific counters of one device (see
-    /// [`DeviceModel::counters`]).
+    /// One device's record as named counters, keyed
+    /// `<backend>.<field>`: `requests`, `neighbor_rewrites` and, on a
+    /// device with parallel channels, `channel<i>.served` per channel
+    /// (IMR's rewrites are `imr.neighbor_rewrites`). This is the one
+    /// place a device counter is spelled as a string, for readers that
+    /// look counters up by name; typed readers use [`Self::stats`].
     pub fn counters(&self, device: usize) -> Result<Vec<(String, u64)>> {
-        Ok(self.device(device)?.lock().counters())
+        let dev = self.device(device)?.lock();
+        let (name, stats) = (dev.name(), dev.stats());
+        let mut out = vec![
+            (format!("{name}.requests"), stats.requests),
+            (format!("{name}.neighbor_rewrites"), stats.neighbor_rewrites),
+        ];
+        for (i, &served) in dev.channel_served().iter().enumerate() {
+            out.push((format!("{name}.channel{i}.served"), served));
+        }
+        Ok(out)
     }
 
     /// Reset every device to its freshly-constructed state (time, head
-    /// position, statistics, fault schedule, remap tables).
+    /// position, record, fault schedule, remap tables).
     pub fn reset(&self) {
         for d in &self.devices {
             d.lock().reset();
-        }
-    }
-
-    /// Clear statistics on every device without disturbing device state.
-    pub fn reset_stats(&self) {
-        for d in &self.devices {
-            d.lock().reset_stats();
         }
     }
 
@@ -398,8 +395,6 @@ mod tests {
         v.service(0, Request::single(100)).unwrap();
         assert_eq!(v.stats(0).unwrap().requests, 1);
         assert_eq!(v.stats(1).unwrap().requests, 0);
-        let merged = v.merged_stats();
-        assert_eq!(merged.requests, 1);
     }
 
     #[test]

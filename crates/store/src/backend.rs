@@ -205,6 +205,25 @@ mod tests {
         assert!(second.total_io_ms > 0.0);
     }
 
+    /// Readers that look device counters up by name (and read 0 for a
+    /// name they do not find) see the IMR flush's rewrites under
+    /// `imr.neighbor_rewrites`.
+    #[test]
+    fn the_named_counters_carry_the_imr_flush_rewrites() {
+        let geom = profiles::small();
+        let mut s = store("imr");
+        s.write(0, geom.lbn_of(1, 0, 0).unwrap(), 4).unwrap();
+        s.flush_all().unwrap();
+        s.write(0, geom.lbn_of(2, 0, 0).unwrap(), 4).unwrap();
+        let flush = s.flush_all().unwrap();
+        assert!(flush.neighbor_rewrites > 0);
+        let counters = s.volume().counters(0).unwrap();
+        assert!(
+            counters.contains(&("imr.neighbor_rewrites".to_string(), flush.neighbor_rewrites)),
+            "{counters:?}"
+        );
+    }
+
     /// A cache of capacity 0 holds nothing, so a write goes straight to
     /// the device instead of being dropped.
     #[test]

@@ -54,7 +54,9 @@ fn run_workload(layout: LayoutChoice, cache: Option<CacheConfig>) -> (Vec<u64>, 
     }
     let flushed = m.flush_all().expect("flush");
     bits.push(flushed.total_io_ms.to_bits());
-    bits.push(m.volume().merged_stats().total_ms.to_bits());
+    let clock_ms = m.volume().with_device(0, |d| d.state().time_ms);
+    bits.push(clock_ms.expect("device 0").to_bits());
+    bits.push(m.volume().stats(0).expect("device 0").requests);
     (bits, payload)
 }
 
@@ -156,7 +158,8 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
         .expect("create");
     m.load("t").expect("load");
-    let io_before = m.volume().merged_stats().total_ms;
+    let requests = |m: &StorageManager| m.volume().stats(0).expect("device 0").requests;
+    let requests_before = requests(&m);
 
     // Three inserts on distinct cells: three dirty pages, no flush yet.
     for x in 0..3 {
@@ -164,8 +167,8 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     }
     assert_eq!(m.cache(0).expect("cache").writeback_pending(), 3);
     assert_eq!(
-        m.volume().merged_stats().total_ms,
-        io_before,
+        requests(&m),
+        requests_before,
         "inserts below the batch threshold must not touch the disk"
     );
     assert_eq!(m.cache_metrics().counter_value(Counter::WritebackFlush), 0);
@@ -173,7 +176,7 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     // The fourth crosses the threshold: one batch of four writes.
     m.insert("t", &[3, 0, 0]).expect("insert");
     assert_eq!(m.cache(0).expect("cache").writeback_pending(), 0);
-    assert!(m.volume().merged_stats().total_ms > io_before);
+    assert_eq!(requests(&m), requests_before + 4);
     let metrics = m.cache_metrics();
     assert_eq!(metrics.counter_value(Counter::WritebackFlush), 1);
     assert_eq!(metrics.counter_value(Counter::RequestsServiced), 4);

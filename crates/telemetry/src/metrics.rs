@@ -4,19 +4,19 @@ use crate::tally::Tally;
 
 /// Declares one observation enum from its single table: each row is a
 /// variant, its doc comment and its stable snake_case name. `ALL`,
-/// `name()` and the storage index all derive from the row order, so
+/// `name()`, `doc()` and the storage index all derive from the row, so
 /// adding an observation is a one-row edit.
 macro_rules! schema {
     (
         $(#[$meta:meta])*
         pub enum $name:ident {
-            $( $(#[$vmeta:meta])* $variant:ident => $snake:literal, )+
+            $( $(#[doc = $doc:literal])* $variant:ident => $snake:literal, )+
         }
     ) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         pub enum $name {
-            $( $(#[$vmeta])* $variant, )+
+            $( $(#[doc = $doc])* $variant, )+
         }
 
         impl $name {
@@ -27,6 +27,13 @@ macro_rules! schema {
             pub fn name(self) -> &'static str {
                 match self {
                     $( $name::$variant => $snake, )+
+                }
+            }
+
+            /// The variant's doc comment, one source line per line.
+            pub fn doc(self) -> &'static str {
+                match self {
+                    $( $name::$variant => concat!($($doc, "\n"),*), )+
                 }
             }
 
@@ -86,13 +93,15 @@ impl Phase {
 }
 
 schema! {
-    /// Event counters on the service path.
+    /// Event counters on the service path. Each row's doc comment is its
+    /// row in `docs/observability.md`'s counter table, word for word.
     pub enum Counter {
-        /// Retired: the scheduler's per-round seek memo is gone, so nothing
-        /// records this counter and it always reads zero. The name stays
-        /// until the repo benchmark stops reading it.
+        /// **Retired, always 0**: the scheduler's per-round seek memo was
+        /// deleted (`docs/performance.md`, decision-path budget), so
+        /// nothing records it. The name stays until the repo benchmark's
+        /// `disksim.seek_memo_hit_rate`, which reads 0, is dropped.
         SeekMemoHit => "seek_memo_hit",
-        /// Retired, always zero (see [`Counter::SeekMemoHit`]).
+        /// **Retired, always 0**, like `SeekMemoHit`.
         SeekMemoMiss => "seek_memo_miss",
         /// Region translations served from the shared flat-table cache.
         TranslationCacheHit => "translation_cache_hit",
@@ -104,48 +113,64 @@ schema! {
         /// Transitions that settled within the adjacency plateau
         /// (semi-sequential hops).
         AdjacencyHop => "adjacency_hop",
-        /// Transitions that paid a real seek.
+        /// Transitions that paid a real seek, beyond the settle plateau.
         SeekTransition => "seek_transition",
         /// Requests that continued the previous read-ahead stream.
         PrefetchHit => "prefetch_hit",
         /// Requests serviced.
         RequestsServiced => "requests_serviced",
-        /// Injected transient (timeout) faults observed on the service path.
+        /// Injected transient (timeout) faults the injector fired on the
+        /// service path.
         TransientFault => "transient_fault",
-        /// Injected hard media errors observed on the service path.
+        /// Injected hard media errors the injector fired on the service
+        /// path.
         MediaFault => "media_fault",
-        /// Injected slow-read tail-latency events observed.
+        /// Injected slow-read tail-latency events the injector fired on
+        /// the service path.
         SlowRead => "slow_read",
-        /// Retries issued by the recovery path (one per transient, with the
-        /// bounded-retry policy — the conformance sweep checks equality).
+        /// Recovery re-issues after a transient timeout: one per transient
+        /// under the bounded-retry policy.
         RetryAttempt => "retry_attempt",
-        /// Hard-failed blocks remapped into a track's spare region.
+        /// Hard-failed blocks remapped into a track's spare region after a
+        /// media error.
         BadBlockRemap => "bad_block_remap",
-        /// Rotational-band passes entered by the incremental SPTF selector
-        /// (one per cylinder bucket and positioning class it could not
-        /// prune); zero when batches ran on the linear reference scan.
+        /// Rotational-band passes the incremental SPTF selector entered:
+        /// one per *cylinder* bucket and positioning class (the head's
+        /// surface, or any other) that neither the walk's seek floor nor
+        /// the bucket's own bound could prune. The two classes share one
+        /// pass wherever their positioning times are the same float (every
+        /// distance of at least 1 on both evaluation drives), so a window
+        /// spread over the settle plateau costs a pass per pending
+        /// cylinder, not per pending track; zero when a batch took the
+        /// reference scan.
         SptfBucketScan => "sptf_bucket_scan",
-        /// Candidate service-time estimates evaluated during SPTF selection
-        /// (reference scan: every pending request per serve; incremental
-        /// selector: only candidates its pruning bounds cannot exclude).
+        /// Exact service-time estimates evaluated during SPTF selection:
+        /// every pending request per serve on the reference scan, only the
+        /// candidates its pruning bounds cannot exclude on the incremental
+        /// selector (`docs/performance.md` has the semantics).
         SptfCandidateExamined => "sptf_candidate_examined",
-        /// Incremental selector structure repairs (admissions + removals).
+        /// Incremental-selector index mutations (admissions plus
+        /// removals); zero when a batch took the reference scan.
         SptfSelectorRepair => "sptf_selector_repair",
-        /// Page-cache probes answered from a resident page (no disk I/O).
+        /// Page-cache probes answered from a resident page (no device
+        /// I/O).
         PageCacheHit => "page_cache_hit",
         /// Page-cache probes that fell through to a demand read.
         PageCacheMiss => "page_cache_miss",
-        /// Pages fetched speculatively by the cache's prefetcher (batched
-        /// with the demand reads, riding the same scheduler).
+        /// Pages fetched speculatively by the cache's prefetcher, batched
+        /// with the demand reads and riding the same scheduler.
         CachePrefetchIssued => "cache_prefetch_issued",
-        /// First hit on a page the prefetcher brought in — a prefetch that
-        /// paid off. Never exceeds [`Counter::CachePrefetchIssued`].
+        /// First hit on a page the prefetcher brought in: a prefetch that
+        /// paid off. Never exceeds `CachePrefetchIssued`.
         CachePrefetchUsed => "cache_prefetch_used",
-        /// Write-back flushes, one per drained batch of dirty pages.
+        /// Write-back flushes, one per drained batch of dirty pages, in the
+        /// device's own write-back order.
         WritebackFlush => "writeback_flush",
-        /// Neighbor-track rewrites an IMR backend performed to preserve
-        /// interlaced top tracks across bottom-track writes (read-modify-
-        /// write amplification observed by the store's write-back flush).
+        /// Neighbour-track rewrites an IMR backend performed to keep
+        /// interlaced top tracks intact across bottom-track writes
+        /// (read-modify-write amplification), recorded by the store's one
+        /// flush on every backend and zero off IMR; the device's own count
+        /// is `AccessStats::neighbor_rewrites` (`docs/backends.md`).
         NeighborRewrite => "neighbor_rewrite",
     }
 }
@@ -344,27 +369,33 @@ mod tests {
         assert_eq!(Counter::NeighborRewrite.name(), "neighbor_rewrite");
     }
 
-    /// `docs/observability.md` documents every counter and phase: a
-    /// variant added to a schema table without a doc row fails here.
+    /// `docs/observability.md`'s counter table is the schema's: one row
+    /// per counter, in schema order, whose text is the counter's doc
+    /// comment on one line. Its phase table names every phase.
     #[test]
     fn the_doc_tables_list_the_schema() {
         let doc = include_str!("../../../docs/observability.md");
-        let table_of = |heading: &str| -> String {
+        // A table's body rows, header and separator skipped.
+        let table_of = |heading: &str| -> Vec<&str> {
             let section = doc
                 .split(heading)
                 .nth(1)
                 .unwrap_or_else(|| panic!("no {heading:?} section"));
             let section = section.split("\n## ").next().unwrap();
-            section.lines().filter(|l| l.starts_with('|')).collect()
+            section
+                .lines()
+                .filter(|l| l.starts_with('|'))
+                .skip(2)
+                .collect()
         };
         let counters = table_of("\n## Counters\n");
-        for c in Counter::ALL {
-            assert!(
-                counters.contains(&format!("`{c:?}`")),
-                "Counters table lacks {c:?}"
-            );
+        assert_eq!(counters.len(), Counter::ALL.len(), "one row per counter");
+        for (row, c) in counters.iter().zip(Counter::ALL) {
+            let text: Vec<&str> = c.doc().lines().map(str::trim).collect();
+            let expected = format!("| `{c:?}` | {} |", text.join(" "));
+            assert_eq!(*row, expected, "the Counters row of {c:?}");
         }
-        let phases = table_of("\n## Phase decomposition\n");
+        let phases = table_of("\n## Phase decomposition\n").concat();
         for p in Phase::ALL {
             assert!(
                 phases.contains(&format!("`{p:?}`")),

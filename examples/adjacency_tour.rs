@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example adjacency_tour`
 
-use multimap::disksim::{adjacent_lbn, profiles, semi_sequential_path, DiskSim, Request};
+use multimap::disksim::{
+    adjacent_lbn, profiles, semi_sequential_path, DeviceModel, Discipline, DiskSim, Request,
+};
 
 fn main() {
     for geom in profiles::evaluation_disks() {
@@ -36,36 +38,27 @@ fn main() {
             );
         }
 
-        // Access-time hierarchy over 200 single-block reads.
-        let mut sim = DiskSim::new(geom.clone());
-        sim.service(Request::single(0)).unwrap();
-        sim.reset_stats();
-        for lbn in 1..=200u64 {
-            sim.service(Request::single(lbn)).unwrap();
-        }
-        let seq = sim.stats().per_block_ms();
-
-        let path = semi_sequential_path(&geom, 0, 1, 201);
-        let mut sim = DiskSim::new(geom.clone());
-        sim.service(Request::single(path[0])).unwrap();
-        sim.reset_stats();
-        for &lbn in &path[1..] {
-            sim.service(Request::single(lbn)).unwrap();
-        }
-        let semi = sim.stats().per_block_ms();
-
-        let mut sim = DiskSim::new(geom.clone());
-        sim.service(Request::single(0)).unwrap();
-        sim.reset_stats();
+        // Access-time hierarchy over 200 single-block reads, each
+        // pattern served in order after its first block places the head.
+        let per_block_ms = |lbns: &[u64]| {
+            let mut sim = DiskSim::new(geom.clone());
+            sim.service(Request::single(lbns[0])).unwrap();
+            let rest: Vec<Request> = lbns[1..].iter().map(|&l| Request::single(l)).collect();
+            sim.service_batch(&rest, Discipline::InOrder)
+                .unwrap()
+                .per_block_ms()
+        };
+        let seq = per_block_ms(&(0..=200u64).collect::<Vec<_>>());
+        let semi = per_block_ms(&semi_sequential_path(&geom, 0, 1, 201));
         let mut x: u64 = 0x853c49e6748fea9b;
+        let mut random = vec![0];
         for _ in 0..200 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            sim.service(Request::single(x % geom.total_blocks()))
-                .unwrap();
+            random.push(x % geom.total_blocks());
         }
-        let random = sim.stats().per_block_ms();
+        let random = per_block_ms(&random);
 
         println!("  access hierarchy (ms/block):");
         println!("    sequential      {seq:>7.3}");
