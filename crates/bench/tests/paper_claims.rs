@@ -1,15 +1,19 @@
-//! Every verdict EXPERIMENTS.md states, asserted over the pinned quick
+//! Every verdict EXPERIMENTS.md states, asserted over the pinned
 //! tables. No claim simulates: each reads `results/quick/*.tsv`, which
-//! `results_pin.rs` holds equal to `run_figure`. The one exception is
-//! the last test, the executor precondition the comparisons rest on. A claim is an ordering or a band, one `#[test]` each,
-//! and its failure names the EXPERIMENTS.md section that states it.
-//! Where a quick table disagrees with the paper, the claim pins the
-//! quick ordering and the section says so; the change that fixes the
+//! `results_pin.rs` holds equal to `run_figure`, or `results/paper/*.tsv`,
+//! which CI regenerates and holds byte-identical. The one exception is
+//! the last test, the executor precondition the comparisons rest on. A
+//! claim is an ordering or a band, one `#[test]` each, and its failure
+//! names the EXPERIMENTS.md section that states it. Where a quick table
+//! disagrees with the paper, the claim pins the quick ordering and the
+//! section says so; where the two scales disagree, a named divergence
+//! test pins the paper-scale ordering. The change that fixes a
 //! divergence flips the assertion and the prose together.
 
 use std::path::Path;
 
 use multimap_bench::backends::READ_BACKENDS;
+use multimap_bench::Scale::{self, Paper, Quick};
 use multimap_bench::Table;
 use multimap_disksim::BACKEND_NAMES;
 
@@ -32,9 +36,15 @@ struct Cell {
 }
 
 impl Pinned {
-    /// `results/quick/<name>.tsv`, read for the claims of `section`.
-    fn load(name: &str, section: &'static str) -> Self {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick");
+    /// `results/<scale>/<name>.tsv`, read for the claims of `section`.
+    fn load(scale: Scale, name: &str, section: &'static str) -> Self {
+        let dir = match scale {
+            Quick => "quick",
+            Paper => "paper",
+        };
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(dir);
         let path = path.join(format!("{name}.tsv"));
         let table = Table::load_tsv(&path, name).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         Pinned { table, section }
@@ -85,6 +95,16 @@ impl Cell {
         );
     }
 
+    /// Asserts the cell is strictly below `bound`.
+    fn under(&self, bound: f64) {
+        assert!(
+            self.value < bound,
+            "{}: {} is not below {bound}",
+            self.section,
+            self.what
+        );
+    }
+
     /// Asserts the cell is strictly above `bound`.
     fn above(&self, bound: f64) {
         assert!(
@@ -109,7 +129,7 @@ impl Cell {
 /// more than 4x at full stroke.
 #[test]
 fn profile_has_plateau_then_growth() {
-    let p = Pinned::load("fig1_seek_profile", "EXPERIMENTS.md §Figure 1(a)");
+    let p = Pinned::load(Quick, "fig1_seek_profile", "EXPERIMENTS.md §Figure 1(a)");
     let distances = p.keys();
     for disk in DISKS {
         let seek = |d: &str| p.at(&[d], disk);
@@ -128,7 +148,7 @@ const FIG6A: &str = "EXPERIMENTS.md §Figure 6(a)";
 
 #[test]
 fn multimap_matches_naive_streaming_on_dim0() {
-    let p = Pinned::load("fig6a_synthetic_beams", FIG6A);
+    let p = Pinned::load(Quick, "fig6a_synthetic_beams", FIG6A);
     for disk in DISKS {
         p.at(&[disk, "Naive"], "Dim0").within(0.0, 0.2);
         p.at(&[disk, "MultiMap"], "Dim0")
@@ -141,7 +161,7 @@ fn multimap_matches_naive_streaming_on_dim0() {
 /// hop, no extra seek) and pay the difference in rotational wait.
 #[test]
 fn multimap_dim0_beams_pay_rotation_not_boundary_jumps() {
-    let p = Pinned::load("fig6a_phases", FIG6A);
+    let p = Pinned::load(Quick, "fig6a_phases", FIG6A);
     for disk in DISKS {
         let at = |m: &str, col: &str| p.at(&[disk, m, "Dim0"], col);
         for col in ["requests", "sequential", "hops", "seeks"] {
@@ -155,7 +175,7 @@ fn multimap_dim0_beams_pay_rotation_not_boundary_jumps() {
 
 #[test]
 fn curves_lose_dim0_scans_by_an_order_of_magnitude() {
-    let p = Pinned::load("fig6a_synthetic_beams", FIG6A);
+    let p = Pinned::load(Quick, "fig6a_synthetic_beams", FIG6A);
     for (disk, curve) in DISKS.map(|d| CURVES.map(|c| (d, c))).concat() {
         p.at(&[disk, "Naive"], "Dim0")
             .below(0.1, &p.at(&[disk, curve], "Dim0"));
@@ -164,7 +184,7 @@ fn curves_lose_dim0_scans_by_an_order_of_magnitude() {
 
 #[test]
 fn multimap_wins_nonprimary_beams() {
-    let p = Pinned::load("fig6a_synthetic_beams", FIG6A);
+    let p = Pinned::load(Quick, "fig6a_synthetic_beams", FIG6A);
     for (disk, dim) in DISKS.map(|d| [(d, "Dim1"), (d, "Dim2")]).concat() {
         for rival in ["Naive", "Hilbert"] {
             p.at(&[disk, "MultiMap"], dim)
@@ -177,8 +197,8 @@ fn multimap_wins_nonprimary_beams() {
 /// cell, far below half a revolution: 3 ms at the drives' 10 000 rpm.
 #[test]
 fn multimap_nonprimary_beams_are_settle_bound() {
-    let p = Pinned::load("fig6a_synthetic_beams", FIG6A);
-    let seek = Pinned::load("fig1_seek_profile", FIG6A);
+    let p = Pinned::load(Quick, "fig6a_synthetic_beams", FIG6A);
+    let seek = Pinned::load(Quick, "fig1_seek_profile", FIG6A);
     for (disk, dim) in DISKS.map(|d| [(d, "Dim1"), (d, "Dim2")]).concat() {
         let settle = seek.at(&["1"], disk).value;
         p.at(&[disk, "MultiMap"], dim).within(0.9 * settle, 3.0);
@@ -192,7 +212,7 @@ const CURVE_SPEEDUPS: [&str; 2] = ["zorder_speedup", "hilbert_speedup"];
 
 #[test]
 fn multimap_beats_naive_at_the_lowest_selectivity() {
-    let p = Pinned::load("fig6b_synthetic_ranges", FIG6B);
+    let p = Pinned::load(Quick, "fig6b_synthetic_ranges", FIG6B);
     for disk in DISKS {
         p.at(&[disk, "0.01"], "multimap_speedup").above(1.0);
     }
@@ -202,10 +222,23 @@ fn multimap_beats_naive_at_the_lowest_selectivity() {
 /// than the grid (the paper-scale table has them behind at 10–40 %).
 #[test]
 fn curves_beat_naive_below_full_selectivity() {
-    let p = Pinned::load("fig6b_synthetic_ranges", FIG6B);
+    let p = Pinned::load(Quick, "fig6b_synthetic_ranges", FIG6B);
     for (disk, col) in DISKS.map(|d| CURVE_SPEEDUPS.map(|c| (d, c))).concat() {
         for sel in &SELECTIVITIES[..5] {
             p.at(&[disk, sel], col).above(1.0);
+        }
+    }
+}
+
+/// Scale divergence from `curves_beat_naive_below_full_selectivity`: at
+/// paper scale both curves trail Naive on every box from 5 to 80 % on
+/// both drives.
+#[test]
+fn paper_scale_curves_trail_naive_from_5_to_80_pct() {
+    let p = Pinned::load(Paper, "fig6b_synthetic_ranges", FIG6B);
+    for (disk, col) in DISKS.map(|d| CURVE_SPEEDUPS.map(|c| (d, c))).concat() {
+        for sel in ["5", "10", "20", "40", "60", "80"] {
+            p.at(&[disk, sel], col).under(1.0);
         }
     }
 }
@@ -214,7 +247,7 @@ fn curves_beat_naive_below_full_selectivity() {
 /// both at every selectivity from 0.1 %.
 #[test]
 fn multimap_trails_both_curves_from_0_1_pct() {
-    let p = Pinned::load("fig6b_synthetic_ranges", FIG6B);
+    let p = Pinned::load(Quick, "fig6b_synthetic_ranges", FIG6B);
     for (disk, col) in DISKS.map(|d| CURVE_SPEEDUPS.map(|c| (d, c))).concat() {
         for sel in &SELECTIVITIES[1..] {
             p.at(&[disk, sel], "multimap_speedup")
@@ -227,7 +260,7 @@ fn multimap_trails_both_curves_from_0_1_pct() {
 /// Naive's time, and MultiMap within 2x of it.
 #[test]
 fn full_scans_converge_within_2x_of_naive() {
-    let p = Pinned::load("fig6b_synthetic_ranges", FIG6B);
+    let p = Pinned::load(Quick, "fig6b_synthetic_ranges", FIG6B);
     for (disk, col) in DISKS.map(|d| CURVE_SPEEDUPS.map(|c| (d, c))).concat() {
         p.at(&[disk, "100"], col).within(1.0, 1.0);
         p.at(&[disk, "100"], "multimap_speedup").within(0.5, 2.0);
@@ -239,7 +272,7 @@ fn full_scans_converge_within_2x_of_naive() {
 /// widen MultiMap's lead.
 #[test]
 fn fifo_service_does_not_widen_multimaps_lead() {
-    let p = Pinned::load("ablation_1", "EXPERIMENTS.md §Figure 6(b), cause 1");
+    let p = Pinned::load(Quick, "ablation_1", "EXPERIMENTS.md §Figure 6(b), cause 1");
     p.at(&["1"], "Naive").below(1.0, &p.at(&["1"], "MultiMap"));
 }
 
@@ -248,7 +281,11 @@ fn fifo_service_does_not_widen_multimaps_lead() {
 /// the settle plateau — costs the track-waste term leaves out.
 #[test]
 fn full_scans_cost_multimap_requests_and_seeks() {
-    let p = Pinned::load("fig6b_phases", "EXPERIMENTS.md §Figure 6(b), cause 2");
+    let p = Pinned::load(
+        Quick,
+        "fig6b_phases",
+        "EXPERIMENTS.md §Figure 6(b), cause 2",
+    );
     for disk in DISKS {
         let full = |m: &str, col: &str| p.at(&[disk, m, "100"], col);
         full("Naive", "requests").below(0.001, &full("MultiMap", "requests"));
@@ -261,7 +298,11 @@ fn full_scans_cost_multimap_requests_and_seeks() {
 /// stays within that gap on Y and wins Z by more than 2x.
 #[test]
 fn earthquake_beams_favor_multimap_on_y_and_z() {
-    let p = Pinned::load("fig7a_earthquake_beams", "EXPERIMENTS.md §Figure 7(a)");
+    let p = Pinned::load(
+        Quick,
+        "fig7a_earthquake_beams",
+        "EXPERIMENTS.md §Figure 7(a)",
+    );
     for disk in DISKS {
         p.at(&[disk, "MultiMap"], "Y")
             .below(2.5, &p.at(&[disk, "Naive"], "Y"));
@@ -275,7 +316,11 @@ fn earthquake_beams_favor_multimap_on_y_and_z() {
 /// is best from 0.003 %).
 #[test]
 fn earthquake_ranges_rank_naive_multimap_hilbert_zorder_from_0_05_pct() {
-    let p = Pinned::load("fig7b_earthquake_ranges", "EXPERIMENTS.md §Figure 7(b)");
+    let p = Pinned::load(
+        Quick,
+        "fig7b_earthquake_ranges",
+        "EXPERIMENTS.md §Figure 7(b)",
+    );
     for (disk, sel) in DISKS.map(|d| [(d, "0.05"), (d, "0.1")]).concat() {
         for pair in ["Naive", "MultiMap", "Hilbert", "Z-order"].windows(2) {
             p.at(&[disk, sel], pair[0])
@@ -284,13 +329,41 @@ fn earthquake_ranges_rank_naive_multimap_hilbert_zorder_from_0_05_pct() {
     }
 }
 
+/// Scale divergence from the quick ranking above: at paper scale
+/// MultiMap has the lowest total at 0.003, 0.05 and 0.1 % on both drives
+/// and at 0.01 % on the Atlas, but Hilbert leads the Cheetah's 0.01 %
+/// row.
+#[test]
+fn paper_scale_multimap_leads_earthquake_ranges_but_the_cheetahs_0_01_pct() {
+    let p = Pinned::load(
+        Paper,
+        "fig7b_earthquake_ranges",
+        "EXPERIMENTS.md §Figure 7(b)",
+    );
+    let leads = |disk: &str, sel: &str, leader: &str| {
+        for other in MAPPINGS.iter().filter(|&&m| m != leader) {
+            p.at(&[disk, sel], leader)
+                .below(1.0, &p.at(&[disk, sel], other));
+        }
+    };
+    for (disk, sel) in DISKS
+        .map(|d| [(d, "0.003"), (d, "0.05"), (d, "0.1")])
+        .concat()
+    {
+        leads(disk, sel, "MultiMap");
+    }
+    let [atlas, cheetah] = DISKS;
+    leads(atlas, "0.01", "MultiMap");
+    leads(cheetah, "0.01", "Hilbert");
+}
+
 const FIG8: &str = "EXPERIMENTS.md §Figure 8";
 
 /// Q1 (major-order beam): MultiMap within 3x of Naive's streaming, the
 /// curves more than 5x behind it.
 #[test]
 fn olap_q1_naive_and_multimap_stream_the_major_order() {
-    let p = Pinned::load("fig8_olap_queries", FIG8);
+    let p = Pinned::load(Quick, "fig8_olap_queries", FIG8);
     for (disk, curve) in DISKS.map(|d| CURVES.map(|c| (d, c))).concat() {
         let q1 = |m: &str| p.at(&[disk, m], "Q1");
         q1("MultiMap").below(3.0, &q1("Naive"));
@@ -301,7 +374,7 @@ fn olap_q1_naive_and_multimap_stream_the_major_order() {
 /// Q2 (nation beam): MultiMap best, Naive worst.
 #[test]
 fn olap_q2_multimap_best_naive_worst() {
-    let p = Pinned::load("fig8_olap_queries", FIG8);
+    let p = Pinned::load(Quick, "fig8_olap_queries", FIG8);
     for (disk, curve) in DISKS.map(|d| CURVES.map(|c| (d, c))).concat() {
         let q2 = |m: &str| p.at(&[disk, m], "Q2");
         q2("MultiMap").below(1.0, &q2(curve));
@@ -312,7 +385,7 @@ fn olap_q2_multimap_best_naive_worst() {
 /// Q3 and Q4: both curves slower than both Naive and MultiMap.
 #[test]
 fn olap_q3_q4_curves_trail_naive_and_multimap() {
-    let p = Pinned::load("fig8_olap_queries", FIG8);
+    let p = Pinned::load(Quick, "fig8_olap_queries", FIG8);
     for (disk, curve) in DISKS.map(|d| CURVES.map(|c| (d, c))).concat() {
         for (q, m) in [
             ("Q3", "Naive"),
@@ -329,7 +402,7 @@ fn olap_q3_q4_curves_trail_naive_and_multimap() {
 /// are ahead of it.
 #[test]
 fn olap_q5_curves_ahead_of_multimap() {
-    let p = Pinned::load("fig8_olap_queries", FIG8);
+    let p = Pinned::load(Quick, "fig8_olap_queries", FIG8);
     for (disk, curve) in DISKS.map(|d| CURVES.map(|c| (d, c))).concat() {
         p.at(&[disk, curve], "Q5")
             .below(1.0, &p.at(&[disk, "MultiMap"], "Q5"));
@@ -341,6 +414,7 @@ fn olap_q5_curves_ahead_of_multimap() {
 #[test]
 fn model_tracks_simulator_within_2x() {
     let p = Pinned::load(
+        Quick,
         "model_validation",
         "EXPERIMENTS.md §Analytical model validation",
     );
@@ -356,7 +430,7 @@ fn model_tracks_simulator_within_2x() {
 }
 
 fn ablation(i: usize) -> Pinned {
-    Pinned::load(&format!("ablation_{i}"), "EXPERIMENTS.md §Ablations")
+    Pinned::load(Quick, &format!("ablation_{i}"), "EXPERIMENTS.md §Ablations")
 }
 
 /// Issued in ascending-LBN order with TCQ, a 1 % range costs at most
@@ -464,7 +538,7 @@ fn full_sptf_no_worse_than_queued_at_beam_scale() {
 /// strictly below Naive's, for every (tenants, policy) cell.
 #[test]
 fn multimap_keeps_its_tail_advantage_over_naive_on_disk() {
-    let p = Pinned::load("serving_sweep", "EXPERIMENTS.md §Serving sweep");
+    let p = Pinned::load(Quick, "serving_sweep", "EXPERIMENTS.md §Serving sweep");
     for (tenants, policy) in ["4", "8"]
         .map(|t| ["fifo", "edf", "weighted"].map(|p| (t, p)))
         .concat()
@@ -482,7 +556,7 @@ const BACKENDS: &str = "EXPERIMENTS.md §Backend matrix";
 /// times and the mapping's one payload checksum.
 #[test]
 fn matrix_covers_backends_times_mappings_with_matching_payloads() {
-    let p = Pinned::load("backend_matrix", BACKENDS);
+    let p = Pinned::load(Quick, "backend_matrix", BACKENDS);
     assert_eq!(
         p.table.rows.len(),
         READ_BACKENDS.len() * MAPPINGS.len(),
@@ -505,7 +579,7 @@ fn matrix_covers_backends_times_mappings_with_matching_payloads() {
 /// rotating disk.
 #[test]
 fn naive_beats_multimap_beams_when_dim0_is_shorter_than_a_track() {
-    let p = Pinned::load("backend_matrix", BACKENDS);
+    let p = Pinned::load(Quick, "backend_matrix", BACKENDS);
     p.at(&["disk", "Naive"], "beam_ms")
         .below(1.0, &p.at(&["disk", "MultiMap"], "beam_ms"));
 }
@@ -514,7 +588,7 @@ fn naive_beats_multimap_beams_when_dim0_is_shorter_than_a_track() {
 /// rewrites neighbours.
 #[test]
 fn only_the_imr_backend_amplifies_the_write_sweep() {
-    let p = Pinned::load("backend_write_sweep", BACKENDS);
+    let p = Pinned::load(Quick, "backend_write_sweep", BACKENDS);
     assert_eq!(p.keys(), BACKEND_NAMES, "{BACKENDS}");
     for backend in BACKEND_NAMES {
         let rewrites = p.at(&[backend], "neighbor_rewrites");
@@ -532,7 +606,11 @@ fn only_the_imr_backend_amplifies_the_write_sweep() {
 /// memory.
 #[test]
 fn adjacency_beats_sequential_readahead_for_every_mapping() {
-    let p = Pinned::load("page_cache_sweep", "EXPERIMENTS.md §Page-cache sweep");
+    let p = Pinned::load(
+        Quick,
+        "page_cache_sweep",
+        "EXPERIMENTS.md §Page-cache sweep",
+    );
     let hits = |m: &str, prefetch: &str| p.at(&[m, prefetch, "1024"], "hit_rate");
     for m in MAPPINGS {
         hits(m, "sequential").below(1.0, &hits(m, "adjacency"));
@@ -544,7 +622,7 @@ fn adjacency_beats_sequential_readahead_for_every_mapping() {
 /// fault-free payload back.
 #[test]
 fn every_mapping_recovers_its_payload_at_a_cost() {
-    let p = Pinned::load("fault_overhead", "EXPERIMENTS.md §Degraded mode");
+    let p = Pinned::load(Quick, "fault_overhead", "EXPERIMENTS.md §Degraded mode");
     assert_eq!(
         p.keys(),
         ["Naive", "Z-order", "Hilbert", "MultiMap", "all"],

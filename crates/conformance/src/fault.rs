@@ -15,7 +15,8 @@
 //!   agree exactly at every layer: the injector's own counts, the LVM
 //!   recovery stats, the telemetry sink's counters, and a pure replay
 //!   of the transient schedule ([`FaultPlan::count_transients`]) over
-//!   the number of commands actually issued.
+//!   the number of commands actually issued. The sink's `Recovery`
+//!   phase equals the recovery time the faulted run's events carry.
 //!
 //! The faulted run's event log also goes through the physics oracle,
 //! which checks faulted events against the fault-tolerant invariant
@@ -27,9 +28,9 @@ use multimap_core::{BoxRegion, Coord, GridSpec};
 use multimap_disksim::{DiskGeometry, FaultCounts, FaultPlan};
 use multimap_lvm::{DeviceVolume, LogicalVolume, RecoveryStats};
 use multimap_query::{QueryError, QueryResult};
-use multimap_telemetry::{Counter, Metrics};
+use multimap_telemetry::{Counter, Metrics, Phase};
 
-use crate::differential::standard_mappings;
+use crate::differential::{standard_mappings, TELEMETRY_SUM_EPS_MS};
 use crate::matrix::run_observed;
 use crate::oracle::{check_log, OracleReport};
 
@@ -54,6 +55,9 @@ pub struct FaultRow {
     pub oracle: OracleReport,
     /// Telemetry the faulted query recorded.
     pub metrics: Metrics,
+    /// The faulted run's positive `FaultOutcome::recovery_ms`, summed
+    /// over its event log.
+    pub recovery_ms: f64,
 }
 
 /// Run one query region through all four standard mappings, once on a
@@ -83,6 +87,13 @@ pub fn fault_query(
             clean,
             faulted: faulted.total(),
             oracle: check_log(geom, &faulted.log),
+            recovery_ms: faulted
+                .log
+                .events()
+                .iter()
+                .map(|e| e.fault.recovery_ms)
+                .filter(|&ms| ms > 0.0)
+                .sum(),
             metrics: faulted.merged(),
             cells: faulted.cells,
             stats: volume.recovery_stats(),
@@ -96,7 +107,8 @@ pub fn fault_query(
 /// Run [`fault_query`] and verify the fault-conformance contract for
 /// every mapping: byte-identical payloads, a clean oracle verdict, and
 /// exact counter reconciliation across injector, recovery path,
-/// telemetry and the pure schedule replay.
+/// telemetry and the pure schedule replay, and the `Recovery` phase
+/// against the event log.
 pub fn check_fault_plan(
     geom: &DiskGeometry,
     grid: &GridSpec,
@@ -190,6 +202,14 @@ pub fn check_fault_plan(
                 ));
             }
         }
+        let recovery = r.metrics.phase_tally(Phase::Recovery).sum_ms();
+        if (recovery - r.recovery_ms).abs() > TELEMETRY_SUM_EPS_MS {
+            return Err(format!(
+                "{label}: telemetry tallied {recovery} ms of recovery, \
+                 the faulted events carry {} ms",
+                r.recovery_ms
+            ));
+        }
     }
     Ok(())
 }
@@ -245,6 +265,7 @@ mod tests {
             assert!(r.stats.transients > 0, "{}: no transients fired", r.mapping);
             assert_eq!(r.stats.media_errors, 1, "{}", r.mapping);
             assert_eq!(r.remaps, 1, "{}", r.mapping);
+            assert!(r.recovery_ms > 0.0, "{}: no recovery time", r.mapping);
             assert!(
                 r.faulted.total_io_ms > r.clean.total_io_ms,
                 "{}: recovery must cost simulated time",

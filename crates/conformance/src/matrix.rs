@@ -18,6 +18,12 @@
 //! every prefetch use pairs with an issued prefetch); and a cache that
 //! never hit and never prefetched leaves every result bit-identical.
 //!
+//! Event log (both columns): every phase the executor's sink tallied
+//! equals the matching component of the logged events — `seek_ms`
+//! under `Seek` or `Settle` by the device's own classification — and
+//! the transition counters equal the events so classified
+//! ([`check_event_phases`]).
+//!
 //! Device-specific (both columns), by the [`PhaseIdentity`] each
 //! backend declares: on an event-sum device (the rotating disk; IMR,
 //! whose read path is the disk's) the phase tally sums reconstruct each
@@ -32,12 +38,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use multimap_core::{BoxRegion, Coord, GridSpec, Mapping};
 use multimap_disksim::{
-    AccessStats, DeviceModel, DiskGeometry, PhaseIdentity, ServiceLog, BACKEND_NAMES,
+    AccessStats, DeviceModel, DiskGeometry, PhaseIdentity, ServiceEvent, ServiceLog, Transition,
+    BACKEND_NAMES,
 };
 use multimap_lvm::{backend_volume, DeviceVolume};
 use multimap_query::{BlockCache, QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
 use multimap_store::{CacheConfig, CacheStats, PageCache, PrefetchMode};
-use multimap_telemetry::{Counter, Metrics};
+use multimap_telemetry::{Counter, Metrics, Phase};
 
 use crate::differential::{check_telemetry, standard_mappings, TELEMETRY_SUM_EPS_MS};
 use crate::oracle::check_log;
@@ -48,7 +55,7 @@ pub type WorkloadQuery = (BoxRegion, bool);
 
 /// Everything one workload did on one volume, as the executor's
 /// observation hooks saw it.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Observed {
     /// The executor's measured result, one per workload query.
     pub results: Vec<QueryResult>,
@@ -59,6 +66,9 @@ pub struct Observed {
     pub cells: BTreeSet<Coord>,
     /// The full event log (for oracle and backend-specific audits).
     pub log: ServiceLog,
+    /// The device's own classification of each logged event
+    /// ([`DeviceModel::classify`]), in log order.
+    pub transitions: Vec<Transition>,
 }
 
 impl Observed {
@@ -105,6 +115,8 @@ pub fn run_observed<D: DeviceModel>(
         results.push(exec.execute(request)?);
         per_query.push(metrics);
     }
+    let transitions =
+        volume.with_device(0, |d| log.events().iter().map(|e| d.classify(e)).collect())?;
     let mut cells = BTreeSet::new();
     for e in log.events() {
         for lbn in e.request.lbn..e.request.end() {
@@ -118,6 +130,7 @@ pub fn run_observed<D: DeviceModel>(
         per_query,
         cells,
         log,
+        transitions,
     })
 }
 
@@ -197,6 +210,63 @@ pub fn matrix_query(
     outcomes.into_iter().collect()
 }
 
+/// Reconcile a workload's telemetry with its event log, phase by phase:
+/// each mechanical phase's tally (count and sum) equals the matching
+/// component over the logged events, `seek_ms` split by the device's
+/// classification of each event, and the transition counters equal the
+/// events so classified. Holds on every backend, whatever its
+/// [`PhaseIdentity`]: the sink records events, not batches.
+pub fn check_event_phases(label: &str, observed: &Observed) -> Result<(), String> {
+    type Keep = fn(Transition, &ServiceEvent) -> bool;
+    // Count and sum of `ms` over the events `keep` selects.
+    let over = |keep: Keep, ms: fn(&ServiceEvent) -> f64| {
+        let events = observed.transitions.iter().copied();
+        events
+            .zip(observed.log.events())
+            .filter(|&(t, e)| keep(t, e))
+            .fold((0u64, 0.0), |(n, sum), (_, e)| (n + 1, sum + ms(e)))
+    };
+    let every: Keep = |_, _| true;
+    let seek: Keep = |t, _| t == Transition::Seek;
+    let hop: Keep = |t, _| t == Transition::AdjacencyHop;
+    let merged = observed.merged();
+    for (phase, (count, sum_ms)) in [
+        (Phase::Overhead, over(every, |e| e.timing.overhead_ms)),
+        (Phase::Seek, over(seek, |e| e.timing.seek_ms)),
+        (Phase::Settle, over(hop, |e| e.timing.seek_ms)),
+        (Phase::Rotation, over(every, |e| e.timing.rotation_ms)),
+        (Phase::Transfer, over(every, |e| e.timing.transfer_ms)),
+    ] {
+        let tally = merged.phase_tally(phase);
+        if tally.count() != count || (tally.sum_ms() - sum_ms).abs() > TELEMETRY_SUM_EPS_MS {
+            return Err(format!(
+                "{label}: the sink tallied {} {} ms over {} events, \
+                 the event log holds {sum_ms} ms over {count}",
+                phase.name(),
+                tally.sum_ms(),
+                tally.count()
+            ));
+        }
+    }
+    for (counter, (count, _)) in [
+        (Counter::AdjacencyHop, over(hop, |_| 0.0)),
+        (Counter::SeekTransition, over(seek, |_| 0.0)),
+        (
+            Counter::PrefetchHit,
+            over(|_, e| e.is_prefetch_hit(), |_| 0.0),
+        ),
+    ] {
+        let recorded = merged.counter_value(counter);
+        if recorded != count {
+            return Err(format!(
+                "{label}: the sink counted {recorded} {}, the event log holds {count}",
+                counter.name()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Verify the device-specific contract of one cell: the identity its
 /// device declares, and its record against what the executor saw.
 fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), String> {
@@ -215,6 +285,7 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &MatrixOutcome) -> Result<(), S
             total.requests
         ));
     }
+    check_event_phases(&label, &o.observed)?;
     match o.identity {
         // Phases reconstruct each query's total exactly (cache hits
         // contribute zero), and the rotating mechanics obey the physics
@@ -510,6 +581,37 @@ mod tests {
         flagged("imr", "neighbor rewrites", |o| {
             o.stats.neighbor_rewrites = 1
         });
+    }
+
+    /// Each phase and transition-counter comparison against the event
+    /// log can fail: one more record tallied after the run is flagged,
+    /// by name, on a cell of every backend.
+    #[test]
+    fn tampered_phases_are_flagged() {
+        let geom = profiles::small();
+        let grid = grid();
+        let workload = [(BoxRegion::beam(&grid, 1, &[3, 0, 2]), true)];
+        let outcomes = matrix_query(&geom, &grid, &workload, &CacheConfig::default()).unwrap();
+        for o in outcomes.iter().filter(|o| !o.cached) {
+            check_event_phases(&o.label(), &o.observed).unwrap();
+            let tampered = |tamper: &dyn Fn(&mut Metrics), name: &str| {
+                let mut observed = o.observed.clone();
+                tamper(&mut observed.per_query[0]);
+                let err = check_event_phases(&o.label(), &observed).unwrap_err();
+                assert!(err.contains(name), "{}: {err}", o.label());
+            };
+            // Recovery is the faulted column's (`check_fault_plan`).
+            for phase in Phase::ALL.into_iter().filter(|&p| p != Phase::Recovery) {
+                tampered(&|m| m.phase(phase, 0.5), phase.name());
+            }
+            for counter in [
+                Counter::AdjacencyHop,
+                Counter::SeekTransition,
+                Counter::PrefetchHit,
+            ] {
+                tampered(&|m| m.counter(counter, 1), counter.name());
+            }
+        }
     }
 
     /// The cached column really exercises the cache: a repeated query

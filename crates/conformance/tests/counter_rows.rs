@@ -1,9 +1,10 @@
 //! Every row of telemetry's `Counter` schema either names the
 //! conformance check that reconciles it against an independent count,
-//! or says why it has none. The `match` below is exhaustive, so a row
-//! added to the schema without an arm here does not build.
+//! or says why it has none; every row of its `Phase` schema names its
+//! check. The `match`es below are exhaustive, so a row added to either
+//! schema without an arm here does not build.
 
-use multimap_telemetry::Counter;
+use multimap_telemetry::{Counter, Phase};
 
 /// How one counter row is held to account.
 enum Reconciled {
@@ -30,7 +31,7 @@ fn reconciliation(counter: Counter) -> Reconciled {
             Unchecked("selector work, counted only by the selector that does it")
         }
         Counter::AdjacencyHop | Counter::SeekTransition | Counter::PrefetchHit => {
-            Unchecked("the device's classification of an event, which has no second count")
+            By("check_event_phases")
         }
         Counter::RequestsServiced => By("check_backend_outcome"),
         Counter::TransientFault
@@ -45,6 +46,17 @@ fn reconciliation(counter: Counter) -> Reconciled {
         Counter::WritebackFlush | Counter::NeighborRewrite => {
             By("store_column_reconciles_on_every_backend")
         }
+    }
+}
+
+/// The check that reconciles one phase row. A phase partitions service
+/// time, so every row has one.
+fn phase_reconciliation(phase: Phase) -> &'static str {
+    match phase {
+        Phase::Overhead | Phase::Seek | Phase::Settle | Phase::Rotation | Phase::Transfer => {
+            "check_event_phases"
+        }
+        Phase::Recovery => "check_fault_plan",
     }
 }
 
@@ -67,19 +79,26 @@ fn body_of(name: &str) -> Option<&'static str> {
     })
 }
 
+/// Asserts that the check named `check` exists and its body reads
+/// `row` (`Counter::X` or `Phase::X`).
+fn assert_reads(check: &str, row: &str) {
+    let body = body_of(check).unwrap_or_else(|| panic!("{row}: no check `fn {check}` found"));
+    assert!(body.contains(row), "{row}: `{check}` does not read it");
+}
+
 #[test]
 fn every_counter_row_names_its_reconciliation() {
     for counter in Counter::ALL {
         match reconciliation(counter) {
-            Reconciled::By(check) => {
-                let body = body_of(check)
-                    .unwrap_or_else(|| panic!("{counter:?}: no check `fn {check}` found"));
-                assert!(
-                    body.contains(&format!("Counter::{counter:?}")),
-                    "{counter:?}: `{check}` does not read the counter"
-                );
-            }
+            Reconciled::By(check) => assert_reads(check, &format!("Counter::{counter:?}")),
             Reconciled::Unchecked(why) => assert!(!why.is_empty(), "{counter:?}"),
         }
+    }
+}
+
+#[test]
+fn every_phase_row_names_its_reconciliation() {
+    for phase in Phase::ALL {
+        assert_reads(phase_reconciliation(phase), &format!("Phase::{phase:?}"));
     }
 }

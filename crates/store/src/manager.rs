@@ -14,7 +14,7 @@ use multimap_query::{
     record_classified_event, service_lbns, BlockCache, CacheProbe, QueryError, QueryExecutor,
     QueryRequest, QueryResult,
 };
-use multimap_telemetry::{Counter, Metrics, Phase};
+use multimap_telemetry::{Counter, Metrics};
 
 use crate::alloc::{ZoneAllocator, ZoneGrant};
 use crate::backend::BackendReadReport;
@@ -269,10 +269,11 @@ impl<D: DeviceModel> StorageManager<D> {
     }
 
     /// Telemetry recorded by the write-back batcher (and by raw page
-    /// reads through a [`crate::DeviceStore`]): the per-request phase
-    /// decomposition of every flush, the [`Phase::Writeback`] memo
-    /// overlay, and the `writeback_flush` and `neighbor_rewrite`
-    /// counters.
+    /// reads through a [`crate::DeviceStore`]): the per-request phases
+    /// of every flush, and the `writeback_flush` and `neighbor_rewrite`
+    /// counters. A `StorageManager`'s own reads record into the query's
+    /// sink instead, so here the phases sum to its flushes'
+    /// [`FlushReport::total_io_ms`] on an event-sum device.
     pub fn cache_metrics(&self) -> &Metrics {
         &self.cache_metrics
     }
@@ -326,10 +327,6 @@ impl<D: DeviceModel> StorageManager<D> {
                 cache.restore_writeback(&unserved);
             })?;
         let rewrites = self.volume.stats(disk)?.neighbor_rewrites - rewrites_before;
-        // The per-event decomposition above already sums to the batch
-        // total; the Writeback phase is a memo overlay (excluded from
-        // `phase_sum_ms`) attributing that time to the flusher.
-        metrics.phase(Phase::Writeback, timing.total_ms);
         metrics.counter(Counter::WritebackFlush, 1);
         metrics.counter(Counter::NeighborRewrite, rewrites);
         Ok(FlushReport {

@@ -3,9 +3,9 @@
 //! batching, and invalidation.
 
 use multimap_core::{BoxRegion, GridSpec};
-use multimap_disksim::profiles;
+use multimap_disksim::{profiles, DeviceModel};
 use multimap_store::{CacheConfig, LayoutChoice, PrefetchMode, StorageManager};
-use multimap_telemetry::{Counter, Phase};
+use multimap_telemetry::Counter;
 
 /// Serialise tests that flip the global engine thread override.
 static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -146,7 +146,8 @@ fn warm_cache_preserves_results_and_serves_repeats_from_memory() {
 /// Inserts under a cache dirty pages instead of writing; the batcher
 /// flushes once `writeback_batch` pages are pending, through the
 /// queued-SPTF scheduler, and records the flush in the manager's
-/// telemetry (Writeback memo phase + `writeback_flush` counter).
+/// telemetry: the `writeback_flush` counter, and per-event phases that
+/// sum to the disk clock's advance over the flush.
 #[test]
 fn writeback_batches_inserts_into_scheduled_flushes() {
     let mut m = StorageManager::new(profiles::small(), 1);
@@ -160,6 +161,7 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     m.load("t").expect("load");
     let requests = |m: &StorageManager| m.volume().stats(0).expect("device 0").requests;
     let requests_before = requests(&m);
+    let clock = |m: &StorageManager| m.volume().with_device(0, |d| d.now_ms()).expect("device 0");
 
     // Three inserts on distinct cells: three dirty pages, no flush yet.
     for x in 0..3 {
@@ -174,28 +176,36 @@ fn writeback_batches_inserts_into_scheduled_flushes() {
     assert_eq!(m.cache_metrics().counter_value(Counter::WritebackFlush), 0);
 
     // The fourth crosses the threshold: one batch of four writes.
+    let before = clock(&m);
     m.insert("t", &[3, 0, 0]).expect("insert");
     assert_eq!(m.cache(0).expect("cache").writeback_pending(), 0);
     assert_eq!(requests(&m), requests_before + 4);
     let metrics = m.cache_metrics();
     assert_eq!(metrics.counter_value(Counter::WritebackFlush), 1);
     assert_eq!(metrics.counter_value(Counter::RequestsServiced), 4);
-    let memo = metrics.phase_tally(Phase::Writeback).sum_ms();
-    assert!(memo > 0.0, "flush did not record the Writeback memo");
-    // The memo is an overlay: the component phases alone reconcile with
-    // the recorded service time (the conformance invariant).
-    let component_sum = metrics.phase_sum_ms();
+    // The disk serves one request at a time: the flush's phases sum to
+    // the clock's advance and to the recorded service time.
+    let (phases, advance) = (metrics.phase_sum_ms(), clock(&m) - before);
     let service_sum = metrics.service_tally().sum_ms();
     assert!(
-        (component_sum - service_sum).abs() < 1e-6,
-        "phase components ({component_sum}) drifted from service time ({service_sum})"
+        advance > 0.0 && (phases - advance).abs() < 1e-6 && (phases - service_sum).abs() < 1e-6,
+        "phases {phases} ms, clock advance {advance} ms, service time {service_sum} ms"
     );
 
     // Draining an empty batcher is free; disabling flushes the rest.
     assert_eq!(m.flush_all().expect("flush").pages, 0);
     m.insert("t", &[4, 0, 0]).expect("insert");
+    let (phases_before, before) = (m.cache_metrics().phase_sum_ms(), clock(&m));
     let report = m.disable_cache().expect("disable");
     assert_eq!(report.pages, 1);
+    let (phases, advance) = (
+        m.cache_metrics().phase_sum_ms() - phases_before,
+        clock(&m) - before,
+    );
+    assert!(
+        (advance - report.total_io_ms).abs() < 1e-6 && (phases - advance).abs() < 1e-6,
+        "phases {phases} ms, clock advance {advance} ms, {report:?}"
+    );
     assert!(m.cache(0).is_none());
 }
 

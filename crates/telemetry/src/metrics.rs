@@ -45,50 +45,29 @@ macro_rules! schema {
 }
 
 schema! {
-    /// Service-time components, as charged by the disk simulator.
-    ///
-    /// The simulator's `RequestTiming` folds seek, settle and head-switch
-    /// time into one positioning figure; telemetry splits it back out by
-    /// classifying each transition against the geometry's settle plateau
-    /// (`ServiceEvent::transition` in `multimap-disksim`): positioning that
-    /// fits under the plateau is an adjacency hop and lands in
-    /// [`Phase::Settle`], anything longer is a real [`Phase::Seek`]. The
-    /// phase sums add up *exactly* to the observed total service time —
-    /// the conformance oracle checks this. Requests that hit an injected
-    /// fault additionally charge their retry/remap time to
-    /// [`Phase::Recovery`]; fault-free runs never record that phase, so
-    /// their metrics stay bit-identical to builds without fault support.
+    /// Service-time components: each request's service time split into
+    /// six disjoint parts that add up to it. Each row's doc comment is
+    /// its row in `docs/observability.md`'s phase table, word for word.
     pub enum Phase {
         /// Command/controller overhead.
         Overhead => "overhead",
-        /// Positioning beyond the settle plateau (a real arm movement).
+        /// Positioning beyond the settle plateau on rotating media (a real
+        /// arm movement); on the SSD, the wait behind earlier commands on
+        /// the request's channel.
         Seek => "seek",
-        /// Positioning within the settle plateau (adjacency hops and head
-        /// switches — the semi-sequential currency of the paper).
+        /// Positioning within the settle plateau on rotating media:
+        /// adjacency hops and head switches, the semi-sequential currency
+        /// of the paper. Zero on the SSD, whose cheap step is a free
+        /// channel.
         Settle => "settle",
         /// Rotational latency.
         Rotation => "rotation",
         /// Media transfer.
         Transfer => "transfer",
-        /// Fault-recovery time: retry backoff, timeout burn and the extra
-        /// positioning paid by remapped (degraded) segments.
+        /// Fault-recovery time under an active fault plan: retry backoff,
+        /// timeout burn and the extra positioning paid by remapped
+        /// (degraded) segments. Fault-free runs never record it.
         Recovery => "recovery",
-        /// Cache write-back flush time — a *memo* phase: the flush batch
-        /// total recorded by the page cache's write-back batcher on top of
-        /// the per-event decomposition (which already lands in the phases
-        /// above). Excluded from [`Metrics::phase_sum_ms`] so the
-        /// phase-sum = total-service-time reconciliation stays exact; it
-        /// labels how much of that total was write-back traffic.
-        Writeback => "writeback",
-    }
-}
-
-impl Phase {
-    /// Whether this phase is a memo line (an overlay labelling part of
-    /// the total) rather than a disjoint component of service time.
-    /// Memo phases are excluded from [`Metrics::phase_sum_ms`].
-    pub fn is_memo(self) -> bool {
-        matches!(self, Phase::Writeback)
     }
 }
 
@@ -176,7 +155,9 @@ schema! {
 }
 
 schema! {
-    /// Executor phases timed span-style (wall clock, *not* simulated time).
+    /// Executor phases timed span-style (wall clock, *not* simulated
+    /// time). Each row's doc comment is its row in
+    /// `docs/observability.md`'s span table, word for word.
     pub enum Span {
         /// Fit checks and policy resolution.
         Plan => "plan",
@@ -265,15 +246,11 @@ impl Metrics {
         self.spans[span.index()]
     }
 
-    /// Sum of all *component* phase-tally sums — by construction
-    /// equal to the total observed service time (the oracle cross-checks
-    /// this). Memo phases ([`Phase::is_memo`], currently only
-    /// [`Phase::Writeback`]) overlay the same time a second way and are
-    /// excluded to keep the reconciliation exact.
+    /// Sum of all phase-tally sums — by construction equal to the
+    /// total observed service time (the oracle cross-checks this).
     pub fn phase_sum_ms(&self) -> f64 {
         Phase::ALL
             .iter()
-            .filter(|p| !p.is_memo())
             .map(|&p| self.phase_tally(p).sum_ms())
             .sum()
     }
@@ -363,44 +340,58 @@ mod tests {
         }
         assert_eq!(
             (Counter::ALL.len(), Phase::ALL.len(), Span::ALL.len()),
-            (23, 7, 4)
+            (23, 6, 4)
         );
         assert_eq!(Counter::SeekMemoHit.name(), "seek_memo_hit");
         assert_eq!(Counter::NeighborRewrite.name(), "neighbor_rewrite");
     }
 
-    /// `docs/observability.md`'s counter table is the schema's: one row
-    /// per counter, in schema order, whose text is the counter's doc
-    /// comment on one line. Its phase table names every phase.
+    /// `docs/observability.md`'s counter, phase and span tables are the
+    /// schema's: one row per variant, in schema order, whose text is the
+    /// variant's doc comment on one line.
     #[test]
     fn the_doc_tables_list_the_schema() {
         let doc = include_str!("../../../docs/observability.md");
-        // A table's body rows, header and separator skipped.
+        // The body rows of a section's first table, header and
+        // separator skipped.
         let table_of = |heading: &str| -> Vec<&str> {
             let section = doc
                 .split(heading)
                 .nth(1)
                 .unwrap_or_else(|| panic!("no {heading:?} section"));
-            let section = section.split("\n## ").next().unwrap();
             section
                 .lines()
-                .filter(|l| l.starts_with('|'))
+                .skip_while(|l| !l.starts_with('|'))
+                .take_while(|l| l.starts_with('|'))
                 .skip(2)
                 .collect()
         };
-        let counters = table_of("\n## Counters\n");
-        assert_eq!(counters.len(), Counter::ALL.len(), "one row per counter");
-        for (row, c) in counters.iter().zip(Counter::ALL) {
-            let text: Vec<&str> = c.doc().lines().map(str::trim).collect();
-            let expected = format!("| `{c:?}` | {} |", text.join(" "));
-            assert_eq!(*row, expected, "the Counters row of {c:?}");
-        }
-        let phases = table_of("\n## Phase decomposition\n").concat();
-        for p in Phase::ALL {
-            assert!(
-                phases.contains(&format!("`{p:?}`")),
-                "Phase table lacks {p:?}"
-            );
+        let row = |variant: String, doc: &str| {
+            let text: Vec<&str> = doc.lines().map(str::trim).collect();
+            format!("| `{variant}` | {} |", text.join(" "))
+        };
+        let schema = [
+            (
+                "\n## Counters\n",
+                Counter::ALL
+                    .map(|c| row(format!("{c:?}"), c.doc()))
+                    .to_vec(),
+            ),
+            (
+                "\n## Phase decomposition\n",
+                Phase::ALL.map(|p| row(format!("{p:?}"), p.doc())).to_vec(),
+            ),
+            (
+                "\n## Spans\n",
+                Span::ALL.map(|s| row(format!("{s:?}"), s.doc())).to_vec(),
+            ),
+        ];
+        for (heading, expected) in schema {
+            let rows = table_of(heading);
+            assert_eq!(rows.len(), expected.len(), "one row per variant");
+            for (row, want) in rows.iter().zip(&expected) {
+                assert_eq!(row, want, "a {} row", heading.trim());
+            }
         }
     }
 
@@ -445,19 +436,5 @@ mod tests {
         let mut other_counter = lookups(54, 10);
         other_counter.counter(Counter::RequestsServiced, 1);
         assert!(!other_counter.identical(&lookups(54, 10)));
-    }
-
-    #[test]
-    fn writeback_is_a_memo_phase_outside_the_component_sum() {
-        let mut m = Metrics::new();
-        m.phase(Phase::Seek, 3.0);
-        m.phase(Phase::Transfer, 1.0);
-        m.phase(Phase::Writeback, 4.0);
-        m.service_time(4.0);
-        // The memo overlay does not perturb phase-sum reconciliation.
-        assert!((m.phase_sum_ms() - 4.0).abs() < 1e-12);
-        assert!((m.phase_tally(Phase::Writeback).sum_ms() - 4.0).abs() < 1e-12);
-        assert!(Phase::Writeback.is_memo());
-        assert_eq!(Phase::ALL.iter().filter(|p| p.is_memo()).count(), 1);
     }
 }
