@@ -14,8 +14,8 @@ use multimap_core::{
 use multimap_disksim::{profiles, DiskBuilder, DiskGeometry, Request, ZoneSpec};
 use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use multimap_query::{
-    random_anchor, random_range, workload_rng, ExecOptions, QueryExecutor, QueryOp, QueryRequest,
-    RangeOrder,
+    collect_lbns, random_anchor, random_range, workload_rng, ExecOptions, QueryExecutor, QueryOp,
+    QueryRequest, QueryResult,
 };
 
 use crate::harness::{grid_query, ms, Runner, Runs, Scale, Table, BEAM_GAP, SCAN_GAP};
@@ -163,18 +163,24 @@ pub fn request_sorting(scale: Scale) -> Table {
         "Ablation: request ordering for 1% range queries (total ms)",
         &["mapping", "natural_order", "sorted_fifo", "sorted_tcq"],
     );
-    let orders = [
-        RangeOrder::NaturalCellOrder,
-        RangeOrder::SortedCoalescedFifo,
-        RangeOrder::SortedCoalesced,
-    ];
+    // The natural order, then the planned range at depth 1 (the sorted
+    // FIFO batch) and at the default command-queue depth.
+    let depths = [None, Some(1), Some(ExecOptions::default().queue_depth)];
     let region = random_range(&grid, 1.0, &mut workload_rng(0xab3));
     let runner = Runner::new(&volume, SCAN_GAP);
     for m in [&hilb as &dyn Mapping, &mm] {
         let mut row = vec![m.name().to_string()];
-        let served = runner.serve(None, orders, |order, sink| {
+        let served = runner.serve(None, depths, |depth, sink| {
+            let Some(queue_depth) = depth else {
+                // One request per cell in row-major order, as issued.
+                let lbns = collect_lbns(m, &region)?;
+                let cells = lbns.iter().map(|&l| Request::new(l, m.cell_blocks()));
+                let natural: Vec<Request> = cells.collect();
+                let batch = volume.service_batch(0, &natural, SchedulePolicy::InOrder)?;
+                return Ok(QueryResult::from_batch(batch, lbns.len() as u64));
+            };
             let options = ExecOptions {
-                range: order,
+                queue_depth,
                 ..ExecOptions::default()
             };
             let exec = QueryExecutor::with_options(&volume, 0, options);

@@ -313,7 +313,10 @@ fn earthquake_beams_favor_multimap_on_y_and_z() {
 
 /// Quick scale, element-count-matched selectivities (≥ 0.05 %): Naive <
 /// MultiMap < Hilbert < Z-order on both drives (at paper scale MultiMap
-/// is best from 0.003 %).
+/// is best from 0.003 %). This holds under Fig. 7's discipline, where
+/// every leaf range is the sorted FIFO batch (queue depth 1), unlike
+/// Fig. 6's depth-64 queue; served at depth 64, MultiMap is last at
+/// 0.05 and 0.1 % on both drives (ROADMAP item 8).
 #[test]
 fn earthquake_ranges_rank_naive_multimap_hilbert_zorder_from_0_05_pct() {
     let p = Pinned::load(
@@ -332,7 +335,9 @@ fn earthquake_ranges_rank_naive_multimap_hilbert_zorder_from_0_05_pct() {
 /// Scale divergence from the quick ranking above: at paper scale
 /// MultiMap has the lowest total at 0.003, 0.05 and 0.1 % on both drives
 /// and at 0.01 % on the Atlas, but Hilbert leads the Cheetah's 0.01 %
-/// row.
+/// row. Like the quick claim, this holds under Fig. 7's sorted FIFO
+/// leaf ranges; at Fig. 6's depth 64, MultiMap is last from 0.003 % on
+/// both drives and Hilbert first (ROADMAP item 8).
 #[test]
 fn paper_scale_multimap_leads_earthquake_ranges_but_the_cheetahs_0_01_pct() {
     let p = Pinned::load(

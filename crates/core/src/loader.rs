@@ -7,13 +7,14 @@
 //! locality."
 //!
 //! The loader turns a region of cells into a write schedule (sorted by
-//! LBN, coalesced into maximal sequential writes) and services it on a
-//! simulated device of any backend, reporting load time and effective
-//! bandwidth.
+//! LBN and coalesced into maximal sequential writes by
+//! [`coalesce_runs`], the sort-and-coalesce every planned read batch
+//! uses too) and services it on a simulated device of any backend,
+//! reporting load time and effective bandwidth.
 
 use std::fmt;
 
-use multimap_disksim::{DeviceModel, DiskError, Lbn, Request, SECTOR_BYTES};
+use multimap_disksim::{coalesce_runs, DeviceModel, DiskError, Lbn, Request, SECTOR_BYTES};
 
 use crate::grid::BoxRegion;
 use crate::mapping::{Mapping, MappingError, Result};
@@ -92,7 +93,6 @@ pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<R
             coord: region.hi().to_vec(),
         });
     }
-    let cell_blocks = mapping.cell_blocks();
     let mut lbns: Vec<Lbn> = Vec::with_capacity(region.cells().min(1 << 24) as usize);
     region.for_each_cell(|c| {
         #[expect(
@@ -101,28 +101,7 @@ pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<R
         )]
         lbns.push(mapping.lbn_of(c).expect("region cell maps"));
     });
-    lbns.sort_unstable();
-    // Coalesce into maximal sequential writes.
-    let mut out = Vec::new();
-    let mut iter = lbns.into_iter();
-    let Some(first) = iter.next() else {
-        return Ok(out);
-    };
-    let mut start = first;
-    let mut len = cell_blocks;
-    let mut expected = first + cell_blocks;
-    for lbn in iter {
-        if lbn == expected {
-            len += cell_blocks;
-        } else {
-            out.push(Request::new(start, len));
-            start = lbn;
-            len = cell_blocks;
-        }
-        expected = lbn + cell_blocks;
-    }
-    out.push(Request::new(start, len));
-    Ok(out)
+    Ok(coalesce_runs(lbns, mapping.cell_blocks()))
 }
 
 /// Bulk-load an entire dataset onto a device of any backend.

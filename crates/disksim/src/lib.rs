@@ -83,9 +83,9 @@ pub use geometry::{
 pub use imr::ImrModel;
 pub use observe::{ServiceEvent, ServiceLog, Transition};
 pub use scheduler::{
-    coalesce_sorted, plain_serve, service_batch_serving, service_batch_sptf_incremental,
-    service_batch_sptf_reference, BatchTiming, Discipline, SchedStats, ServeFn,
-    SPTF_INCREMENTAL_MIN_WINDOW,
+    coalesce_runs, coalesce_sorted, plain_serve, service_batch_serving,
+    service_batch_sptf_incremental, service_batch_sptf_reference, BatchTiming, Discipline,
+    SchedStats, ServeFn, SPTF_INCREMENTAL_MIN_WINDOW,
 };
 pub use sim::{AccessKind, DiskSim, HeadState, Request, RequestProfile, RequestTiming};
 pub use ssd::SsdModel;

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`InOrder`](Discipline::InOrder) | 1 | the only one admitted (FIFO baseline) |
 //! | [`AscendingLbn`](Discipline::AscendingLbn) | 1, over an LBN-sorted copy | the only one admitted |
-//! | [`QueuedSptf(d)`](Discipline::QueuedSptf) | `d` | shortest positioning time first |
+//! | [`QueuedSptf(d)`](Discipline::QueuedSptf) | `d` | shortest positioning time first; FIFO at `d = 1`, so a range planned at depth 1 is the sorted FIFO batch |
 //! | [`Sptf`](Discipline::Sptf) | unbounded | shortest positioning time first |
 //!
 //! Ascending LBN is what the paper's storage manager does for the
@@ -181,36 +181,65 @@ impl BatchTiming {
     }
 }
 
-/// Coalesce a **sorted, deduplicated** slice of LBNs into maximal
-/// contiguous multi-block requests.
-///
-/// # Panics
-/// Debug-asserts that the input is strictly ascending.
+/// Coalesce a **sorted, deduplicated** slice of single-block LBNs into
+/// maximal contiguous requests: [`coalesce_runs`] with one-block cells.
 pub fn coalesce_sorted(lbns: &[Lbn]) -> Vec<Request> {
-    let mut out = Vec::new();
-    let mut iter = lbns.iter().copied();
-    let Some(first) = iter.next() else {
-        return out;
-    };
-    let mut start = first;
-    let mut len = 1u64;
-    let mut prev = first;
-    for lbn in iter {
-        debug_assert!(
-            lbn > prev,
-            "coalesce_sorted input must be strictly ascending"
-        );
-        if lbn == prev + 1 {
-            len += 1;
+    coalesce_runs(lbns.to_vec(), 1)
+}
+
+/// Sort the cells starting at `lbns` (each `cell_blocks` long, none
+/// overlapping, any order) and coalesce them into maximal contiguous
+/// requests, ascending: every planned range and bulk-load schedule.
+///
+/// A range arrives in row-major cell order, where a mapping that keeps
+/// Dim0 sequential (Naive, MultiMap) already lays a whole row down as
+/// one ascending run. So the sort is over *runs*, not cells: the
+/// sequence is compacted in place into one key per maximal ascending
+/// stride-`cell_blocks` run, `start << k | (cells - 1)` with `k` the
+/// bits the largest start leaves free, the keys are sorted, and touching
+/// runs are merged on the way out. A run longer than `2^k` cells is cut
+/// into several keys that the merge rejoins, so `k = 0` (one key per
+/// cell) is the plain sort of the starts and no input needs another
+/// path.
+pub fn coalesce_runs(mut lbns: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
+    if lbns.is_empty() {
+        return Vec::new();
+    }
+    // The OR of the starts has the leading zeros of the largest one.
+    let all = lbns.iter().fold(0, |acc, &l| acc | l);
+    let k = all.leading_zeros().min(63);
+    let cap = 1u64 << k;
+    let mut runs = 0;
+    let (mut start, mut prev, mut cells) = (lbns[0], lbns[0], 1u64);
+    for i in 1..lbns.len() {
+        let lbn = lbns[i];
+        if lbn.checked_sub(prev) == Some(cell_blocks) && cells < cap {
+            cells += 1;
         } else {
-            out.push(Request::new(start, len));
+            lbns[runs] = start << k | (cells - 1);
+            runs += 1;
             start = lbn;
-            len = 1;
+            cells = 1;
         }
         prev = lbn;
     }
-    out.push(Request::new(start, len));
-    out
+    lbns[runs] = start << k | (cells - 1);
+    lbns.truncate(runs + 1);
+    lbns.sort_unstable();
+
+    let mut requests: Vec<Request> = Vec::new();
+    for key in lbns {
+        let (start, nblocks) = (key >> k, ((key & (cap - 1)) + 1) * cell_blocks);
+        debug_assert!(
+            requests.last().is_none_or(|r| start - r.lbn >= r.nblocks),
+            "coalesce_runs input cells must not overlap"
+        );
+        match requests.last_mut() {
+            Some(last) if start - last.lbn == last.nblocks => last.nblocks += nblocks,
+            _ => requests.push(Request::new(start, nblocks)),
+        }
+    }
+    requests
 }
 
 /// Serve one request through `serve`, emitting a [`ServiceEvent`] with
@@ -456,6 +485,7 @@ mod tests {
     use crate::adjacency::semi_sequential_path;
     use crate::device::DeviceModel;
     use crate::geometry::{DiskBuilder, ZoneSpec};
+    use crate::observe::ServiceLog;
 
     fn sim() -> DiskSim {
         let geom = DiskBuilder::new("sched-test")
@@ -482,6 +512,87 @@ mod tests {
             coalesce_sorted(&[1, 2, 3, 7, 8, 10]),
             vec![Request::new(1, 3), Request::new(7, 2), Request::new(10, 1)]
         );
+    }
+
+    /// The oracle for [`coalesce_runs`]: sort every cell start, then
+    /// coalesce cell by cell.
+    fn coalesce_cells(mut starts: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
+        starts.sort_unstable();
+        let mut out: Vec<Request> = Vec::new();
+        for lbn in starts {
+            match out.last_mut() {
+                Some(last) if last.lbn + last.nblocks == lbn => last.nblocks += cell_blocks,
+                _ => out.push(Request::new(lbn, cell_blocks)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn coalesce_runs_edge_cases() {
+        assert_eq!(
+            coalesce_runs(vec![0, 4, 12], 4),
+            vec![Request::new(0, 8), Request::new(12, 4)]
+        );
+        // The empty demand list of an all-hit cached query.
+        assert!(coalesce_runs(Vec::new(), 4).is_empty());
+        // A lone cell at LBN 0 leaves all 64 bits spare.
+        assert_eq!(coalesce_runs(vec![0], 3), vec![Request::new(0, 3)]);
+        // No spare bits: one key per cell, i.e. the plain sort.
+        let top = u64::MAX - 16;
+        assert_eq!(
+            coalesce_runs(vec![top + 4, top, top + 2, 7, top + 10], 2),
+            vec![
+                Request::new(7, 2),
+                Request::new(top, 6),
+                Request::new(top + 10, 2)
+            ]
+        );
+        // One spare bit caps a key at two cells: a nine-cell row is cut
+        // into five keys and comes back as one request, in either order
+        // relative to its neighbours.
+        let half = 1u64 << 62;
+        let row = (0..9).map(|i| half + 3 * i);
+        let mut starts: Vec<Lbn> = row.clone().collect();
+        starts.extend([half + 30, half - 3, 5]);
+        let expect = coalesce_cells(starts.clone(), 3);
+        assert_eq!(expect.len(), 3);
+        assert_eq!(expect[1], Request::new(half - 3, 30));
+        assert_eq!(coalesce_runs(starts, 3), expect);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Non-overlapping cells laid out upward from `1 << top_bit`
+        /// (so the spare-bit count, and with it the per-key run cap,
+        /// sweeps 63 down to 0), issued as shuffled ascending chunks the
+        /// way a box's rows arrive: the run planner returns exactly what
+        /// sorting every cell start and coalescing cell by cell does.
+        #[test]
+        fn coalesce_runs_matches_the_cell_sort_oracle(
+            cells in proptest::collection::vec((0u64..8, 1u64..1000, 0u64..1 << 32), 1..300),
+            cell_blocks in 1u64..4,
+            top_bit in 0u32..64,
+            chunk in 1usize..40,
+        ) {
+            let mut next = 1u64 << top_bit;
+            let sorted: Vec<Lbn> = cells
+                .iter()
+                .map(|&(touch, gap, _)| {
+                    let start = next + if touch < 6 { 0 } else { gap };
+                    next = start + cell_blocks;
+                    start
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..sorted.len()).collect();
+            order.sort_by_key(|&i| (cells[i / chunk].2, i));
+            let starts: Vec<Lbn> = order.iter().map(|&i| sorted[i]).collect();
+            proptest::prop_assert_eq!(
+                coalesce_runs(starts.clone(), cell_blocks),
+                coalesce_cells(starts, cell_blocks)
+            );
+        }
     }
 
     #[test]
@@ -533,17 +644,51 @@ mod tests {
         assert!(sptf.total_ms <= fifo.total_ms + 1e-9);
     }
 
+    /// The identity a planned range at queue depth 1 rests on: a depth-1
+    /// SPTF window serves a scattered multi-block batch exactly as FIFO
+    /// does, event for event and bit for bit, on every backend — only
+    /// the SSD's `queue_len` (its FIFO admits the whole batch at once)
+    /// and the selection counters differ.
     #[test]
     fn queued_sptf_depth_one_is_in_order() {
-        let reqs: Vec<Request> = [5u64, 90_000, 12, 40_000]
-            .iter()
-            .map(|&l| Request::single(l))
+        let geom = sim().geometry().clone();
+        let reqs: Vec<Request> = (0..48u64)
+            .map(|i| Request::new((i * 48_611) % 190_000, 1 + i % 5))
             .collect();
-        let mut a = sim();
-        let queued = a.service_batch(&reqs, Discipline::QueuedSptf(1)).unwrap();
-        let mut b = sim();
-        let fifo = b.service_batch(&reqs, Discipline::InOrder).unwrap();
-        assert!((queued.total_ms - fifo.total_ms).abs() < 1e-9);
+        for name in crate::device::BACKEND_NAMES {
+            let serve = |discipline| {
+                let mut dev = crate::device::build_backend(name, &geom).unwrap();
+                let mut log = ServiceLog::new();
+                let t = dev
+                    .service_batch_observed(&reqs, discipline, &mut log.recorder())
+                    .unwrap();
+                (t, log)
+            };
+            let (queued, queued_log) = serve(Discipline::QueuedSptf(1));
+            let (fifo, fifo_log) = serve(Discipline::InOrder);
+            assert_eq!(queued.total_ms.to_bits(), fifo.total_ms.to_bits(), "{name}");
+            assert_eq!(queued.payload, fifo.payload, "{name}");
+            assert_eq!(
+                (queued.requests, queued.blocks),
+                (48, fifo.blocks),
+                "{name}"
+            );
+            assert_eq!(queued_log.len(), fifo_log.len(), "{name}");
+            for (q, f) in queued_log.events().iter().zip(fifo_log.events()) {
+                assert_eq!(
+                    (q.seq, q.admission_rank),
+                    (f.seq, f.admission_rank),
+                    "{name}"
+                );
+                assert_eq!(q.elapsed_ms().to_bits(), f.elapsed_ms().to_bits(), "{name}");
+                let queue_len = if name == "ssd" {
+                    q.queue_len
+                } else {
+                    f.queue_len
+                };
+                assert_eq!(*q, ServiceEvent { queue_len, ..*f }, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -628,7 +773,6 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::observe::ServiceLog;
         use proptest::prelude::*;
 
         /// Random request batches inside the test disk's address space

@@ -416,6 +416,34 @@ mod tests {
         profiles::small()
     }
 
+    /// The scheduler's depth-1 identity holds through the recovery
+    /// layer too: with an empty fault plan, `QueuedSptf(1)` serves a
+    /// scattered multi-block batch event for event and bit for bit as
+    /// `InOrder` does.
+    #[test]
+    fn queued_sptf_depth_one_is_in_order_under_recovery() {
+        let span = geom().total_blocks() - 8;
+        let reqs: Vec<Request> = (0..48u64)
+            .map(|i| Request::new((i * 48_611) % span, 1 + i % 5))
+            .collect();
+        let serve = |discipline| {
+            let mut disk = RecoveringDisk::new(geom(), FaultPlan::new(0));
+            let mut events = Vec::new();
+            let t = disk
+                .service_batch_observed(&reqs, discipline, &mut |e| events.push(e))
+                .unwrap();
+            (t, events)
+        };
+        let (queued, queued_events) = serve(Discipline::QueuedSptf(1));
+        let (fifo, fifo_events) = serve(Discipline::InOrder);
+        assert_eq!(queued.total_ms.to_bits(), fifo.total_ms.to_bits());
+        assert_eq!((queued.payload, queued.requests), (fifo.payload, 48));
+        assert_eq!(queued_events, fifo_events);
+        for (q, f) in queued_events.iter().zip(&fifo_events) {
+            assert_eq!(q.elapsed_ms().to_bits(), f.elapsed_ms().to_bits());
+        }
+    }
+
     #[test]
     fn remap_table_identity_by_default() {
         let t = RemapTable::default();

@@ -1,14 +1,18 @@
 //! Query execution over octree-leaf datasets.
 //!
 //! Grid datasets go through `multimap-query`'s executor; leaf datasets
-//! need an extra resolution step (octree traversal → leaf set → LBNs).
+//! need an extra resolution step (octree traversal → leaf set → LBNs),
+//! after which the same executor plans and serves the LBNs.
 //! [`LeafPlacement`] unifies the linear baselines and the per-region
 //! MultiMap placement behind one interface, and [`LeafQueryExecutor`]
-//! runs beam and range queries against any of them.
+//! runs beam and range queries against any of them: a MultiMap leaf
+//! beam as a grid beam, everything else as a range at queue depth 1,
+//! which is the sorted FIFO batch.
 
+use multimap_core::MappingKind;
 use multimap_disksim::Lbn;
 use multimap_lvm::LogicalVolume;
-use multimap_query::{service_lbns, ExecOptions, QueryResult, Result};
+use multimap_query::{ExecOptions, QueryExecutor, QueryOp, QueryResult, Result};
 
 use crate::placement::{beam_box, LeafLinearMapping, SkewedMultiMap};
 use crate::tree::{Leaf, Octree};
@@ -37,29 +41,28 @@ impl LeafPlacement<'_> {
             LeafPlacement::MultiMap(m) => leaves.iter().map(|l| m.lbn_of_leaf(l)).collect(),
         }
     }
-
-    /// Whether beam batches should go to the disk's SPTF scheduler.
-    fn prefers_sptf(&self) -> bool {
-        matches!(self, LeafPlacement::MultiMap(_))
-    }
 }
 
-/// Beam/range executor for leaf datasets on one disk of a volume.
+/// Beam/range executor for leaf datasets on one disk of a volume. Every
+/// leaf batch is planned by the grid executor's planner, one block per
+/// leaf ([`QueryExecutor::execute_lbns`]).
 pub struct LeafQueryExecutor<'a> {
-    volume: &'a LogicalVolume,
-    disk: usize,
-    /// Largest batch handed to the full-SPTF scheduler: the grid
-    /// executor's own limit, so the two rise together.
-    sptf_limit: usize,
+    /// The disk under the paper's options, for MultiMap leaf beams.
+    exec: QueryExecutor<'a>,
+    /// The same disk at queue depth 1, for every other leaf query.
+    fifo: QueryExecutor<'a>,
 }
 
 impl<'a> LeafQueryExecutor<'a> {
     /// Executor over `disk` of `volume`.
     pub fn new(volume: &'a LogicalVolume, disk: usize) -> Self {
+        let fifo = ExecOptions {
+            queue_depth: 1,
+            ..ExecOptions::default()
+        };
         LeafQueryExecutor {
-            volume,
-            disk,
-            sptf_limit: ExecOptions::default().sptf_limit,
+            exec: QueryExecutor::new(volume, disk),
+            fifo: QueryExecutor::with_options(volume, disk, fifo),
         }
     }
 
@@ -73,10 +76,7 @@ impl<'a> LeafQueryExecutor<'a> {
         anchor: [u64; 3],
     ) -> Result<QueryResult> {
         let (lo, hi) = beam_box(tree, dim, anchor);
-        let leaves = tree.leaves_intersecting(lo, hi);
-        let lbns = placement.lbns(&leaves);
-        let sptf = placement.prefers_sptf() && lbns.len() <= self.sptf_limit;
-        service_lbns(self.volume, self.disk, &lbns, sptf)
+        self.fetch(tree, placement, QueryOp::Beam, lo, hi)
     }
 
     /// Fetch the leaves intersecting the inclusive finest-unit box.
@@ -87,9 +87,33 @@ impl<'a> LeafQueryExecutor<'a> {
         lo: [u64; 3],
         hi: [u64; 3],
     ) -> Result<QueryResult> {
-        let leaves = tree.leaves_intersecting(lo, hi);
-        let lbns = placement.lbns(&leaves);
-        service_lbns(self.volume, self.disk, &lbns, false)
+        self.fetch(tree, placement, QueryOp::Range, lo, hi)
+    }
+
+    /// Fetch the leaves intersecting `lo..=hi` as an `op` query.
+    ///
+    /// Fig. 7 serves leaf queries unlike Fig. 6 serves grid queries, in
+    /// two ways (ROADMAP item 8): a linear placement's beam is planned as
+    /// a range, and every leaf range is the sorted FIFO batch (queue
+    /// depth 1), not the grid's depth-64 command queue. A MultiMap leaf
+    /// beam is planned as a grid beam is.
+    fn fetch(
+        &self,
+        tree: &Octree,
+        placement: &LeafPlacement<'_>,
+        op: QueryOp,
+        lo: [u64; 3],
+        hi: [u64; 3],
+    ) -> Result<QueryResult> {
+        let lbns = placement.lbns(&tree.leaves_intersecting(lo, hi));
+        let kind = match placement {
+            LeafPlacement::Linear(m) => m.kind(),
+            LeafPlacement::MultiMap(_) => MappingKind::MultiMap,
+        };
+        match (op, kind) {
+            (QueryOp::Beam, MappingKind::MultiMap) => self.exec.execute_lbns(op, kind, lbns, 1),
+            _ => self.fifo.execute_lbns(QueryOp::Range, kind, lbns, 1),
+        }
     }
 }
 

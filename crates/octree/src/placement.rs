@@ -9,7 +9,7 @@
 //!   Z-order or Hilbert value of their corners and store them
 //!   sequentially.
 
-use multimap_core::{GridSpec, Mapping, MultiMapOptions, MultiMapping};
+use multimap_core::{GridSpec, Mapping, MappingKind, MultiMapOptions, MultiMapping};
 use multimap_disksim::{DiskGeometry, Lbn};
 use multimap_sfc::{HilbertCurve, SpaceFillingCurve, ZCurve};
 
@@ -94,6 +94,14 @@ impl LeafLinearMapping {
     /// Name of the underlying order.
     pub fn name(&self) -> &'static str {
         self.order.name()
+    }
+
+    /// The mapping family of the underlying order.
+    pub fn kind(&self) -> MappingKind {
+        match self.order {
+            LeafOrder::XMajor => MappingKind::Naive,
+            LeafOrder::ZOrder | LeafOrder::Hilbert => MappingKind::SpaceFillingCurve,
+        }
     }
 
     /// LBN storing `leaf`.

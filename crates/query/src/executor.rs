@@ -6,7 +6,9 @@
 //! a per-request [`ServiceEvent`] observer and a
 //! [`multimap_telemetry::Metrics`] sink. A beam and an explicit cell
 //! list ([`QueryRequest::cells`]) take one per-cell path, and one
-//! function plans every grid query's request batch and discipline.
+//! function plans every query's request batch and discipline: a grid
+//! query's, and an LBN list's ([`QueryExecutor::execute_lbns`], Fig. 7's
+//! octree leaves and the store's overflow chains).
 //!
 //! The executor is generic over the volume's
 //! [`DeviceModel`] backend, and planning never looks at the backend, so
@@ -28,8 +30,8 @@ use multimap_core::{
     MIN_CACHED_LOOKUPS,
 };
 use multimap_disksim::{
-    coalesce_sorted, request_payload, BatchTiming, DeviceModel, DiskSim, Lbn, Request,
-    ServiceEvent, Transition,
+    coalesce_runs, request_payload, BatchTiming, DeviceModel, DiskSim, Lbn, Request, ServiceEvent,
+    Transition,
 };
 use multimap_lvm::{DeviceVolume, SchedulePolicy};
 use multimap_telemetry::{Counter, Metrics, Phase, Span};
@@ -45,21 +47,6 @@ pub(crate) fn region_outside(region: &BoxRegion, grid: &GridSpec) -> QueryError 
     }
 }
 
-/// How range-query blocks are ordered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RangeOrder {
-    /// Sort all LBNs ascending, coalesce contiguous runs, and let the
-    /// disk's queue-limited SPTF scheduler reorder within its command
-    /// queue (paper behaviour for every mapping: the storage manager
-    /// sorts; the disk's internal scheduler does the rest).
-    SortedCoalesced,
-    /// Like [`RangeOrder::SortedCoalesced`] but strictly FIFO at the
-    /// disk (ablation: no command queueing).
-    SortedCoalescedFifo,
-    /// Issue cell by cell in row-major order (ablation).
-    NaturalCellOrder,
-}
-
 /// Executor tunables. Start from [`ExecOptions::default`] (the paper's
 /// values) and override fields with struct-update syntax:
 ///
@@ -70,21 +57,19 @@ pub enum RangeOrder {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Range policy (default [`RangeOrder::SortedCoalesced`]).
-    pub range: RangeOrder,
     /// Largest batch the full-SPTF scheduler is applied to; larger
     /// MultiMap beams fall back to queued SPTF. With the profiled
     /// estimator the selection loop is cheap per round, so the default
     /// covers every paper-scale beam (the largest is `S_i` cells).
     pub sptf_limit: usize,
-    /// Disk command-queue depth for queued-SPTF service (SCSI TCQ).
+    /// Disk command-queue depth for queued-SPTF service (SCSI TCQ). At
+    /// depth 1 a range is the sorted FIFO batch.
     pub queue_depth: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            range: RangeOrder::SortedCoalesced,
             sptf_limit: 4096,
             queue_depth: 64,
         }
@@ -98,8 +83,9 @@ pub enum QueryOp {
     /// region's cells (usually a line along one dimension), or an
     /// explicit list ([`QueryRequest::cells`]).
     Beam,
-    /// Fetch every cell of an N-D box, ordered per
-    /// [`ExecOptions::range`].
+    /// Fetch every cell of an N-D box: its blocks sorted and coalesced
+    /// into runs, which the device's command queue
+    /// ([`ExecOptions::queue_depth`]) then orders.
     Range,
 }
 
@@ -236,7 +222,8 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn from_batch(batch: BatchTiming, cells: u64) -> Self {
+    /// The result of serving `batch` for a query of `cells` cells.
+    pub fn from_batch(batch: BatchTiming, cells: u64) -> Self {
         QueryResult {
             cells,
             blocks: batch.blocks,
@@ -508,7 +495,8 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         // The misses are scheduled exactly as an uncached query over
         // them would be; the speculative reads are appended after.
         let demand = probed.as_ref().map_or(lbns, |p| p.missed.clone());
-        let (mut requests, policy) = plan_batch(&self.options, op, mapping, demand);
+        let (mut requests, policy) =
+            plan_batch(&self.options, op, mapping.kind(), cell_blocks, demand);
         if let Some(p) = &probed {
             requests.extend(p.prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
         }
@@ -560,6 +548,36 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         }
         Ok(result)
     }
+
+    /// Fetch the cells starting at `lbns` (each `cell_blocks` long, any
+    /// order) as an `op` query under a `kind` mapping: the batch and
+    /// discipline [`execute`](Self::execute) would plan for the same
+    /// LBNs, served on this executor's device. This is the entry for
+    /// data that is not a grid — octree leaves, overflow chains — and it
+    /// records nothing.
+    pub fn execute_lbns(
+        &self,
+        op: QueryOp,
+        kind: MappingKind,
+        lbns: Vec<Lbn>,
+        cell_blocks: u64,
+    ) -> Result<QueryResult> {
+        let cells = lbns.len() as u64;
+        let (requests, policy) = plan_batch(&self.options, op, kind, cell_blocks, lbns);
+        let batch = if requests.is_empty() {
+            BatchTiming::default()
+        } else {
+            serve(
+                self.volume,
+                self.device,
+                &requests,
+                policy,
+                &mut None,
+                &mut None,
+            )?
+        };
+        Ok(QueryResult::from_batch(batch, cells))
+    }
 }
 
 /// Map every cell of `region` to the first LBN of its cell, in
@@ -605,116 +623,34 @@ pub fn collect_lbns(
 }
 
 /// The request batch, in issue order, and its discipline for the
-/// cell-start `lbns` of an `op` query: one request per cell for a beam,
-/// all-at-once SPTF for MultiMap up to `options.sptf_limit` cells,
-/// queued SPTF past it, ascending LBN for the linearised mappings; a
-/// range ordered per `options.range`. Every grid query's batch, cached
-/// (its misses) or not, and every [`crate::plan`] price come from here.
+/// cell-start `lbns` (each `cell_blocks` long) of an `op` query under a
+/// `kind` mapping: one request per cell for a beam, all-at-once SPTF for
+/// MultiMap up to `options.sptf_limit` cells, queued SPTF past it,
+/// ascending LBN for the linearised mappings; a range sorted and
+/// coalesced by [`coalesce_runs`] under queued SPTF (depth 1 is the
+/// sorted FIFO batch). Every query's batch and [`crate::plan`] price
+/// comes from here; batches that serve no query (the serving loop's, the
+/// store's page reads and write-back) are device-queue batches.
 pub(crate) fn plan_batch(
     options: &ExecOptions,
     op: QueryOp,
-    mapping: &dyn Mapping,
+    kind: MappingKind,
+    cell_blocks: u64,
     lbns: Vec<Lbn>,
 ) -> (Vec<Request>, SchedulePolicy) {
-    let cell_blocks = mapping.cell_blocks();
-    let per_cell = |lbns: Vec<Lbn>| lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect();
     let queued = SchedulePolicy::QueuedSptf(options.queue_depth);
-    match (op, options.range) {
-        (QueryOp::Beam, _) => {
-            let policy = match mapping.kind() {
+    match op {
+        QueryOp::Beam => {
+            let policy = match kind {
                 MappingKind::MultiMap if lbns.len() <= options.sptf_limit => SchedulePolicy::Sptf,
                 MappingKind::MultiMap => queued,
                 _ => SchedulePolicy::AscendingLbn,
             };
-            (per_cell(lbns), policy)
+            let requests = lbns.iter().map(|&l| Request::new(l, cell_blocks));
+            (requests.collect(), policy)
         }
-        (QueryOp::Range, RangeOrder::NaturalCellOrder) => (per_cell(lbns), SchedulePolicy::InOrder),
-        (QueryOp::Range, RangeOrder::SortedCoalesced) => (coalesce_runs(lbns, cell_blocks), queued),
-        (QueryOp::Range, RangeOrder::SortedCoalescedFifo) => {
-            (coalesce_runs(lbns, cell_blocks), SchedulePolicy::InOrder)
-        }
+        QueryOp::Range => (coalesce_runs(lbns, cell_blocks), queued),
     }
-}
-
-/// Service an explicit set of single-block LBNs (one per cell) on one
-/// device — the path used for octree-leaf datasets, where cells are
-/// leaves rather than grid coordinates.
-///
-/// `sptf` issues the whole batch to the device scheduler (MultiMap
-/// beams); otherwise LBNs are sorted ascending and coalesced (the
-/// linearised mappings' policy).
-pub fn service_lbns<D: DeviceModel>(
-    volume: &DeviceVolume<D>,
-    device: usize,
-    lbns: &[Lbn],
-    sptf: bool,
-) -> Result<QueryResult> {
-    let (requests, policy) = if sptf {
-        let requests = lbns.iter().map(|&l| Request::single(l)).collect();
-        (requests, SchedulePolicy::Sptf)
-    } else {
-        let mut sorted = lbns.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        (coalesce_sorted(&sorted), SchedulePolicy::InOrder)
-    };
-    let batch = serve(volume, device, &requests, policy, &mut None, &mut None)?;
-    Ok(QueryResult::from_batch(batch, lbns.len() as u64))
-}
-
-/// Sort the cells starting at `lbns` (each `cell_blocks` long, none
-/// overlapping, any order) and coalesce them into maximal contiguous
-/// requests, ascending.
-///
-/// A range arrives in row-major cell order, where a mapping that keeps
-/// Dim0 sequential (Naive, MultiMap) already lays a whole row down as
-/// one ascending run. So the sort is over *runs*, not cells: the
-/// sequence is compacted in place into one key per maximal ascending
-/// stride-`cell_blocks` run, `start << k | (cells - 1)` with `k` the
-/// bits the largest start leaves free, the keys are sorted, and touching
-/// runs are merged on the way out. A run longer than `2^k` cells is cut
-/// into several keys that the merge rejoins, so `k = 0` (one key per
-/// cell) is the plain sort of the starts and no input needs another
-/// path.
-fn coalesce_runs(mut lbns: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
-    if lbns.is_empty() {
-        return Vec::new();
-    }
-    // The OR of the starts has the leading zeros of the largest one.
-    let all = lbns.iter().fold(0, |acc, &l| acc | l);
-    let k = all.leading_zeros().min(63);
-    let cap = 1u64 << k;
-    let mut runs = 0;
-    let (mut start, mut prev, mut cells) = (lbns[0], lbns[0], 1u64);
-    for i in 1..lbns.len() {
-        let lbn = lbns[i];
-        if lbn.checked_sub(prev) == Some(cell_blocks) && cells < cap {
-            cells += 1;
-        } else {
-            lbns[runs] = start << k | (cells - 1);
-            runs += 1;
-            start = lbn;
-            cells = 1;
-        }
-        prev = lbn;
-    }
-    lbns[runs] = start << k | (cells - 1);
-    lbns.truncate(runs + 1);
-    lbns.sort_unstable();
-
-    let mut requests: Vec<Request> = Vec::new();
-    for key in lbns {
-        let (start, nblocks) = (key >> k, ((key & (cap - 1)) + 1) * cell_blocks);
-        debug_assert!(
-            requests.last().is_none_or(|r| start - r.lbn >= r.nblocks),
-            "coalesce_runs input cells must not overlap"
-        );
-        match requests.last_mut() {
-            Some(last) if start - last.lbn == last.nblocks => last.nblocks += nblocks,
-            _ => requests.push(Request::new(start, nblocks)),
-        }
-    }
-    requests
 }
 
 #[cfg(test)]
@@ -837,18 +773,19 @@ mod tests {
             .execute(QueryRequest::range(&mm, &region))
             .unwrap();
         vol.reset();
-        let natural = QueryExecutor::with_options(
-            &vol,
-            0,
-            ExecOptions {
-                range: RangeOrder::NaturalCellOrder,
-                ..ExecOptions::default()
-            },
-        )
-        .execute(QueryRequest::range(&mm, &region))
-        .unwrap();
-        assert_eq!(sorted.cells, natural.cells);
-        assert!(sorted.total_io_ms <= natural.total_io_ms * 1.01 + 0.5);
+        // The natural order, built by hand: one request per cell in
+        // row-major order, served as issued.
+        let natural: Vec<Request> = collect_lbns(&mm, &region)
+            .unwrap()
+            .into_iter()
+            .map(|l| Request::new(l, mm.cell_blocks()))
+            .collect();
+        let natural = vol
+            .service_batch(0, &natural, SchedulePolicy::InOrder)
+            .unwrap();
+        assert_eq!(sorted.blocks, natural.blocks);
+        assert_eq!(sorted.payload, natural.payload);
+        assert!(sorted.total_io_ms <= natural.total_ms * 1.01 + 0.5);
     }
 
     /// The flat-table fast path must be invisible: for a range big
@@ -1128,25 +1065,22 @@ mod tests {
         let geom = profiles::small();
         let grid = GridSpec::new([60u64, 8, 6]);
         let naive = NaiveMapping::new(grid.clone(), 0);
-        let region = BoxRegion::new([0u64, 0, 0], [59u64, 5, 0]);
         // One event per cell, ascending on a Naive row-major walk.
-        let opts = ExecOptions {
-            range: RangeOrder::NaturalCellOrder,
-            ..ExecOptions::default()
-        };
+        let cells = BoxRegion::new([0u64, 0, 0], [59u64, 5, 0]).cells_vec();
         for name in BACKEND_NAMES {
             let v = backend_volume(name, &geom, 1).unwrap();
             let mut events = Vec::new();
             let mut keep = |e: ServiceEvent| events.push(e);
             let mut m = Metrics::new();
-            QueryExecutor::with_options(&v, 0, opts)
+            QueryExecutor::new(&v, 0)
                 .execute(
-                    QueryRequest::range(&naive, &region)
+                    QueryRequest::cells(&naive, &cells)
+                        .unwrap()
                         .with_observer(&mut keep)
                         .with_sink(&mut m),
                 )
                 .unwrap();
-            assert!(!events.is_empty(), "{name}");
+            assert_eq!(events.len(), cells.len(), "{name}");
             let classes: Vec<Transition> = v
                 .with_device(0, |d| events.iter().map(|e| d.classify(e)).collect())
                 .unwrap();
@@ -1155,87 +1089,6 @@ mod tests {
             let seeks = m.counter_value(Counter::SeekTransition);
             assert_eq!(hops, count(Transition::AdjacencyHop), "{name}");
             assert_eq!(seeks, count(Transition::Seek), "{name}");
-        }
-    }
-
-    /// The oracle for [`coalesce_runs`]: sort every cell start, then
-    /// coalesce cell by cell — the planner this module used to run.
-    fn coalesce_cells(mut starts: Vec<Lbn>, cell_blocks: u64) -> Vec<Request> {
-        starts.sort_unstable();
-        let mut out: Vec<Request> = Vec::new();
-        for lbn in starts {
-            match out.last_mut() {
-                Some(last) if last.lbn + last.nblocks == lbn => last.nblocks += cell_blocks,
-                _ => out.push(Request::new(lbn, cell_blocks)),
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn coalesce_runs_edge_cases() {
-        assert_eq!(
-            coalesce_runs(vec![0, 4, 12], 4),
-            vec![Request::new(0, 8), Request::new(12, 4)]
-        );
-        // The empty demand list of an all-hit cached query.
-        assert!(coalesce_runs(Vec::new(), 4).is_empty());
-        // A lone cell at LBN 0 leaves all 64 bits spare.
-        assert_eq!(coalesce_runs(vec![0], 3), vec![Request::new(0, 3)]);
-        // No spare bits: one key per cell, i.e. the plain sort.
-        let top = u64::MAX - 16;
-        assert_eq!(
-            coalesce_runs(vec![top + 4, top, top + 2, 7, top + 10], 2),
-            vec![
-                Request::new(7, 2),
-                Request::new(top, 6),
-                Request::new(top + 10, 2)
-            ]
-        );
-        // One spare bit caps a key at two cells: a nine-cell row is cut
-        // into five keys and comes back as one request, in either order
-        // relative to its neighbours.
-        let half = 1u64 << 62;
-        let row = (0..9).map(|i| half + 3 * i);
-        let mut starts: Vec<Lbn> = row.clone().collect();
-        starts.extend([half + 30, half - 3, 5]);
-        let expect = coalesce_cells(starts.clone(), 3);
-        assert_eq!(expect.len(), 3);
-        assert_eq!(expect[1], Request::new(half - 3, 30));
-        assert_eq!(coalesce_runs(starts, 3), expect);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
-
-        /// Non-overlapping cells laid out upward from `1 << top_bit`
-        /// (so the spare-bit count, and with it the per-key run cap,
-        /// sweeps 63 down to 0), issued as shuffled ascending chunks the
-        /// way a box's rows arrive: the run planner returns exactly what
-        /// sorting every cell start and coalescing cell by cell does.
-        #[test]
-        fn coalesce_runs_matches_the_cell_sort_oracle(
-            cells in proptest::collection::vec((0u64..8, 1u64..1000, 0u64..1 << 32), 1..300),
-            cell_blocks in 1u64..4,
-            top_bit in 0u32..64,
-            chunk in 1usize..40,
-        ) {
-            let mut next = 1u64 << top_bit;
-            let sorted: Vec<Lbn> = cells
-                .iter()
-                .map(|&(touch, gap, _)| {
-                    let start = next + if touch < 6 { 0 } else { gap };
-                    next = start + cell_blocks;
-                    start
-                })
-                .collect();
-            let mut order: Vec<usize> = (0..sorted.len()).collect();
-            order.sort_by_key(|&i| (cells[i / chunk].2, i));
-            let starts: Vec<Lbn> = order.iter().map(|&i| sorted[i]).collect();
-            proptest::prop_assert_eq!(
-                coalesce_runs(starts.clone(), cell_blocks),
-                coalesce_cells(starts, cell_blocks)
-            );
         }
     }
 

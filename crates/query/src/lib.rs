@@ -8,8 +8,13 @@
 //!   the LBNs, sort ascending, and issue in that order.
 //! * **MultiMap beams**: issue all blocks at once and let the disk's
 //!   internal SPTF scheduler fetch them along the semi-sequential path.
-//! * **MultiMap ranges**: favour sequential access — fetch runs along
-//!   `Dim0` first, in ascending LBN order.
+//! * **Ranges**, under every mapping: sort the blocks, coalesce them
+//!   into runs, and let the disk's command queue order them
+//!   ([`ExecOptions::queue_depth`]; at depth 1 this is the sorted FIFO
+//!   batch).
+//!
+//! One planner chooses every query's batch and discipline, a grid
+//! query's or an LBN list's ([`QueryExecutor::execute_lbns`]).
 //!
 //! Only I/O time is measured; query results are the simulated timings.
 //!
@@ -61,8 +66,8 @@ pub mod workload;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    collect_lbns, record_classified_event, service_lbns, ExecOptions, QueryExecutor, QueryOp,
-    QueryRequest, QueryResult, RangeOrder,
+    collect_lbns, record_classified_event, ExecOptions, QueryExecutor, QueryOp, QueryRequest,
+    QueryResult,
 };
 pub use plan::{explain_beam, explain_range, AccessPlan};
 pub use workload::{

@@ -13,9 +13,7 @@ use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim};
 use multimap_lvm::LvmError;
 
 use crate::error::Result;
-use crate::executor::{
-    plan_batch, region_outside, translate_region, ExecOptions, QueryOp, RangeOrder,
-};
+use crate::executor::{plan_batch, region_outside, translate_region, ExecOptions, QueryOp};
 
 /// A priced access plan.
 #[derive(Clone, Debug)]
@@ -105,13 +103,10 @@ fn explain(
         return Err(region_outside(region, mapping.grid()));
     }
     let (lbns, _) = translate_region(mapping, region)?;
-    let (requests, policy) = plan_batch(options, op, mapping, lbns);
-    let label = match (op, options.range) {
-        (QueryOp::Beam, _) => discipline_label(policy),
-        (QueryOp::Range, RangeOrder::NaturalCellOrder) => {
-            format!("natural cell order, {}", discipline_label(policy))
-        }
-        (QueryOp::Range, _) => format!("sorted + coalesced, {}", discipline_label(policy)),
+    let (requests, policy) = plan_batch(options, op, mapping.kind(), mapping.cell_blocks(), lbns);
+    let label = match op {
+        QueryOp::Beam => discipline_label(policy),
+        QueryOp::Range => format!("sorted + coalesced, {}", discipline_label(policy)),
     };
     let blocks: u64 = requests.iter().map(|r| r.nblocks).sum();
     let max_run = requests.iter().map(|r| r.nblocks).max().unwrap_or(0);
@@ -214,7 +209,8 @@ mod tests {
 
     /// The plan is the executor's own batch under the executor's own
     /// policy: multi-block cells are priced as multi-block requests and
-    /// a non-default queue depth or range order is the one priced.
+    /// a non-default queue depth, the FIFO depth 1 included, is the one
+    /// priced.
     #[test]
     fn range_plan_is_the_executors_batch_and_policy() {
         use multimap_core::zorder_mapping;
@@ -229,11 +225,7 @@ mod tests {
                 ..ExecOptions::default()
             },
             ExecOptions {
-                range: RangeOrder::SortedCoalescedFifo,
-                ..ExecOptions::default()
-            },
-            ExecOptions {
-                range: RangeOrder::NaturalCellOrder,
+                queue_depth: 1,
                 ..ExecOptions::default()
             },
         ]
@@ -242,8 +234,10 @@ mod tests {
         });
         assert!(priced[1].policy.contains("depth 8"));
         assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms);
-        assert!(priced[2].policy.contains("FIFO"));
-        assert_eq!(priced[3].requests, region.cells());
+        assert!(priced[2]
+            .policy
+            .contains("sorted + coalesced, queued SPTF (depth 1)"));
+        assert_eq!(priced[2].requests, priced[0].requests);
     }
 
     /// The same for beams, on every mapping (one with two-block cells)

@@ -11,8 +11,8 @@ use multimap_core::{
 use multimap_disksim::{DeviceModel, DiskGeometry, DiskSim, Lbn, Request};
 use multimap_lvm::{DeviceVolume, LogicalVolume, LvmError, SchedulePolicy};
 use multimap_query::{
-    record_classified_event, service_lbns, BlockCache, CacheProbe, QueryError, QueryExecutor,
-    QueryRequest, QueryResult,
+    record_classified_event, BlockCache, CacheProbe, ExecOptions, QueryError, QueryExecutor,
+    QueryOp, QueryRequest, QueryResult,
 };
 use multimap_telemetry::{Counter, Metrics};
 
@@ -686,7 +686,9 @@ impl<D: DeviceModel> StorageManager<D> {
         Ok(())
     }
 
-    /// Fetch the overflow chains of every cell in `region` (often empty).
+    /// Fetch the overflow chains of every cell in `region` (often empty):
+    /// one-block pages planned as a range at queue depth 1, the sorted
+    /// FIFO batch.
     fn read_overflow(&self, table: &SpatialTable, region: &BoxRegion) -> Result<QueryResult> {
         let grid = table.grid();
         let mut lbns: Vec<Lbn> = Vec::new();
@@ -694,10 +696,12 @@ impl<D: DeviceModel> StorageManager<D> {
             let cell = grid.linear_index(c);
             lbns.extend_from_slice(table.cells.overflow_lbns(cell));
         });
-        if lbns.is_empty() {
-            return Ok(QueryResult::default());
-        }
-        Ok(service_lbns(&self.volume, table.grant.disk, &lbns, false)?)
+        let fifo = ExecOptions {
+            queue_depth: 1,
+            ..ExecOptions::default()
+        };
+        let exec = QueryExecutor::with_options(&self.volume, table.grant.disk, fifo);
+        Ok(exec.execute_lbns(QueryOp::Range, table.mapping.kind(), lbns, 1)?)
     }
 }
 
@@ -831,6 +835,50 @@ mod tests {
         let region = BoxRegion::new([3u64, 2, 1], [3u64, 2, 1]);
         let r = m.range("t", &region).unwrap();
         assert_eq!(r.cells, 1 + 2);
+    }
+
+    /// A range reads its cells, then their overflow chains as the sorted
+    /// FIFO batch: a chain interleaved with another cell's pages is two
+    /// runs, served in ascending order after the cell.
+    #[test]
+    fn overflow_chains_are_read_as_the_sorted_fifo_batch() {
+        let (hot, other) = ([3u64, 2, 1], [5u64, 0, 0]);
+        let build = || {
+            let mut m = manager();
+            m.create_table("t", GridSpec::new([40u64, 6, 4]), LayoutChoice::MultiMap)
+                .unwrap();
+            m.load("t").unwrap();
+            // Fill both cells, then spill `hot`, `other`, `hot`: `hot`'s
+            // chain holds the first and third overflow pages.
+            let spills = [(hot, 13 + 1), (other, 13 + 1), (hot, CELL_CAPACITY)];
+            for (coord, inserts) in spills {
+                for _ in 0..inserts {
+                    m.insert("t", &coord).unwrap();
+                }
+            }
+            m
+        };
+        let region = BoxRegion::new(hot, hot);
+        let m = build();
+        let table = m.table("t").unwrap();
+        let chain = table.cells().overflow_lbns(table.grid().linear_index(&hot));
+        assert_eq!(chain.len(), 2);
+        assert_eq!(chain[1] - chain[0], 2, "the other cell's page sits between");
+        let read = m.range("t", &region).unwrap();
+        assert_eq!((read.cells, read.requests), (3, 3));
+
+        let twin = build();
+        let disk = twin.table("t").unwrap().grant().disk;
+        let exec = QueryExecutor::new(twin.volume(), disk);
+        let mapping = twin.table("t").unwrap().mapping();
+        let cell = exec.execute(QueryRequest::range(mapping, &region)).unwrap();
+        let pages = [Request::single(chain[0]), Request::single(chain[1])];
+        let fifo = twin
+            .volume()
+            .service_batch(disk, &pages, SchedulePolicy::InOrder)
+            .unwrap();
+        let expected = cell.total_io_ms + fifo.total_ms;
+        assert_eq!(read.total_io_ms.to_bits(), expected.to_bits());
     }
 
     #[test]

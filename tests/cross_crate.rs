@@ -7,10 +7,11 @@ use multimap::core::{
 use multimap::disksim::{profiles, request_payload, Request};
 use multimap::lvm::LogicalVolume;
 use multimap::octree::{
-    beam_box, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder, SkewedMultiMap,
+    beam_box, earthquake_tree, EarthquakeConfig, LeafLinearMapping, LeafOrder, LeafPlacement,
+    LeafQueryExecutor, SkewedMultiMap,
 };
 use multimap::olap::{self, OlapQuery};
-use multimap::query::{service_lbns, workload_rng, QueryExecutor, QueryRequest};
+use multimap::query::{workload_rng, QueryExecutor, QueryOp, QueryRequest};
 
 /// Earthquake pipeline: tree -> regions -> placements -> beam queries,
 /// with MultiMap winning the cross-stride (Z) beams.
@@ -32,11 +33,15 @@ fn earthquake_pipeline_end_to_end() {
     let leaves = tree.leaves_intersecting(lo, hi);
     assert!(!leaves.is_empty());
 
-    let naive_lbns: Vec<u64> = leaves.iter().map(|l| naive.lbn_of_leaf(l)).collect();
-    let mm_lbns: Vec<u64> = leaves.iter().map(|l| skewed.lbn_of_leaf(l)).collect();
-    let rn = service_lbns(&volume, 0, &naive_lbns, false).unwrap();
+    let exec = LeafQueryExecutor::new(&volume, 0);
+    let rn = exec
+        .beam(&tree, &LeafPlacement::Linear(&naive), 2, [3, 5, 0])
+        .unwrap();
     volume.reset();
-    let rm = service_lbns(&volume, 0, &mm_lbns, true).unwrap();
+    let rm = exec
+        .beam(&tree, &LeafPlacement::MultiMap(&skewed), 2, [3, 5, 0])
+        .unwrap();
+    assert_eq!(rn.cells as usize, leaves.len());
     assert_eq!(rn.cells, rm.cells);
     assert!(
         rm.total_io_ms <= rn.total_io_ms * 1.2,
@@ -109,7 +114,9 @@ fn updates_compose_with_mapping() {
     let volume = LogicalVolume::new(geom.clone(), 1);
     let mut lbns = vec![mm.lbn_of(&[3, 2, 1]).unwrap()];
     lbns.extend_from_slice(overflow);
-    let r = service_lbns(&volume, 0, &lbns, false).unwrap();
+    let r = QueryExecutor::new(&volume, 0)
+        .execute_lbns(QueryOp::Range, mm.kind(), lbns, 1)
+        .unwrap();
     assert_eq!(r.cells as usize, 1 + overflow.len());
 }
 
