@@ -15,7 +15,7 @@ use std::path::Path;
 use multimap_bench::backends::READ_BACKENDS;
 use multimap_bench::Scale::{self, Paper, Quick};
 use multimap_bench::Table;
-use multimap_disksim::BACKEND_NAMES;
+use multimap_disksim::{adjacency_offset_sectors, profiles, BACKEND_NAMES};
 
 /// The two evaluation drives, as the tables name them.
 const DISKS: [&str; 2] = ["Maxtor Atlas 10k III", "Seagate Cheetah 36ES"];
@@ -276,9 +276,10 @@ fn fifo_service_does_not_widen_multimaps_lead() {
     p.at(&["1"], "Naive").below(1.0, &p.at(&["1"], "MultiMap"));
 }
 
-/// Cause 2, partial: Naive reads the whole grid in one request per box,
-/// MultiMap in over a thousand times as many, some of them seeks past
-/// the settle plateau — costs the track-waste term leaves out.
+/// Cause 2: Naive reads the whole grid in one request per box, MultiMap
+/// in over a thousand times as many, some of them seeks past the settle
+/// plateau — what separates the measured scan from the adjacency-offset
+/// bound below.
 #[test]
 fn full_scans_cost_multimap_requests_and_seeks() {
     let p = Pinned::load(
@@ -290,6 +291,48 @@ fn full_scans_cost_multimap_requests_and_seeks() {
         let full = |m: &str, col: &str| p.at(&[disk, m, "100"], col);
         full("Naive", "requests").below(0.001, &full("MultiMap", "requests"));
         full("MultiMap", "seeks").above(0.0);
+    }
+}
+
+/// Cause 2, the adjacency offset: at quick scale each track holds one
+/// MultiMap row of `r` = 259 cells. The row that follows one on the next
+/// `k`-th track starts `k·δ` sectors after it (`δ` =
+/// `adjacency_offset_sectors` of the outer zone), modulo its `T`, and
+/// the head reaches none sooner than `r + δ` after the row's start, so
+/// a row costs at least the smallest multiple of `gcd(δ, T)` at or past
+/// `r + δ`. Naive's measured scans over that floor bound MultiMap's
+/// full-scan speedup at 0.69 on the Atlas and 0.66 on the Cheetah.
+#[test]
+fn full_scans_stay_under_the_adjacency_offset_bound() {
+    let p = Pinned::load(
+        Quick,
+        "fig6b_synthetic_ranges",
+        "EXPERIMENTS.md §Figure 6(b), cause 2",
+    );
+    let grid = Quick.synthetic_grid();
+    let r = grid.extent(0);
+    let rows = Quick.range_runs() as u64 * grid.cells() / r;
+    for (disk, geom, bound) in [
+        (DISKS[0], profiles::atlas_10k_iii(), "0.69"),
+        (DISKS[1], profiles::cheetah_36es(), "0.66"),
+    ] {
+        let zone = &geom.zones()[0];
+        let t = u64::from(zone.sectors_per_track);
+        let delta = u64::from(adjacency_offset_sectors(&geom, zone));
+        let (mut a, mut b) = (delta, t);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        let gap = (r + delta).div_ceil(a) * a;
+        assert!(
+            gap < t,
+            "{disk}: a row's floor {gap} wraps a {t}-sector track"
+        );
+        let floor_ms = (rows * gap) as f64 * geom.revolution_ms() / t as f64;
+        let ceiling = p.at(&[disk, "100"], "naive_total_ms").value / floor_ms;
+        assert_eq!(format!("{ceiling:.2}"), bound, "{disk}: δ {delta}, T {t}");
+        p.at(&[disk, "100"], "multimap_speedup")
+            .within(0.0, ceiling);
     }
 }
 

@@ -12,13 +12,16 @@
 //! `2^(dims·j)` keys, so one walk down those blocks adds each sub-cube
 //! inside the grid as one key range and indexes single cells only where
 //! the grid's boundary cuts a small sub-cube (`keys_in_curve_order`).
-//! The same block property sizes the rank directory that `lbn_of` reads.
+//! The same block property sizes the rank directory that `lbn_of` reads,
+//! and the same walk over a query box gives its LBN runs
+//! ([`Mapping::box_runs`]): a sub-cube wholly inside the box is one rank
+//! interval.
 
-use multimap_disksim::Lbn;
+use multimap_disksim::{Lbn, Request};
 use multimap_sfc::{bits_for_extent, GrayCurve, HilbertCurve, SpaceFillingCurve, ZCurve};
 
 use crate::grid::{BoxRegion, Coord, GridSpec};
-use crate::mapping::{Mapping, MappingError, MappingKind, Result};
+use crate::mapping::{check_fits, push_run, Mapping, MappingError, MappingKind, Result};
 
 pub use multimap_sfc::curve::bits_for_extent as curve_bits_for_extent;
 
@@ -153,7 +156,12 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
                 coord: coord.to_vec(),
             });
         }
-        let key = self.curve.index(coord);
+        Ok(self.rank_of_key(self.curve.index(coord)))
+    }
+
+    /// Rank of the grid cell whose curve key is `key`.
+    #[inline]
+    fn rank_of_key(&self, key: u64) -> u64 {
         let bucket = (key >> self.shift) as usize;
         let (lo, hi) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
         let width = 1u64 << self.shift;
@@ -165,7 +173,7 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
             lo + self.keys[lo..hi].partition_point(|&k| k < key)
         };
         debug_assert!(self.keys[pos] == key);
-        Ok(pos as u64)
+        pos as u64
     }
 
     /// The directory-free rank: a search of the whole key table.
@@ -176,42 +184,14 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
     }
 }
 
-/// A cut sub-cube with at most this many region cells per child
-/// (`2^dims` children) is indexed and sorted instead of split: below it
-/// a decode per child costs more than the cells it would spare.
-const SORTED_CELLS_PER_CHILD: u64 = 64;
-
-/// The curve keys of every cell of `region`, ascending, from one walk
-/// over aligned sub-cubes in curve order.
-///
-/// The walk starts at the block of all keys and visits child blocks in
-/// ascending order. Each block's first key is decoded once and masked to
-/// its sub-cube's origin; a sub-cube outside `region` adds nothing, one
-/// wholly inside adds its key block, and one the region's boundary cuts
-/// splits into its `2^dims` children — unless its part of the region
-/// holds at most `64·2^dims` cells, which are then indexed and sorted.
-/// That base case keeps skinny and high-dimensional regions (a 64-D
-/// curve has `2^64` children at its root) from paying a decode per
-/// child.
+/// The curve keys of every cell of `region`, ascending, from one
+/// [`CurveWalk`] over aligned sub-cubes in curve order.
 ///
 /// `region` must lie inside the curve's hypercube.
 fn keys_in_curve_order<C: SpaceFillingCurve>(curve: &C, region: &BoxRegion) -> Vec<u64> {
-    let dims = curve.dims();
-    debug_assert_eq!(region.ndims(), dims);
-    debug_assert!(region.hi().iter().all(|&h| h <= low_bits(curve.bits())));
-    let mut walk = CurveWalk {
-        curve,
-        region,
-        base_cells: 1u64.checked_shl(dims as u32).map_or(u64::MAX, |children| {
-            children.saturating_mul(SORTED_CELLS_PER_CHILD)
-        }),
-        point: vec![0; dims],
-        lo: vec![0; dims],
-        hi: vec![0; dims],
-        keys: Vec::with_capacity(region.cells() as usize),
-    };
-    walk.visit(0, curve.bits());
-    walk.keys
+    let mut keys = KeySink(Vec::with_capacity(region.cells() as usize));
+    CurveWalk::run(curve, region, &mut keys);
+    keys.0
 }
 
 /// The `n` low bits set, for `n` in `0..=64`.
@@ -219,10 +199,104 @@ fn low_bits(n: u32) -> u64 {
     1u64.checked_shl(n).map_or(u64::MAX, |bit| bit - 1)
 }
 
-/// The state of [`keys_in_curve_order`]'s walk.
-struct CurveWalk<'a, C> {
+/// Where a [`CurveWalk`] delivers the region's keys, in ascending order.
+trait WalkSink {
+    /// A cut sub-cube with at most this many region cells per child
+    /// (`2^dims` children) is indexed and sorted instead of split: below
+    /// it a decode per child costs the sink more than the cells it would
+    /// spare.
+    const SORTED_CELLS_PER_CHILD: u64;
+
+    /// Every key of `first..=last` is in the region.
+    fn block(&mut self, first: u64, last: u64);
+
+    /// The vector a cut sub-cube's keys are appended to and sorted in.
+    fn buffer(&mut self) -> &mut Vec<u64>;
+
+    /// The keys appended to [`Self::buffer`] since the last block or cut
+    /// are one cut sub-cube's, now ascending.
+    fn sorted(&mut self);
+}
+
+/// The key table build: every key, in one vector.
+struct KeySink(Vec<u64>);
+
+impl WalkSink for KeySink {
+    const SORTED_CELLS_PER_CHILD: u64 = 64;
+
+    fn block(&mut self, first: u64, last: u64) {
+        self.0.extend(first..=last);
+    }
+
+    fn buffer(&mut self) -> &mut Vec<u64> {
+        &mut self.0
+    }
+
+    fn sorted(&mut self) {}
+}
+
+/// A box's LBN runs: each key block is one rank interval from one
+/// directory read, each cut sub-cube's keys are ranked one by one.
+struct RunSink<'m, C: SpaceFillingCurve> {
+    mapping: &'m CurveMapping<C>,
+    /// A cut sub-cube's keys, emptied after each.
+    cut: Vec<u64>,
+    runs: Vec<Request>,
+}
+
+impl<C: SpaceFillingCurve> RunSink<'_, C> {
+    /// Add `cells` cells from rank `rank` on.
+    #[inline]
+    fn add(&mut self, rank: u64, cells: u64) {
+        let m = self.mapping;
+        push_run(
+            &mut self.runs,
+            m.base_lbn + rank * m.cell_blocks,
+            cells * m.cell_blocks,
+        );
+    }
+}
+
+impl<C: SpaceFillingCurve> WalkSink for RunSink<'_, C> {
+    const SORTED_CELLS_PER_CHILD: u64 = 2;
+
+    fn block(&mut self, first: u64, last: u64) {
+        // The block lies in the grid, so its keys hold consecutive ranks.
+        self.add(self.mapping.rank_of_key(first), last - first + 1);
+    }
+
+    fn buffer(&mut self) -> &mut Vec<u64> {
+        &mut self.cut
+    }
+
+    fn sorted(&mut self) {
+        let mut cut = std::mem::take(&mut self.cut);
+        for &key in &cut {
+            self.add(self.mapping.rank_of_key(key), 1);
+        }
+        cut.clear();
+        self.cut = cut;
+    }
+}
+
+/// One walk over the aligned sub-cubes of a curve, in curve order,
+/// delivering the keys of `region`'s cells to a [`WalkSink`].
+///
+/// Z-order, Hilbert and Gray fill each aligned `2^j`-sided sub-cube with
+/// one aligned block of `2^(dims·j)` keys. The walk starts at the block
+/// of all keys and visits child blocks in ascending order. Each block's
+/// first key is decoded once and masked to its sub-cube's origin; a
+/// sub-cube outside `region` adds nothing, one wholly inside is one key
+/// block, and one the region's boundary cuts splits into its `2^dims`
+/// children — unless its part of the region holds at most
+/// `S::SORTED_CELLS_PER_CHILD·2^dims` cells, which are then indexed and
+/// sorted. That base case keeps skinny and high-dimensional regions (a
+/// 64-D curve has `2^64` children at its root) from paying a decode per
+/// child.
+struct CurveWalk<'a, C, S> {
     curve: &'a C,
     region: &'a BoxRegion,
+    sink: &'a mut S,
     /// The largest cut that is indexed and sorted rather than split.
     base_cells: u64,
     /// Scratch: a decoded point.
@@ -230,13 +304,32 @@ struct CurveWalk<'a, C> {
     /// The corners of the current sub-cube's part of the region.
     lo: Vec<u64>,
     hi: Vec<u64>,
-    /// The keys found so far, ascending.
-    keys: Vec<u64>,
 }
 
-impl<C: SpaceFillingCurve> CurveWalk<'_, C> {
-    /// Add the region's keys in the block of `2^(dims·level)` keys from
-    /// `first`: the `2^level`-sided sub-cube that holds `first`'s point.
+impl<'a, C: SpaceFillingCurve, S: WalkSink> CurveWalk<'a, C, S> {
+    /// Deliver the keys of `region` (inside the curve's hypercube) to
+    /// `sink`, ascending.
+    fn run(curve: &'a C, region: &'a BoxRegion, sink: &'a mut S) {
+        let dims = curve.dims();
+        debug_assert_eq!(region.ndims(), dims);
+        debug_assert!(region.hi().iter().all(|&h| h <= low_bits(curve.bits())));
+        let mut walk = CurveWalk {
+            curve,
+            region,
+            sink,
+            base_cells: 1u64.checked_shl(dims as u32).map_or(u64::MAX, |children| {
+                children.saturating_mul(S::SORTED_CELLS_PER_CHILD)
+            }),
+            point: vec![0; dims],
+            lo: vec![0; dims],
+            hi: vec![0; dims],
+        };
+        walk.visit(0, curve.bits());
+    }
+
+    /// Deliver the region's keys in the block of `2^(dims·level)` keys
+    /// from `first`: the `2^level`-sided sub-cube that holds `first`'s
+    /// point.
     fn visit(&mut self, first: u64, level: u32) {
         let dims = self.point.len();
         self.curve.coords_into(first, &mut self.point);
@@ -256,17 +349,20 @@ impl<C: SpaceFillingCurve> CurveWalk<'_, C> {
             self.hi[d] = hi;
         }
         if whole {
-            let last = first | low_bits(dims as u32 * level);
-            self.keys.extend(first..=last);
+            self.sink
+                .block(first, first | low_bits(dims as u32 * level));
         } else if cells <= self.base_cells {
-            let start = self.keys.len();
+            let curve = self.curve;
+            let keys = self.sink.buffer();
+            let start = keys.len();
             BoxRegion::new(self.lo.clone(), self.hi.clone())
-                .for_each_cell(|c| self.keys.push(self.curve.index(c)));
-            self.keys[start..].sort_unstable();
+                .for_each_cell(|c| keys.push(curve.index(c)));
+            keys[start..].sort_unstable();
+            self.sink.sorted();
         } else {
             // A cut sub-cube has `level >= 1` (a single cell is in or
-            // out), and more cells than `base_cells` means `dims < 58`,
-            // so neither shift overflows.
+            // out), and more cells than `base_cells` means `2^dims` did
+            // not saturate it, so `dims < 64` and neither shift overflows.
             let child = level - 1;
             let stride = 1u64 << (dims as u32 * child);
             for c in 0..1u64 << dims {
@@ -343,6 +439,19 @@ impl<C: SpaceFillingCurve + Send + Sync> Mapping for CurveMapping<C> {
 
     fn blocks_spanned(&self) -> u64 {
         self.grid.cells() * self.cell_blocks
+    }
+
+    /// The box's rank intervals from one `CurveWalk`: a sub-cube wholly
+    /// inside the box is one interval, a cut one is ranked cell by cell.
+    fn box_runs(&self, region: &BoxRegion) -> Result<Vec<Request>> {
+        check_fits(&self.grid, region)?;
+        let mut sink = RunSink {
+            mapping: self,
+            cut: Vec::new(),
+            runs: Vec::new(),
+        };
+        CurveWalk::run(&self.curve, region, &mut sink);
+        Ok(sink.runs)
     }
 }
 

@@ -6,15 +6,14 @@
 //! allocate basic cubes to hold new points while preserving spatial
 //! locality."
 //!
-//! The loader turns a region of cells into a write schedule (sorted by
-//! LBN and coalesced into maximal sequential writes by
-//! [`coalesce_runs`], the sort-and-coalesce every planned read batch
-//! uses too) and services it on a simulated device of any backend,
-//! reporting load time and effective bandwidth.
+//! The loader turns a region of cells into a write schedule (its
+//! ascending, maximal sequential runs: [`Mapping::box_runs`], the runs a
+//! range query reads too) and services it on a simulated device of any
+//! backend, reporting load time and effective bandwidth.
 
 use std::fmt;
 
-use multimap_disksim::{coalesce_runs, DeviceModel, DiskError, Lbn, Request, SECTOR_BYTES};
+use multimap_disksim::{DeviceModel, DiskError, Request, SECTOR_BYTES};
 
 use crate::grid::BoxRegion;
 use crate::mapping::{Mapping, MappingError, Result};
@@ -86,22 +85,10 @@ impl LoadReport {
     }
 }
 
-/// Build the coalesced, LBN-sorted write schedule for a region.
+/// Build the coalesced, LBN-sorted write schedule for a region: its box
+/// runs ([`Mapping::box_runs`]).
 pub fn write_schedule(mapping: &dyn Mapping, region: &BoxRegion) -> Result<Vec<Request>> {
-    if !region.fits(mapping.grid()) {
-        return Err(MappingError::CoordOutOfGrid {
-            coord: region.hi().to_vec(),
-        });
-    }
-    let mut lbns: Vec<Lbn> = Vec::with_capacity(region.cells().min(1 << 24) as usize);
-    region.for_each_cell(|c| {
-        #[expect(
-            clippy::expect_used,
-            reason = "region.fits(grid) was checked above, so every enumerated cell maps"
-        )]
-        lbns.push(mapping.lbn_of(c).expect("region cell maps"));
-    });
-    Ok(coalesce_runs(lbns, mapping.cell_blocks()))
+    mapping.box_runs(region)
 }
 
 /// Bulk-load an entire dataset onto a device of any backend.

@@ -12,10 +12,10 @@
 //! literal Figure 5 loop over `GET_ADJACENT` calls, kept as an executable
 //! specification (the two are tested to agree).
 
-use multimap_disksim::{adjacency_offset_sectors, adjacent_lbn, DiskGeometry, Lbn};
+use multimap_disksim::{adjacency_offset_sectors, adjacent_lbn, DiskGeometry, Lbn, Request, Zone};
 
-use crate::grid::{Coord, GridSpec};
-use crate::mapping::{Mapping, MappingError, MappingKind, Result};
+use crate::grid::{BoxRegion, Coord, GridSpec};
+use crate::mapping::{check_fits, sorted_runs, Mapping, MappingError, MappingKind, Result};
 use crate::multimap::layout::CubeLayout;
 use crate::multimap::shape::{solve, BasicCubeShape, ShapeConstraints};
 
@@ -374,6 +374,63 @@ impl Mapping for MultiMapping {
 
     fn blocks_spanned(&self) -> u64 {
         self.layout.end_lbn(&self.geom) - self.layout.start_lbn(&self.geom)
+    }
+
+    /// One run per cube row of the box — its Dim0 cells inside one basic
+    /// cube, which lie on one track at consecutive angles — from one
+    /// placement per row, and two where the row crosses the track's last
+    /// sector (`spt − sector` cells, then the rest from sector 0). The
+    /// rows then sort into ascending, merged runs.
+    fn box_runs(&self, region: &BoxRegion) -> Result<Vec<Request>> {
+        check_fits(&self.grid, region)?;
+        let k = &self.shape.k;
+        let (x_lo, x_hi) = (region.lo()[0], region.hi()[0]);
+        let mut runs = Vec::new();
+        region.for_each_dim0_run(|start, _| {
+            // The row's cube slot without its Dim0 cube, and its track
+            // and adjacency steps inside the cube (`lbn_of`'s terms).
+            let (mut upper, mut track_steps, mut jumps) = (0u64, 0u64, 0u64);
+            for d in (1..start.len()).rev() {
+                upper = upper * self.cube_grid.extent(d) + start[d] / k[d];
+                let y = start[d] % k[d];
+                track_steps += y * self.shape.step(d);
+                jumps += y;
+            }
+            let mut x = x_lo;
+            while x <= x_hi {
+                let cube = x / k[0];
+                let end = x_hi.min(cube * k[0] + k[0] - 1);
+                let slot = upper * self.cube_grid.extent(0) + cube;
+                let place = self.layout.place(&self.geom, slot);
+                let zone = &self.geom.zones()[place.zone_index];
+                let spt = zone.sectors_per_track as u64;
+                let track = place.base_track + track_steps;
+                let angle = self.track_angle(zone, place.base_track)
+                    + place.base_sector as u64
+                    + (x - cube * k[0])
+                    + jumps * self.adj_off[place.zone_index];
+                let sector = (angle + spt - self.track_angle(zone, track)) % spt;
+                let track_lbn = zone.first_lbn + (track - zone.first_track) * spt;
+                let cells = end - x + 1;
+                let head = cells.min(spt - sector);
+                runs.push(Request::new(track_lbn + sector, head));
+                if head < cells {
+                    runs.push(Request::new(track_lbn, cells - head));
+                }
+                x = end + 1;
+            }
+        });
+        Ok(sorted_runs(runs))
+    }
+}
+
+impl MultiMapping {
+    /// Angular offset of sector 0 of global `track` in `zone`, in sectors.
+    #[inline]
+    fn track_angle(&self, zone: &Zone, track: u64) -> u64 {
+        let surfaces = self.geom.surfaces as u64;
+        self.geom
+            .track_offset_sectors(zone, track / surfaces, (track % surfaces) as u32) as u64
     }
 }
 

@@ -4,10 +4,10 @@
 //! fastest, so scans along `Dim0` are sequential and every other
 //! dimension strides by the product of the lower extents (Section 1).
 
-use multimap_disksim::Lbn;
+use multimap_disksim::{Lbn, Request};
 
-use crate::grid::{Coord, GridSpec};
-use crate::mapping::{Mapping, MappingError, MappingKind, Result};
+use crate::grid::{BoxRegion, Coord, GridSpec};
+use crate::mapping::{check_fits, push_run, Mapping, MappingError, MappingKind, Result};
 
 /// Row-major linearised mapping starting at `base_lbn`.
 #[derive(Clone, Debug)]
@@ -81,6 +81,19 @@ impl Mapping for NaiveMapping {
 
     fn blocks_spanned(&self) -> u64 {
         self.grid.cells() * self.cell_blocks
+    }
+
+    /// One run per Dim0 row of the box, in row-major order, which is LBN
+    /// order; rows that abut (the box spans Dim0) merge.
+    fn box_runs(&self, region: &BoxRegion) -> Result<Vec<Request>> {
+        check_fits(&self.grid, region)?;
+        let row_blocks = region.extent(0) * self.cell_blocks;
+        let mut runs = Vec::new();
+        region.for_each_dim0_run(|start, _| {
+            let lbn = self.base_lbn + self.grid.linear_index(start) * self.cell_blocks;
+            push_run(&mut runs, lbn, row_blocks);
+        });
+        Ok(runs)
     }
 }
 

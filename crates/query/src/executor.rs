@@ -83,9 +83,9 @@ pub enum QueryOp {
     /// region's cells (usually a line along one dimension), or an
     /// explicit list ([`QueryRequest::cells`]).
     Beam,
-    /// Fetch every cell of an N-D box: its blocks sorted and coalesced
-    /// into runs, which the device's command queue
-    /// ([`ExecOptions::queue_depth`]) then orders.
+    /// Fetch every cell of an N-D box as the mapping's ascending,
+    /// maximal LBN runs ([`Mapping::box_runs`]), which the device's
+    /// command queue ([`ExecOptions::queue_depth`]) then orders.
     Range,
 }
 
@@ -435,14 +435,16 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         let cell_blocks = mapping.cell_blocks();
         finish_span(&mut sink, Span::Plan, t_plan);
 
-        // Translate: demanded cells → LBNs (direct or via the flat table).
+        // Translate: a range's box runs, or the demanded cells' LBNs
+        // (direct or via the flat table).
         let t_translate = timed.then(Instant::now);
-        let (lbns, cache_hit) = match cells {
+        let (demand, cache_hit) = match cells {
             Some(cells) => {
                 let lbns = cells.iter().map(|c| mapping.lbn_of(c));
-                (lbns.collect::<std::result::Result<_, _>>()?, None)
+                let lbns = lbns.collect::<std::result::Result<_, _>>()?;
+                (Demand::Cells(lbns), None)
             }
-            None => translate_region(mapping, &region)?,
+            None => demand_of(mapping, &region, op, cache.is_some())?,
         };
         if let Some(s) = sink.as_deref_mut() {
             match cache_hit {
@@ -452,15 +454,22 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             }
         }
         finish_span(&mut sink, Span::Translate, t_translate);
-        let cells = lbns.len() as u64;
+        let cells = match &demand {
+            Demand::Cells(lbns) => lbns.len() as u64,
+            Demand::Runs(_) => region.cells(),
+        };
 
-        // Schedule: probe the cache (when one is attached) and build the
-        // request batch in issue order.
+        // Schedule: probe the cache (when one is attached; its demand is
+        // cells) and build the request batch in issue order.
         let t_schedule = timed.then(Instant::now);
-        let probed = cache.map(|cache| {
+        let probed = match (cache, &demand) {
+            (Some(cache), Demand::Cells(lbns)) => Some((cache, lbns)),
+            _ => None,
+        }
+        .map(|(cache, lbns)| {
             let mut missed: Vec<Lbn> = Vec::new();
             let mut prefetch_used = 0u64;
-            for &l in &lbns {
+            for &l in lbns {
                 match cache.probe(l) {
                     CacheProbe::Hit { first_prefetch_use } => {
                         prefetch_used += u64::from(first_prefetch_use)
@@ -481,7 +490,7 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
             let prefetch = cache.plan_prefetch(&PrefetchContext {
                 mapping,
                 region: &region,
-                demand: &lbns,
+                demand: lbns,
                 missed: &missed,
                 lbn_limit: self.volume.geometry().total_blocks(),
             });
@@ -494,7 +503,9 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         });
         // The misses are scheduled exactly as an uncached query over
         // them would be; the speculative reads are appended after.
-        let demand = probed.as_ref().map_or(lbns, |p| p.missed.clone());
+        let demand = probed
+            .as_ref()
+            .map_or(demand, |p| Demand::Cells(p.missed.clone()));
         let (mut requests, policy) =
             plan_batch(&self.options, op, mapping.kind(), cell_blocks, demand);
         if let Some(p) = &probed {
@@ -563,7 +574,8 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         cell_blocks: u64,
     ) -> Result<QueryResult> {
         let cells = lbns.len() as u64;
-        let (requests, policy) = plan_batch(&self.options, op, kind, cell_blocks, lbns);
+        let (requests, policy) =
+            plan_batch(&self.options, op, kind, cell_blocks, Demand::Cells(lbns));
         let batch = if requests.is_empty() {
             BatchTiming::default()
         } else {
@@ -578,6 +590,32 @@ impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
         };
         Ok(QueryResult::from_batch(batch, cells))
     }
+}
+
+/// What a query demands of the device, in the form its plan takes.
+pub(crate) enum Demand {
+    /// Every demanded cell's first LBN, in demand order.
+    Cells(Vec<Lbn>),
+    /// A grid box's ascending, maximal runs ([`Mapping::box_runs`]).
+    Runs(Vec<Request>),
+}
+
+/// What an `op` query over `region` demands: a range's box runs, or —
+/// for a beam, and for a range under a page cache, which probes and
+/// admits cell by cell — every cell's first LBN in row-major order. The
+/// second value reports the translation cache outcome: `None` when the
+/// cache was not consulted.
+pub(crate) fn demand_of(
+    mapping: &dyn Mapping,
+    region: &BoxRegion,
+    op: QueryOp,
+    page_cache: bool,
+) -> Result<(Demand, Option<bool>)> {
+    if op == QueryOp::Range && !page_cache {
+        return Ok((Demand::Runs(mapping.box_runs(region)?), None));
+    }
+    let (lbns, cache_hit) = translate_region(mapping, region)?;
+    Ok((Demand::Cells(lbns), cache_hit))
 }
 
 /// Map every cell of `region` to the first LBN of its cell, in
@@ -623,34 +661,37 @@ pub fn collect_lbns(
 }
 
 /// The request batch, in issue order, and its discipline for the
-/// cell-start `lbns` (each `cell_blocks` long) of an `op` query under a
-/// `kind` mapping: one request per cell for a beam, all-at-once SPTF for
-/// MultiMap up to `options.sptf_limit` cells, queued SPTF past it,
-/// ascending LBN for the linearised mappings; a range sorted and
-/// coalesced by [`coalesce_runs`] under queued SPTF (depth 1 is the
-/// sorted FIFO batch). Every query's batch and [`crate::plan`] price
-/// comes from here; batches that serve no query (the serving loop's, the
-/// store's page reads and write-back) are device-queue batches.
+/// `demand` of an `op` query under a `kind` mapping whose cells are
+/// `cell_blocks` long: one request per cell for a beam, all-at-once SPTF
+/// for MultiMap up to `options.sptf_limit` cells, queued SPTF past it,
+/// ascending LBN for the linearised mappings; a range's box runs as they
+/// are, or its cells sorted and coalesced by [`coalesce_runs`] into the
+/// same runs, under queued SPTF (depth 1 is the sorted FIFO batch).
+/// Every query's batch and [`crate::plan`] price comes from here;
+/// batches that serve no query (the serving loop's, the store's page
+/// reads and write-back) are device-queue batches.
 pub(crate) fn plan_batch(
     options: &ExecOptions,
     op: QueryOp,
     kind: MappingKind,
     cell_blocks: u64,
-    lbns: Vec<Lbn>,
+    demand: Demand,
 ) -> (Vec<Request>, SchedulePolicy) {
+    let requests = match demand {
+        Demand::Runs(runs) => runs,
+        Demand::Cells(lbns) if op == QueryOp::Range => coalesce_runs(lbns, cell_blocks),
+        Demand::Cells(lbns) => lbns.iter().map(|&l| Request::new(l, cell_blocks)).collect(),
+    };
     let queued = SchedulePolicy::QueuedSptf(options.queue_depth);
-    match op {
-        QueryOp::Beam => {
-            let policy = match kind {
-                MappingKind::MultiMap if lbns.len() <= options.sptf_limit => SchedulePolicy::Sptf,
-                MappingKind::MultiMap => queued,
-                _ => SchedulePolicy::AscendingLbn,
-            };
-            let requests = lbns.iter().map(|&l| Request::new(l, cell_blocks));
-            (requests.collect(), policy)
+    let policy = match (op, kind) {
+        (QueryOp::Range, _) => queued,
+        (QueryOp::Beam, MappingKind::MultiMap) if requests.len() <= options.sptf_limit => {
+            SchedulePolicy::Sptf
         }
-        QueryOp::Range => (coalesce_runs(lbns, cell_blocks), queued),
-    }
+        (QueryOp::Beam, MappingKind::MultiMap) => queued,
+        (QueryOp::Beam, _) => SchedulePolicy::AscendingLbn,
+    };
+    (requests, policy)
 }
 
 #[cfg(test)]
@@ -858,8 +899,10 @@ mod tests {
         }
     }
 
-    /// A large cached range records a translation-cache outcome; the
-    /// selection counters ride along on SPTF beams.
+    /// A large range under a page cache, which probes cell by cell,
+    /// records a translation-cache outcome; the same range without one
+    /// plans from its box runs and consults no table. The selection
+    /// counters ride along on SPTF beams.
     #[test]
     fn sink_records_cache_counters() {
         let vol = LogicalVolume::new(profiles::small(), 1);
@@ -867,17 +910,30 @@ mod tests {
         let mm = MultiMapping::new(vol.geometry(), grid.clone()).unwrap();
         let region = grid.bounding_region();
         let exec = QueryExecutor::new(&vol, 0);
+        let outcomes = |m: &Metrics| {
+            m.counter_value(Counter::TranslationCacheHit)
+                + m.counter_value(Counter::TranslationCacheMiss)
+        };
+        let mut runs = Metrics::new();
+        exec.execute(QueryRequest::range(&mm, &region).with_sink(&mut runs))
+            .unwrap();
+        assert_eq!(outcomes(&runs), 0);
+        let cache = TestCache::default();
         let mut first = Metrics::new();
-        exec.execute(QueryRequest::range(&mm, &region).with_sink(&mut first))
-            .unwrap();
+        exec.execute(
+            QueryRequest::range(&mm, &region)
+                .with_cache(&cache)
+                .with_sink(&mut first),
+        )
+        .unwrap();
         let mut second = Metrics::new();
-        exec.execute(QueryRequest::range(&mm, &region).with_sink(&mut second))
-            .unwrap();
-        assert_eq!(
-            first.counter_value(Counter::TranslationCacheHit)
-                + first.counter_value(Counter::TranslationCacheMiss),
-            1
-        );
+        exec.execute(
+            QueryRequest::range(&mm, &region)
+                .with_cache(&cache)
+                .with_sink(&mut second),
+        )
+        .unwrap();
+        assert_eq!(outcomes(&first), 1);
         // The second run must hit: the first populated the shared LRU.
         assert_eq!(second.counter_value(Counter::TranslationCacheHit), 1);
 

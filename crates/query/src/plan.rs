@@ -13,7 +13,7 @@ use multimap_disksim::{DeviceModel, Discipline, DiskGeometry, DiskSim};
 use multimap_lvm::LvmError;
 
 use crate::error::Result;
-use crate::executor::{plan_batch, region_outside, translate_region, ExecOptions, QueryOp};
+use crate::executor::{demand_of, plan_batch, region_outside, ExecOptions, QueryOp};
 
 /// A priced access plan.
 #[derive(Clone, Debug)]
@@ -102,8 +102,8 @@ fn explain(
     if !region.fits(mapping.grid()) {
         return Err(region_outside(region, mapping.grid()));
     }
-    let (lbns, _) = translate_region(mapping, region)?;
-    let (requests, policy) = plan_batch(options, op, mapping.kind(), mapping.cell_blocks(), lbns);
+    let (demand, _) = demand_of(mapping, region, op, false)?;
+    let (requests, policy) = plan_batch(options, op, mapping.kind(), mapping.cell_blocks(), demand);
     let label = match op {
         QueryOp::Beam => discipline_label(policy),
         QueryOp::Range => format!("sorted + coalesced, {}", discipline_label(policy)),
@@ -204,40 +204,70 @@ mod tests {
             "{ctx}: {}",
             plan.policy
         );
+        if op == QueryOp::Range {
+            // The box runs are the per-cell translation, coalesced.
+            let lbns = crate::executor::collect_lbns(mapping, region).unwrap();
+            let per_cell = multimap_disksim::coalesce_runs(lbns, mapping.cell_blocks());
+            assert_eq!(plan.requests, per_cell.len() as u64, "{ctx}");
+            let max_run = per_cell.iter().map(|r| r.nblocks).max();
+            assert_eq!(Some(plan.max_run), max_run, "{ctx}");
+        }
         plan
     }
 
     /// The plan is the executor's own batch under the executor's own
-    /// policy: multi-block cells are priced as multi-block requests and
-    /// a non-default queue depth, the FIFO depth 1 included, is the one
-    /// priced.
+    /// policy, on every mapping (Z-order with two-block cells), for a
+    /// small box and one past `MIN_CACHED_LOOKUPS`: multi-block cells
+    /// are priced as multi-block requests and a non-default queue depth,
+    /// the FIFO depth 1 included, is the one priced.
     #[test]
     fn range_plan_is_the_executors_batch_and_policy() {
-        use multimap_core::zorder_mapping;
+        use multimap_core::{hilbert_mapping, zorder_mapping, MIN_CACHED_LOOKUPS};
         let geom = profiles::small();
-        let grid = GridSpec::new([16u64, 16, 8]);
-        let zorder = zorder_mapping(grid, 0, 2).unwrap();
-        let region = BoxRegion::new([1u64, 2, 0], [12u64, 13, 6]);
-        let priced = [
-            ExecOptions::default(),
-            ExecOptions {
-                queue_depth: 8,
-                ..ExecOptions::default()
-            },
-            ExecOptions {
-                queue_depth: 1,
-                ..ExecOptions::default()
-            },
-        ]
-        .map(|options| {
-            assert_plan_is_the_execution(&geom, &zorder, &region, QueryOp::Range, options)
-        });
-        assert!(priced[1].policy.contains("depth 8"));
-        assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms);
-        assert!(priced[2]
-            .policy
-            .contains("sorted + coalesced, queued SPTF (depth 1)"));
-        assert_eq!(priced[2].requests, priced[0].requests);
+        let grid = GridSpec::new([40u64, 24, 16]);
+        let mappings: [Box<dyn Mapping>; 4] = [
+            Box::new(NaiveMapping::new(grid.clone(), 0)),
+            Box::new(zorder_mapping(grid.clone(), 0, 2).unwrap()),
+            Box::new(hilbert_mapping(grid.clone(), 0, 1).unwrap()),
+            Box::new(MultiMapping::new(&geom, grid.clone()).unwrap()),
+        ];
+        let small = BoxRegion::new([1u64, 2, 0], [12u64, 13, 6]);
+        let large = BoxRegion::new([3u64, 1, 2], [37u64, 22, 15]);
+        assert!(small.cells() < MIN_CACHED_LOOKUPS && large.cells() >= MIN_CACHED_LOOKUPS);
+        for mapping in &mappings {
+            for region in [&small, &large] {
+                let priced = [
+                    ExecOptions::default(),
+                    ExecOptions {
+                        queue_depth: 8,
+                        ..ExecOptions::default()
+                    },
+                    ExecOptions {
+                        queue_depth: 1,
+                        ..ExecOptions::default()
+                    },
+                ]
+                .map(|options| {
+                    assert_plan_is_the_execution(
+                        &geom,
+                        mapping.as_ref(),
+                        region,
+                        QueryOp::Range,
+                        options,
+                    )
+                });
+                let ctx = format!("{} {region:?}", mapping.name());
+                assert!(priced[1].policy.contains("depth 8"), "{ctx}");
+                assert_ne!(priced[1].estimated_ms, priced[0].estimated_ms, "{ctx}");
+                assert!(
+                    priced[2]
+                        .policy
+                        .contains("sorted + coalesced, queued SPTF (depth 1)"),
+                    "{ctx}"
+                );
+                assert_eq!(priced[2].requests, priced[0].requests, "{ctx}");
+            }
+        }
     }
 
     /// The same for beams, on every mapping (one with two-block cells)

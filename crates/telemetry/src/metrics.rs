@@ -161,7 +161,7 @@ schema! {
     pub enum Span {
         /// Fit checks and policy resolution.
         Plan => "plan",
-        /// Cell→LBN translation (direct or via the flat-table cache).
+        /// A range's box runs, or each cell's LBN (direct or via the flat-table cache).
         Translate => "translate",
         /// Request building, sorting and coalescing.
         Schedule => "schedule",
